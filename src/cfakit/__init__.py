@@ -23,6 +23,7 @@ from .combine import (
 )
 from .core import (
     DiversityProfile,
+    FusionBatch,
     FusionInstance,
     LabelSet,
     RscCurve,
@@ -30,7 +31,6 @@ from .core import (
     build_instance,
     cognitive_diversity,
     diversity_strength,
-    diversity_strength_vector,
     normalize_scores,
     rank_from_scores,
     rsc_curve,
@@ -85,6 +85,7 @@ __all__ = [
     "EPSILON",
     "EvaluationReport",
     "FusedRanking",
+    "FusionBatch",
     "FusionInstance",
     "GenerationConfig",
     "GenerationOutcome",
@@ -110,7 +111,6 @@ __all__ = [
     "disagreement_tables",
     "distinct_n",
     "diversity_strength",
-    "diversity_strength_vector",
     "enumerate_combinations",
     "generate_corpus",
     "generate_prompt_matrix",

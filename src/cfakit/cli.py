@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .combine import run_grid
-from .core import LabelSet, build_instance
+from .core import FusionBatch, LabelSet, _ordered_sum
 from .corpus import (
     TfidfCentroidScorer,
     corpus_quality_report,
@@ -156,7 +156,7 @@ def _require_config(args) -> RunConfig:
     return _config_from(args)
 
 
-def _load_instances(config: RunConfig):
+def _load_batch(config: RunConfig):
     label_set = config.label_set()
     systems = config.require_systems()
     tables = {sid: load_score_file(path, label_set) for sid, path in systems}
@@ -169,16 +169,12 @@ def _load_instances(config: RunConfig):
                 f"systems {ids[0]!r} and {sid!r} cover different documents: "
                 f"{difference[:10]}"
             )
-    instances = [
-        build_instance(
-            doc_id,
-            label_set,
-            {sid: tables[sid][doc_id] for sid in ids},
-            config.tie_policy,
-        )
-        for doc_id in sorted(first_docs)
+    doc_ids = sorted(first_docs)
+    raw = [
+        [[tables[sid][doc_id][label] for label in label_set.labels] for sid in ids]
+        for doc_id in doc_ids
     ]
-    return label_set, instances
+    return label_set, FusionBatch(doc_ids, label_set, ids, raw, config.tie_policy)
 
 
 def _check_expert_alignment(doc_ids, experts) -> None:
@@ -221,67 +217,61 @@ def _safe_name(doc_id: str) -> str:
 
 def cmd_diversity(args) -> None:
     config = _require_config(args)
-    _, instances = _load_instances(config)
-    if instances[0].t < 2:
+    _, batch = _load_batch(config)
+    if batch.cd is None:
         raise DomainError("diversity reports need at least two systems")
     out_dir = config.out_dir
+    ids = batch.system_ids
+    pairs = [(j, k) for j in range(len(ids)) for k in range(j + 1, len(ids))]
 
     pair_rows = []
     strength_rows = []
-    for inst in instances:
-        profile = inst.diversity
-        ids = profile.system_ids
-        for j in range(len(ids)):
-            for k in range(j + 1, len(ids)):
-                pair_rows.append(
-                    (inst.doc_id, ids[j], ids[k], format_table(profile.cd[j, k]))
-                )
-            strength_rows.append(
-                (inst.doc_id, ids[j], format_table(profile.ds[j]))
-            )
+    for doc_id, cd, ds in zip(batch.doc_ids, batch.cd.tolist(), batch.ds.tolist()):
+        pair_rows.extend(
+            (doc_id, ids[j], ids[k], format_table(cd[j][k])) for j, k in pairs
+        )
+        strength_rows.extend(
+            (doc_id, system_id, format_table(value)) for system_id, value in zip(ids, ds)
+        )
     write_csv(out_dir / "diversity_pairs.csv",
               ("doc_id", "system_a", "system_b", "cd"), pair_rows)
     write_csv(out_dir / "diversity_strength.csv",
               ("doc_id", "system", "ds"), strength_rows)
 
-    ids = instances[0].diversity.system_ids
-    mean_pairs = []
-    for j in range(len(ids)):
-        for k in range(j + 1, len(ids)):
-            values = [inst.diversity.cd[j, k] for inst in instances]
-            mean_pairs.append((ids[j], ids[k], format_table(sum(values) / len(values))))
-    mean_strengths = []
-    for j, system_id in enumerate(ids):
-        values = [inst.diversity.ds[j] for inst in instances]
-        mean_strengths.append((system_id, format_table(sum(values) / len(values))))
+    # summed over documents in document order, like every other reduction
+    mean_cd = (_ordered_sum(batch.cd) / len(batch)).tolist()
+    mean_ds = (_ordered_sum(batch.ds) / len(batch)).tolist()
+    mean_pairs = [(ids[j], ids[k], format_table(mean_cd[j][k])) for j, k in pairs]
+    mean_strengths = [
+        (system_id, format_table(value)) for system_id, value in zip(ids, mean_ds)
+    ]
     write_csv(out_dir / "diversity_pairs_mean.csv",
               ("system_a", "system_b", "mean_cd"), mean_pairs)
     write_csv(out_dir / "diversity_strength_mean.csv",
               ("system", "mean_ds"), mean_strengths)
 
-    by_id = {inst.doc_id: inst for inst in instances}
+    row_of = {doc_id: d for d, doc_id in enumerate(batch.doc_ids)}
     for doc_id in args.doc:
-        if doc_id not in by_id:
+        if doc_id not in row_of:
             raise ValidationError(
-                f"unknown document {doc_id!r}; known documents: {sorted(by_id)}"
+                f"unknown document {doc_id!r}; known documents: {sorted(row_of)}"
             )
-        inst = by_id[doc_id]
         rows = []
-        for system_id, curve in zip(inst.system_ids, inst.curves):
-            for position, value in enumerate(curve.values, start=1):
+        for system_id, curve in zip(ids, batch.rsc[row_of[doc_id]].tolist()):
+            for position, value in enumerate(curve, start=1):
                 rows.append((position, format_table(value), system_id))
         write_csv(out_dir / f"rsc_{_safe_name(doc_id)}.csv",
                   ("rank", "score", "system"), rows)
     print(
-        f"wrote diversity tables for {len(instances)} documents"
+        f"wrote diversity tables for {len(batch)} documents"
         + (f" and {len(args.doc)} RSC tables" if args.doc else "")
     )
 
 
-def _performance_weights(instances, config: RunConfig) -> dict[str, float]:
+def _performance_weights(batch, config: RunConfig) -> dict[str, float]:
     experts = load_expert_labels(config.require_experts())
-    _check_expert_alignment([i.doc_id for i in instances], experts)
-    predictions = individual_predictions(instances)
+    _check_expert_alignment(batch.doc_ids, experts)
+    predictions = individual_predictions(batch)
     return {
         system_id: precision_at_1(preds, experts, config.tie_mode).value
         for system_id, preds in predictions.items()
@@ -290,12 +280,12 @@ def _performance_weights(instances, config: RunConfig) -> dict[str, float]:
 
 def cmd_fuse(args) -> None:
     config = _require_config(args)
-    _, instances = _load_instances(config)
+    _, batch = _load_batch(config)
     performance = None
     if config.weights == "perf":
-        performance = _performance_weights(instances, config)
+        performance = _performance_weights(batch, config)
     grid = run_grid(
-        instances,
+        batch,
         strategies=config.strategies,
         min_size=config.min_subset,
         weight_source=config.weights,
@@ -451,10 +441,9 @@ def _write_report_tables(report: EvaluationReport, label_set: LabelSet, out_dir:
 
 def cmd_evaluate(args) -> None:
     config = _require_config(args)
-    label_set, instances = _load_instances(config)
+    label_set, batch = _load_batch(config)
     experts = load_expert_labels(config.require_experts())
-    doc_ids = [inst.doc_id for inst in instances]
-    _check_expert_alignment(doc_ids, experts)
+    _check_expert_alignment(batch.doc_ids, experts)
 
     fused_path = Path(args.fused) if args.fused else config.out_dir / "fused.csv"
     fused = load_fused_file(fused_path)
@@ -465,7 +454,7 @@ def cmd_evaluate(args) -> None:
             doc_id: Prediction(top1=fields["top1"], tied_top=fields["tied_top"])
             for doc_id, fields in docs.items()
         }
-    individual = individual_predictions(instances)
+    individual = individual_predictions(batch)
 
     report = build_report(individual, combined, experts, label_set, config.tie_mode)
     out_dir = config.out_dir

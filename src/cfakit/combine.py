@@ -16,12 +16,12 @@ every subset of size min_size..t crossed with the chosen strategies.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .core import FusionInstance, _freeze
+from .core import FusionBatch, FusionInstance, _ordered_sum, as_batch, diversity_strength
 from .errors import DomainError, ValidationError
 
 STRATEGIES = ("asc", "arc", "wsc", "wrc")
@@ -82,7 +82,8 @@ class FusedRanking:
     from best to worst with value ties broken by label order, so top1 is
     always deterministic.  tied_top lists every label sharing the best
     combined value, in label order; tie_at_top is true when there is more
-    than one.  weight_fallback marks results where a weighted strategy
+    than one.  combined_values is a read-only row of the (docs, labels)
+    block of values fused for every document at once.  weight_fallback marks results where a weighted strategy
     fell back to its unweighted counterpart because of vanishing weights.
     """
 
@@ -120,78 +121,66 @@ def enumerate_combinations(system_ids: Sequence[str], min_size: int = 2) -> list
     ]
 
 
-def _subset_rows(instance: FusionInstance, subset: Sequence[str], attr: str) -> np.ndarray:
-    ids = list(subset)
-    if not ids:
-        raise ValidationError("subset must name at least one system")
-    if len(set(ids)) != len(ids):
-        raise ValidationError("subset contains a repeated system id")
-    rows = [getattr(instance.system(system_id), attr) for system_id in ids]
-    return np.vstack(rows)
+def _fuse(
+    batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray | None = None
+) -> list[FusedRanking]:
+    """Fuse the systems at positions idx under one strategy, for every
+    document at once; weights is (docs, len(idx)) for wsc and wrc."""
+    cube = batch.ranks if strategy in ("arc", "wrc") else batch.normalized
+    rows = [cube[:, j] for j in idx]
+    values = _ordered_sum(rows) / len(rows)
+    fallback = np.zeros(len(batch), dtype=bool)
+    if strategy in ("wsc", "wrc"):
+        if strategy == "wsc":
+            if np.any(weights < 0):
+                raise ValidationError("score combination weights must be non-negative")
+            factors = weights
+            total = _ordered_sum(weights.T)
+            fallback = total <= EPSILON
+        else:
+            # the reciprocal of a vanishing weight would blow up
+            fallback = np.any(weights <= EPSILON, axis=1)
+            factors = 1.0 / np.where(fallback[:, None], 1.0, weights)
+            total = _ordered_sum(factors.T)
+        weighted = _ordered_sum(f[:, None] * row for f, row in zip(factors.T, rows))
+        weighted /= np.where(fallback, 1.0, total)[:, None]
+        values = np.where(fallback[:, None], values, weighted)
+
+    labels = batch.label_set.labels
+    keys = -values if strategy in ("asc", "wsc") else values
+    # stable sort: value ties keep label order
+    order = np.argsort(keys, axis=1, kind="stable")
+    best = np.take_along_axis(keys, order[:, :1], axis=1)
+    tied = np.count_nonzero(keys == best, axis=1)
+    values.setflags(write=False)
+    out = []
+    for doc_id, row, positions, count, flag in zip(
+        batch.doc_ids, values, order.tolist(), tied.tolist(), fallback.tolist()
+    ):
+        ranking = tuple([labels[i] for i in positions])
+        # the tied labels lead the ranking, already in label order
+        out.append(FusedRanking(
+            doc_id, row, ranking, ranking[0], count > 1, ranking[:count], flag
+        ))
+    return out
 
 
-def _finalize(
-    instance: FusionInstance,
-    values: np.ndarray,
-    higher_is_better: bool,
-    weight_fallback: bool = False,
+def _fuse_one(
+    instance: FusionInstance, subset: Sequence[str], strategy: str, weights=None
 ) -> FusedRanking:
-    vals = np.asarray(values, dtype=float)
-    labels = instance.label_set.labels
-    keys = -vals if higher_is_better else vals
-    order = np.lexsort((np.arange(vals.size), keys))
-    ranking = tuple(labels[i] for i in order)
-    best = float(vals.max() if higher_is_better else vals.min())
-    tied = tuple(labels[i] for i in range(vals.size) if vals[i] == best)
-    return FusedRanking(
-        doc_id=instance.doc_id,
-        combined_values=_freeze(vals),
-        ranking=ranking,
-        top1=ranking[0],
-        tie_at_top=len(tied) > 1,
-        tied_top=tied,
-        weight_fallback=weight_fallback,
-    )
+    idx = instance.subset_index(subset)
+    if strategy in ("wsc", "wrc"):
+        weights = _resolve_weights(instance, subset, idx, weights)
+    return _fuse(instance, idx, strategy, weights)[0]
 
 
-def _column_sum(matrix: np.ndarray) -> np.ndarray:
-    # Summed first system to last with plain elementwise adds: the
-    # reduction order is part of the output contract, so combined values
-    # and their exact tie groups are bit-reproducible from the formulas.
-    acc = matrix[0].copy()
-    for row in matrix[1:]:
-        acc += row
-    return acc
-
-
-def _ordered_sum(values) -> float:
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
-def average_score_combination(instance: FusionInstance, subset: Sequence[str]) -> FusedRanking:
-    """Mean of the subset's normalized scores per label; higher is better."""
-    matrix = _subset_rows(instance, subset, "normalized")
-    return _finalize(instance, _column_sum(matrix) / len(matrix), higher_is_better=True)
-
-
-def average_rank_combination(instance: FusionInstance, subset: Sequence[str]) -> FusedRanking:
-    """Mean of the subset's ranks per label; lower is better."""
-    matrix = _subset_rows(instance, subset, "ranks")
-    return _finalize(instance, _column_sum(matrix) / len(matrix), higher_is_better=False)
-
-
-def _resolve_weights(
-    instance: FusionInstance, subset: Sequence[str], weights
-) -> np.ndarray:
+def _resolve_weights(batch: FusionBatch, subset, idx, weights) -> np.ndarray:
     if weights is None:
-        if instance.diversity is None:
+        if batch.cd is None:
             raise DomainError(
                 "diversity-strength weights need an instance with at least two systems"
             )
-        return np.asarray(instance.diversity.subset_strength(subset), dtype=float)
+        return diversity_strength(batch.cd, idx)
     if isinstance(weights, Mapping):
         try:
             resolved = [float(weights[system_id]) for system_id in subset]
@@ -199,14 +188,24 @@ def _resolve_weights(
             raise ValidationError(f"missing weight for system {exc.args[0]!r}") from None
     else:
         resolved = [float(w) for w in weights]
-        if len(resolved) != len(subset):
+        if len(resolved) != len(idx):
             raise ValidationError(
-                f"got {len(resolved)} weights for {len(subset)} systems"
+                f"got {len(resolved)} weights for {len(idx)} systems"
             )
     arr = np.asarray(resolved, dtype=float)
     if not np.isfinite(arr).all():
         raise ValidationError("weights must be finite")
-    return arr
+    return np.broadcast_to(arr, (len(batch), arr.size))
+
+
+def average_score_combination(instance: FusionInstance, subset: Sequence[str]) -> FusedRanking:
+    """Mean of the subset's normalized scores per label; higher is better."""
+    return _fuse_one(instance, subset, "asc")
+
+
+def average_rank_combination(instance: FusionInstance, subset: Sequence[str]) -> FusedRanking:
+    """Mean of the subset's ranks per label; lower is better."""
+    return _fuse_one(instance, subset, "arc")
 
 
 def weighted_score_combination(
@@ -219,16 +218,7 @@ def weighted_score_combination(
     systems are identical, the result falls back to the plain score
     average and is flagged via weight_fallback.
     """
-    matrix = _subset_rows(instance, subset, "normalized")
-    w = _resolve_weights(instance, subset, weights)
-    if np.any(w < 0):
-        raise ValidationError("score combination weights must be non-negative")
-    total = _ordered_sum(w.tolist())
-    if total <= EPSILON:
-        base = average_score_combination(instance, subset)
-        return replace(base, weight_fallback=True)
-    combined = _column_sum(w[:, None] * matrix) / total
-    return _finalize(instance, combined, higher_is_better=True)
+    return _fuse_one(instance, subset, "wsc", weights)
 
 
 def weighted_rank_combination(
@@ -241,18 +231,11 @@ def weighted_rank_combination(
     vanishing threshold would blow up its reciprocal, so the result falls
     back to the plain rank average and is flagged via weight_fallback.
     """
-    matrix = _subset_rows(instance, subset, "ranks")
-    w = _resolve_weights(instance, subset, weights)
-    if np.any(w <= EPSILON):
-        base = average_rank_combination(instance, subset)
-        return replace(base, weight_fallback=True)
-    inv = 1.0 / w
-    combined = _column_sum(inv[:, None] * matrix) / _ordered_sum(inv.tolist())
-    return _finalize(instance, combined, higher_is_better=False)
+    return _fuse_one(instance, subset, "wrc", weights)
 
 
 def run_grid(
-    instances: Sequence[FusionInstance],
+    instances: FusionBatch | Sequence[FusionInstance],
     strategies: Sequence[str] = STRATEGIES,
     min_size: int = 2,
     weight_source: str = "ds",
@@ -260,27 +243,15 @@ def run_grid(
 ) -> dict[str, list[FusedRanking]]:
     """Fuse every document under every (subset, strategy) combination.
 
-    Returns a mapping from combo_id to the per-document results in input
-    order.  All instances must share one label set and one system roster.
+    instances is a batch or a sequence of instances; they must share one
+    label set and one system roster.  Returns a mapping from combo_id to
+    the per-document results in input order.
     Performance weights apply globally per system and require the
     performance mapping; diversity-strength weights are recomputed per
     document and subset.
     """
-    instances = list(instances)
-    if not instances:
-        raise ValidationError("at least one fusion instance is required")
-    first = instances[0]
-    roster = set(first.system_ids)
-    for inst in instances[1:]:
-        if inst.label_set.labels != first.label_set.labels:
-            raise ValidationError(
-                f"document {inst.doc_id!r} uses a different label set"
-            )
-        if set(inst.system_ids) != roster:
-            raise ValidationError(
-                f"document {inst.doc_id!r} has systems {sorted(inst.system_ids)}, "
-                f"expected {sorted(roster)}"
-            )
+    batch = as_batch(instances)
+    roster = set(batch.system_ids)
 
     requested = set(strategies)
     unknown = requested - set(STRATEGIES)
@@ -311,20 +282,13 @@ def run_grid(
 
     grid: dict[str, list[FusedRanking]] = {}
     for subset in enumerate_combinations(sorted(roster), min_size):
-        subset_perf = None if perf is None else [perf[s] for s in subset]
+        idx = batch.subset_index(subset)
+        weights = None
+        if needs_weights:
+            # one set of weights per subset, shared by wsc and wrc
+            weights = _resolve_weights(batch, subset, idx, perf)
         for strategy in chosen:
             source = weight_source if strategy in ("wsc", "wrc") else None
             model = CombinedModel(systems=subset, strategy=strategy, weight_source=source)
-            results: list[FusedRanking] = []
-            for inst in instances:
-                if strategy == "asc":
-                    fused = average_score_combination(inst, subset)
-                elif strategy == "arc":
-                    fused = average_rank_combination(inst, subset)
-                elif strategy == "wsc":
-                    fused = weighted_score_combination(inst, subset, weights=subset_perf)
-                else:
-                    fused = weighted_rank_combination(inst, subset, weights=subset_perf)
-                results.append(fused)
-            grid[model.combo_id] = results
+            grid[model.combo_id] = _fuse(batch, idx, strategy, weights)
     return grid

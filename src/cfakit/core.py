@@ -4,17 +4,19 @@ A scoring system assigns one real score to every label of a document.
 This module normalizes those scores, converts them to ranks, builds the
 rank-score characteristic (RSC) curve that profiles how a system spreads
 its scores over rank positions, and measures pairwise cognitive diversity
-between systems.  Everything operates per document: normalization and
-ranking never mix values from different documents.
+between systems.  Every function works along the last (label) axis, so
+one call covers a single score vector or a whole (documents, systems,
+labels) cube; normalization and ranking never mix values from different
+documents or systems.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError, ValidationError
 
@@ -25,22 +27,35 @@ TIE_POLICIES = ("fractional", "ordinal")
 MIN_LABELS = 3
 
 
-def _freeze(values: Iterable[float] | np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _freeze(values: Iterable[float] | np.ndarray, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
-def _as_vector(values, what: str) -> np.ndarray:
+def _ordered_sum(terms: Iterable) -> np.ndarray:
+    # Plain elementwise adds, first term to last.  The reduction order is
+    # part of the output contract, so sums over systems, rank positions and
+    # documents never go through np.sum, np.mean or BLAS, whose pairwise
+    # summation changes low bits and with them exact tie groups.
+    terms = iter(terms)
+    total = np.array(next(terms), dtype=float)
+    for term in terms:
+        total += term
+    return total
+
+
+def _as_rows(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{what} must form a one-dimensional vector")
+    if arr.ndim == 0:
+        raise ValidationError(f"{what} must form a vector")
     if arr.size == 0:
         raise ValidationError(f"{what} vector is empty")
-    bad = np.flatnonzero(~np.isfinite(arr))
+    bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
-        i = int(bad[0])
-        raise ValidationError(f"{what} at index {i} is not finite: {arr[i]!r}")
+        where = tuple(int(i) for i in bad[0])
+        index = where[0] if arr.ndim == 1 else where
+        raise ValidationError(f"{what} at index {index} is not finite: {arr[where]!r}")
     return arr
 
 
@@ -90,39 +105,43 @@ class LabelSet:
 
 
 def normalize_scores(raw) -> np.ndarray:
-    """Min-max normalize a raw score vector to [0, 1].
+    """Min-max normalize raw scores to [0, 1] along the last axis.
 
-    A constant vector carries no ordering information, so every entry maps
+    A constant row carries no ordering information, so every entry maps
     to 0.5; callers mark such systems degenerate rather than failing.
     """
-    arr = _as_vector(raw, "raw score")
-    lo = float(arr.min())
-    hi = float(arr.max())
-    if hi == lo:
-        return np.full(arr.shape, 0.5)
-    return (arr - lo) / (hi - lo)
+    arr = _as_rows(raw, "raw score")
+    lo = arr.min(axis=-1, keepdims=True)
+    span = arr.max(axis=-1, keepdims=True) - lo
+    flat = span == 0.0
+    return np.where(flat, 0.5, (arr - lo) / np.where(flat, 1.0, span))
 
 
-def scores_degenerate(raw) -> bool:
-    """True when the raw vector is constant and normalization collapses."""
-    arr = _as_vector(raw, "raw score")
-    return bool(arr.max() == arr.min())
-
-
-def rank_from_scores(scores, tie_policy: str = "fractional") -> np.ndarray:
-    """Assign ranks so rank 1 goes to the highest score.
-
-    Under the fractional policy tied scores share the average of the rank
-    positions they span; under the ordinal policy the tie goes to the
-    lower label index.
-    """
+def _check_tie_policy(tie_policy: str) -> None:
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(
             f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}"
         )
-    arr = _as_vector(scores, "score")
-    method = "average" if tie_policy == "fractional" else "ordinal"
-    return rankdata(-arr, method=method).astype(float)
+
+
+def rank_from_scores(scores, tie_policy: str = "fractional") -> np.ndarray:
+    """Assign ranks along the last axis so rank 1 goes to the highest score.
+
+    Under the fractional policy tied scores share the average of the rank
+    positions they span, #greater + (#equal + 1) / 2; under the ordinal
+    policy the tie goes to the lower label index.
+    """
+    _check_tie_policy(tie_policy)
+    arr = _as_rows(scores, "score")
+    if tie_policy == "ordinal":
+        order = np.argsort(-arr, axis=-1, kind="stable")
+        return np.argsort(order, axis=-1, kind="stable") + 1.0
+    # [..., i, k] compares label k against label i
+    others = arr[..., None, :]
+    mine = arr[..., :, None]
+    greater = np.count_nonzero(others > mine, axis=-1)
+    equal = np.count_nonzero(others == mine, axis=-1)
+    return greater + (equal + 1) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,46 +154,24 @@ class SystemScores:
     ranks: np.ndarray
     degenerate: bool = False
 
-    @property
-    def n(self) -> int:
-        return int(self.raw.size)
-
-    @classmethod
-    def from_raw(cls, system_id: str, raw, tie_policy: str = "fractional") -> "SystemScores":
-        arr = _as_vector(raw, f"raw score for system {system_id!r}")
-        normalized = normalize_scores(arr)
-        ranks = rank_from_scores(arr, tie_policy)
-        degenerate = bool(arr.max() == arr.min())
-        return cls(
-            system_id=system_id,
-            raw=_freeze(arr),
-            normalized=_freeze(normalized),
-            ranks=_freeze(ranks),
-            degenerate=degenerate,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class RscCurve:
     """Rank-score characteristic: normalized score at each rank position.
 
-    values[i - 1] is the normalized score of the label holding rank i, so
-    the curve is non-increasing by construction.
+    values[..., i - 1] is the normalized score of the label holding rank
+    i, so the curve is non-increasing along the last axis by construction.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_vector(self.values, "curve value")
+        arr = _as_rows(self.values, "curve value")
         if float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
             raise ValidationError("curve values must lie in [0, 1]")
-        if np.any(np.diff(arr) > 0):
+        if np.any(np.diff(arr, axis=-1) > 0):
             raise ValidationError("curve values must be non-increasing")
         object.__setattr__(self, "values", _freeze(arr))
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
 
 
 def rsc_curve(normalized, ranks) -> RscCurve:
@@ -184,82 +181,65 @@ def rsc_curve(normalized, ranks) -> RscCurve:
     non-increasing order; tied labels hold equal scores, so the shared
     rank is unambiguous.
     """
-    norm = _as_vector(normalized, "normalized score")
-    rk = _as_vector(ranks, "rank")
-    if norm.size != rk.size:
+    norm = _as_rows(normalized, "normalized score")
+    rk = _as_rows(ranks, "rank")
+    if norm.shape != rk.shape:
         raise ValidationError(
-            f"normalized scores ({norm.size}) and ranks ({rk.size}) differ in length"
+            f"normalized scores {norm.shape} and ranks {rk.shape} differ in length"
         )
-    order = np.argsort(rk, kind="stable")
-    return RscCurve(norm[order])
+    order = np.argsort(rk, axis=-1, kind="stable")
+    return RscCurve(np.take_along_axis(norm, order, axis=-1))
 
 
-def cognitive_diversity(curve_a, curve_b) -> float:
-    """Cognitive diversity between two RSC curves.
+def cognitive_diversity(curve_a, curve_b):
+    """Cognitive diversity between two RSC curves, or two stacks of them.
 
     sqrt(sum_i (f_A(i) - f_B(i))^2 / (n - 2)) over rank positions
-    i = 1..n.  The divisor requires at least three labels.  The value is
-    symmetric, non-negative, and zero for identical curves.
+    i = 1..n, summed in rank order.  The divisor requires at least three
+    labels.  The value is symmetric, non-negative, and zero for identical
+    curves.  Stacks pair up elementwise over their leading axes and give
+    an array; two single curves give a float.
     """
-    a = _curve_values(curve_a)
-    b = _curve_values(curve_b)
-    if a.size != b.size:
-        raise ValidationError(
-            f"curves differ in length: {a.size} versus {b.size}"
-        )
-    n = int(a.size)
+    a, b = (_as_rows(getattr(c, "values", c), "curve value") for c in (curve_a, curve_b))
+    if a.shape != b.shape:
+        raise ValidationError(f"curves differ in length: {a.shape} versus {b.shape}")
+    n = int(a.shape[-1])
     if n < MIN_LABELS:
         raise DomainError(
             f"cognitive diversity needs at least {MIN_LABELS} labels, got {n}"
         )
-    # Accumulated in rank order: the reduction order is part of the output
-    # contract, so the value is bit-reproducible from the formula alone.
-    total = 0.0
-    for d in (a - b).tolist():
-        total += d * d
-    return float(np.sqrt(total / (n - 2)))
+    diff = a - b
+    squares = diff * diff
+    total = _ordered_sum(squares[..., i] for i in range(n))
+    out = np.sqrt(total / (n - 2))
+    return float(out) if out.ndim == 0 else out
 
 
-def _curve_values(curve) -> np.ndarray:
-    if isinstance(curve, RscCurve):
-        return curve.values
-    return _as_vector(curve, "curve value")
+def diversity_strength(cd, subset: Sequence[int] | None = None) -> np.ndarray:
+    """Mean cognitive diversity between each system and the others.
 
-
-def _as_cd_matrix(cd) -> np.ndarray:
+    cd is a (..., t, t) pairwise diversity matrix; leading axes, such as
+    documents, carry through.  With subset, a sequence of system indices,
+    strengths are recomputed within the subset, in subset order: weights
+    for combination are taken relative to the systems actually being
+    combined, not the full roster.
+    """
     m = np.asarray(cd, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError("cognitive diversity matrix must be square")
-    if m.shape[0] < 2:
+    t = m.shape[-1]
+    idx = list(range(t)) if subset is None else [int(j) for j in subset]
+    if len(idx) < 2:
         raise DomainError("diversity strength needs at least two systems")
+    if len(set(idx)) != len(idx) or not all(0 <= j < t for j in idx):
+        raise ValidationError(f"subset {idx} repeats a system or is out of range for {t}")
     if not np.isfinite(m).all():
         raise ValidationError("cognitive diversity matrix contains non-finite values")
-    return m
-
-
-def _strength_row(row: Sequence[float], j: int) -> float:
-    # summed in system order, skipping self; see cognitive_diversity on
-    # why the reduction order is fixed
-    total = 0.0
-    for k, value in enumerate(row):
-        if k != j:
-            total += value
-    return total / (len(row) - 1)
-
-
-def diversity_strength(cd, j: int) -> float:
-    """Mean cognitive diversity between system j and every other system."""
-    m = _as_cd_matrix(cd)
-    t = m.shape[0]
-    if not 0 <= j < t:
-        raise ValidationError(f"system index {j} out of range for {t} systems")
-    return _strength_row(m[j].tolist(), j)
-
-
-def diversity_strength_vector(cd) -> np.ndarray:
-    """Diversity strength of every system at once."""
-    m = _as_cd_matrix(cd)
-    return np.array([_strength_row(row, j) for j, row in enumerate(m.tolist())])
+    out = np.empty(m.shape[:-2] + (len(idx),))
+    for pos, j in enumerate(idx):
+        total = _ordered_sum(m[..., j, k] for k in idx if k != j)
+        out[..., pos] = total / (len(idx) - 1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,46 +250,11 @@ class DiversityProfile:
     cd: np.ndarray
     ds: np.ndarray
 
-    @classmethod
-    def from_curves(cls, system_ids: Sequence[str], curves: Sequence[RscCurve]) -> "DiversityProfile":
-        ids = tuple(system_ids)
-        if len(ids) != len(curves):
-            raise ValidationError("system ids and curves differ in length")
-        t = len(ids)
-        if t < 2:
-            raise DomainError("a diversity profile needs at least two systems")
-        cd = np.zeros((t, t))
-        for j in range(t):
-            for k in range(j + 1, t):
-                value = cognitive_diversity(curves[j], curves[k])
-                cd[j, k] = value
-                cd[k, j] = value
-        ds = diversity_strength_vector(cd)
-        return cls(system_ids=ids, cd=_freeze(cd), ds=_freeze(ds))
-
-    @property
-    def t(self) -> int:
-        return len(self.system_ids)
-
     def pair(self, id_a: str, id_b: str) -> float:
         return float(self.cd[self._pos(id_a), self._pos(id_b)])
 
     def strength(self, system_id: str) -> float:
         return float(self.ds[self._pos(system_id)])
-
-    def subset_strength(self, subset: Sequence[str]) -> np.ndarray:
-        """Diversity strengths recomputed within a subset of systems.
-
-        Weights for weighted combination are taken relative to the systems
-        actually being combined, not the full roster.
-        """
-        idx = [self._pos(s) for s in subset]
-        if len(idx) < 2:
-            raise DomainError("subset diversity strength needs at least two systems")
-        if len(set(idx)) != len(idx):
-            raise ValidationError("subset contains a repeated system id")
-        sub = self.cd[np.ix_(idx, idx)]
-        return np.array([_strength_row(row, j) for j, row in enumerate(sub.tolist())])
 
     def _pos(self, system_id: str) -> int:
         try:
@@ -319,38 +264,124 @@ class DiversityProfile:
 
 
 @dataclass(frozen=True, eq=False)
-class FusionInstance:
-    """Everything known about one document: scores, ranks, curves, diversity.
+class FusionBatch:
+    """Scores of many documents with their ranks, curves and diversity.
+
+    raw is a (docs, systems, labels) array of finite scores aligned with
+    doc_ids, system_ids and the label set.  Each derived array keeps those
+    axes (cd is (docs, systems, systems); cd and ds are None for a single
+    system) and is computed for every document at once, on first use.
+    """
+
+    doc_ids: tuple[str, ...]
+    label_set: LabelSet
+    system_ids: tuple[str, ...]
+    raw: np.ndarray
+    tie_policy: str = "fractional"
+
+    def __post_init__(self) -> None:
+        docs, ids = tuple(self.doc_ids), tuple(self.system_ids)
+        if not docs:
+            raise ValidationError("at least one document is required")
+        if not ids:
+            raise ValidationError("at least one scoring system is required")
+        if not all(isinstance(s, str) and s for s in ids):
+            raise ValidationError("system ids must be non-empty strings")
+        if len(set(ids)) != len(ids):
+            raise ValidationError(f"duplicate system id in {list(ids)}")
+        _check_tie_policy(self.tie_policy)
+        raw = _freeze(_as_rows(self.raw, "raw score"))
+        if raw.shape != (len(docs), len(ids), self.label_set.n):
+            raise ValidationError(
+                f"raw scores have shape {raw.shape}, expected "
+                f"{(len(docs), len(ids), self.label_set.n)} for documents x systems x labels"
+            )
+        object.__setattr__(self, "doc_ids", docs)
+        object.__setattr__(self, "system_ids", ids)
+        object.__setattr__(self, "raw", raw)
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    @property
+    def t(self) -> int:
+        return len(self.system_ids)
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        return _freeze(normalize_scores(self.raw))
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return _freeze(rank_from_scores(self.raw, self.tie_policy))
+
+    @cached_property
+    def rsc(self) -> np.ndarray:
+        return rsc_curve(self.normalized, self.ranks).values
+
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        return _freeze(self.raw.max(axis=-1) == self.raw.min(axis=-1), bool)
+
+    @cached_property
+    def cd(self) -> np.ndarray | None:
+        if self.t < 2:
+            return None
+        # every ordered pair at once; the diagonal is exactly zero and the
+        # two triangles are bit-identical because squares drop the sign
+        pairs = np.broadcast_arrays(self.rsc[:, :, None, :], self.rsc[:, None, :, :])
+        return _freeze(cognitive_diversity(*pairs))
+
+    @cached_property
+    def ds(self) -> np.ndarray | None:
+        return None if self.cd is None else _freeze(diversity_strength(self.cd))
+
+    def subset_index(self, subset: Sequence[str]) -> tuple[int, ...]:
+        """Positions of the named systems on the system axis, in subset order."""
+        ids = list(subset)
+        if not ids:
+            raise ValidationError("subset must name at least one system")
+        if len(set(ids)) != len(ids):
+            raise ValidationError("subset contains a repeated system id")
+        index = {s: j for j, s in enumerate(self.system_ids)}
+        try:
+            return tuple(index[s] for s in ids)
+        except KeyError as exc:
+            raise ValidationError(f"unknown system id {exc.args[0]!r}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class FusionInstance(FusionBatch):
+    """A batch of one document, with per-system views of its arrays.
 
     diversity is None when the instance holds a single system.
     """
 
-    doc_id: str
-    label_set: LabelSet
-    systems: tuple[SystemScores, ...]
-    curves: tuple[RscCurve, ...]
-    diversity: DiversityProfile | None
+    @property
+    def doc_id(self) -> str:
+        return self.doc_ids[0]
 
     @property
-    def system_ids(self) -> tuple[str, ...]:
-        return tuple(s.system_id for s in self.systems)
+    def systems(self) -> tuple[SystemScores, ...]:
+        return tuple(
+            SystemScores(s, self.raw[0, j], self.normalized[0, j], self.ranks[0, j],
+                         bool(self.degenerate[0, j]))
+            for j, s in enumerate(self.system_ids)
+        )
 
     @property
-    def t(self) -> int:
-        return len(self.systems)
+    def curves(self) -> tuple[RscCurve, ...]:
+        return tuple(RscCurve(values) for values in self.rsc[0])
+
+    @property
+    def diversity(self) -> DiversityProfile | None:
+        if self.cd is None:
+            return None
+        return DiversityProfile(self.system_ids, self.cd[0], self.ds[0])
 
     @property
     def degenerate_systems(self) -> tuple[str, ...]:
-        return tuple(s.system_id for s in self.systems if s.degenerate)
-
-    def system_index(self, system_id: str) -> int:
-        for i, s in enumerate(self.systems):
-            if s.system_id == system_id:
-                return i
-        raise ValidationError(f"unknown system id {system_id!r}")
-
-    def system(self, system_id: str) -> SystemScores:
-        return self.systems[self.system_index(system_id)]
+        return tuple(s for s, flag in zip(self.system_ids, self.degenerate[0]) if flag)
 
 
 def build_instance(
@@ -372,33 +403,9 @@ def build_instance(
         for item in items:
             if len(item) != 2:
                 raise ValidationError("system scores must be (system_id, scores) pairs")
-    if not items:
-        raise ValidationError("at least one scoring system is required")
-
-    seen: set[str] = set()
-    systems: list[SystemScores] = []
-    for system_id, scores in items:
-        if not isinstance(system_id, str) or not system_id:
-            raise ValidationError("system ids must be non-empty strings")
-        if system_id in seen:
-            raise ValidationError(f"duplicate system id {system_id!r}")
-        seen.add(system_id)
-        vector = _vector_for_labels(system_id, scores, label_set)
-        systems.append(SystemScores.from_raw(system_id, vector, tie_policy))
-
-    curves = tuple(rsc_curve(s.normalized, s.ranks) for s in systems)
-    diversity = None
-    if len(systems) >= 2:
-        diversity = DiversityProfile.from_curves(
-            [s.system_id for s in systems], curves
-        )
-    return FusionInstance(
-        doc_id=doc_id,
-        label_set=label_set,
-        systems=tuple(systems),
-        curves=curves,
-        diversity=diversity,
-    )
+    vectors = [_vector_for_labels(s, scores, label_set) for s, scores in items]
+    ids = [system_id for system_id, _ in items]
+    return FusionInstance((doc_id,), label_set, ids, [vectors], tie_policy)
 
 
 def _vector_for_labels(system_id: str, scores, label_set: LabelSet) -> list[float]:
@@ -420,3 +427,29 @@ def _vector_for_labels(system_id: str, scores, label_set: LabelSet) -> list[floa
             f"system {system_id!r} supplied {len(vector)} scores for {label_set.n} labels"
         )
     return [float(v) for v in vector]
+
+
+def as_batch(instances) -> FusionBatch:
+    """A batch as given, or instances sharing one label set, system roster
+    and tie policy stacked into one, in the first instance's system order."""
+    if isinstance(instances, FusionBatch):
+        return instances
+    instances = list(instances)
+    if not instances:
+        raise ValidationError("at least one fusion instance is required")
+    first = instances[0]
+    for inst in instances:
+        if inst.label_set.labels != first.label_set.labels:
+            raise ValidationError(f"document {inst.doc_id!r} uses a different label set")
+        if set(inst.system_ids) != set(first.system_ids):
+            raise ValidationError(
+                f"document {inst.doc_id!r} has systems {sorted(inst.system_ids)}, "
+                f"expected {sorted(first.system_ids)}"
+            )
+        if inst.tie_policy != first.tie_policy:
+            raise ValidationError(f"document {inst.doc_id!r} uses a different tie policy")
+    raw = [inst.raw[0, list(inst.subset_index(first.system_ids))] for inst in instances]
+    return FusionBatch(
+        [inst.doc_id for inst in instances], first.label_set, first.system_ids,
+        raw, first.tie_policy,
+    )

@@ -14,8 +14,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combine import FusedRanking, average_score_combination
-from .core import FusionInstance, LabelSet
+from .combine import FusedRanking, _fuse
+from .core import FusionBatch, FusionInstance, LabelSet, as_batch
 from .errors import ValidationError
 
 TIE_MODES = ("strict", "lenient")
@@ -59,25 +59,18 @@ def grid_predictions(
 
 
 def individual_predictions(
-    instances: Sequence[FusionInstance],
+    instances: FusionBatch | Sequence[FusionInstance],
 ) -> dict[str, dict[str, Prediction]]:
     """Per-document top-1 predictions of each system on its own.
 
     A single system is scored exactly like a size-one score average, so
     ties at the top resolve by label order and the tied group is kept.
     """
-    instances = list(instances)
-    if not instances:
-        raise ValidationError("at least one fusion instance is required")
-    out: dict[str, dict[str, Prediction]] = {}
-    for system_id in instances[0].system_ids:
-        out[system_id] = {
-            inst.doc_id: prediction_from_fused(
-                average_score_combination(inst, (system_id,))
-            )
-            for inst in instances
-        }
-    return out
+    batch = as_batch(instances)
+    return {
+        system_id: {f.doc_id: prediction_from_fused(f) for f in _fuse(batch, (j,), "asc")}
+        for j, system_id in enumerate(batch.system_ids)
+    }
 
 
 @dataclass(frozen=True)

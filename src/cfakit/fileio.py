@@ -41,17 +41,27 @@ def format_table(value: float) -> str:
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write text to path via a temporary file and an atomic rename."""
+    """Write text to path via a temporary file and an atomic rename.
+
+    The temporary file has a name of its own in the target directory, so
+    two runs sharing an output directory never touch each other's
+    temporary files, and it reaches the disk before the rename.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL never opens another writer's file; mode 0o666 leaves the
+    # permissions to the umask, as a plain open() would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with tmp.open("w", encoding="utf-8", newline="") as handle:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -68,22 +78,37 @@ def write_json(path: Path | str, payload) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def _open_rows(path: Path) -> list[list[str]]:
+def _read_text(path: Path, newline: str | None = None) -> str:
+    """Every input file is read here: missing, unreadable and non-UTF-8
+    files are reported by name, never as a traceback."""
     if not path.exists():
         raise DataAccessError(f"file not found: {path}")
     try:
-        with path.open(encoding="utf-8", newline="") as handle:
-            return list(csv.reader(handle))
+        with path.open(encoding="utf-8", newline=newline) as handle:
+            return handle.read()
     except OSError as exc:
         raise DataAccessError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 (byte offset {exc.start})") from None
 
 
-def _check_header(path: Path, rows: list[list[str]], expected: Sequence[str]) -> None:
-    if not rows or tuple(rows[0]) != tuple(expected):
-        found = rows[0] if rows else []
+def _table_rows(path: Path, header: Sequence[str]):
+    """(line number, row) for each non-empty row below the expected header,
+    every one checked to have as many columns as the header."""
+    rows = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    found = next(rows, [])
+    if tuple(found) != tuple(header):
         raise ValidationError(
-            f"{path}: expected header {','.join(expected)}, found {','.join(found)}"
+            f"{path}: expected header {','.join(header)}, found {','.join(found)}"
         )
+    for line_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
+            )
+        yield line_no, row
 
 
 def write_score_file(
@@ -108,15 +133,8 @@ def load_score_file(path: Path | str, label_set: LabelSet | None = None) -> dict
     covers exactly that label set.
     """
     path = Path(path)
-    rows = _open_rows(path)
-    _check_header(path, rows, SCORE_HEADER)
     out: dict[str, dict[str, float]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValidationError(f"{path}:{line_no}: expected 3 columns, found {len(row)}")
-        doc_id, label, text = row
+    for line_no, (doc_id, label, text) in _table_rows(path, SCORE_HEADER):
         if not doc_id or not label:
             raise ValidationError(f"{path}:{line_no}: empty doc_id or label")
         try:
@@ -151,15 +169,8 @@ def load_score_file(path: Path | str, label_set: LabelSet | None = None) -> dict
 
 def load_expert_labels(path: Path | str) -> dict[str, str]:
     path = Path(path)
-    rows = _open_rows(path)
-    _check_header(path, rows, EXPERT_HEADER)
     out: dict[str, str] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValidationError(f"{path}:{line_no}: expected 2 columns, found {len(row)}")
-        doc_id, label = row
+    for line_no, (doc_id, label) in _table_rows(path, EXPERT_HEADER):
         if not doc_id or not label:
             raise ValidationError(f"{path}:{line_no}: empty doc_id or label")
         if doc_id in out:
@@ -191,16 +202,8 @@ def write_fused_file(path: Path | str, grid: Mapping[str, Sequence]) -> None:
 def load_fused_file(path: Path | str) -> dict[str, dict[str, dict]]:
     """Parse a fused predictions file into combo_id -> doc_id -> fields."""
     path = Path(path)
-    rows = _open_rows(path)
-    _check_header(path, rows, FUSED_HEADER)
     out: dict[str, dict[str, dict]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(FUSED_HEADER):
-            raise ValidationError(
-                f"{path}:{line_no}: expected {len(FUSED_HEADER)} columns, found {len(row)}"
-            )
+    for line_no, row in _table_rows(path, FUSED_HEADER):
         combo_id, doc_id, top1, tie_text, tied_text, ranking_text = row
         if tie_text not in ("true", "false"):
             raise ValidationError(f"{path}:{line_no}: tie_at_top must be true or false")
@@ -236,13 +239,17 @@ def load_corpus(path: Path | str) -> list[Document]:
 
 def _load_corpus_dir(path: Path) -> list[Document]:
     docs: list[Document] = []
+    seen: dict[str, Path] = {}
     for label_dir in sorted(p for p in path.iterdir() if p.is_dir()):
         for text_file in sorted(label_dir.glob("*.txt")):
-            try:
-                text = text_file.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise DataAccessError(f"cannot read {text_file}: {exc}") from exc
-            docs.append(Document(doc_id=text_file.stem, text=text, label=label_dir.name))
+            doc_id = text_file.stem
+            if doc_id in seen:
+                raise ValidationError(
+                    f"{text_file}: duplicate document {doc_id!r}, also {seen[doc_id]}"
+                )
+            seen[doc_id] = text_file
+            text = _read_text(text_file)
+            docs.append(Document(doc_id=doc_id, text=text, label=label_dir.name))
     if not docs:
         raise ValidationError(f"{path}: no label directories with .txt documents")
     return docs
@@ -251,10 +258,8 @@ def _load_corpus_dir(path: Path) -> list[Document]:
 def _load_corpus_jsonl(path: Path) -> list[Document]:
     docs: list[Document] = []
     seen: set[str] = set()
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataAccessError(f"cannot read {path}: {exc}") from exc
+    # newlines only, as in generation: a JSON string may hold U+2028
+    lines = _read_text(path).split("\n")
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -291,17 +296,9 @@ def load_prompt_file(path: Path | str) -> list:
     from .corpus import Prompt
 
     path = Path(path)
-    rows = _open_rows(path)
-    _check_header(path, rows, PROMPT_HEADER)
     prompts = []
     seen: set[str] = set()
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(PROMPT_HEADER):
-            raise ValidationError(
-                f"{path}:{line_no}: expected {len(PROMPT_HEADER)} columns, found {len(row)}"
-            )
+    for line_no, row in _table_rows(path, PROMPT_HEADER):
         prompt_id, label, publication_type, source, text = row
         if prompt_id in seen:
             raise ValidationError(f"{path}:{line_no}: duplicate prompt id {prompt_id!r}")
@@ -351,12 +348,7 @@ def load_prompt_specs(path: Path | str) -> list[PromptSpec]:
 
 
 def _load_json(path: Path):
-    if not path.exists():
-        raise DataAccessError(f"file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataAccessError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -406,6 +398,28 @@ class RunConfig:
         return self.expert_labels
 
 
+_JSON_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an array": lambda v: isinstance(v, list),
+    "an array of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def _field(where, obj: dict, key: str, kind: str, default):
+    """obj[key] if it is a JSON value of the given kind, default if absent:
+    a string is never read as characters, nor a float or string as an int."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    if not _JSON_KINDS[kind](value):
+        raise ValidationError(
+            f"{where}: {key!r} must be {kind}, got {type(value).__name__}"
+        )
+    return value
+
+
 def load_config(path: Path | str) -> RunConfig:
     path = Path(path)
     raw = _load_json(path)
@@ -422,10 +436,11 @@ def load_config(path: Path | str) -> RunConfig:
     base = path.parent
     systems: list[tuple[str, Path]] = []
     seen: set[str] = set()
-    for index, entry in enumerate(raw.get("systems", [])):
+    for index, entry in enumerate(_field(path, raw, "systems", "an array", [])):
         if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
             raise ValidationError(f"{path}: system {index} needs 'id' and 'path'")
-        system_id = entry["id"]
+        where = f"{path}: system {index}"
+        system_id = _field(where, entry, "id", "a string", None)
         if not system_id or any(c in system_id for c in RESERVED_ID_CHARS):
             raise ValidationError(
                 f"{path}: system id {system_id!r} is empty or uses a reserved "
@@ -434,25 +449,26 @@ def load_config(path: Path | str) -> RunConfig:
         if system_id in seen:
             raise ValidationError(f"{path}: duplicate system id {system_id!r}")
         seen.add(system_id)
-        systems.append((system_id, base / entry["path"]))
+        systems.append((system_id, base / _field(where, entry, "path", "a string", None)))
 
-    generation = raw.get("generation", {})
-    if not isinstance(generation, dict):
-        raise ValidationError(f"{path}: 'generation' must be an object")
+    generation = _field(path, raw, "generation", "an object", {})
+    expert_labels = _field(path, raw, "expert_labels", "a string", None)
 
     config = RunConfig(
-        labels=tuple(raw.get("labels", ())),
+        labels=tuple(_field(path, raw, "labels", "an array of strings", ())),
         systems=tuple(systems),
-        expert_labels=(base / raw["expert_labels"]) if "expert_labels" in raw else None,
-        tie_policy=raw.get("tie_policy", "fractional"),
-        tie_mode=raw.get("tie_mode", "strict"),
-        strategies=tuple(raw.get("strategies", ("asc", "arc", "wsc", "wrc"))),
-        min_subset=int(raw.get("min_subset", 2)),
-        weights=raw.get("weights", "ds"),
-        out_dir=base / raw.get("out_dir", "."),
-        endpoint_url=generation.get("endpoint_url"),
-        auth_token=generation.get("auth_token"),
-        max_concurrency=int(generation.get("max_concurrency", 4)),
+        expert_labels=None if expert_labels is None else base / expert_labels,
+        tie_policy=_field(path, raw, "tie_policy", "a string", "fractional"),
+        tie_mode=_field(path, raw, "tie_mode", "a string", "strict"),
+        strategies=tuple(_field(
+            path, raw, "strategies", "an array of strings", ("asc", "arc", "wsc", "wrc")
+        )),
+        min_subset=_field(path, raw, "min_subset", "an integer", 2),
+        weights=_field(path, raw, "weights", "a string", "ds"),
+        out_dir=base / _field(path, raw, "out_dir", "a string", "."),
+        endpoint_url=_field(path, generation, "endpoint_url", "a string", None),
+        auth_token=_field(path, generation, "auth_token", "a string", None),
+        max_concurrency=_field(path, generation, "max_concurrency", "an integer", 4),
         base_dir=base,
     )
     _check_config(config)

@@ -14,11 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .corpus import Prompt
 from .errors import ValidationError
-from .fileio import atomic_write_text
+from .fileio import _read_text, atomic_write_text
 
 CORPUS_FILE = "corpus.jsonl"
 ERRORS_FILE = "errors.jsonl"
@@ -49,6 +47,8 @@ class GenerationOutcome:
 
 
 def _fetch(prompt: Prompt, config: GenerationConfig) -> str:
+    import requests  # only generation talks HTTP; keep `import cfakit` light
+
     headers = {}
     if config.auth_token:
         headers["Authorization"] = f"Bearer {config.auth_token}"
@@ -75,18 +75,19 @@ def _load_existing(path: Path) -> dict[str, dict]:
     if not path.exists():
         return {}
     records: dict[str, dict] = {}
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
-            if "prompt_id" not in record:
-                raise ValidationError(f"{path}:{line_no}: record lacks prompt_id")
-            records[record["prompt_id"]] = record
+    # split at newlines only: str.splitlines() also splits at U+2028 and
+    # other separators that JSON strings may hold unescaped
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
+        if "prompt_id" not in record:
+            raise ValidationError(f"{path}:{line_no}: record lacks prompt_id")
+        records[record["prompt_id"]] = record
     return records
 
 
@@ -147,6 +148,8 @@ def generate_corpus(
 
 
 def _try_fetch(prompt: Prompt, config: GenerationConfig) -> tuple[str | None, str | None]:
+    import requests
+
     try:
         return _fetch(prompt, config), None
     except (requests.RequestException, RuntimeError) as exc:

@@ -1,6 +1,12 @@
-"""Prints one PASS/FAIL line per acceptance check at the end of a run."""
+"""Prints one PASS/FAIL line per acceptance check at the end of a run,
+and runs fresh interpreters for the subprocess tests."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +33,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for name, passed in _verdicts.items():
         terminalreporter.write_line(f"{'PASS' if passed else 'FAIL'}  {name}")
+
+
+@pytest.fixture()
+def run_python():
+    """Run a fresh interpreter that imports this checkout's cfakit."""
+    import cfakit
+
+    src = str(Path(cfakit.__file__).resolve().parent.parent)
+
+    def run(*args, cwd=None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, *map(str, args)],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        )
+
+    return run

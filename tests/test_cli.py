@@ -11,7 +11,7 @@ import pytest
 
 from cfakit import LabelSet
 from cfakit.cli import main
-from cfakit.fileio import load_score_file, write_score_file
+from cfakit.fileio import atomic_write_text, load_score_file, write_score_file
 
 LABELS = ["SDG4", "SDG6", "SDG13"]
 
@@ -336,3 +336,72 @@ def test_load_score_file_rejects_non_finite(tmp_path):
 
     with pytest.raises(ValidationError, match="not finite"):
         load_score_file(path)
+
+
+ABC_SCORES = "doc_id,label,score\nd1,A,0.1\nd1,B,0.7\nd1,C,0.4\n"
+
+# (case, config fields over a valid two-system config on labels A, B, C,
+#  files written over the valid ones, command, text the error must name)
+MALFORMED = [
+    ("labels-string", {"labels": "ABC"}, {}, ["fuse"],
+     "'labels' must be an array of strings"),
+    ("strategies-string", {"strategies": "asc"}, {}, ["fuse"],
+     "'strategies' must be an array of strings"),
+    ("min-subset-string", {"min_subset": "x"}, {}, ["fuse"],
+     "'min_subset' must be an integer"),
+    ("system-id-number", {"systems": [{"id": 7, "path": "s.csv"}]}, {}, ["fuse"],
+     "'id' must be a string"),
+    ("score-file-not-utf8", {}, {"s.csv": b"doc_id,label,score\nd1,A,1\xff\n"}, ["fuse"],
+     "s.csv: not valid UTF-8"),
+    ("config-not-utf8", None, {"config.json": b'{"labels": ["\xff"]}'}, ["fuse"],
+     "config.json: not valid UTF-8"),
+    ("corpus-jsonl-not-utf8", {}, {"c.jsonl": b'{"doc_id": "d1", "text": "\xff"}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "c.jsonl: not valid UTF-8"),
+    ("corpus-dir-not-utf8", {}, {"cdir/A/d1.txt": b"\xff"},
+     ["corpus-stats", "--corpus", "cdir"], "d1.txt: not valid UTF-8"),
+    ("corpus-dir-duplicate-doc", {}, {"cdir/A/d1.txt": b"one", "cdir/B/d1.txt": b"two"},
+     ["corpus-stats", "--corpus", "cdir"], "duplicate document 'd1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, files, command, message", [case[1:] for case in MALFORMED],
+    ids=[case[0] for case in MALFORMED],
+)
+def test_malformed_input_exits_1_with_one_error_line(
+    run_python, tmp_path, fields, files, command, message
+):
+    config = {
+        "labels": ["A", "B", "C"],
+        "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
+        "out_dir": "out",
+    }
+    (tmp_path / "s.csv").write_text(ABC_SCORES)
+    (tmp_path / "t.csv").write_text(ABC_SCORES)
+    if fields is not None:
+        (tmp_path / "config.json").write_text(json.dumps({**config, **fields}))
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    result = run_python("-m", "cfakit.cli", *command, "--config", "config.json",
+                        cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert message in lines[0]
+
+
+def test_atomic_write_leaves_other_writers_temp_files_alone(tmp_path):
+    target = tmp_path / "out.csv"
+    other = tmp_path / "out.csv.tmp"
+    other.write_text("another run's temporary file")
+    atomic_write_text(target, "ours\n")
+    assert target.read_text() == "ours\n"
+    assert other.read_text() == "another run's temporary file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+    # a write that fails midway keeps the old file and leaves no temp file
+    with pytest.raises(TypeError):
+        atomic_write_text(target, None)
+    assert target.read_text() == "ours\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]

@@ -11,12 +11,10 @@ from cfakit import (
     DomainError,
     LabelSet,
     RscCurve,
-    SystemScores,
     ValidationError,
     build_instance,
     cognitive_diversity,
     diversity_strength,
-    diversity_strength_vector,
     normalize_scores,
     rank_from_scores,
     rsc_curve,
@@ -172,22 +170,22 @@ def test_cognitive_diversity_length_mismatch():
 
 def test_diversity_strength_row_means():
     cd = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-    assert diversity_strength(cd, 0) == pytest.approx(1.5)
-    assert diversity_strength(cd, 1) == pytest.approx(2.0)
-    assert diversity_strength(cd, 2) == pytest.approx(2.5)
-    assert diversity_strength_vector(cd).tolist() == pytest.approx([1.5, 2.0, 2.5])
+    assert diversity_strength(cd)[0] == pytest.approx(1.5)
+    assert diversity_strength(cd)[1] == pytest.approx(2.0)
+    assert diversity_strength(cd)[2] == pytest.approx(2.5)
+    assert diversity_strength(cd).tolist() == pytest.approx([1.5, 2.0, 2.5])
 
 
 def test_diversity_strength_needs_two_systems():
     with pytest.raises(DomainError):
-        diversity_strength(np.zeros((1, 1)), 0)
+        diversity_strength(np.zeros((1, 1)))
 
 
 def test_system_scores_degenerate_flag():
-    scores = SystemScores.from_raw("A", [2.0, 2.0, 2.0])
+    scores = build_instance("d", LABELS3, {"A": [2.0, 2.0, 2.0]}).systems[0]
     assert scores.degenerate
     assert scores.normalized.tolist() == [0.5, 0.5, 0.5]
-    assert not SystemScores.from_raw("A", [1.0, 2.0, 3.0]).degenerate
+    assert not build_instance("d", LABELS3, {"A": [1.0, 2.0, 3.0]}).systems[0].degenerate
 
 
 def test_build_instance_full_assembly():
@@ -271,7 +269,7 @@ def test_subset_strength_recomputes_within_subset():
     raw = {s: rng.uniform(size=6).tolist() for s in ("A", "B", "C", "D")}
     inst = build_instance("d", labels, raw)
     profile = inst.diversity
-    strengths = profile.subset_strength(("A", "C", "D"))
+    strengths = diversity_strength(profile.cd, inst.subset_index(("A", "C", "D")))
     curves = {
         s: _naive.rsc(_naive.normalize(raw[s])) for s in ("A", "C", "D")
     }
@@ -284,9 +282,9 @@ def test_subset_strength_rejects_unknown_and_small():
     labels = LabelSet(("x", "y", "z"))
     inst = build_instance("d", labels, {"A": [1, 2, 3], "B": [3, 2, 1]})
     with pytest.raises(ValidationError, match="unknown system"):
-        inst.diversity.subset_strength(("A", "Q"))
+        diversity_strength(inst.diversity.cd, inst.subset_index(("A", "Q")))
     with pytest.raises(DomainError):
-        inst.diversity.subset_strength(("A",))
+        diversity_strength(inst.diversity.cd, inst.subset_index(("A",)))
 
 
 def test_diversity_profile_pair_lookup():

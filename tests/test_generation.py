@@ -14,6 +14,7 @@ from cfakit import (
     ValidationError,
     generate_corpus,
 )
+from cfakit.fileio import load_corpus
 from cfakit.generation import CORPUS_FILE, ERRORS_FILE
 
 
@@ -164,3 +165,16 @@ def test_generate_connection_error_is_per_prompt(tmp_path):
     outcome = generate_corpus(_prompts(2), config, tmp_path)
     assert outcome.fetched == 0
     assert len(outcome.errors) == 2
+
+
+def test_stored_text_may_hold_unicode_line_separators(tmp_path):
+    # JSON written without ASCII escapes keeps U+2028 raw inside a string
+    record = {"doc_id": "p1", "prompt_id": "p1", "label": "A", "text": "one\u2028two"}
+    (tmp_path / CORPUS_FILE).write_text(
+        json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+    assert [d.text for d in load_corpus(tmp_path / CORPUS_FILE)] == ["one\u2028two"]
+    prompt = Prompt(prompt_id="p1", label="A", publication_type="t", source="s", text="x")
+    outcome = generate_corpus([prompt], GenerationConfig("http://127.0.0.1:9"), tmp_path)
+    assert (outcome.fetched, outcome.skipped) == (0, 1)
+    assert outcome.records[0]["text"] == "one\u2028two"
