@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .combine import run_grid
-from .core import FusionBatch, LabelSet, _ordered_sum
+from .core import FusionBatch, _ordered_sum
 from .corpus import (
     TfidfCentroidScorer,
     corpus_quality_report,
@@ -23,27 +23,28 @@ from .corpus import (
 )
 from .errors import CfaError, DomainError, ValidationError
 from .evaluate import (
-    EvaluationReport,
-    Prediction,
-    build_report,
-    individual_predictions,
-    precision_at_1,
+    ModelPredictions,
+    _count,
+    evaluate_predictions,
+    expert_indices,
+    individual_arrays,
+    write_report,
 )
 from .fileio import (
     RunConfig,
     _check_config,
+    check_coverage,
     format_table,
     load_config,
     load_corpus,
     load_expert_labels,
-    load_fused_file,
+    load_fused_predictions,
     load_lexicon,
     load_prompt_file,
     load_prompt_specs,
     load_score_file,
     write_csv,
     write_fused_file,
-    write_json,
     write_prompt_file,
     write_score_file,
 )
@@ -177,10 +178,11 @@ def _load_batch(config: RunConfig):
     return label_set, FusionBatch(doc_ids, label_set, ids, raw, config.tie_policy)
 
 
-def _check_expert_alignment(doc_ids, experts) -> None:
-    unlabeled = sorted(set(doc_ids) - set(experts))
-    if unlabeled:
-        raise ValidationError(f"expert labels missing for documents {unlabeled[:10]}")
+def _load_experts(config: RunConfig, batch: FusionBatch):
+    """The label-set index of each batch document's expert label."""
+    experts = load_expert_labels(config.require_experts())
+    check_coverage(batch.doc_ids, experts)
+    return expert_indices(experts, batch.label_set, batch.doc_ids)
 
 
 def cmd_score(args) -> None:
@@ -268,14 +270,10 @@ def cmd_diversity(args) -> None:
     )
 
 
-def _performance_weights(batch, config: RunConfig) -> dict[str, float]:
-    experts = load_expert_labels(config.require_experts())
-    _check_expert_alignment(batch.doc_ids, experts)
-    predictions = individual_predictions(batch)
-    return {
-        system_id: precision_at_1(preds, experts, config.tie_mode).value
-        for system_id, preds in predictions.items()
-    }
+def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, float]:
+    expert = _load_experts(config, batch)
+    correct, _ = _count(individual_arrays(batch), expert, batch.label_set.n, config.tie_mode)
+    return {s: c / len(batch) for s, c in zip(batch.system_ids, correct.sum(axis=1).tolist())}
 
 
 def cmd_fuse(args) -> None:
@@ -297,172 +295,20 @@ def cmd_fuse(args) -> None:
     print(f"wrote {out} ({len(grid)} combined models, {total} fused rankings)")
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    def precision(result):
-        if result is None:
-            return None
-        return {
-            "correct": result.correct,
-            "total": result.total,
-            "ties": result.tie_count,
-            "value": result.value,
-        }
-
-    def ratio(r):
-        return {"numerator": r.numerator, "denominator": r.denominator, "value": r.value}
-
-    def rows(table):
-        return [
-            {
-                "doc_id": row.doc_id,
-                "expert": row.expert,
-                "individual": row.individual,
-                "combined": row.combined,
-            }
-            for row in table
-        ]
-
-    return {
-        "tie_mode": report.tie_mode,
-        "label_counts": dict(report.label_counts),
-        "individual": {
-            model: {
-                "overall": precision(report.individual_overall[model]),
-                "per_label": {
-                    label: precision(result)
-                    for label, result in report.individual_per_label[model].items()
-                },
-            }
-            for model in report.individual_overall
-        },
-        "combined": {
-            model: {
-                "overall": precision(report.combined_overall[model]),
-                "per_label": {
-                    label: precision(result)
-                    for label, result in report.combined_per_label[model].items()
-                },
-            }
-            for model in report.combined_overall
-        },
-        "best_individual": {
-            "model": report.best_individual.model,
-            "tied": list(report.best_individual.tied),
-        },
-        "best_combined": {
-            "model": report.best_combined.model,
-            "tied": list(report.best_combined.tied),
-        },
-        "grid_statistics": {
-            "cells_ge_best_individual": ratio(report.grid_stats.cells_ge_best_individual),
-            "cells_ge_individual_mean": ratio(report.grid_stats.cells_ge_individual_mean),
-            "models_ge_best_individual": ratio(report.grid_stats.models_ge_best_individual),
-        },
-        "disagreements": {
-            "fusion_agrees_with_expert": rows(report.disagreements.fusion_agrees_with_expert),
-            "fusion_disagrees_with_both": rows(report.disagreements.fusion_disagrees_with_both),
-            "both_disagree_with_expert": rows(report.disagreements.both_disagree_with_expert),
-        },
-    }
-
-
-def _write_report_tables(report: EvaluationReport, label_set: LabelSet, out_dir: Path) -> None:
-    overall_rows = []
-    for kind, results in (
-        ("individual", report.individual_overall),
-        ("combined", report.combined_overall),
-    ):
-        for model in sorted(results):
-            r = results[model]
-            overall_rows.append(
-                (model, kind, r.correct, r.total, r.tie_count, format_table(r.value))
-            )
-    write_csv(out_dir / "overall_precision.csv",
-              ("model", "kind", "correct", "total", "ties", "precision"), overall_rows)
-
-    label_rows = []
-    for kind, tables in (
-        ("individual", report.individual_per_label),
-        ("combined", report.combined_per_label),
-    ):
-        for model in sorted(tables):
-            for label in label_set.labels:
-                result = tables[model][label]
-                if result is None:
-                    label_rows.append((model, kind, label, 0, 0, "n/a"))
-                else:
-                    label_rows.append(
-                        (model, kind, label, result.correct, result.total,
-                         format_table(result.value))
-                    )
-    write_csv(out_dir / "per_label_precision.csv",
-              ("model", "kind", "label", "correct", "total", "precision"), label_rows)
-
-    stats = report.grid_stats
-    stat_rows = []
-    for name, ratio in (
-        ("cells_ge_best_individual", stats.cells_ge_best_individual),
-        ("cells_ge_individual_mean", stats.cells_ge_individual_mean),
-        ("models_ge_best_individual", stats.models_ge_best_individual),
-    ):
-        stat_rows.append(
-            (name, ratio.numerator, ratio.denominator,
-             format_table(ratio.value), f"{100.0 * ratio.value:.2f}")
-        )
-    write_csv(out_dir / "grid_stats.csv",
-              ("statistic", "numerator", "denominator", "value", "percent"), stat_rows)
-
-    disagreement_rows = []
-    for category, table in (
-        ("fusion_agrees_with_expert", report.disagreements.fusion_agrees_with_expert),
-        ("fusion_disagrees_with_both", report.disagreements.fusion_disagrees_with_both),
-        ("both_disagree_with_expert", report.disagreements.both_disagree_with_expert),
-    ):
-        for row in table:
-            disagreement_rows.append(
-                (category, row.doc_id, row.expert, row.individual, row.combined)
-            )
-    write_csv(out_dir / "disagreements.csv",
-              ("category", "doc_id", "expert", "individual", "combined"),
-              disagreement_rows)
-
-    # Average precision per subset and strategy, the plot-data view of the
-    # combination grid.
-    strategy_rows = []
-    for combo_id in sorted(report.combined_overall):
-        subset, _, tag = combo_id.partition(":")
-        strategy_rows.append(
-            (subset, tag, format_table(report.combined_overall[combo_id].value))
-        )
-    strategy_rows.sort(key=lambda row: (row[0], row[1]))
-    write_csv(out_dir / "strategy_precision.csv",
-              ("subset", "strategy", "precision"), strategy_rows)
-
-
 def cmd_evaluate(args) -> None:
     config = _require_config(args)
     label_set, batch = _load_batch(config)
-    experts = load_expert_labels(config.require_experts())
-    _check_expert_alignment(batch.doc_ids, experts)
-
+    expert = _load_experts(config, batch)
     fused_path = Path(args.fused) if args.fused else config.out_dir / "fused.csv"
-    fused = load_fused_file(fused_path)
-    combined: dict[str, dict[str, Prediction]] = {}
-    for combo_id, docs in fused.items():
-        _check_expert_alignment(docs, experts)
-        combined[combo_id] = {
-            doc_id: Prediction(top1=fields["top1"], tied_top=fields["tied_top"])
-            for doc_id, fields in docs.items()
-        }
-    individual = individual_predictions(batch)
-
-    report = build_report(individual, combined, experts, label_set, config.tie_mode)
-    out_dir = config.out_dir
-    write_json(out_dir / "report.json", report_to_dict(report))
-    _write_report_tables(report, label_set, out_dir)
+    combo_ids, top1, tied = load_fused_predictions(fused_path, label_set, batch.doc_ids)
+    report = evaluate_predictions(
+        batch.doc_ids, label_set, expert, individual_arrays(batch),
+        ModelPredictions(combo_ids, label_set.labels, top1, tied), config.tie_mode,
+    )
+    write_report(report, config.out_dir)
     best = report.best_combined
     print(
-        f"wrote {out_dir / 'report.json'}; best combined model "
+        f"wrote {config.out_dir / 'report.json'}; best combined model "
         f"{best.model} at {format_table(report.combined_overall[best.model].value)}"
     )
 

@@ -121,11 +121,16 @@ def enumerate_combinations(system_ids: Sequence[str], min_size: int = 2) -> list
     ]
 
 
-def _fuse(
+def _fuse_arrays(
     batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray | None = None
-) -> list[FusedRanking]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fuse the systems at positions idx under one strategy, for every
-    document at once; weights is (docs, len(idx)) for wsc and wrc."""
+    document at once; weights is (docs, len(idx)) for wsc and wrc.
+
+    Returns the (docs, labels) combined values, each document's label
+    indices best first (value ties keep label order), the number of labels
+    tied at the top, and the weight fallback flag of each document.
+    """
     cube = batch.ranks if strategy in ("arc", "wrc") else batch.normalized
     rows = [cube[:, j] for j in idx]
     values = _ordered_sum(rows) / len(rows)
@@ -146,12 +151,20 @@ def _fuse(
         weighted /= np.where(fallback, 1.0, total)[:, None]
         values = np.where(fallback[:, None], values, weighted)
 
-    labels = batch.label_set.labels
     keys = -values if strategy in ("asc", "wsc") else values
     # stable sort: value ties keep label order
     order = np.argsort(keys, axis=1, kind="stable")
     best = np.take_along_axis(keys, order[:, :1], axis=1)
     tied = np.count_nonzero(keys == best, axis=1)
+    return values, order, tied, fallback
+
+
+def _fuse(
+    batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray | None = None
+) -> list[FusedRanking]:
+    """_fuse_arrays as one FusedRanking per document."""
+    values, order, tied, fallback = _fuse_arrays(batch, idx, strategy, weights)
+    labels = batch.label_set.labels
     values.setflags(write=False)
     out = []
     for doc_id, row, positions, count, flag in zip(
@@ -163,6 +176,18 @@ def _fuse(
             doc_id, row, ranking, ranking[0], count > 1, ranking[:count], flag
         ))
     return out
+
+
+def _top_labels(
+    batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top-1 label index of each document and a (docs, labels) mask of
+    the labels tied at the top, from the same kernel as _fuse."""
+    _, order, tied, _ = _fuse_arrays(batch, idx, strategy, weights)
+    mask = np.zeros(order.shape, dtype=bool)
+    leading = np.arange(order.shape[1]) < tied[:, None]
+    np.put_along_axis(mask, order, leading, axis=1)
+    return order[:, 0], mask
 
 
 def _fuse_one(

@@ -230,6 +230,8 @@ class KeywordLexicon:
     def from_dict(cls, raw: Mapping[str, Sequence[str]]) -> "KeywordLexicon":
         phrases: dict[str, tuple[tuple[str, ...], ...]] = {}
         for label, entries in raw.items():
+            if isinstance(entries, str):
+                raise ValidationError(f"label {label!r}: phrases must be a list, not a string")
             tokenized = []
             for entry in entries:
                 tokens = tokenize(entry)

@@ -6,6 +6,11 @@ denominator so that comparisons between models are exact; floats only
 appear in presentation.  Under the strict tie mode a top tie counts as
 correct only when the deterministic tie-break picked the expert label;
 the lenient mode accepts the expert label anywhere in the tied group.
+
+Every count comes from one pass over label-index arrays (see
+ModelPredictions): a hit matrix of models x documents, summed overall
+and per expert label with np.bincount.  The functions taking Prediction
+mappings turn them into the same arrays.
 """
 
 from __future__ import annotations
@@ -13,10 +18,15 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
-from .combine import FusedRanking, _fuse
+import numpy as np
+
+from .combine import FusedRanking, _fuse, _top_labels
 from .core import FusionBatch, FusionInstance, LabelSet, as_batch
 from .errors import ValidationError
+from .fileio import format_table, write_csv, write_json
 
 TIE_MODES = ("strict", "lenient")
 
@@ -37,11 +47,27 @@ class Prediction:
         tied = tuple(self.tied_top) or (self.top1,)
         if self.top1 not in tied:
             raise ValidationError("tied_top must contain top1")
+        if len(set(tied)) != len(tied):
+            raise ValidationError("tied_top repeats a label")
         object.__setattr__(self, "tied_top", tied)
 
     @property
     def tie(self) -> bool:
         return len(self.tied_top) > 1
+
+
+class ModelPredictions(NamedTuple):
+    """Top-1 predictions of several models on the same documents.
+
+    labels names the label indices.  top1[m, d] is the index of the label
+    model m ranks first on document d, and the boolean tied[m, d] marks
+    every label sharing that label's combined value, top1 included.
+    """
+
+    model_ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    top1: np.ndarray
+    tied: np.ndarray
 
 
 def prediction_from_fused(fused: FusedRanking) -> Prediction:
@@ -58,14 +84,23 @@ def grid_predictions(
     }
 
 
-def individual_predictions(
-    instances: FusionBatch | Sequence[FusionInstance],
-) -> dict[str, dict[str, Prediction]]:
-    """Per-document top-1 predictions of each system on its own.
+def individual_arrays(instances: FusionBatch | Sequence[FusionInstance]) -> ModelPredictions:
+    """Top-1 predictions of each system on its own, documents in batch order.
 
     A single system is scored exactly like a size-one score average, so
     ties at the top resolve by label order and the tied group is kept.
     """
+    batch = as_batch(instances)
+    top1, tied = zip(*(_top_labels(batch, (j,), "asc") for j in range(batch.t)))
+    return ModelPredictions(batch.system_ids, batch.label_set.labels,
+                            np.stack(top1), np.stack(tied))
+
+
+def individual_predictions(
+    instances: FusionBatch | Sequence[FusionInstance],
+) -> dict[str, dict[str, Prediction]]:
+    """Per-document top-1 predictions of each system on its own, as in
+    individual_arrays."""
     batch = as_batch(instances)
     return {
         system_id: {f.doc_id: prediction_from_fused(f) for f in _fuse(batch, (j,), "asc")}
@@ -133,10 +168,85 @@ def _check_coverage(predictions: Mapping[str, Prediction], experts: Mapping[str,
         raise ValidationError(f"missing predictions for documents {missing}")
 
 
-def _is_correct(prediction: Prediction, expert: str, tie_mode: str) -> bool:
-    if tie_mode == "lenient" and prediction.tie:
-        return expert in prediction.tied_top
-    return prediction.top1 == expert
+def expert_indices(
+    experts: Mapping[str, str], label_set: LabelSet, doc_ids: Sequence[str] = ()
+) -> np.ndarray:
+    """The label-set index of each document's expert label, documents in
+    doc_ids order or else in the experts' order."""
+    for doc_id, label in experts.items():
+        if label not in label_set:
+            raise ValidationError(
+                f"document {doc_id!r} has expert label {label!r} outside the label set"
+            )
+    return np.array([label_set.index(experts[d]) for d in doc_ids or experts], dtype=np.intp)
+
+
+def _count(
+    predictions: ModelPredictions, expert: np.ndarray, n_labels: int, tie_mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one counting pass: the correct and the top-tied documents of
+    each model per expert label, as exact (models, n_labels) integer
+    arrays.  expert holds each document's expert label index."""
+    if tie_mode == "lenient":
+        # an untied group is top1 alone, so this is top1 == expert there
+        hit = predictions.tied[:, np.arange(expert.size), expert]
+    else:
+        hit = predictions.top1 == expert
+    tie = np.count_nonzero(predictions.tied, axis=2) > 1
+    cell = np.arange(len(hit))[:, None] * n_labels + expert
+    return tuple(
+        np.bincount(cell[flags], minlength=len(hit) * n_labels).reshape(-1, n_labels)
+        for flags in (hit, tie)
+    )
+
+
+def _results(
+    model_ids: Sequence[str], counts: tuple, totals: list[int], labels: Sequence[str]
+) -> tuple[dict[str, PrecisionResult], dict[str, dict[str, PrecisionResult | None]]]:
+    """Overall and per-label results of each model; a label without
+    documents maps to None, marking the group empty rather than scoring
+    it zero."""
+    overall: dict[str, PrecisionResult] = {}
+    per_label: dict[str, dict[str, PrecisionResult | None]] = {}
+    for model_id, correct, ties in zip(model_ids, *(c.tolist() for c in counts)):
+        overall[model_id] = PrecisionResult(sum(correct), sum(totals), sum(ties))
+        per_label[model_id] = {
+            label: PrecisionResult(c, group, t) if group else None
+            for label, c, group, t in zip(labels, correct, totals, ties)
+        }
+    return overall, per_label
+
+
+def _encode(
+    experts: Mapping[str, str],
+    *groups: Mapping[str, Mapping[str, Prediction]],
+    label_set: LabelSet | None = None,
+) -> tuple[np.ndarray, list[ModelPredictions]]:
+    """Expert label indices and one ModelPredictions per group of models,
+    documents in the experts' order.  Labels index in label-set order,
+    which must hold every expert label, then in order of appearance."""
+    for models in groups:
+        for predictions in models.values():
+            _check_coverage(predictions, experts)
+    if label_set is not None:
+        expert_indices(experts, label_set)
+    rows = [[[predictions[d] for d in experts] for predictions in models.values()]
+            for models in groups]
+    labels = tuple(dict.fromkeys([
+        *(label_set or ()), *experts.values(),
+        *(label for group in rows for row in group for p in row for label in p.tied_top),
+    ]))
+    index = {label: i for i, label in enumerate(labels)}
+    encoded = []
+    for models, group in zip(groups, rows):
+        top1 = np.zeros((len(models), len(experts)), dtype=np.intp)
+        tied = np.zeros(top1.shape + (len(labels),), dtype=bool)
+        for m, row in enumerate(group):
+            for d, prediction in enumerate(row):
+                top1[m, d] = index[prediction.top1]
+                tied[m, d, [index[label] for label in prediction.tied_top]] = True
+        encoded.append(ModelPredictions(tuple(models), labels, top1, tied))
+    return np.array([index[label] for label in experts.values()], dtype=np.intp), encoded
 
 
 def precision_at_1(
@@ -146,16 +256,9 @@ def precision_at_1(
 ) -> PrecisionResult:
     """Overall precision@1 over every expert-labeled document."""
     _check_tie_mode(tie_mode)
-    _check_coverage(predictions, experts)
-    correct = 0
-    ties = 0
-    for doc_id, expert in experts.items():
-        prediction = predictions[doc_id]
-        if prediction.tie:
-            ties += 1
-        if _is_correct(prediction, expert, tie_mode):
-            correct += 1
-    return PrecisionResult(correct=correct, total=len(experts), tie_count=ties)
+    expert, (encoded,) = _encode(experts, {"": predictions})
+    correct, ties = _count(encoded, expert, len(encoded.labels), tie_mode)
+    return PrecisionResult(int(correct.sum()), len(experts), int(ties.sum()))
 
 
 def per_label_precision(
@@ -170,28 +273,10 @@ def per_label_precision(
     than scoring it zero.
     """
     _check_tie_mode(tie_mode)
-    _check_coverage(predictions, experts)
-    for doc_id, expert in experts.items():
-        if expert not in label_set:
-            raise ValidationError(
-                f"document {doc_id!r} has expert label {expert!r} outside the label set"
-            )
-    out: dict[str, PrecisionResult | None] = {}
-    for label in label_set.labels:
-        group = [doc_id for doc_id, expert in experts.items() if expert == label]
-        if not group:
-            out[label] = None
-            continue
-        correct = 0
-        ties = 0
-        for doc_id in group:
-            prediction = predictions[doc_id]
-            if prediction.tie:
-                ties += 1
-            if _is_correct(prediction, label, tie_mode):
-                correct += 1
-        out[label] = PrecisionResult(correct=correct, total=len(group), tie_count=ties)
-    return out
+    expert, (encoded,) = _encode(experts, {"": predictions}, label_set=label_set)
+    counts = _count(encoded, expert, label_set.n, tie_mode)
+    totals = np.bincount(expert, minlength=label_set.n).tolist()
+    return _results(("",), counts, totals, label_set.labels)[1][""]
 
 
 @dataclass(frozen=True)
@@ -227,6 +312,24 @@ class GridStats:
     models_ge_best_individual: Ratio
 
 
+def _grid_stats(individual: np.ndarray, combined: np.ndarray, totals: np.ndarray) -> GridStats:
+    # individual and combined are correct counts per (model, label).  Only
+    # labels that carry documents form cells.  Every model shares one
+    # denominator per label, and one overall, so comparing counts compares
+    # the fractions exactly.
+    ind = individual[:, totals > 0]
+    comb = combined[:, totals > 0]
+    ge_best = np.count_nonzero(comb >= ind.max(axis=0))
+    # combined/g >= sum/(t*g)  <=>  t*combined >= sum
+    ge_mean = np.count_nonzero(len(ind) * comb >= ind.sum(axis=0))
+    models_ge = np.count_nonzero(combined.sum(axis=1) >= individual.sum(axis=1).max())
+    return GridStats(
+        cells_ge_best_individual=Ratio(int(ge_best), comb.size),
+        cells_ge_individual_mean=Ratio(int(ge_mean), comb.size),
+        models_ge_best_individual=Ratio(int(models_ge), len(comb)),
+    )
+
+
 def grid_statistics(
     combined: Mapping[str, Mapping[str, Prediction]],
     individual: Mapping[str, Mapping[str, Prediction]],
@@ -244,62 +347,9 @@ def grid_statistics(
         raise ValidationError("grid statistics need at least one combined model")
     if not individual:
         raise ValidationError("grid statistics need at least one individual model")
-
-    individual_overall = {
-        model_id: precision_at_1(preds, experts, tie_mode)
-        for model_id, preds in individual.items()
-    }
-    individual_per_label = {
-        model_id: per_label_precision(preds, experts, label_set, tie_mode)
-        for model_id, preds in individual.items()
-    }
-    combined_overall = {
-        model_id: precision_at_1(preds, experts, tie_mode)
-        for model_id, preds in combined.items()
-    }
-    combined_per_label = {
-        model_id: per_label_precision(preds, experts, label_set, tie_mode)
-        for model_id, preds in combined.items()
-    }
-
-    populated = [
-        label
-        for label in label_set.labels
-        if next(iter(individual_per_label.values()))[label] is not None
-    ]
-    t_individual = len(individual)
-
-    # Per label: the best individual correct count and the total over all
-    # individual systems.  Groups share one denominator per label, so
-    # count comparisons are exact.
-    best_count: dict[str, int] = {}
-    sum_count: dict[str, int] = {}
-    for label in populated:
-        counts = [individual_per_label[m][label].correct for m in individual]
-        best_count[label] = max(counts)
-        sum_count[label] = sum(counts)
-
-    cells = len(combined) * len(populated)
-    ge_best = 0
-    ge_mean = 0
-    for model_id in combined:
-        for label in populated:
-            correct = combined_per_label[model_id][label].correct
-            if correct >= best_count[label]:
-                ge_best += 1
-            # combined/g >= sum/(t*g)  <=>  t*combined >= sum
-            if t_individual * correct >= sum_count[label]:
-                ge_mean += 1
-
-    best_overall = max(r.fraction for r in individual_overall.values())
-    models_ge = sum(
-        1 for r in combined_overall.values() if r.fraction >= best_overall
-    )
-    return GridStats(
-        cells_ge_best_individual=Ratio(ge_best, cells),
-        cells_ge_individual_mean=Ratio(ge_mean, cells),
-        models_ge_best_individual=Ratio(models_ge, len(combined)),
-    )
+    expert, groups = _encode(experts, individual, combined, label_set=label_set)
+    ind, comb = (_count(g, expert, label_set.n, tie_mode)[0] for g in groups)
+    return _grid_stats(ind, comb, np.bincount(expert, minlength=label_set.n))
 
 
 @dataclass(frozen=True)
@@ -371,6 +421,66 @@ class EvaluationReport:
     disagreements: DisagreementTables
 
 
+def evaluate_predictions(
+    doc_ids: Sequence[str],
+    label_set: LabelSet,
+    expert: np.ndarray,
+    individual: ModelPredictions,
+    combined: ModelPredictions,
+    tie_mode: str = "strict",
+) -> EvaluationReport:
+    """Evaluate all models and assemble the full report.
+
+    expert is the label-set index of each document's expert label; it and
+    the document axis of both prediction arrays follow doc_ids.  Each
+    prediction set's labels start with the label set's, in order.
+    """
+    _check_tie_mode(tie_mode)
+    if not individual.model_ids or not combined.model_ids:
+        raise ValidationError("the report needs individual and combined predictions")
+    expert = np.asarray(expert, dtype=np.intp)
+    if (not len(doc_ids) or expert.shape != (len(doc_ids),)
+            or expert.min() < 0 or expert.max() >= label_set.n):
+        raise ValidationError("evaluation needs one expert label-set index per document")
+    for p in (individual, combined):
+        shape = (len(p.model_ids), len(doc_ids))
+        if (p.labels[:label_set.n] != label_set.labels or p.top1.shape != shape
+                or p.tied.shape != shape + (len(p.labels),)):
+            raise ValidationError("predictions must be (models, documents) arrays "
+                                  "on labels that start with the label set")
+
+    totals = np.bincount(expert, minlength=label_set.n)
+    ind = _count(individual, expert, label_set.n, tie_mode)
+    comb = _count(combined, expert, label_set.n, tie_mode)
+    individual_overall, individual_per_label = _results(
+        individual.model_ids, ind, totals.tolist(), label_set.labels)
+    combined_overall, combined_per_label = _results(
+        combined.model_ids, comb, totals.tolist(), label_set.labels)
+    best_individual = select_best(individual_overall)
+    best_combined = select_best(combined_overall)
+
+    def top1_of(p: ModelPredictions, best: BestSelection) -> dict[str, Prediction]:
+        row = p.top1[p.model_ids.index(best.model)].tolist()
+        return {doc_id: Prediction(p.labels[i]) for doc_id, i in zip(doc_ids, row)}
+
+    tables = disagreement_tables(
+        top1_of(individual, best_individual), top1_of(combined, best_combined),
+        {doc_id: label_set.labels[i] for doc_id, i in zip(doc_ids, expert.tolist())},
+    )
+    return EvaluationReport(
+        tie_mode=tie_mode,
+        label_counts=dict(zip(label_set.labels, totals.tolist())),
+        individual_overall=individual_overall,
+        combined_overall=combined_overall,
+        individual_per_label=individual_per_label,
+        combined_per_label=combined_per_label,
+        best_individual=best_individual,
+        best_combined=best_combined,
+        grid_stats=_grid_stats(ind[0], comb[0], totals),
+        disagreements=tables,
+    )
+
+
 def build_report(
     individual: Mapping[str, Mapping[str, Prediction]],
     combined: Mapping[str, Mapping[str, Prediction]],
@@ -378,44 +488,87 @@ def build_report(
     label_set: LabelSet,
     tie_mode: str = "strict",
 ) -> EvaluationReport:
-    """Evaluate all models and assemble the full report."""
+    """evaluate_predictions for per-document Prediction mappings."""
     _check_tie_mode(tie_mode)
     if not individual or not combined:
         raise ValidationError("the report needs individual and combined predictions")
+    expert, (ind, comb) = _encode(experts, individual, combined, label_set=label_set)
+    return evaluate_predictions(list(experts), label_set, expert, ind, comb, tie_mode)
 
-    individual_overall = {
-        m: precision_at_1(p, experts, tie_mode) for m, p in individual.items()
-    }
-    combined_overall = {
-        m: precision_at_1(p, experts, tie_mode) for m, p in combined.items()
-    }
-    individual_per_label = {
-        m: per_label_precision(p, experts, label_set, tie_mode)
-        for m, p in individual.items()
-    }
-    combined_per_label = {
-        m: per_label_precision(p, experts, label_set, tie_mode)
-        for m, p in combined.items()
-    }
-    best_individual = select_best(individual_overall)
-    best_combined = select_best(combined_overall)
-    stats = grid_statistics(combined, individual, experts, label_set, tie_mode)
-    tables = disagreement_tables(
-        individual[best_individual.model], combined[best_combined.model], experts
+
+def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
+    """Write report.json and the five report tables under out_dir."""
+    out_dir = Path(out_dir)
+    # field name -> Ratio, and category -> rows, in field order
+    stats = vars(report.grid_stats)
+    tables = vars(report.disagreements)
+
+    def precision(r):
+        if r is None:
+            return None
+        return {"correct": r.correct, "total": r.total, "ties": r.tie_count, "value": r.value}
+
+    def models(overall, per_label):
+        return {
+            model: {
+                "overall": precision(overall[model]),
+                "per_label": {label: precision(r) for label, r in per_label[model].items()},
+            }
+            for model in overall
+        }
+
+    write_json(out_dir / "report.json", {
+        "tie_mode": report.tie_mode,
+        "label_counts": dict(report.label_counts),
+        "individual": models(report.individual_overall, report.individual_per_label),
+        "combined": models(report.combined_overall, report.combined_per_label),
+        # model and tied, whose tuple JSON writes as an array
+        "best_individual": vars(report.best_individual),
+        "best_combined": vars(report.best_combined),
+        "grid_statistics": {
+            name: {"numerator": r.numerator, "denominator": r.denominator, "value": r.value}
+            for name, r in stats.items()
+        },
+        "disagreements": {
+            category: [vars(row) for row in table] for category, table in tables.items()
+        },
+    })
+
+    overall_rows, label_rows = [], []
+    for kind, overall, per_label in (
+        ("individual", report.individual_overall, report.individual_per_label),
+        ("combined", report.combined_overall, report.combined_per_label),
+    ):
+        for model, r in sorted(overall.items()):
+            overall_rows.append(
+                (model, kind, r.correct, r.total, r.tie_count, format_table(r.value)))
+            label_rows.extend(
+                (model, kind, label, 0, 0, "n/a") if r is None
+                else (model, kind, label, r.correct, r.total, format_table(r.value))
+                for label, r in per_label[model].items()
+            )
+    write_csv(out_dir / "overall_precision.csv",
+              ("model", "kind", "correct", "total", "ties", "precision"), overall_rows)
+    write_csv(out_dir / "per_label_precision.csv",
+              ("model", "kind", "label", "correct", "total", "precision"), label_rows)
+    write_csv(
+        out_dir / "grid_stats.csv",
+        ("statistic", "numerator", "denominator", "value", "percent"),
+        [(name, r.numerator, r.denominator, format_table(r.value), f"{100.0 * r.value:.2f}")
+         for name, r in stats.items()],
     )
-    label_counts = {
-        label: sum(1 for expert in experts.values() if expert == label)
-        for label in label_set.labels
-    }
-    return EvaluationReport(
-        tie_mode=tie_mode,
-        label_counts=label_counts,
-        individual_overall=individual_overall,
-        combined_overall=combined_overall,
-        individual_per_label=individual_per_label,
-        combined_per_label=combined_per_label,
-        best_individual=best_individual,
-        best_combined=best_combined,
-        grid_stats=stats,
-        disagreements=tables,
+    write_csv(
+        out_dir / "disagreements.csv",
+        ("category", "doc_id", "expert", "individual", "combined"),
+        [(category, row.doc_id, row.expert, row.individual, row.combined)
+         for category, table in tables.items() for row in table],
     )
+    # Average precision per subset and strategy, the plot-data view of the
+    # combination grid.
+    strategy_rows = []
+    for combo_id, r in sorted(report.combined_overall.items()):
+        subset, _, tag = combo_id.partition(":")
+        strategy_rows.append((subset, tag, format_table(r.value)))
+    strategy_rows.sort(key=lambda row: (row[0], row[1]))
+    write_csv(out_dir / "strategy_precision.csv", ("subset", "strategy", "precision"),
+              strategy_rows)

@@ -18,6 +18,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .core import LabelSet
 from .corpus import Document, KeywordLexicon, PromptSpec
 from .errors import DataAccessError, ValidationError
@@ -92,10 +94,24 @@ def _read_text(path: Path, newline: str | None = None) -> str:
         raise ValidationError(f"{path}: not valid UTF-8 (byte offset {exc.start})") from None
 
 
+def _csv_records(path: Path, text: str):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ValidationError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+
+
 def _table_rows(path: Path, header: Sequence[str]):
     """(line number, row) for each non-empty row below the expected header,
     every one checked to have as many columns as the header."""
-    rows = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    text = _read_text(path, newline="")
+    if '"' in text or "\r" in text:
+        rows = _csv_records(path, text)
+    else:
+        # with no quotes and no carriage returns a record is one line and
+        # a field ends at each comma: what csv.reader gives, only faster
+        rows = (line.split(",") if line else [] for line in text.split("\n"))
     found = next(rows, [])
     if tuple(found) != tuple(header):
         raise ValidationError(
@@ -199,28 +215,92 @@ def write_fused_file(path: Path | str, grid: Mapping[str, Sequence]) -> None:
     write_csv(path, FUSED_HEADER, rows)
 
 
-def load_fused_file(path: Path | str) -> dict[str, dict[str, dict]]:
-    """Parse a fused predictions file into combo_id -> doc_id -> fields."""
+def check_coverage(doc_ids: Iterable[str], expert_docs: Iterable[str], where: str = "") -> None:
+    """Predictions on doc_ids must cover exactly the expert-labeled documents."""
+    doc_ids, expert_docs = set(doc_ids), set(expert_docs)
+    unlabeled = sorted(doc_ids - expert_docs)
+    if unlabeled:
+        raise ValidationError(f"{where}expert labels missing for documents {unlabeled[:10]}")
+    missing = sorted(expert_docs - doc_ids)
+    if missing:
+        raise ValidationError(f"{where}missing predictions for documents {missing}")
+
+
+def load_fused_predictions(
+    path: Path | str, label_set: LabelSet, doc_ids: Sequence[str]
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Read the top-1 predictions of a fused grid file as label indices.
+
+    Returns the combo ids in file order, the top1 label index of each
+    (combo, document) and a boolean (combos, documents, labels) array
+    marking each tied_top group, documents in doc_ids order.  Every combo
+    must predict exactly the documents in doc_ids, with top1 and tied_top
+    labels from the label set and top1 in tied_top.  The ranking column is
+    not read.
+    """
     path = Path(path)
-    out: dict[str, dict[str, dict]] = {}
+    labels = {label: i for i, label in enumerate(label_set.labels)}
+    docs = {doc_id: d for d, doc_id in enumerate(doc_ids)}
+    # per combo: which documents have a row, the documents without an
+    # expert label, and the combo's first cell
+    combos: dict[str, tuple[bytearray, set[str], int]] = {}
+    cells: list[int] = []  # combo * documents + document, per row
+    tops: list[int] = []
+    tied_cells: list[int] = []  # cell * labels + label, per label of a tied group
+    combo_id = None
     for line_no, row in _table_rows(path, FUSED_HEADER):
-        combo_id, doc_id, top1, tie_text, tied_text, ranking_text = row
-        if tie_text not in ("true", "false"):
+        if row[0] != combo_id:
+            combo_id = row[0]
+            if combo_id not in combos:
+                combos[combo_id] = (bytearray(len(docs)), set(), len(combos) * len(docs))
+            seen, strangers, base = combos[combo_id]
+        _, doc_id, top1, tie_text, tied_text, _ = row
+        if tie_text != "true" and tie_text != "false":
             raise ValidationError(f"{path}:{line_no}: tie_at_top must be true or false")
-        docs = out.setdefault(combo_id, {})
-        if doc_id in docs:
+        top = labels.get(top1)
+        if top is None:
             raise ValidationError(
-                f"{path}:{line_no}: duplicate row for {combo_id!r} / {doc_id!r}"
+                f"{path}:{line_no}: top1 label {top1!r} is outside the label set"
             )
-        docs[doc_id] = {
-            "top1": top1,
-            "tie_at_top": tie_text == "true",
-            "tied_top": tuple(tied_text.split("|")),
-            "ranking": tuple(ranking_text.split("|")),
-        }
-    if not out:
+        group = None
+        if tied_text != top1:
+            names = tied_text.split("|")
+            group = [labels.get(label, -1) for label in names]
+            if -1 in group:
+                outside = names[group.index(-1)]
+                raise ValidationError(
+                    f"{path}:{line_no}: tied_top label {outside!r} is outside the label set"
+                )
+            if len(set(group)) != len(group):
+                raise ValidationError(f"{path}:{line_no}: tied_top repeats a label")
+            if top not in group:
+                raise ValidationError(f"{path}:{line_no}: tied_top must contain top1")
+        d = docs.get(doc_id)
+        if d is None or seen[d]:
+            if d is not None or doc_id in strangers:
+                raise ValidationError(
+                    f"{path}:{line_no}: duplicate row for {combo_id!r} / {doc_id!r}"
+                )
+            strangers.add(doc_id)
+            continue
+        seen[d] = 1
+        cells.append(base + d)
+        tops.append(top)
+        if group is not None:
+            tied_cells.extend((base + d) * len(labels) + label for label in group)
+    if not combos:
         raise ValidationError(f"{path}: no fused predictions")
-    return out
+    for combo_id, (seen, strangers, _) in combos.items():
+        if strangers or 0 in seen:
+            found = list(strangers) + [doc_id for doc_id, d in docs.items() if seen[d]]
+            check_coverage(found, docs, f"{path}: combo {combo_id!r}: ")
+    shape = (len(combos), len(docs))
+    top1 = np.empty(len(combos) * len(docs), dtype=np.intp)
+    top1[cells] = tops
+    tied = np.zeros(top1.size * len(labels), dtype=bool)
+    tied[np.asarray(cells) * len(labels) + tops] = True
+    tied[tied_cells] = True
+    return tuple(combos), top1.reshape(shape), tied.reshape(shape + (len(labels),))
 
 
 def load_corpus(path: Path | str) -> list[Document]:
@@ -321,6 +401,8 @@ def load_lexicon(path: Path | str) -> KeywordLexicon:
     raw = _load_json(Path(path))
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: lexicon must be a JSON object of label -> phrases")
+    for label in raw:
+        _field(path, raw, label, "an array of strings", None)
     return KeywordLexicon.from_dict(raw)
 
 
@@ -332,18 +414,17 @@ def load_prompt_specs(path: Path | str) -> list[PromptSpec]:
     for index, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: prompt spec {index} must be an object")
-        try:
-            specs.append(
-                PromptSpec(
-                    publication_type=entry["publication_type"],
-                    template=entry["template"],
-                    sources=tuple(entry["sources"]),
-                )
+        for key in ("publication_type", "template", "sources"):
+            if key not in entry:
+                raise ValidationError(f"{path}: prompt spec {index} lacks field {key!r}")
+        where = f"{path}: prompt spec {index}"
+        specs.append(
+            PromptSpec(
+                publication_type=_field(where, entry, "publication_type", "a string", None),
+                template=_field(where, entry, "template", "a string", None),
+                sources=tuple(_field(where, entry, "sources", "an array of strings", None)),
             )
-        except KeyError as exc:
-            raise ValidationError(
-                f"{path}: prompt spec {index} lacks field {exc.args[0]!r}"
-            ) from None
+        )
     return specs
 
 

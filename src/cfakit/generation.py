@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,7 +77,10 @@ def _load_existing(path: Path) -> dict[str, dict]:
     records: dict[str, dict] = {}
     # split at newlines only: str.splitlines() also splits at U+2028 and
     # other separators that JSON strings may hold unescaped
-    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+    lines = _read_text(path).split("\n")
+    # text after the last newline is an append cut short by a crash; its
+    # prompt is fetched again
+    for line_no, line in enumerate(lines[:-1], start=1):
         line = line.strip()
         if not line:
             continue
@@ -91,9 +94,12 @@ def _load_existing(path: Path) -> dict[str, dict]:
     return records
 
 
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
-    lines = [json.dumps(record, sort_keys=True, ensure_ascii=False) for record in records]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    atomic_write_text(path, "".join(map(_json_line, records)))
 
 
 def generate_corpus(
@@ -101,9 +107,10 @@ def generate_corpus(
 ) -> GenerationOutcome:
     """Fetch text for every prompt not already stored under out_dir.
 
-    Fetches run on a bounded thread pool; the stored corpus and error log
-    are rewritten sorted by prompt_id, so the output is deterministic for
-    a given set of responses.
+    Fetches run on a bounded thread pool.  Each fetched record is appended
+    to the corpus file as it arrives, so an interrupted run keeps what it
+    fetched; at the end the corpus and error log are rewritten sorted by
+    prompt_id, so the output is deterministic for a given set of responses.
     """
     prompts = list(prompts)
     ids = [p.prompt_id for p in prompts]
@@ -120,25 +127,38 @@ def generate_corpus(
     errors: list[dict] = []
     fetched = 0
     if todo:
-        with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-            outcomes = pool.map(lambda p: _try_fetch(p, config), todo)
-            for prompt, (text, error) in zip(todo, outcomes):
-                if error is not None:
-                    errors.append({"prompt_id": prompt.prompt_id, "error": error})
-                    continue
-                existing[prompt.prompt_id] = {
-                    "doc_id": prompt.prompt_id,
-                    "prompt_id": prompt.prompt_id,
-                    "label": prompt.label,
-                    "publication_type": prompt.publication_type,
-                    "source": prompt.source,
-                    "text": text,
-                }
-                fetched += 1
+        # appends must start on a fresh line, not on a torn one
+        _write_jsonl(corpus_path, [existing[k] for k in sorted(existing)])
+        pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
+        try:
+            with corpus_path.open("a", encoding="utf-8", newline="") as handle:
+                futures = {pool.submit(_try_fetch, p, config): p for p in todo}
+                for future in as_completed(futures):
+                    prompt = futures[future]
+                    text, error = future.result()
+                    if error is not None:
+                        errors.append({"prompt_id": prompt.prompt_id, "error": error})
+                        continue
+                    record = {
+                        "doc_id": prompt.prompt_id,
+                        "prompt_id": prompt.prompt_id,
+                        "label": prompt.label,
+                        "publication_type": prompt.publication_type,
+                        "source": prompt.source,
+                        "text": text,
+                    }
+                    handle.write(_json_line(record))
+                    handle.flush()
+                    existing[prompt.prompt_id] = record
+                    fetched += 1
+        finally:
+            # an interrupted run stops at once instead of fetching the rest
+            pool.shutdown(cancel_futures=True)
 
     records = [existing[k] for k in sorted(existing)]
     _write_jsonl(corpus_path, records)
-    _write_jsonl(out / ERRORS_FILE, sorted(errors, key=lambda e: e["prompt_id"]))
+    errors.sort(key=lambda e: e["prompt_id"])
+    _write_jsonl(out / ERRORS_FILE, errors)
     return GenerationOutcome(
         records=tuple(records),
         errors=tuple(errors),

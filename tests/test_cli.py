@@ -329,6 +329,24 @@ def test_score_file_round_trip_awkward_floats(tmp_path):
     assert loaded == scores  # bit-exact round trip
 
 
+def test_table_rows_read_like_csv_reader(tmp_path):
+    import csv
+
+    from cfakit.fileio import SCORE_HEADER, _table_rows
+
+    bodies = (
+        "d1,L1,0.5\n\nd2,L2,1e-3\n",  # plain: split at newlines and commas
+        'd1,L1,0.5\n"d,2","L\n2",1\n',  # quoted commas and line breaks
+        "d1,L1,0.5\r\nd2,L2,2\r\n",  # carriage returns
+    )
+    for body in bodies:
+        path = tmp_path / "t.csv"
+        path.write_bytes(("doc_id,label,score\n" + body).encode())
+        with path.open(newline="") as handle:
+            want = [(n, row) for n, row in enumerate(csv.reader(handle), start=1) if row]
+        assert list(_table_rows(path, SCORE_HEADER)) == want[1:]
+
+
 def test_load_score_file_rejects_non_finite(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("doc_id,label,score\nd1,L1,nan\n")
@@ -339,6 +357,7 @@ def test_load_score_file_rejects_non_finite(tmp_path):
 
 
 ABC_SCORES = "doc_id,label,score\nd1,A,0.1\nd1,B,0.7\nd1,C,0.4\n"
+FUSED_HEADER = b"combo_id,doc_id,top1,tie_at_top,tied_top,ranking\n"
 
 # (case, config fields over a valid two-system config on labels A, B, C,
 #  files written over the valid ones, command, text the error must name)
@@ -361,6 +380,29 @@ MALFORMED = [
      ["corpus-stats", "--corpus", "cdir"], "d1.txt: not valid UTF-8"),
     ("corpus-dir-duplicate-doc", {}, {"cdir/A/d1.txt": b"one", "cdir/B/d1.txt": b"two"},
      ["corpus-stats", "--corpus", "cdir"], "duplicate document 'd1'"),
+    ("score-field-over-csv-limit", {},
+     {"s.csv": b'doc_id,label,score\n"' + b"x" * 200_000 + b'",A,1\n'}, ["fuse"],
+     "s.csv:2: malformed CSV: field larger than field limit"),
+    ("prompt-sources-string", {},
+     {"specs.json": b'[{"publication_type": "t", "template": "{label} by {source}", '
+                    b'"sources": "abc"}]'},
+     ["gen-prompts", "--specs", "specs.json"], "'sources' must be an array of strings"),
+    ("lexicon-phrases-string", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "lex.json": b'{"A": "water", "B": ["b"], "C": ["c"]}'},
+     ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json"],
+     "'A' must be an array of strings"),
+    ("perf-weights-expert-outside-labels", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,Z\n"}, ["fuse", "--weights", "perf"],
+     "document 'd1' has expert label 'Z' outside the label set"),
+    ("fused-top1-outside-labels", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,Z,false,Z,Z|A|B\n"},
+     ["evaluate"], "fused.csv:2: top1 label 'Z' is outside the label set"),
+    ("fused-tied-outside-labels", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:arc,d1,A,true,A|Z,A|Z|B\n"},
+     ["evaluate"], "fused.csv:3: tied_top label 'Z' is outside the label set"),
 ]
 
 

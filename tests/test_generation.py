@@ -178,3 +178,43 @@ def test_stored_text_may_hold_unicode_line_separators(tmp_path):
     outcome = generate_corpus([prompt], GenerationConfig("http://127.0.0.1:9"), tmp_path)
     assert (outcome.fetched, outcome.skipped) == (0, 1)
     assert outcome.records[0]["text"] == "one\u2028two"
+
+
+class _Interrupted(BaseException):
+    """Stands in for Ctrl-C: not an error the client records per prompt."""
+
+
+def test_interrupted_run_keeps_fetched_records_and_resumes(stub_server, tmp_path, monkeypatch):
+    from cfakit import generation
+
+    config = GenerationConfig(stub_server, max_concurrency=1)
+    whole = tmp_path / "whole"
+    generate_corpus(_prompts(6), config, whole)
+    hits_whole = len(_StubHandler.seen)
+
+    real_fetch = generation._fetch
+    calls = []
+
+    def fetch_then_interrupt(prompt, config):
+        calls.append(prompt.prompt_id)
+        if len(calls) > 2:
+            raise _Interrupted
+        return real_fetch(prompt, config)
+
+    part = tmp_path / "part"
+    monkeypatch.setattr(generation, "_fetch", fetch_then_interrupt)
+    with pytest.raises(_Interrupted):
+        generate_corpus(_prompts(6), config, part)
+    monkeypatch.setattr(generation, "_fetch", real_fetch)
+    # the two fetched records reached the file before the interruption;
+    # a crash in the middle of a third append leaves a torn last line
+    stored = (part / CORPUS_FILE).read_text().splitlines()
+    assert [json.loads(line)["prompt_id"] for line in stored] == ["p00001", "p00002"]
+    with (part / CORPUS_FILE).open("a") as handle:
+        handle.write('{"doc_id": "p00003", "te')
+
+    hits_before = len(_StubHandler.seen)
+    outcome = generate_corpus(_prompts(6), config, part)
+    assert (outcome.skipped, outcome.fetched) == (2, 4)
+    assert len(_StubHandler.seen) - hits_before == hits_whole - 2
+    assert (part / CORPUS_FILE).read_bytes() == (whole / CORPUS_FILE).read_bytes()

@@ -2,12 +2,14 @@
 
 Hypothesis draws random shapes with heavy ties (scores with one or two
 decimals) and whole constant rows, the inputs where a reordered sum or a
-wrong tie rule shows up.  Ranks and rankings must agree exactly.
+wrong tie rule shows up.  Ranks and rankings must agree exactly.  The
+evaluation counts are checked against a per-document recount.
 """
 
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,10 +20,15 @@ from cfakit import (
     EPSILON,
     FusionBatch,
     LabelSet,
+    Prediction,
     build_instance,
+    build_report,
     cognitive_diversity,
     enumerate_combinations,
+    grid_statistics,
     normalize_scores,
+    per_label_precision,
+    precision_at_1,
     rank_from_scores,
     run_grid,
 )
@@ -153,3 +160,108 @@ def test_kernel_grid_matches_per_document_oracle(cube, tie_policy):
             assert one.combined_values.tobytes() == whole.combined_values.tobytes()
             assert one.ranking == whole.ranking
             assert one.tied_top == whole.tied_top
+
+
+@st.composite
+def evaluations(draw):
+    """Random predictions of individual and combined models, with ties at
+    the top, expert labels that leave some label groups empty, and a tie
+    mode."""
+    labels = tuple(f"L{i}" for i in range(draw(st.integers(3, 6))))
+    doc_ids = [f"d{i}" for i in range(draw(st.integers(1, 8)))]
+    used = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1,
+                         unique=True))
+    experts = {d: draw(st.sampled_from(used)) for d in doc_ids}
+
+    def model():
+        out = {}
+        for d in doc_ids:
+            group = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
+            tied = tuple(sorted(group, key=labels.index))
+            out[d] = Prediction(draw(st.sampled_from(tied)), tied)
+        return out
+
+    individual = {f"S{j}": model() for j in range(draw(st.integers(1, 3)))}
+    combined = {f"C{k}": model() for k in range(draw(st.integers(1, 5)))}
+    tie_mode = draw(st.sampled_from(("strict", "lenient")))
+    return LabelSet(labels), experts, individual, combined, tie_mode
+
+
+def _recount(predictions, experts, tie_mode, label=None):
+    """(correct, total, ties) over the documents of one expert label, or all."""
+    correct = total = ties = 0
+    for doc_id, expert in experts.items():
+        if label is not None and expert != label:
+            continue
+        prediction = predictions[doc_id]
+        tie = len(prediction.tied_top) > 1
+        if tie_mode == "lenient" and tie:
+            hit = expert in prediction.tied_top
+        else:
+            hit = prediction.top1 == expert
+        correct += hit
+        total += 1
+        ties += tie
+    return correct, total, ties
+
+
+def _best(fractions):
+    top = max(fractions.values())
+    return sorted(model for model, value in fractions.items() if value == top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluations())
+def test_evaluation_counts_match_per_document_recount(case):
+    label_set, experts, individual, combined, tie_mode = case
+    report = build_report(individual, combined, experts, label_set, tie_mode)
+    overall = {**report.individual_overall, **report.combined_overall}
+    per_label = {**report.individual_per_label, **report.combined_per_label}
+    fractions = {}
+    for model_id, predictions in {**individual, **combined}.items():
+        want = _recount(predictions, experts, tie_mode)
+        got = overall[model_id]
+        assert (got.correct, got.total, got.tie_count) == want
+        got = precision_at_1(predictions, experts, tie_mode)
+        assert (got.correct, got.total, got.tie_count) == want
+        fractions[model_id] = Fraction(want[0], want[1])
+        table = per_label_precision(predictions, experts, label_set, tie_mode)
+        assert table == per_label[model_id]
+        for label in label_set.labels:
+            want = _recount(predictions, experts, tie_mode, label)
+            got = table[label]
+            if want[1] == 0:
+                assert got is None
+            else:
+                assert (got.correct, got.total, got.tie_count) == want
+    assert report.label_counts == {
+        label: sum(1 for e in experts.values() if e == label) for label in label_set.labels
+    }
+
+    best_individual = _best({m: fractions[m] for m in individual})
+    best_combined = _best({m: fractions[m] for m in combined})
+    assert list(report.best_individual.tied) == best_individual
+    assert report.best_individual.model == best_individual[0]
+    assert list(report.best_combined.tied) == best_combined
+    assert report.best_combined.model == best_combined[0]
+
+    ge_best = ge_mean = cells = 0
+    for label in set(experts.values()):
+        ind = [Fraction(*_recount(individual[m], experts, tie_mode, label)[:2])
+               for m in individual]
+        for model_id in combined:
+            value = Fraction(*_recount(combined[model_id], experts, tie_mode, label)[:2])
+            cells += 1
+            ge_best += value >= max(ind)
+            ge_mean += value >= sum(ind) / len(ind)
+    models_ge = sum(
+        1 for m in combined if fractions[m] >= max(fractions[i] for i in individual)
+    )
+    stats = grid_statistics(combined, individual, experts, label_set, tie_mode)
+    assert stats == report.grid_stats
+    assert (stats.cells_ge_best_individual.numerator,
+            stats.cells_ge_best_individual.denominator) == (ge_best, cells)
+    assert (stats.cells_ge_individual_mean.numerator,
+            stats.cells_ge_individual_mean.denominator) == (ge_mean, cells)
+    assert (stats.models_ge_best_individual.numerator,
+            stats.models_ge_best_individual.denominator) == (models_ge, len(combined))
