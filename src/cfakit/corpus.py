@@ -230,8 +230,11 @@ class KeywordLexicon:
     def from_dict(cls, raw: Mapping[str, Sequence[str]]) -> "KeywordLexicon":
         phrases: dict[str, tuple[tuple[str, ...], ...]] = {}
         for label, entries in raw.items():
-            if isinstance(entries, str):
-                raise ValidationError(f"label {label!r}: phrases must be a list, not a string")
+            # a string would be read as its characters
+            if not isinstance(entries, (list, tuple)) or not all(
+                isinstance(entry, str) for entry in entries
+            ):
+                raise ValidationError(f"lexicon label {label!r} must be an array of strings")
             tokenized = []
             for entry in entries:
                 tokens = tokenize(entry)

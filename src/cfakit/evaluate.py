@@ -26,7 +26,7 @@ import numpy as np
 from .combine import FusedRanking, _fuse, _top_labels
 from .core import FusionBatch, FusionInstance, LabelSet, as_batch
 from .errors import ValidationError
-from .fileio import format_table, write_csv, write_json
+from .fileio import check_coverage, format_table, write_csv, write_json
 
 TIE_MODES = ("strict", "lenient")
 
@@ -160,14 +160,6 @@ def _check_tie_mode(tie_mode: str) -> None:
         )
 
 
-def _check_coverage(predictions: Mapping[str, Prediction], experts: Mapping[str, str]) -> None:
-    if not experts:
-        raise ValidationError("no expert-labeled documents to evaluate")
-    missing = sorted(set(experts) - set(predictions))
-    if missing:
-        raise ValidationError(f"missing predictions for documents {missing}")
-
-
 def expert_indices(
     experts: Mapping[str, str], label_set: LabelSet, doc_ids: Sequence[str] = ()
 ) -> np.ndarray:
@@ -227,7 +219,7 @@ def _encode(
     which must hold every expert label, then in order of appearance."""
     for models in groups:
         for predictions in models.values():
-            _check_coverage(predictions, experts)
+            check_coverage(predictions, experts)
     if label_set is not None:
         expert_indices(experts, label_set)
     rows = [[[predictions[d] for d in experts] for predictions in models.values()]
@@ -382,8 +374,8 @@ def disagreement_tables(
     experts: Mapping[str, str],
 ) -> DisagreementTables:
     """Categorize expert/individual/combined disagreement per document."""
-    _check_coverage(individual, experts)
-    _check_coverage(combined, experts)
+    check_coverage(individual, experts)
+    check_coverage(combined, experts)
     agrees: list[DisagreementRow] = []
     neither: list[DisagreementRow] = []
     both_wrong: list[DisagreementRow] = []

@@ -80,18 +80,27 @@ def write_json(path: Path | str, payload) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def _read_text(path: Path, newline: str | None = None) -> str:
+def _read_text(path: Path, newline: str | None = None, whole_lines: bool = False) -> str:
     """Every input file is read here: missing, unreadable and non-UTF-8
-    files are reported by name, never as a traceback."""
+    files are reported by name, never as a traceback.  newline=None reads
+    universal newlines as open() does, newline="" keeps line endings as
+    they are; whole_lines drops the bytes after the last newline before
+    decoding."""
     if not path.exists():
         raise DataAccessError(f"file not found: {path}")
     try:
-        with path.open(encoding="utf-8", newline=newline) as handle:
-            return handle.read()
+        data = path.read_bytes()
     except OSError as exc:
         raise DataAccessError(f"cannot read {path}: {exc}") from exc
+    if whole_lines:
+        data = data[: data.rfind(b"\n") + 1]
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 (byte offset {exc.start})") from None
+    if newline is None:  # universal newlines, as open() reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _csv_records(path: Path, text: str):
@@ -105,13 +114,7 @@ def _csv_records(path: Path, text: str):
 def _table_rows(path: Path, header: Sequence[str]):
     """(line number, row) for each non-empty row below the expected header,
     every one checked to have as many columns as the header."""
-    text = _read_text(path, newline="")
-    if '"' in text or "\r" in text:
-        rows = _csv_records(path, text)
-    else:
-        # with no quotes and no carriage returns a record is one line and
-        # a field ends at each comma: what csv.reader gives, only faster
-        rows = (line.split(",") if line else [] for line in text.split("\n"))
+    rows = _csv_records(path, _read_text(path, newline=""))
     found = next(rows, [])
     if tuple(found) != tuple(header):
         raise ValidationError(
@@ -216,8 +219,11 @@ def write_fused_file(path: Path | str, grid: Mapping[str, Sequence]) -> None:
 
 
 def check_coverage(doc_ids: Iterable[str], expert_docs: Iterable[str], where: str = "") -> None:
-    """Predictions on doc_ids must cover exactly the expert-labeled documents."""
+    """Predictions on doc_ids must cover exactly the expert-labeled
+    documents, and there must be at least one."""
     doc_ids, expert_docs = set(doc_ids), set(expert_docs)
+    if not expert_docs:
+        raise ValidationError(f"{where}no expert-labeled documents to evaluate")
     unlabeled = sorted(doc_ids - expert_docs)
     if unlabeled:
         raise ValidationError(f"{where}expert labels missing for documents {unlabeled[:10]}")
@@ -401,9 +407,10 @@ def load_lexicon(path: Path | str) -> KeywordLexicon:
     raw = _load_json(Path(path))
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: lexicon must be a JSON object of label -> phrases")
-    for label in raw:
-        _field(path, raw, label, "an array of strings", None)
-    return KeywordLexicon.from_dict(raw)
+    try:
+        return KeywordLexicon.from_dict(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_prompt_specs(path: Path | str) -> list[PromptSpec]:

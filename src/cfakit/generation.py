@@ -77,10 +77,10 @@ def _load_existing(path: Path) -> dict[str, dict]:
     records: dict[str, dict] = {}
     # split at newlines only: str.splitlines() also splits at U+2028 and
     # other separators that JSON strings may hold unescaped
-    lines = _read_text(path).split("\n")
-    # text after the last newline is an append cut short by a crash; its
-    # prompt is fetched again
-    for line_no, line in enumerate(lines[:-1], start=1):
+    # bytes after the last newline are an append cut short by a crash,
+    # perhaps inside a character; their prompt is fetched again
+    lines = _read_text(path, whole_lines=True).split("\n")
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue

@@ -329,24 +329,6 @@ def test_score_file_round_trip_awkward_floats(tmp_path):
     assert loaded == scores  # bit-exact round trip
 
 
-def test_table_rows_read_like_csv_reader(tmp_path):
-    import csv
-
-    from cfakit.fileio import SCORE_HEADER, _table_rows
-
-    bodies = (
-        "d1,L1,0.5\n\nd2,L2,1e-3\n",  # plain: split at newlines and commas
-        'd1,L1,0.5\n"d,2","L\n2",1\n',  # quoted commas and line breaks
-        "d1,L1,0.5\r\nd2,L2,2\r\n",  # carriage returns
-    )
-    for body in bodies:
-        path = tmp_path / "t.csv"
-        path.write_bytes(("doc_id,label,score\n" + body).encode())
-        with path.open(newline="") as handle:
-            want = [(n, row) for n, row in enumerate(csv.reader(handle), start=1) if row]
-        assert list(_table_rows(path, SCORE_HEADER)) == want[1:]
-
-
 def test_load_score_file_rejects_non_finite(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("doc_id,label,score\nd1,L1,nan\n")
@@ -403,6 +385,24 @@ MALFORMED = [
      {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
       + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:arc,d1,A,true,A|Z,A|Z|B\n"},
      ["evaluate"], "fused.csv:3: tied_top label 'Z' is outside the label set"),
+    ("fused-tie-not-boolean", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,yes,A,A|B|C\n"},
+     ["evaluate"], "fused.csv:2: tie_at_top must be true or false"),
+    ("fused-tied-lacks-top1", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,true,B|C,B|C|A\n"},
+     ["evaluate"], "fused.csv:2: tied_top must contain top1"),
+    ("fused-duplicate-row", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d1,B,false,B,B|A|C\n"},
+     ["evaluate"], "fused.csv:3: duplicate row for 's+t:asc' / 'd1'"),
+    ("fused-missing-document", {"expert_labels": "e.csv"},
+     {"s.csv": ABC_SCORES.encode() + b"d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n",
+      "t.csv": ABC_SCORES.encode() + b"d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n",
+      "e.csv": b"doc_id,label\nd1,A\nd2,B\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,false,A,A|B|C\n"},
+     ["evaluate"], "combo 's+t:asc': missing predictions for documents ['d2']"),
 ]
 
 

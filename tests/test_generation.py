@@ -206,15 +206,19 @@ def test_interrupted_run_keeps_fetched_records_and_resumes(stub_server, tmp_path
     with pytest.raises(_Interrupted):
         generate_corpus(_prompts(6), config, part)
     monkeypatch.setattr(generation, "_fetch", real_fetch)
-    # the two fetched records reached the file before the interruption;
-    # a crash in the middle of a third append leaves a torn last line
+    # the two fetched records reached the file before the interruption
     stored = (part / CORPUS_FILE).read_text().splitlines()
     assert [json.loads(line)["prompt_id"] for line in stored] == ["p00001", "p00002"]
-    with (part / CORPUS_FILE).open("a") as handle:
-        handle.write('{"doc_id": "p00003", "te')
+    fetched = (part / CORPUS_FILE).read_bytes()
 
-    hits_before = len(_StubHandler.seen)
-    outcome = generate_corpus(_prompts(6), config, part)
-    assert (outcome.skipped, outcome.fetched) == (2, 4)
-    assert len(_StubHandler.seen) - hits_before == hits_whole - 2
-    assert (part / CORPUS_FILE).read_bytes() == (whole / CORPUS_FILE).read_bytes()
+    # a crash in the middle of a third append leaves a torn last line,
+    # which may end inside a multibyte character
+    for torn in (b'{"doc_id": "p00003", "te', '{"doc_id": "p00003", "text": "\u00e9'.encode()[:-1]):
+        resumed = tmp_path / f"resumed{len(torn)}"
+        resumed.mkdir()
+        (resumed / CORPUS_FILE).write_bytes(fetched + torn)
+        hits_before = len(_StubHandler.seen)
+        outcome = generate_corpus(_prompts(6), config, resumed)
+        assert (outcome.skipped, outcome.fetched) == (2, 4)
+        assert len(_StubHandler.seen) - hits_before == hits_whole - 2
+        assert (resumed / CORPUS_FILE).read_bytes() == (whole / CORPUS_FILE).read_bytes()
