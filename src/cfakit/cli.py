@@ -13,15 +13,15 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .combine import run_grid
-from .core import FusionBatch, _ordered_sum
+from .combine import grid_arrays
+from .core import FusionBatch
 from .corpus import (
     TfidfCentroidScorer,
     corpus_quality_report,
     generate_prompt_matrix,
     keyword_scorer,
 )
-from .errors import CfaError, DomainError, ValidationError
+from .errors import CfaError, ValidationError
 from .evaluate import (
     ModelPredictions,
     _count,
@@ -44,6 +44,7 @@ from .fileio import (
     load_prompt_specs,
     load_score_file,
     write_csv,
+    write_diversity,
     write_fused_file,
     write_prompt_file,
     write_score_file,
@@ -213,57 +214,10 @@ def cmd_score(args) -> None:
     print(f"wrote {out} ({len(scores)} documents x {label_set.n} labels)")
 
 
-def _safe_name(doc_id: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_." else "_" for c in doc_id)
-
-
 def cmd_diversity(args) -> None:
     config = _require_config(args)
     _, batch = _load_batch(config)
-    if batch.cd is None:
-        raise DomainError("diversity reports need at least two systems")
-    out_dir = config.out_dir
-    ids = batch.system_ids
-    pairs = [(j, k) for j in range(len(ids)) for k in range(j + 1, len(ids))]
-
-    pair_rows = []
-    strength_rows = []
-    for doc_id, cd, ds in zip(batch.doc_ids, batch.cd.tolist(), batch.ds.tolist()):
-        pair_rows.extend(
-            (doc_id, ids[j], ids[k], format_table(cd[j][k])) for j, k in pairs
-        )
-        strength_rows.extend(
-            (doc_id, system_id, format_table(value)) for system_id, value in zip(ids, ds)
-        )
-    write_csv(out_dir / "diversity_pairs.csv",
-              ("doc_id", "system_a", "system_b", "cd"), pair_rows)
-    write_csv(out_dir / "diversity_strength.csv",
-              ("doc_id", "system", "ds"), strength_rows)
-
-    # summed over documents in document order, like every other reduction
-    mean_cd = (_ordered_sum(batch.cd) / len(batch)).tolist()
-    mean_ds = (_ordered_sum(batch.ds) / len(batch)).tolist()
-    mean_pairs = [(ids[j], ids[k], format_table(mean_cd[j][k])) for j, k in pairs]
-    mean_strengths = [
-        (system_id, format_table(value)) for system_id, value in zip(ids, mean_ds)
-    ]
-    write_csv(out_dir / "diversity_pairs_mean.csv",
-              ("system_a", "system_b", "mean_cd"), mean_pairs)
-    write_csv(out_dir / "diversity_strength_mean.csv",
-              ("system", "mean_ds"), mean_strengths)
-
-    row_of = {doc_id: d for d, doc_id in enumerate(batch.doc_ids)}
-    for doc_id in args.doc:
-        if doc_id not in row_of:
-            raise ValidationError(
-                f"unknown document {doc_id!r}; known documents: {sorted(row_of)}"
-            )
-        rows = []
-        for system_id, curve in zip(ids, batch.rsc[row_of[doc_id]].tolist()):
-            for position, value in enumerate(curve, start=1):
-                rows.append((position, format_table(value), system_id))
-        write_csv(out_dir / f"rsc_{_safe_name(doc_id)}.csv",
-                  ("rank", "score", "system"), rows)
+    write_diversity(batch, config.out_dir, args.doc)
     print(
         f"wrote diversity tables for {len(batch)} documents"
         + (f" and {len(args.doc)} RSC tables" if args.doc else "")
@@ -278,11 +232,11 @@ def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, flo
 
 def cmd_fuse(args) -> None:
     config = _require_config(args)
-    _, batch = _load_batch(config)
+    label_set, batch = _load_batch(config)
     performance = None
     if config.weights == "perf":
         performance = _performance_weights(batch, config)
-    grid = run_grid(
+    grid = grid_arrays(
         batch,
         strategies=config.strategies,
         min_size=config.min_subset,
@@ -290,9 +244,11 @@ def cmd_fuse(args) -> None:
         performance=performance,
     )
     out = config.out_dir / "fused.csv"
-    write_fused_file(out, grid)
-    total = sum(len(results) for results in grid.values())
-    print(f"wrote {out} ({len(grid)} combined models, {total} fused rankings)")
+    models = write_fused_file(
+        out, label_set, batch.doc_ids,
+        ((combo_id, order, tied) for combo_id, (_, order, tied, _) in grid),
+    )
+    print(f"wrote {out} ({models} combined models, {models * len(batch)} fused rankings)")
 
 
 def cmd_evaluate(args) -> None:

@@ -15,7 +15,7 @@ every subset of size min_size..t crossed with the chosen strategies.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -159,11 +159,9 @@ def _fuse_arrays(
     return values, order, tied, fallback
 
 
-def _fuse(
-    batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray | None = None
-) -> list[FusedRanking]:
-    """_fuse_arrays as one FusedRanking per document."""
-    values, order, tied, fallback = _fuse_arrays(batch, idx, strategy, weights)
+def _fuse(batch: FusionBatch, fused: tuple) -> list[FusedRanking]:
+    """A _fuse_arrays result as one FusedRanking per document."""
+    values, order, tied, fallback = fused
     labels = batch.label_set.labels
     values.setflags(write=False)
     out = []
@@ -196,7 +194,7 @@ def _fuse_one(
     idx = instance.subset_index(subset)
     if strategy in ("wsc", "wrc"):
         weights = _resolve_weights(instance, subset, idx, weights)
-    return _fuse(instance, idx, strategy, weights)[0]
+    return _fuse(instance, _fuse_arrays(instance, idx, strategy, weights))[0]
 
 
 def _resolve_weights(batch: FusionBatch, subset, idx, weights) -> np.ndarray:
@@ -276,6 +274,22 @@ def run_grid(
     document and subset.
     """
     batch = as_batch(instances)
+    return {
+        combo_id: _fuse(batch, fused)
+        for combo_id, fused in grid_arrays(batch, strategies, min_size, weight_source, performance)
+    }
+
+
+def grid_arrays(
+    batch: FusionBatch,
+    strategies: Sequence[str] = STRATEGIES,
+    min_size: int = 2,
+    weight_source: str = "ds",
+    performance: Mapping[str, float] | None = None,
+) -> Iterator[tuple[str, tuple[np.ndarray, ...]]]:
+    """The combination grid of run_grid, one combo at a time in run_grid's
+    order, as (combo_id, the _fuse_arrays result) pairs.  The arguments are
+    checked when iteration starts, before the first pair is made."""
     roster = set(batch.system_ids)
 
     requested = set(strategies)
@@ -305,7 +319,6 @@ def run_grid(
         if not np.isfinite(values).all() or np.any(values < 0):
             raise ValidationError("performance weights must be finite and non-negative")
 
-    grid: dict[str, list[FusedRanking]] = {}
     for subset in enumerate_combinations(sorted(roster), min_size):
         idx = batch.subset_index(subset)
         weights = None
@@ -315,5 +328,4 @@ def run_grid(
         for strategy in chosen:
             source = weight_source if strategy in ("wsc", "wrc") else None
             model = CombinedModel(systems=subset, strategy=strategy, weight_source=source)
-            grid[model.combo_id] = _fuse(batch, idx, strategy, weights)
-    return grid
+            yield model.combo_id, _fuse_arrays(batch, idx, strategy, weights)

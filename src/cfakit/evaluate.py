@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combine import FusedRanking, _fuse, _top_labels
+from .combine import FusedRanking, _fuse, _fuse_arrays, _top_labels
 from .core import FusionBatch, FusionInstance, LabelSet, as_batch
 from .errors import ValidationError
 from .fileio import check_coverage, format_table, write_csv, write_json
@@ -103,7 +103,10 @@ def individual_predictions(
     individual_arrays."""
     batch = as_batch(instances)
     return {
-        system_id: {f.doc_id: prediction_from_fused(f) for f in _fuse(batch, (j,), "asc")}
+        system_id: {
+            f.doc_id: prediction_from_fused(f)
+            for f in _fuse(batch, _fuse_arrays(batch, (j,), "asc"))
+        }
         for j, system_id in enumerate(batch.system_ids)
     }
 

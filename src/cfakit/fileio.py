@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LabelSet
+from .core import FusionBatch, LabelSet, _ordered_sum
 from .corpus import Document, KeywordLexicon, PromptSpec
-from .errors import DataAccessError, ValidationError
+from .errors import DataAccessError, DomainError, ValidationError
 
 SCORE_HEADER = ("doc_id", "label", "score")
 EXPERT_HEADER = ("doc_id", "label")
@@ -80,12 +80,11 @@ def write_json(path: Path | str, payload) -> None:
     atomic_write_text(path, text + "\n")
 
 
-def _read_text(path: Path, newline: str | None = None, whole_lines: bool = False) -> str:
-    """Every input file is read here: missing, unreadable and non-UTF-8
-    files are reported by name, never as a traceback.  newline=None reads
-    universal newlines as open() does, newline="" keeps line endings as
-    they are; whole_lines drops the bytes after the last newline before
-    decoding."""
+def _read_text(path: Path, whole_lines: bool = False) -> str:
+    """Every input file other than a CSV table is read here, with universal
+    newlines as open() reads them: missing, unreadable and non-UTF-8 files
+    are reported by name, never as a traceback.  whole_lines drops the
+    bytes after the last newline before decoding."""
     if not path.exists():
         raise DataAccessError(f"file not found: {path}")
     try:
@@ -96,38 +95,53 @@ def _read_text(path: Path, newline: str | None = None, whole_lines: bool = False
         data = data[: data.rfind(b"\n") + 1]
     try:
         text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not valid UTF-8 (byte offset {exc.start})") from None
-    if newline is None:  # universal newlines, as open() reads them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    except UnicodeDecodeError:
+        raise _not_utf8(path, data) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _csv_records(path: Path, text: str):
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _not_utf8(path: Path, data: bytes) -> ValidationError:
+    """The error for a file whose bytes are not valid UTF-8, naming the line
+    of the first bad byte; lines end at \\r\\n, \\r or \\n, as open() reads
+    them."""
     try:
-        yield from reader
-    except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise ValidationError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return ValidationError(f"{path}: not valid UTF-8 (line {line})")
+    return ValidationError(f"{path}: not valid UTF-8")  # rewritten since it failed
 
 
 def _table_rows(path: Path, header: Sequence[str]):
     """(line number, row) for each non-empty row below the expected header,
-    every one checked to have as many columns as the header."""
-    rows = _csv_records(path, _read_text(path, newline=""))
-    found = next(rows, [])
-    if tuple(found) != tuple(header):
-        raise ValidationError(
-            f"{path}: expected header {','.join(header)}, found {','.join(found)}"
-        )
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
-            )
-        yield line_no, row
+    every one checked to have as many columns as the header.  The file is
+    read through csv.reader one line at a time; a missing, unreadable,
+    non-UTF-8 or malformed file is reported by name, never as a traceback."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            found = next(reader, [])
+            if tuple(found) != tuple(header):
+                raise ValidationError(
+                    f"{path}: expected header {','.join(header)}, found {','.join(found)}"
+                )
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
+                    )
+                yield line_no, row
+    except FileNotFoundError:
+        raise DataAccessError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise DataAccessError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path, path.read_bytes()) from None
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ValidationError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
 
 
 def write_score_file(
@@ -200,22 +214,126 @@ def load_expert_labels(path: Path | str) -> dict[str, str]:
     return out
 
 
-def write_fused_file(path: Path | str, grid: Mapping[str, Sequence]) -> None:
-    """Persist a combination grid, sorted by combo_id then doc_id."""
-    rows = []
-    for combo_id in sorted(grid):
-        for fused in sorted(grid[combo_id], key=lambda f: f.doc_id):
-            rows.append(
-                (
-                    combo_id,
-                    fused.doc_id,
-                    fused.top1,
-                    "true" if fused.tie_at_top else "false",
-                    "|".join(fused.tied_top),
-                    "|".join(fused.ranking),
-                )
+def _csv_fields(values: Iterable[str]) -> dict[str, str]:
+    """Each value as csv.writer(lineterminator="\\n") writes it as one field
+    of a row: quoted, with quotes doubled, where it needs quoting."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    fields = {}
+    for value in values:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((value, ""))  # a lone empty field would be quoted
+        fields[value] = buffer.getvalue()[:-2]
+    return fields
+
+
+def write_fused_file(
+    path: Path | str,
+    label_set: LabelSet,
+    doc_ids: Sequence[str],
+    fused: Iterable[tuple[str, np.ndarray, np.ndarray]],
+) -> int:
+    """Persist a combination grid, sorted by combo_id then doc_id, and
+    return the number of combined models.
+
+    fused yields (combo_id, order, tied) per combined model: order[d]
+    lists the label indices of document doc_ids[d] best first and tied[d]
+    counts the labels tied at the top.  Each row's ranking is its labels
+    in that order, tied_top the first tied of them and top1 the first.
+    """
+    labels = label_set.labels
+    cells = _csv_fields([*labels, *doc_ids])
+    # A |-joined field needs quoting exactly when one of its labels does
+    # (labels hold no "|"); inside the quotes each label reads as it does
+    # inside its own quoted field.
+    quoted = {i for i, label in enumerate(labels) if cells[label] != label}
+    inner = np.array(
+        [cells[label][1:-1] if i in quoted else label for i, label in enumerate(labels)],
+        dtype=object,
+    )
+
+    def joined(group: list[int]) -> str:
+        quote = '"' if quoted.intersection(group) else ""
+        return quote + "|".join(inner[group]) + quote
+
+    rank_quote = '"' if quoted else ""
+    # top1,tie_at_top,tied_top of a document without a tie at the top
+    untied = np.array([f"{cells[label]},false,{cells[label]}" for label in labels], dtype=object)
+    perm = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
+    docs = [cells[doc_ids[d]] for d in perm.tolist()]
+    chunks: dict[str, str] = {}
+    for combo_id, order, tied in fused:
+        order, tied = order[perm], tied[perm]
+        heads = untied[order[:, 0]].tolist()
+        for d in np.flatnonzero(tied > 1).tolist():
+            # the tied labels lead the ranking
+            group = order[d, : tied[d]].tolist()
+            heads[d] = f"{cells[labels[group[0]]]},true,{joined(group)}"
+        lead = _csv_fields([combo_id])[combo_id] + ","
+        chunks[combo_id] = "".join([
+            f"{lead}{doc},{head},{rank_quote}{ranking}{rank_quote}\n"
+            for doc, head, ranking in zip(
+                docs, heads, map("|".join, inner[order].tolist())
             )
-    write_csv(path, FUSED_HEADER, rows)
+        ])
+    header = ",".join(FUSED_HEADER) + "\n"
+    atomic_write_text(path, header + "".join(chunks[c] for c in sorted(chunks)))
+    return len(chunks)
+
+
+def _safe_name(doc_id: str) -> str:
+    return "".join(c if c.isalnum() or c in "-_." else "_" for c in doc_id)
+
+
+def write_diversity(batch: FusionBatch, out_dir: Path, docs: Sequence[str] = ()) -> None:
+    """Write the per-document and mean cognitive diversity and diversity
+    strength tables of a batch of two or more systems, and one RSC table
+    rsc_<doc>.csv for each document in docs."""
+    if batch.cd is None:
+        raise DomainError("diversity reports need at least two systems")
+    row_of = {doc_id: d for d, doc_id in enumerate(batch.doc_ids)}
+    for doc_id in docs:
+        if doc_id not in row_of:
+            raise ValidationError(
+                f"unknown document {doc_id!r}; known documents: {sorted(row_of)}"
+            )
+    ids = batch.system_ids
+    pairs = [(j, k) for j in range(len(ids)) for k in range(j + 1, len(ids))]
+
+    pair_rows = []
+    strength_rows = []
+    for doc_id, cd, ds in zip(batch.doc_ids, batch.cd.tolist(), batch.ds.tolist()):
+        pair_rows.extend(
+            (doc_id, ids[j], ids[k], format_table(cd[j][k])) for j, k in pairs
+        )
+        strength_rows.extend(
+            (doc_id, system_id, format_table(value)) for system_id, value in zip(ids, ds)
+        )
+    write_csv(out_dir / "diversity_pairs.csv",
+              ("doc_id", "system_a", "system_b", "cd"), pair_rows)
+    write_csv(out_dir / "diversity_strength.csv",
+              ("doc_id", "system", "ds"), strength_rows)
+
+    # summed over documents in document order, like every other reduction
+    mean_cd = (_ordered_sum(batch.cd) / len(batch)).tolist()
+    mean_ds = (_ordered_sum(batch.ds) / len(batch)).tolist()
+    mean_pairs = [(ids[j], ids[k], format_table(mean_cd[j][k])) for j, k in pairs]
+    mean_strengths = [
+        (system_id, format_table(value)) for system_id, value in zip(ids, mean_ds)
+    ]
+    write_csv(out_dir / "diversity_pairs_mean.csv",
+              ("system_a", "system_b", "mean_cd"), mean_pairs)
+    write_csv(out_dir / "diversity_strength_mean.csv",
+              ("system", "mean_ds"), mean_strengths)
+
+    for doc_id in docs:
+        rows = []
+        for system_id, curve in zip(ids, batch.rsc[row_of[doc_id]].tolist()):
+            for position, value in enumerate(curve, start=1):
+                rows.append((position, format_table(value), system_id))
+        write_csv(out_dir / f"rsc_{_safe_name(doc_id)}.csv",
+                  ("rank", "score", "system"), rows)
 
 
 def check_coverage(doc_ids: Iterable[str], expert_docs: Iterable[str], where: str = "") -> None:

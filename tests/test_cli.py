@@ -269,6 +269,24 @@ def test_generate_command(workspace):
     assert record["label"] == "SDG4"
 
 
+def test_fuse_builds_no_fused_ranking(workspace, monkeypatch):
+    from cfakit.combine import FusedRanking
+
+    built = []
+    init = FusedRanking.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FusedRanking, "__init__", counted)
+    _score_both(workspace)
+    assert _run("fuse", "--config", workspace / "config.json") == 0
+    assert _run("fuse", "--config", workspace / "config.json", "--weights", "perf") == 0
+    assert len((workspace / "out" / "fused.csv").read_text().splitlines()) == 1 + 4 * 8
+    assert built == []
+
+
 def test_exit_code_2_for_missing_files(workspace):
     ws = workspace
     assert _run(
@@ -397,6 +415,11 @@ MALFORMED = [
      {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
       + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d1,B,false,B,B|A|C\n"},
      ["evaluate"], "fused.csv:3: duplicate row for 's+t:asc' / 'd1'"),
+    ("fused-not-utf8-on-a-later-line", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"".join(b"s+t:m%d,d1,A,false,A,A|B|C\n" % i for i in range(500))
+      + b"s+t:asc,d1,A,false,A,A|B|C\xff\n"},
+     ["evaluate"], "fused.csv: not valid UTF-8 (line 502)"),
     ("fused-missing-document", {"expert_labels": "e.csv"},
      {"s.csv": ABC_SCORES.encode() + b"d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n",
       "t.csv": ABC_SCORES.encode() + b"d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n",

@@ -3,13 +3,18 @@
 Hypothesis draws random shapes with heavy ties (scores with one or two
 decimals) and whole constant rows, the inputs where a reordered sum or a
 wrong tie rule shows up.  Ranks and rankings must agree exactly.  The
-evaluation counts are checked against a per-document recount.
+evaluation counts are checked against a per-document recount, and the
+bytes of fused.csv against a csv.writer pass over run_grid's rankings.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,6 +37,8 @@ from cfakit import (
     rank_from_scores,
     run_grid,
 )
+from cfakit.combine import STRATEGIES, grid_arrays
+from cfakit.fileio import FUSED_HEADER, write_fused_file
 
 # Before 3.12 CPython's sum() adds floats left to right, the order the
 # kernel keeps, so the oracle's values agree bit for bit.  Later versions
@@ -265,3 +272,59 @@ def test_evaluation_counts_match_per_document_recount(case):
             stats.cells_ge_individual_mean.denominator) == (ge_mean, cells)
     assert (stats.models_ge_best_individual.numerator,
             stats.models_ge_best_individual.denominator) == (models_ge, len(combined))
+
+
+def _texts(alphabet, min_size=1):
+    return st.text(st.sampled_from(alphabet), min_size=min_size, max_size=4)
+
+
+# what csv quotes (",", '"', "\n"), a "\r" that csv.writer leaves bare on
+# some Python versions, and characters outside ASCII
+ODD = 'ab,"\n\r é中'
+
+
+@st.composite
+def fused_grids(draw):
+    """A tie-heavy batch with odd label, document and system ids, documents
+    in unsorted order, and grid arguments: a strategy subset, a weight
+    source and, for perf, per-system weights (some vanishing)."""
+    cube = draw(score_cubes())
+    docs, systems, labels = len(cube), len(cube[0]), len(cube[0][0])
+    label_set = LabelSet(tuple(draw(st.lists(_texts(ODD), min_size=labels,
+                                             max_size=labels, unique=True))))
+    doc_ids = draw(st.lists(_texts(ODD, 0), min_size=docs, max_size=docs, unique=True))
+    system_ids = draw(st.lists(_texts(ODD), min_size=systems, max_size=systems, unique=True))
+    batch = FusionBatch(doc_ids, label_set, system_ids, cube,
+                        draw(st.sampled_from(("fractional", "ordinal"))))
+    strategies = draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, unique=True))
+    source = draw(st.sampled_from(("ds", "perf")))
+    weight = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+    performance = {s: draw(weight) for s in system_ids} if source == "perf" else None
+    return batch, (strategies, 2, source, performance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fused_grids())
+def test_fused_file_bytes_match_a_csv_writer_pass_over_run_grid(case):
+    batch, arguments = case
+    grid = run_grid(batch, *arguments)
+    # the rows built from run_grid's FusedRankings, written by csv.writer
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(FUSED_HEADER)
+    for combo_id in sorted(grid):
+        for fused in sorted(grid[combo_id], key=lambda f: f.doc_id):
+            writer.writerow((
+                combo_id, fused.doc_id, fused.top1,
+                "true" if fused.tie_at_top else "false",
+                "|".join(fused.tied_top), "|".join(fused.ranking),
+            ))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fused.csv"
+        models = write_fused_file(
+            path, batch.label_set, batch.doc_ids,
+            ((combo_id, order, tied)
+             for combo_id, (_, order, tied, _) in grid_arrays(batch, *arguments)),
+        )
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+    assert models == len(grid)
