@@ -13,8 +13,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .combine import grid_arrays
-from .core import FusionBatch
+from .combine import STRATEGIES, WEIGHT_SOURCES, grid_arrays
+from .core import TIE_POLICIES, FusionBatch
 from .corpus import (
     TfidfCentroidScorer,
     corpus_quality_report,
@@ -23,6 +23,7 @@ from .corpus import (
 )
 from .errors import CfaError, ValidationError
 from .evaluate import (
+    TIE_MODES,
     ModelPredictions,
     _count,
     evaluate_predictions,
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diversity", help="per-document diversity and RSC plot data"
     )
     common(diversity)
-    diversity.add_argument("--tie-policy", choices=("fractional", "ordinal"))
+    diversity.add_argument("--tie-policy", choices=TIE_POLICIES)
     diversity.add_argument(
         "--doc", action="append", default=[],
         help="emit an RSC table for this document (repeatable)",
@@ -88,15 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuse = subparsers.add_parser("fuse", help="run the combination grid")
     common(fuse)
-    fuse.add_argument("--tie-policy", choices=("fractional", "ordinal"))
-    fuse.add_argument("--strategies", help="comma list from asc,arc,wsc,wrc")
+    fuse.add_argument("--tie-policy", choices=TIE_POLICIES)
+    fuse.add_argument("--strategies", help=f"comma list from {','.join(STRATEGIES)}")
     fuse.add_argument("--min-subset", type=int, dest="min_subset")
-    fuse.add_argument("--weights", choices=("ds", "perf"))
+    fuse.add_argument("--weights", choices=WEIGHT_SOURCES)
 
     evaluate = subparsers.add_parser("evaluate", help="evaluate fused predictions")
     common(evaluate)
-    evaluate.add_argument("--tie-policy", choices=("fractional", "ordinal"))
-    evaluate.add_argument("--tie-mode", choices=("strict", "lenient"), dest="tie_mode")
+    evaluate.add_argument("--tie-policy", choices=TIE_POLICIES)
+    evaluate.add_argument("--tie-mode", choices=TIE_MODES, dest="tie_mode")
     evaluate.add_argument("--fused", help="fused predictions file (default: <out>/fused.csv)")
 
     stats = subparsers.add_parser("corpus-stats", help="lexical quality report")
@@ -217,10 +218,10 @@ def cmd_score(args) -> None:
 def cmd_diversity(args) -> None:
     config = _require_config(args)
     _, batch = _load_batch(config)
-    write_diversity(batch, config.out_dir, args.doc)
+    tables = write_diversity(batch, config.out_dir, args.doc)
     print(
         f"wrote diversity tables for {len(batch)} documents"
-        + (f" and {len(args.doc)} RSC tables" if args.doc else "")
+        + (f" and {tables} RSC tables" if tables else "")
     )
 
 

@@ -96,6 +96,29 @@ class FusedRanking:
     weight_fallback: bool = False
 
 
+def _check_strategies(strategies: Sequence[str]) -> list[str]:
+    """The chosen strategies, in STRATEGIES order."""
+    unknown = sorted(set(strategies) - set(STRATEGIES))
+    if unknown:
+        raise ValidationError(f"unknown strategies {unknown}; expected a subset of {STRATEGIES}")
+    chosen = [s for s in STRATEGIES if s in strategies]
+    if not chosen:
+        raise ValidationError("at least one strategy is required")
+    return chosen
+
+
+def _check_weight_source(weight_source: str) -> None:
+    if weight_source not in WEIGHT_SOURCES:
+        raise ValidationError(
+            f"unknown weight source {weight_source!r}; expected one of {WEIGHT_SOURCES}"
+        )
+
+
+def _check_min_size(min_size: int) -> None:
+    if min_size < 2:
+        raise ValidationError(f"minimum subset size is 2, got {min_size}")
+
+
 def enumerate_combinations(system_ids: Sequence[str], min_size: int = 2) -> list[tuple[str, ...]]:
     """All system subsets from min_size up to the full roster.
 
@@ -108,8 +131,7 @@ def enumerate_combinations(system_ids: Sequence[str], min_size: int = 2) -> list
     t = len(ids)
     if t < 2:
         raise DomainError(f"a combination grid needs at least two systems, got {t}")
-    if min_size < 2:
-        raise ValidationError(f"minimum subset size is 2, got {min_size}")
+    _check_min_size(min_size)
     if min_size > t:
         raise ValidationError(
             f"minimum subset size {min_size} exceeds the system count {t}"
@@ -133,9 +155,10 @@ def _fuse_arrays(
     """
     cube = batch.ranks if strategy in ("arc", "wrc") else batch.normalized
     rows = [cube[:, j] for j in idx]
-    values = _ordered_sum(rows) / len(rows)
-    fallback = np.zeros(len(batch), dtype=bool)
-    if strategy in ("wsc", "wrc"):
+    if strategy in ("asc", "arc"):
+        values = _ordered_sum(rows) / len(rows)
+        fallback = np.zeros(len(batch), dtype=bool)
+    else:
         if strategy == "wsc":
             if np.any(weights < 0):
                 raise ValidationError("score combination weights must be non-negative")
@@ -147,9 +170,11 @@ def _fuse_arrays(
             fallback = np.any(weights <= EPSILON, axis=1)
             factors = 1.0 / np.where(fallback[:, None], 1.0, weights)
             total = _ordered_sum(factors.T)
-        weighted = _ordered_sum(f[:, None] * row for f, row in zip(factors.T, rows))
-        weighted /= np.where(fallback, 1.0, total)[:, None]
-        values = np.where(fallback[:, None], values, weighted)
+        values = _ordered_sum(f[:, None] * row for f, row in zip(factors.T, rows))
+        values /= np.where(fallback, 1.0, total)[:, None]
+        if fallback.any():
+            # the plain subset mean, only where some document needs it
+            values = np.where(fallback[:, None], _ordered_sum(rows) / len(rows), values)
 
     keys = -values if strategy in ("asc", "wsc") else values
     # stable sort: value ties keep label order
@@ -291,21 +316,8 @@ def grid_arrays(
     order, as (combo_id, the _fuse_arrays result) pairs.  The arguments are
     checked when iteration starts, before the first pair is made."""
     roster = set(batch.system_ids)
-
-    requested = set(strategies)
-    unknown = requested - set(STRATEGIES)
-    if unknown:
-        raise ValidationError(
-            f"unknown strategies {sorted(unknown)}; expected a subset of {STRATEGIES}"
-        )
-    chosen = [s for s in STRATEGIES if s in requested]
-    if not chosen:
-        raise ValidationError("at least one strategy is required")
-
-    if weight_source not in WEIGHT_SOURCES:
-        raise ValidationError(
-            f"unknown weight source {weight_source!r}; expected one of {WEIGHT_SOURCES}"
-        )
+    chosen = _check_strategies(strategies)
+    _check_weight_source(weight_source)
     needs_weights = any(s in ("wsc", "wrc") for s in chosen)
     perf: dict[str, float] | None = None
     if needs_weights and weight_source == "perf":

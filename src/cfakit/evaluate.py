@@ -18,12 +18,13 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .combine import FusedRanking, _fuse, _fuse_arrays, _top_labels
+from .combine import FusedRanking, _top_labels
 from .core import FusionBatch, FusionInstance, LabelSet, as_batch
 from .errors import ValidationError
 from .fileio import check_coverage, format_table, write_csv, write_json
@@ -99,15 +100,16 @@ def individual_arrays(instances: FusionBatch | Sequence[FusionInstance]) -> Mode
 def individual_predictions(
     instances: FusionBatch | Sequence[FusionInstance],
 ) -> dict[str, dict[str, Prediction]]:
-    """Per-document top-1 predictions of each system on its own, as in
-    individual_arrays."""
+    """Per-document top-1 predictions of each system on its own: the
+    individual_arrays decoded, tied labels in label order."""
     batch = as_batch(instances)
+    p = individual_arrays(batch)
     return {
         system_id: {
-            f.doc_id: prediction_from_fused(f)
-            for f in _fuse(batch, _fuse_arrays(batch, (j,), "asc"))
+            doc_id: Prediction(p.labels[top], tuple(compress(p.labels, mask)))
+            for doc_id, top, mask in zip(batch.doc_ids, top1, tied)
         }
-        for j, system_id in enumerate(batch.system_ids)
+        for system_id, top1, tied in zip(p.model_ids, p.top1.tolist(), p.tied.tolist())
     }
 
 
@@ -484,9 +486,6 @@ def build_report(
     tie_mode: str = "strict",
 ) -> EvaluationReport:
     """evaluate_predictions for per-document Prediction mappings."""
-    _check_tie_mode(tie_mode)
-    if not individual or not combined:
-        raise ValidationError("the report needs individual and combined predictions")
     expert, (ind, comb) = _encode(experts, individual, combined, label_set=label_set)
     return evaluate_predictions(list(experts), label_set, expert, ind, comb, tie_mode)
 

@@ -10,17 +10,17 @@ file, and all output bytes are deterministic for identical inputs.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import FusionBatch, LabelSet, _ordered_sum
+from .combine import STRATEGIES, _check_min_size, _check_strategies, _check_weight_source
+from .core import FusionBatch, LabelSet, _check_tie_policy, _ordered_sum
 from .corpus import Document, KeywordLexicon, PromptSpec
 from .errors import DataAccessError, DomainError, ValidationError
 
@@ -66,13 +66,18 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         raise
 
 
+def _quote(value) -> str:
+    """The one quoting rule of every CSV writer: a field holding a ",", a
+    '"', a \\r or a \\n is quoted, with its quotes doubled."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    atomic_write_text(path, buffer.getvalue())
+    lines = [",".join(map(_quote, row)) + "\n" for row in (header, *rows)]
+    atomic_write_text(path, "".join(lines))
 
 
 def write_json(path: Path | str, payload) -> None:
@@ -214,20 +219,6 @@ def load_expert_labels(path: Path | str) -> dict[str, str]:
     return out
 
 
-def _csv_fields(values: Iterable[str]) -> dict[str, str]:
-    """Each value as csv.writer(lineterminator="\\n") writes it as one field
-    of a row: quoted, with quotes doubled, where it needs quoting."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    fields = {}
-    for value in values:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow((value, ""))  # a lone empty field would be quoted
-        fields[value] = buffer.getvalue()[:-2]
-    return fields
-
-
 def write_fused_file(
     path: Path | str,
     label_set: LabelSet,
@@ -243,34 +234,23 @@ def write_fused_file(
     in that order, tied_top the first tied of them and top1 the first.
     """
     labels = label_set.labels
-    cells = _csv_fields([*labels, *doc_ids])
-    # A |-joined field needs quoting exactly when one of its labels does
-    # (labels hold no "|"); inside the quotes each label reads as it does
-    # inside its own quoted field.
-    quoted = {i for i, label in enumerate(labels) if cells[label] != label}
-    inner = np.array(
-        [cells[label][1:-1] if i in quoted else label for i, label in enumerate(labels)],
-        dtype=object,
-    )
-
-    def joined(group: list[int]) -> str:
-        quote = '"' if quoted.intersection(group) else ""
-        return quote + "|".join(inner[group]) + quote
-
-    rank_quote = '"' if quoted else ""
+    # The ranking holds every label (labels hold no "|"), so it is quoted
+    # exactly when one of them is, each label with its quotes doubled.
+    rank_quote = '"' if any(_quote(label) != label for label in labels) else ""
+    inner = np.array([label.replace('"', '""') for label in labels], dtype=object)
     # top1,tie_at_top,tied_top of a document without a tie at the top
-    untied = np.array([f"{cells[label]},false,{cells[label]}" for label in labels], dtype=object)
+    untied = np.array([f"{_quote(label)},false,{_quote(label)}" for label in labels], dtype=object)
     perm = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
-    docs = [cells[doc_ids[d]] for d in perm.tolist()]
+    docs = [_quote(doc_ids[d]) for d in perm.tolist()]
     chunks: dict[str, str] = {}
     for combo_id, order, tied in fused:
         order, tied = order[perm], tied[perm]
         heads = untied[order[:, 0]].tolist()
         for d in np.flatnonzero(tied > 1).tolist():
             # the tied labels lead the ranking
-            group = order[d, : tied[d]].tolist()
-            heads[d] = f"{cells[labels[group[0]]]},true,{joined(group)}"
-        lead = _csv_fields([combo_id])[combo_id] + ","
+            group = [labels[i] for i in order[d, : tied[d]].tolist()]
+            heads[d] = f"{_quote(group[0])},true,{_quote('|'.join(group))}"
+        lead = _quote(combo_id) + ","
         chunks[combo_id] = "".join([
             f"{lead}{doc},{head},{rank_quote}{ranking}{rank_quote}\n"
             for doc, head, ranking in zip(
@@ -286,17 +266,24 @@ def _safe_name(doc_id: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in doc_id)
 
 
-def write_diversity(batch: FusionBatch, out_dir: Path, docs: Sequence[str] = ()) -> None:
+def write_diversity(batch: FusionBatch, out_dir: Path, docs: Sequence[str] = ()) -> int:
     """Write the per-document and mean cognitive diversity and diversity
     strength tables of a batch of two or more systems, and one RSC table
-    rsc_<doc>.csv for each document in docs."""
+    rsc_<doc>.csv for each distinct document in docs; return the number of
+    RSC tables.  Every document is checked before any file is written."""
     if batch.cd is None:
         raise DomainError("diversity reports need at least two systems")
     row_of = {doc_id: d for d, doc_id in enumerate(batch.doc_ids)}
-    for doc_id in docs:
+    rsc_docs: dict[str, str] = {}  # file name -> document
+    for doc_id in dict.fromkeys(docs):
         if doc_id not in row_of:
             raise ValidationError(
                 f"unknown document {doc_id!r}; known documents: {sorted(row_of)}"
+            )
+        name = f"rsc_{_safe_name(doc_id)}.csv"
+        if rsc_docs.setdefault(name, doc_id) != doc_id:
+            raise ValidationError(
+                f"documents {rsc_docs[name]!r} and {doc_id!r} would both be written to {name}"
             )
     ids = batch.system_ids
     pairs = [(j, k) for j in range(len(ids)) for k in range(j + 1, len(ids))]
@@ -327,13 +314,13 @@ def write_diversity(batch: FusionBatch, out_dir: Path, docs: Sequence[str] = ())
     write_csv(out_dir / "diversity_strength_mean.csv",
               ("system", "mean_ds"), mean_strengths)
 
-    for doc_id in docs:
+    for name, doc_id in rsc_docs.items():
         rows = []
         for system_id, curve in zip(ids, batch.rsc[row_of[doc_id]].tolist()):
             for position, value in enumerate(curve, start=1):
                 rows.append((position, format_table(value), system_id))
-        write_csv(out_dir / f"rsc_{_safe_name(doc_id)}.csv",
-                  ("rank", "score", "system"), rows)
+        write_csv(out_dir / name, ("rank", "score", "system"), rows)
+    return len(rsc_docs)
 
 
 def check_coverage(doc_ids: Iterable[str], expert_docs: Iterable[str], where: str = "") -> None:
@@ -574,14 +561,13 @@ class RunConfig:
     expert_labels: Path | None = None
     tie_policy: str = "fractional"
     tie_mode: str = "strict"
-    strategies: tuple[str, ...] = ("asc", "arc", "wsc", "wrc")
+    strategies: tuple[str, ...] = STRATEGIES
     min_subset: int = 2
     weights: str = "ds"
-    out_dir: Path = field(default_factory=lambda: Path("."))
+    out_dir: Path = Path(".")
     endpoint_url: str | None = None
     auth_token: str | None = None
     max_concurrency: int = 4
-    base_dir: Path = field(default_factory=lambda: Path("."))
 
     def label_set(self) -> LabelSet:
         if not self.labels:
@@ -591,16 +577,11 @@ class RunConfig:
     def require_systems(self) -> tuple[tuple[str, Path], ...]:
         if not self.systems:
             raise ValidationError("config must list at least one system under 'systems'")
-        for _, path in self.systems:
-            if not path.exists():
-                raise DataAccessError(f"score file not found: {path}")
         return self.systems
 
     def require_experts(self) -> Path:
         if self.expert_labels is None:
             raise ValidationError("config must name the expert labels file")
-        if not self.expert_labels.exists():
-            raise DataAccessError(f"expert labels file not found: {self.expert_labels}")
         return self.expert_labels
 
 
@@ -661,49 +642,33 @@ def load_config(path: Path | str) -> RunConfig:
     expert_labels = _field(path, raw, "expert_labels", "a string", None)
 
     config = RunConfig(
-        labels=tuple(_field(path, raw, "labels", "an array of strings", ())),
+        labels=tuple(_field(path, raw, "labels", "an array of strings", RunConfig.labels)),
         systems=tuple(systems),
         expert_labels=None if expert_labels is None else base / expert_labels,
-        tie_policy=_field(path, raw, "tie_policy", "a string", "fractional"),
-        tie_mode=_field(path, raw, "tie_mode", "a string", "strict"),
+        tie_policy=_field(path, raw, "tie_policy", "a string", RunConfig.tie_policy),
+        tie_mode=_field(path, raw, "tie_mode", "a string", RunConfig.tie_mode),
         strategies=tuple(_field(
-            path, raw, "strategies", "an array of strings", ("asc", "arc", "wsc", "wrc")
+            path, raw, "strategies", "an array of strings", RunConfig.strategies
         )),
-        min_subset=_field(path, raw, "min_subset", "an integer", 2),
-        weights=_field(path, raw, "weights", "a string", "ds"),
-        out_dir=base / _field(path, raw, "out_dir", "a string", "."),
-        endpoint_url=_field(path, generation, "endpoint_url", "a string", None),
-        auth_token=_field(path, generation, "auth_token", "a string", None),
-        max_concurrency=_field(path, generation, "max_concurrency", "an integer", 4),
-        base_dir=base,
+        min_subset=_field(path, raw, "min_subset", "an integer", RunConfig.min_subset),
+        weights=_field(path, raw, "weights", "a string", RunConfig.weights),
+        out_dir=base / _field(path, raw, "out_dir", "a string", RunConfig.out_dir),
+        endpoint_url=_field(path, generation, "endpoint_url", "a string", RunConfig.endpoint_url),
+        auth_token=_field(path, generation, "auth_token", "a string", RunConfig.auth_token),
+        max_concurrency=_field(
+            path, generation, "max_concurrency", "an integer", RunConfig.max_concurrency
+        ),
     )
     _check_config(config)
     return config
 
 
 def _check_config(config: RunConfig) -> None:
-    from .combine import STRATEGIES, WEIGHT_SOURCES
-    from .core import TIE_POLICIES
-    from .evaluate import TIE_MODES
+    """Each run setting through the check of the module that owns it."""
+    from .evaluate import _check_tie_mode
 
-    if config.tie_policy not in TIE_POLICIES:
-        raise ValidationError(
-            f"unknown tie policy {config.tie_policy!r}; expected one of {TIE_POLICIES}"
-        )
-    if config.tie_mode not in TIE_MODES:
-        raise ValidationError(
-            f"unknown tie mode {config.tie_mode!r}; expected one of {TIE_MODES}"
-        )
-    unknown = sorted(set(config.strategies) - set(STRATEGIES))
-    if unknown:
-        raise ValidationError(
-            f"unknown strategies {unknown}; expected a subset of {STRATEGIES}"
-        )
-    if not config.strategies:
-        raise ValidationError("at least one strategy is required")
-    if config.weights not in WEIGHT_SOURCES:
-        raise ValidationError(
-            f"unknown weight source {config.weights!r}; expected one of {WEIGHT_SOURCES}"
-        )
-    if config.min_subset < 2:
-        raise ValidationError(f"minimum subset size is 2, got {config.min_subset}")
+    _check_tie_policy(config.tie_policy)
+    _check_tie_mode(config.tie_mode)
+    _check_strategies(config.strategies)
+    _check_weight_source(config.weights)
+    _check_min_size(config.min_subset)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -358,6 +359,10 @@ def test_load_score_file_rejects_non_finite(tmp_path):
 
 ABC_SCORES = "doc_id,label,score\nd1,A,0.1\nd1,B,0.7\nd1,C,0.4\n"
 FUSED_HEADER = b"combo_id,doc_id,top1,tie_at_top,tied_top,ranking\n"
+DOC_SPACE_SCORES = b"doc_id,label,score\n" + b"".join(
+    b"%s,%s,0.%d\n" % (doc, label, i)
+    for doc in (b"d 1", b"d_1") for i, label in enumerate((b"A", b"B", b"C"), start=1)
+)
 
 # (case, config fields over a valid two-system config on labels A, B, C,
 #  files written over the valid ones, command, text the error must name)
@@ -426,6 +431,22 @@ MALFORMED = [
       "e.csv": b"doc_id,label\nd1,A\nd2,B\n", "out/fused.csv": FUSED_HEADER
       + b"s+t:asc,d1,A,false,A,A|B|C\n"},
      ["evaluate"], "combo 's+t:asc': missing predictions for documents ['d2']"),
+    ("tie-policy-unknown", {"tie_policy": "dense"}, {}, ["fuse"],
+     "unknown tie policy 'dense'; expected one of ('fractional', 'ordinal')"),
+    ("tie-mode-unknown", {"tie_mode": "loose"}, {}, ["fuse"],
+     "unknown tie mode 'loose'; expected one of ('strict', 'lenient')"),
+    ("strategies-unknown", {"strategies": ["zz"]}, {}, ["fuse"],
+     "unknown strategies ['zz']; expected a subset of ('asc', 'arc', 'wsc', 'wrc')"),
+    ("strategies-empty", {"strategies": []}, {}, ["fuse"],
+     "at least one strategy is required"),
+    ("weights-unknown", {"weights": "equal"}, {}, ["fuse"],
+     "unknown weight source 'equal'; expected one of ('ds', 'perf')"),
+    ("min-subset-one", {"min_subset": 1}, {}, ["fuse"],
+     "minimum subset size is 2, got 1"),
+    ("rsc-tables-share-a-file-name", {},
+     {"s.csv": DOC_SPACE_SCORES, "t.csv": DOC_SPACE_SCORES},
+     ["diversity", "--doc", "d 1", "--doc", "d_1"],
+     "documents 'd 1' and 'd_1' would both be written to rsc_d_1.csv"),
 ]
 
 
@@ -470,3 +491,59 @@ def test_atomic_write_leaves_other_writers_temp_files_alone(tmp_path):
         atomic_write_text(target, None)
     assert target.read_text() == "ours\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+
+def test_diversity_writes_one_rsc_table_per_distinct_document(workspace, capsys):
+    ws = workspace
+    _score_both(ws)
+    assert _run("diversity", "--config", ws / "config.json", "--doc", "d01", "--doc", "d01") == 0
+    assert capsys.readouterr().out.endswith(" and 1 RSC tables\n")
+    # two documents sharing one RSC file name: nothing is written
+    for name in ("s.csv", "t.csv"):
+        (ws / name).write_bytes(DOC_SPACE_SCORES)
+    (ws / "space.json").write_text(json.dumps({
+        "labels": ["A", "B", "C"], "out_dir": "fresh",
+        "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
+    }))
+    assert _run("diversity", "--config", ws / "space.json", "--doc", "d 1", "--doc", "d_1") == 1
+    assert not (ws / "fresh").exists()
+
+
+def _quoted_csv(header, rows) -> str:
+    return "".join(",".join(f'"{v}"' for v in row) + "\n" for row in [header, *rows])
+
+
+def test_carriage_returns_in_ids_round_trip(run_python, tmp_path):
+    """Doc ids and labels holding a bare \\r survive fuse, evaluate and
+    diversity: every CSV written reads back through csv.reader."""
+    docs, labels = ["d\r1", "d2"], ["A\r", "B", "C"]
+    for name, shift in (("s.csv", 0), ("t.csv", 1)):
+        rows = [(d, label, (i + j + shift) % 3) for i, d in enumerate(docs)
+                for j, label in enumerate(labels)]
+        (tmp_path / name).write_text(_quoted_csv(("doc_id", "label", "score"), rows),
+                                     newline="")
+    (tmp_path / "e.csv").write_text(
+        _quoted_csv(("doc_id", "label"), zip(docs, labels)), newline="")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "labels": labels, "expert_labels": "e.csv", "out_dir": "out",
+        "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
+    }))
+    for command in (["fuse"], ["evaluate"], ["diversity", "--doc", docs[0]]):
+        result = run_python("-m", "cfakit.cli", *command, "--config", "config.json",
+                            cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+    written = sorted((tmp_path / "out").glob("*.csv"))
+    assert "rsc_d_1.csv" in [path.name for path in written]
+    for path in written:
+        with open(path, encoding="utf-8", newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        columns = dict(zip(header, zip(*rows)))
+        if "doc_id" in columns:
+            # disagreements.csv lists only the documents in some category
+            found = set(columns["doc_id"])
+            assert found <= set(docs) and (found == set(docs) or path.name == "disagreements.csv")
+        for name in ("label", "top1", "expert", "individual", "combined"):
+            assert set(columns.get(name, ())) <= set(labels), (path.name, name)
+        for name in ("tied_top", "ranking"):
+            assert {x for v in columns.get(name, ()) for x in v.split("|")} <= set(labels)

@@ -4,7 +4,7 @@ Hypothesis draws random shapes with heavy ties (scores with one or two
 decimals) and whole constant rows, the inputs where a reordered sum or a
 wrong tie rule shows up.  Ranks and rankings must agree exactly.  The
 evaluation counts are checked against a per-document recount, and the
-bytes of fused.csv against a csv.writer pass over run_grid's rankings.
+bytes of fused.csv and of every other CSV table against csv.writer passes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from cfakit import (
     run_grid,
 )
 from cfakit.combine import STRATEGIES, grid_arrays
-from cfakit.fileio import FUSED_HEADER, write_fused_file
+from cfakit.fileio import FUSED_HEADER, write_csv, write_fused_file
 
 # Before 3.12 CPython's sum() adds floats left to right, the order the
 # kernel keeps, so the oracle's values agree bit for bit.  Later versions
@@ -278,8 +278,7 @@ def _texts(alphabet, min_size=1):
     return st.text(st.sampled_from(alphabet), min_size=min_size, max_size=4)
 
 
-# what csv quotes (",", '"', "\n"), a "\r" that csv.writer leaves bare on
-# some Python versions, and characters outside ASCII
+# what csv quotes (",", '"', "\n", "\r") and characters outside ASCII
 ODD = 'ab,"\n\r é中'
 
 
@@ -308,13 +307,23 @@ def fused_grids(draw):
 def test_fused_file_bytes_match_a_csv_writer_pass_over_run_grid(case):
     batch, arguments = case
     grid = run_grid(batch, *arguments)
-    # the rows built from run_grid's FusedRankings, written by csv.writer
+    # the rows built from run_grid's FusedRankings, each written by a
+    # csv.writer whose "\r\n" terminator makes it quote a bare "\r" on every
+    # Python, then ended with "\n"
     want = io.StringIO()
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(FUSED_HEADER)
+    row = io.StringIO()
+    writer = csv.writer(row, lineterminator="\r\n")
+
+    def write(fields):
+        row.seek(0)
+        row.truncate()
+        writer.writerow(fields)
+        want.write(row.getvalue()[:-2] + "\n")
+
+    write(FUSED_HEADER)
     for combo_id in sorted(grid):
         for fused in sorted(grid[combo_id], key=lambda f: f.doc_id):
-            writer.writerow((
+            write((
                 combo_id, fused.doc_id, fused.top1,
                 "true" if fused.tie_at_top else "false",
                 "|".join(fused.tied_top), "|".join(fused.ranking),
@@ -328,3 +337,35 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_run_grid(case):
         )
         assert path.read_bytes() == want.getvalue().encode("utf-8")
     assert models == len(grid)
+
+
+# any text but "\r", which csv.writer(lineterminator="\n") leaves unquoted
+# before Python 3.13, and NUL, which some versions refuse to write
+_TEXT = st.one_of(
+    _texts(ODD.replace("\r", ""), 0),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\0"), max_size=4),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows of two or more str or int fields each, as in every
+    table cfakit writes."""
+    width = draw(st.integers(2, 5))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    row = st.lists(st.one_of(_TEXT, st.integers()), min_size=width, max_size=width)
+    return header, draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+def test_write_csv_bytes_match_a_csv_writer_pass(table):
+    header, rows = table
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
