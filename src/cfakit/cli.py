@@ -309,7 +309,8 @@ def cmd_generate(args) -> None:
     generation = GenerationConfig(
         endpoint_url=endpoint,
         auth_token=args.auth_token or config.auth_token,
-        max_concurrency=args.max_concurrency or config.max_concurrency,
+        max_concurrency=(config.max_concurrency if args.max_concurrency is None
+                         else args.max_concurrency),
     )
     prompts = load_prompt_file(args.prompts)
     outcome = generate_corpus(prompts, generation, config.out_dir)

@@ -24,6 +24,9 @@ MAX_PHRASE_TOKENS = 4
 
 
 def _strip_punctuation(token: str) -> str:
+    # letters and digits are never punctuation, so most tokens need no scan
+    if token[0].isalnum() and token[-1].isalnum():
+        return token
     start = 0
     end = len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
@@ -60,6 +63,11 @@ class Document:
         object.__setattr__(self, "tokens", tokenize(self.text))
 
 
+def _ngrams(tokens: Sequence[str], n: int):
+    """The contiguous n-token windows of tokens, as tuples, in order."""
+    return zip(*(tokens[i:] for i in range(n)))
+
+
 def _tokens_of(doc) -> tuple[str, ...]:
     if isinstance(doc, Document):
         return doc.tokens
@@ -88,8 +96,7 @@ def distinct_n(doc, n: int) -> float | None:
     total = len(tokens) - n + 1
     if total <= 0:
         return None
-    grams = {tuple(tokens[i : i + n]) for i in range(total)}
-    return len(grams) / total
+    return len(set(_ngrams(tokens, n))) / total
 
 
 @dataclass(frozen=True)
@@ -110,18 +117,11 @@ def _mean_or_none(values: list[float]) -> float | None:
     return float(np.mean(values))
 
 
-def _group_quality(label: str, docs: Sequence[Document]) -> LabelQuality:
-    ttrs = [v for v in (type_token_ratio(d) for d in docs) if v is not None]
-    d2 = [v for v in (distinct_n(d, 2) for d in docs) if v is not None]
-    d3 = [v for v in (distinct_n(d, 3) for d in docs) if v is not None]
-    return LabelQuality(
-        label=label,
-        doc_count=len(docs),
-        mean_tokens=float(np.mean([len(d.tokens) for d in docs])),
-        mean_ttr=_mean_or_none(ttrs),
-        mean_distinct2=_mean_or_none(d2),
-        mean_distinct3=_mean_or_none(d3),
-    )
+def _group_quality(label: str, metrics: Sequence[tuple]) -> LabelQuality:
+    # metrics: one (token count, TTR, distinct-2, distinct-3) per document
+    tokens, *rates = zip(*metrics)
+    means = [_mean_or_none([v for v in values if v is not None]) for values in rates]
+    return LabelQuality(label, len(metrics), float(np.mean(tokens)), *means)
 
 
 def corpus_quality_report(corpus: Sequence[Document]) -> list[LabelQuality]:
@@ -129,19 +129,24 @@ def corpus_quality_report(corpus: Sequence[Document]) -> list[LabelQuality]:
 
     Unlabeled documents group under "unlabeled".  Labels are sorted for a
     deterministic table, and per-document metrics that are undefined are
-    left out of their group's mean.
+    left out of their group's mean.  Each document's metrics are computed
+    once and shared by its label row and the overall row.
     """
     docs = list(corpus)
     if not docs:
         raise ValidationError("cannot report on an empty corpus")
-    groups: dict[str, list[Document]] = {}
-    for doc in docs:
-        groups.setdefault(doc.label or "unlabeled", []).append(doc)
+    metrics = [
+        (len(doc.tokens), type_token_ratio(doc), distinct_n(doc, 2), distinct_n(doc, 3))
+        for doc in docs
+    ]
+    groups: dict[str, list[tuple]] = {}
+    for doc, values in zip(docs, metrics):
+        groups.setdefault(doc.label or "unlabeled", []).append(values)
     labels = sorted(k for k in groups if k != "unlabeled")
     if "unlabeled" in groups:
         labels.append("unlabeled")
     rows = [_group_quality(label, groups[label]) for label in labels]
-    rows.append(_group_quality("overall", docs))
+    rows.append(_group_quality("overall", metrics))
     return rows
 
 
@@ -214,6 +219,8 @@ class KeywordLexicon:
     """Per-label keyword phrases, each stored as its token sequence."""
 
     phrases: dict[str, tuple[tuple[str, ...], ...]]
+    # the distinct phrase lengths in tokens, ascending
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.phrases:
@@ -221,6 +228,10 @@ class KeywordLexicon:
         for label, phrase_list in self.phrases.items():
             if not phrase_list:
                 raise ValidationError(f"label {label!r} has no phrases")
+            if not all(phrase_list):
+                raise ValidationError(f"label {label!r} has an empty phrase")
+        widths = {len(phrase) for phrase_list in self.phrases.values() for phrase in phrase_list}
+        object.__setattr__(self, "widths", tuple(sorted(widths)))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -248,41 +259,25 @@ class KeywordLexicon:
         return cls(phrases=phrases)
 
 
-def _phrase_frequency(tokens: Sequence[str], phrase: Sequence[str]) -> int:
-    width = len(phrase)
-    phrase = tuple(phrase)
-    return sum(
-        1
-        for i in range(len(tokens) - width + 1)
-        if tuple(tokens[i : i + width]) == phrase
-    )
-
-
 def keyword_scorer(doc, lexicon: KeywordLexicon) -> dict[str, float]:
     """Keyword-density score per label.
 
     For each label the score is (total match frequency / token count)
     scaled by (1 + log2(1 + distinct matched phrases)); labels with no
     match score zero, as does an empty document.  Multi-token phrases
-    match as contiguous token runs and overlapping occurrences all count.
+    match as contiguous token runs and overlapping occurrences all count;
+    a phrase listed twice counts twice in both terms.  Each document's
+    n-grams are counted once per phrase width the lexicon uses.
     """
     tokens = _tokens_of(doc)
+    counts = {n: Counter(_ngrams(tokens, n)) for n in lexicon.widths}
     scores: dict[str, float] = {}
     for label, phrase_list in lexicon.phrases.items():
-        if not tokens:
-            scores[label] = 0.0
-            continue
-        frequency = 0
-        distinct = 0
-        for phrase in phrase_list:
-            count = _phrase_frequency(tokens, phrase)
-            if count:
-                frequency += count
-                distinct += 1
-        if distinct == 0:
-            scores[label] = 0.0
-        else:
-            scores[label] = (frequency / len(tokens)) * (1.0 + math.log2(1 + distinct))
+        found = [c for c in (counts[len(p)].get(tuple(p), 0) for p in phrase_list) if c]
+        frequency, distinct = sum(found), len(found)
+        scores[label] = (
+            (frequency / len(tokens)) * (1.0 + math.log2(1 + distinct)) if distinct else 0.0
+        )
     return scores
 
 

@@ -8,6 +8,7 @@ nothing from it.  Tests compare library output against these.
 from __future__ import annotations
 
 import math
+import unicodedata
 
 
 def normalize(raw):
@@ -101,3 +102,41 @@ def distinct_n(tokens, n):
     for i in range(total):
         grams.add(tuple(tokens[i : i + n]))
     return len(grams) / total
+
+
+def tokenize(text):
+    # lowercase, split at whitespace, then drop characters of a P* category
+    # from each end of a word until a non-punctuation character is reached
+    out = []
+    for word in text.lower().split():
+        chars = list(word)
+        while chars and unicodedata.category(chars[0])[0] == "P":
+            del chars[0]
+        while chars and unicodedata.category(chars[-1])[0] == "P":
+            del chars[-1]
+        if chars:
+            out.append("".join(chars))
+    return tuple(out)
+
+
+def keyword_scores(tokens, lexicon):
+    # lexicon: label -> list of phrases, each a list of tokens; a window
+    # is tried at every start position, so overlapping matches all count
+    scores = {}
+    for label, phrases in lexicon.items():
+        frequency = 0
+        distinct = 0
+        for phrase in phrases:
+            width = len(phrase)
+            matches = 0
+            for start in range(len(tokens) - width + 1):
+                if list(tokens[start : start + width]) == list(phrase):
+                    matches += 1
+            frequency += matches
+            if matches > 0:
+                distinct += 1
+        if not tokens or distinct == 0:
+            scores[label] = 0.0
+        else:
+            scores[label] = (frequency / len(tokens)) * (1.0 + math.log2(1 + distinct))
+    return scores

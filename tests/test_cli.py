@@ -447,6 +447,12 @@ MALFORMED = [
      {"s.csv": DOC_SPACE_SCORES, "t.csv": DOC_SPACE_SCORES},
      ["diversity", "--doc", "d 1", "--doc", "d_1"],
      "documents 'd 1' and 'd_1' would both be written to rsc_d_1.csv"),
+    ("generate-max-concurrency-zero", {},
+     {"prompts.csv": b"prompt_id,label,publication_type,source,prompt_text\n"
+                     b"p00001,A,t,s,A by s\n"},
+     ["generate", "--prompts", "prompts.csv", "--endpoint", "http://127.0.0.1:9/gen",
+      "--max-concurrency", "0"],
+     "max_concurrency must be at least 1"),
 ]
 
 

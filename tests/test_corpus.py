@@ -226,6 +226,17 @@ def test_lexicon_rejects_empty():
         KeywordLexicon.from_dict({"L": []})
 
 
+def test_lexicon_rejects_an_empty_phrase():
+    # an empty phrase would match nowhere, or everywhere
+    with pytest.raises(ValidationError, match="empty phrase"):
+        KeywordLexicon({"L": (("water",), ())})
+
+
+def test_lexicon_widths_are_the_distinct_phrase_lengths():
+    lexicon = KeywordLexicon.from_dict({"A": ["clean water", "water"], "B": ["a b c", "x y"]})
+    assert lexicon.widths == (1, 2, 3)
+
+
 def _naive_tfidf(train, query_tokens):
     """Dict-based tf-idf centroid scorer used as an independent check."""
     vocabulary = sorted({t for _, tokens in train for t in tokens})

@@ -5,6 +5,8 @@ decimals) and whole constant rows, the inputs where a reordered sum or a
 wrong tie rule shows up.  Ranks and rankings must agree exactly.  The
 evaluation counts are checked against a per-document recount, and the
 bytes of fused.csv and of every other CSV table against csv.writer passes.
+The tokenizer and the keyword scorer are checked against transcriptions
+of their definitions.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import _naive
 from cfakit import (
     EPSILON,
     FusionBatch,
+    KeywordLexicon,
     LabelSet,
     Prediction,
     build_instance,
@@ -31,11 +34,13 @@ from cfakit import (
     cognitive_diversity,
     enumerate_combinations,
     grid_statistics,
+    keyword_scorer,
     normalize_scores,
     per_label_precision,
     precision_at_1,
     rank_from_scores,
     run_grid,
+    tokenize,
 )
 from cfakit.combine import STRATEGIES, grid_arrays
 from cfakit.fileio import FUSED_HEADER, write_csv, write_fused_file
@@ -369,3 +374,38 @@ def test_write_csv_bytes_match_a_csv_writer_pass(table):
         path = Path(tmp) / "table.csv"
         write_csv(path, header, rows)
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+# words drawn from a few letters, edge punctuation and odd whitespace
+_WORDY = "aZé9中-.,!¿«» \t\n\u00a0\u2028"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(_WORDY), st.text()))
+def test_tokenize_matches_oracle(text):
+    assert tokenize(text) == _naive.tokenize(text)
+
+
+@st.composite
+def keyword_cases(draw):
+    """Token streams and lexicons over 3 or 4 words, so that phrases match,
+    overlap and repeat often; empty documents included."""
+    words = "abcd"[: draw(st.integers(3, 4))]
+    tokens = draw(st.lists(st.sampled_from(words), max_size=30))
+    phrase = st.lists(st.sampled_from(words), min_size=1, max_size=4)
+    labels = draw(st.lists(st.sampled_from(("L1", "L2", "L3")), min_size=1, max_size=3,
+                           unique=True))
+    lexicon = {}
+    for label in labels:
+        phrases = draw(st.lists(phrase, min_size=1, max_size=6))
+        lexicon[label] = phrases + phrases[: draw(st.integers(0, len(phrases)))]
+    return tokens, lexicon
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyword_cases())
+def test_keyword_scorer_matches_sliding_window_oracle(case):
+    tokens, lexicon = case
+    raw = {label: [" ".join(phrase) for phrase in phrases] for label, phrases in lexicon.items()}
+    got = keyword_scorer(" ".join(tokens), KeywordLexicon.from_dict(raw))
+    assert got == _naive.keyword_scores(tokens, lexicon)
