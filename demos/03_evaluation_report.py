@@ -15,12 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from cfakit import (
+    FusionBatch,
     LabelSet,
-    build_instance,
-    build_report,
-    grid_predictions,
-    individual_predictions,
-    run_grid,
+    combined_arrays,
+    evaluate_predictions,
+    expert_indices,
+    individual_arrays,
 )
 
 LABELS = LabelSet(tuple(f"SDG{i}" for i in range(1, 18)))
@@ -29,30 +29,30 @@ QUALITY = {"m1": 2.4, "m2": 2.0, "m3": 1.6, "m4": 1.2, "m5": 0.8}
 
 def synthesize(rng, n_docs):
     """Noisy scores that peak near the expert label, per system quality."""
-    instances = []
+    raw = []
     experts = {}
     for i in range(n_docs):
-        doc_id = f"doc{i:03d}"
         true_index = int(rng.integers(0, LABELS.n))
-        experts[doc_id] = LABELS.labels[true_index]
-        raw = {}
-        for system_id, sharpness in QUALITY.items():
+        experts[f"doc{i:03d}"] = LABELS.labels[true_index]
+        rows = []
+        for sharpness in QUALITY.values():
             scores = rng.uniform(size=LABELS.n)
             scores[true_index] += sharpness * rng.uniform(0.2, 1.0)
-            raw[system_id] = scores.tolist()
-        instances.append(build_instance(doc_id, LABELS, raw))
-    return instances, experts
+            rows.append(scores.tolist())
+        raw.append(rows)
+    return FusionBatch(tuple(experts), LABELS, tuple(QUALITY), raw), experts
 
 
 def main() -> None:
     rng = np.random.default_rng(7)
-    instances, experts = synthesize(rng, 120)
-    grid = run_grid(instances)
-    report = build_report(
-        individual_predictions(instances),
-        grid_predictions(grid),
-        experts,
+    batch, experts = synthesize(rng, 120)
+    # every model's top-1 labels as label-index arrays, documents in batch order
+    report = evaluate_predictions(
+        batch.doc_ids,
         LABELS,
+        expert_indices(experts, LABELS, batch.doc_ids),
+        individual_arrays(batch),
+        combined_arrays(batch),
     )
 
     print("individual systems, precision at rank 1")

@@ -57,18 +57,11 @@ from .evaluate import (
     GridStats,
     ModelPredictions,
     PrecisionResult,
-    Prediction,
     Ratio,
-    build_report,
-    disagreement_tables,
+    combined_arrays,
     evaluate_predictions,
-    grid_predictions,
-    grid_statistics,
+    expert_indices,
     individual_arrays,
-    individual_predictions,
-    per_label_precision,
-    precision_at_1,
-    prediction_from_fused,
     select_best,
     write_report,
 )
@@ -98,7 +91,6 @@ __all__ = [
     "LabelSet",
     "ModelPredictions",
     "PrecisionResult",
-    "Prediction",
     "Prompt",
     "PromptSpec",
     "Ratio",
@@ -110,25 +102,19 @@ __all__ = [
     "average_rank_combination",
     "average_score_combination",
     "build_instance",
-    "build_report",
     "cognitive_diversity",
+    "combined_arrays",
     "corpus_quality_report",
-    "disagreement_tables",
     "distinct_n",
     "diversity_strength",
     "enumerate_combinations",
     "evaluate_predictions",
+    "expert_indices",
     "generate_corpus",
     "generate_prompt_matrix",
-    "grid_predictions",
-    "grid_statistics",
     "individual_arrays",
-    "individual_predictions",
     "keyword_scorer",
     "normalize_scores",
-    "per_label_precision",
-    "precision_at_1",
-    "prediction_from_fused",
     "rank_from_scores",
     "rsc_curve",
     "run_grid",

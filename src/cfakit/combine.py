@@ -201,12 +201,10 @@ def _fuse(batch: FusionBatch, fused: tuple) -> list[FusedRanking]:
     return out
 
 
-def _top_labels(
-    batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _top_labels(order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The top-1 label index of each document and a (docs, labels) mask of
-    the labels tied at the top, from the same kernel as _fuse."""
-    _, order, tied, _ = _fuse_arrays(batch, idx, strategy, weights)
+    the labels tied at the top, from the order and tied arrays of a
+    _fuse_arrays result."""
     mask = np.zeros(order.shape, dtype=bool)
     leading = np.arange(order.shape[1]) < tied[:, None]
     np.put_along_axis(mask, order, leading, axis=1)

@@ -295,7 +295,8 @@ class TfidfCentroidScorer:
     def __init__(self) -> None:
         self._vocabulary: dict[str, int] | None = None
         self._idf: np.ndarray | None = None
-        self._centroids: dict[str, np.ndarray] | None = None
+        # label -> (centroid, its norm), the norm computed once at train
+        self._centroids: dict[str, tuple[np.ndarray, float]] | None = None
 
     @property
     def trained(self) -> bool:
@@ -339,7 +340,8 @@ class TfidfCentroidScorer:
         self._centroids = {}
         for label in labels:
             vectors = [self._embed(doc) for doc in by_label[label]]
-            self._centroids[label] = np.mean(vectors, axis=0)
+            centroid = np.mean(vectors, axis=0)
+            self._centroids[label] = (centroid, float(np.linalg.norm(centroid)))
         return self
 
     def _embed(self, doc) -> np.ndarray:
@@ -360,8 +362,8 @@ class TfidfCentroidScorer:
         vector = self._embed(doc)
         norm = float(np.linalg.norm(vector))
         scores: dict[str, float] = {}
-        for label, centroid in self._centroids.items():
-            denominator = norm * float(np.linalg.norm(centroid))
+        for label, (centroid, centroid_norm) in self._centroids.items():
+            denominator = norm * centroid_norm
             if denominator == 0.0:
                 scores[label] = 0.0
             else:

@@ -9,52 +9,27 @@ the lenient mode accepts the expert label anywhere in the tied group.
 
 Every count comes from one pass over label-index arrays (see
 ModelPredictions): a hit matrix of models x documents, summed overall
-and per expert label with np.bincount.  The functions taking Prediction
-mappings turn them into the same arrays.
+and per expert label with np.bincount.  individual_arrays and
+combined_arrays make those arrays from a batch, and
+fileio.load_fused_predictions reads them from a fused grid file.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .combine import FusedRanking, _top_labels
+from .combine import STRATEGIES, _fuse_arrays, _top_labels, grid_arrays
 from .core import FusionBatch, FusionInstance, LabelSet, as_batch
 from .errors import ValidationError
-from .fileio import check_coverage, format_table, write_csv, write_json
+from .fileio import format_table, write_csv, write_json
 
 TIE_MODES = ("strict", "lenient")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Top-ranked label plus the full tied-top group for one document.
-
-    tied_top lists every label sharing the best combined value in label
-    order; its first entry is always top1 because ties break by label
-    order.  For untied predictions it is just (top1,).
-    """
-
-    top1: str
-    tied_top: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        tied = tuple(self.tied_top) or (self.top1,)
-        if self.top1 not in tied:
-            raise ValidationError("tied_top must contain top1")
-        if len(set(tied)) != len(tied):
-            raise ValidationError("tied_top repeats a label")
-        object.__setattr__(self, "tied_top", tied)
-
-    @property
-    def tie(self) -> bool:
-        return len(self.tied_top) > 1
 
 
 class ModelPredictions(NamedTuple):
@@ -71,18 +46,13 @@ class ModelPredictions(NamedTuple):
     tied: np.ndarray
 
 
-def prediction_from_fused(fused: FusedRanking) -> Prediction:
-    return Prediction(top1=fused.top1, tied_top=fused.tied_top)
-
-
-def grid_predictions(
-    grid: Mapping[str, Sequence[FusedRanking]],
-) -> dict[str, dict[str, Prediction]]:
-    """Per-document predictions for every combined model in a grid."""
-    return {
-        combo_id: {f.doc_id: prediction_from_fused(f) for f in results}
-        for combo_id, results in grid.items()
-    }
+def _stack(labels: tuple[str, ...], models: Iterable[tuple]) -> ModelPredictions:
+    """ModelPredictions from (model_id, order, tied) triples, the order and
+    tied arrays of one _fuse_arrays result per model."""
+    model_ids, top1, tied = zip(*(
+        (model_id, *_top_labels(order, count)) for model_id, order, count in models
+    ))
+    return ModelPredictions(model_ids, labels, np.stack(top1), np.stack(tied))
 
 
 def individual_arrays(instances: FusionBatch | Sequence[FusionInstance]) -> ModelPredictions:
@@ -92,25 +62,26 @@ def individual_arrays(instances: FusionBatch | Sequence[FusionInstance]) -> Mode
     ties at the top resolve by label order and the tied group is kept.
     """
     batch = as_batch(instances)
-    top1, tied = zip(*(_top_labels(batch, (j,), "asc") for j in range(batch.t)))
-    return ModelPredictions(batch.system_ids, batch.label_set.labels,
-                            np.stack(top1), np.stack(tied))
+    return _stack(batch.label_set.labels, (
+        (system_id, *_fuse_arrays(batch, (j,), "asc")[1:3])
+        for j, system_id in enumerate(batch.system_ids)
+    ))
 
 
-def individual_predictions(
+def combined_arrays(
     instances: FusionBatch | Sequence[FusionInstance],
-) -> dict[str, dict[str, Prediction]]:
-    """Per-document top-1 predictions of each system on its own: the
-    individual_arrays decoded, tied labels in label order."""
+    strategies: Sequence[str] = STRATEGIES,
+    min_size: int = 2,
+    weight_source: str = "ds",
+    performance: Mapping[str, float] | None = None,
+) -> ModelPredictions:
+    """Top-1 predictions of every combined model, in grid_arrays' order
+    and under its arguments, documents in batch order."""
     batch = as_batch(instances)
-    p = individual_arrays(batch)
-    return {
-        system_id: {
-            doc_id: Prediction(p.labels[top], tuple(compress(p.labels, mask)))
-            for doc_id, top, mask in zip(batch.doc_ids, top1, tied)
-        }
-        for system_id, top1, tied in zip(p.model_ids, p.top1.tolist(), p.tied.tolist())
-    }
+    grid = grid_arrays(batch, strategies, min_size, weight_source, performance)
+    return _stack(batch.label_set.labels, (
+        (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid
+    ))
 
 
 @dataclass(frozen=True)
@@ -214,68 +185,6 @@ def _results(
     return overall, per_label
 
 
-def _encode(
-    experts: Mapping[str, str],
-    *groups: Mapping[str, Mapping[str, Prediction]],
-    label_set: LabelSet | None = None,
-) -> tuple[np.ndarray, list[ModelPredictions]]:
-    """Expert label indices and one ModelPredictions per group of models,
-    documents in the experts' order.  Labels index in label-set order,
-    which must hold every expert label, then in order of appearance."""
-    for models in groups:
-        for predictions in models.values():
-            check_coverage(predictions, experts)
-    if label_set is not None:
-        expert_indices(experts, label_set)
-    rows = [[[predictions[d] for d in experts] for predictions in models.values()]
-            for models in groups]
-    labels = tuple(dict.fromkeys([
-        *(label_set or ()), *experts.values(),
-        *(label for group in rows for row in group for p in row for label in p.tied_top),
-    ]))
-    index = {label: i for i, label in enumerate(labels)}
-    encoded = []
-    for models, group in zip(groups, rows):
-        top1 = np.zeros((len(models), len(experts)), dtype=np.intp)
-        tied = np.zeros(top1.shape + (len(labels),), dtype=bool)
-        for m, row in enumerate(group):
-            for d, prediction in enumerate(row):
-                top1[m, d] = index[prediction.top1]
-                tied[m, d, [index[label] for label in prediction.tied_top]] = True
-        encoded.append(ModelPredictions(tuple(models), labels, top1, tied))
-    return np.array([index[label] for label in experts.values()], dtype=np.intp), encoded
-
-
-def precision_at_1(
-    predictions: Mapping[str, Prediction],
-    experts: Mapping[str, str],
-    tie_mode: str = "strict",
-) -> PrecisionResult:
-    """Overall precision@1 over every expert-labeled document."""
-    _check_tie_mode(tie_mode)
-    expert, (encoded,) = _encode(experts, {"": predictions})
-    correct, ties = _count(encoded, expert, len(encoded.labels), tie_mode)
-    return PrecisionResult(int(correct.sum()), len(experts), int(ties.sum()))
-
-
-def per_label_precision(
-    predictions: Mapping[str, Prediction],
-    experts: Mapping[str, str],
-    label_set: LabelSet,
-    tie_mode: str = "strict",
-) -> dict[str, PrecisionResult | None]:
-    """Precision@1 within each expert-label group.
-
-    Labels with no documents map to None, marking the group empty rather
-    than scoring it zero.
-    """
-    _check_tie_mode(tie_mode)
-    expert, (encoded,) = _encode(experts, {"": predictions}, label_set=label_set)
-    counts = _count(encoded, expert, label_set.n, tie_mode)
-    totals = np.bincount(expert, minlength=label_set.n).tolist()
-    return _results(("",), counts, totals, label_set.labels)[1][""]
-
-
 @dataclass(frozen=True)
 class BestSelection:
     """Best model id with every id that tied for the top precision."""
@@ -327,28 +236,6 @@ def _grid_stats(individual: np.ndarray, combined: np.ndarray, totals: np.ndarray
     )
 
 
-def grid_statistics(
-    combined: Mapping[str, Mapping[str, Prediction]],
-    individual: Mapping[str, Mapping[str, Prediction]],
-    experts: Mapping[str, str],
-    label_set: LabelSet,
-    tie_mode: str = "strict",
-) -> GridStats:
-    """Exact count statistics of the combined grid against the individuals.
-
-    Only labels that actually carry documents form cells; with every label
-    populated the cell denominator is #combined models x #labels.
-    """
-    _check_tie_mode(tie_mode)
-    if not combined:
-        raise ValidationError("grid statistics need at least one combined model")
-    if not individual:
-        raise ValidationError("grid statistics need at least one individual model")
-    expert, groups = _encode(experts, individual, combined, label_set=label_set)
-    ind, comb = (_count(g, expert, label_set.n, tie_mode)[0] for g in groups)
-    return _grid_stats(ind, comb, np.bincount(expert, minlength=label_set.n))
-
-
 @dataclass(frozen=True)
 class DisagreementRow:
     doc_id: str
@@ -373,32 +260,26 @@ class DisagreementTables:
     both_disagree_with_expert: tuple[DisagreementRow, ...]
 
 
-def disagreement_tables(
-    individual: Mapping[str, Prediction],
-    combined: Mapping[str, Prediction],
-    experts: Mapping[str, str],
+def _disagreements(
+    doc_ids: Sequence[str], labels: Sequence[str],
+    expert: np.ndarray, individual: np.ndarray, combined: np.ndarray,
 ) -> DisagreementTables:
-    """Categorize expert/individual/combined disagreement per document."""
-    check_coverage(individual, experts)
-    check_coverage(combined, experts)
-    agrees: list[DisagreementRow] = []
-    neither: list[DisagreementRow] = []
-    both_wrong: list[DisagreementRow] = []
-    for doc_id in sorted(experts):
-        expert = experts[doc_id]
-        ind = individual[doc_id].top1
-        comb = combined[doc_id].top1
-        row = DisagreementRow(doc_id=doc_id, expert=expert, individual=ind, combined=comb)
-        if comb == expert and ind != expert:
-            agrees.append(row)
-        elif comb != expert and comb != ind and ind == expert:
-            neither.append(row)
-        elif comb == ind and ind != expert:
-            both_wrong.append(row)
+    """Categorize expert/individual/combined disagreement per document from
+    the top-1 label indices, rows in doc_id order."""
+    order = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
+    expert, ind, comb = expert[order], individual[order], combined[order]
+
+    def rows(mask: np.ndarray) -> tuple[DisagreementRow, ...]:
+        return tuple(
+            DisagreementRow(doc_ids[d], labels[e], labels[i], labels[c])
+            for d, e, i, c in zip(*(a[mask].tolist() for a in (order, expert, ind, comb)))
+        )
+
+    # ind == expert != comb implies comb != ind
     return DisagreementTables(
-        fusion_agrees_with_expert=tuple(agrees),
-        fusion_disagrees_with_both=tuple(neither),
-        both_disagree_with_expert=tuple(both_wrong),
+        fusion_agrees_with_expert=rows((comb == expert) & (ind != expert)),
+        fusion_disagrees_with_both=rows((ind == expert) & (comb != expert)),
+        both_disagree_with_expert=rows((comb == ind) & (ind != expert)),
     )
 
 
@@ -429,8 +310,9 @@ def evaluate_predictions(
     """Evaluate all models and assemble the full report.
 
     expert is the label-set index of each document's expert label; it and
-    the document axis of both prediction arrays follow doc_ids.  Each
-    prediction set's labels start with the label set's, in order.
+    the document axis of both prediction arrays follow doc_ids.  Both
+    prediction sets index the label set's labels, and each top1 lies in
+    its tied group.
     """
     _check_tie_mode(tie_mode)
     if not individual.model_ids or not combined.model_ids:
@@ -441,10 +323,13 @@ def evaluate_predictions(
         raise ValidationError("evaluation needs one expert label-set index per document")
     for p in (individual, combined):
         shape = (len(p.model_ids), len(doc_ids))
-        if (p.labels[:label_set.n] != label_set.labels or p.top1.shape != shape
-                or p.tied.shape != shape + (len(p.labels),)):
+        if (p.labels != label_set.labels or p.top1.shape != shape
+                or p.tied.shape != shape + (label_set.n,)):
             raise ValidationError("predictions must be (models, documents) arrays "
-                                  "on labels that start with the label set")
+                                  "on the label set's labels")
+        if (p.top1.min() < 0 or p.top1.max() >= label_set.n
+                or not np.take_along_axis(p.tied, p.top1[..., None], axis=2).all()):
+            raise ValidationError("each top1 must be a label index inside its tied group")
 
     totals = np.bincount(expert, minlength=label_set.n)
     ind = _count(individual, expert, label_set.n, tie_mode)
@@ -456,14 +341,12 @@ def evaluate_predictions(
     best_individual = select_best(individual_overall)
     best_combined = select_best(combined_overall)
 
-    def top1_of(p: ModelPredictions, best: BestSelection) -> dict[str, Prediction]:
-        row = p.top1[p.model_ids.index(best.model)].tolist()
-        return {doc_id: Prediction(p.labels[i]) for doc_id, i in zip(doc_ids, row)}
+    def top1_of(p: ModelPredictions, best: BestSelection) -> np.ndarray:
+        return p.top1[p.model_ids.index(best.model)]
 
-    tables = disagreement_tables(
-        top1_of(individual, best_individual), top1_of(combined, best_combined),
-        {doc_id: label_set.labels[i] for doc_id, i in zip(doc_ids, expert.tolist())},
-    )
+    tables = _disagreements(doc_ids, label_set.labels, expert,
+                            top1_of(individual, best_individual),
+                            top1_of(combined, best_combined))
     return EvaluationReport(
         tie_mode=tie_mode,
         label_counts=dict(zip(label_set.labels, totals.tolist())),
@@ -476,18 +359,6 @@ def evaluate_predictions(
         grid_stats=_grid_stats(ind[0], comb[0], totals),
         disagreements=tables,
     )
-
-
-def build_report(
-    individual: Mapping[str, Mapping[str, Prediction]],
-    combined: Mapping[str, Mapping[str, Prediction]],
-    experts: Mapping[str, str],
-    label_set: LabelSet,
-    tie_mode: str = "strict",
-) -> EvaluationReport:
-    """evaluate_predictions for per-document Prediction mappings."""
-    expert, (ind, comb) = _encode(experts, individual, combined, label_set=label_set)
-    return evaluate_predictions(list(experts), label_set, expert, ind, comb, tie_mode)
 
 
 def write_report(report: EvaluationReport, out_dir: Path | str) -> None:

@@ -346,8 +346,9 @@ def load_fused_predictions(
     (combo, document) and a boolean (combos, documents, labels) array
     marking each tied_top group, documents in doc_ids order.  Every combo
     must predict exactly the documents in doc_ids, with top1 and tied_top
-    labels from the label set and top1 in tied_top.  The ranking column is
-    not read.
+    labels from the label set, top1 in tied_top, and tie_at_top true
+    exactly when tied_top lists more than one label.  The ranking column
+    is not read.
     """
     path = Path(path)
     labels = {label: i for i, label in enumerate(label_set.labels)}
@@ -386,6 +387,11 @@ def load_fused_predictions(
                 raise ValidationError(f"{path}:{line_no}: tied_top repeats a label")
             if top not in group:
                 raise ValidationError(f"{path}:{line_no}: tied_top must contain top1")
+        if (tie_text == "true") != (group is not None):
+            raise ValidationError(
+                f"{path}:{line_no}: tie_at_top is {tie_text} but tied_top lists "
+                f"{1 if group is None else len(group)} label(s)"
+            )
         d = docs.get(doc_id)
         if d is None or seen[d]:
             if d is not None or doc_id in strangers:

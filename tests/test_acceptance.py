@@ -22,18 +22,16 @@ import _naive
 from cfakit import (
     DomainError,
     LabelSet,
-    Prediction,
+    ModelPredictions,
     PromptSpec,
     average_rank_combination,
     average_score_combination,
     build_instance,
-    disagreement_tables,
     distinct_n,
     enumerate_combinations,
+    evaluate_predictions,
+    expert_indices,
     generate_prompt_matrix,
-    grid_statistics,
-    per_label_precision,
-    precision_at_1,
     run_grid,
     type_token_ratio,
     weighted_rank_combination,
@@ -194,26 +192,36 @@ def test_diversity_and_rank_structure_properties():
             assert float(system.ranks.sum()) == expected_rank_sum
 
 
+def _report(labels, experts, individual, combined):
+    """The report on the documents in the experts' order, each model given
+    as its untied top-1 label per document."""
+    doc_ids = list(experts)
+
+    def arrays(models):
+        top1 = np.array([[labels.index(label) for label in row] for row in models.values()],
+                        dtype=np.intp)
+        return ModelPredictions(tuple(models), labels.labels, top1,
+                                np.eye(labels.n, dtype=bool)[top1])
+
+    return evaluate_predictions(doc_ids, labels, expert_indices(experts, labels, doc_ids),
+                                arrays(individual), arrays(combined))
+
+
 def test_report_arithmetic_on_constructed_fixtures():
     labels = LabelSet(LABELS_17)
 
     # 296 of 306 correct
     experts = {f"d{i:03d}": "SDG1" for i in range(306)}
-    predictions = {
-        doc_id: Prediction(top1="SDG1" if i < 296 else "SDG2")
-        for i, doc_id in enumerate(sorted(experts))
-    }
-    overall = precision_at_1(predictions, experts)
+    predictions = {"m": ["SDG1" if i < 296 else "SDG2" for i in range(306)]}
+    overall = _report(labels, experts, predictions, predictions).individual_overall["m"]
     assert overall.fraction == Fraction(296, 306)
     assert overall.value == pytest.approx(0.967320, abs=1e-6)
 
     # a label group of 16 documents with 15 correct
     group_experts = {f"g{i:02d}": "SDG4" for i in range(16)}
-    group_predictions = {
-        doc_id: Prediction(top1="SDG4" if i < 15 else "SDG5")
-        for i, doc_id in enumerate(sorted(group_experts))
-    }
-    table = per_label_precision(group_predictions, group_experts, labels)
+    group_predictions = {"m": ["SDG4" if i < 15 else "SDG5" for i in range(16)]}
+    report = _report(labels, group_experts, group_predictions, group_predictions)
+    table = report.individual_per_label["m"]
     assert table["SDG4"].value == 0.9375  # exact: 15/16 is a dyadic rational
     assert table["SDG4"].correct == 15
     assert table["SDG4"].total == 16
@@ -223,17 +231,13 @@ def test_report_arithmetic_on_constructed_fixtures():
     for i, label in enumerate(labels.labels):
         grid_experts[f"e{2 * i:03d}"] = label
         grid_experts[f"e{2 * i + 1:03d}"] = label
-    correct_all = {d: Prediction(top1=lab) for d, lab in grid_experts.items()}
-    wrong_all = {
-        d: Prediction(top1="SDG1" if lab != "SDG1" else "SDG2")
-        for d, lab in grid_experts.items()
-    }
-    mostly_wrong = dict(wrong_all)
-    mostly_wrong["e000"] = Prediction(top1=grid_experts["e000"])
+    correct_all = list(grid_experts.values())
+    wrong_all = ["SDG1" if lab != "SDG1" else "SDG2" for lab in grid_experts.values()]
+    mostly_wrong = [grid_experts["e000"], *wrong_all[1:]]
     combined = {}
     for i in range(104):
         combined[f"m{i:03d}"] = correct_all if i < 49 else wrong_all
-    stats = grid_statistics(combined, {"base": mostly_wrong}, grid_experts, labels)
+    stats = _report(labels, grid_experts, {"base": mostly_wrong}, combined).grid_stats
     ratio = stats.models_ge_best_individual
     assert (ratio.numerator, ratio.denominator) == (49, 104)
     assert f"{100.0 * ratio.value:.2f}" == "47.12"
@@ -256,9 +260,9 @@ def test_disagreement_fixture_is_categorized_exactly():
         ("c3", "SDG1", "SDG11", "SDG11"),
     ]
     experts = {d: e for d, e, _, _ in fixture}
-    individual = {d: Prediction(top1=i) for d, _, i, _ in fixture}
-    combined = {d: Prediction(top1=c) for d, _, _, c in fixture}
-    tables = disagreement_tables(individual, combined, experts)
+    individual = {"ind": [i for _, _, i, _ in fixture]}
+    combined = {"comb": [c for _, _, _, c in fixture]}
+    tables = _report(LabelSet(LABELS_17), experts, individual, combined).disagreements
     assert [r.doc_id for r in tables.fusion_agrees_with_expert] == ["a1", "a2", "a3"]
     assert [r.doc_id for r in tables.fusion_disagrees_with_both] == ["b1", "b2", "b3"]
     assert [r.doc_id for r in tables.both_disagree_with_expert] == ["c1", "c2", "c3"]

@@ -416,6 +416,18 @@ MALFORMED = [
      {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
       + b"s+t:asc,d1,A,true,B|C,B|C|A\n"},
      ["evaluate"], "fused.csv:2: tied_top must contain top1"),
+    ("fused-tied-repeats-a-label", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,true,A|A,A|B|C\n"},
+     ["evaluate"], "fused.csv:2: tied_top repeats a label"),
+    ("fused-tie-false-with-a-tied-group", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,false,A|B,A|B|C\n"},
+     ["evaluate"], "fused.csv:2: tie_at_top is false but tied_top lists 2 label(s)"),
+    ("fused-tie-true-with-one-label", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,true,A,A|B|C\n"},
+     ["evaluate"], "fused.csv:2: tie_at_top is true but tied_top lists 1 label(s)"),
     ("fused-duplicate-row", {"expert_labels": "e.csv"},
      {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
       + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d1,B,false,B,B|A|C\n"},

@@ -25,25 +25,25 @@ from hypothesis import strategies as st
 import _naive
 from cfakit import (
     EPSILON,
+    DisagreementRow,
+    DisagreementTables,
     FusionBatch,
     KeywordLexicon,
     LabelSet,
-    Prediction,
+    ModelPredictions,
     build_instance,
-    build_report,
     cognitive_diversity,
+    combined_arrays,
     enumerate_combinations,
-    grid_statistics,
+    evaluate_predictions,
     keyword_scorer,
     normalize_scores,
-    per_label_precision,
-    precision_at_1,
     rank_from_scores,
     run_grid,
     tokenize,
 )
 from cfakit.combine import STRATEGIES, grid_arrays
-from cfakit.fileio import FUSED_HEADER, write_csv, write_fused_file
+from cfakit.fileio import FUSED_HEADER, load_fused_predictions, write_csv, write_fused_file
 
 # Before 3.12 CPython's sum() adds floats left to right, the order the
 # kernel keeps, so the oracle's values agree bit for bit.  Later versions
@@ -176,41 +176,46 @@ def test_kernel_grid_matches_per_document_oracle(cube, tie_policy):
 
 @st.composite
 def evaluations(draw):
-    """Random predictions of individual and combined models, with ties at
-    the top, expert labels that leave some label groups empty, and a tie
-    mode."""
-    labels = tuple(f"L{i}" for i in range(draw(st.integers(3, 6))))
-    doc_ids = [f"d{i}" for i in range(draw(st.integers(1, 8)))]
-    used = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1,
-                         unique=True))
-    experts = {d: draw(st.sampled_from(used)) for d in doc_ids}
+    """Random label-index predictions of individual and combined models,
+    each top1 inside a tied group of one to three labels, expert labels
+    that leave some label groups empty, documents in unsorted order, and a
+    tie mode."""
+    n = draw(st.integers(3, 6))
+    labels = tuple(f"L{i}" for i in range(n))
+    doc_ids = draw(st.permutations([f"d{i}" for i in range(draw(st.integers(1, 8)))]))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    expert = np.array([draw(st.sampled_from(used)) for _ in doc_ids], dtype=np.intp)
 
-    def model():
-        out = {}
-        for d in doc_ids:
-            group = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
-            tied = tuple(sorted(group, key=labels.index))
-            out[d] = Prediction(draw(st.sampled_from(tied)), tied)
-        return out
+    def models(prefix, count):
+        top1 = np.zeros((count, len(doc_ids)), dtype=np.intp)
+        tied = np.zeros(top1.shape + (n,), dtype=bool)
+        for m in range(count):
+            for d in range(len(doc_ids)):
+                group = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                      unique=True))
+                top1[m, d] = draw(st.sampled_from(group))
+                tied[m, d, group] = True
+        return ModelPredictions(tuple(f"{prefix}{k}" for k in range(count)), labels, top1, tied)
 
-    individual = {f"S{j}": model() for j in range(draw(st.integers(1, 3)))}
-    combined = {f"C{k}": model() for k in range(draw(st.integers(1, 5)))}
+    individual = models("S", draw(st.integers(1, 3)))
+    combined = models("C", draw(st.integers(1, 5)))
     tie_mode = draw(st.sampled_from(("strict", "lenient")))
-    return LabelSet(labels), experts, individual, combined, tie_mode
+    return LabelSet(labels), doc_ids, expert, individual, combined, tie_mode
 
 
-def _recount(predictions, experts, tie_mode, label=None):
-    """(correct, total, ties) over the documents of one expert label, or all."""
+def _recount(predictions, m, expert, tie_mode, label=None):
+    """(correct, total, ties) of model m over the documents of one expert
+    label index, or all."""
     correct = total = ties = 0
-    for doc_id, expert in experts.items():
-        if label is not None and expert != label:
+    for d, e in enumerate(expert.tolist()):
+        if label is not None and e != label:
             continue
-        prediction = predictions[doc_id]
-        tie = len(prediction.tied_top) > 1
+        group = np.flatnonzero(predictions.tied[m, d]).tolist()
+        tie = len(group) > 1
         if tie_mode == "lenient" and tie:
-            hit = expert in prediction.tied_top
+            hit = e in group
         else:
-            hit = prediction.top1 == expert
+            hit = predictions.top1[m, d] == e
         correct += hit
         total += 1
         ties += tie
@@ -225,58 +230,72 @@ def _best(fractions):
 @settings(max_examples=150, deadline=None)
 @given(evaluations())
 def test_evaluation_counts_match_per_document_recount(case):
-    label_set, experts, individual, combined, tie_mode = case
-    report = build_report(individual, combined, experts, label_set, tie_mode)
+    label_set, doc_ids, expert, individual, combined, tie_mode = case
+    report = evaluate_predictions(doc_ids, label_set, expert, individual, combined, tie_mode)
     overall = {**report.individual_overall, **report.combined_overall}
     per_label = {**report.individual_per_label, **report.combined_per_label}
     fractions = {}
-    for model_id, predictions in {**individual, **combined}.items():
-        want = _recount(predictions, experts, tie_mode)
-        got = overall[model_id]
-        assert (got.correct, got.total, got.tie_count) == want
-        got = precision_at_1(predictions, experts, tie_mode)
-        assert (got.correct, got.total, got.tie_count) == want
-        fractions[model_id] = Fraction(want[0], want[1])
-        table = per_label_precision(predictions, experts, label_set, tie_mode)
-        assert table == per_label[model_id]
-        for label in label_set.labels:
-            want = _recount(predictions, experts, tie_mode, label)
-            got = table[label]
-            if want[1] == 0:
-                assert got is None
-            else:
-                assert (got.correct, got.total, got.tie_count) == want
+    for predictions in (individual, combined):
+        for m, model_id in enumerate(predictions.model_ids):
+            want = _recount(predictions, m, expert, tie_mode)
+            got = overall[model_id]
+            assert (got.correct, got.total, got.tie_count) == want
+            fractions[model_id] = Fraction(want[0], want[1])
+            for index, label in enumerate(label_set.labels):
+                want = _recount(predictions, m, expert, tie_mode, index)
+                got = per_label[model_id][label]
+                if want[1] == 0:
+                    assert got is None
+                else:
+                    assert (got.correct, got.total, got.tie_count) == want
     assert report.label_counts == {
-        label: sum(1 for e in experts.values() if e == label) for label in label_set.labels
+        label: expert.tolist().count(index) for index, label in enumerate(label_set.labels)
     }
 
-    best_individual = _best({m: fractions[m] for m in individual})
-    best_combined = _best({m: fractions[m] for m in combined})
+    best_individual = _best({m: fractions[m] for m in individual.model_ids})
+    best_combined = _best({m: fractions[m] for m in combined.model_ids})
     assert list(report.best_individual.tied) == best_individual
     assert report.best_individual.model == best_individual[0]
     assert list(report.best_combined.tied) == best_combined
     assert report.best_combined.model == best_combined[0]
 
     ge_best = ge_mean = cells = 0
-    for label in set(experts.values()):
-        ind = [Fraction(*_recount(individual[m], experts, tie_mode, label)[:2])
-               for m in individual]
-        for model_id in combined:
-            value = Fraction(*_recount(combined[model_id], experts, tie_mode, label)[:2])
+    for label in set(expert.tolist()):
+        ind = [Fraction(*_recount(individual, m, expert, tie_mode, label)[:2])
+               for m in range(len(individual.model_ids))]
+        for m in range(len(combined.model_ids)):
+            value = Fraction(*_recount(combined, m, expert, tie_mode, label)[:2])
             cells += 1
             ge_best += value >= max(ind)
             ge_mean += value >= sum(ind) / len(ind)
     models_ge = sum(
-        1 for m in combined if fractions[m] >= max(fractions[i] for i in individual)
+        1 for m in combined.model_ids
+        if fractions[m] >= max(fractions[i] for i in individual.model_ids)
     )
-    stats = grid_statistics(combined, individual, experts, label_set, tie_mode)
-    assert stats == report.grid_stats
+    stats = report.grid_stats
     assert (stats.cells_ge_best_individual.numerator,
             stats.cells_ge_best_individual.denominator) == (ge_best, cells)
     assert (stats.cells_ge_individual_mean.numerator,
             stats.cells_ge_individual_mean.denominator) == (ge_mean, cells)
     assert (stats.models_ge_best_individual.numerator,
-            stats.models_ge_best_individual.denominator) == (models_ge, len(combined))
+            stats.models_ge_best_individual.denominator) == (models_ge, len(combined.model_ids))
+
+    # the disagreement tables, recounted per document in doc_id order from
+    # the best models' top-1 labels
+    labels = label_set.labels
+    best_ind = individual.top1[individual.model_ids.index(best_individual[0])].tolist()
+    best_comb = combined.top1[combined.model_ids.index(best_combined[0])].tolist()
+    agrees, neither, both_wrong = [], [], []
+    for doc_id, e, i, c in sorted(zip(doc_ids, expert.tolist(), best_ind, best_comb)):
+        row = DisagreementRow(doc_id, labels[e], labels[i], labels[c])
+        if c == e and i != e:
+            agrees.append(row)
+        elif c != e and c != i and i == e:
+            neither.append(row)
+        elif c == i and i != e:
+            both_wrong.append(row)
+    assert report.disagreements == DisagreementTables(
+        tuple(agrees), tuple(neither), tuple(both_wrong))
 
 
 def _texts(alphabet, min_size=1):
@@ -341,7 +360,16 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_run_grid(case):
              for combo_id, (_, order, tied, _) in grid_arrays(batch, *arguments)),
         )
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+        combo_ids, top1, tied = load_fused_predictions(path, batch.label_set, batch.doc_ids)
     assert models == len(grid)
+    # the library's producer makes what evaluate reads back, combo by combo
+    made = combined_arrays(batch, *arguments)
+    assert made.model_ids == tuple(grid)
+    assert made.labels == batch.label_set.labels
+    assert list(combo_ids) == sorted(grid)
+    order = [combo_ids.index(combo_id) for combo_id in made.model_ids]
+    assert np.array_equal(made.top1, top1[order])
+    assert np.array_equal(made.tied, tied[order])
 
 
 # any text but "\r", which csv.writer(lineterminator="\n") leaves unquoted
