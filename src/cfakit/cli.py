@@ -34,6 +34,7 @@ from .evaluate import (
 from .fileio import (
     RunConfig,
     _check_config,
+    _names,
     check_coverage,
     format_table,
     load_config,
@@ -170,7 +171,7 @@ def _load_batch(config: RunConfig):
             difference = sorted(set(tables[sid]) ^ first_docs)
             raise ValidationError(
                 f"systems {ids[0]!r} and {sid!r} cover different documents: "
-                f"{difference[:10]}"
+                f"{_names(difference)}"
             )
     doc_ids = sorted(first_docs)
     raw = [

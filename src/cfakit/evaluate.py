@@ -16,6 +16,7 @@ fileio.load_fused_predictions reads them from a fused grid file.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ import numpy as np
 from .combine import STRATEGIES, _fuse_arrays, _top_labels, grid_arrays
 from .core import FusionBatch, FusionInstance, LabelSet, as_batch
 from .errors import ValidationError
-from .fileio import format_table, write_csv, write_json
+from .fileio import atomic_write_text, format_table, write_csv
 
 TIE_MODES = ("strict", "lenient")
 
@@ -361,32 +362,66 @@ def evaluate_predictions(
     )
 
 
+def _record_template(depth: int) -> str:
+    """A precision record as json.dumps(indent=2, sort_keys=True) writes it
+    at depth indent spaces, a %s for each of correct, ties, total and value."""
+    inner = "\n" + " " * (depth + 2)
+    fields = ",".join(f'{inner}"{name}": %s' for name in ("correct", "ties", "total", "value"))
+    return "{" + fields + "\n" + " " * depth + "}"
+
+
+_OVERALL = _record_template(6)
+_PER_LABEL = _record_template(8)
+
+
+def _models_json(
+    overall: Mapping[str, PrecisionResult],
+    per_label: Mapping[str, Mapping[str, PrecisionResult | None]],
+) -> str:
+    """The individual or combined section of report.json, with the bytes
+    json.dumps(indent=2, sort_keys=True, ensure_ascii=False) gives it one
+    level deep: models by id, each with its overall record and its
+    per-label records by label (null for a label without documents).
+    Floats are written by repr, as json writes them."""
+
+    def record(template: str, r: PrecisionResult | None) -> str:
+        if r is None:
+            return "null"
+        return template % (r.correct, r.tie_count, r.total, repr(r.value))
+
+    keys: dict[str, str] = {}  # label -> its key line in a per_label object
+    models = []
+    for model in sorted(overall):
+        by_label = per_label[model]
+        cells = []
+        for label in sorted(by_label):
+            key = keys.get(label)
+            if key is None:
+                key = keys[label] = f"\n        {json.dumps(label, ensure_ascii=False)}: "
+            cells.append(key + record(_PER_LABEL, by_label[label]))
+        labels = "{" + ",".join(cells) + "\n      }" if cells else "{}"
+        models.append(
+            f"\n    {json.dumps(model, ensure_ascii=False)}: {{"
+            f'\n      "overall": {record(_OVERALL, overall[model])},'
+            f'\n      "per_label": {labels}\n    }}'
+        )
+    return "{" + ",".join(models) + "\n  }" if models else "{}"
+
+
 def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
-    """Write report.json and the five report tables under out_dir."""
+    """Write report.json and the five report tables under out_dir.
+
+    report.json holds the bytes of json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False) of the report: the individual and combined
+    sections are written from their fixed shape, the others by json."""
     out_dir = Path(out_dir)
     # field name -> Ratio, and category -> rows, in field order
     stats = vars(report.grid_stats)
     tables = vars(report.disagreements)
 
-    def precision(r):
-        if r is None:
-            return None
-        return {"correct": r.correct, "total": r.total, "ties": r.tie_count, "value": r.value}
-
-    def models(overall, per_label):
-        return {
-            model: {
-                "overall": precision(overall[model]),
-                "per_label": {label: precision(r) for label, r in per_label[model].items()},
-            }
-            for model in overall
-        }
-
-    write_json(out_dir / "report.json", {
+    sections = {
         "tie_mode": report.tie_mode,
         "label_counts": dict(report.label_counts),
-        "individual": models(report.individual_overall, report.individual_per_label),
-        "combined": models(report.combined_overall, report.combined_per_label),
         # model and tied, whose tuple JSON writes as an array
         "best_individual": vars(report.best_individual),
         "best_combined": vars(report.best_combined),
@@ -397,7 +432,18 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         "disagreements": {
             category: [vars(row) for row in table] for category, table in tables.items()
         },
-    })
+    }
+    # json writes no raw newline inside a string, so every newline starts
+    # a line to indent one level deeper
+    text = {
+        name: json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", "\n  ")
+        for name, value in sections.items()
+    }
+    text["individual"] = _models_json(report.individual_overall, report.individual_per_label)
+    text["combined"] = _models_json(report.combined_overall, report.combined_per_label)
+    atomic_write_text(out_dir / "report.json", "{" + ",".join(
+        f'\n  "{name}": {text[name]}' for name in sorted(text)
+    ) + "\n}\n")
 
     overall_rows, label_rows = [], []
     for kind, overall, per_label in (

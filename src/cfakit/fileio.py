@@ -10,6 +10,7 @@ file, and all output bytes are deterministic for identical inputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -76,13 +77,15 @@ def _quote(value) -> str:
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(map(_quote, row)) + "\n" for row in (header, *rows)]
+    lines = []
+    for row in (header, *rows):
+        line = ",".join(map(str, row))
+        # _quote changes a field only if it holds a quote, a line break or
+        # a comma of its own, which the joined line shows
+        if '"' in line or "\r" in line or "\n" in line or line.count(",") >= len(row):
+            line = ",".join(map(_quote, row))
+        lines.append(line + "\n")
     atomic_write_text(path, "".join(lines))
-
-
-def write_json(path: Path | str, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
-    atomic_write_text(path, text + "\n")
 
 
 def _read_text(path: Path, whole_lines: bool = False) -> str:
@@ -120,23 +123,45 @@ def _not_utf8(path: Path, data: bytes) -> ValidationError:
 
 def _table_rows(path: Path, header: Sequence[str]):
     """(line number, row) for each non-empty row below the expected header,
-    every one checked to have as many columns as the header.  The file is
-    read through csv.reader one line at a time; a missing, unreadable,
-    non-UTF-8 or malformed file is reported by name, never as a traceback."""
+    every one checked to have as many columns as the header.
+
+    The file is read one line at a time.  A line holding no '"' and no NUL
+    and no longer than csv.field_size_limit() is split at its commas, the
+    row csv.reader makes of it; from the first other line on, csv.reader
+    reads the rest of the file, so a quoted field always starts there and
+    csv.reader's own rules decide quoting, NUL and field size.  A missing,
+    unreadable, non-UTF-8 or malformed file is reported by name, never as
+    a traceback."""
+    limit = csv.field_size_limit()
+    split = 0  # lines read before csv.reader takes over
+    reader = None
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            found = next(reader, [])
+
+            def read():
+                nonlocal split, reader
+                for line in handle:
+                    if '"' in line or "\0" in line or len(line) > limit:
+                        reader = csv.reader(itertools.chain((line,), handle))
+                        yield from reader
+                        return
+                    split += 1
+                    line = line.rstrip("\r\n")
+                    yield line.split(",") if line else []
+
+            rows = read()
+            found = next(rows, [])
             if tuple(found) != tuple(header):
                 raise ValidationError(
                     f"{path}: expected header {','.join(header)}, found {','.join(found)}"
                 )
-            for line_no, row in enumerate(reader, start=2):
+            width = len(header)
+            for line_no, row in enumerate(rows, start=2):
                 if not row:
                     continue
-                if len(row) != len(header):
+                if len(row) != width:
                     raise ValidationError(
-                        f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
+                        f"{path}:{line_no}: expected {width} columns, found {len(row)}"
                     )
                 yield line_no, row
     except FileNotFoundError:
@@ -146,7 +171,8 @@ def _table_rows(path: Path, header: Sequence[str]):
     except UnicodeDecodeError:
         raise _not_utf8(path, path.read_bytes()) from None
     except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise ValidationError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+        line_no = split + reader.line_num
+        raise ValidationError(f"{path}:{line_no}: malformed CSV: {exc}") from None
 
 
 def write_score_file(
@@ -262,6 +288,14 @@ def write_fused_file(
     return len(chunks)
 
 
+def _names(names: list[str]) -> str:
+    """A list of names for an error line: the first 10, then how many
+    there are in all when there are more."""
+    if len(names) <= 10:
+        return str(names)
+    return f"{names[:10]} ({len(names)} in all)"
+
+
 def _safe_name(doc_id: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in doc_id)
 
@@ -278,7 +312,7 @@ def write_diversity(batch: FusionBatch, out_dir: Path, docs: Sequence[str] = ())
     for doc_id in dict.fromkeys(docs):
         if doc_id not in row_of:
             raise ValidationError(
-                f"unknown document {doc_id!r}; known documents: {sorted(row_of)}"
+                f"unknown document {doc_id!r}; known documents: {_names(sorted(row_of))}"
             )
         name = f"rsc_{_safe_name(doc_id)}.csv"
         if rsc_docs.setdefault(name, doc_id) != doc_id:
@@ -331,10 +365,45 @@ def check_coverage(doc_ids: Iterable[str], expert_docs: Iterable[str], where: st
         raise ValidationError(f"{where}no expert-labeled documents to evaluate")
     unlabeled = sorted(doc_ids - expert_docs)
     if unlabeled:
-        raise ValidationError(f"{where}expert labels missing for documents {unlabeled[:10]}")
+        raise ValidationError(f"{where}expert labels missing for documents {_names(unlabeled)}")
     missing = sorted(expert_docs - doc_ids)
     if missing:
-        raise ValidationError(f"{where}missing predictions for documents {missing}")
+        raise ValidationError(f"{where}missing predictions for documents {_names(missing)}")
+
+
+def _fused_head(
+    path: Path, line_no: int, labels: Mapping[str, int], top1: str, tie_text: str, tied_text: str
+) -> tuple[int, list[int]]:
+    """The top1 label index and the tied group's label indices, top1
+    included, of a fused row's (top1, tie_at_top, tied_top) columns, each
+    checked against the label set and against each other."""
+    if tie_text != "true" and tie_text != "false":
+        raise ValidationError(f"{path}:{line_no}: tie_at_top must be true or false")
+    top = labels.get(top1)
+    if top is None:
+        raise ValidationError(
+            f"{path}:{line_no}: top1 label {top1!r} is outside the label set"
+        )
+    group = [top]
+    if tied_text != top1:
+        names = tied_text.split("|")
+        group = [labels.get(label, -1) for label in names]
+        if -1 in group:
+            outside = names[group.index(-1)]
+            raise ValidationError(
+                f"{path}:{line_no}: tied_top label {outside!r} is outside the label set"
+            )
+        if len(set(group)) != len(group):
+            raise ValidationError(f"{path}:{line_no}: tied_top repeats a label")
+        if top not in group:
+            raise ValidationError(f"{path}:{line_no}: tied_top must contain top1")
+    # once checked, a tied_top other than top1 lists two labels or more
+    if (tie_text == "true") != (tied_text != top1):
+        raise ValidationError(
+            f"{path}:{line_no}: tie_at_top is {tie_text} but tied_top lists "
+            f"{len(group)} label(s)"
+        )
+    return top, group
 
 
 def load_fused_predictions(
@@ -353,71 +422,48 @@ def load_fused_predictions(
     path = Path(path)
     labels = {label: i for i, label in enumerate(label_set.labels)}
     docs = {doc_id: d for d, doc_id in enumerate(doc_ids)}
-    # per combo: which documents have a row, the documents without an
-    # expert label, and the combo's first cell
-    combos: dict[str, tuple[bytearray, set[str], int]] = {}
-    cells: list[int] = []  # combo * documents + document, per row
-    tops: list[int] = []
-    tied_cells: list[int] = []  # cell * labels + label, per label of a tied group
+    # Each distinct (top1, tie_at_top, tied_top) is a head, checked on the
+    # first row that shows it.  heads maps it to its index in groups,
+    # which holds its top1 and tied group as label indices.
+    heads: dict[tuple[str, str, str], int] = {}
+    groups: list[tuple[int, list[int]]] = []
+    # per combo: the head of each document, -1 until its row, and the
+    # documents without an expert label
+    combos: dict[str, tuple[list[int], set[str]]] = {}
     combo_id = None
     for line_no, row in _table_rows(path, FUSED_HEADER):
         if row[0] != combo_id:
             combo_id = row[0]
             if combo_id not in combos:
-                combos[combo_id] = (bytearray(len(docs)), set(), len(combos) * len(docs))
-            seen, strangers, base = combos[combo_id]
+                combos[combo_id] = ([-1] * len(docs), set())
+            at, strangers = combos[combo_id]
         _, doc_id, top1, tie_text, tied_text, _ = row
-        if tie_text != "true" and tie_text != "false":
-            raise ValidationError(f"{path}:{line_no}: tie_at_top must be true or false")
-        top = labels.get(top1)
-        if top is None:
-            raise ValidationError(
-                f"{path}:{line_no}: top1 label {top1!r} is outside the label set"
-            )
-        group = None
-        if tied_text != top1:
-            names = tied_text.split("|")
-            group = [labels.get(label, -1) for label in names]
-            if -1 in group:
-                outside = names[group.index(-1)]
-                raise ValidationError(
-                    f"{path}:{line_no}: tied_top label {outside!r} is outside the label set"
-                )
-            if len(set(group)) != len(group):
-                raise ValidationError(f"{path}:{line_no}: tied_top repeats a label")
-            if top not in group:
-                raise ValidationError(f"{path}:{line_no}: tied_top must contain top1")
-        if (tie_text == "true") != (group is not None):
-            raise ValidationError(
-                f"{path}:{line_no}: tie_at_top is {tie_text} but tied_top lists "
-                f"{1 if group is None else len(group)} label(s)"
-            )
+        key = (top1, tie_text, tied_text)
+        head = heads.get(key)
+        if head is None:
+            groups.append(_fused_head(path, line_no, labels, *key))
+            head = heads[key] = len(heads)
         d = docs.get(doc_id)
-        if d is None or seen[d]:
+        if d is None or at[d] >= 0:
             if d is not None or doc_id in strangers:
                 raise ValidationError(
                     f"{path}:{line_no}: duplicate row for {combo_id!r} / {doc_id!r}"
                 )
             strangers.add(doc_id)
             continue
-        seen[d] = 1
-        cells.append(base + d)
-        tops.append(top)
-        if group is not None:
-            tied_cells.extend((base + d) * len(labels) + label for label in group)
+        at[d] = head
     if not combos:
         raise ValidationError(f"{path}: no fused predictions")
-    for combo_id, (seen, strangers, _) in combos.items():
-        if strangers or 0 in seen:
-            found = list(strangers) + [doc_id for doc_id, d in docs.items() if seen[d]]
+    for combo_id, (at, strangers) in combos.items():
+        if strangers or -1 in at:
+            found = list(strangers) + [doc_id for doc_id, d in docs.items() if at[d] >= 0]
             check_coverage(found, docs, f"{path}: combo {combo_id!r}: ")
-    shape = (len(combos), len(docs))
-    top1 = np.empty(len(combos) * len(docs), dtype=np.intp)
-    top1[cells] = tops
-    tied = np.zeros(top1.size * len(labels), dtype=bool)
-    tied[np.asarray(cells) * len(labels) + tops] = True
-    tied[tied_cells] = True
-    return tuple(combos), top1.reshape(shape), tied.reshape(shape + (len(labels),))
+    tops = np.array([top for top, _ in groups], dtype=np.intp)
+    masks = np.zeros((len(groups), len(labels)), dtype=bool)
+    for h, (_, group) in enumerate(groups):
+        masks[h, group] = True
+    at = np.array([at for at, _ in combos.values()], dtype=np.intp)
+    return tuple(combos), tops[at], masks[at]
 
 
 def load_corpus(path: Path | str) -> list[Document]:

@@ -7,6 +7,7 @@ nothing from it.  Tests compare library output against these.
 
 from __future__ import annotations
 
+import csv
 import math
 import unicodedata
 
@@ -140,3 +141,28 @@ def keyword_scores(tokens, lexicon):
         else:
             scores[label] = (frequency / len(tokens)) * (1.0 + math.log2(1 + distinct))
     return scores
+
+
+def table_rows(path, header):
+    # every line through one csv.reader: (line number, row) of each
+    # non-empty row below the header, the row's number counted from the
+    # header's 1, or the text of the first error; a csv error names the
+    # reader's physical line
+    out = []
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            found = next(reader, [])
+            if found != list(header):
+                return f"{path}: expected header {','.join(header)}, found {','.join(found)}"
+            line_no = 1
+            for row in reader:
+                line_no += 1
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    return f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
+                out.append((line_no, row))
+        except csv.Error as exc:
+            return f"{path}:{reader.line_num}: malformed CSV: {exc}"
+    return out

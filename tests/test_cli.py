@@ -359,6 +359,11 @@ def test_load_score_file_rejects_non_finite(tmp_path):
 
 ABC_SCORES = "doc_id,label,score\nd1,A,0.1\nd1,B,0.7\nd1,C,0.4\n"
 FUSED_HEADER = b"combo_id,doc_id,top1,tie_at_top,tied_top,ranking\n"
+DOCS_13 = [b"d%02d" % i for i in range(1, 14)]
+SCORES_13 = b"doc_id,label,score\n" + b"".join(
+    b"%s,%s,0.%d\n" % (doc, label, i)
+    for doc in DOCS_13 for i, label in enumerate((b"A", b"B", b"C"), start=1)
+)
 DOC_SPACE_SCORES = b"doc_id,label,score\n" + b"".join(
     b"%s,%s,0.%d\n" % (doc, label, i)
     for doc in (b"d 1", b"d_1") for i, label in enumerate((b"A", b"B", b"C"), start=1)
@@ -388,6 +393,10 @@ MALFORMED = [
     ("score-field-over-csv-limit", {},
      {"s.csv": b'doc_id,label,score\n"' + b"x" * 200_000 + b'",A,1\n'}, ["fuse"],
      "s.csv:2: malformed CSV: field larger than field limit"),
+    # line 2 is split, line 3 goes to csv.reader, which counts from 1
+    ("score-field-over-csv-limit-after-a-split-line", {},
+     {"s.csv": b"doc_id,label,score\nd1,A,0.1\n" + b"x" * 200_000 + b",A,1\n"}, ["fuse"],
+     "s.csv:3: malformed CSV: field larger than field limit"),
     ("prompt-sources-string", {},
      {"specs.json": b'[{"publication_type": "t", "template": "{label} by {source}", '
                     b'"sources": "abc"}]'},
@@ -443,6 +452,12 @@ MALFORMED = [
       "e.csv": b"doc_id,label\nd1,A\nd2,B\n", "out/fused.csv": FUSED_HEADER
       + b"s+t:asc,d1,A,false,A,A|B|C\n"},
      ["evaluate"], "combo 's+t:asc': missing predictions for documents ['d2']"),
+    ("fused-combo-misses-12-documents", {"expert_labels": "e.csv"},
+     {"s.csv": SCORES_13, "t.csv": SCORES_13,
+      "e.csv": b"doc_id,label\n" + b"".join(b"%s,A\n" % doc for doc in DOCS_13),
+      "out/fused.csv": FUSED_HEADER + b"s+t:asc,d01,A,false,A,A|B|C\n"},
+     ["evaluate"], "combo 's+t:asc': missing predictions for documents ['d02', 'd03', "
+     "'d04', 'd05', 'd06', 'd07', 'd08', 'd09', 'd10', 'd11'] (12 in all)"),
     ("tie-policy-unknown", {"tie_policy": "dense"}, {}, ["fuse"],
      "unknown tie policy 'dense'; expected one of ('fractional', 'ordinal')"),
     ("tie-mode-unknown", {"tie_mode": "loose"}, {}, ["fuse"],

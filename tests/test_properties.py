@@ -6,13 +6,15 @@ wrong tie rule shows up.  Ranks and rankings must agree exactly.  The
 evaluation counts are checked against a per-document recount, and the
 bytes of fused.csv and of every other CSV table against csv.writer passes.
 The tokenizer and the keyword scorer are checked against transcriptions
-of their definitions.
+of their definitions, the CSV reader against a csv.reader pass and
+report.json against json.dumps.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import sys
 import tempfile
 from fractions import Fraction
@@ -25,12 +27,18 @@ from hypothesis import strategies as st
 import _naive
 from cfakit import (
     EPSILON,
+    BestSelection,
     DisagreementRow,
     DisagreementTables,
+    EvaluationReport,
     FusionBatch,
+    GridStats,
     KeywordLexicon,
     LabelSet,
     ModelPredictions,
+    PrecisionResult,
+    Ratio,
+    ValidationError,
     build_instance,
     cognitive_diversity,
     combined_arrays,
@@ -41,9 +49,16 @@ from cfakit import (
     rank_from_scores,
     run_grid,
     tokenize,
+    write_report,
 )
 from cfakit.combine import STRATEGIES, grid_arrays
-from cfakit.fileio import FUSED_HEADER, load_fused_predictions, write_csv, write_fused_file
+from cfakit.fileio import (
+    FUSED_HEADER,
+    _table_rows,
+    load_fused_predictions,
+    write_csv,
+    write_fused_file,
+)
 
 # Before 3.12 CPython's sum() adds floats left to right, the order the
 # kernel keeps, so the oracle's values agree bit for bit.  Later versions
@@ -402,6 +417,168 @@ def test_write_csv_bytes_match_a_csv_writer_pass(table):
         path = Path(tmp) / "table.csv"
         write_csv(path, header, rows)
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+# the csv module's field size limit while a drawn table is read
+FIELD_LIMIT = 16
+# fields that keep a line split: no quote, NUL, comma or line break, and
+# short, so that a line of them stays within FIELD_LIMIT
+_PLAIN_FIELD = st.text(st.sampled_from("ab é"), max_size=2)
+# fields that hand their line to csv.reader: quoted ones holding what csv
+# quotes and NUL, a bare quote, a NUL, a field over FIELD_LIMIT, and
+# fields within it whose line is over it
+_CSV_FIELD = st.one_of(
+    st.text(st.sampled_from('a,"\r\n\0'), max_size=4).map(
+        lambda text: '"' + text.replace('"', '""') + '"'),
+    st.just('a"b'),
+    st.just("a\0"),
+    st.integers(FIELD_LIMIT + 1, FIELD_LIMIT + 3).map(lambda n: "x" * n),
+    st.integers(FIELD_LIMIT // 2, FIELD_LIMIT).map(lambda n: "y" * n),
+)
+
+
+@st.composite
+def table_files(draw):
+    """A header and the text of a table file under it: rows mostly as wide
+    as the header, blank lines, \n, \r\n and lone \r line ends, and a
+    first line for csv.reader at the header, in the middle or nowhere."""
+    header = ("h1", "h2", "h3")[: draw(st.integers(1, 3))]
+    switch = draw(st.sampled_from(("header", "middle", "nowhere")))
+    count = draw(st.integers(0 if switch != "middle" else 1, 8))
+    if switch == "middle":
+        first = draw(st.integers(1, count))
+    else:
+        first = 0 if switch == "header" else count + 1
+    end = st.sampled_from(("\n", "\r\n", "\r"))
+    lines = [",".join(('"h1"',) + header[1:] if first == 0 else header)]
+    for number in range(1, count + 1):
+        width = draw(st.sampled_from((len(header),) * 6 + (len(header) - 1, len(header) + 1)))
+        if number == first:
+            fields = draw(st.lists(_PLAIN_FIELD, min_size=width, max_size=width)) or [""]
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_CSV_FIELD)
+        elif draw(st.integers(0, 5)) == 0:
+            fields = []
+        else:
+            field = _PLAIN_FIELD if number < first else st.one_of(_PLAIN_FIELD, _CSV_FIELD)
+            fields = draw(st.lists(field, min_size=width, max_size=width))
+        lines.append(",".join(fields))
+    text = "".join(line + draw(end) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return header, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_files())
+def test_table_rows_match_a_csv_reader_pass(case):
+    header, text = case
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                got = list(_table_rows(path, header))
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == _naive.table_rows(path, header)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _report_payload(report):
+    """report.json's content as a dict, built field by field from the report."""
+    def precision(r):
+        if r is None:
+            return None
+        return {"correct": r.correct, "total": r.total, "ties": r.tie_count, "value": r.value}
+
+    def models(overall, per_label):
+        return {
+            model: {
+                "overall": precision(overall[model]),
+                "per_label": {label: precision(r) for label, r in per_label[model].items()},
+            }
+            for model in overall
+        }
+
+    return {
+        "tie_mode": report.tie_mode,
+        "label_counts": dict(report.label_counts),
+        "individual": models(report.individual_overall, report.individual_per_label),
+        "combined": models(report.combined_overall, report.combined_per_label),
+        "best_individual": vars(report.best_individual),
+        "best_combined": vars(report.best_combined),
+        "grid_statistics": {
+            name: {"numerator": r.numerator, "denominator": r.denominator, "value": r.value}
+            for name, r in vars(report.grid_stats).items()
+        },
+        "disagreements": {
+            category: [vars(row) for row in table]
+            for category, table in vars(report.disagreements).items()
+        },
+    }
+
+
+# what json escapes (quote, backslash, control characters), what it
+# leaves as it is with ensure_ascii=False (non-ASCII, U+2028) and ":"
+_JSON_TEXT = st.text(st.sampled_from('aZ:é中"\\\0\n\x1f\x7f\u2028'), min_size=1, max_size=4)
+
+
+@st.composite
+def reports(draw):
+    """An evaluation report with odd model ids and labels, per-label maps
+    in shuffled label order with empty (None) groups, and tied best models."""
+    labels = draw(st.lists(_JSON_TEXT, max_size=4, unique=True))
+
+    def precision():
+        total = draw(st.integers(1, 40))
+        return PrecisionResult(draw(st.integers(0, total)), total, draw(st.integers(0, total)))
+
+    def models():
+        ids = draw(st.lists(_JSON_TEXT, max_size=4, unique=True))
+        overall = {model: precision() for model in ids}
+        per_label = {
+            model: {label: None if draw(st.booleans()) else precision()
+                    for label in draw(st.permutations(labels))}
+            for model in ids
+        }
+        return overall, per_label
+
+    def best():
+        tied = tuple(sorted(draw(st.lists(_JSON_TEXT, min_size=1, max_size=3, unique=True))))
+        return BestSelection(tied[0], tied)
+
+    def ratio():
+        denominator = draw(st.integers(1, 40))
+        return Ratio(draw(st.integers(0, denominator)), denominator)
+
+    def rows():
+        return tuple(DisagreementRow(*draw(st.lists(_JSON_TEXT, min_size=4, max_size=4)))
+                     for _ in range(draw(st.integers(0, 2))))
+
+    (ind, ind_labels), (comb, comb_labels) = models(), models()
+    return EvaluationReport(
+        tie_mode=draw(st.sampled_from(("strict", "lenient"))),
+        label_counts={label: draw(st.integers(0, 40)) for label in labels},
+        individual_overall=ind,
+        combined_overall=comb,
+        individual_per_label=ind_labels,
+        combined_per_label=comb_labels,
+        best_individual=best(),
+        best_combined=best(),
+        grid_stats=GridStats(ratio(), ratio(), ratio()),
+        disagreements=DisagreementTables(rows(), rows(), rows()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports())
+def test_report_json_bytes_match_json_dumps(report):
+    want = json.dumps(_report_payload(report), indent=2, sort_keys=True, ensure_ascii=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_report(report, tmp)
+        assert (Path(tmp) / "report.json").read_bytes() == (want + "\n").encode("utf-8")
 
 
 # words drawn from a few letters, edge punctuation and odd whitespace
