@@ -236,7 +236,7 @@ def cmd_fuse(args) -> None:
     config = _require_config(args)
     label_set, batch = _load_batch(config)
     performance = None
-    if config.weights == "perf":
+    if config.weights == "perf" and {"wsc", "wrc"} & set(config.strategies):
         performance = _performance_weights(batch, config)
     grid = grid_arrays(
         batch,

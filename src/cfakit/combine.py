@@ -290,8 +290,9 @@ def run_grid(
     """Fuse every document under every (subset, strategy) combination.
 
     instances is a batch or a sequence of instances; they must share one
-    label set and one system roster.  Returns a mapping from combo_id to
-    the per-document results in input order.
+    label set and one system roster.  Returns a mapping from combo_id, in
+    grid_arrays' combo_id order, to the per-document results in input
+    order.
     Performance weights apply globally per system and require the
     performance mapping; diversity-strength weights are recomputed per
     document and subset.
@@ -310,9 +311,12 @@ def grid_arrays(
     weight_source: str = "ds",
     performance: Mapping[str, float] | None = None,
 ) -> Iterator[tuple[str, tuple[np.ndarray, ...]]]:
-    """The combination grid of run_grid, one combo at a time in run_grid's
-    order, as (combo_id, the _fuse_arrays result) pairs.  The arguments are
-    checked when iteration starts, before the first pair is made."""
+    """The combination grid of run_grid, one combined model at a time, as
+    (combo_id, the _fuse_arrays result) pairs in combo_id order, the order
+    of fused.csv: subsets sorted by their "a+b:" prefix, then each subset's
+    strategies by tag.  A config's system ids hold no ":", so no prefix
+    starts another and a subset's models stay together.  The arguments are
+    checked at the call, before any pair is made."""
     roster = set(batch.system_ids)
     chosen = _check_strategies(strategies)
     _check_weight_source(weight_source)
@@ -328,14 +332,23 @@ def grid_arrays(
         values = np.array(list(perf.values()))
         if not np.isfinite(values).all() or np.any(values < 0):
             raise ValidationError("performance weights must be finite and non-negative")
+    subsets = sorted(
+        enumerate_combinations(sorted(roster), min_size), key=lambda s: "+".join(s) + ":"
+    )
+    # no strategy name starts another, so strategies sort as their tags do
+    return _grid(batch, subsets, sorted(chosen), weight_source, perf)
 
-    for subset in enumerate_combinations(sorted(roster), min_size):
+
+def _grid(batch: FusionBatch, subsets, strategies, weight_source, perf):
+    """grid_arrays' pairs, made as they are asked for."""
+    needs_weights = any(s in ("wsc", "wrc") for s in strategies)
+    for subset in subsets:
         idx = batch.subset_index(subset)
         weights = None
         if needs_weights:
             # one set of weights per subset, shared by wsc and wrc
             weights = _resolve_weights(batch, subset, idx, perf)
-        for strategy in chosen:
+        for strategy in strategies:
             source = weight_source if strategy in ("wsc", "wrc") else None
             model = CombinedModel(systems=subset, strategy=strategy, weight_source=source)
             yield model.combo_id, _fuse_arrays(batch, idx, strategy, weights)

@@ -76,8 +76,9 @@ def combined_arrays(
     weight_source: str = "ds",
     performance: Mapping[str, float] | None = None,
 ) -> ModelPredictions:
-    """Top-1 predictions of every combined model, in grid_arrays' order
-    and under its arguments, documents in batch order."""
+    """Top-1 predictions of every combined model, in grid_arrays' combo_id
+    order (that of fused.csv) and under its arguments, documents in batch
+    order."""
     batch = as_batch(instances)
     grid = grid_arrays(batch, strategies, min_size, weight_source, performance)
     return _stack(batch.label_set.labels, (

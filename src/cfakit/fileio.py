@@ -14,9 +14,11 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -43,8 +45,11 @@ def format_table(value: float) -> str:
     return f"{value:.6f}"
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write text to path via a temporary file and an atomic rename.
+@contextmanager
+def atomic_writer(path: Path | str) -> Iterator[TextIO]:
+    """A text handle on a temporary file that replaces path when the block
+    ends; on any error the temporary file is removed and path keeps its
+    old bytes.
 
     The temporary file has a name of its own in the target directory, so
     two runs sharing an output directory never touch each other's
@@ -58,13 +63,19 @@ def atomic_write_text(path: Path | str, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: Path | str, text: str) -> None:
+    """Write text to path through atomic_writer."""
+    with atomic_writer(path) as handle:
+        handle.write(text)
 
 
 def _quote(value) -> str:
@@ -254,38 +265,53 @@ def write_fused_file(
     """Persist a combination grid, sorted by combo_id then doc_id, and
     return the number of combined models.
 
-    fused yields (combo_id, order, tied) per combined model: order[d]
-    lists the label indices of document doc_ids[d] best first and tied[d]
-    counts the labels tied at the top.  Each row's ranking is its labels
-    in that order, tied_top the first tied of them and top1 the first.
+    fused yields (combo_id, order, tied) per combined model, in combo_id
+    order as grid_arrays makes them: order[d] lists the label indices of
+    document doc_ids[d] best first and tied[d] counts the labels tied at
+    the top.  Each row's ranking is its labels in that order, tied_top the
+    first tied of them and top1 the first.  Each model's rows go to the
+    temporary file as the model arrives, so memory holds one model's rows,
+    not the grid's.  A combo_id that does not sort after the one before is
+    a ValidationError; on any error the file at path keeps its old bytes.
     """
     labels = label_set.labels
     # The ranking holds every label (labels hold no "|"), so it is quoted
     # exactly when one of them is, each label with its quotes doubled.
     rank_quote = '"' if any(_quote(label) != label for label in labels) else ""
-    inner = np.array([label.replace('"', '""') for label in labels], dtype=object)
-    # top1,tie_at_top,tied_top of a document without a tie at the top
-    untied = np.array([f"{_quote(label)},false,{_quote(label)}" for label in labels], dtype=object)
+    inner = [label.replace('"', '""') for label in labels]
+    piped = np.array([f"{label}|" for label in inner], dtype=object)
+    last = np.array([f"{label}{rank_quote}\n" for label in inner], dtype=object)
+    # the head of a row without a tie at the top: top1,false,top1, and the
+    # ranking's opening quote
+    untied = np.array(
+        [f"{_quote(label)},false,{_quote(label)},{rank_quote}" for label in labels], dtype=object
+    )
     perm = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
-    docs = [_quote(doc_ids[d]) for d in perm.tolist()]
-    chunks: dict[str, str] = {}
-    for combo_id, order, tied in fused:
-        order, tied = order[perm], tied[perm]
-        heads = untied[order[:, 0]].tolist()
-        for d in np.flatnonzero(tied > 1).tolist():
-            # the tied labels lead the ranking
-            group = [labels[i] for i in order[d, : tied[d]].tolist()]
-            heads[d] = f"{_quote(group[0])},true,{_quote('|'.join(group))}"
-        lead = _quote(combo_id) + ","
-        chunks[combo_id] = "".join([
-            f"{lead}{doc},{head},{rank_quote}{ranking}{rank_quote}\n"
-            for doc, head, ranking in zip(
-                docs, heads, map("|".join, inner[order].tolist())
-            )
-        ])
-    header = ",".join(FUSED_HEADER) + "\n"
-    atomic_write_text(path, header + "".join(chunks[c] for c in sorted(chunks)))
-    return len(chunks)
+    # one row of tokens per document: combo, doc, head, then the ranking
+    rows = np.empty((len(doc_ids), len(labels) + 3), dtype=object)
+    rows[:, 1] = [_quote(doc_ids[d]) + "," for d in perm.tolist()]
+    models = 0
+    previous = None
+    with atomic_writer(path) as handle:
+        handle.write(",".join(FUSED_HEADER) + "\n")
+        for combo_id, order, tied in fused:
+            if previous is not None and combo_id <= previous:
+                raise ValidationError(
+                    f"{path}: combo id {combo_id!r} does not sort after {previous!r}"
+                )
+            previous = combo_id
+            order, tied = order[perm], tied[perm]
+            rows[:, 0] = _quote(combo_id) + ","
+            rows[:, 2] = untied[order[:, 0]]
+            for d in np.flatnonzero(tied > 1).tolist():
+                # the tied labels lead the ranking
+                group = [labels[i] for i in order[d, : tied[d]].tolist()]
+                rows[d, 2] = f"{_quote(group[0])},true,{_quote('|'.join(group))},{rank_quote}"
+            rows[:, 3:-1] = piped[order[:, :-1]]
+            rows[:, -1] = last[order[:, -1]]
+            handle.write("".join(rows.ravel().tolist()))
+            models += 1
+    return models
 
 
 def _names(names: list[str]) -> str:

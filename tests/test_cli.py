@@ -5,14 +5,17 @@ from __future__ import annotations
 import csv
 import json
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cfakit import LabelSet
+from cfakit import FusionBatch, LabelSet, ValidationError
 from cfakit.cli import main
-from cfakit.fileio import atomic_write_text, load_score_file, write_score_file
+from cfakit.combine import grid_arrays
+from cfakit.fileio import atomic_write_text, load_score_file, write_fused_file, write_score_file
 
 LABELS = ["SDG4", "SDG6", "SDG13"]
 
@@ -175,6 +178,19 @@ def test_fuse_with_performance_weights(workspace):
     assert combos == {"kw+tf:asc", "kw+tf:arc", "kw+tf:wsc-perf", "kw+tf:wrc-perf"}
 
 
+def test_fuse_computes_performance_weights_only_for_weighted_strategies(workspace):
+    ws = workspace
+    _score_both(ws)
+    config = json.loads((ws / "config.json").read_text())
+    del config["expert_labels"]
+    (ws / "unweighted.json").write_text(json.dumps({**config, "weights": "perf"}))
+    # asc and arc take no weights, so no expert file is needed
+    assert _run("fuse", "--config", ws / "unweighted.json", "--strategies", "asc,arc") == 0
+    lines = (ws / "out" / "fused.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines[1:]} == {"kw+tf:arc", "kw+tf:asc"}
+    assert _run("fuse", "--config", ws / "unweighted.json", "--strategies", "asc,wsc") == 1
+
+
 def test_diversity_outputs(workspace):
     ws = workspace
     _score_both(ws)
@@ -308,6 +324,11 @@ def test_exit_code_3_for_too_few_labels(workspace, tmp_path):
     path.write_text(json.dumps(config))
     (tmp_path / "s.csv").write_text("doc_id,label,score\nd1,A,1.0\nd1,B,2.0\n")
     assert _run("fuse", "--config", path) == 3
+    # one system: the grid fails before fuse opens its output
+    path.write_text(json.dumps({**config, "labels": ["A", "B", "C"], "out_dir": "fresh"}))
+    (tmp_path / "s.csv").write_text("doc_id,label,score\nd1,A,1.0\nd1,B,2.0\nd1,C,0.5\n")
+    assert _run("fuse", "--config", path) == 3
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_exit_code_1_for_malformed_inputs(workspace):
@@ -524,6 +545,51 @@ def test_atomic_write_leaves_other_writers_temp_files_alone(tmp_path):
         atomic_write_text(target, None)
     assert target.read_text() == "ours\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+
+def test_fused_writer_failing_midway_keeps_the_old_file(tmp_path):
+    target = tmp_path / "fused.csv"
+    target.write_bytes(b"the previous run's grid\n")
+    label_set = LabelSet(("A", "B", "C"))
+    order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
+
+    def failing_kernel():
+        yield "s+t:arc", order, tied
+        raise RuntimeError("the kernel failed")
+
+    out_of_order = [("s+t:asc", order, tied), ("s+t:arc", order, tied)]
+    for grid, error in ((failing_kernel(), RuntimeError), (out_of_order, ValidationError)):
+        # the first model reached the temporary file before the error
+        with pytest.raises(error):
+            write_fused_file(target, label_set, ["d1", "d2"], grid)
+        assert target.read_bytes() == b"the previous run's grid\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
+
+
+def test_fused_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    rng = np.random.default_rng(7)
+    label_set = LabelSet(tuple(f"SDG{k}" for k in range(1, 18)))
+    doc_ids = [f"doc{d:03d}" for d in range(200)]
+    systems = [f"sys{j}" for j in range(6)]
+    batch = FusionBatch(doc_ids, label_set, systems, rng.random((200, 6, 17)).round(2))
+    # the batch's own arrays, whose size the grid does not set, exist
+    # before the trace starts
+    assert batch.normalized is not None and batch.ranks is not None and batch.cd is not None
+    grid = grid_arrays(batch)
+    path = tmp_path / "fused.csv"
+    tracemalloc.start()
+    try:
+        models = write_fused_file(path, label_set, doc_ids, (
+            (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid
+        ))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert models == 57 * 4
+    size = path.stat().st_size
+    assert size > 4_000_000
+    # one model's rows at a time, never the grid's
+    assert peak < size / 4, (peak, size)
 
 
 def test_diversity_writes_one_rsc_table_per_distinct_document(workspace, capsys):

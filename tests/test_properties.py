@@ -346,6 +346,7 @@ def fused_grids(draw):
 def test_fused_file_bytes_match_a_csv_writer_pass_over_run_grid(case):
     batch, arguments = case
     grid = run_grid(batch, *arguments)
+    assert list(grid) == sorted(grid)
     # the rows built from run_grid's FusedRankings, each written by a
     # csv.writer whose "\r\n" terminator makes it quote a bare "\r" on every
     # Python, then ended with "\n"
