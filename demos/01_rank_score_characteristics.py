@@ -12,7 +12,7 @@ Run:  python demos/01_rank_score_characteristics.py
 
 from __future__ import annotations
 
-from cfakit import LabelSet, build_instance
+from cfakit import FusionBatch, LabelSet
 
 LABELS = LabelSet(("SDG4", "SDG6", "SDG13", "SDG14", "SDG15"))
 
@@ -25,33 +25,34 @@ RAW = {
 
 
 def main() -> None:
-    instance = build_instance("doc-01", LABELS, RAW)
+    # a batch of one document: every array has a leading document axis
+    batch = FusionBatch(("doc-01",), LABELS, tuple(RAW), [list(RAW.values())])
+    ids = batch.system_ids
 
     print("normalized scores and ranks (rank 1 = highest score)")
-    for system in instance.systems:
-        normalized = ", ".join(f"{v:.3f}" for v in system.normalized)
-        ranks = ", ".join(f"{r:g}" for r in system.ranks)
-        print(f"  {system.system_id}:")
+    for system_id, norm, rank in zip(ids, batch.normalized[0], batch.ranks[0]):
+        normalized = ", ".join(f"{v:.3f}" for v in norm)
+        ranks = ", ".join(f"{r:g}" for r in rank)
+        print(f"  {system_id}:")
         print(f"    normalized: [{normalized}]")
         print(f"    ranks:      [{ranks}]")
 
     print("\nrank-score characteristic curves (normalized score at rank 1..n)")
-    for system_id, curve in zip(instance.system_ids, instance.curves):
-        values = ", ".join(f"{v:.3f}" for v in curve.values)
+    for system_id, curve in zip(ids, batch.rsc[0]):
+        values = ", ".join(f"{v:.3f}" for v in curve)
         print(f"  {system_id}: [{values}]")
     print("  a steep curve concentrates confidence at the top;")
     print("  a flat curve barely separates the labels")
 
-    profile = instance.diversity
+    cd, ds = batch.cd[0], batch.ds[0]
     print("\npairwise cognitive diversity")
-    ids = profile.system_ids
     for j in range(len(ids)):
         for k in range(j + 1, len(ids)):
-            print(f"  CD({ids[j]}, {ids[k]}) = {profile.cd[j, k]:.6f}")
+            print(f"  CD({ids[j]}, {ids[k]}) = {cd[j, k]:.6f}")
 
     print("\ndiversity strength (mean distance to the other systems)")
-    for system_id in ids:
-        print(f"  ds({system_id}) = {profile.strength(system_id):.6f}")
+    for system_id, strength in zip(ids, ds):
+        print(f"  ds({system_id}) = {strength:.6f}")
     print("\nhigh-strength systems behave unlike the rest; the weighted")
     print("combination strategies in demo 02 use these values as weights")
 

@@ -11,14 +11,7 @@ Run:  python demos/02_combination_strategies.py
 
 from __future__ import annotations
 
-from cfakit import (
-    LabelSet,
-    build_instance,
-    enumerate_combinations,
-    run_grid,
-    weighted_rank_combination,
-    weighted_score_combination,
-)
+from cfakit import FusionBatch, LabelSet, enumerate_combinations, grid_arrays
 
 LABELS = LabelSet(("SDG4", "SDG6", "SDG13", "SDG14", "SDG15"))
 
@@ -29,8 +22,14 @@ RAW = {
 }
 
 
+def one_document(doc_id, raw):
+    """A batch of one document from {system_id: scores}."""
+    return FusionBatch((doc_id,), LABELS, tuple(raw), [list(raw.values())])
+
+
 def main() -> None:
-    instance = build_instance("doc-01", LABELS, RAW)
+    batch = one_document("doc-01", RAW)
+    labels = LABELS.labels
 
     subsets = enumerate_combinations(sorted(RAW))
     print(f"{len(RAW)} systems give {len(subsets)} subsets of size 2 or more:")
@@ -38,27 +37,30 @@ def main() -> None:
         print(f"  {'+'.join(subset)}")
 
     print("\nfused rankings for every (subset, strategy) combination")
-    grid = run_grid([instance])
+    # each model's (values, order, tied, fallback) arrays, one row per document
+    grid = dict(grid_arrays(batch))
     print(f"  grid size: {len(grid)} combined models")
-    for combo_id, results in sorted(grid.items()):
-        fused = results[0]
-        marker = " (tie at top)" if fused.tie_at_top else ""
-        print(f"  {combo_id:28s} top1={fused.top1:6s} ranking={'>'.join(fused.ranking)}{marker}")
+    for combo_id, (_, order, tied, _) in sorted(grid.items()):
+        ranking = [labels[i] for i in order[0]]
+        marker = " (tie at top)" if tied[0] > 1 else ""
+        print(f"  {combo_id:28s} top1={ranking[0]:6s} ranking={'>'.join(ranking)}{marker}")
 
     print("\nthe same math, called directly with explicit weights")
-    wsc = weighted_score_combination(instance, ("model_a", "model_c"), [2.0, 1.0])
-    print(f"  score combination of model_a (w=2) and model_c (w=1): top1={wsc.top1}")
-    wrc = weighted_rank_combination(instance, ("model_a", "model_c"), [2.0, 1.0])
-    print(f"  rank combination, reciprocal weights:                 top1={wrc.top1}")
+    weighted = dict(grid_arrays(batch, ("wsc", "wrc"), weight_source="perf",
+                                performance={"model_a": 2.0, "model_b": 1.0, "model_c": 1.0}))
+    wsc = weighted["model_a+model_c:wsc-perf"][1][0, 0]
+    print(f"  score combination of model_a (w=2) and model_c (w=1): top1={labels[wsc]}")
+    wrc = weighted["model_a+model_c:wrc-perf"][1][0, 0]
+    print(f"  rank combination, reciprocal weights:                 top1={labels[wrc]}")
 
     print("\ndegenerate case: two identical systems have zero diversity,")
     print("so diversity-strength weights vanish and the weighted strategies")
     print("fall back to the plain averages (flagged, never NaN)")
-    twins = build_instance(
-        "doc-02", LABELS, {"x": [0.3, 0.8, 0.1, 0.5, 0.2], "y": [0.3, 0.8, 0.1, 0.5, 0.2]}
+    twins = one_document(
+        "doc-02", {"x": [0.3, 0.8, 0.1, 0.5, 0.2], "y": [0.3, 0.8, 0.1, 0.5, 0.2]}
     )
-    fallback = weighted_score_combination(twins, ("x", "y"))
-    print(f"  weight_fallback={fallback.weight_fallback}, top1={fallback.top1}")
+    _, order, _, fallback = dict(grid_arrays(twins, ("wsc",)))["x+y:wsc-ds"]
+    print(f"  weight_fallback={fallback[0]}, top1={labels[order[0, 0]]}")
 
 
 if __name__ == "__main__":

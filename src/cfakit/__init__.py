@@ -9,26 +9,11 @@ grid of combined models is evaluated against expert labels with exact
 fraction arithmetic.
 """
 
-from .combine import (
-    EPSILON,
-    STRATEGIES,
-    CombinedModel,
-    FusedRanking,
-    average_rank_combination,
-    average_score_combination,
-    enumerate_combinations,
-    run_grid,
-    weighted_rank_combination,
-    weighted_score_combination,
-)
+from .combine import EPSILON, STRATEGIES, CombinedModel, enumerate_combinations, grid_arrays
 from .core import (
-    DiversityProfile,
     FusionBatch,
-    FusionInstance,
     LabelSet,
     RscCurve,
-    SystemScores,
-    build_instance,
     cognitive_diversity,
     diversity_strength,
     normalize_scores,
@@ -76,14 +61,11 @@ __all__ = [
     "DataAccessError",
     "DisagreementRow",
     "DisagreementTables",
-    "DiversityProfile",
     "Document",
     "DomainError",
     "EPSILON",
     "EvaluationReport",
-    "FusedRanking",
     "FusionBatch",
-    "FusionInstance",
     "GenerationConfig",
     "GenerationOutcome",
     "GridStats",
@@ -96,12 +78,8 @@ __all__ = [
     "Ratio",
     "RscCurve",
     "STRATEGIES",
-    "SystemScores",
     "TfidfCentroidScorer",
     "ValidationError",
-    "average_rank_combination",
-    "average_score_combination",
-    "build_instance",
     "cognitive_diversity",
     "combined_arrays",
     "corpus_quality_report",
@@ -112,12 +90,12 @@ __all__ = [
     "expert_indices",
     "generate_corpus",
     "generate_prompt_matrix",
+    "grid_arrays",
     "individual_arrays",
     "keyword_scorer",
     "normalize_scores",
     "rank_from_scores",
     "rsc_curve",
-    "run_grid",
     "select_best",
     "tokenize",
     "type_token_ratio",

@@ -142,7 +142,7 @@ def _config_from(args) -> RunConfig:
         if value is not None:
             updates[field_name] = value
     strategies = getattr(args, "strategies", None)
-    if strategies:
+    if strategies is not None:
         updates["strategies"] = tuple(
             s.strip() for s in strategies.split(",") if s.strip()
         )
@@ -257,7 +257,7 @@ def cmd_evaluate(args) -> None:
     config = _require_config(args)
     label_set, batch = _load_batch(config)
     expert = _load_experts(config, batch)
-    fused_path = Path(args.fused) if args.fused else config.out_dir / "fused.csv"
+    fused_path = config.out_dir / "fused.csv" if args.fused is None else Path(args.fused)
     combo_ids, top1, tied = load_fused_predictions(fused_path, label_set, batch.doc_ids)
     report = evaluate_predictions(
         batch.doc_ids, label_set, expert, individual_arrays(batch),

@@ -9,8 +9,10 @@ combined vector per document:
   wrc  rank average weighted by the reciprocals 1/w_j, lower better
 
 Weights default to diversity strengths recomputed within the subset;
-performance weights can be supplied instead.  The grid runner enumerates
-every subset of size min_size..t crossed with the chosen strategies.
+performance weights can be supplied instead.  grid_arrays takes a
+FusionBatch and yields every subset of size min_size..t crossed with the
+chosen strategies, one combined model at a time, each fused for every
+document at once by _fuse_arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import FusionBatch, FusionInstance, _ordered_sum, as_batch, diversity_strength
+from .core import FusionBatch, _ordered_sum, diversity_strength
 from .errors import DomainError, ValidationError
 
 STRATEGIES = ("asc", "arc", "wsc", "wrc")
@@ -72,28 +74,6 @@ class CombinedModel:
     @property
     def combo_id(self) -> str:
         return "+".join(self.systems) + ":" + self.tag
-
-
-@dataclass(frozen=True, eq=False)
-class FusedRanking:
-    """Combined values and the resulting label ranking for one document.
-
-    combined_values follows the label-set order.  ranking lists labels
-    from best to worst with value ties broken by label order, so top1 is
-    always deterministic.  tied_top lists every label sharing the best
-    combined value, in label order; tie_at_top is true when there is more
-    than one.  combined_values is a read-only row of the (docs, labels)
-    block of values fused for every document at once.  weight_fallback marks results where a weighted strategy
-    fell back to its unweighted counterpart because of vanishing weights.
-    """
-
-    doc_id: str
-    combined_values: np.ndarray
-    ranking: tuple[str, ...]
-    top1: str
-    tie_at_top: bool
-    tied_top: tuple[str, ...]
-    weight_fallback: bool = False
 
 
 def _check_strategies(strategies: Sequence[str]) -> list[str]:
@@ -147,7 +127,13 @@ def _fuse_arrays(
     batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fuse the systems at positions idx under one strategy, for every
-    document at once; weights is (docs, len(idx)) for wsc and wrc.
+    document at once; weights is (docs, len(idx)) for wsc and wrc, and
+    never negative.
+
+    wsc is sum(w_j * s_j) / sum(w_j) and falls back to the plain score
+    average where the weights sum to (nearly) zero, as when every subset
+    system is the same; wrc is sum(r_j / w_j) / sum(1 / w_j) and falls
+    back to the plain rank average where any weight vanishes.
 
     Returns the (docs, labels) combined values, each document's label
     indices best first (value ties keep label order), the number of labels
@@ -160,8 +146,6 @@ def _fuse_arrays(
         fallback = np.zeros(len(batch), dtype=bool)
     else:
         if strategy == "wsc":
-            if np.any(weights < 0):
-                raise ValidationError("score combination weights must be non-negative")
             factors = weights
             total = _ordered_sum(weights.T)
             fallback = total <= EPSILON
@@ -184,23 +168,6 @@ def _fuse_arrays(
     return values, order, tied, fallback
 
 
-def _fuse(batch: FusionBatch, fused: tuple) -> list[FusedRanking]:
-    """A _fuse_arrays result as one FusedRanking per document."""
-    values, order, tied, fallback = fused
-    labels = batch.label_set.labels
-    values.setflags(write=False)
-    out = []
-    for doc_id, row, positions, count, flag in zip(
-        batch.doc_ids, values, order.tolist(), tied.tolist(), fallback.tolist()
-    ):
-        ranking = tuple([labels[i] for i in positions])
-        # the tied labels lead the ranking, already in label order
-        out.append(FusedRanking(
-            doc_id, row, ranking, ranking[0], count > 1, ranking[:count], flag
-        ))
-    return out
-
-
 def _top_labels(order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The top-1 label index of each document and a (docs, labels) mask of
     the labels tied at the top, from the order and tied arrays of a
@@ -211,99 +178,6 @@ def _top_labels(order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.nda
     return order[:, 0], mask
 
 
-def _fuse_one(
-    instance: FusionInstance, subset: Sequence[str], strategy: str, weights=None
-) -> FusedRanking:
-    idx = instance.subset_index(subset)
-    if strategy in ("wsc", "wrc"):
-        weights = _resolve_weights(instance, subset, idx, weights)
-    return _fuse(instance, _fuse_arrays(instance, idx, strategy, weights))[0]
-
-
-def _resolve_weights(batch: FusionBatch, subset, idx, weights) -> np.ndarray:
-    if weights is None:
-        if batch.cd is None:
-            raise DomainError(
-                "diversity-strength weights need an instance with at least two systems"
-            )
-        return diversity_strength(batch.cd, idx)
-    if isinstance(weights, Mapping):
-        try:
-            resolved = [float(weights[system_id]) for system_id in subset]
-        except KeyError as exc:
-            raise ValidationError(f"missing weight for system {exc.args[0]!r}") from None
-    else:
-        resolved = [float(w) for w in weights]
-        if len(resolved) != len(idx):
-            raise ValidationError(
-                f"got {len(resolved)} weights for {len(idx)} systems"
-            )
-    arr = np.asarray(resolved, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValidationError("weights must be finite")
-    return np.broadcast_to(arr, (len(batch), arr.size))
-
-
-def average_score_combination(instance: FusionInstance, subset: Sequence[str]) -> FusedRanking:
-    """Mean of the subset's normalized scores per label; higher is better."""
-    return _fuse_one(instance, subset, "asc")
-
-
-def average_rank_combination(instance: FusionInstance, subset: Sequence[str]) -> FusedRanking:
-    """Mean of the subset's ranks per label; lower is better."""
-    return _fuse_one(instance, subset, "arc")
-
-
-def weighted_score_combination(
-    instance: FusionInstance, subset: Sequence[str], weights=None
-) -> FusedRanking:
-    """Weighted mean of normalized scores: sum(w_j * s_j) / sum(w_j).
-
-    Weights default to diversity strengths recomputed within the subset.
-    When the weights sum to (nearly) zero, for example when all subset
-    systems are identical, the result falls back to the plain score
-    average and is flagged via weight_fallback.
-    """
-    return _fuse_one(instance, subset, "wsc", weights)
-
-
-def weighted_rank_combination(
-    instance: FusionInstance, subset: Sequence[str], weights=None
-) -> FusedRanking:
-    """Rank average weighted by reciprocals: sum(r_j / w_j) / sum(1 / w_j).
-
-    The reciprocal form keeps the combined value on the rank scale while
-    letting larger weights count for more.  Any weight at or below the
-    vanishing threshold would blow up its reciprocal, so the result falls
-    back to the plain rank average and is flagged via weight_fallback.
-    """
-    return _fuse_one(instance, subset, "wrc", weights)
-
-
-def run_grid(
-    instances: FusionBatch | Sequence[FusionInstance],
-    strategies: Sequence[str] = STRATEGIES,
-    min_size: int = 2,
-    weight_source: str = "ds",
-    performance: Mapping[str, float] | None = None,
-) -> dict[str, list[FusedRanking]]:
-    """Fuse every document under every (subset, strategy) combination.
-
-    instances is a batch or a sequence of instances; they must share one
-    label set and one system roster.  Returns a mapping from combo_id, in
-    grid_arrays' combo_id order, to the per-document results in input
-    order.
-    Performance weights apply globally per system and require the
-    performance mapping; diversity-strength weights are recomputed per
-    document and subset.
-    """
-    batch = as_batch(instances)
-    return {
-        combo_id: _fuse(batch, fused)
-        for combo_id, fused in grid_arrays(batch, strategies, min_size, weight_source, performance)
-    }
-
-
 def grid_arrays(
     batch: FusionBatch,
     strategies: Sequence[str] = STRATEGIES,
@@ -311,12 +185,17 @@ def grid_arrays(
     weight_source: str = "ds",
     performance: Mapping[str, float] | None = None,
 ) -> Iterator[tuple[str, tuple[np.ndarray, ...]]]:
-    """The combination grid of run_grid, one combined model at a time, as
-    (combo_id, the _fuse_arrays result) pairs in combo_id order, the order
-    of fused.csv: subsets sorted by their "a+b:" prefix, then each subset's
-    strategies by tag.  A config's system ids hold no ":", so no prefix
-    starts another and a subset's models stay together.  The arguments are
-    checked at the call, before any pair is made."""
+    """Fuse every document under every (subset, strategy) combination, one
+    combined model at a time, as (combo_id, the _fuse_arrays result) pairs
+    in combo_id order, the order of fused.csv: subsets sorted by their
+    "a+b:" prefix, then each subset's strategies by tag.  A config's system
+    ids hold no ":", so no prefix starts another and a subset's models stay
+    together.  The arguments are checked at the call, before any pair is
+    made.
+
+    Diversity-strength weights are recomputed per document and subset;
+    performance weights apply per system to every document and need the
+    performance mapping."""
     roster = set(batch.system_ids)
     chosen = _check_strategies(strategies)
     _check_weight_source(weight_source)
@@ -346,8 +225,10 @@ def _grid(batch: FusionBatch, subsets, strategies, weight_source, perf):
         idx = batch.subset_index(subset)
         weights = None
         if needs_weights:
-            # one set of weights per subset, shared by wsc and wrc
-            weights = _resolve_weights(batch, subset, idx, perf)
+            # one set of weights per subset, shared by wsc and wrc; a grid
+            # has at least two systems, so batch.cd is never None here
+            weights = (diversity_strength(batch.cd, idx) if perf is None else
+                       np.broadcast_to([perf[s] for s in subset], (len(batch), len(idx))))
         for strategy in strategies:
             source = weight_source if strategy in ("wsc", "wrc") else None
             model = CombinedModel(systems=subset, strategy=strategy, weight_source=source)

@@ -12,7 +12,7 @@ documents or systems.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,7 +46,10 @@ def _ordered_sum(terms: Iterable) -> np.ndarray:
 
 
 def _as_rows(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except ValueError:  # ragged nesting or a non-numeric entry
+        raise ValidationError(f"{what}s do not form a rectangular array of numbers") from None
     if arr.ndim == 0:
         raise ValidationError(f"{what} must form a vector")
     if arr.size == 0:
@@ -145,17 +148,6 @@ def rank_from_scores(scores, tie_policy: str = "fractional") -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SystemScores:
-    """One system's raw scores with their normalized values and ranks."""
-
-    system_id: str
-    raw: np.ndarray
-    normalized: np.ndarray
-    ranks: np.ndarray
-    degenerate: bool = False
-
-
-@dataclass(frozen=True, eq=False)
 class RscCurve:
     """Rank-score characteristic: normalized score at each rank position.
 
@@ -243,27 +235,6 @@ def diversity_strength(cd, subset: Sequence[int] | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DiversityProfile:
-    """Pairwise cognitive diversities and per-system diversity strengths."""
-
-    system_ids: tuple[str, ...]
-    cd: np.ndarray
-    ds: np.ndarray
-
-    def pair(self, id_a: str, id_b: str) -> float:
-        return float(self.cd[self._pos(id_a), self._pos(id_b)])
-
-    def strength(self, system_id: str) -> float:
-        return float(self.ds[self._pos(system_id)])
-
-    def _pos(self, system_id: str) -> int:
-        try:
-            return self.system_ids.index(system_id)
-        except ValueError:
-            raise ValidationError(f"unknown system id {system_id!r}") from None
-
-
-@dataclass(frozen=True, eq=False)
 class FusionBatch:
     """Scores of many documents with their ranks, curves and diversity.
 
@@ -348,108 +319,3 @@ class FusionBatch:
             return tuple(index[s] for s in ids)
         except KeyError as exc:
             raise ValidationError(f"unknown system id {exc.args[0]!r}") from None
-
-
-@dataclass(frozen=True, eq=False)
-class FusionInstance(FusionBatch):
-    """A batch of one document, with per-system views of its arrays.
-
-    diversity is None when the instance holds a single system.
-    """
-
-    @property
-    def doc_id(self) -> str:
-        return self.doc_ids[0]
-
-    @property
-    def systems(self) -> tuple[SystemScores, ...]:
-        return tuple(
-            SystemScores(s, self.raw[0, j], self.normalized[0, j], self.ranks[0, j],
-                         bool(self.degenerate[0, j]))
-            for j, s in enumerate(self.system_ids)
-        )
-
-    @property
-    def curves(self) -> tuple[RscCurve, ...]:
-        return tuple(RscCurve(values) for values in self.rsc[0])
-
-    @property
-    def diversity(self) -> DiversityProfile | None:
-        if self.cd is None:
-            return None
-        return DiversityProfile(self.system_ids, self.cd[0], self.ds[0])
-
-    @property
-    def degenerate_systems(self) -> tuple[str, ...]:
-        return tuple(s for s, flag in zip(self.system_ids, self.degenerate[0]) if flag)
-
-
-def build_instance(
-    doc_id: str,
-    label_set: LabelSet,
-    system_scores,
-    tie_policy: str = "fractional",
-) -> FusionInstance:
-    """Assemble a fusion instance from raw per-system label scores.
-
-    system_scores maps system id to either a score vector aligned with the
-    label set or a mapping from label to score.  Every system must supply
-    exactly one finite score per label.
-    """
-    if isinstance(system_scores, Mapping):
-        items = list(system_scores.items())
-    else:
-        items = [tuple(item) for item in system_scores]
-        for item in items:
-            if len(item) != 2:
-                raise ValidationError("system scores must be (system_id, scores) pairs")
-    vectors = [_vector_for_labels(s, scores, label_set) for s, scores in items]
-    ids = [system_id for system_id, _ in items]
-    return FusionInstance((doc_id,), label_set, ids, [vectors], tie_policy)
-
-
-def _vector_for_labels(system_id: str, scores, label_set: LabelSet) -> list[float]:
-    if isinstance(scores, Mapping):
-        for label in scores:
-            if label not in label_set:
-                raise ValidationError(
-                    f"system {system_id!r} scored unknown label {label!r}"
-                )
-        missing = [label for label in label_set.labels if label not in scores]
-        if missing:
-            raise ValidationError(
-                f"system {system_id!r} is missing a score for label {missing[0]!r}"
-            )
-        return [float(scores[label]) for label in label_set.labels]
-    vector = list(scores)
-    if len(vector) != label_set.n:
-        raise ValidationError(
-            f"system {system_id!r} supplied {len(vector)} scores for {label_set.n} labels"
-        )
-    return [float(v) for v in vector]
-
-
-def as_batch(instances) -> FusionBatch:
-    """A batch as given, or instances sharing one label set, system roster
-    and tie policy stacked into one, in the first instance's system order."""
-    if isinstance(instances, FusionBatch):
-        return instances
-    instances = list(instances)
-    if not instances:
-        raise ValidationError("at least one fusion instance is required")
-    first = instances[0]
-    for inst in instances:
-        if inst.label_set.labels != first.label_set.labels:
-            raise ValidationError(f"document {inst.doc_id!r} uses a different label set")
-        if set(inst.system_ids) != set(first.system_ids):
-            raise ValidationError(
-                f"document {inst.doc_id!r} has systems {sorted(inst.system_ids)}, "
-                f"expected {sorted(first.system_ids)}"
-            )
-        if inst.tie_policy != first.tie_policy:
-            raise ValidationError(f"document {inst.doc_id!r} uses a different tie policy")
-    raw = [inst.raw[0, list(inst.subset_index(first.system_ids))] for inst in instances]
-    return FusionBatch(
-        [inst.doc_id for inst in instances], first.label_set, first.system_ids,
-        raw, first.tie_policy,
-    )

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combine import STRATEGIES, _fuse_arrays, _top_labels, grid_arrays
-from .core import FusionBatch, FusionInstance, LabelSet, as_batch
+from .core import FusionBatch, LabelSet
 from .errors import ValidationError
 from .fileio import atomic_write_text, format_table, write_csv
 
@@ -56,13 +56,12 @@ def _stack(labels: tuple[str, ...], models: Iterable[tuple]) -> ModelPredictions
     return ModelPredictions(model_ids, labels, np.stack(top1), np.stack(tied))
 
 
-def individual_arrays(instances: FusionBatch | Sequence[FusionInstance]) -> ModelPredictions:
+def individual_arrays(batch: FusionBatch) -> ModelPredictions:
     """Top-1 predictions of each system on its own, documents in batch order.
 
     A single system is scored exactly like a size-one score average, so
     ties at the top resolve by label order and the tied group is kept.
     """
-    batch = as_batch(instances)
     return _stack(batch.label_set.labels, (
         (system_id, *_fuse_arrays(batch, (j,), "asc")[1:3])
         for j, system_id in enumerate(batch.system_ids)
@@ -70,7 +69,7 @@ def individual_arrays(instances: FusionBatch | Sequence[FusionInstance]) -> Mode
 
 
 def combined_arrays(
-    instances: FusionBatch | Sequence[FusionInstance],
+    batch: FusionBatch,
     strategies: Sequence[str] = STRATEGIES,
     min_size: int = 2,
     weight_source: str = "ds",
@@ -79,7 +78,6 @@ def combined_arrays(
     """Top-1 predictions of every combined model, in grid_arrays' combo_id
     order (that of fused.csv) and under its arguments, documents in batch
     order."""
-    batch = as_batch(instances)
     grid = grid_arrays(batch, strategies, min_size, weight_source, performance)
     return _stack(batch.label_set.labels, (
         (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid

@@ -21,21 +21,17 @@ import pytest
 import _naive
 from cfakit import (
     DomainError,
+    FusionBatch,
     LabelSet,
     ModelPredictions,
     PromptSpec,
-    average_rank_combination,
-    average_score_combination,
-    build_instance,
     distinct_n,
     enumerate_combinations,
     evaluate_predictions,
     expert_indices,
     generate_prompt_matrix,
-    run_grid,
+    grid_arrays,
     type_token_ratio,
-    weighted_rank_combination,
-    weighted_score_combination,
 )
 from cfakit.cli import main
 from cfakit.fileio import write_score_file
@@ -44,15 +40,26 @@ LABELS_17 = tuple(f"SDG{i}" for i in range(1, 18))
 SYSTEMS_5 = ("sysA", "sysB", "sysC", "sysD", "sysE")
 
 
+def _one_document(doc_id, label_set, raw):
+    """A batch of one document from {system_id: scores}."""
+    return FusionBatch((doc_id,), label_set, tuple(raw), [list(raw.values())])
+
+
+def _grid(batch, **arguments):
+    """combo_id -> (values, order, tied, fallback) of every combined model."""
+    return dict(grid_arrays(batch, **arguments))
+
+
 @lru_cache(maxsize=1)
 def _random_instances():
-    """100 randomized five-system, 17-label instances plus raw scores."""
+    """100 randomized five-system, 17-label one-document batches plus raw
+    scores."""
     rng = np.random.default_rng(4242)
     label_set = LabelSet(LABELS_17)
     out = []
     for i in range(100):
         raw = {s: rng.uniform(size=17).tolist() for s in SYSTEMS_5}
-        out.append((build_instance(f"doc{i:03d}", label_set, raw), raw))
+        out.append((_one_document(f"doc{i:03d}", label_set, raw), raw))
     return tuple(out)
 
 
@@ -63,9 +70,9 @@ def test_five_system_grid_has_26_subsets_and_104_models():
     by_size = {size: sum(1 for s in subsets if len(s) == size) for size in (2, 3, 4, 5)}
     assert by_size == {2: 10, 3: 10, 4: 5, 5: 1}
     instance, _ = _random_instances()[0]
-    grid = run_grid([instance])
+    grid = _grid(instance)
     assert len(grid) == 26 * 4 == 104
-    assert all(len(results) == 1 for results in grid.values())
+    assert all(len(values) == 1 for values, _, _, _ in grid.values())
     assert time.perf_counter() - start < 1.0
 
 
@@ -99,28 +106,27 @@ def test_grid_agrees_with_independent_naive_implementation():
     start = time.perf_counter()
     for instance, raw in _random_instances():
         # pairwise diversity and per-system strength
-        profile = instance.diversity
+        cd, ds = instance.cd[0], instance.ds[0]
         curves = {s: _naive.rsc(_naive.normalize(raw[s])) for s in raw}
-        ids = profile.system_ids
+        ids = instance.system_ids
         all_curves = [curves[s] for s in ids]
         for j in range(len(ids)):
-            assert profile.ds[j] == pytest.approx(
+            assert ds[j] == pytest.approx(
                 _naive.ds(all_curves, j), abs=1e-12
             )
             for k in range(j + 1, len(ids)):
-                assert profile.cd[j, k] == pytest.approx(
+                assert cd[j, k] == pytest.approx(
                     _naive.cd(curves[ids[j]], curves[ids[k]]), abs=1e-12
                 )
         # every subset and strategy
         expected = _naive_full_grid(raw)
-        grid = run_grid([instance])
+        grid = _grid(instance)
         assert set(grid) == set(expected)
-        for combo_id, results in grid.items():
-            fused = results[0]
+        for combo_id, (values, ranking, _, _) in grid.items():
             vals, order = expected[combo_id]
-            np.testing.assert_allclose(fused.combined_values, vals, atol=1e-12, rtol=0)
-            assert list(fused.ranking) == order
-            assert fused.top1 == order[0]
+            np.testing.assert_allclose(values[0], vals, atol=1e-12, rtol=0)
+            assert [LABELS_17[i] for i in ranking[0]] == order
+            assert LABELS_17[ranking[0, 0]] == order[0]
     assert time.perf_counter() - start < 10.0
 
 
@@ -129,24 +135,20 @@ def test_weighted_reductions_and_scale_invariances():
     subsets = enumerate_combinations(SYSTEMS_5)
     increasing = [np.exp, np.tanh, lambda x: x**3, np.sqrt, lambda x: 5 * x + 1]
     rng = np.random.default_rng(977)
+    ones = dict.fromkeys(SYSTEMS_5, 1.0)
     for instance, raw in _random_instances():
+        grid = _grid(instance, weight_source="perf", performance=ones)
         for subset in subsets:
-            ones = [1.0] * len(subset)
-            wsc = weighted_score_combination(instance, subset, ones)
-            asc = average_score_combination(instance, subset)
-            np.testing.assert_allclose(
-                wsc.combined_values, asc.combined_values, atol=1e-12, rtol=0
-            )
-            wrc = weighted_rank_combination(instance, subset, ones)
-            arc = average_rank_combination(instance, subset)
-            np.testing.assert_allclose(
-                wrc.combined_values, arc.combined_values, atol=1e-12, rtol=0
-            )
+            prefix = "+".join(subset) + ":"
+            wsc, asc = grid[prefix + "wsc-perf"][0], grid[prefix + "asc"][0]
+            np.testing.assert_allclose(wsc, asc, atol=1e-12, rtol=0)
+            wrc, arc = grid[prefix + "wrc-perf"][0], grid[prefix + "arc"][0]
+            np.testing.assert_allclose(wrc, arc, atol=1e-12, rtol=0)
 
         # rank averages see only score order, so any strictly increasing
         # per-system transform leaves them bit-identical
-        warped = build_instance(
-            instance.doc_id,
+        warped = _one_document(
+            instance.doc_ids[0],
             label_set,
             {
                 s: increasing[i % len(increasing)](np.asarray(raw[s])).tolist()
@@ -155,8 +157,8 @@ def test_weighted_reductions_and_scale_invariances():
         )
         # positive affine transforms cancel in min-max normalization,
         # so score averages keep their values and argmax
-        affine = build_instance(
-            instance.doc_id,
+        affine = _one_document(
+            instance.doc_ids[0],
             label_set,
             {
                 s: (float(rng.uniform(0.5, 3.0)) * np.asarray(raw[s])
@@ -164,32 +166,31 @@ def test_weighted_reductions_and_scale_invariances():
                 for s in raw
             },
         )
+        warped_grid = _grid(warped, strategies=("arc",))
+        affine_grid = _grid(affine, strategies=("asc",))
         for subset in (SYSTEMS_5, SYSTEMS_5[:2], SYSTEMS_5[1:4]):
-            base_arc = average_rank_combination(instance, subset)
-            warped_arc = average_rank_combination(warped, subset)
-            assert np.array_equal(base_arc.combined_values, warped_arc.combined_values)
-            assert warped_arc.ranking == base_arc.ranking
+            prefix = "+".join(subset) + ":"
+            base_arc, warped_arc = grid[prefix + "arc"], warped_grid[prefix + "arc"]
+            assert np.array_equal(base_arc[0], warped_arc[0])
+            assert warped_arc[1].tolist() == base_arc[1].tolist()  # same ranking
 
-            base_asc = average_score_combination(instance, subset)
-            affine_asc = average_score_combination(affine, subset)
-            np.testing.assert_allclose(
-                affine_asc.combined_values, base_asc.combined_values, atol=1e-12, rtol=0
-            )
-            assert affine_asc.top1 == base_asc.top1
+            base_asc, affine_asc = grid[prefix + "asc"], affine_grid[prefix + "asc"]
+            np.testing.assert_allclose(affine_asc[0], base_asc[0], atol=1e-12, rtol=0)
+            assert affine_asc[1][0, 0] == base_asc[1][0, 0]  # same top-1 label
 
 
 def test_diversity_and_rank_structure_properties():
     n = len(LABELS_17)
     expected_rank_sum = n * (n + 1) / 2
     for instance, _ in _random_instances():
-        cd = instance.diversity.cd
+        cd = instance.cd[0]
         assert np.all(np.abs(cd - cd.T) <= 1e-15)
         assert np.all(np.abs(np.diag(cd)) <= 1e-15)
         assert np.all(cd >= 0.0)
-        for curve in instance.curves:
-            assert np.all(np.diff(curve.values) <= 0.0)  # non-increasing
-        for system in instance.systems:
-            assert float(system.ranks.sum()) == expected_rank_sum
+        for curve in instance.rsc[0]:
+            assert np.all(np.diff(curve) <= 0.0)  # non-increasing
+        for ranks in instance.ranks[0]:
+            assert float(ranks.sum()) == expected_rank_sum
 
 
 def _report(labels, experts, individual, combined):
@@ -314,42 +315,37 @@ def test_degenerate_inputs_fail_softly_and_never_nan(tmp_path):
     label_set = LabelSet(("L1", "L2", "L3", "L4"))
 
     # one constant system among normal ones
-    mixed = build_instance(
+    mixed = _one_document(
         "d1",
         label_set,
         {"flat": [2.0, 2.0, 2.0, 2.0], "a": [0.1, 0.9, 0.4, 0.2], "b": [0.5, 0.2, 0.8, 0.1]},
     )
-    flat = next(s for s in mixed.systems if s.system_id == "flat")
-    assert flat.degenerate
-    assert np.all(flat.normalized == 0.5)
-    for results in run_grid([mixed]).values():
-        assert np.isfinite(results[0].combined_values).all()
+    (flat,) = mixed.subset_index(("flat",))
+    assert mixed.degenerate[0, flat]
+    assert np.all(mixed.normalized[0, flat] == 0.5)
+    for values, _, _, _ in _grid(mixed).values():
+        assert np.isfinite(values).all()
 
     # identical systems: zero diversity strength forces the fallback
-    twin = build_instance(
+    twin = _grid(_one_document(
         "d2", label_set, {"x": [0.3, 0.8, 0.1, 0.5], "y": [0.3, 0.8, 0.1, 0.5]}
-    )
-    wsc = weighted_score_combination(twin, ("x", "y"))
-    wrc = weighted_rank_combination(twin, ("x", "y"))
-    assert wsc.weight_fallback and wrc.weight_fallback
-    assert np.isfinite(wsc.combined_values).all()
-    assert np.isfinite(wrc.combined_values).all()
-    np.testing.assert_array_equal(
-        wsc.combined_values, average_score_combination(twin, ("x", "y")).combined_values
-    )
-    np.testing.assert_array_equal(
-        wrc.combined_values, average_rank_combination(twin, ("x", "y")).combined_values
-    )
+    ))
+    wsc, _, _, wsc_fallback = twin["x+y:wsc-ds"]
+    wrc, _, _, wrc_fallback = twin["x+y:wrc-ds"]
+    assert wsc_fallback[0] and wrc_fallback[0]
+    assert np.isfinite(wsc).all()
+    assert np.isfinite(wrc).all()
+    np.testing.assert_array_equal(wsc, twin["x+y:asc"][0])
+    np.testing.assert_array_equal(wrc, twin["x+y:arc"][0])
 
     # all systems constant: everything ties, values stay finite
-    all_flat = build_instance(
+    all_flat = _one_document(
         "d3", label_set, {"p": [1.0, 1.0, 1.0, 1.0], "q": [7.0, 7.0, 7.0, 7.0]}
     )
-    for results in run_grid([all_flat]).values():
-        fused = results[0]
-        assert np.isfinite(fused.combined_values).all()
-        assert fused.tie_at_top
-        assert fused.top1 == "L1"
+    for values, order, tied, _ in _grid(all_flat).values():
+        assert np.isfinite(values).all()
+        assert tied[0] > 1  # a tie at the top
+        assert order[0, 0] == 0  # top1 is L1
 
     # two labels: a domain error in the library and exit code 3 in the CLI
     with pytest.raises(DomainError):

@@ -286,22 +286,12 @@ def test_generate_command(workspace):
     assert record["label"] == "SDG4"
 
 
-def test_fuse_builds_no_fused_ranking(workspace, monkeypatch):
-    from cfakit.combine import FusedRanking
-
-    built = []
-    init = FusedRanking.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(FusedRanking, "__init__", counted)
+def test_fuse_writes_one_row_per_model_and_document(workspace):
     _score_both(workspace)
-    assert _run("fuse", "--config", workspace / "config.json") == 0
-    assert _run("fuse", "--config", workspace / "config.json", "--weights", "perf") == 0
-    assert len((workspace / "out" / "fused.csv").read_text().splitlines()) == 1 + 4 * 8
-    assert built == []
+    for weights in ("ds", "perf"):
+        assert _run("fuse", "--config", workspace / "config.json", "--weights", weights) == 0
+        # the one pair kw+tf under four strategies, eight documents each
+        assert len((workspace / "out" / "fused.csv").read_text().splitlines()) == 1 + 4 * 8
 
 
 def test_exit_code_2_for_missing_files(workspace):
@@ -487,6 +477,9 @@ MALFORMED = [
      "unknown strategies ['zz']; expected a subset of ('asc', 'arc', 'wsc', 'wrc')"),
     ("strategies-empty", {"strategies": []}, {}, ["fuse"],
      "at least one strategy is required"),
+    # an empty flag is taken as given, not replaced by the config's value
+    ("strategies-flag-empty", {}, {}, ["fuse", "--strategies", ""],
+     "at least one strategy is required"),
     ("weights-unknown", {"weights": "equal"}, {}, ["fuse"],
      "unknown weight source 'equal'; expected one of ('ds', 'perf')"),
     ("min-subset-one", {"min_subset": 1}, {}, ["fuse"],
@@ -530,6 +523,29 @@ def test_malformed_input_exits_1_with_one_error_line(
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert message in lines[0]
+
+
+def test_empty_fused_flag_names_no_file(run_python, tmp_path):
+    # a valid <out>/fused.csv is there, but --fused "" does not name it:
+    # "" is the current directory, which cannot be read as a file
+    (tmp_path / "s.csv").write_text(ABC_SCORES)
+    (tmp_path / "t.csv").write_text(ABC_SCORES)
+    (tmp_path / "e.csv").write_text("doc_id,label\nd1,B\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "fused.csv").write_bytes(FUSED_HEADER + b"s+t:asc,d1,B,false,B,B|C|A\n")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "labels": ["A", "B", "C"],
+        "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
+        "expert_labels": "e.csv",
+        "out_dir": "out",
+    }))
+    command = ("-m", "cfakit.cli", "evaluate", "--config", "config.json")
+    assert run_python(*command, cwd=tmp_path).returncode == 0
+    result = run_python(*command, "--fused", "", cwd=tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read "), result.stderr
 
 
 def test_atomic_write_leaves_other_writers_temp_files_alone(tmp_path):

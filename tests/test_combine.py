@@ -1,6 +1,8 @@
-"""Tests for combination strategies and the grid runner."""
+"""Tests for the combination strategies and the grid of combined models."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -9,25 +11,33 @@ import _naive
 from cfakit import (
     CombinedModel,
     DomainError,
+    FusionBatch,
     LabelSet,
     ValidationError,
-    average_rank_combination,
-    average_score_combination,
-    build_instance,
     enumerate_combinations,
-    run_grid,
-    weighted_rank_combination,
-    weighted_score_combination,
+    grid_arrays,
 )
 
 LABELS3 = LabelSet(("L1", "L2", "L3"))
 LABELS4 = LabelSet(("L1", "L2", "L3", "L4"))
 
 
-def _random_instance(rng, doc_id="d", n=17, system_ids=("A", "B", "C", "D", "E")):
+def _batch(raw, labels=LABELS3, doc_id="d1"):
+    """A one-document batch from {system_id: scores}."""
+    return FusionBatch((doc_id,), labels, tuple(raw), [list(raw.values())])
+
+
+def _random_batch(rng, n=17, system_ids=("A", "B", "C", "D", "E")):
     labels = LabelSet(tuple(f"L{i:02d}" for i in range(n)))
     raw = {s: rng.uniform(size=n).tolist() for s in system_ids}
-    return build_instance(doc_id, labels, raw), raw
+    return _batch(raw, labels, "d"), raw
+
+
+def _grid(batch, performance=None, strategies=("asc", "arc", "wsc", "wrc")):
+    """combo_id -> (values, order, tied, fallback), the weighted models
+    weighted by performance when it is given, else by diversity strength."""
+    source = "ds" if performance is None else "perf"
+    return dict(grid_arrays(batch, strategies, weight_source=source, performance=performance))
 
 
 def test_enumerate_five_systems_gives_26_subsets():
@@ -73,127 +83,116 @@ def test_combined_model_validation():
 
 
 def test_average_score_combination_with_tie_at_top():
-    inst = build_instance(
-        "d1", LABELS3, {"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]}
-    )
-    fused = average_score_combination(inst, ("A", "B"))
+    batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
+    values, order, tied, fallback = _grid(batch)["A+B:asc"]
     # normalized A = (0, 1, 1/2), normalized B = (1, 0, 3/8); means tie at 0.5
-    assert fused.combined_values.tolist() == pytest.approx([0.5, 0.5, 0.4375])
-    assert fused.ranking == ("L1", "L2", "L3")
-    assert fused.top1 == "L1"
-    assert fused.tie_at_top
-    assert fused.tied_top == ("L1", "L2")
-    assert not fused.weight_fallback
+    assert values[0].tolist() == pytest.approx([0.5, 0.5, 0.4375])
+    assert order[0].tolist() == [0, 1, 2]  # L1 > L2 > L3, top1 L1
+    assert tied[0] == 2  # L1 and L2 tie at the top
+    assert not fallback[0]
 
 
 def test_average_rank_combination_all_tied_breaks_by_label_order():
-    inst = build_instance(
-        "d1", LABELS3, {"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]}
-    )
-    fused = average_rank_combination(inst, ("A", "B"))
-    assert fused.combined_values.tolist() == [2.0, 2.0, 2.0]
-    assert fused.ranking == ("L1", "L2", "L3")
-    assert fused.top1 == "L1"
-    assert fused.tie_at_top
-    assert fused.tied_top == ("L1", "L2", "L3")
+    batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
+    values, order, tied, _ = _grid(batch)["A+B:arc"]
+    assert values[0].tolist() == [2.0, 2.0, 2.0]
+    assert order[0].tolist() == [0, 1, 2]
+    assert tied[0] == 3
 
 
 def test_weighted_score_combination_known_arithmetic():
     # middle labels reproduce (1*0.2 + 3*0.6)/4 and (1*0.8 + 3*0.4)/4
-    inst = build_instance(
-        "d1",
-        LABELS4,
-        {"A": [0.0, 0.2, 0.8, 1.0], "B": [0.0, 0.6, 0.4, 1.0]},
-    )
-    fused = weighted_score_combination(inst, ("A", "B"), weights=(1.0, 3.0))
-    assert fused.combined_values.tolist() == pytest.approx([0.0, 0.5, 0.5, 1.0])
-    assert not fused.weight_fallback
+    batch = _batch({"A": [0.0, 0.2, 0.8, 1.0], "B": [0.0, 0.6, 0.4, 1.0]}, LABELS4)
+    values, _, _, fallback = _grid(batch, {"A": 1.0, "B": 3.0})["A+B:wsc-perf"]
+    assert values[0].tolist() == pytest.approx([0.0, 0.5, 0.5, 1.0])
+    assert not fallback[0]
 
 
 def test_weighted_rank_combination_known_arithmetic():
     # ranks A = (1, 2, 3), B = (2, 1, 3); weights (2, 4)
-    inst = build_instance(
-        "d1", LABELS3, {"A": [3.0, 2.0, 1.0], "B": [2.0, 3.0, 1.0]}
-    )
-    fused = weighted_rank_combination(inst, ("A", "B"), weights=(2.0, 4.0))
-    assert fused.combined_values.tolist() == pytest.approx([4 / 3, 5 / 3, 3.0])
-    assert fused.top1 == "L1"
-    assert not fused.tie_at_top
+    batch = _batch({"A": [3.0, 2.0, 1.0], "B": [2.0, 3.0, 1.0]})
+    values, order, tied, _ = _grid(batch, {"A": 2.0, "B": 4.0})["A+B:wrc-perf"]
+    assert values[0].tolist() == pytest.approx([4 / 3, 5 / 3, 3.0])
+    assert order[0, 0] == 0  # L1
+    assert tied[0] == 1
 
 
 def test_weighted_score_fallback_on_vanishing_weights():
-    inst = build_instance(
-        "d1", LABELS3, {"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]}
-    )
-    fused = weighted_score_combination(inst, ("A", "B"), weights=(0.0, 0.0))
-    plain = average_score_combination(inst, ("A", "B"))
-    assert fused.weight_fallback
-    assert fused.combined_values.tolist() == plain.combined_values.tolist()
-    assert fused.ranking == plain.ranking
+    batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
+    grid = _grid(batch, {"A": 0.0, "B": 0.0})
+    values, order, _, fallback = grid["A+B:wsc-perf"]
+    plain, plain_order, _, _ = grid["A+B:asc"]
+    assert fallback[0]
+    assert values.tolist() == plain.tolist()
+    assert order.tolist() == plain_order.tolist()
 
 
 def test_weighted_rank_fallback_on_any_vanishing_weight():
-    inst = build_instance(
-        "d1", LABELS3, {"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]}
-    )
-    fused = weighted_rank_combination(inst, ("A", "B"), weights=(0.0, 2.0))
-    plain = average_rank_combination(inst, ("A", "B"))
-    assert fused.weight_fallback
-    assert fused.combined_values.tolist() == plain.combined_values.tolist()
+    batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
+    grid = _grid(batch, {"A": 0.0, "B": 2.0})
+    values, _, _, fallback = grid["A+B:wrc-perf"]
+    assert fallback[0]
+    assert values.tolist() == grid["A+B:arc"][0].tolist()
 
 
 def test_identical_systems_have_zero_diversity_and_fall_back():
-    inst = build_instance(
-        "d1", LABELS3, {"A": [0.2, 0.8, 0.5], "B": [0.2, 0.8, 0.5]}
-    )
-    assert inst.diversity.cd[0, 1] == 0.0
-    wsc = weighted_score_combination(inst, ("A", "B"))
-    wrc = weighted_rank_combination(inst, ("A", "B"))
-    assert wsc.weight_fallback
-    assert wrc.weight_fallback
-    assert np.isfinite(wsc.combined_values).all()
-    assert np.isfinite(wrc.combined_values).all()
+    batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.2, 0.8, 0.5]})
+    assert batch.cd[0, 0, 1] == 0.0
+    grid = _grid(batch)
+    for combo_id in ("A+B:wsc-ds", "A+B:wrc-ds"):
+        values, _, _, fallback = grid[combo_id]
+        assert fallback[0]
+        assert np.isfinite(values).all()
 
 
 def test_weighted_score_rejects_negative_weights():
-    inst = build_instance(
-        "d1", LABELS3, {"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]}
-    )
+    batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
     with pytest.raises(ValidationError, match="non-negative"):
-        weighted_score_combination(inst, ("A", "B"), weights=(-1.0, 2.0))
+        grid_arrays(batch, ("wsc",), weight_source="perf", performance={"A": -1.0, "B": 2.0})
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf],
+                         ids=["negative", "tiny-negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("strategy", ["wsc", "wrc"])
+def test_performance_weights_must_be_finite_and_non_negative(bad, strategy):
+    batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4], "C": [0.1, 0.3, 0.2]})
+    performance = {"A": 0.5, "B": bad, "C": 0.25}
+    # raised by the call itself, before any model is made
+    with pytest.raises(ValidationError, match="performance weights must be finite and non-negative"):
+        grid_arrays(batch, ("asc", strategy), weight_source="perf", performance=performance)
+    # unweighted strategies never read the performance weights
+    grid = grid_arrays(batch, ("asc", "arc"), weight_source="perf", performance=performance)
+    assert len(list(grid)) == 8
 
 
 def test_weight_count_must_match_subset():
-    inst = build_instance(
-        "d1", LABELS3, {"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]}
-    )
-    with pytest.raises(ValidationError, match="2 systems"):
-        weighted_score_combination(inst, ("A", "B"), weights=(1.0,))
+    # every system of the grid needs a weight, named in the message
+    batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
+    with pytest.raises(ValidationError, match=r"missing performance weights for systems \['B'\]"):
+        grid_arrays(batch, ("wsc",), weight_source="perf", performance={"A": 1.0})
 
 
 def test_unknown_subset_system():
-    inst = build_instance("d1", LABELS3, {"A": [0.2, 0.8, 0.5]})
+    batch = _batch({"A": [0.2, 0.8, 0.5]})
     with pytest.raises(ValidationError, match="unknown system"):
-        average_score_combination(inst, ("A", "Z"))
+        batch.subset_index(("A", "Z"))
 
 
 def test_equal_weights_reduce_to_plain_averages():
     rng = np.random.default_rng(31)
-    for _ in range(30):
-        inst, _ = _random_instance(rng, n=9, system_ids=("A", "B", "C"))
-        for weight in (1.0, 0.7, 3.5):
-            weights = (weight, weight, weight)
-            wsc = weighted_score_combination(inst, ("A", "B", "C"), weights=weights)
-            asc = average_score_combination(inst, ("A", "B", "C"))
-            assert np.allclose(wsc.combined_values, asc.combined_values, atol=1e-12)
-            wrc = weighted_rank_combination(inst, ("A", "B", "C"), weights=weights)
-            arc = average_rank_combination(inst, ("A", "B", "C"))
-            assert np.allclose(wrc.combined_values, arc.combined_values, atol=1e-12)
+    labels = LabelSet(tuple(f"L{i:02d}" for i in range(9)))
+    batch = FusionBatch([f"d{i}" for i in range(30)], labels, ("A", "B", "C"),
+                        rng.uniform(size=(30, 3, 9)))
+    for weight in (1.0, 0.7, 3.5):
+        grid = _grid(batch, {"A": weight, "B": weight, "C": weight})
+        for weighted, plain in (("wsc-perf", "asc"), ("wrc-perf", "arc")):
+            values, order, _, _ = grid[f"A+B+C:{weighted}"]
+            plain_values, plain_order, _, _ = grid[f"A+B+C:{plain}"]
+            assert np.allclose(values, plain_values, atol=1e-12)
             if weight == 1.0:
                 # unit weights are arithmetic identities, so even exact
                 # ties resolve the same way
-                assert wsc.ranking == asc.ranking
-                assert wrc.ranking == arc.ranking
+                assert order.tolist() == plain_order.tolist()
 
 
 def test_rank_combination_invariant_under_increasing_transforms():
@@ -201,147 +200,137 @@ def test_rank_combination_invariant_under_increasing_transforms():
     labels = LabelSet(tuple(f"L{i}" for i in range(11)))
     for transform in (np.exp, np.tanh, lambda x: x**3):
         raw = {s: rng.normal(size=11) for s in ("A", "B", "C")}
-        inst = build_instance("d", labels, {s: v.tolist() for s, v in raw.items()})
-        inst_t = build_instance(
-            "d", labels, {s: transform(v).tolist() for s, v in raw.items()}
-        )
-        arc = average_rank_combination(inst, ("A", "B", "C"))
-        arc_t = average_rank_combination(inst_t, ("A", "B", "C"))
-        assert arc.combined_values.tolist() == arc_t.combined_values.tolist()
-        assert arc.ranking == arc_t.ranking
+        base = _grid(_batch(raw, labels), strategies=("arc",))["A+B+C:arc"]
+        warped = _grid(_batch({s: transform(v) for s, v in raw.items()}, labels),
+                       strategies=("arc",))["A+B+C:arc"]
+        assert base[0].tolist() == warped[0].tolist()
+        assert base[1].tolist() == warped[1].tolist()
 
 
 def test_score_combination_invariant_under_positive_affine():
     rng = np.random.default_rng(41)
     labels = LabelSet(tuple(f"L{i}" for i in range(11)))
     raw = {s: rng.normal(size=11) for s in ("A", "B", "C")}
-    inst = build_instance("d", labels, {s: v.tolist() for s, v in raw.items()})
     scales = {"A": (2.5, 1.0), "B": (0.3, -4.0), "C": (10.0, 0.2)}
-    inst_t = build_instance(
-        "d",
-        labels,
-        {s: (a * raw[s] + b).tolist() for s, (a, b) in scales.items()},
-    )
-    asc = average_score_combination(inst, ("A", "B", "C"))
-    asc_t = average_score_combination(inst_t, ("A", "B", "C"))
-    assert np.allclose(asc.combined_values, asc_t.combined_values, atol=1e-12)
-    assert asc.top1 == asc_t.top1
+    base = _grid(_batch(raw, labels), strategies=("asc",))["A+B+C:asc"]
+    affine = _grid(_batch({s: a * raw[s] + b for s, (a, b) in scales.items()}, labels),
+                   strategies=("asc",))["A+B+C:asc"]
+    assert np.allclose(base[0], affine[0], atol=1e-12)
+    assert base[1][0, 0] == affine[1][0, 0]  # the same top-1 label
 
 
 def test_combined_values_match_naive_oracle_for_all_subsets():
     rng = np.random.default_rng(43)
     for _ in range(5):
-        inst, raw = _random_instance(rng)
+        batch, raw = _random_batch(rng)
         normalized = {s: _naive.normalize(v) for s, v in raw.items()}
         ranks = {s: _naive.ranks_fractional(v) for s, v in raw.items()}
         curves = {s: _naive.rsc(n) for s, n in normalized.items()}
-        labels = list(inst.label_set.labels)
+        labels = list(batch.label_set.labels)
+        grid = _grid(batch)
         for subset in enumerate_combinations(sorted(raw)):
             vectors = [normalized[s] for s in subset]
             rank_vectors = [ranks[s] for s in subset]
             subset_curves = [curves[s] for s in subset]
             weights = [_naive.ds(subset_curves, j) for j in range(len(subset))]
+            prefix = "+".join(subset) + ":"
 
-            asc = average_score_combination(inst, subset)
-            assert np.allclose(asc.combined_values, _naive.asc(vectors), atol=1e-12)
-            assert list(asc.ranking) == _naive.ranking(
-                asc.combined_values.tolist(), labels, True
-            )
+            asc, order, _, _ = grid[prefix + "asc"]
+            assert np.allclose(asc[0], _naive.asc(vectors), atol=1e-12)
+            assert [labels[i] for i in order[0]] == _naive.ranking(asc[0].tolist(), labels, True)
 
-            arc = average_rank_combination(inst, subset)
-            assert np.allclose(arc.combined_values, _naive.arc(rank_vectors), atol=1e-12)
+            arc = grid[prefix + "arc"][0]
+            assert np.allclose(arc[0], _naive.arc(rank_vectors), atol=1e-12)
 
-            wsc = weighted_score_combination(inst, subset)
-            assert np.allclose(
-                wsc.combined_values, _naive.wsc(vectors, weights), atol=1e-12
-            )
+            wsc = grid[prefix + "wsc-ds"][0]
+            assert np.allclose(wsc[0], _naive.wsc(vectors, weights), atol=1e-12)
 
-            wrc = weighted_rank_combination(inst, subset)
-            assert np.allclose(
-                wrc.combined_values, _naive.wrc(rank_vectors, weights), atol=1e-12
-            )
+            wrc = grid[prefix + "wrc-ds"][0]
+            assert np.allclose(wrc[0], _naive.wrc(rank_vectors, weights), atol=1e-12)
 
 
 def test_run_grid_five_systems_104_models():
     rng = np.random.default_rng(47)
-    inst, _ = _random_instance(rng)
-    grid = run_grid([inst])
+    batch, _ = _random_batch(rng)
+    grid = _grid(batch)
     assert len(grid) == 104
-    assert all(len(results) == 1 for results in grid.values())
+    assert all(values.shape == (1, 17) for values, _, _, _ in grid.values())
     assert "A+B:asc" in grid
     assert "A+B+C+D+E:wrc-ds" in grid
 
 
 def test_run_grid_two_systems_four_models():
     rng = np.random.default_rng(53)
-    inst, _ = _random_instance(rng, system_ids=("A", "B"))
-    grid = run_grid([inst])
-    assert sorted(grid) == ["A+B:arc", "A+B:asc", "A+B:wrc-ds", "A+B:wsc-ds"]
+    batch, _ = _random_batch(rng, system_ids=("A", "B"))
+    assert list(_grid(batch)) == ["A+B:arc", "A+B:asc", "A+B:wrc-ds", "A+B:wsc-ds"]
 
 
 def test_run_grid_strategy_subset_and_order():
     rng = np.random.default_rng(59)
-    inst, _ = _random_instance(rng, system_ids=("A", "B", "C"))
-    grid = run_grid([inst], strategies=("arc", "asc"))
+    batch, _ = _random_batch(rng, system_ids=("A", "B", "C"))
+    grid = _grid(batch, strategies=("arc", "asc"))
     tags = {combo.split(":")[1] for combo in grid}
     assert tags == {"asc", "arc"}
     assert len(grid) == 8
+    assert list(grid) == sorted(grid)  # combo-id order, that of fused.csv
 
 
 def test_run_grid_rejects_unknown_strategy():
     rng = np.random.default_rng(61)
-    inst, _ = _random_instance(rng, system_ids=("A", "B"))
+    batch, _ = _random_batch(rng, system_ids=("A", "B"))
     with pytest.raises(ValidationError, match="unknown strategies"):
-        run_grid([inst], strategies=("asc", "median"))
+        grid_arrays(batch, strategies=("asc", "median"))
 
 
 def test_run_grid_rejects_inconsistent_rosters():
-    labels = LABELS3
-    a = build_instance("d1", labels, {"A": [1, 2, 3], "B": [3, 2, 1]})
-    b = build_instance("d2", labels, {"A": [1, 2, 3], "C": [3, 2, 1]})
-    with pytest.raises(ValidationError, match="d2"):
-        run_grid([a, b])
+    # every document scores the same systems: a document with another
+    # roster size cannot form the (docs, systems, labels) array
+    with pytest.raises(ValidationError, match="rectangular"):
+        FusionBatch(("d1", "d2"), LABELS3, ("A", "B"),
+                    [[[1, 2, 3], [3, 2, 1]], [[1, 2, 3]]])
+    with pytest.raises(ValidationError, match="documents x systems x labels"):
+        FusionBatch(("d1", "d2"), LABELS3, ("A", "B"), np.ones((2, 3, 3)))
 
 
 def test_run_grid_rejects_inconsistent_label_sets():
-    a = build_instance("d1", LABELS3, {"A": [1, 2, 3], "B": [3, 2, 1]})
-    b = build_instance(
-        "d2", LabelSet(("x", "y", "z")), {"A": [1, 2, 3], "B": [3, 2, 1]}
-    )
-    with pytest.raises(ValidationError, match="label set"):
-        run_grid([a, b])
+    with pytest.raises(ValidationError, match="rectangular"):
+        FusionBatch(("d1", "d2"), LABELS3, ("A", "B"),
+                    [[[1, 2, 3], [3, 2, 1]], [[1, 2, 3, 4], [3, 2, 1, 0]]])
+    with pytest.raises(ValidationError, match="documents x systems x labels"):
+        FusionBatch(("d1", "d2"), LABELS3, ("A", "B"), np.ones((2, 2, 4)))
 
 
 def test_run_grid_performance_weights():
     rng = np.random.default_rng(67)
-    inst, raw = _random_instance(rng, system_ids=("A", "B", "C"))
+    batch, raw = _random_batch(rng, system_ids=("A", "B", "C"))
     performance = {"A": 0.9, "B": 0.6, "C": 0.3}
-    grid = run_grid([inst], weight_source="perf", performance=performance)
+    grid = _grid(batch, performance)
     assert "A+B:wsc-perf" in grid
-    fused = grid["A+B+C:wsc-perf"][0]
+    values = grid["A+B+C:wsc-perf"][0]
     normalized = [_naive.normalize(raw[s]) for s in ("A", "B", "C")]
     expected = _naive.wsc(normalized, [0.9, 0.6, 0.3])
-    assert np.allclose(fused.combined_values, expected, atol=1e-12)
+    assert np.allclose(values[0], expected, atol=1e-12)
 
 
 def test_run_grid_performance_requires_weights_for_all_systems():
     rng = np.random.default_rng(71)
-    inst, _ = _random_instance(rng, system_ids=("A", "B"))
+    batch, _ = _random_batch(rng, system_ids=("A", "B"))
     with pytest.raises(ValidationError, match="missing performance"):
-        run_grid([inst], weight_source="perf", performance={"A": 0.5})
+        grid_arrays(batch, weight_source="perf", performance={"A": 0.5})
     with pytest.raises(ValidationError, match="performance weighting requires"):
-        run_grid([inst], weight_source="perf")
+        grid_arrays(batch, weight_source="perf")
 
 
 def test_run_grid_results_follow_document_order():
     rng = np.random.default_rng(73)
     labels = LabelSet(("x", "y", "z"))
-    instances = [
-        build_instance(
-            f"d{i}", labels, {"A": rng.uniform(size=3).tolist(), "B": rng.uniform(size=3).tolist()}
-        )
-        for i in range(4)
-    ]
-    grid = run_grid(instances)
-    for results in grid.values():
-        assert [f.doc_id for f in results] == ["d0", "d1", "d2", "d3"]
+    raw = rng.uniform(size=(4, 2, 3))
+    batch = FusionBatch([f"d{i}" for i in (3, 0, 2, 1)], labels, ("A", "B"), raw)
+    for combo_id, (values, order, tied, fallback) in grid_arrays(batch):
+        assert len(values) == len(order) == len(tied) == len(fallback) == 4
+        # row d of every array belongs to document d, whatever its id
+        for d in range(4):
+            one = FusionBatch((batch.doc_ids[d],), labels, ("A", "B"), raw[d:d + 1])
+            alone = _grid(one)[combo_id]
+            assert alone[0].tobytes() == values[d:d + 1].tobytes()
+            assert alone[1].tolist() == order[d:d + 1].tolist()

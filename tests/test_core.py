@@ -7,12 +7,11 @@ import pytest
 
 import _naive
 from cfakit import (
-    DiversityProfile,
     DomainError,
+    FusionBatch,
     LabelSet,
     RscCurve,
     ValidationError,
-    build_instance,
     cognitive_diversity,
     diversity_strength,
     normalize_scores,
@@ -21,6 +20,11 @@ from cfakit import (
 )
 
 LABELS3 = LabelSet(("L1", "L2", "L3"))
+
+
+def _batch(raw, labels=LABELS3, doc_id="d1"):
+    """A one-document batch from {system_id: scores}."""
+    return FusionBatch((doc_id,), labels, tuple(raw), [list(raw.values())])
 
 
 def test_label_set_rejects_duplicates():
@@ -182,68 +186,46 @@ def test_diversity_strength_needs_two_systems():
 
 
 def test_system_scores_degenerate_flag():
-    scores = build_instance("d", LABELS3, {"A": [2.0, 2.0, 2.0]}).systems[0]
-    assert scores.degenerate
-    assert scores.normalized.tolist() == [0.5, 0.5, 0.5]
-    assert not build_instance("d", LABELS3, {"A": [1.0, 2.0, 3.0]}).systems[0].degenerate
+    batch = _batch({"A": [2.0, 2.0, 2.0], "B": [1.0, 2.0, 3.0]})
+    assert batch.degenerate.tolist() == [[True, False]]
+    assert batch.normalized[0, 0].tolist() == [0.5, 0.5, 0.5]
 
 
 def test_build_instance_full_assembly():
     raw_a = [0.2, 0.8, 0.5]
     raw_b = [0.9, 0.1, 0.4]
-    inst = build_instance("d1", LABELS3, {"A": raw_a, "B": raw_b})
-    assert inst.system_ids == ("A", "B")
-    assert inst.systems[0].normalized.tolist() == _naive.normalize(raw_a)
-    assert inst.systems[1].ranks.tolist() == [1.0, 3.0, 2.0]
-    assert inst.diversity is not None
-    assert inst.diversity.cd[0, 1] == pytest.approx(
+    batch = _batch({"A": raw_a, "B": raw_b})
+    assert batch.system_ids == ("A", "B")
+    assert batch.normalized[0, 0].tolist() == _naive.normalize(raw_a)
+    assert batch.ranks[0, 1].tolist() == [1.0, 3.0, 2.0]
+    assert batch.cd is not None
+    assert batch.cd[0, 0, 1] == pytest.approx(
         _naive.cd(_naive.rsc(_naive.normalize(raw_a)), _naive.rsc(_naive.normalize(raw_b))),
         abs=1e-12,
     )
-    assert inst.degenerate_systems == ()
-
-
-def test_build_instance_accepts_label_maps():
-    inst = build_instance(
-        "d1",
-        LABELS3,
-        {"A": {"L3": 0.5, "L1": 0.2, "L2": 0.8}},
-    )
-    assert inst.systems[0].raw.tolist() == [0.2, 0.8, 0.5]
-    assert inst.diversity is None
-
-
-def test_build_instance_missing_label_names_system_and_label():
-    with pytest.raises(ValidationError, match=r"'A'.*'L3'"):
-        build_instance("d1", LABELS3, {"A": {"L1": 0.2, "L2": 0.8}})
-
-
-def test_build_instance_rejects_unknown_label():
-    with pytest.raises(ValidationError, match="unknown label"):
-        build_instance("d1", LABELS3, {"A": {"L1": 0.2, "L2": 0.8, "L3": 0.1, "L9": 0.4}})
+    assert not batch.degenerate.any()
 
 
 def test_build_instance_rejects_duplicate_system():
     with pytest.raises(ValidationError, match="duplicate system"):
-        build_instance(
-            "d1", LABELS3, [("A", [0.1, 0.2, 0.3]), ("A", [0.3, 0.2, 0.1])]
-        )
+        FusionBatch(("d1",), LABELS3, ("A", "A"), [[[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]])
 
 
 def test_build_instance_rejects_wrong_length():
-    with pytest.raises(ValidationError, match="supplied 2 scores for 3 labels"):
-        build_instance("d1", LABELS3, {"A": [0.1, 0.2]})
+    with pytest.raises(ValidationError, match=r"shape \(1, 1, 2\), expected \(1, 1, 3\)"):
+        _batch({"A": [0.1, 0.2]})
 
 
 def test_build_instance_requires_a_system():
-    with pytest.raises(ValidationError):
-        build_instance("d1", LABELS3, {})
+    with pytest.raises(ValidationError, match="at least one scoring system"):
+        _batch({})
 
 
 def test_single_system_instance_has_no_diversity():
-    inst = build_instance("d1", LABELS3, {"A": [0.1, 0.2, 0.3]})
-    assert inst.diversity is None
-    assert inst.t == 1
+    batch = _batch({"A": [0.1, 0.2, 0.3]})
+    assert batch.cd is None
+    assert batch.ds is None
+    assert batch.t == 1
 
 
 def test_label_permutation_equivariance():
@@ -251,25 +233,23 @@ def test_label_permutation_equivariance():
     labels = tuple(f"L{i}" for i in range(8))
     for _ in range(50):
         raw = {s: rng.uniform(size=8).tolist() for s in ("A", "B", "C")}
-        inst = build_instance("d", LabelSet(labels), raw)
+        batch = _batch(raw, LabelSet(labels), "d")
         perm = rng.permutation(8)
         permuted_labels = tuple(labels[i] for i in perm)
         permuted_raw = {s: [raw[s][i] for i in perm] for s in raw}
-        inst_p = build_instance("d", LabelSet(permuted_labels), permuted_raw)
-        for s, s_p in zip(inst.systems, inst_p.systems):
-            assert s.normalized[perm].tolist() == s_p.normalized.tolist()
-            assert s.ranks[perm].tolist() == s_p.ranks.tolist()
-        assert np.allclose(inst.diversity.cd, inst_p.diversity.cd, atol=1e-15)
-        assert np.allclose(inst.diversity.ds, inst_p.diversity.ds, atol=1e-15)
+        batch_p = _batch(permuted_raw, LabelSet(permuted_labels), "d")
+        assert batch.normalized[..., perm].tolist() == batch_p.normalized.tolist()
+        assert batch.ranks[..., perm].tolist() == batch_p.ranks.tolist()
+        assert np.allclose(batch.cd, batch_p.cd, atol=1e-15)
+        assert np.allclose(batch.ds, batch_p.ds, atol=1e-15)
 
 
 def test_subset_strength_recomputes_within_subset():
     rng = np.random.default_rng(29)
     labels = LabelSet(tuple(f"L{i}" for i in range(6)))
     raw = {s: rng.uniform(size=6).tolist() for s in ("A", "B", "C", "D")}
-    inst = build_instance("d", labels, raw)
-    profile = inst.diversity
-    strengths = diversity_strength(profile.cd, inst.subset_index(("A", "C", "D")))
+    batch = _batch(raw, labels, "d")
+    strengths = diversity_strength(batch.cd[0], batch.subset_index(("A", "C", "D")))
     curves = {
         s: _naive.rsc(_naive.normalize(raw[s])) for s in ("A", "C", "D")
     }
@@ -280,16 +260,16 @@ def test_subset_strength_recomputes_within_subset():
 
 def test_subset_strength_rejects_unknown_and_small():
     labels = LabelSet(("x", "y", "z"))
-    inst = build_instance("d", labels, {"A": [1, 2, 3], "B": [3, 2, 1]})
+    batch = _batch({"A": [1, 2, 3], "B": [3, 2, 1]}, labels, "d")
     with pytest.raises(ValidationError, match="unknown system"):
-        diversity_strength(inst.diversity.cd, inst.subset_index(("A", "Q")))
+        diversity_strength(batch.cd[0], batch.subset_index(("A", "Q")))
     with pytest.raises(DomainError):
-        diversity_strength(inst.diversity.cd, inst.subset_index(("A",)))
+        diversity_strength(batch.cd[0], batch.subset_index(("A",)))
 
 
 def test_diversity_profile_pair_lookup():
     labels = LabelSet(("x", "y", "z"))
-    inst = build_instance("d", labels, {"A": [1, 2, 3], "B": [3, 2, 1]})
-    profile = inst.diversity
-    assert profile.pair("A", "B") == profile.pair("B", "A")
-    assert profile.strength("A") == pytest.approx(profile.pair("A", "B"))
+    batch = _batch({"A": [1, 2, 3], "B": [3, 2, 1]}, labels, "d")
+    a, b = batch.subset_index(("A", "B"))
+    assert batch.cd[0, a, b] == batch.cd[0, b, a]
+    assert batch.ds[0, a] == pytest.approx(batch.cd[0, a, b])

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from cfakit import (
+    FusionBatch,
     LabelSet,
     ModelPredictions,
     ValidationError,
-    build_instance,
     combined_arrays,
     evaluate_predictions,
     expert_indices,
+    grid_arrays,
     individual_arrays,
-    run_grid,
     select_best,
 )
 from cfakit.fileio import load_fused_predictions
@@ -254,8 +254,8 @@ def test_disagreement_rows_sorted_by_doc_id():
 
 
 def test_individual_arrays_break_ties_by_label_order():
-    inst = build_instance("d1", LABELS, {"A": [0.5, 0.5, 0.1]})
-    predictions = individual_arrays([inst])
+    batch = FusionBatch(("d1",), LABELS, ("A",), [[[0.5, 0.5, 0.1]]])
+    predictions = individual_arrays(batch)
     assert predictions.model_ids == ("A",)
     assert predictions.labels == LABELS.labels
     assert predictions.top1.tolist() == [[0]]  # L1
@@ -265,27 +265,19 @@ def test_individual_arrays_break_ties_by_label_order():
 def test_evaluate_predictions_end_to_end_small():
     rng = np.random.default_rng(83)
     docs = [f"d{i}" for i in range(12)]
-    instances = [
-        build_instance(
-            d,
-            LABELS,
-            {s: rng.uniform(size=3).tolist() for s in ("A", "B", "C")},
-        )
-        for d in docs
-    ]
+    batch = FusionBatch(docs, LABELS, ("A", "B", "C"), rng.uniform(size=(12, 3, 3)))
     experts = {d: LABELS.labels[int(rng.integers(0, 3))] for d in docs}
-    combined = combined_arrays(instances)
-    # the same top-1 labels and tied groups as run_grid's FusedRankings
-    grid = run_grid(instances)
-    assert combined.model_ids == tuple(grid)
-    for m, results in enumerate(grid.values()):
-        for d, fused in enumerate(results):
-            assert LABELS.labels[combined.top1[m, d]] == fused.top1
-            assert [LABELS.labels[i] for i in np.flatnonzero(combined.tied[m, d])] == list(
-                fused.tied_top)
+    combined = combined_arrays(batch)
+    # the top-1 labels and tied groups of grid_arrays' label orders
+    grid = list(grid_arrays(batch))
+    assert combined.model_ids == tuple(combo_id for combo_id, _ in grid)
+    for m, (_, (_, order, tied, _)) in enumerate(grid):
+        for d in range(len(docs)):
+            assert combined.top1[m, d] == order[d, 0]
+            assert np.flatnonzero(combined.tied[m, d]).tolist() == sorted(order[d, :tied[d]])
     report = evaluate_predictions(
         docs, LABELS, expert_indices(experts, LABELS, docs),
-        individual_arrays(instances), combined,
+        individual_arrays(batch), combined,
     )
     assert set(report.individual_overall) == {"A", "B", "C"}
     assert len(report.combined_overall) == 16  # 4 subsets x 4 strategies

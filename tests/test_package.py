@@ -28,21 +28,52 @@ EVALUATE_API = {
 }
 
 
+# The fusion API: a FusionBatch in, grid_arrays out.  Pinned for the same
+# reason: no per-document instance or ranking objects beside them.
+CORE_API = {
+    "FusionBatch", "LabelSet", "RscCurve", "cognitive_diversity", "diversity_strength",
+    "normalize_scores", "rank_from_scores", "rsc_curve",
+}
+COMBINE_API = {"CombinedModel", "enumerate_combinations", "grid_arrays"}
+
+
+def _defined(module) -> set[str]:
+    """The public functions and classes a module defines itself."""
+    return {
+        name for name, obj in vars(module).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+    }
+
+
 def test_public_names_resolve_and_the_evaluation_api_is_pinned():
     import cfakit
     import cfakit.evaluate as evaluate
 
     for name in cfakit.__all__:
         getattr(cfakit, name)
-    defined = {
-        name for name, obj in vars(evaluate).items()
-        if not name.startswith("_") and getattr(obj, "__module__", None) == evaluate.__name__
-    }
-    assert defined == EVALUATE_API
+    assert _defined(evaluate) == EVALUATE_API
     assert EVALUATE_API <= set(cfakit.__all__)
+
+
+def test_the_fusion_api_is_pinned():
+    import cfakit
+    import cfakit.combine as combine
+    import cfakit.core as core
+
+    assert _defined(core) == CORE_API
+    assert _defined(combine) == COMBINE_API
+    assert CORE_API | COMBINE_API <= set(cfakit.__all__)
+    assert "grid_arrays" in cfakit.__all__
+
+
+# stdout of each demo that prints no temporary path, byte for byte
+PINNED_STDOUT = Path(__file__).resolve().parent / "demo_stdout"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, run_python, tmp_path):
     result = run_python(demo, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
+    if demo.name != "05_cli_pipeline.py":  # 05 prints its temporary directory
+        pinned = PINNED_STDOUT / f"{demo.stem}.txt"
+        assert result.stdout.encode("utf-8") == pinned.read_bytes()

@@ -39,7 +39,6 @@ from cfakit import (
     PrecisionResult,
     Ratio,
     ValidationError,
-    build_instance,
     cognitive_diversity,
     combined_arrays,
     enumerate_combinations,
@@ -47,7 +46,6 @@ from cfakit import (
     keyword_scorer,
     normalize_scores,
     rank_from_scores,
-    run_grid,
     tokenize,
     write_report,
 )
@@ -156,37 +154,37 @@ def test_kernel_grid_matches_per_document_oracle(cube, tie_policy):
     batch = _batch(cube, tie_policy)
     labels = list(batch.label_set.labels)
     rank_oracle = _naive.ranks_fractional if tie_policy == "fractional" else _naive.ranks_ordinal
-    grid = run_grid(batch)
+    grid = dict(grid_arrays(batch))
     assert len(grid) == 4 * len(enumerate_combinations(batch.system_ids))
     for d, rows in enumerate(cube):
         ranks = [rank_oracle(row) for row in rows]
         for subset in enumerate_combinations(batch.system_ids):
             idx = batch.subset_index(subset)
             for tag, (values, higher, fallback) in _oracle_models(rows, ranks, idx).items():
-                fused = grid["+".join(subset) + ":" + tag][d]
-                assert fused.doc_id == batch.doc_ids[d]
-                assert fused.weight_fallback == fallback
-                assert_same_values(fused.combined_values.tolist(), values)
-                ranking = _naive.ranking(fused.combined_values.tolist(), labels, higher)
-                assert list(fused.ranking) == ranking
-                assert fused.top1 == ranking[0]
-                best = fused.combined_values[labels.index(ranking[0])]
-                tied = [l for l, v in zip(labels, fused.combined_values) if v == best]
-                assert list(fused.tied_top) == tied
-                assert fused.tie_at_top == (len(tied) > 1)
+                got, order, tied, fell_back = grid["+".join(subset) + ":" + tag]
+                combined = got[d].tolist()
+                assert fell_back[d] == fallback
+                assert_same_values(combined, values)
+                ranking = _naive.ranking(combined, labels, higher)
+                assert [labels[i] for i in order[d]] == ranking
+                best = combined[labels.index(ranking[0])]
+                # the labels tied at the top lead the ranking, in label order
+                assert [labels[i] for i in order[d, :tied[d]]] == [
+                    l for l, v in zip(labels, combined) if v == best
+                ]
                 if EXACT_SUMS:
                     assert ranking == _naive.ranking(values, labels, higher)
 
     # documents fused one at a time give the same bytes as the whole batch
-    instances = [
-        build_instance(doc_id, batch.label_set, dict(zip(batch.system_ids, rows)), tie_policy)
-        for doc_id, rows in zip(batch.doc_ids, cube)
-    ]
-    for combo_id, results in run_grid(instances).items():
-        for one, whole in zip(results, grid[combo_id], strict=True):
-            assert one.combined_values.tobytes() == whole.combined_values.tobytes()
-            assert one.ranking == whole.ranking
-            assert one.tied_top == whole.tied_top
+    for d, (doc_id, rows) in enumerate(zip(batch.doc_ids, cube)):
+        one = FusionBatch((doc_id,), batch.label_set, batch.system_ids, [rows], tie_policy)
+        alone = dict(grid_arrays(one))
+        assert list(alone) == list(grid)
+        for combo_id, (values, order, tied, _) in alone.items():
+            whole = grid[combo_id]
+            assert values.tobytes() == whole[0][d:d + 1].tobytes()
+            assert order.tolist() == whole[1][d:d + 1].tolist()
+            assert tied.tolist() == whole[2][d:d + 1].tolist()
 
 
 @st.composite
@@ -345,9 +343,9 @@ def fused_grids(draw):
 @given(fused_grids())
 def test_fused_file_bytes_match_a_csv_writer_pass_over_run_grid(case):
     batch, arguments = case
-    grid = run_grid(batch, *arguments)
+    grid = dict(grid_arrays(batch, *arguments))
     assert list(grid) == sorted(grid)
-    # the rows built from run_grid's FusedRankings, each written by a
+    # the rows built from grid_arrays' label orders, each written by a
     # csv.writer whose "\r\n" terminator makes it quote a bare "\r" on every
     # Python, then ended with "\n"
     want = io.StringIO()
@@ -361,12 +359,15 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_run_grid(case):
         want.write(row.getvalue()[:-2] + "\n")
 
     write(FUSED_HEADER)
+    labels = batch.label_set.labels
     for combo_id in sorted(grid):
-        for fused in sorted(grid[combo_id], key=lambda f: f.doc_id):
+        _, order, tied, _ = grid[combo_id]
+        for d in sorted(range(len(batch)), key=lambda d: batch.doc_ids[d]):
+            ranking = [labels[i] for i in order[d]]
             write((
-                combo_id, fused.doc_id, fused.top1,
-                "true" if fused.tie_at_top else "false",
-                "|".join(fused.tied_top), "|".join(fused.ranking),
+                combo_id, batch.doc_ids[d], ranking[0],
+                "true" if tied[d] > 1 else "false",
+                "|".join(ranking[:tied[d]]), "|".join(ranking),
             ))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fused.csv"
