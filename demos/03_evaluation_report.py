@@ -73,16 +73,16 @@ def main() -> None:
     stats = report.grid_stats
     print("\ngrid statistics")
     print(f"  combined models at or above the best individual: "
-          f"{stats.models_ge_best_individual.numerator}/"
-          f"{stats.models_ge_best_individual.denominator} "
+          f"{stats.models_ge_best_individual.correct}/"
+          f"{stats.models_ge_best_individual.total} "
           f"({100 * stats.models_ge_best_individual.value:.2f}%)")
     print(f"  per-label cells at or above the best individual for that label: "
-          f"{stats.cells_ge_best_individual.numerator}/"
-          f"{stats.cells_ge_best_individual.denominator} "
+          f"{stats.cells_ge_best_individual.correct}/"
+          f"{stats.cells_ge_best_individual.total} "
           f"({100 * stats.cells_ge_best_individual.value:.2f}%)")
     print(f"  per-label cells at or above the individual mean: "
-          f"{stats.cells_ge_individual_mean.numerator}/"
-          f"{stats.cells_ge_individual_mean.denominator} "
+          f"{stats.cells_ge_individual_mean.correct}/"
+          f"{stats.cells_ge_individual_mean.total} "
           f"({100 * stats.cells_ge_individual_mean.value:.2f}%)")
 
     tables = report.disagreements

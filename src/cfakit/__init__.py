@@ -9,11 +9,10 @@ grid of combined models is evaluated against expert labels with exact
 fraction arithmetic.
 """
 
-from .combine import EPSILON, STRATEGIES, CombinedModel, enumerate_combinations, grid_arrays
+from .combine import EPSILON, STRATEGIES, enumerate_combinations, grid_arrays
 from .core import (
     FusionBatch,
     LabelSet,
-    RscCurve,
     cognitive_diversity,
     diversity_strength,
     normalize_scores,
@@ -42,7 +41,6 @@ from .evaluate import (
     GridStats,
     ModelPredictions,
     PrecisionResult,
-    Ratio,
     combined_arrays,
     evaluate_predictions,
     expert_indices,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BestSelection",
     "CfaError",
-    "CombinedModel",
     "DataAccessError",
     "DisagreementRow",
     "DisagreementTables",
@@ -75,8 +72,6 @@ __all__ = [
     "PrecisionResult",
     "Prompt",
     "PromptSpec",
-    "Ratio",
-    "RscCurve",
     "STRATEGIES",
     "TfidfCentroidScorer",
     "ValidationError",

@@ -146,7 +146,9 @@ def _config_from(args) -> RunConfig:
         updates["strategies"] = tuple(
             s.strip() for s in strategies.split(",") if s.strip()
         )
-    if args.out:
+    if args.out is not None:
+        if not args.out:
+            raise ValidationError("--out must name a directory, got an empty string")
         updates["out_dir"] = Path(args.out)
     if updates:
         config = dataclasses.replace(config, **updates)
@@ -160,7 +162,7 @@ def _require_config(args) -> RunConfig:
     return _config_from(args)
 
 
-def _load_batch(config: RunConfig):
+def _load_batch(config: RunConfig) -> FusionBatch:
     label_set = config.label_set()
     systems = config.require_systems()
     tables = {sid: load_score_file(path, label_set) for sid, path in systems}
@@ -178,7 +180,7 @@ def _load_batch(config: RunConfig):
         [[tables[sid][doc_id][label] for label in label_set.labels] for sid in ids]
         for doc_id in doc_ids
     ]
-    return label_set, FusionBatch(doc_ids, label_set, ids, raw, config.tie_policy)
+    return FusionBatch(doc_ids, label_set, ids, raw, config.tie_policy)
 
 
 def _load_experts(config: RunConfig, batch: FusionBatch):
@@ -218,7 +220,7 @@ def cmd_score(args) -> None:
 
 def cmd_diversity(args) -> None:
     config = _require_config(args)
-    _, batch = _load_batch(config)
+    batch = _load_batch(config)
     tables = write_diversity(batch, config.out_dir, args.doc)
     print(
         f"wrote diversity tables for {len(batch)} documents"
@@ -234,7 +236,7 @@ def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, flo
 
 def cmd_fuse(args) -> None:
     config = _require_config(args)
-    label_set, batch = _load_batch(config)
+    batch = _load_batch(config)
     performance = None
     if config.weights == "perf" and {"wsc", "wrc"} & set(config.strategies):
         performance = _performance_weights(batch, config)
@@ -247,7 +249,7 @@ def cmd_fuse(args) -> None:
     )
     out = config.out_dir / "fused.csv"
     models = write_fused_file(
-        out, label_set, batch.doc_ids,
+        out, batch.label_set, batch.doc_ids,
         ((combo_id, order, tied) for combo_id, (_, order, tied, _) in grid),
     )
     print(f"wrote {out} ({models} combined models, {models * len(batch)} fused rankings)")
@@ -255,7 +257,8 @@ def cmd_fuse(args) -> None:
 
 def cmd_evaluate(args) -> None:
     config = _require_config(args)
-    label_set, batch = _load_batch(config)
+    batch = _load_batch(config)
+    label_set = batch.label_set
     expert = _load_experts(config, batch)
     fused_path = config.out_dir / "fused.csv" if args.fused is None else Path(args.fused)
     combo_ids, top1, tied = load_fused_predictions(fused_path, label_set, batch.doc_ids)
@@ -304,12 +307,14 @@ def cmd_gen_prompts(args) -> None:
 
 def cmd_generate(args) -> None:
     config = _config_from(args)
-    endpoint = args.endpoint or config.endpoint_url
+    # an empty flag is taken as given: --endpoint "" names no endpoint and
+    # --auth-token "" sends no token
+    endpoint = config.endpoint_url if args.endpoint is None else args.endpoint
     if not endpoint:
         raise ValidationError("generate requires --endpoint or a generation.endpoint_url config")
     generation = GenerationConfig(
         endpoint_url=endpoint,
-        auth_token=args.auth_token or config.auth_token,
+        auth_token=config.auth_token if args.auth_token is None else args.auth_token,
         max_concurrency=(config.max_concurrency if args.max_concurrency is None
                          else args.max_concurrency),
     )

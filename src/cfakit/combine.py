@@ -18,7 +18,6 @@ document at once by _fuse_arrays.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -33,47 +32,6 @@ WEIGHT_SOURCES = ("ds", "perf")
 # strategies fall back to their unweighted versions instead of dividing
 # by (nearly) zero.
 EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class CombinedModel:
-    """A subset of at least two systems paired with a combination strategy."""
-
-    systems: tuple[str, ...]
-    strategy: str
-    weight_source: str | None = None
-
-    def __post_init__(self) -> None:
-        systems = tuple(sorted(self.systems))
-        object.__setattr__(self, "systems", systems)
-        if len(systems) < 2:
-            raise ValidationError("a combined model needs at least two systems")
-        if len(set(systems)) != len(systems):
-            raise ValidationError("a combined model cannot repeat a system")
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        weighted = self.strategy in ("wsc", "wrc")
-        if weighted:
-            if self.weight_source not in WEIGHT_SOURCES:
-                raise ValidationError(
-                    f"strategy {self.strategy!r} needs a weight source from {WEIGHT_SOURCES}"
-                )
-        elif self.weight_source is not None:
-            raise ValidationError(
-                f"strategy {self.strategy!r} does not take a weight source"
-            )
-
-    @property
-    def tag(self) -> str:
-        if self.weight_source is None:
-            return self.strategy
-        return f"{self.strategy}-{self.weight_source}"
-
-    @property
-    def combo_id(self) -> str:
-        return "+".join(self.systems) + ":" + self.tag
 
 
 def _check_strategies(strategies: Sequence[str]) -> list[str]:
@@ -186,8 +144,11 @@ def grid_arrays(
     performance: Mapping[str, float] | None = None,
 ) -> Iterator[tuple[str, tuple[np.ndarray, ...]]]:
     """Fuse every document under every (subset, strategy) combination, one
-    combined model at a time, as (combo_id, the _fuse_arrays result) pairs
-    in combo_id order, the order of fused.csv: subsets sorted by their
+    combined model at a time, as (combo_id, the _fuse_arrays result) pairs.
+    A combo_id names the subset's system ids, sorted and joined by "+",
+    then ":" and the strategy tag: the strategy, with "-ds" or "-perf"
+    after wsc and wrc, as in "A+B:asc" or "A+B:wsc-ds".  Pairs come in
+    combo_id order, the order of fused.csv: subsets sorted by their
     "a+b:" prefix, then each subset's strategies by tag.  A config's system
     ids hold no ":", so no prefix starts another and a subset's models stay
     together.  The arguments are checked at the call, before any pair is
@@ -223,6 +184,7 @@ def _grid(batch: FusionBatch, subsets, strategies, weight_source, perf):
     needs_weights = any(s in ("wsc", "wrc") for s in strategies)
     for subset in subsets:
         idx = batch.subset_index(subset)
+        prefix = "+".join(subset) + ":"
         weights = None
         if needs_weights:
             # one set of weights per subset, shared by wsc and wrc; a grid
@@ -230,6 +192,5 @@ def _grid(batch: FusionBatch, subsets, strategies, weight_source, perf):
             weights = (diversity_strength(batch.cd, idx) if perf is None else
                        np.broadcast_to([perf[s] for s in subset], (len(batch), len(idx))))
         for strategy in strategies:
-            source = weight_source if strategy in ("wsc", "wrc") else None
-            model = CombinedModel(systems=subset, strategy=strategy, weight_source=source)
-            yield model.combo_id, _fuse_arrays(batch, idx, strategy, weights)
+            tag = f"{strategy}-{weight_source}" if strategy in ("wsc", "wrc") else strategy
+            yield prefix + tag, _fuse_arrays(batch, idx, strategy, weights)

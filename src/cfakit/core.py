@@ -147,31 +147,14 @@ def rank_from_scores(scores, tie_policy: str = "fractional") -> np.ndarray:
     return greater + (equal + 1) / 2
 
 
-@dataclass(frozen=True, eq=False)
-class RscCurve:
-    """Rank-score characteristic: normalized score at each rank position.
+def rsc_curve(normalized, ranks) -> np.ndarray:
+    """The rank-score characteristic: normalized score at each rank position.
 
     values[..., i - 1] is the normalized score of the label holding rank
-    i, so the curve is non-increasing along the last axis by construction.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _as_rows(self.values, "curve value")
-        if float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
-            raise ValidationError("curve values must lie in [0, 1]")
-        if np.any(np.diff(arr, axis=-1) > 0):
-            raise ValidationError("curve values must be non-increasing")
-        object.__setattr__(self, "values", _freeze(arr))
-
-
-def rsc_curve(normalized, ranks) -> RscCurve:
-    """Build the RSC curve pairing each rank position with its score.
-
-    With fractional tie ranks this equals the normalized scores sorted in
-    non-increasing order; tied labels hold equal scores, so the shared
-    rank is unambiguous.
+    i, so the curve lies in [0, 1] and is non-increasing along the last
+    axis.  With fractional tie ranks this equals the normalized scores
+    sorted in non-increasing order; tied labels hold equal scores, so the
+    shared rank is unambiguous.
     """
     norm = _as_rows(normalized, "normalized score")
     rk = _as_rows(ranks, "rank")
@@ -180,7 +163,7 @@ def rsc_curve(normalized, ranks) -> RscCurve:
             f"normalized scores {norm.shape} and ranks {rk.shape} differ in length"
         )
     order = np.argsort(rk, axis=-1, kind="stable")
-    return RscCurve(np.take_along_axis(norm, order, axis=-1))
+    return np.take_along_axis(norm, order, axis=-1)
 
 
 def cognitive_diversity(curve_a, curve_b):
@@ -192,7 +175,7 @@ def cognitive_diversity(curve_a, curve_b):
     curves.  Stacks pair up elementwise over their leading axes and give
     an array; two single curves give a float.
     """
-    a, b = (_as_rows(getattr(c, "values", c), "curve value") for c in (curve_a, curve_b))
+    a, b = (_as_rows(c, "curve value") for c in (curve_a, curve_b))
     if a.shape != b.shape:
         raise ValidationError(f"curves differ in length: {a.shape} versus {b.shape}")
     n = int(a.shape[-1])
@@ -288,7 +271,7 @@ class FusionBatch:
 
     @cached_property
     def rsc(self) -> np.ndarray:
-        return rsc_curve(self.normalized, self.ranks).values
+        return _freeze(rsc_curve(self.normalized, self.ranks))
 
     @cached_property
     def degenerate(self) -> np.ndarray:

@@ -85,30 +85,10 @@ def combined_arrays(
 
 
 @dataclass(frozen=True)
-class Ratio:
-    """An unreduced fraction keeping its raw counts."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
-            raise ValidationError("ratio denominator must be positive")
-        if not 0 <= self.numerator <= self.denominator:
-            raise ValidationError("ratio numerator must lie in [0, denominator]")
-
-    @property
-    def value(self) -> float:
-        return self.numerator / self.denominator
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
-@dataclass(frozen=True)
 class PrecisionResult:
-    """Precision@1 as raw counts plus the number of top-tied documents."""
+    """An exact count: correct of total, unreduced, plus the number of
+    top-tied documents.  It holds a precision@1 and, with tie_count 0,
+    each grid statistic."""
 
     correct: int
     total: int
@@ -116,7 +96,7 @@ class PrecisionResult:
 
     def __post_init__(self) -> None:
         if self.total <= 0:
-            raise ValidationError("precision needs at least one document")
+            raise ValidationError("total count must be positive")
         if not 0 <= self.correct <= self.total:
             raise ValidationError("correct count must lie in [0, total]")
 
@@ -213,9 +193,9 @@ class GridStats:
     precision.  All comparisons are exact on the underlying fractions.
     """
 
-    cells_ge_best_individual: Ratio
-    cells_ge_individual_mean: Ratio
-    models_ge_best_individual: Ratio
+    cells_ge_best_individual: PrecisionResult
+    cells_ge_individual_mean: PrecisionResult
+    models_ge_best_individual: PrecisionResult
 
 
 def _grid_stats(individual: np.ndarray, combined: np.ndarray, totals: np.ndarray) -> GridStats:
@@ -230,9 +210,9 @@ def _grid_stats(individual: np.ndarray, combined: np.ndarray, totals: np.ndarray
     ge_mean = np.count_nonzero(len(ind) * comb >= ind.sum(axis=0))
     models_ge = np.count_nonzero(combined.sum(axis=1) >= individual.sum(axis=1).max())
     return GridStats(
-        cells_ge_best_individual=Ratio(int(ge_best), comb.size),
-        cells_ge_individual_mean=Ratio(int(ge_mean), comb.size),
-        models_ge_best_individual=Ratio(int(models_ge), len(comb)),
+        cells_ge_best_individual=PrecisionResult(int(ge_best), comb.size),
+        cells_ge_individual_mean=PrecisionResult(int(ge_mean), comb.size),
+        models_ge_best_individual=PrecisionResult(int(models_ge), len(comb)),
     )
 
 
@@ -414,7 +394,7 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     ensure_ascii=False) of the report: the individual and combined
     sections are written from their fixed shape, the others by json."""
     out_dir = Path(out_dir)
-    # field name -> Ratio, and category -> rows, in field order
+    # field name -> PrecisionResult, and category -> rows, in field order
     stats = vars(report.grid_stats)
     tables = vars(report.disagreements)
 
@@ -425,7 +405,7 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         "best_individual": vars(report.best_individual),
         "best_combined": vars(report.best_combined),
         "grid_statistics": {
-            name: {"numerator": r.numerator, "denominator": r.denominator, "value": r.value}
+            name: {"numerator": r.correct, "denominator": r.total, "value": r.value}
             for name, r in stats.items()
         },
         "disagreements": {
@@ -464,7 +444,7 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     write_csv(
         out_dir / "grid_stats.csv",
         ("statistic", "numerator", "denominator", "value", "percent"),
-        [(name, r.numerator, r.denominator, format_table(r.value), f"{100.0 * r.value:.2f}")
+        [(name, r.correct, r.total, format_table(r.value), f"{100.0 * r.value:.2f}")
          for name, r in stats.items()],
     )
     write_csv(

@@ -239,10 +239,10 @@ def test_report_arithmetic_on_constructed_fixtures():
     for i in range(104):
         combined[f"m{i:03d}"] = correct_all if i < 49 else wrong_all
     stats = _report(labels, grid_experts, {"base": mostly_wrong}, combined).grid_stats
-    ratio = stats.models_ge_best_individual
-    assert (ratio.numerator, ratio.denominator) == (49, 104)
-    assert f"{100.0 * ratio.value:.2f}" == "47.12"
-    assert stats.cells_ge_best_individual.denominator == 104 * 17 == 1768
+    models_ge = stats.models_ge_best_individual
+    assert (models_ge.correct, models_ge.total) == (49, 104)
+    assert f"{100.0 * models_ge.value:.2f}" == "47.12"
+    assert stats.cells_ge_best_individual.total == 104 * 17 == 1768
 
 
 def test_disagreement_fixture_is_categorized_exactly():

@@ -480,6 +480,14 @@ MALFORMED = [
     # an empty flag is taken as given, not replaced by the config's value
     ("strategies-flag-empty", {}, {}, ["fuse", "--strategies", ""],
      "at least one strategy is required"),
+    # "" names no directory, so the config's out_dir does not stand in
+    ("out-flag-empty", {}, {}, ["fuse", "--out", ""],
+     "--out must name a directory, got an empty string"),
+    ("endpoint-flag-empty", {"generation": {"endpoint_url": "http://127.0.0.1:9/gen"}},
+     {"prompts.csv": b"prompt_id,label,publication_type,source,prompt_text\n"
+                     b"p00001,A,t,s,A by s\n"},
+     ["generate", "--prompts", "prompts.csv", "--endpoint", ""],
+     "generate requires --endpoint or a generation.endpoint_url config"),
     ("weights-unknown", {"weights": "equal"}, {}, ["fuse"],
      "unknown weight source 'equal'; expected one of ('ds', 'perf')"),
     ("min-subset-one", {"min_subset": 1}, {}, ["fuse"],

@@ -9,7 +9,6 @@ import pytest
 
 import _naive
 from cfakit import (
-    CombinedModel,
     DomainError,
     FusionBatch,
     LabelSet,
@@ -64,22 +63,15 @@ def test_enumerate_min_size_bounds():
 
 
 def test_combined_model_canonical_id():
-    model = CombinedModel(systems=("B", "A"), strategy="wsc", weight_source="ds")
-    assert model.systems == ("A", "B")
-    assert model.combo_id == "A+B:wsc-ds"
-    plain = CombinedModel(systems=("C", "A"), strategy="arc")
-    assert plain.combo_id == "A+C:arc"
-
-
-def test_combined_model_validation():
-    with pytest.raises(ValidationError, match="at least two systems"):
-        CombinedModel(systems=("A",), strategy="asc")
-    with pytest.raises(ValidationError, match="unknown strategy"):
-        CombinedModel(systems=("A", "B"), strategy="max")
-    with pytest.raises(ValidationError, match="weight source"):
-        CombinedModel(systems=("A", "B"), strategy="wsc")
-    with pytest.raises(ValidationError, match="does not take"):
-        CombinedModel(systems=("A", "B"), strategy="asc", weight_source="ds")
+    # the subset's ids are sorted whatever the roster order; wsc and wrc
+    # carry their weight source in the tag
+    batch = _batch({"C": [0.1, 0.2, 0.3], "B": [0.3, 0.1, 0.2], "A": [0.2, 0.3, 0.1]})
+    perf = {"A": 0.5, "B": 0.25, "C": 0.75}
+    assert list(_grid(batch, perf, ("arc", "wsc"))) == [
+        "A+B+C:arc", "A+B+C:wsc-perf", "A+B:arc", "A+B:wsc-perf",
+        "A+C:arc", "A+C:wsc-perf", "B+C:arc", "B+C:wsc-perf",
+    ]
+    assert list(_grid(batch, strategies=("wrc",)))[0] == "A+B+C:wrc-ds"
 
 
 def test_average_score_combination_with_tie_at_top():

@@ -10,7 +10,6 @@ from cfakit import (
     DomainError,
     FusionBatch,
     LabelSet,
-    RscCurve,
     ValidationError,
     cognitive_diversity,
     diversity_strength,
@@ -120,7 +119,8 @@ def test_rank_invariant_under_strictly_increasing_transform():
 
 def test_rsc_curve_orders_scores_by_rank():
     curve = rsc_curve([0.2, 1.0, 0.5], [3.0, 1.0, 2.0])
-    assert curve.values.tolist() == [1.0, 0.5, 0.2]
+    assert isinstance(curve, np.ndarray)
+    assert curve.tolist() == [1.0, 0.5, 0.2]
 
 
 def test_rsc_curve_is_non_increasing_random():
@@ -129,18 +129,13 @@ def test_rsc_curve_is_non_increasing_random():
         raw = rng.integers(0, 6, size=int(rng.integers(3, 15))).astype(float)
         norm = normalize_scores(raw)
         curve = rsc_curve(norm, rank_from_scores(raw))
-        assert np.all(np.diff(curve.values) <= 0)
-        assert curve.values.tolist() == pytest.approx(_naive.rsc(list(norm)))
+        assert np.all(np.diff(curve) <= 0)
+        assert curve.tolist() == pytest.approx(_naive.rsc(list(norm)))
 
 
 def test_rsc_curve_length_mismatch():
     with pytest.raises(ValidationError, match="differ in length"):
         rsc_curve([0.2, 1.0, 0.5], [1.0, 2.0])
-
-
-def test_rsc_curve_type_rejects_increasing_values():
-    with pytest.raises(ValidationError, match="non-increasing"):
-        RscCurve(np.array([0.1, 0.9, 0.5]))
 
 
 def test_cognitive_diversity_known_value():

@@ -197,23 +197,23 @@ def test_grid_statistics_hand_counted():
     # asc per-label: L1:2, L2:1, L3:1 -> >= best in all 3 cells
     # arc per-label: L1:0, L2:0, L3:0 -> no cell
     stats = _report(experts, individual, combined).grid_stats
-    assert stats.cells_ge_best_individual.numerator == 3
-    assert stats.cells_ge_best_individual.denominator == 6
+    assert stats.cells_ge_best_individual.correct == 3
+    assert stats.cells_ge_best_individual.total == 6
     # mean counts (t=2): L1 needs 2c>=1, L2 needs 2c>=1, L3 needs 2c>=2
     # asc: (4>=1, 2>=1, 2>=2) -> 3 cells; arc: none
-    assert stats.cells_ge_individual_mean.numerator == 3
-    assert stats.cells_ge_individual_mean.denominator == 6
+    assert stats.cells_ge_individual_mean.correct == 3
+    assert stats.cells_ge_individual_mean.total == 6
     # overall: A=3/4 (best), B=1/4; asc=4/4 >= 3/4, arc=0/4
-    assert stats.models_ge_best_individual.numerator == 1
-    assert stats.models_ge_best_individual.denominator == 2
+    assert stats.models_ge_best_individual.correct == 1
+    assert stats.models_ge_best_individual.total == 2
 
 
 def test_grid_statistics_equal_precision_counts_as_ge():
     experts = {"d1": "L1", "d2": "L2", "d3": "L3"}
     same = ["L1", "L2", "L1"]
     stats = _report(experts, {"A": same}, {"combo": same}).grid_stats
-    assert stats.models_ge_best_individual.numerator == 1
-    assert stats.cells_ge_best_individual.numerator == 3
+    assert stats.models_ge_best_individual.correct == 1
+    assert stats.cells_ge_best_individual.correct == 3
 
 
 SDG = LabelSet(tuple(f"SDG{i}" for i in range(1, 18)))
@@ -281,8 +281,8 @@ def test_evaluate_predictions_end_to_end_small():
     )
     assert set(report.individual_overall) == {"A", "B", "C"}
     assert len(report.combined_overall) == 16  # 4 subsets x 4 strategies
-    assert report.grid_stats.models_ge_best_individual.denominator == 16
-    assert report.grid_stats.cells_ge_best_individual.denominator == 16 * 3
+    assert report.grid_stats.models_ge_best_individual.total == 16
+    assert report.grid_stats.cells_ge_best_individual.total == 16 * 3
     assert sum(report.label_counts.values()) == len(docs)
     for model, table in report.combined_per_label.items():
         correct = sum(r.correct for r in table.values() if r is not None)

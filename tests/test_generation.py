@@ -146,6 +146,22 @@ def test_generate_omits_auth_header_without_token(stub_server, tmp_path):
     assert _StubHandler.seen[0]["auth"] is None
 
 
+def test_cli_empty_auth_token_flag_overrides_the_config_token(stub_server, tmp_path):
+    from cfakit.cli import main
+
+    (tmp_path / "config.json").write_text(json.dumps({
+        "out_dir": "out",
+        "generation": {"endpoint_url": stub_server, "auth_token": "sekret"},
+    }))
+    (tmp_path / "prompts.csv").write_text(
+        "prompt_id,label,publication_type,source,prompt_text\np00001,A,t,s,A by s\n"
+    )
+    argv = ["generate", "--config", str(tmp_path / "config.json"),
+            "--prompts", str(tmp_path / "prompts.csv"), "--auth-token", ""]
+    assert main(argv) == 0
+    assert _StubHandler.seen[0]["auth"] is None
+
+
 def test_generate_rejects_duplicate_prompt_ids(tmp_path):
     prompt = _prompts(1)[0]
     with pytest.raises(ValidationError, match="unique"):

@@ -22,19 +22,35 @@ def test_import_loads_neither_scipy_nor_requests(run_python):
 # that a second, per-document front end cannot come back unnoticed.
 EVALUATE_API = {
     "BestSelection", "DisagreementRow", "DisagreementTables", "EvaluationReport",
-    "GridStats", "ModelPredictions", "PrecisionResult", "Ratio", "combined_arrays",
+    "GridStats", "ModelPredictions", "PrecisionResult", "combined_arrays",
     "evaluate_predictions", "expert_indices", "individual_arrays", "select_best",
     "write_report",
 }
 
 
 # The fusion API: a FusionBatch in, grid_arrays out.  Pinned for the same
-# reason: no per-document instance or ranking objects beside them.
+# reason: no per-document instance or ranking objects beside them.  An RSC
+# curve is an array and a combined model is its combo id string.
 CORE_API = {
-    "FusionBatch", "LabelSet", "RscCurve", "cognitive_diversity", "diversity_strength",
+    "FusionBatch", "LabelSet", "cognitive_diversity", "diversity_strength",
     "normalize_scores", "rank_from_scores", "rsc_curve",
 }
-COMBINE_API = {"CombinedModel", "enumerate_combinations", "grid_arrays"}
+COMBINE_API = {"enumerate_combinations", "grid_arrays"}
+
+
+# The whole public surface, so that adding a name takes an edit here.
+PUBLIC_NAMES = {
+    "BestSelection", "CfaError", "DataAccessError", "DisagreementRow",
+    "DisagreementTables", "Document", "DomainError", "EPSILON", "EvaluationReport",
+    "FusionBatch", "GenerationConfig", "GenerationOutcome", "GridStats",
+    "KeywordLexicon", "LabelSet", "ModelPredictions", "PrecisionResult", "Prompt",
+    "PromptSpec", "STRATEGIES", "TfidfCentroidScorer", "ValidationError",
+    "cognitive_diversity", "combined_arrays", "corpus_quality_report", "distinct_n",
+    "diversity_strength", "enumerate_combinations", "evaluate_predictions",
+    "expert_indices", "generate_corpus", "generate_prompt_matrix", "grid_arrays",
+    "individual_arrays", "keyword_scorer", "normalize_scores", "rank_from_scores",
+    "rsc_curve", "select_best", "tokenize", "type_token_ratio", "write_report",
+}
 
 
 def _defined(module) -> set[str]:
@@ -51,6 +67,7 @@ def test_public_names_resolve_and_the_evaluation_api_is_pinned():
 
     for name in cfakit.__all__:
         getattr(cfakit, name)
+    assert sorted(cfakit.__all__) == sorted(PUBLIC_NAMES)  # each name once
     assert _defined(evaluate) == EVALUATE_API
     assert EVALUATE_API <= set(cfakit.__all__)
 

@@ -37,7 +37,6 @@ from cfakit import (
     LabelSet,
     ModelPredictions,
     PrecisionResult,
-    Ratio,
     ValidationError,
     cognitive_diversity,
     combined_arrays,
@@ -124,6 +123,17 @@ def test_cognitive_diversity_is_symmetric_and_matches_oracle(cube):
             for k, b in enumerate(curves):
                 assert cognitive_diversity(a, b) == cognitive_diversity(b, a)
                 assert batch.cd[d, j, k] == cognitive_diversity(a, b) == _naive.cd(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(score_cubes(), st.sampled_from(("fractional", "ordinal")))
+def test_batch_rsc_lies_in_unit_interval_and_is_non_increasing(cube, tie_policy):
+    # the RSC invariant, under both tie policies and with constant rows
+    rsc = _batch(cube, tie_policy).rsc
+    assert rsc.shape == np.shape(cube)
+    assert not rsc.flags.writeable
+    assert rsc.min() >= 0.0 and rsc.max() <= 1.0
+    assert not np.any(np.diff(rsc, axis=-1) > 0)
 
 
 def _oracle_models(rows, ranks, subset):
@@ -286,12 +296,9 @@ def test_evaluation_counts_match_per_document_recount(case):
         if fractions[m] >= max(fractions[i] for i in individual.model_ids)
     )
     stats = report.grid_stats
-    assert (stats.cells_ge_best_individual.numerator,
-            stats.cells_ge_best_individual.denominator) == (ge_best, cells)
-    assert (stats.cells_ge_individual_mean.numerator,
-            stats.cells_ge_individual_mean.denominator) == (ge_mean, cells)
-    assert (stats.models_ge_best_individual.numerator,
-            stats.models_ge_best_individual.denominator) == (models_ge, len(combined.model_ids))
+    assert stats.cells_ge_best_individual == PrecisionResult(ge_best, cells)
+    assert stats.cells_ge_individual_mean == PrecisionResult(ge_mean, cells)
+    assert stats.models_ge_best_individual == PrecisionResult(models_ge, len(combined.model_ids))
 
     # the disagreement tables, recounted per document in doc_id order from
     # the best models' top-1 labels
@@ -512,7 +519,7 @@ def _report_payload(report):
         "best_individual": vars(report.best_individual),
         "best_combined": vars(report.best_combined),
         "grid_statistics": {
-            name: {"numerator": r.numerator, "denominator": r.denominator, "value": r.value}
+            name: {"numerator": r.correct, "denominator": r.total, "value": r.value}
             for name, r in vars(report.grid_stats).items()
         },
         "disagreements": {
@@ -552,8 +559,8 @@ def reports(draw):
         return BestSelection(tied[0], tied)
 
     def ratio():
-        denominator = draw(st.integers(1, 40))
-        return Ratio(draw(st.integers(0, denominator)), denominator)
+        total = draw(st.integers(1, 40))
+        return PrecisionResult(draw(st.integers(0, total)), total)
 
     def rows():
         return tuple(DisagreementRow(*draw(st.lists(_JSON_TEXT, min_size=4, max_size=4)))
