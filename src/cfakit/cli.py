@@ -34,7 +34,6 @@ from .evaluate import (
 from .fileio import (
     RunConfig,
     _check_config,
-    _names,
     check_coverage,
     format_table,
     load_config,
@@ -44,7 +43,7 @@ from .fileio import (
     load_lexicon,
     load_prompt_file,
     load_prompt_specs,
-    load_score_file,
+    load_score_cube,
     write_csv,
     write_diversity,
     write_fused_file,
@@ -127,20 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = RunConfig()
-    updates = {}
-    for flag, field_name in (
-        ("tie_policy", "tie_policy"),
-        ("tie_mode", "tie_mode"),
-        ("weights", "weights"),
-        ("min_subset", "min_subset"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field_name] = value
+    if args.config == "":
+        raise ValidationError("--config must name a file, got an empty string")
+    config = RunConfig() if args.config is None else load_config(args.config)
+    updates = {
+        name: getattr(args, name) for name in ("tie_policy", "tie_mode", "weights", "min_subset")
+        if getattr(args, name, None) is not None
+    }
     strategies = getattr(args, "strategies", None)
     if strategies is not None:
         updates["strategies"] = tuple(
@@ -157,7 +149,7 @@ def _config_from(args) -> RunConfig:
 
 
 def _require_config(args) -> RunConfig:
-    if not args.config:
+    if args.config is None:
         raise ValidationError(f"the {args.command} command requires --config")
     return _config_from(args)
 
@@ -165,22 +157,8 @@ def _require_config(args) -> RunConfig:
 def _load_batch(config: RunConfig) -> FusionBatch:
     label_set = config.label_set()
     systems = config.require_systems()
-    tables = {sid: load_score_file(path, label_set) for sid, path in systems}
-    ids = list(tables)
-    first_docs = set(tables[ids[0]])
-    for sid in ids[1:]:
-        if set(tables[sid]) != first_docs:
-            difference = sorted(set(tables[sid]) ^ first_docs)
-            raise ValidationError(
-                f"systems {ids[0]!r} and {sid!r} cover different documents: "
-                f"{_names(difference)}"
-            )
-    doc_ids = sorted(first_docs)
-    raw = [
-        [[tables[sid][doc_id][label] for label in label_set.labels] for sid in ids]
-        for doc_id in doc_ids
-    ]
-    return FusionBatch(doc_ids, label_set, ids, raw, config.tie_policy)
+    doc_ids, raw = load_score_cube(systems, label_set)
+    return FusionBatch(doc_ids, label_set, [sid for sid, _ in systems], raw, config.tie_policy)
 
 
 def _load_experts(config: RunConfig, batch: FusionBatch):
@@ -222,10 +200,8 @@ def cmd_diversity(args) -> None:
     config = _require_config(args)
     batch = _load_batch(config)
     tables = write_diversity(batch, config.out_dir, args.doc)
-    print(
-        f"wrote diversity tables for {len(batch)} documents"
-        + (f" and {tables} RSC tables" if tables else "")
-    )
+    rsc = f" and {tables} RSC tables" if tables else ""
+    print(f"wrote diversity tables for {len(batch)} documents{rsc}")
 
 
 def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, float]:
@@ -240,13 +216,7 @@ def cmd_fuse(args) -> None:
     performance = None
     if config.weights == "perf" and {"wsc", "wrc"} & set(config.strategies):
         performance = _performance_weights(batch, config)
-    grid = grid_arrays(
-        batch,
-        strategies=config.strategies,
-        min_size=config.min_subset,
-        weight_source=config.weights,
-        performance=performance,
-    )
+    grid = grid_arrays(batch, config.strategies, config.min_subset, config.weights, performance)
     out = config.out_dir / "fused.csv"
     models = write_fused_file(
         out, batch.label_set, batch.doc_ids,
@@ -277,18 +247,12 @@ def cmd_evaluate(args) -> None:
 def cmd_corpus_stats(args) -> None:
     config = _config_from(args)
     corpus = load_corpus(args.corpus)
-    rows = []
-    for quality in corpus_quality_report(corpus):
-        rows.append(
-            (
-                quality.label,
-                quality.doc_count,
-                format_table(quality.mean_tokens),
-                "n/a" if quality.mean_ttr is None else format_table(quality.mean_ttr),
-                "n/a" if quality.mean_distinct2 is None else format_table(quality.mean_distinct2),
-                "n/a" if quality.mean_distinct3 is None else format_table(quality.mean_distinct3),
-            )
-        )
+    rows = [
+        (q.label, q.doc_count, format_table(q.mean_tokens),
+         *("n/a" if v is None else format_table(v)
+           for v in (q.mean_ttr, q.mean_distinct2, q.mean_distinct3)))
+        for q in corpus_quality_report(corpus)
+    ]
     out = config.out_dir / "corpus_stats.csv"
     write_csv(out, ("label", "docs", "mean_tokens", "mean_ttr",
                     "mean_distinct2", "mean_distinct3"), rows)

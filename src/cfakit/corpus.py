@@ -195,22 +195,13 @@ def generate_prompt_matrix(
     if len(set(label_list)) != len(label_list):
         raise ValidationError("prompt labels must be unique")
     prompts: list[Prompt] = []
-    counter = 1
     for index, spec in enumerate(specs):
         _check_spec(index, spec)
         for source in spec.sources:
             for label in label_list:
                 text = spec.template.replace("{source}", source).replace("{label}", label)
-                prompts.append(
-                    Prompt(
-                        prompt_id=f"p{counter:05d}",
-                        label=label,
-                        publication_type=spec.publication_type,
-                        source=source,
-                        text=text,
-                    )
-                )
-                counter += 1
+                prompts.append(Prompt(f"p{len(prompts) + 1:05d}", label,
+                                      spec.publication_type, source, text))
     return prompts
 
 

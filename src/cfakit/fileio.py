@@ -200,46 +200,104 @@ def write_score_file(
     write_csv(path, SCORE_HEADER, rows)
 
 
-def load_score_file(path: Path | str, label_set: LabelSet | None = None) -> dict[str, dict[str, float]]:
-    """Parse a score file into doc_id -> label -> score.
-
-    Validates the header, one finite score per (doc_id, label) row, no
-    duplicate rows, and, when a label set is given, that every document
-    covers exactly that label set.
-    """
-    path = Path(path)
-    out: dict[str, dict[str, float]] = {}
-    for line_no, (doc_id, label, text) in _table_rows(path, SCORE_HEADER):
-        if not doc_id or not label:
-            raise ValidationError(f"{path}:{line_no}: empty doc_id or label")
-        try:
-            score = float(text)
-        except ValueError:
-            raise ValidationError(f"{path}:{line_no}: score {text!r} is not a number") from None
-        if not math.isfinite(score):
-            raise ValidationError(f"{path}:{line_no}: score {text!r} is not finite")
-        doc = out.setdefault(doc_id, {})
-        if label in doc:
+def load_score_cube(
+    systems: Sequence[tuple[str, Path | str]], label_set: LabelSet
+) -> tuple[list[str], np.ndarray]:
+    """The sorted document ids of a run's (system id, score file) pairs and
+    their (docs, systems, labels) array of raw scores.  Every file passes
+    its own checks (_score_table) before the files must cover the same
+    documents."""
+    tables = [_score_table(Path(path), label_set) for _, path in systems]
+    first = tables[0][0].keys()
+    for (system_id, _), (rows, _) in zip(systems[1:], tables[1:]):
+        if rows.keys() != first:
             raise ValidationError(
-                f"{path}:{line_no}: duplicate row for document {doc_id!r} label {label!r}"
+                f"systems {systems[0][0]!r} and {system_id!r} cover different documents: "
+                f"{_names(sorted(rows.keys() ^ first))}"
             )
-        doc[label] = score
-    if not out:
-        raise ValidationError(f"{path}: no score rows")
-    if label_set is not None:
-        wanted = set(label_set.labels)
-        for doc_id, label_scores in out.items():
-            missing = sorted(wanted - set(label_scores))
-            if missing:
-                raise ValidationError(
-                    f"{path}: document {doc_id!r} lacks scores for labels {missing}"
-                )
-            extra = sorted(set(label_scores) - wanted)
-            if extra:
-                raise ValidationError(
-                    f"{path}: document {doc_id!r} scores unknown labels {extra}"
-                )
-    return out
+    doc_ids = sorted(first)
+    raw = np.empty((len(doc_ids), len(systems), label_set.n))
+    for s, (rows, table) in enumerate(tables):
+        raw[:, s] = table[[rows[doc_id] for doc_id in doc_ids]]
+    return doc_ids, raw
+
+
+def _score_table(path: Path, label_set: LabelSet) -> tuple[dict[str, int], np.ndarray]:
+    """A score file's documents, each mapped to its row in file order, and
+    its (docs, labels) scores.
+
+    A file holding no '"', NUL or \\r, each line of three fields (so no
+    line is blank) and within csv.field_size_limit(), is split whole at its
+    commas and line ends; any other file is read through _table_rows.  The
+    checks run on whole columns; when one fails, _score_fault names the
+    first fault."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        text = ""  # _table_rows reports it
+    header = ",".join(SCORE_HEADER) + "\n"
+    body = text[len(header):].removesuffix("\n")
+    lines = body.split("\n")
+    if (text.startswith(header) and not any(c in text for c in '"\0\r')
+            and max(map(len, lines)) < csv.field_size_limit()
+            and set(map(str.count, lines, itertools.repeat(","))) == {2}):
+        fields = body.replace("\n", ",").split(",")
+    else:
+        try:
+            fields = [field for _, row in _table_rows(path, SCORE_HEADER) for field in row]
+        except ValidationError:  # a row _table_rows rejects, perhaps after a faulty one
+            raise _score_fault(path, label_set) from None
+    docs, labels, texts = fields[0::3], fields[1::3], fields[2::3]
+    n, width = len(docs), label_set.n
+    try:
+        if not n or "" in docs or "" in labels:
+            raise ValueError
+        # float's grammar: " 1.5 " and "1_0" are numbers
+        scores = np.fromiter(map(float, texts), float, n)
+    except ValueError:
+        raise _score_fault(path, label_set) from None
+    label_index = dict(zip(label_set.labels, range(width)))
+    columns = np.fromiter(map(label_index.get, labels, itertools.repeat(width)), np.intp, n)
+    rows = dict(zip(dict.fromkeys(docs), itertools.count()))
+    cells = np.fromiter(map(rows.__getitem__, docs), np.intp, n) * width + columns
+    # a score that is not finite, an unknown label, or a cell without a row or with two
+    if (not np.isfinite(scores).all() or (columns == width).any()
+            or (np.bincount(cells, minlength=len(rows) * width) != 1).any()):
+        raise _score_fault(path, label_set)
+    table = np.empty(len(rows) * width)
+    table[cells] = scores
+    return rows, table.reshape(len(rows), width)
+
+
+def _score_fault(path: Path, label_set: LabelSet) -> ValidationError:
+    """The first fault of a score file, read row by row: the first faulty
+    row, checked for an empty field, a score that is not a number or not
+    finite and a repeated cell, in that order; then a file without rows;
+    then the first document that lacks a label or scores an unknown one."""
+    seen: dict[str, set[str]] = {}
+    for line_no, (doc_id, label, text) in _table_rows(path, SCORE_HEADER):
+        where = f"{path}:{line_no}:"
+        if not doc_id or not label:
+            return ValidationError(f"{where} empty doc_id or label")
+        try:
+            if not math.isfinite(float(text)):
+                return ValidationError(f"{where} score {text!r} is not finite")
+        except ValueError:
+            return ValidationError(f"{where} score {text!r} is not a number")
+        if label in seen.setdefault(doc_id, set()):
+            return ValidationError(
+                f"{where} duplicate row for document {doc_id!r} label {label!r}"
+            )
+        seen[doc_id].add(label)
+    if not seen:
+        return ValidationError(f"{path}: no score rows")
+    wanted = set(label_set.labels)
+    for doc_id, labels in seen.items():
+        for what, names in (("lacks scores for", wanted - labels),
+                            ("scores unknown", labels - wanted)):
+            if names:
+                return ValidationError(f"{path}: document {doc_id!r} {what} labels "
+                                       f"{sorted(names)}")
 
 
 def load_expert_labels(path: Path | str) -> dict[str, str]:
@@ -568,19 +626,10 @@ def load_prompt_file(path: Path | str) -> list:
     prompts = []
     seen: set[str] = set()
     for line_no, row in _table_rows(path, PROMPT_HEADER):
-        prompt_id, label, publication_type, source, text = row
-        if prompt_id in seen:
-            raise ValidationError(f"{path}:{line_no}: duplicate prompt id {prompt_id!r}")
-        seen.add(prompt_id)
-        prompts.append(
-            Prompt(
-                prompt_id=prompt_id,
-                label=label,
-                publication_type=publication_type,
-                source=source,
-                text=text,
-            )
-        )
+        if row[0] in seen:
+            raise ValidationError(f"{path}:{line_no}: duplicate prompt id {row[0]!r}")
+        seen.add(row[0])
+        prompts.append(Prompt(*row))
     if not prompts:
         raise ValidationError(f"{path}: no prompts")
     return prompts
@@ -608,13 +657,11 @@ def load_prompt_specs(path: Path | str) -> list[PromptSpec]:
             if key not in entry:
                 raise ValidationError(f"{path}: prompt spec {index} lacks field {key!r}")
         where = f"{path}: prompt spec {index}"
-        specs.append(
-            PromptSpec(
-                publication_type=_field(where, entry, "publication_type", "a string", None),
-                template=_field(where, entry, "template", "a string", None),
-                sources=tuple(_field(where, entry, "sources", "an array of strings", None)),
-            )
-        )
+        specs.append(PromptSpec(
+            _field(where, entry, "publication_type", "a string", None),
+            _field(where, entry, "template", "a string", None),
+            tuple(_field(where, entry, "sources", "an array of strings", None)),
+        ))
     return specs
 
 

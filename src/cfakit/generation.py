@@ -159,12 +159,7 @@ def generate_corpus(
     _write_jsonl(corpus_path, records)
     errors.sort(key=lambda e: e["prompt_id"])
     _write_jsonl(out / ERRORS_FILE, errors)
-    return GenerationOutcome(
-        records=tuple(records),
-        errors=tuple(errors),
-        fetched=fetched,
-        skipped=skipped,
-    )
+    return GenerationOutcome(tuple(records), tuple(errors), fetched, skipped)
 
 
 def _try_fetch(prompt: Prompt, config: GenerationConfig) -> tuple[str | None, str | None]:

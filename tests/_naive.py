@@ -143,26 +143,91 @@ def keyword_scores(tokens, lexicon):
     return scores
 
 
-def table_rows(path, header):
+def table_row_stream(path, header):
     # every line through one csv.reader: (line number, row) of each
     # non-empty row below the header, the row's number counted from the
-    # header's 1, or the text of the first error; a csv error names the
-    # reader's physical line
-    out = []
+    # header's 1; the text of the first error ends the stream, and a csv
+    # error names the reader's physical line
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             found = next(reader, [])
             if found != list(header):
-                return f"{path}: expected header {','.join(header)}, found {','.join(found)}"
+                yield f"{path}: expected header {','.join(header)}, found {','.join(found)}"
+                return
             line_no = 1
             for row in reader:
                 line_no += 1
                 if not row:
                     continue
                 if len(row) != len(header):
-                    return f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
-                out.append((line_no, row))
+                    yield f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
+                    return
+                yield line_no, row
         except csv.Error as exc:
-            return f"{path}:{reader.line_num}: malformed CSV: {exc}"
+            yield f"{path}:{reader.line_num}: malformed CSV: {exc}"
+
+
+def table_rows(path, header):
+    # the rows of table_row_stream, or the text of its error
+    out = []
+    for item in table_row_stream(path, header):
+        if isinstance(item, str):
+            return item
+        out.append(item)
     return out
+
+
+def score_file(path, labels):
+    # doc_id -> label -> score, one row at a time, each row checked as it
+    # is read, or the text of the first error
+    out = {}
+    for item in table_row_stream(path, ("doc_id", "label", "score")):
+        if isinstance(item, str):
+            return item
+        line_no, (doc_id, label, text) = item
+        if not doc_id or not label:
+            return f"{path}:{line_no}: empty doc_id or label"
+        try:
+            score = float(text)
+        except ValueError:
+            return f"{path}:{line_no}: score {text!r} is not a number"
+        if not math.isfinite(score):
+            return f"{path}:{line_no}: score {text!r} is not finite"
+        doc = out.setdefault(doc_id, {})
+        if label in doc:
+            return f"{path}:{line_no}: duplicate row for document {doc_id!r} label {label!r}"
+        doc[label] = score
+    if not out:
+        return f"{path}: no score rows"
+    for doc_id, scores in out.items():
+        missing = sorted(set(labels) - set(scores))
+        if missing:
+            return f"{path}: document {doc_id!r} lacks scores for labels {missing}"
+        extra = sorted(set(scores) - set(labels))
+        if extra:
+            return f"{path}: document {doc_id!r} scores unknown labels {extra}"
+    return out
+
+
+def score_cube(systems, labels):
+    # (sorted doc ids, raw[doc][system][label] nested lists) of the
+    # (system id, path) pairs, or the text of the first error: each file
+    # is read whole before the next, and the files are compared last
+    tables = {}
+    for system_id, path in systems:
+        table = score_file(path, labels)
+        if isinstance(table, str):
+            return table
+        tables[system_id] = table
+    ids = list(tables)
+    first = set(tables[ids[0]])
+    for system_id in ids[1:]:
+        if set(tables[system_id]) != first:
+            difference = sorted(set(tables[system_id]) ^ first)
+            names = str(difference) if len(difference) <= 10 else (
+                f"{difference[:10]} ({len(difference)} in all)")
+            return f"systems {ids[0]!r} and {system_id!r} cover different documents: {names}"
+    doc_ids = sorted(first)
+    raw = [[[tables[s][d][label] for label in labels] for s in ids] for d in doc_ids]
+    return doc_ids, raw

@@ -15,7 +15,7 @@ import pytest
 from cfakit import FusionBatch, LabelSet, ValidationError
 from cfakit.cli import main
 from cfakit.combine import grid_arrays
-from cfakit.fileio import atomic_write_text, load_score_file, write_fused_file, write_score_file
+from cfakit.fileio import atomic_write_text, load_score_cube, write_fused_file, write_score_file
 
 LABELS = ["SDG4", "SDG6", "SDG13"]
 
@@ -125,18 +125,18 @@ def test_score_files_round_trip_at_full_precision(workspace):
     ws = workspace
     _score_both(ws)
     label_set = LabelSet(tuple(LABELS))
-    for name in ("scores_keyword.csv", "scores_tfidf.csv"):
-        table = load_score_file(ws / "out" / name, label_set)
-        assert set(table) == {d for d, _, _ in CORPUS}
+    doc_ids, raw = load_score_cube(
+        [(name, ws / "out" / f"scores_{name}.csv") for name in ("keyword", "tfidf")], label_set
+    )
+    assert doc_ids == sorted(d for d, _, _ in CORPUS)
     # keyword scores are reproducible from the corpus and lexicon
     from cfakit import KeywordLexicon, keyword_scorer
 
     lexicon = KeywordLexicon.from_dict(LEXICON)
-    table = load_score_file(ws / "out" / "scores_keyword.csv", label_set)
     for doc_id, text, _ in CORPUS:
         expected = keyword_scorer(text, lexicon)
-        for label in LABELS:
-            assert table[doc_id][label] == expected[label]  # bit-exact
+        got = raw[doc_ids.index(doc_id), 0].tolist()
+        assert got == [expected[label] for label in LABELS]  # bit-exact
 
 
 def test_reruns_are_byte_identical(workspace):
@@ -350,13 +350,15 @@ def test_exit_code_1_for_unknown_config_fields(workspace, tmp_path):
 def test_score_file_round_trip_awkward_floats(tmp_path):
     label_set = LabelSet(("L1", "L2", "L3"))
     scores = {
-        "d1": {"L1": 0.1 + 0.2, "L2": 1.0 / 3.0, "L3": 1e-17},
         "d2": {"L1": 1234567.891011, "L2": 2.220446049250313e-16, "L3": 0.0},
+        "d1": {"L1": 0.1 + 0.2, "L2": 1.0 / 3.0, "L3": 1e-17},
     }
     path = tmp_path / "scores.csv"
     write_score_file(path, scores, label_set)
-    loaded = load_score_file(path, label_set)
-    assert loaded == scores  # bit-exact round trip
+    doc_ids, raw = load_score_cube([("s", path)], label_set)
+    assert doc_ids == ["d1", "d2"]
+    # bit-exact round trip
+    assert raw[:, 0].tolist() == [list(scores[d].values()) for d in doc_ids]
 
 
 def test_load_score_file_rejects_non_finite(tmp_path):
@@ -364,8 +366,8 @@ def test_load_score_file_rejects_non_finite(tmp_path):
     path.write_text("doc_id,label,score\nd1,L1,nan\n")
     from cfakit import ValidationError
 
-    with pytest.raises(ValidationError, match="not finite"):
-        load_score_file(path)
+    with pytest.raises(ValidationError, match="scores.csv:2: score 'nan' is not finite"):
+        load_score_cube([("s", path)], LabelSet(("L1", "L2", "L3")))
 
 
 ABC_SCORES = "doc_id,label,score\nd1,A,0.1\nd1,B,0.7\nd1,C,0.4\n"
@@ -408,6 +410,39 @@ MALFORMED = [
     ("score-field-over-csv-limit-after-a-split-line", {},
      {"s.csv": b"doc_id,label,score\nd1,A,0.1\n" + b"x" * 200_000 + b",A,1\n"}, ["fuse"],
      "s.csv:3: malformed CSV: field larger than field limit"),
+    # a score file with several faults names the first faulty row, each
+    # row checked for empty fields, a score, its finiteness and a repeated
+    # cell; then a file without rows; then the first document, in file
+    # order, with a missing or unknown label; every file's own checks run
+    # before the files are compared
+    ("score-file-first-faulty-row-wins", {},
+     {"s.csv": b"doc_id,label,score\nd1,A,x\nd1,,nan\nd1,B\nd1,Z,1\n"}, ["fuse"],
+     "s.csv:2: score 'x' is not a number"),
+    ("score-file-value-fault-before-a-short-row", {},
+     {"s.csv": b"doc_id,label,score\nd1,A,0.1\nd1,B,inf\nd1,C\n"}, ["fuse"],
+     "s.csv:3: score 'inf' is not finite"),
+    ("score-file-empty-label", {},
+     {"s.csv": b"doc_id,label,score\nd1,A,0.1\nd1,,1_0\nd1,A,0.2\n"}, ["fuse"],
+     "s.csv:3: empty doc_id or label"),
+    ("score-file-repeated-cell-after-crlf-and-a-blank-line", {},
+     {"s.csv": b"doc_id,label,score\r\nd1,A,0.1\r\n\r\nd1,B,0.7\r\nd1,B,0.4\r\n"}, ["fuse"],
+     "s.csv:5: duplicate row for document 'd1' label 'B'"),
+    ("score-file-repeated-unknown-label", {},
+     {"s.csv": ABC_SCORES.encode() + b"d1,Z,1\nd1,Z,2\n"}, ["fuse"],
+     "s.csv:6: duplicate row for document 'd1' label 'Z'"),
+    ("score-file-no-rows", {}, {"s.csv": b"doc_id,label,score\n\n"}, ["fuse"],
+     "s.csv: no score rows"),
+    ("score-file-first-document-in-file-order", {},
+     {"s.csv": b"doc_id,label,score\nd2,A,1\nd1,A,1\nd1,B,1\nd1,C,1\nd1,Z,1\nd2,B,1\n"},
+     ["fuse"], "s.csv: document 'd2' lacks scores for labels ['C']"),
+    ("score-file-unknown-label", {}, {"s.csv": ABC_SCORES.encode() + b"d1,Z,1\n"}, ["fuse"],
+     "s.csv: document 'd1' scores unknown labels ['Z']"),
+    ("score-files-cover-different-documents", {},
+     {"t.csv": ABC_SCORES.replace("d1", "d2").encode()}, ["diversity"],
+     "systems 's' and 't' cover different documents: ['d1', 'd2']"),
+    ("score-file-fault-before-the-files-are-compared", {},
+     {"t.csv": ABC_SCORES.encode() + b"d2,A,1\n"}, ["evaluate"],
+     "t.csv: document 'd2' lacks scores for labels ['B', 'C']"),
     ("prompt-sources-string", {},
      {"specs.json": b'[{"publication_type": "t", "template": "{label} by {source}", '
                     b'"sources": "abc"}]'},
@@ -554,6 +589,23 @@ def test_empty_fused_flag_names_no_file(run_python, tmp_path):
     assert "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot read "), result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["corpus-stats", "--corpus", "c.jsonl"],
+    ["generate", "--prompts", "prompts.csv", "--endpoint", "http://127.0.0.1:9/gen"],
+    ["fuse"],
+])
+def test_empty_config_flag_names_no_file(run_python, tmp_path, command):
+    # "" names no config file, so the defaults do not stand in for it
+    (tmp_path / "c.jsonl").write_text('{"doc_id": "d1", "text": "water", "label": "A"}\n')
+    (tmp_path / "prompts.csv").write_text(
+        "prompt_id,label,publication_type,source,prompt_text\np00001,A,t,s,A by s\n")
+    result = run_python("-m", "cfakit.cli", *command, "--config", "", cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    lines = result.stderr.splitlines()
+    assert lines == ["error: --config must name a file, got an empty string"], result.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.jsonl", "prompts.csv"]
 
 
 def test_atomic_write_leaves_other_writers_temp_files_alone(tmp_path):

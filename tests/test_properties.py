@@ -53,6 +53,7 @@ from cfakit.fileio import (
     FUSED_HEADER,
     _table_rows,
     load_fused_predictions,
+    load_score_cube,
     write_csv,
     write_fused_file,
 )
@@ -491,6 +492,109 @@ def test_table_rows_match_a_csv_reader_pass(case):
             except ValidationError as exc:
                 got = str(exc)
             assert got == _naive.table_rows(path, header)
+    finally:
+        csv.field_size_limit(limit)
+
+
+# the csv module's field size limit while drawn score files are read:
+# every drawn line stays within it but for an over-limit field
+SCORE_FIELD_LIMIT = 40
+# scores: float's own texts, its odd grammar and the texts it rejects
+_SCORE_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-99, 99).map(lambda k: str(k / 4)),
+    st.sampled_from((" 1.5 ", "1_0", "-0.0", "1e-3", "nan", "inf", "-inf", "x", "", "0x1p3")),
+)
+
+
+def _now_and_then(n):
+    """True about one time in n."""
+    return st.integers(0, n - 1).map(lambda k: k == n // 2)
+
+
+@st.composite
+def score_file_sets(draw):
+    """A label set and one to three score files over it: documents from a
+    shared pool in shuffled row order, labels in any order, and now and
+    then a dropped, repeated, unknown-label, empty-field, wrong-width or
+    over-limit row, a line break one field early, or a wrong header.  Plain sets use \n line ends only,
+    no blank line and ids csv never quotes; the others add quoted fields,
+    \r\n, blank lines and a missing last line end."""
+    plain = draw(st.booleans())
+    id_chars = "abé " if plain else 'ab,"\r\n'
+    labels = draw(st.lists(st.text(st.sampled_from("ABC" + id_chars), min_size=1, max_size=2),
+                           min_size=3, max_size=4, unique=True))
+    pool = draw(st.lists(st.text(st.sampled_from(id_chars), min_size=1, max_size=3),
+                         min_size=1, max_size=4, unique=True))
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        docs = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)) if draw(
+            _now_and_then(4)) else pool
+        score = _SCORE_TEXT if draw(_now_and_then(3)) else st.integers(0, 9).map(str)
+        rows = [[doc, label, draw(score)] for doc in docs for label in draw(st.permutations(labels))]
+        for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+            fault = draw(st.sampled_from(("drop", "repeat", "unknown", "empty", "wide", "narrow",
+                                          "long")))
+            row = list(draw(st.sampled_from(rows)))
+            if fault == "drop":
+                rows.remove(row)
+                continue
+            if fault == "unknown":
+                row[1] = "Z"
+            elif fault == "empty":
+                row[draw(st.integers(0, 1))] = ""
+            elif fault == "wide":
+                row.append("1")
+            elif fault == "narrow":
+                row.pop()
+            elif fault == "long":
+                row[0] = "x" * (SCORE_FIELD_LIMIT + 1)
+            rows.append(row)
+        # a field is quoted when it must be, and now and then when it need not be
+        lines = [",".join('"' + f.replace('"', '""') + '"'
+                          if any(c in f for c in ',"\r\n') or not plain and draw(_now_and_then(9))
+                          else f for f in row)
+                 for row in draw(st.permutations(rows))]
+        if len(lines) > 1 and draw(_now_and_then(8)):
+            # a line break one field early: the fields in file order stay
+            # as they were, but two lines have the wrong width
+            i = draw(st.integers(0, len(lines) - 2))
+            head, _, last = lines[i].rpartition(",")
+            lines[i], lines[i + 1] = head, last + "," + lines[i + 1]
+        end = "\n"
+        if not plain:
+            for _ in range(draw(st.sampled_from((0, 0, 1)))):
+                lines.insert(draw(st.integers(0, len(lines))), "")
+            end = draw(st.sampled_from(("\n", "\r\n")))
+        header = "doc_id,label,value" if draw(_now_and_then(20)) else "doc_id,label,score"
+        text = "".join(line + end for line in [header, *lines])
+        if not plain and draw(_now_and_then(3)):
+            text = text.removesuffix(end)
+        files.append(text)
+    return labels, files
+
+
+@settings(max_examples=400, deadline=None)
+@given(score_file_sets())
+def test_score_cube_matches_a_row_by_row_read(case):
+    labels, texts = case
+    limit = csv.field_size_limit(SCORE_FIELD_LIMIT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            systems = []
+            for index, text in enumerate(texts):
+                path = Path(tmp) / f"s{index}.csv"
+                path.write_bytes(text.encode("utf-8"))
+                systems.append((f"s{index}", path))
+            want = _naive.score_cube(systems, labels)
+            try:
+                doc_ids, raw = load_score_cube(systems, LabelSet(tuple(labels)))
+            except ValidationError as exc:
+                assert type(exc) is ValidationError and str(exc) == want
+            else:
+                assert not isinstance(want, str), want
+                assert doc_ids == want[0]
+                assert raw.tobytes() == np.array(want[1], dtype=float).tobytes()
     finally:
         csv.field_size_limit(limit)
 
