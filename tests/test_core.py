@@ -186,7 +186,7 @@ def test_system_scores_degenerate_flag():
     assert batch.normalized[0, 0].tolist() == [0.5, 0.5, 0.5]
 
 
-def test_build_instance_full_assembly():
+def test_fusion_batch_full_assembly():
     raw_a = [0.2, 0.8, 0.5]
     raw_b = [0.9, 0.1, 0.4]
     batch = _batch({"A": raw_a, "B": raw_b})
@@ -201,17 +201,17 @@ def test_build_instance_full_assembly():
     assert not batch.degenerate.any()
 
 
-def test_build_instance_rejects_duplicate_system():
+def test_fusion_batch_rejects_duplicate_system():
     with pytest.raises(ValidationError, match="duplicate system"):
         FusionBatch(("d1",), LABELS3, ("A", "A"), [[[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]])
 
 
-def test_build_instance_rejects_wrong_length():
+def test_fusion_batch_rejects_wrong_shape():
     with pytest.raises(ValidationError, match=r"shape \(1, 1, 2\), expected \(1, 1, 3\)"):
         _batch({"A": [0.1, 0.2]})
 
 
-def test_build_instance_requires_a_system():
+def test_fusion_batch_requires_a_system():
     with pytest.raises(ValidationError, match="at least one scoring system"):
         _batch({})
 
