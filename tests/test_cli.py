@@ -361,7 +361,7 @@ def test_score_file_round_trip_awkward_floats(tmp_path):
     assert raw[:, 0].tolist() == [list(scores[d].values()) for d in doc_ids]
 
 
-def test_load_score_file_rejects_non_finite(tmp_path):
+def test_load_score_cube_rejects_non_finite(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("doc_id,label,score\nd1,L1,nan\n")
     from cfakit import ValidationError

@@ -111,7 +111,7 @@ def test_predictions_must_index_exactly_the_label_set():
             evaluate_predictions(["d1"], LABELS, expert, good, bad)
 
 
-def test_per_label_precision_groups_and_empty_labels():
+def test_per_label_results_groups_and_empty_labels():
     experts = {"d1": "L1", "d2": "L1", "d3": "L2"}
     table = _report(experts, {"m": ["L1", "L2", "L2"]}).individual_per_label["m"]
     assert table["L1"].correct == 1
@@ -121,7 +121,7 @@ def test_per_label_precision_groups_and_empty_labels():
     assert table["L3"] is None
 
 
-def test_per_label_precision_rejects_foreign_expert_label():
+def test_expert_indices_reject_a_foreign_expert_label():
     with pytest.raises(ValidationError, match="outside the label set"):
         expert_indices({"d1": "L9"}, LABELS)
 

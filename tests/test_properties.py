@@ -349,7 +349,7 @@ def fused_grids(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(fused_grids())
-def test_fused_file_bytes_match_a_csv_writer_pass_over_run_grid(case):
+def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
     batch, arguments = case
     grid = dict(grid_arrays(batch, *arguments))
     assert list(grid) == sorted(grid)
