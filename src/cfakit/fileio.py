@@ -406,19 +406,17 @@ def write_diversity(batch: FusionBatch, out_dir: Path, docs: Sequence[str] = ())
     ids = batch.system_ids
     pairs = [(j, k) for j in range(len(ids)) for k in range(j + 1, len(ids))]
 
-    pair_rows = []
-    strength_rows = []
-    for doc_id, cd, ds in zip(batch.doc_ids, batch.cd.tolist(), batch.ds.tolist()):
-        pair_rows.extend(
-            (doc_id, ids[j], ids[k], format_table(cd[j][k])) for j, k in pairs
-        )
-        strength_rows.extend(
-            (doc_id, system_id, format_table(value)) for system_id, value in zip(ids, ds)
-        )
-    write_csv(out_dir / "diversity_pairs.csv",
-              ("doc_id", "system_a", "system_b", "cd"), pair_rows)
-    write_csv(out_dir / "diversity_strength.csv",
-              ("doc_id", "system", "ds"), strength_rows)
+    # the per-document tables as write_csv would write them: each id
+    # quoted once, each value column formatted in one pass
+    docs = [_quote(doc_id) for doc_id in batch.doc_ids]
+    systems = [_quote(system_id) for system_id in ids]
+    first, second = (list(side) for side in zip(*pairs))
+    heads = [f"{doc},{systems[j]},{systems[k]}," for doc in docs for j, k in pairs]
+    atomic_write_text(out_dir / "diversity_pairs.csv", "doc_id,system_a,system_b,cd\n" + "".join(
+        map("{}{:.6f}\n".format, heads, batch.cd[:, first, second].ravel().tolist())))
+    heads = [f"{doc},{system}," for doc in docs for system in systems]
+    atomic_write_text(out_dir / "diversity_strength.csv", "doc_id,system,ds\n" + "".join(
+        map("{}{:.6f}\n".format, heads, batch.ds.ravel().tolist())))
 
     # summed over documents in document order, like every other reduction
     mean_cd = (_ordered_sum(batch.cd) / len(batch)).tolist()
@@ -501,14 +499,71 @@ def load_fused_predictions(
     must predict exactly the documents in doc_ids, with top1 and tied_top
     labels from the label set, top1 in tied_top, and tie_at_top true
     exactly when tied_top lists more than one label.  The ranking column
-    is not read.
+    is not read.  A file that _fused_blocks does not suit is read again
+    by _fused_rows, which names the first fault with its path:line.
     """
     path = Path(path)
     labels = {label: i for i, label in enumerate(label_set.labels)}
     docs = {doc_id: d for d, doc_id in enumerate(doc_ids)}
+    # each distinct row head's (top1, tied group); each combo's head per document
+    groups, combos = _fused_blocks(path, labels, docs) or _fused_rows(path, labels, docs)
+    tops = np.array([top for top, _ in groups], dtype=np.intp)
+    masks = np.zeros((len(groups), len(labels)), dtype=bool)
+    for h, (_, group) in enumerate(groups):
+        masks[h, group] = True
+    at = np.array(list(combos.values()), dtype=np.intp)
+    return tuple(combos), tops[at], masks[at]
+
+
+_BLOCK = 1 << 16  # bytes read at a time by _fused_blocks
+
+
+def _fused_blocks(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
+    """load_fused_predictions' (groups, combos) read in blocks of whole
+    lines, each split at its newlines and each line at its commas, or None
+    for a file that needs _fused_rows: see the README's "Fused grid"."""
+    header = (",".join(FUSED_HEADER) + "\n").encode()
+    limit = csv.field_size_limit()
+    heads, groups, combos = {}, [], {}
+    combo_id = at = None
+    try:
+        with open(path, "rb") as handle:
+            if handle.readline(len(header)) != header:
+                return None
+            data = b""
+            while more := handle.read(_BLOCK) or data and b"\n":
+                data += more  # at the end, a line end after a last line without one
+                cut = data.rfind(b"\n") + 1
+                if not cut:
+                    return None  # a line longer than a block
+                text, data = data[:cut].decode("utf-8"), data[cut:]
+                lines = text[:-1].split("\n")
+                if '"' in text or "\0" in text or "\r" in text or (
+                        len(text) > limit and max(map(len, lines)) > limit):
+                    return None
+                for line in lines:
+                    combo, doc_id, top1, tie_text, tied_text, _ = line.split(",")
+                    if combo != combo_id:
+                        combo_id = combo
+                        at = combos.setdefault(combo_id, [-1] * len(docs))
+                    key = (top1, tie_text, tied_text)
+                    head = heads.get(key)
+                    if head is None:  # a faulty one is named by _fused_rows
+                        groups.append(_fused_head(path, 0, labels, *key))
+                        head = heads[key] = len(heads)
+                    d = docs[doc_id]
+                    if at[d] >= 0:
+                        return None
+                    at[d] = head
+    except (OSError, ValueError, KeyError, ValidationError):
+        return None
+    return (groups, combos) if combos and all(-1 not in at for at in combos.values()) else None
+
+
+def _fused_rows(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
+    """load_fused_predictions' (groups, combos) read row by row, each row checked in turn."""
     # Each distinct (top1, tie_at_top, tied_top) is a head, checked on the
-    # first row that shows it.  heads maps it to its index in groups,
-    # which holds its top1 and tied group as label indices.
+    # first row that shows it.  heads maps it to its index in groups.
     heads: dict[tuple[str, str, str], int] = {}
     groups: list[tuple[int, list[int]]] = []
     # per combo: the head of each document, -1 until its row, and the
@@ -542,12 +597,7 @@ def load_fused_predictions(
         if strangers or -1 in at:
             found = list(strangers) + [doc_id for doc_id, d in docs.items() if at[d] >= 0]
             check_coverage(found, docs, f"{path}: combo {combo_id!r}: ")
-    tops = np.array([top for top, _ in groups], dtype=np.intp)
-    masks = np.zeros((len(groups), len(labels)), dtype=bool)
-    for h, (_, group) in enumerate(groups):
-        masks[h, group] = True
-    at = np.array([at for at, _ in combos.values()], dtype=np.intp)
-    return tuple(combos), tops[at], masks[at]
+    return groups, {combo_id: at for combo_id, (at, _) in combos.items()}
 
 
 def load_corpus(path: Path | str) -> list[Document]:

@@ -231,3 +231,69 @@ def score_cube(systems, labels):
     doc_ids = sorted(first)
     raw = [[[tables[s][d][label] for label in labels] for s in ids] for d in doc_ids]
     return doc_ids, raw
+
+
+def _utf8_fault_line(data):
+    # the line of the first byte that is not UTF-8, lines ending at \r\n,
+    # \r or \n
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return before.count(b"\n") + 1
+    return None
+
+
+def fused_predictions(path, labels, doc_ids):
+    # (combo ids in the order of their first rows, top1[combo][doc] and
+    # tied[combo][doc] as a set of label indices, docs in doc_ids order) of
+    # a fused grid file read one row at a time, each row checked as it is
+    # read, or the text of the first error
+    header = ("combo_id", "doc_id", "top1", "tie_at_top", "tied_top", "ranking")
+    index = {label: i for i, label in enumerate(labels)}
+    predicted = {}  # combo -> doc -> (top1, tied)
+    try:
+        for item in table_row_stream(path, header):
+            if isinstance(item, str):
+                return item
+            line_no, (combo, doc_id, top1, tie, tied, _) = item
+            where = f"{path}:{line_no}:"
+            if tie not in ("true", "false"):
+                return f"{where} tie_at_top must be true or false"
+            if top1 not in index:
+                return f"{where} top1 label {top1!r} is outside the label set"
+            group = [top1] if tied == top1 else tied.split("|")
+            for name in group:
+                if name not in index:
+                    return f"{where} tied_top label {name!r} is outside the label set"
+            if len(set(group)) != len(group):
+                return f"{where} tied_top repeats a label"
+            if top1 not in group:
+                return f"{where} tied_top must contain top1"
+            if (tie == "true") != (len(group) > 1):
+                return f"{where} tie_at_top is {tie} but tied_top lists {len(group)} label(s)"
+            rows = predicted.setdefault(combo, {})
+            if doc_id in rows:
+                return f"{where} duplicate row for {combo!r} / {doc_id!r}"
+            rows[doc_id] = (index[top1], {index[name] for name in group})
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            return f"{path}: not valid UTF-8 (line {_utf8_fault_line(handle.read())})"
+    if not predicted:
+        return f"{path}: no fused predictions"
+
+    def names(found):
+        found = sorted(found)
+        return str(found) if len(found) <= 10 else f"{found[:10]} ({len(found)} in all)"
+
+    for combo, rows in predicted.items():
+        where = f"{path}: combo {combo!r}:"
+        if not doc_ids:
+            return f"{where} no expert-labeled documents to evaluate"
+        if set(rows) - set(doc_ids):
+            return f"{where} expert labels missing for documents {names(set(rows) - set(doc_ids))}"
+        if set(doc_ids) - set(rows):
+            return f"{where} missing predictions for documents {names(set(doc_ids) - set(rows))}"
+    top1 = [[predicted[c][d][0] for d in doc_ids] for c in predicted]
+    tied = [[predicted[c][d][1] for d in doc_ids] for c in predicted]
+    return list(predicted), top1, tied

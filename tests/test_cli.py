@@ -277,6 +277,7 @@ def test_generate_command(workspace):
         )
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()
     assert code == 0
     lines = (ws / "out" / "corpus.jsonl").read_text().splitlines()
@@ -568,20 +569,26 @@ def test_malformed_input_exits_1_with_one_error_line(
     assert message in lines[0]
 
 
-def test_empty_fused_flag_names_no_file(run_python, tmp_path):
-    # a valid <out>/fused.csv is there, but --fused "" does not name it:
-    # "" is the current directory, which cannot be read as a file
+def _fused_workspace(tmp_path, fused):
+    """A two-system config on labels A, B, C with one expert document, d1,
+    and out/fused.csv holding fused."""
     (tmp_path / "s.csv").write_text(ABC_SCORES)
     (tmp_path / "t.csv").write_text(ABC_SCORES)
     (tmp_path / "e.csv").write_text("doc_id,label\nd1,B\n")
-    (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "fused.csv").write_bytes(FUSED_HEADER + b"s+t:asc,d1,B,false,B,B|C|A\n")
+    (tmp_path / "out").mkdir(exist_ok=True)
+    (tmp_path / "out" / "fused.csv").write_bytes(fused)
     (tmp_path / "config.json").write_text(json.dumps({
         "labels": ["A", "B", "C"],
         "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
         "expert_labels": "e.csv",
         "out_dir": "out",
     }))
+
+
+def test_empty_fused_flag_names_no_file(run_python, tmp_path):
+    # a valid <out>/fused.csv is there, but --fused "" does not name it:
+    # "" is the current directory, which cannot be read as a file
+    _fused_workspace(tmp_path, FUSED_HEADER + b"s+t:asc,d1,B,false,B,B|C|A\n")
     command = ("-m", "cfakit.cli", "evaluate", "--config", "config.json")
     assert run_python(*command, cwd=tmp_path).returncode == 0
     result = run_python(*command, "--fused", "", cwd=tmp_path)
@@ -589,6 +596,35 @@ def test_empty_fused_flag_names_no_file(run_python, tmp_path):
     assert "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot read "), result.stderr
+
+
+# 2,500 valid rows of 29 bytes: the lines below them lie past the first 64 KiB
+FUSED_PADDING = FUSED_HEADER + b"".join(
+    b"s+t:m%04d,d1,A,false,A,A|B|C\n" % m for m in range(2_500))
+
+
+@pytest.mark.parametrize("tail, message", [
+    (b"s+t:asc,d1,A,false,A,A|B|C,x\n", "out/fused.csv:2502: expected 6 columns, found 7"),
+    (b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d1,B,false,B,B|A|C\n",
+     "out/fused.csv:2503: duplicate row for 's+t:asc' / 'd1'"),
+    (b"s+t:asc,d1,A,true,A|Z,A|Z|B\n",
+     "out/fused.csv:2502: tied_top label 'Z' is outside the label set"),
+], ids=["seven-columns", "repeated-row", "tied-top-outside-labels"])
+def test_fused_fault_past_the_first_block_is_named_by_line(run_python, tmp_path, tail, message):
+    _fused_workspace(tmp_path, FUSED_PADDING + tail)
+    result = run_python("-m", "cfakit.cli", "evaluate", "--config", "config.json", cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_needless_quotes_past_the_first_block_leave_the_report_alone(tmp_path):
+    _fused_workspace(tmp_path, FUSED_PADDING + b"s+t:asc,d1,A,false,A,A|B|C\n")
+    assert _run("evaluate", "--config", tmp_path / "config.json") == 0
+    report = (tmp_path / "out" / "report.json").read_bytes()
+    (tmp_path / "out" / "fused.csv").write_bytes(
+        FUSED_PADDING + b's+t:asc,d1,"A",false,A,A|B|C\n')
+    assert _run("evaluate", "--config", tmp_path / "config.json") == 0
+    assert (tmp_path / "out" / "report.json").read_bytes() == report
 
 
 @pytest.mark.parametrize("command", [

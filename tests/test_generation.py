@@ -59,6 +59,7 @@ def stub_server():
         yield url
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()
 
 

@@ -6,8 +6,9 @@ wrong tie rule shows up.  Ranks and rankings must agree exactly.  The
 evaluation counts are checked against a per-document recount, and the
 bytes of fused.csv and of every other CSV table against csv.writer passes.
 The tokenizer and the keyword scorer are checked against transcriptions
-of their definitions, the CSV reader against a csv.reader pass and
-report.json against json.dumps.
+of their definitions, the CSV reader against a csv.reader pass, the
+score and fused.csv loaders against row-by-row reads and report.json
+against json.dumps.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import io
 import json
 import sys
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _naive
@@ -48,6 +50,7 @@ from cfakit import (
     tokenize,
     write_report,
 )
+from cfakit import fileio
 from cfakit.combine import STRATEGIES, grid_arrays
 from cfakit.fileio import (
     FUSED_HEADER,
@@ -597,6 +600,151 @@ def test_score_cube_matches_a_row_by_row_read(case):
                 assert raw.tobytes() == np.array(want[1], dtype=float).tobytes()
     finally:
         csv.field_size_limit(limit)
+
+
+# the csv module's field size limit while drawn fused files are read
+FUSED_FIELD_LIMIT = 64
+_FUSED_FAULTS = ("drop", "repeat", "unknown", "wide", "narrow", "long", "nul", "head", "raw",
+                 "cr", "cr", "blank", "not-utf8")
+
+
+@st.composite
+def fused_files(draw):
+    """Labels, expert documents, a block size for the block reader and the
+    bytes of a fused grid file: rows in combo order or interleaved, now and
+    then filler models that push the drawn rows past the first 64 KiB, and
+    now and then one or two faults: a dropped, repeated, unknown-document,
+    wrong-width, over-limit, NUL-holding or unquoted row, a drawn head (any
+    of _fused_head's faults), a \\r inside a line, a blank line, a byte
+    that is not UTF-8 or a wrong header.  Plain files use \\n line ends and
+    ids csv never quotes; the others add ids holding ',', '"', \\r or \\n,
+    needless quotes, \\r\\n or lone \\r line ends and a missing last line
+    end."""
+    plain = draw(st.booleans())
+    id_chars = "abé" if plain else 'ab,"\r\n'
+    labels = draw(st.lists(_texts("AB" + id_chars), min_size=3, max_size=4, unique=True))
+    doc_ids = draw(st.lists(_texts(id_chars), min_size=1, max_size=4, unique=True))
+    combos = draw(st.lists(_texts("st+:" + id_chars), min_size=1, max_size=3, unique=True))
+    rows = []
+    for combo in combos:
+        for doc in doc_ids:
+            order = draw(st.permutations(labels))
+            tied = min(draw(st.sampled_from((1, 1, 1, 2, 3))), len(labels))
+            rows.append([combo, doc, order[0], "true" if tied > 1 else "false",
+                         "|".join(order[:tied]), "|".join(order)])
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    faults = [] if draw(_now_and_then(3)) else draw(
+        st.lists(st.sampled_from(_FUSED_FAULTS), min_size=1, max_size=2))
+    raw = []  # rows written without quotes
+    for fault in faults:
+        i = draw(st.integers(0, len(rows) - 1)) if rows else None
+        if i is None or fault in ("cr", "blank", "not-utf8"):
+            continue
+        row = list(rows[i])
+        if fault == "drop":
+            del rows[i]
+            continue
+        if fault == "unknown":
+            row[1] = "zz"
+        elif fault == "wide":
+            row.append("x")
+        elif fault == "narrow":
+            row.pop()
+        elif fault == "long":
+            row[draw(st.integers(0, 5))] = "x" * (FUSED_FIELD_LIMIT + 1)
+        elif fault == "nul":
+            row[draw(st.integers(0, 5))] += "\0"
+        elif fault == "head":
+            named = st.sampled_from(list(labels) + ["Z"])
+            row[2:5] = (draw(named), draw(st.sampled_from(("true", "false", "yes"))),
+                        "|".join(draw(st.lists(named, min_size=1, max_size=3))))
+        elif fault == "raw":
+            raw.append(row)
+        if fault in ("repeat", "unknown"):
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        else:
+            rows[i] = row
+
+    def quote(field, needless=False):
+        if any(c in field for c in ',"\r\n') or needless:
+            return '"' + field.replace('"', '""') + '"'
+        return field
+
+    lines = [",".join(field if any(row is r for r in raw) else
+                      quote(field, not plain and draw(_now_and_then(9))) for field in row)
+             for row in rows]
+    for fault in faults:
+        if fault == "cr" and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            # not at the end, where it would only end the line
+            at = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+            lines[i] = lines[i][:at] + "\r" + lines[i][at:]
+        elif fault == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), "")
+    if draw(_now_and_then(8)):
+        # filler models ahead of the drawn rows: 3,000 valid rows of 24
+        # bytes or more, past 64 KiB
+        filler = [",".join(map(quote, (f"~{m:04d}", doc, labels[0], "false", labels[0],
+                                       "|".join(labels))))
+                  for m in range(3_000 // len(doc_ids)) for doc in doc_ids]
+        lines = filler + lines
+    header = ",".join(FUSED_HEADER)
+    if draw(_now_and_then(20)):
+        header = header.replace("ranking", "rank")
+    end = "\n" if plain else draw(st.sampled_from(("\n", "\n", "\r\n", "\r")))
+    text = "".join(line + end for line in [header, *lines])
+    if not plain and draw(_now_and_then(3)):
+        text = text.removesuffix(end)
+    data = text.encode("utf-8")
+    if "not-utf8" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return labels, doc_ids, draw(st.sampled_from((64, 256, 1 << 16))), data
+
+
+_FUSED_ROWS = "".join(f"m{m},d{d},A,false,A,A|B|C\n" for m in range(3) for d in range(2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fused_files())
+# in a later block, a repeated row and a \r inside a ranking
+@example((["A", "B", "C"], ["d0", "d1"], 64,
+          (",".join(FUSED_HEADER) + "\n" + _FUSED_ROWS + "m2,d1,A,false,A,A|B|C\n").encode()))
+@example((["A", "B", "C"], ["d0", "d1"], 64,
+          (",".join(FUSED_HEADER) + "\n" + _FUSED_ROWS.replace("A|B|C", "A|B\rC")).encode()))
+def test_fused_predictions_match_a_row_by_row_read(case):
+    labels, doc_ids, block, data = case
+    limit = csv.field_size_limit(FUSED_FIELD_LIMIT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, _block_size(block):
+            path = Path(tmp) / "fused.csv"
+            path.write_bytes(data)
+            want = _naive.fused_predictions(path, labels, doc_ids)
+            try:
+                combo_ids, top1, tied = load_fused_predictions(path, LabelSet(tuple(labels)),
+                                                               doc_ids)
+            except ValidationError as exc:
+                assert type(exc) is ValidationError and str(exc) == want
+            else:
+                assert not isinstance(want, str), want
+                assert list(combo_ids) == want[0]
+                assert top1.dtype == np.intp and top1.tolist() == want[1]
+                assert tied.shape == (len(combo_ids), len(doc_ids), len(labels))
+                assert [[set(np.flatnonzero(mask).tolist()) for mask in combo]
+                        for combo in tied] == want[2]
+    finally:
+        csv.field_size_limit(limit)
+
+
+@contextmanager
+def _block_size(size):
+    """fileio's block reader reading size bytes at a time."""
+    saved, fileio._BLOCK = fileio._BLOCK, size
+    try:
+        yield
+    finally:
+        fileio._BLOCK = saved
 
 
 def _report_payload(report):
