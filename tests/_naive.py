@@ -241,7 +241,6 @@ def _utf8_fault_line(data):
     except UnicodeDecodeError as exc:
         before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         return before.count(b"\n") + 1
-    return None
 
 
 def fused_predictions(path, labels, doc_ids):
