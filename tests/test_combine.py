@@ -241,7 +241,7 @@ def test_combined_values_match_naive_oracle_for_all_subsets():
             assert np.allclose(wrc[0], _naive.wrc(rank_vectors, weights), atol=1e-12)
 
 
-def test_run_grid_five_systems_104_models():
+def test_grid_arrays_five_systems_104_models():
     rng = np.random.default_rng(47)
     batch, _ = _random_batch(rng)
     grid = _grid(batch)
@@ -251,13 +251,13 @@ def test_run_grid_five_systems_104_models():
     assert "A+B+C+D+E:wrc-ds" in grid
 
 
-def test_run_grid_two_systems_four_models():
+def test_grid_arrays_two_systems_four_models():
     rng = np.random.default_rng(53)
     batch, _ = _random_batch(rng, system_ids=("A", "B"))
     assert list(_grid(batch)) == ["A+B:arc", "A+B:asc", "A+B:wrc-ds", "A+B:wsc-ds"]
 
 
-def test_run_grid_strategy_subset_and_order():
+def test_grid_arrays_strategy_subset_and_order():
     rng = np.random.default_rng(59)
     batch, _ = _random_batch(rng, system_ids=("A", "B", "C"))
     grid = _grid(batch, strategies=("arc", "asc"))
@@ -267,7 +267,7 @@ def test_run_grid_strategy_subset_and_order():
     assert list(grid) == sorted(grid)  # combo-id order, that of fused.csv
 
 
-def test_run_grid_rejects_unknown_strategy():
+def test_grid_arrays_rejects_unknown_strategy():
     rng = np.random.default_rng(61)
     batch, _ = _random_batch(rng, system_ids=("A", "B"))
     with pytest.raises(ValidationError, match="unknown strategies"):
