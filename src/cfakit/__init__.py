@@ -9,90 +9,41 @@ grid of combined models is evaluated against expert labels with exact
 fraction arithmetic.
 """
 
-from .combine import EPSILON, STRATEGIES, enumerate_combinations, grid_arrays
-from .core import (
-    FusionBatch,
-    LabelSet,
-    cognitive_diversity,
-    diversity_strength,
-    normalize_scores,
-    rank_from_scores,
-    rsc_curve,
-)
-from .corpus import (
-    Document,
-    KeywordLexicon,
-    Prompt,
-    PromptSpec,
-    TfidfCentroidScorer,
-    corpus_quality_report,
-    distinct_n,
-    generate_prompt_matrix,
-    keyword_scorer,
-    tokenize,
-    type_token_ratio,
-)
-from .errors import CfaError, DataAccessError, DomainError, ValidationError
-from .evaluate import (
-    BestSelection,
-    DisagreementRow,
-    DisagreementTables,
-    EvaluationReport,
-    GridStats,
-    ModelPredictions,
-    PrecisionResult,
-    combined_arrays,
-    evaluate_predictions,
-    expert_indices,
-    individual_arrays,
-    select_best,
-    write_report,
-)
-from .generation import GenerationConfig, GenerationOutcome, generate_corpus
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BestSelection",
-    "CfaError",
-    "DataAccessError",
-    "DisagreementRow",
-    "DisagreementTables",
-    "Document",
-    "DomainError",
-    "EPSILON",
-    "EvaluationReport",
-    "FusionBatch",
-    "GenerationConfig",
-    "GenerationOutcome",
-    "GridStats",
-    "KeywordLexicon",
-    "LabelSet",
-    "ModelPredictions",
-    "PrecisionResult",
-    "Prompt",
-    "PromptSpec",
-    "STRATEGIES",
-    "TfidfCentroidScorer",
-    "ValidationError",
-    "cognitive_diversity",
-    "combined_arrays",
-    "corpus_quality_report",
-    "distinct_n",
-    "diversity_strength",
-    "enumerate_combinations",
-    "evaluate_predictions",
-    "expert_indices",
-    "generate_corpus",
-    "generate_prompt_matrix",
-    "grid_arrays",
-    "individual_arrays",
-    "keyword_scorer",
-    "normalize_scores",
-    "rank_from_scores",
-    "rsc_curve",
-    "select_best",
-    "tokenize",
-    "type_token_ratio",
-    "write_report",
-]
+# Each public name and the submodule that defines it.  `import cfakit`
+# loads none of them: a name imports its submodule on first use (PEP 562),
+# so a command pays only for the layers it runs.
+_SOURCES = {
+    "combine": ("EPSILON", "enumerate_combinations", "grid_arrays"),
+    "core": ("FusionBatch", "cognitive_diversity", "diversity_strength", "normalize_scores",
+             "rank_from_scores", "rsc_curve"),
+    "corpus": ("Document", "KeywordLexicon", "Prompt", "PromptSpec", "TfidfCentroidScorer",
+               "corpus_quality_report", "distinct_n", "generate_prompt_matrix",
+               "keyword_scorer", "tokenize", "type_token_ratio"),
+    "errors": ("CfaError", "DataAccessError", "DomainError", "ValidationError"),
+    "evaluate": ("BestSelection", "DisagreementRow", "DisagreementTables", "EvaluationReport",
+                 "GridStats", "ModelPredictions", "PrecisionResult", "combined_arrays",
+                 "evaluate_predictions", "expert_indices", "individual_arrays", "select_best",
+                 "write_report"),
+    "generation": ("GenerationConfig", "GenerationOutcome", "generate_corpus"),
+    "settings": ("LabelSet", "STRATEGIES"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -12,45 +12,14 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .combine import STRATEGIES, WEIGHT_SOURCES, grid_arrays
-from .core import TIE_POLICIES, FusionBatch
-from .corpus import (
-    TfidfCentroidScorer,
-    corpus_quality_report,
-    generate_prompt_matrix,
-    keyword_scorer,
-)
 from .errors import CfaError, ValidationError
-from .evaluate import (
-    TIE_MODES,
-    ModelPredictions,
-    _count,
-    evaluate_predictions,
-    expert_indices,
-    individual_arrays,
-    write_report,
-)
-from .fileio import (
-    RunConfig,
-    _check_config,
-    check_coverage,
-    format_table,
-    load_config,
-    load_corpus,
-    load_expert_labels,
-    load_fused_predictions,
-    load_lexicon,
-    load_prompt_file,
-    load_prompt_specs,
-    load_score_cube,
-    write_csv,
-    write_diversity,
-    write_fused_file,
-    write_prompt_file,
-    write_score_file,
-)
-from .generation import GenerationConfig, generate_corpus
+from .settings import STRATEGIES, TIE_MODES, TIE_POLICIES, WEIGHT_SOURCES
+
+if TYPE_CHECKING:  # each command imports the layers it runs
+    from .core import FusionBatch
+    from .fileio import RunConfig
 
 SCORERS = ("keyword", "tfidf")
 
@@ -126,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
+    from .fileio import RunConfig, _check_config, load_config
+
     if args.config == "":
         raise ValidationError("--config must name a file, got an empty string")
     config = RunConfig() if args.config is None else load_config(args.config)
@@ -155,6 +126,9 @@ def _require_config(args) -> RunConfig:
 
 
 def _load_batch(config: RunConfig) -> FusionBatch:
+    from .core import FusionBatch
+    from .fileio import load_score_cube
+
     label_set = config.label_set()
     systems = config.require_systems()
     doc_ids, raw = load_score_cube(systems, label_set)
@@ -163,12 +137,18 @@ def _load_batch(config: RunConfig) -> FusionBatch:
 
 def _load_experts(config: RunConfig, batch: FusionBatch):
     """The label-set index of each batch document's expert label."""
+    from .evaluate import expert_indices
+    from .fileio import check_coverage, load_expert_labels
+
     experts = load_expert_labels(config.require_experts())
     check_coverage(batch.doc_ids, experts)
     return expert_indices(experts, batch.label_set, batch.doc_ids)
 
 
 def cmd_score(args) -> None:
+    from .corpus import TfidfCentroidScorer, keyword_scorer
+    from .fileio import load_corpus, load_lexicon, write_score_file
+
     config = _require_config(args)
     label_set = config.label_set()
     corpus = load_corpus(args.corpus)
@@ -197,6 +177,8 @@ def cmd_score(args) -> None:
 
 
 def cmd_diversity(args) -> None:
+    from .fileio import write_diversity
+
     config = _require_config(args)
     batch = _load_batch(config)
     tables = write_diversity(batch, config.out_dir, args.doc)
@@ -205,12 +187,17 @@ def cmd_diversity(args) -> None:
 
 
 def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, float]:
+    from .evaluate import _count, individual_arrays
+
     expert = _load_experts(config, batch)
     correct, _ = _count(individual_arrays(batch), expert, batch.label_set.n, config.tie_mode)
     return {s: c / len(batch) for s, c in zip(batch.system_ids, correct.sum(axis=1).tolist())}
 
 
 def cmd_fuse(args) -> None:
+    from .combine import grid_arrays
+    from .fileio import write_fused_file
+
     config = _require_config(args)
     batch = _load_batch(config)
     performance = None
@@ -226,6 +213,9 @@ def cmd_fuse(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
+    from .evaluate import ModelPredictions, evaluate_predictions, individual_arrays, write_report
+    from .fileio import format_table, load_fused_predictions
+
     config = _require_config(args)
     batch = _load_batch(config)
     label_set = batch.label_set
@@ -245,6 +235,9 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_corpus_stats(args) -> None:
+    from .corpus import corpus_quality_report
+    from .fileio import format_table, load_corpus, write_csv
+
     config = _config_from(args)
     corpus = load_corpus(args.corpus)
     rows = [
@@ -260,6 +253,9 @@ def cmd_corpus_stats(args) -> None:
 
 
 def cmd_gen_prompts(args) -> None:
+    from .corpus import generate_prompt_matrix
+    from .fileio import load_prompt_specs, write_prompt_file
+
     config = _require_config(args)
     label_set = config.label_set()
     specs = load_prompt_specs(args.specs)
@@ -270,6 +266,9 @@ def cmd_gen_prompts(args) -> None:
 
 
 def cmd_generate(args) -> None:
+    from .fileio import load_prompt_file
+    from .generation import GenerationConfig, generate_corpus
+
     config = _config_from(args)
     # an empty flag is taken as given: --endpoint "" names no endpoint and
     # --auth-token "" sends no token

@@ -24,37 +24,12 @@ import numpy as np
 
 from .core import FusionBatch, _ordered_sum, diversity_strength
 from .errors import DomainError, ValidationError
-
-STRATEGIES = ("asc", "arc", "wsc", "wrc")
-WEIGHT_SOURCES = ("ds", "perf")
+from .settings import STRATEGIES, _check_min_size, _check_strategies, _check_weight_source
 
 # Weights at or below this threshold are treated as vanishing; weighted
 # strategies fall back to their unweighted versions instead of dividing
 # by (nearly) zero.
 EPSILON = 1e-12
-
-
-def _check_strategies(strategies: Sequence[str]) -> list[str]:
-    """The chosen strategies, in STRATEGIES order."""
-    unknown = sorted(set(strategies) - set(STRATEGIES))
-    if unknown:
-        raise ValidationError(f"unknown strategies {unknown}; expected a subset of {STRATEGIES}")
-    chosen = [s for s in STRATEGIES if s in strategies]
-    if not chosen:
-        raise ValidationError("at least one strategy is required")
-    return chosen
-
-
-def _check_weight_source(weight_source: str) -> None:
-    if weight_source not in WEIGHT_SOURCES:
-        raise ValidationError(
-            f"unknown weight source {weight_source!r}; expected one of {WEIGHT_SOURCES}"
-        )
-
-
-def _check_min_size(min_size: int) -> None:
-    if min_size < 2:
-        raise ValidationError(f"minimum subset size is 2, got {min_size}")
 
 
 def enumerate_combinations(system_ids: Sequence[str], min_size: int = 2) -> list[tuple[str, ...]]:

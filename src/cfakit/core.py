@@ -13,18 +13,13 @@ documents or systems.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-
-TIE_POLICIES = ("fractional", "ordinal")
-
-# Cognitive diversity divides by n - 2, so fewer labels have no defined
-# diversity and are rejected outright.
-MIN_LABELS = 3
+from .settings import MIN_LABELS, LabelSet, _check_tie_policy
 
 
 def _freeze(values: Iterable[float] | np.ndarray, dtype=float) -> np.ndarray:
@@ -62,51 +57,6 @@ def _as_rows(values, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LabelSet:
-    """Ordered, fixed set of label identifiers scored for each document."""
-
-    labels: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        seen: set[str] = set()
-        for label in labels:
-            if not isinstance(label, str) or not label:
-                raise ValidationError("labels must be non-empty strings")
-            if "|" in label:
-                raise ValidationError(f"label {label!r} must not contain '|'")
-            if label in seen:
-                raise ValidationError(f"duplicate label {label!r}")
-            seen.add(label)
-        if len(labels) < MIN_LABELS:
-            raise DomainError(
-                f"label set needs at least {MIN_LABELS} labels, got {len(labels)}"
-            )
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __contains__(self, label: object) -> bool:
-        return label in self._index
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValidationError(f"unknown label {label!r}") from None
-
-
 def normalize_scores(raw) -> np.ndarray:
     """Min-max normalize raw scores to [0, 1] along the last axis.
 
@@ -118,13 +68,6 @@ def normalize_scores(raw) -> np.ndarray:
     span = arr.max(axis=-1, keepdims=True) - lo
     flat = span == 0.0
     return np.where(flat, 0.5, (arr - lo) / np.where(flat, 1.0, span))
-
-
-def _check_tie_policy(tie_policy: str) -> None:
-    if tie_policy not in TIE_POLICIES:
-        raise ValidationError(
-            f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}"
-        )
 
 
 def rank_from_scores(scores, tie_policy: str = "fractional") -> np.ndarray:

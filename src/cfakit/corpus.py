@@ -14,11 +14,13 @@ import unicodedata
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import LabelSet
 from .errors import ValidationError
+from .settings import LabelSet
+
+if TYPE_CHECKING:  # numpy loads in the functions that build arrays
+    import numpy as np
 
 MAX_PHRASE_TOKENS = 4
 
@@ -111,16 +113,14 @@ class LabelQuality:
     mean_distinct3: float | None
 
 
-def _mean_or_none(values: list[float]) -> float | None:
-    if not values:
-        return None
-    return float(np.mean(values))
-
-
 def _group_quality(label: str, metrics: Sequence[tuple]) -> LabelQuality:
-    # metrics: one (token count, TTR, distinct-2, distinct-3) per document
+    # metrics: one (token count, TTR, distinct-2, distinct-3) per document;
+    # a rate's mean is None when no document defines it
+    import numpy as np
+
     tokens, *rates = zip(*metrics)
-    means = [_mean_or_none([v for v in values if v is not None]) for values in rates]
+    defined = ([v for v in values if v is not None] for values in rates)
+    means = [float(np.mean(values)) if values else None for values in defined]
     return LabelQuality(label, len(metrics), float(np.mean(tokens)), *means)
 
 
@@ -301,6 +301,8 @@ class TfidfCentroidScorer:
     def train(
         self, corpus: Sequence[Document], label_set: LabelSet | None = None
     ) -> "TfidfCentroidScorer":
+        import numpy as np
+
         docs = list(corpus)
         if not docs:
             raise ValidationError("training corpus is empty")
@@ -336,6 +338,8 @@ class TfidfCentroidScorer:
         return self
 
     def _embed(self, doc) -> np.ndarray:
+        import numpy as np
+
         vector = np.zeros(len(self._vocabulary))
         for term, count in Counter(_tokens_of(doc)).items():
             i = self._vocabulary.get(term)
@@ -349,6 +353,8 @@ class TfidfCentroidScorer:
 
     def score(self, doc) -> dict[str, float]:
         """Cosine similarity of the document against every centroid."""
+        import numpy as np
+
         self._require_trained()
         vector = self._embed(doc)
         norm = float(np.linalg.norm(vector))

@@ -25,12 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combine import STRATEGIES, _fuse_arrays, _top_labels, grid_arrays
-from .core import FusionBatch, LabelSet
+from .combine import _fuse_arrays, _top_labels, grid_arrays
+from .core import FusionBatch
 from .errors import ValidationError
 from .fileio import atomic_write_text, format_table, write_csv
-
-TIE_MODES = ("strict", "lenient")
+from .settings import STRATEGIES, LabelSet, _check_tie_mode
 
 
 class ModelPredictions(NamedTuple):
@@ -107,13 +106,6 @@ class PrecisionResult:
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.correct, self.total)
-
-
-def _check_tie_mode(tie_mode: str) -> None:
-    if tie_mode not in TIE_MODES:
-        raise ValidationError(
-            f"unknown tie mode {tie_mode!r}; expected one of {TIE_MODES}"
-        )
 
 
 def expert_indices(

@@ -18,14 +18,24 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-import numpy as np
-
-from .combine import STRATEGIES, _check_min_size, _check_strategies, _check_weight_source
-from .core import FusionBatch, LabelSet, _check_tie_policy, _ordered_sum
-from .corpus import Document, KeywordLexicon, PromptSpec
 from .errors import DataAccessError, DomainError, ValidationError
+from .settings import (
+    STRATEGIES,
+    LabelSet,
+    _check_min_size,
+    _check_strategies,
+    _check_tie_mode,
+    _check_tie_policy,
+    _check_weight_source,
+)
+
+if TYPE_CHECKING:  # numpy and the other layers load where a function uses them
+    import numpy as np
+
+    from .core import FusionBatch
+    from .corpus import Document, KeywordLexicon, PromptSpec
 
 SCORE_HEADER = ("doc_id", "label", "score")
 EXPERT_HEADER = ("doc_id", "label")
@@ -207,6 +217,8 @@ def load_score_cube(
     their (docs, systems, labels) array of raw scores.  Every file passes
     its own checks (_score_table) before the files must cover the same
     documents."""
+    import numpy as np
+
     tables = [_score_table(Path(path), label_set) for _, path in systems]
     first = tables[0][0].keys()
     for (system_id, _), (rows, _) in zip(systems[1:], tables[1:]):
@@ -231,6 +243,8 @@ def _score_table(path: Path, label_set: LabelSet) -> tuple[dict[str, int], np.nd
     commas and line ends; any other file is read through _table_rows.  The
     checks run on whole columns; when one fails, _score_fault names the
     first fault."""
+    import numpy as np
+
     try:
         text = path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError):
@@ -332,6 +346,8 @@ def write_fused_file(
     not the grid's.  A combo_id that does not sort after the one before is
     a ValidationError; on any error the file at path keeps its old bytes.
     """
+    import numpy as np
+
     labels = label_set.labels
     # The ranking holds every label (labels hold no "|"), so it is quoted
     # exactly when one of them is, each label with its quotes doubled.
@@ -389,6 +405,8 @@ def write_diversity(batch: FusionBatch, out_dir: Path, docs: Sequence[str] = ())
     strength tables of a batch of two or more systems, and one RSC table
     rsc_<doc>.csv for each distinct document in docs; return the number of
     RSC tables.  Every document is checked before any file is written."""
+    from .core import _ordered_sum
+
     if batch.cd is None:
         raise DomainError("diversity reports need at least two systems")
     row_of = {doc_id: d for d, doc_id in enumerate(batch.doc_ids)}
@@ -502,6 +520,8 @@ def load_fused_predictions(
     is not read.  A file that _fused_blocks does not suit is read again
     by _fused_rows, which names the first fault with its path:line.
     """
+    import numpy as np
+
     path = Path(path)
     labels = {label: i for i, label in enumerate(label_set.labels)}
     docs = {doc_id: d for d, doc_id in enumerate(doc_ids)}
@@ -615,6 +635,8 @@ def load_corpus(path: Path | str) -> list[Document]:
 
 
 def _load_corpus_dir(path: Path) -> list[Document]:
+    from .corpus import Document
+
     docs: list[Document] = []
     seen: dict[str, Path] = {}
     for label_dir in sorted(p for p in path.iterdir() if p.is_dir()):
@@ -633,6 +655,8 @@ def _load_corpus_dir(path: Path) -> list[Document]:
 
 
 def _load_corpus_jsonl(path: Path) -> list[Document]:
+    from .corpus import Document
+
     docs: list[Document] = []
     seen: set[str] = set()
     # newlines only, as in generation: a JSON string may hold U+2028
@@ -686,6 +710,8 @@ def load_prompt_file(path: Path | str) -> list:
 
 
 def load_lexicon(path: Path | str) -> KeywordLexicon:
+    from .corpus import KeywordLexicon
+
     raw = _load_json(Path(path))
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: lexicon must be a JSON object of label -> phrases")
@@ -696,6 +722,8 @@ def load_lexicon(path: Path | str) -> KeywordLexicon:
 
 
 def load_prompt_specs(path: Path | str) -> list[PromptSpec]:
+    from .corpus import PromptSpec
+
     raw = _load_json(Path(path))
     if not isinstance(raw, list):
         raise ValidationError(f"{path}: prompt specs must be a JSON array")
@@ -839,9 +867,7 @@ def load_config(path: Path | str) -> RunConfig:
 
 
 def _check_config(config: RunConfig) -> None:
-    """Each run setting through the check of the module that owns it."""
-    from .evaluate import _check_tie_mode
-
+    """Each run setting through its check."""
     _check_tie_policy(config.tie_policy)
     _check_tie_mode(config.tie_mode)
     _check_strategies(config.strategies)

@@ -47,21 +47,19 @@ class GenerationOutcome:
 
 
 def _fetch(prompt: Prompt, config: GenerationConfig) -> str:
-    import requests  # only generation talks HTTP; keep `import cfakit` light
+    from urllib.request import Request, urlopen  # only generate talks HTTP
 
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     if config.auth_token:
         headers["Authorization"] = f"Bearer {config.auth_token}"
-    response = requests.post(
-        config.endpoint_url,
-        json={"prompt": prompt.text},
-        headers=headers,
-        timeout=config.timeout,
-    )
-    response.raise_for_status()
+    body = json.dumps({"prompt": prompt.text}).encode("utf-8")
+    request = Request(config.endpoint_url, data=body, headers=headers, method="POST")
+    # urlopen raises HTTPError for a 4xx or 5xx status
+    with urlopen(request, timeout=config.timeout) as response:
+        data = response.read()
     try:
-        payload = response.json()
-    except ValueError as exc:
+        payload = json.loads(data)
+    except ValueError as exc:  # undecodable bytes included
         raise RuntimeError(f"response is not JSON: {exc}") from exc
     if not isinstance(payload, dict) or "text" not in payload:
         raise RuntimeError("response JSON lacks a 'text' field")
@@ -163,9 +161,11 @@ def generate_corpus(
 
 
 def _try_fetch(prompt: Prompt, config: GenerationConfig) -> tuple[str | None, str | None]:
-    import requests
+    from http.client import HTTPException
 
     try:
         return _fetch(prompt, config), None
-    except (requests.RequestException, RuntimeError) as exc:
+    # OSError covers HTTPError, URLError and a timeout; ValueError an
+    # endpoint URL that urllib cannot use
+    except (OSError, HTTPException, ValueError, RuntimeError) as exc:
         return None, str(exc)

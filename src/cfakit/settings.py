@@ -1,0 +1,107 @@
+"""The label set and the vocabulary of the run settings.
+
+Every command checks these before it loads any data: the label set a
+config names, and the tie policies, tie modes, combination strategies and
+weight sources that its flags and fields may take.  The module needs
+nothing beyond the standard library, so the parser, usage errors and the
+commands that do no array work (`score --scorer keyword`, `gen-prompts`)
+never load numpy.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+
+from .errors import DomainError, ValidationError
+
+TIE_POLICIES = ("fractional", "ordinal")
+TIE_MODES = ("strict", "lenient")
+STRATEGIES = ("asc", "arc", "wsc", "wrc")
+WEIGHT_SOURCES = ("ds", "perf")
+
+# Cognitive diversity divides by n - 2, so fewer labels have no defined
+# diversity and are rejected outright.
+MIN_LABELS = 3
+
+
+@dataclass(frozen=True)
+class LabelSet:
+    """Ordered, fixed set of label identifiers scored for each document."""
+
+    labels: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        seen: set[str] = set()
+        for label in labels:
+            if not isinstance(label, str) or not label:
+                raise ValidationError("labels must be non-empty strings")
+            if "|" in label:
+                raise ValidationError(f"label {label!r} must not contain '|'")
+            if label in seen:
+                raise ValidationError(f"duplicate label {label!r}")
+            seen.add(label)
+        if len(labels) < MIN_LABELS:
+            raise DomainError(
+                f"label set needs at least {MIN_LABELS} labels, got {len(labels)}"
+            )
+        object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __contains__(self, label: object) -> bool:
+        return label in self._index
+
+    def index(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise ValidationError(f"unknown label {label!r}") from None
+
+
+def _check_tie_policy(tie_policy: str) -> None:
+    if tie_policy not in TIE_POLICIES:
+        raise ValidationError(
+            f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}"
+        )
+
+
+def _check_tie_mode(tie_mode: str) -> None:
+    if tie_mode not in TIE_MODES:
+        raise ValidationError(
+            f"unknown tie mode {tie_mode!r}; expected one of {TIE_MODES}"
+        )
+
+
+def _check_strategies(strategies: Sequence[str]) -> list[str]:
+    """The chosen strategies, in STRATEGIES order."""
+    unknown = sorted(set(strategies) - set(STRATEGIES))
+    if unknown:
+        raise ValidationError(f"unknown strategies {unknown}; expected a subset of {STRATEGIES}")
+    chosen = [s for s in STRATEGIES if s in strategies]
+    if not chosen:
+        raise ValidationError("at least one strategy is required")
+    return chosen
+
+
+def _check_weight_source(weight_source: str) -> None:
+    if weight_source not in WEIGHT_SOURCES:
+        raise ValidationError(
+            f"unknown weight source {weight_source!r}; expected one of {WEIGHT_SOURCES}"
+        )
+
+
+def _check_min_size(min_size: int) -> None:
+    if min_size < 2:
+        raise ValidationError(f"minimum subset size is 2, got {min_size}")

@@ -22,6 +22,10 @@ class _StubHandler(BaseHTTPRequestHandler):
     """Echoes 'generated: <prompt>' and records every request it serves."""
 
     fail_when_containing: str | None = None
+    # what a prompt holding the marker gets: this status, this body under
+    # status 200, or, for None, no answer until the test ends
+    failure: int | bytes | None = 500
+    release: threading.Event
     seen: list[dict]
 
     def do_POST(self):
@@ -32,11 +36,18 @@ class _StubHandler(BaseHTTPRequestHandler):
         )
         prompt = body.get("prompt", "")
         marker = type(self).fail_when_containing
+        failure = type(self).failure
         if marker is not None and marker in prompt:
-            self.send_response(500)
-            self.end_headers()
-            return
+            if failure is None:
+                type(self).release.wait(10)
+                return
+            if isinstance(failure, int):
+                self.send_response(failure)
+                self.end_headers()
+                return
         payload = json.dumps({"text": f"generated: {prompt}"}).encode()
+        if marker is not None and marker in prompt:
+            payload = failure
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -51,6 +62,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     _StubHandler.seen = []
     _StubHandler.fail_when_containing = None
+    _StubHandler.failure = 500
+    _StubHandler.release = threading.Event()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -58,6 +71,7 @@ def stub_server():
     try:
         yield url
     finally:
+        _StubHandler.release.set()
         server.shutdown()
         server.server_close()
         thread.join()
@@ -102,6 +116,30 @@ def test_generate_isolates_failures(stub_server, tmp_path):
     error_lines = (tmp_path / ERRORS_FILE).read_text().splitlines()
     assert len(error_lines) == 1
     assert json.loads(error_lines[0])["prompt_id"] == "p00002"
+
+
+@pytest.mark.parametrize(
+    "failure", [404, b"<html>not json</html>", b"\xff\xfe{", b'{"text": 5}', b'{"words": "x"}', None],
+    ids=["http-404", "not-json", "not-utf8", "text-not-a-string", "no-text-field", "timeout"],
+)
+def test_generate_records_each_failed_fetch_and_goes_on(stub_server, tmp_path, failure):
+    _StubHandler.fail_when_containing = "number 2"
+    _StubHandler.failure = failure
+    config = GenerationConfig(stub_server, timeout=0.5)
+    outcome = generate_corpus(_prompts(3), config, tmp_path)
+    assert outcome.fetched == 2
+    assert [error["prompt_id"] for error in outcome.errors] == ["p00002"]
+    assert outcome.errors[0]["error"]
+    error_lines = (tmp_path / ERRORS_FILE).read_text().splitlines()
+    assert [json.loads(line)["prompt_id"] for line in error_lines] == ["p00002"]
+    stored = (tmp_path / CORPUS_FILE).read_text().splitlines()
+    assert [json.loads(line)["prompt_id"] for line in stored] == ["p00001", "p00003"]
+
+
+def test_generate_records_an_unusable_endpoint_url_per_prompt(tmp_path):
+    outcome = generate_corpus(_prompts(2), GenerationConfig("no-scheme/generate"), tmp_path)
+    assert outcome.fetched == 0
+    assert [error["prompt_id"] for error in outcome.errors] == ["p00001", "p00002"]
 
 
 def test_generate_resumes_without_refetching(stub_server, tmp_path):

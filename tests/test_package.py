@@ -3,6 +3,7 @@ demo scripts."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,99 @@ def test_import_loads_neither_scipy_nor_requests(run_python):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# What each command may load.  A fresh interpreter runs the command, then
+# prints its exit status and sys.modules, one name a line.
+_RUN_AND_LIST_MODULES = """
+import sys
+from cfakit.cli import main
+try:
+    status = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    status = exc.code
+print("exit", status)
+print(*sorted(sys.modules), sep="\\n")
+"""
+_ARRAY_LAYERS = {"numpy", "cfakit.core", "cfakit.combine", "cfakit.evaluate"}
+_GENERATE_ONLY = {"cfakit.generation", "concurrent.futures"}
+FOOTPRINTS = {
+    "help": (["--help"], set(), _ARRAY_LAYERS | _GENERATE_ONLY | {"cfakit.corpus"}),
+    "usage-error": (["score", "--scorer", "nonsense", "--corpus", "x"], set(),
+                    _ARRAY_LAYERS | _GENERATE_ONLY | {"cfakit.corpus", "cfakit.fileio"}),
+    "score-keyword": (["score", "--config", "config.json", "--scorer", "keyword", "--corpus",
+                       "corpus.jsonl", "--lexicon", "lexicon.json"],
+                      {"cfakit.corpus"}, _ARRAY_LAYERS | _GENERATE_ONLY),
+    "score-tfidf": (["score", "--config", "config.json", "--scorer", "tfidf", "--corpus",
+                     "corpus.jsonl", "--train", "corpus.jsonl"],
+                    {"numpy", "cfakit.corpus"}, _GENERATE_ONLY | {"cfakit.core"}),
+    "gen-prompts": (["gen-prompts", "--config", "config.json", "--specs", "specs.json"],
+                    {"cfakit.corpus"}, _ARRAY_LAYERS | _GENERATE_ONLY),
+    "corpus-stats": (["corpus-stats", "--config", "config.json", "--corpus", "corpus.jsonl"],
+                     {"numpy", "cfakit.corpus"}, _GENERATE_ONLY | {"cfakit.core"}),
+    "diversity": (["diversity", "--config", "config.json"], {"numpy", "cfakit.core"},
+                  _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus", "cfakit.combine"}),
+    "fuse": (["fuse", "--config", "config.json"], {"cfakit.combine"},
+             _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus"}),
+    "fuse-perf": (["fuse", "--config", "config.json", "--weights", "perf"],
+                  {"cfakit.combine", "cfakit.evaluate"}, _GENERATE_ONLY | {"cfakit.corpus"}),
+    "evaluate": (["evaluate", "--config", "config.json", "--fused", "fused.csv"],
+                 {"cfakit.evaluate"}, _GENERATE_ONLY | {"cfakit.corpus"}),
+    "generate": (["generate", "--config", "config.json", "--prompts", "prompts.csv",
+                  "--endpoint", "http://127.0.0.1:9/generate"],
+                 _GENERATE_ONLY, {"numpy", "cfakit.core"}),
+}
+
+
+def _footprint_inputs(where: Path) -> None:
+    """Small inputs for every command, on labels A, B, C."""
+    docs = [("d1", "water water sea", "A"), ("d2", "sea sea land", "B"),
+            ("d3", "land water land", "C")]
+    files = {
+        "config.json": json.dumps({
+            "labels": ["A", "B", "C"], "expert_labels": "experts.csv", "out_dir": "out",
+            "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
+        }),
+        "corpus.jsonl": "".join(
+            json.dumps({"doc_id": d, "text": text, "label": label}) + "\n"
+            for d, text, label in docs),
+        "lexicon.json": json.dumps({"A": ["water"], "B": ["sea"], "C": ["land"]}),
+        "specs.json": json.dumps([{"publication_type": "note", "sources": ["x"],
+                                   "template": "{label} by {source}"}]),
+        "prompts.csv": "prompt_id,label,publication_type,source,prompt_text\n"
+                       "p00001,A,note,x,A by x\n",
+        "experts.csv": "doc_id,label\n" + "".join(f"{d},{label}\n" for d, _, label in docs),
+        "fused.csv": "combo_id,doc_id,top1,tie_at_top,tied_top,ranking\n" + "".join(
+            f"s+t:asc,{d},{label},false,{label},{'|'.join(sorted('ABC', key=label.__ne__))}\n"
+            for d, _, label in docs),
+    }
+    for system, shift in (("s", 0.0), ("t", 0.5)):
+        files[f"{system}.csv"] = "doc_id,label,score\n" + "".join(
+            f"{d},{label},{(i * 3 + j) % 4 + shift}\n"
+            for i, (d, _, _) in enumerate(docs) for j, label in enumerate("ABC"))
+    for name, text in files.items():
+        (where / name).write_text(text, encoding="utf-8")
+
+
+def test_import_cfakit_loads_no_submodule_and_no_numpy(run_python):
+    result = run_python("-c", "import sys, cfakit; print(*sorted(sys.modules), sep='\\n')")
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "cfakit" in loaded
+    assert not {m for m in loaded if m.startswith("cfakit.") or m == "numpy"}
+
+
+@pytest.mark.parametrize("name", list(FOOTPRINTS))
+def test_each_command_loads_only_what_it_runs(name, run_python, tmp_path):
+    argv, loads, never = FOOTPRINTS[name]
+    _footprint_inputs(tmp_path)
+    result = run_python("-c", _RUN_AND_LIST_MODULES, *argv, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    at = lines.index("exit 1" if name == "usage-error" else "exit 0")
+    modules = set(lines[at + 1:])
+    assert loads <= modules, sorted(loads - modules)
+    assert not never & modules, sorted(never & modules)
 
 
 # The evaluation API: label-index arrays in, one report out.  Pinned so
@@ -32,10 +126,12 @@ EVALUATE_API = {
 # reason: no per-document instance or ranking objects beside them.  An RSC
 # curve is an array and a combined model is its combo id string.
 CORE_API = {
-    "FusionBatch", "LabelSet", "cognitive_diversity", "diversity_strength",
+    "FusionBatch", "cognitive_diversity", "diversity_strength",
     "normalize_scores", "rank_from_scores", "rsc_curve",
 }
 COMBINE_API = {"enumerate_combinations", "grid_arrays"}
+# The label set and the run settings' vocabulary, which need no numpy.
+SETTINGS_API = {"LabelSet"}
 
 
 # The whole public surface, so that adding a name takes an edit here.
@@ -76,10 +172,12 @@ def test_the_fusion_api_is_pinned():
     import cfakit
     import cfakit.combine as combine
     import cfakit.core as core
+    import cfakit.settings as settings
 
     assert _defined(core) == CORE_API
     assert _defined(combine) == COMBINE_API
-    assert CORE_API | COMBINE_API <= set(cfakit.__all__)
+    assert _defined(settings) == SETTINGS_API
+    assert CORE_API | COMBINE_API | SETTINGS_API <= set(cfakit.__all__)
     assert "grid_arrays" in cfakit.__all__
 
 
