@@ -274,7 +274,7 @@ def test_grid_arrays_rejects_unknown_strategy():
         grid_arrays(batch, strategies=("asc", "median"))
 
 
-def test_run_grid_rejects_inconsistent_rosters():
+def test_fusion_batch_rejects_inconsistent_rosters():
     # every document scores the same systems: a document with another
     # roster size cannot form the (docs, systems, labels) array
     with pytest.raises(ValidationError, match="rectangular"):
@@ -292,7 +292,7 @@ def test_run_grid_rejects_inconsistent_label_sets():
         FusionBatch(("d1", "d2"), LABELS3, ("A", "B"), np.ones((2, 2, 4)))
 
 
-def test_run_grid_performance_weights():
+def test_grid_arrays_performance_weights():
     rng = np.random.default_rng(67)
     batch, raw = _random_batch(rng, system_ids=("A", "B", "C"))
     performance = {"A": 0.9, "B": 0.6, "C": 0.3}
@@ -304,7 +304,7 @@ def test_run_grid_performance_weights():
     assert np.allclose(values[0], expected, atol=1e-12)
 
 
-def test_run_grid_performance_requires_weights_for_all_systems():
+def test_grid_arrays_performance_requires_weights_for_all_systems():
     rng = np.random.default_rng(71)
     batch, _ = _random_batch(rng, system_ids=("A", "B"))
     with pytest.raises(ValidationError, match="missing performance"):
@@ -313,7 +313,7 @@ def test_run_grid_performance_requires_weights_for_all_systems():
         grid_arrays(batch, weight_source="perf")
 
 
-def test_run_grid_results_follow_document_order():
+def test_grid_arrays_results_follow_document_order():
     rng = np.random.default_rng(73)
     labels = LabelSet(("x", "y", "z"))
     raw = rng.uniform(size=(4, 2, 3))
