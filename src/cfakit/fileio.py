@@ -144,43 +144,28 @@ def _not_utf8(path: Path, data: bytes) -> ValidationError:
 
 def _table_rows(path: Path, header: Sequence[str]):
     """(line number, row) for each non-empty row below the expected header,
-    every one checked to have as many columns as the header.
+    as csv.reader reads the file, every one checked to have as many
+    columns as the header.
 
-    The file is read one line at a time.  A line holding no '"' and no NUL
-    and no longer than csv.field_size_limit() is split at its commas, the
-    row csv.reader makes of it; from the first other line on, csv.reader
-    reads the rest of the file, so a quoted field always starts there and
-    csv.reader's own rules decide quoting, NUL and field size.  A missing,
+    Faults are named in file order: each row is checked for a byte that
+    is not UTF-8 (the header before it is compared, the others before
+    their width), and a row csv.reader cannot read, such as one with a
+    field over csv.field_size_limit(), fails as it is read.  A missing,
     unreadable, non-UTF-8 or malformed file is reported by name, never as
     a traceback."""
-    limit = csv.field_size_limit()
-    split = 0  # lines read before csv.reader takes over
-    reader = None
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
-
-            def read():
-                nonlocal split, reader
-                for line in handle:
-                    if '"' in line or "\0" in line or len(line) > limit:
-                        reader = csv.reader(itertools.chain((line,), handle))
-                        yield from reader
-                        return
-                    split += 1
-                    line = line.rstrip("\r\n")
-                    yield line.split(",") if line else []
-
-            rows = read()
-            found = next(rows, [])
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+            reader = csv.reader(handle)
+            found = _utf8_row(path, next(reader, []))
             if tuple(found) != tuple(header):
                 raise ValidationError(
                     f"{path}: expected header {','.join(header)}, found {','.join(found)}"
                 )
             width = len(header)
-            for line_no, row in enumerate(rows, start=2):
+            for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != width:
+                if len(_utf8_row(path, row)) != width:
                     raise ValidationError(
                         f"{path}:{line_no}: expected {width} columns, found {len(row)}"
                     )
@@ -189,11 +174,21 @@ def _table_rows(path: Path, header: Sequence[str]):
         raise DataAccessError(f"file not found: {path}") from None
     except OSError as exc:
         raise DataAccessError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise _not_utf8(path, path.read_bytes()) from None
-    except csv.Error as exc:  # such as a field over the csv module's size limit
-        line_no = split + reader.line_num
-        raise ValidationError(f"{path}:{line_no}: malformed CSV: {exc}") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
+
+
+def _utf8_row(path: Path, row: list[str]) -> list[str]:
+    """row, unless it holds a byte that is not UTF-8, which the
+    surrogateescape error handler reads as a lone surrogate: then the
+    error naming the file's first bad byte, since no earlier row held one."""
+    text = "".join(row)
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _not_utf8(path, path.read_bytes()) from None
+    return row
 
 
 def write_score_file(
@@ -819,7 +814,11 @@ def load_config(path: Path | str) -> RunConfig:
         "labels", "systems", "expert_labels", "tie_policy", "tie_mode",
         "strategies", "min_subset", "weights", "out_dir", "generation",
     }
-    unknown = sorted(set(raw) - known)
+    generation = _field(path, raw, "generation", "an object", {})
+    unknown = sorted(set(raw) - known) + sorted(
+        f"generation.{key}"
+        for key in set(generation) - {"endpoint_url", "auth_token", "max_concurrency"}
+    )
     if unknown:
         raise ValidationError(f"{path}: unknown config fields {unknown}")
 
@@ -841,7 +840,6 @@ def load_config(path: Path | str) -> RunConfig:
         seen.add(system_id)
         systems.append((system_id, base / _field(where, entry, "path", "a string", None)))
 
-    generation = _field(path, raw, "generation", "an object", {})
     expert_labels = _field(path, raw, "expert_labels", "a string", None)
 
     config = RunConfig(

@@ -144,28 +144,52 @@ def keyword_scores(tokens, lexicon):
 
 
 def table_row_stream(path, header):
-    # every line through one csv.reader: (line number, row) of each
-    # non-empty row below the header, the row's number counted from the
-    # header's 1; the text of the first error ends the stream, and a csv
-    # error names the reader's physical line
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    # every physical line through one csv.reader: (line number, row) of
+    # each non-empty row below the header, the row's number counted from
+    # the header's 1; the text of the first error ends the stream, and a
+    # csv error names the reader's physical line.  Each line is decoded on
+    # its own; a row made from a line that is not UTF-8 (the header
+    # before it is compared, any other row before its width) names the
+    # first such line
+    with open(path, "rb") as handle:
+        data = handle.read()
+    lines = data.splitlines(keepends=True)  # at \r\n, \r or \n, as newline="" does
+    bad = set()
+    for number, line in enumerate(lines, start=1):
         try:
-            found = next(reader, [])
-            if found != list(header):
-                yield f"{path}: expected header {','.join(header)}, found {','.join(found)}"
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            bad.add(number)
+    reader = csv.reader(line.decode("utf-8", "surrogateescape") for line in lines)
+    read = 0  # physical lines the rows so far were made of
+
+    def not_utf8(row):
+        nonlocal read
+        first, read = read + 1, reader.line_num
+        if row and bad & set(range(first, read + 1)):
+            return f"{path}: not valid UTF-8 (line {min(bad)})"
+
+    try:
+        found = next(reader, [])
+        fault = not_utf8(found)
+        if fault or found != list(header):
+            yield fault or f"{path}: expected header {','.join(header)}, found {','.join(found)}"
+            return
+        line_no = 1
+        for row in reader:
+            line_no += 1
+            fault = not_utf8(row)
+            if fault:
+                yield fault
                 return
-            line_no = 1
-            for row in reader:
-                line_no += 1
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    yield f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
-                    return
-                yield line_no, row
-        except csv.Error as exc:
-            yield f"{path}:{reader.line_num}: malformed CSV: {exc}"
+            if not row:
+                continue
+            if len(row) != len(header):
+                yield f"{path}:{line_no}: expected {len(header)} columns, found {len(row)}"
+                return
+            yield line_no, row
+    except csv.Error as exc:
+        yield f"{path}:{reader.line_num}: malformed CSV: {exc}"
 
 
 def table_rows(path, header):
@@ -233,16 +257,6 @@ def score_cube(systems, labels):
     return doc_ids, raw
 
 
-def _utf8_fault_line(data):
-    # the line of the first byte that is not UTF-8, lines ending at \r\n,
-    # \r or \n
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return before.count(b"\n") + 1
-
-
 def fused_predictions(path, labels, doc_ids):
     # (combo ids in the order of their first rows, top1[combo][doc] and
     # tied[combo][doc] as a set of label indices, docs in doc_ids order) of
@@ -251,33 +265,29 @@ def fused_predictions(path, labels, doc_ids):
     header = ("combo_id", "doc_id", "top1", "tie_at_top", "tied_top", "ranking")
     index = {label: i for i, label in enumerate(labels)}
     predicted = {}  # combo -> doc -> (top1, tied)
-    try:
-        for item in table_row_stream(path, header):
-            if isinstance(item, str):
-                return item
-            line_no, (combo, doc_id, top1, tie, tied, _) = item
-            where = f"{path}:{line_no}:"
-            if tie not in ("true", "false"):
-                return f"{where} tie_at_top must be true or false"
-            if top1 not in index:
-                return f"{where} top1 label {top1!r} is outside the label set"
-            group = [top1] if tied == top1 else tied.split("|")
-            for name in group:
-                if name not in index:
-                    return f"{where} tied_top label {name!r} is outside the label set"
-            if len(set(group)) != len(group):
-                return f"{where} tied_top repeats a label"
-            if top1 not in group:
-                return f"{where} tied_top must contain top1"
-            if (tie == "true") != (len(group) > 1):
-                return f"{where} tie_at_top is {tie} but tied_top lists {len(group)} label(s)"
-            rows = predicted.setdefault(combo, {})
-            if doc_id in rows:
-                return f"{where} duplicate row for {combo!r} / {doc_id!r}"
-            rows[doc_id] = (index[top1], {index[name] for name in group})
-    except UnicodeDecodeError:
-        with open(path, "rb") as handle:
-            return f"{path}: not valid UTF-8 (line {_utf8_fault_line(handle.read())})"
+    for item in table_row_stream(path, header):
+        if isinstance(item, str):
+            return item
+        line_no, (combo, doc_id, top1, tie, tied, _) = item
+        where = f"{path}:{line_no}:"
+        if tie not in ("true", "false"):
+            return f"{where} tie_at_top must be true or false"
+        if top1 not in index:
+            return f"{where} top1 label {top1!r} is outside the label set"
+        group = [top1] if tied == top1 else tied.split("|")
+        for name in group:
+            if name not in index:
+                return f"{where} tied_top label {name!r} is outside the label set"
+        if len(set(group)) != len(group):
+            return f"{where} tied_top repeats a label"
+        if top1 not in group:
+            return f"{where} tied_top must contain top1"
+        if (tie == "true") != (len(group) > 1):
+            return f"{where} tie_at_top is {tie} but tied_top lists {len(group)} label(s)"
+        rows = predicted.setdefault(combo, {})
+        if doc_id in rows:
+            return f"{where} duplicate row for {combo!r} / {doc_id!r}"
+        rows[doc_id] = (index[top1], {index[name] for name in group})
     if not predicted:
         return f"{path}: no fused predictions"
 

@@ -383,6 +383,10 @@ DOC_SPACE_SCORES = b"doc_id,label,score\n" + b"".join(
     for doc in (b"d 1", b"d_1") for i, label in enumerate((b"A", b"B", b"C"), start=1)
 )
 
+# files whose line 3 holds one column too many
+EXPERT_WIDE = b"doc_id,label\nd1,A\nd2,A,x\n"
+FUSED_WIDE = FUSED_HEADER + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d2,A,false,A,A|B|C,x\n"
+
 # (case, config fields over a valid two-system config on labels A, B, C,
 #  files written over the valid ones, command, text the error must name)
 MALFORMED = [
@@ -394,6 +398,9 @@ MALFORMED = [
      "'min_subset' must be an integer"),
     ("system-id-number", {"systems": [{"id": 7, "path": "s.csv"}]}, {}, ["fuse"],
      "'id' must be a string"),
+    # fuse loads the whole config, generation object included, but fetches nothing
+    ("generation-key-misspelled", {"generation": {"max_concurency": 2}}, {}, ["fuse"],
+     "unknown config fields ['generation.max_concurency']"),
     ("score-file-not-utf8", {}, {"s.csv": b"doc_id,label,score\nd1,A,1\xff\n"}, ["fuse"],
      "s.csv: not valid UTF-8"),
     ("config-not-utf8", None, {"config.json": b'{"labels": ["\xff"]}'}, ["fuse"],
@@ -407,7 +414,7 @@ MALFORMED = [
     ("score-field-over-csv-limit", {},
      {"s.csv": b'doc_id,label,score\n"' + b"x" * 200_000 + b'",A,1\n'}, ["fuse"],
      "s.csv:2: malformed CSV: field larger than field limit"),
-    # line 2 is split, line 3 goes to csv.reader, which counts from 1
+    # csv.reader names the physical line of the field
     ("score-field-over-csv-limit-after-a-split-line", {},
      {"s.csv": b"doc_id,label,score\nd1,A,0.1\n" + b"x" * 200_000 + b",A,1\n"}, ["fuse"],
      "s.csv:3: malformed CSV: field larger than field limit"),
@@ -493,6 +500,22 @@ MALFORMED = [
       + b"".join(b"s+t:m%d,d1,A,false,A,A|B|C\n" % i for i in range(500))
       + b"s+t:asc,d1,A,false,A,A|B|C\xff\n"},
      ["evaluate"], "fused.csv: not valid UTF-8 (line 502)"),
+    # a row of one column too many on line 3, then a byte that is not UTF-8:
+    # the first fault in file order is named, however many rows lie between
+    ("expert-wide-row-before-a-bad-byte", {"expert_labels": "e.csv"},
+     {"e.csv": EXPERT_WIDE + b"d3,\xff\n"}, ["evaluate"], "e.csv:3: expected 2 columns, found 3"),
+    ("expert-wide-row-800-rows-before-a-bad-byte", {"expert_labels": "e.csv"},
+     {"e.csv": EXPERT_WIDE + b"".join(b"m%04d,A\n" % m for m in range(800)) + b"d3,\xff\n"},
+     ["evaluate"], "e.csv:3: expected 2 columns, found 3"),
+    ("fused-wide-row-before-a-bad-byte", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n",
+      "out/fused.csv": FUSED_WIDE + b"s+t:wrc,d1,A,false,A,A|B|\xff\n"},
+     ["evaluate"], "fused.csv:3: expected 6 columns, found 7"),
+    ("fused-wide-row-400-rows-before-a-bad-byte", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_WIDE
+      + b"".join(b"s+t:m%04d,d1,A,false,A,A|B|C\n" % m for m in range(400))
+      + b"s+t:wrc,d1,A,false,A,A|B|\xff\n"},
+     ["evaluate"], "fused.csv:3: expected 6 columns, found 7"),
     ("fused-missing-document", {"expert_labels": "e.csv"},
      {"s.csv": ABC_SCORES.encode() + b"d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n",
       "t.csv": ABC_SCORES.encode() + b"d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n",

@@ -434,10 +434,10 @@ def test_write_csv_bytes_match_a_csv_writer_pass(table):
 
 # the csv module's field size limit while a drawn table is read
 FIELD_LIMIT = 16
-# fields that keep a line split: no quote, NUL, comma or line break, and
-# short, so that a line of them stays within FIELD_LIMIT
+# fields csv never quotes: no quote, NUL, comma or line break, and short,
+# so that a line of them stays within FIELD_LIMIT
 _PLAIN_FIELD = st.text(st.sampled_from("ab é"), max_size=2)
-# fields that hand their line to csv.reader: quoted ones holding what csv
+# fields that try csv.reader's own rules: quoted ones holding what csv
 # quotes and NUL, a bare quote, a NUL, a field over FIELD_LIMIT, and
 # fields within it whose line is over it
 _CSV_FIELD = st.one_of(
@@ -450,11 +450,20 @@ _CSV_FIELD = st.one_of(
 )
 
 
+# lone surrogates that surrogateescape writes as a byte that is not UTF-8:
+# 0xff, which UTF-8 never uses, a continuation byte without a lead byte and
+# a lead byte without its continuation byte
+_BAD_BYTES = ("\udcff", "\udc80", "\udcc3")
+
+
 @st.composite
 def table_files(draw):
     """A header and the text of a table file under it: rows mostly as wide
-    as the header, blank lines, \n, \r\n and lone \r line ends, and a
-    first line for csv.reader at the header, in the middle or nowhere."""
+    as the header, blank lines, \n, \r\n and lone \r line ends, a line
+    with a quoted, NUL-holding or long field at the header, in the middle
+    or nowhere, and now and then a lone surrogate anywhere on a drawn
+    line, a quoted field spanning lines included, which the test writes
+    as a byte that is not UTF-8."""
     header = ("h1", "h2", "h3")[: draw(st.integers(1, 3))]
     switch = draw(st.sampled_from(("header", "middle", "nowhere")))
     count = draw(st.integers(0 if switch != "middle" else 1, 8))
@@ -475,6 +484,10 @@ def table_files(draw):
             field = _PLAIN_FIELD if number < first else st.one_of(_PLAIN_FIELD, _CSV_FIELD)
             fields = draw(st.lists(field, min_size=width, max_size=width))
         lines.append(",".join(fields))
+    if draw(_now_and_then(3)):
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(_BAD_BYTES)) + lines[i][at:]
     text = "".join(line + draw(end) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # no line end after the last line
@@ -483,13 +496,17 @@ def table_files(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(table_files())
+# a wide row on line 2, then a bad byte in a quoted field on lines 3-4
+@example((("h1", "h2"), 'h1,h2\nx,y,z\n"a\n\udcffb",c\n'))
+# the same bad byte, then the wide row
+@example((("h1", "h2"), 'h1,h2\n"a\r\n\udcc3b",c\nx,y,z\n'))
 def test_table_rows_match_a_csv_reader_pass(case):
     header, text = case
     limit = csv.field_size_limit(FIELD_LIMIT)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.csv"
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             try:
                 got = list(_table_rows(path, header))
             except ValidationError as exc:
