@@ -8,8 +8,11 @@ nothing from it.  Tests compare library output against these.
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 import unicodedata
+from fractions import Fraction
 
 
 def normalize(raw):
@@ -306,3 +309,137 @@ def fused_predictions(path, labels, doc_ids):
     top1 = [[predicted[c][d][0] for d in doc_ids] for c in predicted]
     tied = [[predicted[c][d][1] for d in doc_ids] for c in predicted]
     return list(predicted), top1, tied
+
+
+def csv_text(header, rows):
+    # a table as csv.writer writes it, one row at a time, each line ended
+    # with "\n"; the "\r\n" terminator makes the writer quote a bare "\r"
+    # on every Python
+    out = []
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\r\n")
+    for row in [header, *rows]:
+        line.seek(0)
+        line.truncate()
+        writer.writerow(row)
+        out.append(line.getvalue()[:-2] + "\n")
+    return "".join(out)
+
+
+def report_files(tie_mode, labels, experts, individual, combined):
+    # {file name: text} of the six report files.  experts maps each doc_id
+    # to its expert label; individual and combined map each model id to a
+    # dict doc_id -> (top1 label, set of labels tied at the top).  Every
+    # count is made one document at a time, and every row written alone
+    def count(predictions, label=None):
+        correct = total = ties = 0
+        for doc_id, expert in experts.items():
+            if label is not None and expert != label:
+                continue
+            top1, group = predictions[doc_id]
+            if tie_mode == "lenient":
+                correct += expert in group
+            else:
+                correct += top1 == expert
+            total += 1
+            ties += len(group) > 1
+        return correct, total, ties
+
+    def record(c, t, ties):
+        return {"correct": c, "total": t, "ties": ties, "value": c / t}
+
+    kinds = {"individual": individual, "combined": combined}
+    overall = {kind: {m: count(p) for m, p in models.items()} for kind, models in kinds.items()}
+    per_label = {
+        kind: {m: {label: count(p, label) for label in labels} for m, p in models.items()}
+        for kind, models in kinds.items()
+    }
+    best = {}
+    for kind in kinds:
+        value = {m: Fraction(c, t) for m, (c, t, _) in overall[kind].items()}
+        tied = sorted(m for m in value if value[m] == max(value.values()))
+        best[kind] = {"model": tied[0], "tied": tied}
+
+    # grid statistics over the labels that carry documents
+    ge_best = ge_mean = cells = 0
+    for label in labels:
+        if not any(expert == label for expert in experts.values()):
+            continue
+        ind = [Fraction(*per_label["individual"][m][label][:2]) for m in individual]
+        for m in combined:
+            value = Fraction(*per_label["combined"][m][label][:2])
+            cells += 1
+            ge_best += value >= max(ind)
+            ge_mean += value >= sum(ind) / len(ind)
+    top = max(Fraction(c, t) for c, t, _ in overall["individual"].values())
+    models_ge = sum(Fraction(c, t) >= top for c, t, _ in overall["combined"].values())
+    stats = {
+        "cells_ge_best_individual": (ge_best, cells),
+        "cells_ge_individual_mean": (ge_mean, cells),
+        "models_ge_best_individual": (models_ge, len(combined)),
+    }
+
+    # the best models' top-1 labels, documents in doc_id order
+    tables = {"fusion_agrees_with_expert": [], "fusion_disagrees_with_both": [],
+              "both_disagree_with_expert": []}
+    for doc_id in sorted(experts):
+        e = experts[doc_id]
+        i = individual[best["individual"]["model"]][doc_id][0]
+        c = combined[best["combined"]["model"]][doc_id][0]
+        row = {"doc_id": doc_id, "expert": e, "individual": i, "combined": c}
+        if c == e and i != e:
+            tables["fusion_agrees_with_expert"].append(row)
+        elif i == e and c != e:
+            tables["fusion_disagrees_with_both"].append(row)
+        elif c == i and i != e:
+            tables["both_disagree_with_expert"].append(row)
+
+    payload = {
+        "tie_mode": tie_mode,
+        "label_counts": {label: sum(e == label for e in experts.values()) for label in labels},
+        "best_individual": best["individual"],
+        "best_combined": best["combined"],
+        "grid_statistics": {
+            name: {"numerator": n, "denominator": d, "value": n / d}
+            for name, (n, d) in stats.items()
+        },
+        "disagreements": tables,
+    }
+    for kind in kinds:
+        payload[kind] = {
+            m: {"overall": record(*overall[kind][m]),
+                "per_label": {label: record(*r) if r[1] else None
+                              for label, r in per_label[kind][m].items()}}
+            for m in overall[kind]
+        }
+
+    overall_rows, label_rows, strategy_rows = [], [], []
+    for kind in kinds:
+        for m in sorted(overall[kind]):
+            c, t, ties = overall[kind][m]
+            overall_rows.append([m, kind, c, t, ties, f"{c / t:.6f}"])
+            for label in labels:
+                c, t, _ = per_label[kind][m][label]
+                label_rows.append([m, kind, label, c, t, f"{c / t:.6f}" if t else "n/a"])
+    for m, (c, t, _) in overall["combined"].items():
+        subset, _, strategy = m.partition(":")
+        strategy_rows.append((subset, strategy, m, f"{c / t:.6f}"))
+    return {
+        "report.json": json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        "overall_precision.csv": csv_text(
+            ("model", "kind", "correct", "total", "ties", "precision"), overall_rows),
+        "per_label_precision.csv": csv_text(
+            ("model", "kind", "label", "correct", "total", "precision"), label_rows),
+        "grid_stats.csv": csv_text(
+            ("statistic", "numerator", "denominator", "value", "percent"),
+            [(name, n, d, f"{n / d:.6f}", f"{100.0 * (n / d):.2f}")
+             for name, (n, d) in stats.items()]),
+        "disagreements.csv": csv_text(
+            ("category", "doc_id", "expert", "individual", "combined"),
+            [(category, *row.values()) for category, rows in tables.items() for row in rows]),
+        # a subset and strategy pair names one model but for an id without
+        # ":" and the same id ended with ":", kept in model id order
+        "strategy_precision.csv": csv_text(
+            ("subset", "strategy", "precision"),
+            [(s, strategy, p) for s, strategy, _, p in sorted(strategy_rows)]),
+    }

@@ -202,14 +202,21 @@ def test_kernel_grid_matches_per_document_oracle(cube, tie_policy):
 
 
 @st.composite
-def evaluations(draw):
+def evaluations(draw, names=None):
     """Random label-index predictions of individual and combined models,
     each top1 inside a tied group of one to three labels, expert labels
     that leave some label groups empty, documents in unsorted order, and a
-    tie mode."""
+    tie mode.  With names, a strategy of id texts, labels, document and
+    model ids are drawn from it, and a model may copy the first one's
+    predictions, so that two tie for best."""
     n = draw(st.integers(3, 6))
-    labels = tuple(f"L{i}" for i in range(n))
-    doc_ids = draw(st.permutations([f"d{i}" for i in range(draw(st.integers(1, 8)))]))
+    count = draw(st.integers(1, 8))
+    if names is None:
+        labels = tuple(f"L{i}" for i in range(n))
+        doc_ids = draw(st.permutations([f"d{i}" for i in range(count)]))
+    else:
+        labels = tuple(draw(st.lists(names, min_size=n, max_size=n, unique=True)))
+        doc_ids = draw(st.lists(names, min_size=count, max_size=count, unique=True))
     used = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
     expert = np.array([draw(st.sampled_from(used)) for _ in doc_ids], dtype=np.intp)
 
@@ -222,7 +229,13 @@ def evaluations(draw):
                                       unique=True))
                 top1[m, d] = draw(st.sampled_from(group))
                 tied[m, d, group] = True
-        return ModelPredictions(tuple(f"{prefix}{k}" for k in range(count)), labels, top1, tied)
+        if names is None:
+            return ModelPredictions(tuple(f"{prefix}{k}" for k in range(count)), labels,
+                                    top1, tied)
+        if count > 1 and draw(st.booleans()):
+            top1[-1], tied[-1] = top1[0], tied[0]
+        ids = draw(st.lists(names, min_size=count, max_size=count, unique=True))
+        return ModelPredictions(tuple(ids), labels, top1, tied)
 
     individual = models("S", draw(st.integers(1, 3)))
     combined = models("C", draw(st.integers(1, 5)))
@@ -857,6 +870,34 @@ def test_report_json_bytes_match_json_dumps(report):
     with tempfile.TemporaryDirectory() as tmp:
         write_report(report, tmp)
         assert (Path(tmp) / "report.json").read_bytes() == (want + "\n").encode("utf-8")
+
+
+# what csv quotes, what json escapes, and ":", which splits a combo id
+# into its subset and strategy in strategy_precision.csv
+_REPORT_TEXT = st.text(st.sampled_from('a:,"\n\r\\\x1f é中\u2028'), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluations(_REPORT_TEXT))
+def test_report_files_match_a_row_by_row_writer(case):
+    label_set, doc_ids, expert, individual, combined, tie_mode = case
+    report = evaluate_predictions(doc_ids, label_set, expert, individual, combined, tie_mode)
+    labels = label_set.labels
+
+    def plain(p):
+        return {
+            model: {doc_id: (labels[p.top1[m, d]], {labels[i] for i in np.flatnonzero(p.tied[m, d])})
+                    for d, doc_id in enumerate(doc_ids)}
+            for m, model in enumerate(p.model_ids)
+        }
+
+    want = _naive.report_files(
+        tie_mode, labels, {doc_id: labels[e] for doc_id, e in zip(doc_ids, expert.tolist())},
+        plain(individual), plain(combined))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_report(report, tmp)
+        got = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+    assert got == {name: text.encode("utf-8") for name, text in want.items()}
 
 
 # words drawn from a few letters, edge punctuation and odd whitespace
