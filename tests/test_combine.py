@@ -284,7 +284,7 @@ def test_fusion_batch_rejects_inconsistent_rosters():
         FusionBatch(("d1", "d2"), LABELS3, ("A", "B"), np.ones((2, 3, 3)))
 
 
-def test_run_grid_rejects_inconsistent_label_sets():
+def test_fusion_batch_rejects_ragged_or_misshaped_raw_scores():
     with pytest.raises(ValidationError, match="rectangular"):
         FusionBatch(("d1", "d2"), LABELS3, ("A", "B"),
                     [[[1, 2, 3], [3, 2, 1]], [[1, 2, 3, 4], [3, 2, 1, 0]]])

@@ -180,7 +180,7 @@ def test_diversity_strength_needs_two_systems():
         diversity_strength(np.zeros((1, 1)))
 
 
-def test_system_scores_degenerate_flag():
+def test_fusion_batch_flags_a_constant_system_degenerate():
     batch = _batch({"A": [2.0, 2.0, 2.0], "B": [1.0, 2.0, 3.0]})
     assert batch.degenerate.tolist() == [[True, False]]
     assert batch.normalized[0, 0].tolist() == [0.5, 0.5, 0.5]
@@ -216,7 +216,7 @@ def test_fusion_batch_requires_a_system():
         _batch({})
 
 
-def test_single_system_instance_has_no_diversity():
+def test_single_system_batch_has_no_diversity():
     batch = _batch({"A": [0.1, 0.2, 0.3]})
     assert batch.cd is None
     assert batch.ds is None
@@ -262,7 +262,7 @@ def test_subset_strength_rejects_unknown_and_small():
         diversity_strength(batch.cd[0], batch.subset_index(("A",)))
 
 
-def test_diversity_profile_pair_lookup():
+def test_batch_cd_is_symmetric_and_ds_is_the_pair_value():
     labels = LabelSet(("x", "y", "z"))
     batch = _batch({"A": [1, 2, 3], "B": [3, 2, 1]}, labels, "d")
     a, b = batch.subset_index(("A", "B"))
