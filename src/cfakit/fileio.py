@@ -145,7 +145,8 @@ def _not_utf8(path: Path, data: bytes) -> ValidationError:
 def _table_rows(path: Path, header: Sequence[str]):
     """(line number, row) for each non-empty row below the expected header,
     as csv.reader reads the file, every one checked to have as many
-    columns as the header.
+    columns as the header.  A row is numbered by the line it starts on,
+    which a quoted line break puts ahead of the count of rows.
 
     Faults are named in file order: each row is checked for a byte that
     is not UTF-8 (the header before it is compared, the others before
@@ -162,14 +163,15 @@ def _table_rows(path: Path, header: Sequence[str]):
                     f"{path}: expected header {','.join(header)}, found {','.join(found)}"
                 )
             width = len(header)
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(_utf8_row(path, row)) != width:
-                    raise ValidationError(
-                        f"{path}:{line_no}: expected {width} columns, found {len(row)}"
-                    )
-                yield line_no, row
+            line_no = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(_utf8_row(path, row)) != width:
+                        raise ValidationError(
+                            f"{path}:{line_no}: expected {width} columns, found {len(row)}"
+                        )
+                    yield line_no, row
+                line_no = reader.line_num + 1
     except FileNotFoundError:
         raise DataAccessError(f"file not found: {path}") from None
     except OSError as exc:

@@ -148,8 +148,8 @@ def keyword_scores(tokens, lexicon):
 
 def table_row_stream(path, header):
     # every physical line through one csv.reader: (line number, row) of
-    # each non-empty row below the header, the row's number counted from
-    # the header's 1; the text of the first error ends the stream, and a
+    # each non-empty row below the header, the row's number that of the
+    # line it starts on; the text of the first error ends the stream, and a
     # csv error names the reader's physical line.  Each line is decoded on
     # its own; a row made from a line that is not UTF-8 (the header
     # before it is compared, any other row before its width) names the
@@ -178,9 +178,8 @@ def table_row_stream(path, header):
         if fault or found != list(header):
             yield fault or f"{path}: expected header {','.join(header)}, found {','.join(found)}"
             return
-        line_no = 1
         for row in reader:
-            line_no += 1
+            line_no = read + 1
             fault = not_utf8(row)
             if fault:
                 yield fault

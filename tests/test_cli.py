@@ -507,6 +507,13 @@ MALFORMED = [
     ("expert-wide-row-800-rows-before-a-bad-byte", {"expert_labels": "e.csv"},
      {"e.csv": EXPERT_WIDE + b"".join(b"m%04d,A\n" % m for m in range(800)) + b"d3,\xff\n"},
      ["evaluate"], "e.csv:3: expected 2 columns, found 3"),
+    # a row is named by the line it starts on, past a quoted line break
+    ("expert-wide-row-after-a-quoted-line-break", {"expert_labels": "e.csv"},
+     {"e.csv": b'doc_id,label\n"d\n1",A\nd2,A,x\n'}, ["evaluate"],
+     "e.csv:4: expected 2 columns, found 3"),
+    ("expert-bad-byte-after-a-quoted-line-break", {"expert_labels": "e.csv"},
+     {"e.csv": b'doc_id,label\n"d\n1",A\nd2,\xff\n'}, ["evaluate"],
+     "e.csv: not valid UTF-8 (line 4)"),
     ("fused-wide-row-before-a-bad-byte", {"expert_labels": "e.csv"},
      {"e.csv": b"doc_id,label\nd1,A\n",
       "out/fused.csv": FUSED_WIDE + b"s+t:wrc,d1,A,false,A,A|B|\xff\n"},
