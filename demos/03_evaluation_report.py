@@ -55,19 +55,22 @@ def main() -> None:
         combined_arrays(batch),
     )
 
+    # each model's correct documents of the same total, summed over labels
+    total = sum(report.label_counts.values())
     print("individual systems, precision at rank 1")
-    for model in sorted(report.individual_overall):
-        r = report.individual_overall[model]
-        print(f"  {model}: {r.correct}/{r.total} = {r.value:.4f}")
+    for model, correct in sorted(zip(report.individual_ids,
+                                     report.individual_correct.sum(axis=1).tolist())):
+        print(f"  {model}: {correct}/{total} = {correct / total:.4f}")
     best_ind = report.best_individual.model
     print(f"  best individual: {best_ind}")
 
-    print("\ntop five combined models out of", len(report.combined_overall))
+    print("\ntop five combined models out of", len(report.combined_ids))
     ranked = sorted(
-        report.combined_overall.items(), key=lambda kv: (-kv[1].value, kv[0])
+        zip(report.combined_ids, report.combined_correct.sum(axis=1).tolist()),
+        key=lambda pair: (-pair[1], pair[0]),
     )
-    for combo_id, r in ranked[:5]:
-        print(f"  {combo_id:24s} {r.correct}/{r.total} = {r.value:.4f}")
+    for combo_id, correct in ranked[:5]:
+        print(f"  {combo_id:24s} {correct}/{total} = {correct / total:.4f}")
     print(f"  best combined: {report.best_combined.model}")
 
     stats = report.grid_stats

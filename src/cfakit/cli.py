@@ -228,9 +228,10 @@ def cmd_evaluate(args) -> None:
     )
     write_report(report, config.out_dir)
     best = report.best_combined
+    correct = int(report.combined_correct[report.combined_ids.index(best.model)].sum())
     print(
         f"wrote {config.out_dir / 'report.json'}; best combined model "
-        f"{best.model} at {format_table(report.combined_overall[best.model].value)}"
+        f"{best.model} at {format_table(correct / sum(report.label_counts.values()))}"
     )
 
 

@@ -1,17 +1,20 @@
 """Evaluation of fused and individual predictions against expert labels.
 
 Precision@1 is the fraction of documents whose top-ranked label matches
-the expert label.  Fractions keep their raw integer numerator and
-denominator so that comparisons between models are exact; floats only
-appear in presentation.  Under the strict tie mode a top tie counts as
-correct only when the deterministic tie-break picked the expert label;
-the lenient mode accepts the expert label anywhere in the tied group.
+the expert label.  Under the strict tie mode a top tie counts as correct
+only when the deterministic tie-break picked the expert label; the
+lenient mode accepts the expert label anywhere in the tied group.
 
 Every count comes from one pass over label-index arrays (see
-ModelPredictions): a hit matrix of models x documents, summed overall
-and per expert label with np.bincount.  individual_arrays and
-combined_arrays make those arrays from a batch, and
-fileio.load_fused_predictions reads them from a fused grid file.
+ModelPredictions): a hit matrix of models x documents, summed per
+expert label with np.bincount.  individual_arrays and combined_arrays
+make those arrays from a batch, and fileio.load_fused_predictions reads
+them from a fused grid file.  The report keeps the counts as they come:
+for the individual and the combined models, exact (models, labels)
+integer arrays of correct and of top-tied documents, beside each label's
+document count.  Every model shares those per-label totals, and their
+sum overall, so comparing counts compares precisions exactly; floats
+only appear in presentation.  PrecisionResult holds the grid statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
+from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,7 +31,7 @@ import numpy as np
 from .combine import _fuse_arrays, _top_labels, grid_arrays
 from .core import FusionBatch
 from .errors import ValidationError
-from .fileio import atomic_write_text, format_table, write_csv
+from .fileio import _quote, atomic_write_text, format_table, write_csv
 from .settings import STRATEGIES, LabelSet, _check_tie_mode
 
 
@@ -86,8 +89,7 @@ def combined_arrays(
 @dataclass(frozen=True)
 class PrecisionResult:
     """An exact count: correct of total, unreduced, plus the number of
-    top-tied documents.  It holds a precision@1 and, with tie_count 0,
-    each grid statistic."""
+    top-tied documents.  It holds each grid statistic, with tie_count 0."""
 
     correct: int
     total: int
@@ -102,10 +104,6 @@ class PrecisionResult:
     @property
     def value(self) -> float:
         return self.correct / self.total
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.correct, self.total)
 
 
 def expert_indices(
@@ -140,23 +138,6 @@ def _count(
     )
 
 
-def _results(
-    model_ids: Sequence[str], counts: tuple, totals: list[int], labels: Sequence[str]
-) -> tuple[dict[str, PrecisionResult], dict[str, dict[str, PrecisionResult | None]]]:
-    """Overall and per-label results of each model; a label without
-    documents maps to None, marking the group empty rather than scoring
-    it zero."""
-    overall: dict[str, PrecisionResult] = {}
-    per_label: dict[str, dict[str, PrecisionResult | None]] = {}
-    for model_id, correct, ties in zip(model_ids, *(c.tolist() for c in counts)):
-        overall[model_id] = PrecisionResult(sum(correct), sum(totals), sum(ties))
-        per_label[model_id] = {
-            label: PrecisionResult(c, group, t) if group else None
-            for label, c, group, t in zip(labels, correct, totals, ties)
-        }
-    return overall, per_label
-
-
 @dataclass(frozen=True)
 class BestSelection:
     """Best model id with every id that tied for the top precision."""
@@ -165,14 +146,14 @@ class BestSelection:
     tied: tuple[str, ...]
 
 
-def select_best(results: Mapping[str, PrecisionResult]) -> BestSelection:
-    """Model with the highest precision; ties break by model id order."""
-    if not results:
+def select_best(model_ids: Sequence[str], correct: Sequence[int]) -> BestSelection:
+    """Model with the most correct documents, given each model's count out
+    of one shared total: the highest precision, compared exactly.  Ties
+    break by model id order."""
+    if not model_ids:
         raise ValidationError("cannot select the best model from empty results")
-    best = max(result.fraction for result in results.values())
-    tied = tuple(sorted(
-        model_id for model_id, result in results.items() if result.fraction == best
-    ))
+    best = max(correct)
+    tied = tuple(sorted(m for m, count in zip(model_ids, correct) if count == best))
     return BestSelection(model=tied[0], tied=tied)
 
 
@@ -257,14 +238,24 @@ def _disagreements(
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Everything the evaluation pipeline measures in one place."""
+    """Everything the evaluation pipeline measures in one place.
+
+    label_counts maps each label, in label-set order, to its documents,
+    the total every model is scored on for that label.  Row m of
+    individual_correct counts, per label, the documents the model
+    individual_ids[m] got right, and of individual_ties those whose top
+    label it tied: exact (models, labels) integer arrays.  The combined_*
+    fields hold the same for the combined models.
+    """
 
     tie_mode: str
     label_counts: dict[str, int]
-    individual_overall: dict[str, PrecisionResult]
-    combined_overall: dict[str, PrecisionResult]
-    individual_per_label: dict[str, dict[str, PrecisionResult | None]]
-    combined_per_label: dict[str, dict[str, PrecisionResult | None]]
+    individual_ids: tuple[str, ...]
+    individual_correct: np.ndarray
+    individual_ties: np.ndarray
+    combined_ids: tuple[str, ...]
+    combined_correct: np.ndarray
+    combined_ties: np.ndarray
     best_individual: BestSelection
     best_combined: BestSelection
     grid_stats: GridStats
@@ -294,6 +285,8 @@ def evaluate_predictions(
             or expert.min() < 0 or expert.max() >= label_set.n):
         raise ValidationError("evaluation needs one expert label-set index per document")
     for p in (individual, combined):
+        if len(set(p.model_ids)) != len(p.model_ids):
+            raise ValidationError("model ids must be unique")
         shape = (len(p.model_ids), len(doc_ids))
         if (p.labels != label_set.labels or p.top1.shape != shape
                 or p.tied.shape != shape + (label_set.n,)):
@@ -306,26 +299,18 @@ def evaluate_predictions(
     totals = np.bincount(expert, minlength=label_set.n)
     ind = _count(individual, expert, label_set.n, tie_mode)
     comb = _count(combined, expert, label_set.n, tie_mode)
-    individual_overall, individual_per_label = _results(
-        individual.model_ids, ind, totals.tolist(), label_set.labels)
-    combined_overall, combined_per_label = _results(
-        combined.model_ids, comb, totals.tolist(), label_set.labels)
-    best_individual = select_best(individual_overall)
-    best_combined = select_best(combined_overall)
-
-    def top1_of(p: ModelPredictions, best: BestSelection) -> np.ndarray:
-        return p.top1[p.model_ids.index(best.model)]
-
-    tables = _disagreements(doc_ids, label_set.labels, expert,
-                            top1_of(individual, best_individual),
-                            top1_of(combined, best_combined))
+    best_individual = select_best(individual.model_ids, ind[0].sum(axis=1).tolist())
+    best_combined = select_best(combined.model_ids, comb[0].sum(axis=1).tolist())
+    tables = _disagreements(
+        doc_ids, label_set.labels, expert,
+        individual.top1[individual.model_ids.index(best_individual.model)],
+        combined.top1[combined.model_ids.index(best_combined.model)],
+    )
     return EvaluationReport(
         tie_mode=tie_mode,
         label_counts=dict(zip(label_set.labels, totals.tolist())),
-        individual_overall=individual_overall,
-        combined_overall=combined_overall,
-        individual_per_label=individual_per_label,
-        combined_per_label=combined_per_label,
+        individual_ids=individual.model_ids, individual_correct=ind[0], individual_ties=ind[1],
+        combined_ids=combined.model_ids, combined_correct=comb[0], combined_ties=comb[1],
         best_individual=best_individual,
         best_combined=best_combined,
         grid_stats=_grid_stats(ind[0], comb[0], totals),
@@ -346,37 +331,40 @@ _PER_LABEL = _record_template(8)
 
 
 def _models_json(
-    overall: Mapping[str, PrecisionResult],
-    per_label: Mapping[str, Mapping[str, PrecisionResult | None]],
+    model_ids: Sequence[str], correct: np.ndarray, ties: np.ndarray,
+    label_counts: Mapping[str, int],
 ) -> str:
     """The individual or combined section of report.json, with the bytes
     json.dumps(indent=2, sort_keys=True, ensure_ascii=False) gives it one
     level deep: models by id, each with its overall record and its
     per-label records by label (null for a label without documents).
     Floats are written by repr, as json writes them."""
-
-    def record(template: str, r: PrecisionResult | None) -> str:
-        if r is None:
-            return "null"
-        return template % (r.correct, r.tie_count, r.total, repr(r.value))
-
-    keys: dict[str, str] = {}  # label -> its key line in a per_label object
-    models = []
-    for model in sorted(overall):
-        by_label = per_label[model]
-        cells = []
-        for label in sorted(by_label):
-            key = keys.get(label)
-            if key is None:
-                key = keys[label] = f"\n        {json.dumps(label, ensure_ascii=False)}: "
-            cells.append(key + record(_PER_LABEL, by_label[label]))
-        labels = "{" + ",".join(cells) + "\n      }" if cells else "{}"
-        models.append(
-            f"\n    {json.dumps(model, ensure_ascii=False)}: {{"
-            f'\n      "overall": {record(_OVERALL, overall[model])},'
-            f'\n      "per_label": {labels}\n    }}'
+    labels, totals = list(label_counts), list(label_counts.values())
+    total = sum(totals)
+    by_name = sorted(range(len(labels)), key=labels.__getitem__)
+    keys = [f"\n        {encode_basestring(labels[l])}: " for l in by_name]
+    groups = [totals[l] for l in by_name]
+    # each label's record by correct count, a %d in place of the tie count
+    records = [
+        [_PER_LABEL % (n, "%d", g, repr(n / g)) for n in range(g + 1)] if g else None
+        for g in groups
+    ]
+    overall = correct.sum(axis=1)
+    models = {}
+    for model, c, t, cells, cell_ties in zip(
+        model_ids, overall.tolist(), ties.sum(axis=1).tolist(),
+        correct[:, by_name].tolist(), ties[:, by_name].tolist(),
+    ):
+        per_label = ",".join(
+            key + (record[n] % k if group else "null")
+            for key, record, group, n, k in zip(keys, records, groups, cells, cell_ties)
         )
-    return "{" + ",".join(models) + "\n  }" if models else "{}"
+        models[model] = (
+            f"\n    {encode_basestring(model)}: {{"
+            f'\n      "overall": {_OVERALL % (c, t, total, repr(c / total))},'
+            f'\n      "per_label": {{{per_label}\n      }}\n    }}'
+        )
+    return "{" + ",".join(models[m] for m in sorted(models)) + "\n  }" if models else "{}"
 
 
 def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
@@ -384,11 +372,17 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
 
     report.json holds the bytes of json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False) of the report: the individual and combined
-    sections are written from their fixed shape, the others by json."""
+    sections are written from their fixed shape, the others by json.
+    The precision tables are formatted a column at a time from the count
+    arrays, each id quoted once as write_csv would quote it."""
     out_dir = Path(out_dir)
     # field name -> PrecisionResult, and category -> rows, in field order
     stats = vars(report.grid_stats)
     tables = vars(report.disagreements)
+    kinds = (
+        ("individual", report.individual_ids, report.individual_correct, report.individual_ties),
+        ("combined", report.combined_ids, report.combined_correct, report.combined_ties),
+    )
 
     sections = {
         "tie_mode": report.tie_mode,
@@ -410,29 +404,32 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         name: json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", "\n  ")
         for name, value in sections.items()
     }
-    text["individual"] = _models_json(report.individual_overall, report.individual_per_label)
-    text["combined"] = _models_json(report.combined_overall, report.combined_per_label)
+    for kind, model_ids, correct, ties in kinds:
+        text[kind] = _models_json(model_ids, correct, ties, report.label_counts)
     atomic_write_text(out_dir / "report.json", "{" + ",".join(
         f'\n  "{name}": {text[name]}' for name in sorted(text)
     ) + "\n}\n")
 
-    overall_rows, label_rows = [], []
-    for kind, overall, per_label in (
-        ("individual", report.individual_overall, report.individual_per_label),
-        ("combined", report.combined_overall, report.combined_per_label),
-    ):
-        for model, r in sorted(overall.items()):
-            overall_rows.append(
-                (model, kind, r.correct, r.total, r.tie_count, format_table(r.value)))
-            label_rows.extend(
-                (model, kind, label, 0, 0, "n/a") if r is None
-                else (model, kind, label, r.correct, r.total, format_table(r.value))
-                for label, r in per_label[model].items()
-            )
-    write_csv(out_dir / "overall_precision.csv",
-              ("model", "kind", "correct", "total", "ties", "precision"), overall_rows)
-    write_csv(out_dir / "per_label_precision.csv",
-              ("model", "kind", "label", "correct", "total", "precision"), label_rows)
+    totals = list(report.label_counts.values())
+    total = sum(totals)
+    # what follows the model and kind columns of a label's row, by correct count
+    tails = [
+        [f"{_quote(label)},{n},{g},{format_table(n / g)}\n" for n in range(g + 1)]
+        if g else [f"{_quote(label)},0,0,n/a\n"]
+        for label, g in report.label_counts.items()
+    ]
+    overall_lines, label_lines = [], []
+    for kind, model_ids, correct, ties in kinds:
+        rows = zip(model_ids, correct.sum(axis=1).tolist(), ties.sum(axis=1).tolist(),
+                   correct.tolist())
+        for model, c, t, cells in sorted(rows, key=lambda row: row[0]):
+            head = f"{_quote(model)},{kind},"
+            overall_lines.append(f"{head}{c},{total},{t},{format_table(c / total)}\n")
+            label_lines.extend(head + tail[n] for tail, n in zip(tails, cells))
+    atomic_write_text(out_dir / "overall_precision.csv",
+                      "model,kind,correct,total,ties,precision\n" + "".join(overall_lines))
+    atomic_write_text(out_dir / "per_label_precision.csv",
+                      "model,kind,label,correct,total,precision\n" + "".join(label_lines))
     write_csv(
         out_dir / "grid_stats.csv",
         ("statistic", "numerator", "denominator", "value", "percent"),
@@ -446,11 +443,10 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
          for category, table in tables.items() for row in table],
     )
     # Average precision per subset and strategy, the plot-data view of the
-    # combination grid.
-    strategy_rows = []
-    for combo_id, r in sorted(report.combined_overall.items()):
-        subset, _, tag = combo_id.partition(":")
-        strategy_rows.append((subset, tag, format_table(r.value)))
-    strategy_rows.sort(key=lambda row: (row[0], row[1]))
-    write_csv(out_dir / "strategy_precision.csv", ("subset", "strategy", "precision"),
-              strategy_rows)
+    # combination grid; the combo id breaks a tie between "a" and "a:".
+    values = (report.combined_correct.sum(axis=1) / total).tolist()
+    write_csv(out_dir / "strategy_precision.csv", ("subset", "strategy", "precision"), [
+        (subset, strategy, format_table(v)) for subset, strategy, _, v in sorted(
+            (*combo_id.partition(":")[::2], combo_id, v)
+            for combo_id, v in zip(report.combined_ids, values))
+    ])

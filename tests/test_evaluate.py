@@ -11,6 +11,7 @@ from cfakit import (
     FusionBatch,
     LabelSet,
     ModelPredictions,
+    PrecisionResult,
     ValidationError,
     combined_arrays,
     evaluate_predictions,
@@ -47,13 +48,32 @@ def _report(experts, individual, combined=None, labels=LABELS, tie_mode="strict"
     )
 
 
+def _overall(report, model, kind="individual"):
+    """A model's count over all documents, summed from the report's arrays."""
+    ids, correct, ties = (getattr(report, f"{kind}_{name}") for name in ("ids", "correct", "ties"))
+    m = ids.index(model)
+    return PrecisionResult(int(correct[m].sum()), sum(report.label_counts.values()),
+                           int(ties[m].sum()))
+
+
+def _per_label(report, model, kind="individual"):
+    """A model's count per label from the report's arrays, None for a label
+    without documents."""
+    ids, correct, ties = (getattr(report, f"{kind}_{name}") for name in ("ids", "correct", "ties"))
+    m = ids.index(model)
+    return {
+        label: PrecisionResult(int(c), group, int(t)) if group else None
+        for (label, group), c, t in zip(report.label_counts.items(), correct[m], ties[m])
+    }
+
+
 def test_precision_simple_fraction():
     experts = {"d1": "L1", "d2": "L2", "d3": "L3", "d4": "L1"}
-    result = _report(experts, {"m": ["L1", "L1", "L3", "L1"]}).individual_overall["m"]
+    result = _overall(_report(experts, {"m": ["L1", "L1", "L3", "L1"]}), "m")
     assert result.correct == 3
     assert result.total == 4
     assert result.value == 0.75
-    assert result.fraction == Fraction(3, 4)
+    assert Fraction(result.correct, result.total) == Fraction(3, 4)
     assert result.tie_count == 0
 
 
@@ -61,8 +81,8 @@ def test_precision_strict_versus_lenient_ties():
     experts = {"d1": "L2"}
     # L1 and L2 tie at the top; the deterministic break picks L1
     tied = {"m": ["L1|L2"]}
-    strict = _report(experts, tied, tie_mode="strict").individual_overall["m"]
-    lenient = _report(experts, tied, tie_mode="lenient").individual_overall["m"]
+    strict = _overall(_report(experts, tied, tie_mode="strict"), "m")
+    lenient = _overall(_report(experts, tied, tie_mode="lenient"), "m")
     assert strict.correct == 0
     assert lenient.correct == 1
     assert strict.tie_count == 1
@@ -73,7 +93,7 @@ def test_precision_tie_on_expert_top1_counts_in_both_modes():
     experts = {"d1": "L1"}
     tied = {"m": ["L1|L2"]}
     for tie_mode in ("strict", "lenient"):
-        assert _report(experts, tied, tie_mode=tie_mode).individual_overall["m"].correct == 1
+        assert _overall(_report(experts, tied, tie_mode=tie_mode), "m").correct == 1
 
 
 def test_precision_missing_predictions_listed(tmp_path):
@@ -111,9 +131,19 @@ def test_predictions_must_index_exactly_the_label_set():
             evaluate_predictions(["d1"], LABELS, expert, good, bad)
 
 
+def test_model_ids_must_be_unique():
+    expert = expert_indices({"d1": "L1"}, LABELS)
+    good = _models({"m": ["L1"]})
+    twice = good._replace(model_ids=("m", "m"), top1=np.repeat(good.top1, 2, axis=0),
+                          tied=np.repeat(good.tied, 2, axis=0))
+    for individual, combined in ((twice, good), (good, twice)):
+        with pytest.raises(ValidationError, match="model ids must be unique"):
+            evaluate_predictions(["d1"], LABELS, expert, individual, combined)
+
+
 def test_per_label_results_groups_and_empty_labels():
     experts = {"d1": "L1", "d2": "L1", "d3": "L2"}
-    table = _report(experts, {"m": ["L1", "L2", "L2"]}).individual_per_label["m"]
+    table = _per_label(_report(experts, {"m": ["L1", "L2", "L2"]}), "m")
     assert table["L1"].correct == 1
     assert table["L1"].total == 2
     assert table["L2"].correct == 1
@@ -135,51 +165,42 @@ def test_overall_equals_document_weighted_mean_of_labels():
         experts = {d: labels[int(rng.integers(0, 5))] for d in docs}
         predictions = {"m": [labels[int(rng.integers(0, 5))] for _ in docs]}
         report = _report(experts, predictions, labels=label_set)
-        table = report.individual_per_label["m"]
+        table = _per_label(report, "m")
         total = sum(r.correct for r in table.values() if r is not None)
         count = sum(r.total for r in table.values() if r is not None)
-        assert Fraction(total, count) == report.individual_overall["m"].fraction
+        overall = _overall(report, "m")
+        assert Fraction(total, count) == Fraction(overall.correct, overall.total)
 
 
 def test_select_best_picks_highest():
-    from cfakit import PrecisionResult
-
-    results = {
-        "A": PrecisionResult(9542, 10000),
-        "B": PrecisionResult(9100, 10000),
-        "C": PrecisionResult(8800, 10000),
-        "D": PrecisionResult(8000, 10000),
-        "E": PrecisionResult(7800, 10000),
-    }
-    best = select_best(results)
+    # correct documents of 10000 each
+    best = select_best(("A", "B", "C", "D", "E"), [9542, 9100, 8800, 8000, 7800])
     assert best.model == "A"
     assert best.tied == ("A",)
 
 
 def test_select_best_breaks_ties_canonically():
-    from cfakit import PrecisionResult
-
-    results = {
-        "B+C:asc": PrecisionResult(3, 4),
-        "A+B:arc": PrecisionResult(3, 4),
-        "A+C:wsc-ds": PrecisionResult(2, 4),
-    }
-    best = select_best(results)
+    # correct documents of 4 each
+    best = select_best(("B+C:asc", "A+B:arc", "A+C:wsc-ds"), [3, 3, 2])
     assert best.model == "A+B:arc"
     assert best.tied == ("A+B:arc", "B+C:asc")
 
 
 def test_select_best_compares_fractions_not_floats():
-    from cfakit import PrecisionResult
-
-    # 1/3 versus 33/100: exact rational comparison keeps 1/3 on top
-    results = {"x": PrecisionResult(1, 3), "y": PrecisionResult(33, 100)}
-    assert select_best(results).model == "x"
+    # 1/3 versus 33/100, as counts of one total of 300 documents
+    assert select_best(("x", "y"), [100, 99]).model == "x"
+    # of 2**60 documents, one and two wrong give the same float precision;
+    # the exact counts keep the first alone on top
+    total = 2 ** 60
+    assert (total - 1) / total == (total - 2) / total
+    best = select_best(("x", "y"), [total - 1, total - 2])
+    assert best.model == "x"
+    assert best.tied == ("x",)
 
 
 def test_select_best_empty():
     with pytest.raises(ValidationError):
-        select_best({})
+        select_best((), [])
 
 
 def test_grid_statistics_hand_counted():
@@ -279,13 +300,15 @@ def test_evaluate_predictions_end_to_end_small():
         docs, LABELS, expert_indices(experts, LABELS, docs),
         individual_arrays(batch), combined,
     )
-    assert set(report.individual_overall) == {"A", "B", "C"}
-    assert len(report.combined_overall) == 16  # 4 subsets x 4 strategies
+    assert set(report.individual_ids) == {"A", "B", "C"}
+    assert len(report.combined_ids) == 16  # 4 subsets x 4 strategies
+    assert report.combined_correct.shape == report.combined_ties.shape == (16, 3)
     assert report.grid_stats.models_ge_best_individual.total == 16
     assert report.grid_stats.cells_ge_best_individual.total == 16 * 3
     assert sum(report.label_counts.values()) == len(docs)
-    for model, table in report.combined_per_label.items():
+    for model in report.combined_ids:
+        table = _per_label(report, model, "combined")
         correct = sum(r.correct for r in table.values() if r is not None)
         total = sum(r.total for r in table.values() if r is not None)
-        overall = report.combined_overall[model]
-        assert Fraction(correct, total) == overall.fraction
+        overall = _overall(report, model, "combined")
+        assert Fraction(correct, total) == Fraction(overall.correct, overall.total)

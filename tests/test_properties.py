@@ -272,22 +272,24 @@ def _best(fractions):
 def test_evaluation_counts_match_per_document_recount(case):
     label_set, doc_ids, expert, individual, combined, tie_mode = case
     report = evaluate_predictions(doc_ids, label_set, expert, individual, combined, tie_mode)
-    overall = {**report.individual_overall, **report.combined_overall}
-    per_label = {**report.individual_per_label, **report.combined_per_label}
+    total = sum(report.label_counts.values())
     fractions = {}
-    for predictions in (individual, combined):
+    for predictions, ids, correct, ties in (
+        (individual, report.individual_ids, report.individual_correct, report.individual_ties),
+        (combined, report.combined_ids, report.combined_correct, report.combined_ties),
+    ):
+        assert ids == predictions.model_ids
+        assert correct.shape == ties.shape == (len(ids), label_set.n)
+        assert correct.dtype.kind == ties.dtype.kind == "i"
         for m, model_id in enumerate(predictions.model_ids):
             want = _recount(predictions, m, expert, tie_mode)
-            got = overall[model_id]
-            assert (got.correct, got.total, got.tie_count) == want
+            assert (correct[m].sum(), total, ties[m].sum()) == want
             fractions[model_id] = Fraction(want[0], want[1])
             for index, label in enumerate(label_set.labels):
+                # a label without documents counts 0 of 0, which the
+                # writers show as null and n/a
                 want = _recount(predictions, m, expert, tie_mode, index)
-                got = per_label[model_id][label]
-                if want[1] == 0:
-                    assert got is None
-                else:
-                    assert (got.correct, got.total, got.tie_count) == want
+                assert (correct[m, index], report.label_counts[label], ties[m, index]) == want
     assert report.label_counts == {
         label: expert.tolist().count(index) for index, label in enumerate(label_set.labels)
     }
@@ -779,25 +781,29 @@ def _block_size(size):
 
 def _report_payload(report):
     """report.json's content as a dict, built field by field from the report."""
-    def precision(r):
-        if r is None:
-            return None
-        return {"correct": r.correct, "total": r.total, "ties": r.tie_count, "value": r.value}
+    total = sum(report.label_counts.values())
 
-    def models(overall, per_label):
+    def precision(correct, total, ties):
+        return {"correct": correct, "total": total, "ties": ties, "value": correct / total}
+
+    def models(ids, correct, ties):
         return {
             model: {
-                "overall": precision(overall[model]),
-                "per_label": {label: precision(r) for label, r in per_label[model].items()},
+                "overall": precision(int(correct[m].sum()), total, int(ties[m].sum())),
+                "per_label": {
+                    label: precision(int(correct[m, l]), group, int(ties[m, l])) if group else None
+                    for l, (label, group) in enumerate(report.label_counts.items())
+                },
             }
-            for model in overall
+            for m, model in enumerate(ids)
         }
 
     return {
         "tie_mode": report.tie_mode,
         "label_counts": dict(report.label_counts),
-        "individual": models(report.individual_overall, report.individual_per_label),
-        "combined": models(report.combined_overall, report.combined_per_label),
+        "individual": models(report.individual_ids, report.individual_correct,
+                             report.individual_ties),
+        "combined": models(report.combined_ids, report.combined_correct, report.combined_ties),
         "best_individual": vars(report.best_individual),
         "best_combined": vars(report.best_combined),
         "grid_statistics": {
@@ -818,23 +824,21 @@ _JSON_TEXT = st.text(st.sampled_from('aZ:é中"\\\0\n\x1f\x7f\u2028'), min_size=
 
 @st.composite
 def reports(draw):
-    """An evaluation report with odd model ids and labels, per-label maps
-    in shuffled label order with empty (None) groups, and tied best models."""
-    labels = draw(st.lists(_JSON_TEXT, max_size=4, unique=True))
-
-    def precision():
-        total = draw(st.integers(1, 40))
-        return PrecisionResult(draw(st.integers(0, total)), total, draw(st.integers(0, total)))
+    """An evaluation report with odd model ids and labels, labels in
+    unsorted order with empty groups, and tied best models.  A report
+    without labels has no total to score on, so there is one at least."""
+    labels = draw(st.lists(_JSON_TEXT, min_size=1, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(0, 40), min_size=len(labels), max_size=len(labels))
+                  .filter(any))
 
     def models():
-        ids = draw(st.lists(_JSON_TEXT, max_size=4, unique=True))
-        overall = {model: precision() for model in ids}
-        per_label = {
-            model: {label: None if draw(st.booleans()) else precision()
-                    for label in draw(st.permutations(labels))}
-            for model in ids
-        }
-        return overall, per_label
+        ids = tuple(draw(st.lists(_JSON_TEXT, max_size=4, unique=True)))
+        correct, ties = (
+            np.array([[draw(st.integers(0, group)) for group in counts] for _ in ids],
+                     dtype=np.intp).reshape(len(ids), len(labels))
+            for _ in range(2)
+        )
+        return ids, correct, ties
 
     def best():
         tied = tuple(sorted(draw(st.lists(_JSON_TEXT, min_size=1, max_size=3, unique=True))))
@@ -848,14 +852,16 @@ def reports(draw):
         return tuple(DisagreementRow(*draw(st.lists(_JSON_TEXT, min_size=4, max_size=4)))
                      for _ in range(draw(st.integers(0, 2))))
 
-    (ind, ind_labels), (comb, comb_labels) = models(), models()
+    (ind, ind_correct, ind_ties), (comb, comb_correct, comb_ties) = models(), models()
     return EvaluationReport(
         tie_mode=draw(st.sampled_from(("strict", "lenient"))),
-        label_counts={label: draw(st.integers(0, 40)) for label in labels},
-        individual_overall=ind,
-        combined_overall=comb,
-        individual_per_label=ind_labels,
-        combined_per_label=comb_labels,
+        label_counts=dict(zip(labels, counts)),
+        individual_ids=ind,
+        individual_correct=ind_correct,
+        individual_ties=ind_ties,
+        combined_ids=comb,
+        combined_correct=comb_correct,
+        combined_ties=comb_ties,
         best_individual=best(),
         best_combined=best(),
         grid_stats=GridStats(ratio(), ratio(), ratio()),
