@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from pathlib import Path
 from typing import NamedTuple
 
@@ -342,7 +341,7 @@ def _models_json(
     labels, totals = list(label_counts), list(label_counts.values())
     total = sum(totals)
     by_name = sorted(range(len(labels)), key=labels.__getitem__)
-    keys = [f"\n        {encode_basestring(labels[l])}: " for l in by_name]
+    keys = [f"\n        {json.dumps(labels[l], ensure_ascii=False)}: " for l in by_name]
     groups = [totals[l] for l in by_name]
     # each label's record by correct count, a %d in place of the tie count
     records = [
@@ -360,7 +359,7 @@ def _models_json(
             for key, record, group, n, k in zip(keys, records, groups, cells, cell_ties)
         )
         models[model] = (
-            f"\n    {encode_basestring(model)}: {{"
+            f"\n    {json.dumps(model, ensure_ascii=False)}: {{"
             f'\n      "overall": {_OVERALL % (c, t, total, repr(c / total))},'
             f'\n      "per_label": {{{per_label}\n      }}\n    }}'
         )
@@ -373,8 +372,8 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     report.json holds the bytes of json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False) of the report: the individual and combined
     sections are written from their fixed shape, the others by json.
-    The precision tables are formatted a column at a time from the count
-    arrays, each id quoted once as write_csv would quote it."""
+    The precision tables are formatted from the count arrays, each id
+    quoted once as write_csv would quote it."""
     out_dir = Path(out_dir)
     # field name -> PrecisionResult, and category -> rows, in field order
     stats = vars(report.grid_stats)

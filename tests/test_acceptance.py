@@ -223,7 +223,8 @@ def test_report_arithmetic_on_constructed_fixtures():
     group_experts = {f"g{i:02d}": "SDG4" for i in range(16)}
     group_predictions = {"m": ["SDG4" if i < 15 else "SDG5" for i in range(16)]}
     report = _report(labels, group_experts, group_predictions, group_predictions)
-    correct, total = report.individual_correct[0, labels.index("SDG4")], report.label_counts["SDG4"]
+    correct = report.individual_correct[0, labels.index("SDG4")]
+    total = report.label_counts["SDG4"]
     assert correct / total == 0.9375  # exact: 15/16 is a dyadic rational
     assert correct == 15
     assert total == 16

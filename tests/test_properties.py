@@ -206,9 +206,9 @@ def evaluations(draw, names=None):
     """Random label-index predictions of individual and combined models,
     each top1 inside a tied group of one to three labels, expert labels
     that leave some label groups empty, documents in unsorted order, and a
-    tie mode.  With names, a strategy of id texts, labels, document and
-    model ids are drawn from it, and a model may copy the first one's
-    predictions, so that two tie for best."""
+    tie mode.  A model may copy the first one's predictions, so that two
+    tie for best.  With names, a strategy of id texts, labels, document
+    and model ids are drawn from it."""
     n = draw(st.integers(3, 6))
     count = draw(st.integers(1, 8))
     if names is None:
@@ -229,13 +229,11 @@ def evaluations(draw, names=None):
                                       unique=True))
                 top1[m, d] = draw(st.sampled_from(group))
                 tied[m, d, group] = True
-        if names is None:
-            return ModelPredictions(tuple(f"{prefix}{k}" for k in range(count)), labels,
-                                    top1, tied)
         if count > 1 and draw(st.booleans()):
             top1[-1], tied[-1] = top1[0], tied[0]
-        ids = draw(st.lists(names, min_size=count, max_size=count, unique=True))
-        return ModelPredictions(tuple(ids), labels, top1, tied)
+        ids = (tuple(f"{prefix}{k}" for k in range(count)) if names is None
+               else tuple(draw(st.lists(names, min_size=count, max_size=count, unique=True))))
+        return ModelPredictions(ids, labels, top1, tied)
 
     individual = models("S", draw(st.integers(1, 3)))
     combined = models("C", draw(st.integers(1, 5)))
@@ -892,8 +890,10 @@ def test_report_files_match_a_row_by_row_writer(case):
 
     def plain(p):
         return {
-            model: {doc_id: (labels[p.top1[m, d]], {labels[i] for i in np.flatnonzero(p.tied[m, d])})
-                    for d, doc_id in enumerate(doc_ids)}
+            model: {
+                doc_id: (labels[p.top1[m, d]], {labels[i] for i in np.flatnonzero(p.tied[m, d])})
+                for d, doc_id in enumerate(doc_ids)
+            }
             for m, model in enumerate(p.model_ids)
         }
 
