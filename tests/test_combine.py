@@ -62,7 +62,7 @@ def test_enumerate_min_size_bounds():
         enumerate_combinations(["A"])
 
 
-def test_combined_model_canonical_id():
+def test_combo_ids_sort_the_subset_and_tag_the_weight_source():
     # the subset's ids are sorted whatever the roster order; wsc and wrc
     # carry their weight source in the tag
     batch = _batch({"C": [0.1, 0.2, 0.3], "B": [0.3, 0.1, 0.2], "A": [0.2, 0.3, 0.1]})
@@ -74,7 +74,7 @@ def test_combined_model_canonical_id():
     assert list(_grid(batch, strategies=("wrc",)))[0] == "A+B+C:wrc-ds"
 
 
-def test_average_score_combination_with_tie_at_top():
+def test_asc_tie_at_top():
     batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
     values, order, tied, fallback = _grid(batch)["A+B:asc"]
     # normalized A = (0, 1, 1/2), normalized B = (1, 0, 3/8); means tie at 0.5
@@ -84,7 +84,7 @@ def test_average_score_combination_with_tie_at_top():
     assert not fallback[0]
 
 
-def test_average_rank_combination_all_tied_breaks_by_label_order():
+def test_arc_all_tied_keeps_label_order():
     batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
     values, order, tied, _ = _grid(batch)["A+B:arc"]
     assert values[0].tolist() == [2.0, 2.0, 2.0]
@@ -92,7 +92,7 @@ def test_average_rank_combination_all_tied_breaks_by_label_order():
     assert tied[0] == 3
 
 
-def test_weighted_score_combination_known_arithmetic():
+def test_wsc_known_arithmetic():
     # middle labels reproduce (1*0.2 + 3*0.6)/4 and (1*0.8 + 3*0.4)/4
     batch = _batch({"A": [0.0, 0.2, 0.8, 1.0], "B": [0.0, 0.6, 0.4, 1.0]}, LABELS4)
     values, _, _, fallback = _grid(batch, {"A": 1.0, "B": 3.0})["A+B:wsc-perf"]
