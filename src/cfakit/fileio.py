@@ -339,10 +339,14 @@ def write_fused_file(
     document doc_ids[d] best first and tied[d] counts the labels tied at
     the top.  Each row's ranking is its labels in that order, tied_top the
     first tied of them and top1 the first.  Each model's rows go to the
-    temporary file as the model arrives, so memory holds one model's rows,
-    not the grid's.  A combo_id that does not sort after the one before is
-    a ValidationError; on any error the file at path keeps its old bytes.
+    temporary file as the model arrives, so memory holds one model's rows
+    and 4 bytes per row of the grid.  A combo_id that does not sort after
+    the one before is a ValidationError; on any error the file at path
+    keeps its old bytes.  Then <path>.cache (_fused_cache) is written if
+    _fused_blocks would read the file, and removed if not.
     """
+    import zlib
+
     import numpy as np
 
     labels = label_set.labels
@@ -361,28 +365,53 @@ def write_fused_file(
     # one row of tokens per document: combo, doc, head, then the ranking
     rows = np.empty((len(doc_ids), len(labels) + 3), dtype=object)
     rows[:, 1] = [_quote(doc_ids[d]) + "," for d in perm.tolist()]
-    models = 0
-    previous = None
+    # for the cache, each row's head (label t or a tied group) and width before the ranking
+    cached = 0 < len(set(doc_ids)) == len(doc_ids) and all(isinstance(d, str) for d in doc_ids)
+    heads, combo_ids, index, longest = {(t,): t for t in range(len(labels))}, [], [], 0
+    head_width, doc_width = (np.array(list(map(len, column))) for column in (untied, rows[:, 1]))
+    blob = (",".join(FUSED_HEADER) + "\n").encode()
+    size, crc = len(blob), zlib.crc32(blob)
     with atomic_writer(path) as handle:
-        handle.write(",".join(FUSED_HEADER) + "\n")
+        handle.buffer.write(blob)
         for combo_id, order, tied in fused:
-            if previous is not None and combo_id <= previous:
+            if combo_ids and combo_id <= combo_ids[-1]:
                 raise ValidationError(
-                    f"{path}: combo id {combo_id!r} does not sort after {previous!r}"
+                    f"{path}: combo id {combo_id!r} does not sort after {combo_ids[-1]!r}"
                 )
-            previous = combo_id
             order, tied = order[perm], tied[perm]
-            rows[:, 0] = _quote(combo_id) + ","
+            rows[:, 0] = token = _quote(combo_id) + ","
             rows[:, 2] = untied[order[:, 0]]
+            at, width = order[:, 0].astype(np.int32), doc_width + head_width[order[:, 0]]
             for d in np.flatnonzero(tied > 1).tolist():
                 # the tied labels lead the ranking
-                group = [labels[i] for i in order[d, : tied[d]].tolist()]
-                rows[d, 2] = f"{_quote(group[0])},true,{_quote('|'.join(group))},{rank_quote}"
+                group = order[d, : tied[d]].tolist()
+                names = [labels[i] for i in group]
+                rows[d, 2] = f"{_quote(names[0])},true,{_quote('|'.join(names))},{rank_quote}"
+                at[d] = heads.setdefault(tuple(group), len(heads))
+                width[d] = doc_width[d] + len(rows[d, 2])
             rows[:, 3:-1] = piped[order[:, :-1]]
             rows[:, -1] = last[order[:, -1]]
-            handle.write("".join(rows.ravel().tolist()))
-            models += 1
-    return models
+            blob = "".join(rows.ravel().tolist()).encode()
+            size, crc = size + len(blob), zlib.crc32(blob, crc)
+            handle.buffer.write(blob)
+            # the bytes _fused_blocks refuses, from an id or label that is quoted or holds a NUL
+            cached &= isinstance(combo_id, str) and not any(c in blob for c in b'"\0\r')
+            combo_ids.append(combo_id)
+            index.append(at)
+            longest = max(longest, len(token) + int(width.max(initial=0)))
+    cache = Path(path).with_name(Path(path).name + ".cache")
+    if not (cached and combo_ids):
+        cache.unlink(missing_ok=True)
+        return len(combo_ids)
+    data = np.array(index, "<i4")[:, np.argsort(perm)].tobytes()  # documents in doc_ids order
+    header = {"version": 1, "bytes": size, "crc32": crc, "labels": list(labels),
+              "doc_ids": list(doc_ids), "combo_ids": combo_ids,
+              "longest_line": longest + sum(map(len, labels)) + len(labels) - 1,  # + a ranking
+              "heads": [[group[0], list(group)] for group in heads]}
+    header["check"] = zlib.crc32(data, zlib.crc32(json.dumps(header, sort_keys=True).encode()))
+    with atomic_writer(cache) as handle:
+        handle.buffer.write(json.dumps(header, sort_keys=True).encode() + b"\n" + data)
+    return len(combo_ids)
 
 
 def _names(names: list[str]) -> str:
@@ -514,8 +543,9 @@ def load_fused_predictions(
     must predict exactly the documents in doc_ids, with top1 and tied_top
     labels from the label set, top1 in tied_top, and tie_at_top true
     exactly when tied_top lists more than one label.  The ranking column
-    is not read.  A file that _fused_blocks does not suit is read again
-    by _fused_rows, which names the first fault with its path:line.
+    is not read.  A file without a valid cache (_fused_cache) is read by
+    _fused_blocks, or if that does not suit it by _fused_rows, which names
+    the first fault with its path:line.
     """
     import numpy as np
 
@@ -523,20 +553,49 @@ def load_fused_predictions(
     labels = {label: i for i, label in enumerate(label_set.labels)}
     docs = {doc_id: d for d, doc_id in enumerate(doc_ids)}
     # each distinct row head's (top1, tied group); each combo's head per document
-    groups, combos = _fused_blocks(path, labels, docs) or _fused_rows(path, labels, docs)
+    read = _fused_cache(path, label_set.labels, doc_ids) or _fused_blocks(path, labels, docs)
+    groups, combo_ids, at = read or _fused_rows(path, labels, docs)
     tops = np.array([top for top, _ in groups], dtype=np.intp)
     masks = np.zeros((len(groups), len(labels)), dtype=bool)
     for h, (_, group) in enumerate(groups):
         masks[h, group] = True
-    at = np.array(list(combos.values()), dtype=np.intp)
-    return tuple(combos), tops[at], masks[at]
+    at = np.asarray(at)
+    return combo_ids, tops[at], masks[at]
 
 
-_BLOCK = 1 << 16  # bytes read at a time by _fused_blocks
+_BLOCK = 1 << 16  # bytes read at a time by _fused_blocks and _fused_cache
+
+
+def _fused_cache(path: Path, labels: Sequence[str], doc_ids: Sequence[str]):
+    """load_fused_predictions' (groups, combo ids, heads) from the cache beside
+    path, or None unless it passes its own CRC-32 and was made for these labels
+    and documents, from path's bytes as they are: see README "Fused grid cache"."""
+    import zlib
+
+    import numpy as np
+
+    try:
+        with open(path.with_name(path.name + ".cache"), "rb") as handle:
+            header, data = json.loads(handle.readline()), handle.read()
+        check = header.pop("check")
+        at = np.frombuffer(data, "<i4").reshape(len(header["combo_ids"]), len(doc_ids))
+        if not (check == zlib.crc32(data, zlib.crc32(json.dumps(header, sort_keys=True).encode()))
+                and header["labels"] == list(labels) and header["doc_ids"] == list(doc_ids)
+                and header["longest_line"] <= csv.field_size_limit()
+                and at.size and 0 <= at.min() and at.max() < len(header["heads"])):
+            return None
+        size = crc = 0  # the file's, read last as it is the one long read
+        with open(path, "rb") as handle:
+            while block := handle.read(_BLOCK):
+                size, crc = size + len(block), zlib.crc32(block, crc)
+        if [header["version"], header["bytes"], header["crc32"]] == [1, size, crc]:
+            return header["heads"], tuple(header["combo_ids"]), at
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError):
+        return None
 
 
 def _fused_blocks(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
-    """load_fused_predictions' (groups, combos) read in blocks of whole
+    """load_fused_predictions' (groups, combo ids, heads) read in blocks of whole
     lines, each split at its newlines and each line at its commas, or None
     for a file that needs _fused_rows: see the README's "Fused grid"."""
     header = (",".join(FUSED_HEADER) + "\n").encode()
@@ -574,11 +633,12 @@ def _fused_blocks(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]
                     at[d] = head
     except (OSError, ValueError, KeyError, ValidationError):
         return None
-    return (groups, combos) if combos and all(-1 not in at for at in combos.values()) else None
+    whole = combos and all(-1 not in at for at in combos.values())
+    return (groups, tuple(combos), list(combos.values())) if whole else None
 
 
 def _fused_rows(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
-    """load_fused_predictions' (groups, combos) read row by row, each row checked in turn."""
+    """load_fused_predictions' (groups, combo ids, heads) read row by row, each row checked."""
     # Each distinct (top1, tie_at_top, tied_top) is a head, checked on the
     # first row that shows it.  heads maps it to its index in groups.
     heads: dict[tuple[str, str, str], int] = {}
@@ -614,7 +674,7 @@ def _fused_rows(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
         if strangers or -1 in at:
             found = list(strangers) + [doc_id for doc_id, d in docs.items() if at[d] >= 0]
             check_coverage(found, docs, f"{path}: combo {combo_id!r}: ")
-    return groups, {combo_id: at for combo_id, (at, _) in combos.items()}
+    return groups, tuple(combos), [at for at, _ in combos.values()]
 
 
 def load_corpus(path: Path | str) -> list[Document]:

@@ -6,6 +6,7 @@ import csv
 import json
 import threading
 import tracemalloc
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -15,7 +16,14 @@ import pytest
 from cfakit import FusionBatch, LabelSet, ValidationError
 from cfakit.cli import main
 from cfakit.combine import grid_arrays
-from cfakit.fileio import atomic_write_text, load_score_cube, write_fused_file, write_score_file
+from cfakit.fileio import (
+    _fused_cache,
+    atomic_write_text,
+    load_fused_predictions,
+    load_score_cube,
+    write_fused_file,
+    write_score_file,
+)
 
 LABELS = ["SDG4", "SDG6", "SDG13"]
 
@@ -145,6 +153,7 @@ def test_reruns_are_byte_identical(workspace):
     _score_both(ws)
     assert _run("fuse", "--config", config) == 0
     first_fused = (ws / "out" / "fused.csv").read_bytes()
+    first_cache = (ws / "out" / "fused.csv.cache").read_bytes()
     assert _run("evaluate", "--config", config) == 0
     first_report = (ws / "out" / "report.json").read_bytes()
     first_tables = {
@@ -154,10 +163,132 @@ def test_reruns_are_byte_identical(workspace):
 
     assert _run("fuse", "--config", config) == 0
     assert (ws / "out" / "fused.csv").read_bytes() == first_fused
+    assert (ws / "out" / "fused.csv.cache").read_bytes() == first_cache
     assert _run("evaluate", "--config", config) == 0
     assert (ws / "out" / "report.json").read_bytes() == first_report
     for name, body in first_tables.items():
         assert (ws / "out" / name).read_bytes() == body
+
+
+def _fuse_and_evaluate(ws):
+    """fuse, then evaluate: the bytes of the cache and of the report."""
+    config = ws / "config.json"
+    assert _run("fuse", "--config", config) == 0
+    assert _run("evaluate", "--config", config) == 0
+    return (ws / "out" / "fused.csv.cache").read_bytes(), (ws / "out" / "report.json").read_bytes()
+
+
+def _cache_hit(ws) -> bool:
+    doc_ids, _ = load_score_cube(
+        [(s, ws / "out" / f"scores_{n}.csv") for s, n in (("kw", "keyword"), ("tf", "tfidf"))],
+        LabelSet(tuple(LABELS)))
+    return _fused_cache(ws / "out" / "fused.csv", tuple(LABELS), doc_ids) is not None
+
+
+def test_an_edited_fused_file_is_read_from_its_rows_not_its_cache(workspace, capsys):
+    ws = workspace
+    _score_both(ws)
+    _, unedited = _fuse_and_evaluate(ws)
+    assert _cache_hit(ws)
+    # one row moves to another label of the same length: the file keeps its
+    # size, and only its CRC-32 shows that the cache is stale
+    experts = dict(line.split(",") for line in (ws / "expert.csv").read_text().splitlines()[1:])
+    fused = ws / "out" / "fused.csv"
+    lines = fused.read_bytes().decode().splitlines(keepends=True)
+    swap = {"SDG4": "SDG6", "SDG6": "SDG4"}
+    for i, line in enumerate(lines[1:], start=1):
+        combo, doc, top1, tie, tied_top, ranking = line.split(",")
+        if top1 in swap and tie == "false" and experts[doc] in swap:
+            # the prediction flips from right to wrong or back
+            ranking = "|".join(swap.get(label, label) for label in ranking.split("|"))
+            lines[i] = ",".join((combo, doc, swap[top1], tie, swap[tied_top], ranking))
+            break
+    else:
+        pytest.fail("no row to edit")
+    fused.write_bytes("".join(lines).encode())
+    assert not _cache_hit(ws)
+    assert _run("evaluate", "--config", ws / "config.json") == 0
+    edited = (ws / "out" / "report.json").read_bytes()
+    assert edited != unedited
+    (ws / "out" / "fused.csv.cache").unlink()
+    assert _run("evaluate", "--config", ws / "config.json") == 0
+    assert (ws / "out" / "report.json").read_bytes() == edited
+    assert capsys.readouterr().err == ""
+
+
+def _flip_first_head(data: bytes) -> bytes:
+    # the low bit of the first row's head: most likely another head in range
+    at = data.index(b"\n") + 1
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def _swap_first_heads(data: bytes) -> bytes:
+    # valid JSON, every index in range, each head now another label's
+    swapped = data.replace(b"[[0, [0]], [1, [1]]", b"[[1, [1]], [0, [0]]", 1)
+    assert swapped != data
+    return swapped
+
+
+def _forged(version=1, head=0):
+    """A cache rewritten with its check made good: another version, or the
+    first row's head set to head."""
+    def forge(data: bytes) -> bytes:
+        line, index = data.split(b"\n", 1)
+        header = json.loads(line)
+        del header["check"]
+        header["version"] = version
+        index = head.to_bytes(4, "little", signed=True) + index[4:]
+        text = json.dumps(header, sort_keys=True).encode()
+        header["check"] = zlib.crc32(index, zlib.crc32(text))
+        return json.dumps(header, sort_keys=True).encode() + b"\n" + index
+    return forge
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:-3],  # truncated
+    lambda data: data[: data.index(b"\n") + 1],  # the header alone
+    lambda data: bytes(range(256)) * 8,  # garbage
+    lambda data: b"",
+    _flip_first_head,
+    _swap_first_heads,
+    _forged(version=2),
+    _forged(head=-1),
+    _forged(head=10_000),
+], ids=["truncated", "header-alone", "garbage", "empty", "flipped-head", "swapped-heads",
+        "version-2", "head-below-range", "head-above-range"])
+def test_a_damaged_fused_cache_is_passed_over_in_silence(workspace, capsys, damage):
+    ws = workspace
+    _score_both(ws)
+    cache_bytes, report = _fuse_and_evaluate(ws)
+    capsys.readouterr()
+    cache = ws / "out" / "fused.csv.cache"
+    cache.write_bytes(damage(cache_bytes))
+    assert not _cache_hit(ws)
+    (ws / "out" / "report.json").unlink()
+    assert _run("evaluate", "--config", ws / "config.json") == 0
+    assert (ws / "out" / "report.json").read_bytes() == report
+    assert capsys.readouterr().err == ""
+
+
+def test_documents_changed_after_fuse_give_the_fused_files_error(workspace, capsys):
+    ws = workspace
+    _score_both(ws)
+    _fuse_and_evaluate(ws)
+    capsys.readouterr()
+    # d08 becomes d00 in the score files and the expert labels, not in
+    # fused.csv: as many documents, in another order
+    for name in ("out/scores_keyword.csv", "out/scores_tfidf.csv", "expert.csv"):
+        path = ws / name
+        path.write_text(path.read_text().replace("\nd08,", "\nd00,"))
+    errors = []
+    for _ in range(2):
+        assert _run("evaluate", "--config", ws / "config.json") == 1
+        errors.append(capsys.readouterr().err)
+        (ws / "out" / "fused.csv.cache").unlink(missing_ok=True)
+    assert errors[0] == errors[1] == (
+        f"error: {ws / 'out' / 'fused.csv'}: combo 'kw+tf:arc': "
+        "expert labels missing for documents ['d08']\n"
+    )
 
 
 def test_fuse_strategy_subset_flag(workspace):
@@ -708,6 +839,43 @@ def test_fused_writer_failing_midway_keeps_the_old_file(tmp_path):
         assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
 
 
+def test_fused_cache_is_written_only_for_a_grid_the_block_reader_takes(tmp_path):
+    target, cache = tmp_path / "fused.csv", tmp_path / "fused.csv.cache"
+    label_set = LabelSet(("A", "B", "C"))
+    order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
+    # a NUL, a repeated document, a quoted combo id, no model: each removes
+    # the cache of the grid before
+    for doc_ids, grid in ((["d\0", "d2"], [("s+t:asc", order, tied)]),
+                          (["d1", "d1"], [("s+t:asc", order, tied)]),
+                          (["d1", "d2"], [("s,t:asc", order, tied)]),
+                          (["d1", "d2"], [])):
+        write_fused_file(target, label_set, ["d1", "d2"], [("s+t:asc", order, tied)])
+        assert _fused_cache(target, label_set.labels, ["d1", "d2"]) is not None
+        write_fused_file(target, label_set, doc_ids, grid)
+        assert not cache.exists()
+
+
+def test_a_fused_cache_is_read_only_for_its_labels_documents_and_field_limit(tmp_path):
+    target = tmp_path / "fused.csv"
+    order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
+    write_fused_file(target, LabelSet(("A", "B", "C")), ["d1", "d2"], [("s+t:asc", order, tied)])
+    longest = max(map(len, target.read_text().splitlines()[1:]))
+    limit = csv.field_size_limit()
+    try:
+        for labels, doc_ids, field_limit in (
+            (("A", "B", "C"), ["d1", "d2"], longest),
+            (("C", "B", "A"), ["d1", "d2"], longest),
+            (("A", "B", "C"), ["d2", "d1"], longest),
+            (("A", "B", "C"), ["d1", "d2"], longest - 1),
+        ):
+            csv.field_size_limit(field_limit)
+            hit = _fused_cache(target, labels, doc_ids) is not None
+            assert hit == (labels == ("A", "B", "C") and doc_ids == ["d1", "d2"]
+                           and field_limit == longest)
+    finally:
+        csv.field_size_limit(limit)
+
+
 def test_fused_writer_memory_does_not_grow_with_the_grid(tmp_path):
     rng = np.random.default_rng(7)
     label_set = LabelSet(tuple(f"SDG{k}" for k in range(1, 18)))
@@ -732,6 +900,34 @@ def test_fused_writer_memory_does_not_grow_with_the_grid(tmp_path):
     assert size > 4_000_000
     # one model's rows at a time, never the grid's
     assert peak < size / 4, (peak, size)
+
+
+def test_fused_reader_memory_on_a_cache_hit_is_the_cache_and_the_arrays(tmp_path):
+    rng = np.random.default_rng(7)
+    label_set = LabelSet(tuple(f"SDG{k}" for k in range(1, 18)))
+    doc_ids = [f"doc{d:03d}" for d in range(200)]
+    systems = [f"sys{j}" for j in range(6)]
+    batch = FusionBatch(doc_ids, label_set, systems, rng.random((200, 6, 17)).round(2))
+    path = tmp_path / "fused.csv"
+    models = write_fused_file(path, label_set, doc_ids, (
+        (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid_arrays(batch)
+    ))
+    assert models == 57 * 4
+    assert _fused_cache(path, label_set.labels, doc_ids) is not None
+    tracemalloc.start()
+    try:
+        combo_ids, top1, tied = load_fused_predictions(path, label_set, doc_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size, cache = path.stat().st_size, path.with_name("fused.csv.cache").stat().st_size
+    assert size > 4_000_000 and top1.shape == (models, 200)
+    # Beyond the arrays it returns, the reader holds the cache's bytes and a
+    # small working set (numpy's 64 KiB buffer for indexing with the int32
+    # index, the header's ids and heads as objects), never the file's text.
+    returned = top1.nbytes + tied.nbytes
+    assert peak - returned < cache + 256 * 1024, (peak, returned, cache)
+    assert peak < size / 3, (peak, size)
 
 
 def test_diversity_writes_one_rsc_table_per_distinct_document(workspace, capsys):

@@ -341,19 +341,23 @@ def _texts(alphabet, min_size=1):
 
 # what csv quotes (",", '"', "\n", "\r") and characters outside ASCII
 ODD = 'ab,"\n\r é中'
+PLAIN = "ab é中"  # what csv never quotes
 
 
 @st.composite
 def fused_grids(draw):
-    """A tie-heavy batch with odd label, document and system ids, documents
-    in unsorted order, and grid arguments: a strategy subset, a weight
-    source and, for perf, per-system weights (some vanishing)."""
+    """A tie-heavy batch with odd (or, half the time, never quoted) label,
+    document and system ids, documents in unsorted order, and grid
+    arguments: a strategy subset, a weight source and, for perf, per-system
+    weights (some vanishing)."""
     cube = draw(score_cubes())
     docs, systems, labels = len(cube), len(cube[0]), len(cube[0][0])
-    label_set = LabelSet(tuple(draw(st.lists(_texts(ODD), min_size=labels,
+    alphabet = draw(st.sampled_from((ODD, PLAIN)))
+    label_set = LabelSet(tuple(draw(st.lists(_texts(alphabet), min_size=labels,
                                              max_size=labels, unique=True))))
-    doc_ids = draw(st.lists(_texts(ODD, 0), min_size=docs, max_size=docs, unique=True))
-    system_ids = draw(st.lists(_texts(ODD), min_size=systems, max_size=systems, unique=True))
+    doc_ids = draw(st.lists(_texts(alphabet, 0), min_size=docs, max_size=docs, unique=True))
+    system_ids = draw(st.lists(_texts(alphabet), min_size=systems, max_size=systems,
+                               unique=True))
     batch = FusionBatch(doc_ids, label_set, system_ids, cube,
                         draw(st.sampled_from(("fractional", "ordinal"))))
     strategies = draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, unique=True))
@@ -401,16 +405,28 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
              for combo_id, (_, order, tied, _) in grid_arrays(batch, *arguments)),
         )
         assert path.read_bytes() == want.getvalue().encode("utf-8")
-        combo_ids, top1, tied = load_fused_predictions(path, batch.label_set, batch.doc_ids)
+        # a cache beside the file exactly when no id or label is quoted, read
+        # once through it and once, with it deleted, from the file's rows
+        cache = path.with_name("fused.csv.cache")
+        quoted = any(c in name for name in (*labels, *batch.doc_ids, *grid) for c in ',"\r\n')
+        assert cache.exists() != quoted
+        reads = []
+        for _ in range(2 - quoted):
+            hit = fileio._fused_cache(path, labels, batch.doc_ids) is not None
+            assert hit == cache.exists()
+            reads.append(load_fused_predictions(path, batch.label_set, batch.doc_ids))
+            cache.unlink(missing_ok=True)
     assert models == len(grid)
     # the library's producer makes what evaluate reads back, combo by combo
     made = combined_arrays(batch, *arguments)
     assert made.model_ids == tuple(grid)
     assert made.labels == batch.label_set.labels
-    assert list(combo_ids) == sorted(grid)
-    order = [combo_ids.index(combo_id) for combo_id in made.model_ids]
-    assert np.array_equal(made.top1, top1[order])
-    assert np.array_equal(made.tied, tied[order])
+    for combo_ids, top1, tied in reads:
+        assert list(combo_ids) == sorted(grid)
+        order = [combo_ids.index(combo_id) for combo_id in made.model_ids]
+        assert top1.dtype == np.intp
+        assert np.array_equal(made.top1, top1[order])
+        assert np.array_equal(made.tied, tied[order])
 
 
 # any text but "\r", which csv.writer(lineterminator="\n") leaves unquoted
