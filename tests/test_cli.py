@@ -771,14 +771,14 @@ FUSED_PADDING = FUSED_HEADER + b"".join(
     (b"s+t:asc,d1,A,true,A|Z,A|Z|B\n",
      "out/fused.csv:2502: tied_top label 'Z' is outside the label set"),
 ], ids=["seven-columns", "repeated-row", "tied-top-outside-labels"])
-def test_fused_fault_past_the_first_block_is_named_by_line(run_python, tmp_path, tail, message):
+def test_fused_fault_past_64_kib_is_named_by_line(run_python, tmp_path, tail, message):
     _fused_workspace(tmp_path, FUSED_PADDING + tail)
     result = run_python("-m", "cfakit.cli", "evaluate", "--config", "config.json", cwd=tmp_path)
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stderr == f"error: {message}\n"
 
 
-def test_needless_quotes_past_the_first_block_leave_the_report_alone(tmp_path):
+def test_needless_quotes_past_64_kib_leave_the_report_alone(tmp_path):
     _fused_workspace(tmp_path, FUSED_PADDING + b"s+t:asc,d1,A,false,A,A|B|C\n")
     assert _run("evaluate", "--config", tmp_path / "config.json") == 0
     report = (tmp_path / "out" / "report.json").read_bytes()
@@ -839,7 +839,7 @@ def test_fused_writer_failing_midway_keeps_the_old_file(tmp_path):
         assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
 
 
-def test_fused_cache_is_written_only_for_a_grid_the_block_reader_takes(tmp_path):
+def test_fused_cache_is_written_only_for_unquoted_grids(tmp_path):
     target, cache = tmp_path / "fused.csv", tmp_path / "fused.csv.cache"
     label_set = LabelSet(("A", "B", "C"))
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])

@@ -100,7 +100,7 @@ def test_wsc_known_arithmetic():
     assert not fallback[0]
 
 
-def test_weighted_rank_combination_known_arithmetic():
+def test_wrc_known_arithmetic():
     # ranks A = (1, 2, 3), B = (2, 1, 3); weights (2, 4)
     batch = _batch({"A": [3.0, 2.0, 1.0], "B": [2.0, 3.0, 1.0]})
     values, order, tied, _ = _grid(batch, {"A": 2.0, "B": 4.0})["A+B:wrc-perf"]
