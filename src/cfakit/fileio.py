@@ -57,9 +57,9 @@ def format_table(value: float) -> str:
 
 @contextmanager
 def atomic_writer(path: Path | str) -> Iterator[TextIO]:
-    """A text handle on a temporary file that replaces path when the block
-    ends; on any error the temporary file is removed and path keeps its
-    old bytes.
+    """A text handle on a temporary file that replaces path when the with
+    statement ends; on any error the temporary file is removed and path
+    keeps its old bytes.
 
     The temporary file has a name of its own in the target directory, so
     two runs sharing an output directory never touch each other's
@@ -343,7 +343,10 @@ def write_fused_file(
     and 4 bytes per row of the grid.  A combo_id that does not sort after
     the one before is a ValidationError; on any error the file at path
     keeps its old bytes.  Then <path>.cache (_fused_cache) is written if
-    _fused_blocks would read the file, and removed if not.
+    the grid has a model and a document, no document repeats, doc and
+    combo ids are strings and no '"', NUL or \r byte was written, so that
+    each row is one line of unquoted fields that csv.reader takes on every
+    Python (3.10's rejects a NUL); otherwise any old cache is removed.
     """
     import zlib
 
@@ -394,7 +397,6 @@ def write_fused_file(
             blob = "".join(rows.ravel().tolist()).encode()
             size, crc = size + len(blob), zlib.crc32(blob, crc)
             handle.buffer.write(blob)
-            # the bytes _fused_blocks refuses, from an id or label that is quoted or holds a NUL
             cached &= isinstance(combo_id, str) and not any(c in blob for c in b'"\0\r')
             combo_ids.append(combo_id)
             index.append(at)
@@ -544,16 +546,17 @@ def load_fused_predictions(
     labels from the label set, top1 in tied_top, and tie_at_top true
     exactly when tied_top lists more than one label.  The ranking column
     is not read.  A file without a valid cache (_fused_cache) is read by
-    _fused_blocks, or if that does not suit it by _fused_rows, which names
-    the first fault with its path:line.
+    _fused_rows, which names the first fault with its path:line.
     """
     import numpy as np
 
     path = Path(path)
     labels = {label: i for i, label in enumerate(label_set.labels)}
     docs = {doc_id: d for d, doc_id in enumerate(doc_ids)}
+    if len(docs) != len(doc_ids):
+        raise ValidationError("doc ids must be unique")
     # each distinct row head's (top1, tied group); each combo's head per document
-    read = _fused_cache(path, label_set.labels, doc_ids) or _fused_blocks(path, labels, docs)
+    read = _fused_cache(path, label_set.labels, doc_ids)
     groups, combo_ids, at = read or _fused_rows(path, labels, docs)
     tops = np.array([top for top, _ in groups], dtype=np.intp)
     masks = np.zeros((len(groups), len(labels)), dtype=bool)
@@ -563,13 +566,12 @@ def load_fused_predictions(
     return combo_ids, tops[at], masks[at]
 
 
-_BLOCK = 1 << 16  # bytes read at a time by _fused_blocks and _fused_cache
-
-
 def _fused_cache(path: Path, labels: Sequence[str], doc_ids: Sequence[str]):
     """load_fused_predictions' (groups, combo ids, heads) from the cache beside
     path, or None unless it passes its own CRC-32 and was made for these labels
-    and documents, from path's bytes as they are: see README "Fused grid cache"."""
+    and documents, from path's bytes as they are, with distinct string combo ids
+    and every head a top1 inside a tied group of distinct labels: see README
+    "Fused grid cache"."""
     import zlib
 
     import numpy as np
@@ -577,64 +579,26 @@ def _fused_cache(path: Path, labels: Sequence[str], doc_ids: Sequence[str]):
     try:
         with open(path.with_name(path.name + ".cache"), "rb") as handle:
             header, data = json.loads(handle.readline()), handle.read()
-        check = header.pop("check")
-        at = np.frombuffer(data, "<i4").reshape(len(header["combo_ids"]), len(doc_ids))
+        check, combo_ids = header.pop("check"), header["combo_ids"]
+        at = np.frombuffer(data, "<i4").reshape(len(combo_ids), len(doc_ids))
         if not (check == zlib.crc32(data, zlib.crc32(json.dumps(header, sort_keys=True).encode()))
                 and header["labels"] == list(labels) and header["doc_ids"] == list(doc_ids)
                 and header["longest_line"] <= csv.field_size_limit()
-                and at.size and 0 <= at.min() and at.max() < len(header["heads"])):
+                and all(type(c) is str for c in combo_ids)
+                and len(set(combo_ids)) == len(combo_ids)
+                and at.size and 0 <= at.min() and at.max() < len(header["heads"])
+                and all(type(top) is int and top in group and len(set(group)) == len(group)
+                        and all(type(t) is int and 0 <= t < len(labels) for t in group)
+                        for top, group in header["heads"])):
             return None
         size = crc = 0  # the file's, read last as it is the one long read
         with open(path, "rb") as handle:
-            while block := handle.read(_BLOCK):
-                size, crc = size + len(block), zlib.crc32(block, crc)
+            while chunk := handle.read(1 << 16):
+                size, crc = size + len(chunk), zlib.crc32(chunk, crc)
         if [header["version"], header["bytes"], header["crc32"]] == [1, size, crc]:
-            return header["heads"], tuple(header["combo_ids"]), at
+            return header["heads"], tuple(combo_ids), at
     except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError):
         return None
-
-
-def _fused_blocks(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
-    """load_fused_predictions' (groups, combo ids, heads) read in blocks of whole
-    lines, each split at its newlines and each line at its commas, or None
-    for a file that needs _fused_rows: see the README's "Fused grid"."""
-    header = (",".join(FUSED_HEADER) + "\n").encode()
-    limit = csv.field_size_limit()
-    heads, groups, combos = {}, [], {}
-    combo_id = at = None
-    try:
-        with open(path, "rb") as handle:
-            if handle.readline(len(header)) != header:
-                return None
-            data = b""
-            while more := handle.read(_BLOCK) or data and b"\n":
-                data += more  # at the end, a line end after a last line without one
-                cut = data.rfind(b"\n") + 1
-                if not cut:
-                    return None  # a line longer than a block
-                text, data = data[:cut].decode("utf-8"), data[cut:]
-                lines = text[:-1].split("\n")
-                if '"' in text or "\0" in text or "\r" in text or (
-                        len(text) > limit and max(map(len, lines)) > limit):
-                    return None
-                for line in lines:
-                    combo, doc_id, top1, tie_text, tied_text, _ = line.split(",")
-                    if combo != combo_id:
-                        combo_id = combo
-                        at = combos.setdefault(combo_id, [-1] * len(docs))
-                    key = (top1, tie_text, tied_text)
-                    head = heads.get(key)
-                    if head is None:  # a faulty one is named by _fused_rows
-                        groups.append(_fused_head(path, 0, labels, *key))
-                        head = heads[key] = len(heads)
-                    d = docs[doc_id]
-                    if at[d] >= 0:
-                        return None
-                    at[d] = head
-    except (OSError, ValueError, KeyError, ValidationError):
-        return None
-    whole = combos and all(-1 not in at for at in combos.values())
-    return (groups, tuple(combos), list(combos.values())) if whole else None
 
 
 def _fused_rows(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):

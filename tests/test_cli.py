@@ -229,14 +229,19 @@ def _swap_first_heads(data: bytes) -> bytes:
     return swapped
 
 
-def _forged(version=1, head=0):
-    """A cache rewritten with its check made good: another version, or the
-    first row's head set to head."""
+def _forged(version=1, head=0, first_head=None, first_combo=None):
+    """A cache rewritten with its check made good: another version, the
+    first row's head set to head, or the first of the heads or of the combo
+    ids set to first_head or first_combo."""
     def forge(data: bytes) -> bytes:
         line, index = data.split(b"\n", 1)
         header = json.loads(line)
         del header["check"]
         header["version"] = version
+        if first_head is not None:
+            header["heads"][0] = first_head
+        if first_combo is not None:
+            header["combo_ids"][0] = first_combo
         index = head.to_bytes(4, "little", signed=True) + index[4:]
         text = json.dumps(header, sort_keys=True).encode()
         header["check"] = zlib.crc32(index, zlib.crc32(text))
@@ -254,8 +259,18 @@ def _forged(version=1, head=0):
     _forged(version=2),
     _forged(head=-1),
     _forged(head=10_000),
+    _forged(first_head=[99, [99]]),
+    _forged(first_head=[-1, [-1]]),
+    _forged(first_head=[0, [1]]),
+    _forged(first_head=[0, [0, 0]]),
+    _forged(first_head=[1.0, [0, 1]]),
+    _forged(first_head=[0, [0, 1.0]]),
+    _forged(first_combo="kw+tf:asc"),  # the second combo's id
+    _forged(first_combo=5),
 ], ids=["truncated", "header-alone", "garbage", "empty", "flipped-head", "swapped-heads",
-        "version-2", "head-below-range", "head-above-range"])
+        "version-2", "head-below-range", "head-above-range", "label-above-range",
+        "label-below-range", "top1-outside-its-group", "group-repeats-a-label",
+        "top1-not-an-int", "label-not-an-int", "combo-repeated", "combo-not-a-string"])
 def test_a_damaged_fused_cache_is_passed_over_in_silence(workspace, capsys, damage):
     ws = workspace
     _score_both(ws)
@@ -843,16 +858,32 @@ def test_fused_cache_is_written_only_for_unquoted_grids(tmp_path):
     target, cache = tmp_path / "fused.csv", tmp_path / "fused.csv.cache"
     label_set = LabelSet(("A", "B", "C"))
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
-    # a NUL, a repeated document, a quoted combo id, no model: each removes
-    # the cache of the grid before
+    # a NUL, a repeated document, a quoted combo id, no model, ids that are
+    # not strings: each removes the cache of the grid before
     for doc_ids, grid in ((["d\0", "d2"], [("s+t:asc", order, tied)]),
                           (["d1", "d1"], [("s+t:asc", order, tied)]),
                           (["d1", "d2"], [("s,t:asc", order, tied)]),
-                          (["d1", "d2"], [])):
+                          (["d1", "d2"], []),
+                          ([1, 2], [("s+t:asc", order, tied)]),
+                          (["d1", "d2"], [(7, order, tied)])):
         write_fused_file(target, label_set, ["d1", "d2"], [("s+t:asc", order, tied)])
         assert _fused_cache(target, label_set.labels, ["d1", "d2"]) is not None
         write_fused_file(target, label_set, doc_ids, grid)
         assert not cache.exists()
+
+
+def test_repeated_doc_ids_are_refused_before_the_fused_file_is_read(tmp_path):
+    label_set = LabelSet(("A", "B", "C"))
+    batch = FusionBatch(["d1", "d1"], label_set, ["s", "t"],
+                        np.array([[[0.1, 0.5, 0.9], [0.3, 0.2, 0.1]]] * 2))
+    path = tmp_path / "fused.csv"
+    write_fused_file(path, label_set, batch.doc_ids, (
+        (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid_arrays(batch)
+    ))
+    for target in (path, tmp_path / "missing.csv"):
+        with pytest.raises(ValidationError) as caught:
+            load_fused_predictions(target, label_set, batch.doc_ids)
+        assert str(caught.value) == "doc ids must be unique"
 
 
 def test_a_fused_cache_is_read_only_for_its_labels_documents_and_field_limit(tmp_path):

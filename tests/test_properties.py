@@ -18,7 +18,6 @@ import io
 import json
 import sys
 import tempfile
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -656,7 +655,7 @@ _FUSED_FAULTS = ("drop", "repeat", "unknown", "wide", "narrow", "long", "nul", "
 
 @st.composite
 def fused_files(draw):
-    """Labels, expert documents, a block size for the block reader and the
+    """Labels, expert documents and the
     bytes of a fused grid file: rows in combo order or interleaved, now and
     then filler models that push the drawn rows past the first 64 KiB, and
     now and then one or two faults: a dropped, repeated, unknown-document,
@@ -746,7 +745,7 @@ def fused_files(draw):
     if "not-utf8" in faults:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
-    return labels, doc_ids, draw(st.sampled_from((64, 256, 1 << 16))), data
+    return labels, doc_ids, data
 
 
 _FUSED_ROWS = "".join(f"m{m},d{d},A,false,A,A|B|C\n" for m in range(3) for d in range(2))
@@ -754,16 +753,16 @@ _FUSED_ROWS = "".join(f"m{m},d{d},A,false,A,A|B|C\n" for m in range(3) for d in 
 
 @settings(max_examples=400, deadline=None)
 @given(fused_files())
-# in a later block, a repeated row and a \r inside a ranking
-@example((["A", "B", "C"], ["d0", "d1"], 64,
+# a repeated last row and a \r inside a ranking
+@example((["A", "B", "C"], ["d0", "d1"],
           (",".join(FUSED_HEADER) + "\n" + _FUSED_ROWS + "m2,d1,A,false,A,A|B|C\n").encode()))
-@example((["A", "B", "C"], ["d0", "d1"], 64,
+@example((["A", "B", "C"], ["d0", "d1"],
           (",".join(FUSED_HEADER) + "\n" + _FUSED_ROWS.replace("A|B|C", "A|B\rC")).encode()))
 def test_fused_predictions_match_a_row_by_row_read(case):
-    labels, doc_ids, block, data = case
+    labels, doc_ids, data = case
     limit = csv.field_size_limit(FUSED_FIELD_LIMIT)
     try:
-        with tempfile.TemporaryDirectory() as tmp, _block_size(block):
+        with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fused.csv"
             path.write_bytes(data)
             want = _naive.fused_predictions(path, labels, doc_ids)
@@ -781,16 +780,6 @@ def test_fused_predictions_match_a_row_by_row_read(case):
                         for combo in tied] == want[2]
     finally:
         csv.field_size_limit(limit)
-
-
-@contextmanager
-def _block_size(size):
-    """fileio's block reader reading size bytes at a time."""
-    saved, fileio._BLOCK = fileio._BLOCK, size
-    try:
-        yield
-    finally:
-        fileio._BLOCK = saved
 
 
 def _report_payload(report):
