@@ -541,11 +541,11 @@ def load_fused_predictions(
 
     Returns the combo ids in file order, the top1 label index of each
     (combo, document) and a boolean (combos, documents, labels) array
-    marking each tied_top group, documents in doc_ids order.  Every combo
-    must predict exactly the documents in doc_ids, with top1 and tied_top
-    labels from the label set, top1 in tied_top, and tie_at_top true
-    exactly when tied_top lists more than one label.  The ranking column
-    is not read.  A file without a valid cache (_fused_cache) is read by
+    marking each tied_top group, documents in doc_ids order, which must
+    not repeat.  Every combo must predict exactly the documents in
+    doc_ids, with top1 and tied_top labels from the label set, top1 in
+    tied_top, and tie_at_top true exactly when tied_top lists more than
+    one label.  The ranking column is not read.  A file without a valid cache (_fused_cache) is read by
     _fused_rows, which names the first fault with its path:line.
     """
     import numpy as np
