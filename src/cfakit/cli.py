@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         "diversity", help="per-document diversity and RSC plot data"
     )
     common(diversity)
-    diversity.add_argument("--tie-policy", choices=TIE_POLICIES)
     diversity.add_argument(
         "--doc", action="append", default=[],
         help="emit an RSC table for this document (repeatable)",
@@ -65,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = subparsers.add_parser("evaluate", help="evaluate fused predictions")
     common(evaluate)
-    evaluate.add_argument("--tie-policy", choices=TIE_POLICIES)
     evaluate.add_argument("--tie-mode", choices=TIE_MODES, dest="tie_mode")
     evaluate.add_argument("--fused", help="fused predictions file (default: <out>/fused.csv)")
 

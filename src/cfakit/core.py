@@ -90,23 +90,17 @@ def rank_from_scores(scores, tie_policy: str = "fractional") -> np.ndarray:
     return greater + (equal + 1) / 2
 
 
-def rsc_curve(normalized, ranks) -> np.ndarray:
+def rsc_curve(normalized) -> np.ndarray:
     """The rank-score characteristic: normalized score at each rank position.
 
     values[..., i - 1] is the normalized score of the label holding rank
-    i, so the curve lies in [0, 1] and is non-increasing along the last
-    axis.  With fractional tie ranks this equals the normalized scores
-    sorted in non-increasing order; tied labels hold equal scores, so the
-    shared rank is unambiguous.
+    i, that is the normalized scores sorted in non-increasing order along
+    the last axis, so the curve lies in [0, 1].  Tied labels hold equal
+    scores, so no tie policy changes it.
     """
-    norm = _as_rows(normalized, "normalized score")
-    rk = _as_rows(ranks, "rank")
-    if norm.shape != rk.shape:
-        raise ValidationError(
-            f"normalized scores {norm.shape} and ranks {rk.shape} differ in length"
-        )
-    order = np.argsort(rk, axis=-1, kind="stable")
-    return np.take_along_axis(norm, order, axis=-1)
+    # a stable sort of the negated scores keeps equal scores in label order,
+    # as sorted(reverse=True) does, so a -0.0 and a 0.0 never swap places
+    return -np.sort(-_as_rows(normalized, "normalized score"), axis=-1, kind="stable")
 
 
 def cognitive_diversity(curve_a, curve_b):
@@ -214,7 +208,7 @@ class FusionBatch:
 
     @cached_property
     def rsc(self) -> np.ndarray:
-        return _freeze(rsc_curve(self.normalized, self.ranks))
+        return _freeze(rsc_curve(self.normalized))
 
     @cached_property
     def degenerate(self) -> np.ndarray:

@@ -344,9 +344,8 @@ def write_fused_file(
     the one before is a ValidationError; on any error the file at path
     keeps its old bytes.  Then <path>.cache (_fused_cache) is written if
     the grid has a model and a document, no document repeats, doc and
-    combo ids are strings and no '"', NUL or \r byte was written, so that
-    each row is one line of unquoted fields that csv.reader takes on every
-    Python (3.10's rejects a NUL); otherwise any old cache is removed.
+    combo ids are strings and no NUL byte was written, which 3.10's
+    csv.reader rejects; otherwise any old cache is removed.
     """
     import zlib
 
@@ -368,10 +367,9 @@ def write_fused_file(
     # one row of tokens per document: combo, doc, head, then the ranking
     rows = np.empty((len(doc_ids), len(labels) + 3), dtype=object)
     rows[:, 1] = [_quote(doc_ids[d]) + "," for d in perm.tolist()]
-    # for the cache, each row's head (label t or a tied group) and width before the ranking
+    # for the cache, each row's head: label t untied, or a tied group
     cached = 0 < len(set(doc_ids)) == len(doc_ids) and all(isinstance(d, str) for d in doc_ids)
-    heads, combo_ids, index, longest = {(t,): t for t in range(len(labels))}, [], [], 0
-    head_width, doc_width = (np.array(list(map(len, column))) for column in (untied, rows[:, 1]))
+    heads, combo_ids, index = {(t,): t for t in range(len(labels))}, [], []
     blob = (",".join(FUSED_HEADER) + "\n").encode()
     size, crc = len(blob), zlib.crc32(blob)
     with atomic_writer(path) as handle:
@@ -382,25 +380,23 @@ def write_fused_file(
                     f"{path}: combo id {combo_id!r} does not sort after {combo_ids[-1]!r}"
                 )
             order, tied = order[perm], tied[perm]
-            rows[:, 0] = token = _quote(combo_id) + ","
+            rows[:, 0] = _quote(combo_id) + ","
             rows[:, 2] = untied[order[:, 0]]
-            at, width = order[:, 0].astype(np.int32), doc_width + head_width[order[:, 0]]
+            at = order[:, 0].astype(np.int32)
             for d in np.flatnonzero(tied > 1).tolist():
                 # the tied labels lead the ranking
                 group = order[d, : tied[d]].tolist()
                 names = [labels[i] for i in group]
                 rows[d, 2] = f"{_quote(names[0])},true,{_quote('|'.join(names))},{rank_quote}"
                 at[d] = heads.setdefault(tuple(group), len(heads))
-                width[d] = doc_width[d] + len(rows[d, 2])
             rows[:, 3:-1] = piped[order[:, :-1]]
             rows[:, -1] = last[order[:, -1]]
             blob = "".join(rows.ravel().tolist()).encode()
             size, crc = size + len(blob), zlib.crc32(blob, crc)
             handle.buffer.write(blob)
-            cached &= isinstance(combo_id, str) and not any(c in blob for c in b'"\0\r')
+            cached &= isinstance(combo_id, str) and b"\0" not in blob
             combo_ids.append(combo_id)
             index.append(at)
-            longest = max(longest, len(token) + int(width.max(initial=0)))
     cache = Path(path).with_name(Path(path).name + ".cache")
     if not (cached and combo_ids):
         cache.unlink(missing_ok=True)
@@ -408,7 +404,6 @@ def write_fused_file(
     data = np.array(index, "<i4")[:, np.argsort(perm)].tobytes()  # documents in doc_ids order
     header = {"version": 1, "bytes": size, "crc32": crc, "labels": list(labels),
               "doc_ids": list(doc_ids), "combo_ids": combo_ids,
-              "longest_line": longest + sum(map(len, labels)) + len(labels) - 1,  # + a ranking
               "heads": [[group[0], list(group)] for group in heads]}
     header["check"] = zlib.crc32(data, zlib.crc32(json.dumps(header, sort_keys=True).encode()))
     with atomic_writer(cache) as handle:
@@ -545,8 +540,9 @@ def load_fused_predictions(
     not repeat.  Every combo must predict exactly the documents in
     doc_ids, with top1 and tied_top labels from the label set, top1 in
     tied_top, and tie_at_top true exactly when tied_top lists more than
-    one label.  The ranking column is not read.  A file without a valid cache (_fused_cache) is read by
-    _fused_rows, which names the first fault with its path:line.
+    one label.  The ranking column is not read.  A file without a valid
+    cache (_fused_cache) is read by _fused_rows, which names the first
+    fault with its path:line.
     """
     import numpy as np
 
@@ -569,9 +565,9 @@ def load_fused_predictions(
 def _fused_cache(path: Path, labels: Sequence[str], doc_ids: Sequence[str]):
     """load_fused_predictions' (groups, combo ids, heads) from the cache beside
     path, or None unless it passes its own CRC-32 and was made for these labels
-    and documents, from path's bytes as they are, with distinct string combo ids
-    and every head a top1 inside a tied group of distinct labels: see README
-    "Fused grid cache"."""
+    and documents, from path's bytes as they are, with distinct string combo ids,
+    every field within csv.field_size_limit() and every head a top1 inside a
+    tied group of distinct labels: see README "Fused grid cache"."""
     import zlib
 
     import numpy as np
@@ -583,9 +579,12 @@ def _fused_cache(path: Path, labels: Sequence[str], doc_ids: Sequence[str]):
         at = np.frombuffer(data, "<i4").reshape(len(combo_ids), len(doc_ids))
         if not (check == zlib.crc32(data, zlib.crc32(json.dumps(header, sort_keys=True).encode()))
                 and header["labels"] == list(labels) and header["doc_ids"] == list(doc_ids)
-                and header["longest_line"] <= csv.field_size_limit()
                 and all(type(c) is str for c in combo_ids)
                 and len(set(combo_ids)) == len(combo_ids)
+                # the longest field csv.reader would meet: a header name, an
+                # id or the ranking, which holds every label
+                and max(map(len, (*FUSED_HEADER, *combo_ids, *doc_ids, "|".join(labels))))
+                <= csv.field_size_limit()
                 and at.size and 0 <= at.min() and at.max() < len(header["heads"])
                 and all(type(top) is int and top in group and len(set(group)) == len(group)
                         and all(type(t) is int and 0 <= t < len(labels) for t in group)

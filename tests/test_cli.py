@@ -16,11 +16,13 @@ import pytest
 from cfakit import FusionBatch, LabelSet, ValidationError
 from cfakit.cli import main
 from cfakit.combine import grid_arrays
+from cfakit.fileio import FUSED_HEADER as FUSED_HEADER_NAMES
 from cfakit.fileio import (
     _fused_cache,
     atomic_write_text,
     load_fused_predictions,
     load_score_cube,
+    write_diversity,
     write_fused_file,
     write_score_file,
 )
@@ -360,6 +362,44 @@ def test_diversity_unknown_document(workspace):
     ws = workspace
     _score_both(ws)
     assert _run("diversity", "--config", ws / "config.json", "--doc", "nope") == 1
+
+
+def test_diversity_and_evaluate_take_no_tie_policy_flag(workspace, capsys):
+    ws = workspace
+    _score_both(ws)
+    assert _run("fuse", "--config", ws / "config.json") == 0
+    before = {p.name: p.read_bytes() for p in (ws / "out").iterdir()}
+    capsys.readouterr()
+    for command in ("diversity", "evaluate"):
+        assert _run(command, "--config", ws / "config.json", "--tie-policy", "ordinal") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert {p.name: p.read_bytes() for p in (ws / "out").iterdir()} == before
+
+
+def test_tie_policy_changes_no_diversity_or_report_byte(workspace):
+    ws = workspace
+    _score_both(ws)
+    assert _run("fuse", "--config", ws / "config.json") == 0
+    config = json.loads((ws / "config.json").read_text())
+    outputs = []
+    for policy in ("fractional", "ordinal"):
+        path = ws / f"{policy}.json"
+        path.write_text(json.dumps({**config, "tie_policy": policy, "out_dir": policy}))
+        assert _run("diversity", "--config", path, "--doc", "d01", "--doc", "d08") == 0
+        # one fused.csv for both, since arc and wrc rank under the policy
+        assert _run("evaluate", "--config", path, "--fused", ws / "out" / "fused.csv") == 0
+        outputs.append({p.name: p.read_bytes() for p in (ws / policy).iterdir()})
+    assert len(outputs[0]) == 4 + 2 + 6 and outputs[0] == outputs[1]
+    # the diversity tables need no ranks
+    label_set = LabelSet(tuple(LABELS))
+    doc_ids, raw = load_score_cube(
+        [(s, ws / "out" / f"scores_{s}.csv") for s in ("keyword", "tfidf")], label_set)
+    batch = FusionBatch(doc_ids, label_set, ["kw", "tf"], raw, "ordinal")
+    write_diversity(batch, ws / "library", ["d01", "d08"])
+    assert "ranks" not in vars(batch)
+    assert {p.name: p.read_bytes() for p in (ws / "library").iterdir()} == {
+        name: data for name, data in outputs[0].items() if name.startswith(("div", "rsc"))}
 
 
 def test_corpus_stats(workspace):
@@ -858,18 +898,20 @@ def test_fused_cache_is_written_only_for_unquoted_grids(tmp_path):
     target, cache = tmp_path / "fused.csv", tmp_path / "fused.csv.cache"
     label_set = LabelSet(("A", "B", "C"))
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
-    # a NUL, a repeated document, a quoted combo id, no model, ids that are
-    # not strings: each removes the cache of the grid before
-    for doc_ids, grid in ((["d\0", "d2"], [("s+t:asc", order, tied)]),
-                          (["d1", "d1"], [("s+t:asc", order, tied)]),
-                          (["d1", "d2"], [("s,t:asc", order, tied)]),
-                          (["d1", "d2"], []),
-                          ([1, 2], [("s+t:asc", order, tied)]),
-                          (["d1", "d2"], [(7, order, tied)])):
+    # a NUL, a repeated document, no model, ids that are not strings: each
+    # removes the cache of the grid before; a quoted combo id keeps one
+    for doc_ids, grid, cached in ((["d\0", "d2"], [("s+t:asc", order, tied)], False),
+                                  (["d1", "d1"], [("s+t:asc", order, tied)], False),
+                                  (["d1", "d2"], [("s,t:asc", order, tied)], True),
+                                  (["d1", "d2"], [], False),
+                                  ([1, 2], [("s+t:asc", order, tied)], False),
+                                  (["d1", "d2"], [(7, order, tied)], False)):
         write_fused_file(target, label_set, ["d1", "d2"], [("s+t:asc", order, tied)])
         assert _fused_cache(target, label_set.labels, ["d1", "d2"]) is not None
         write_fused_file(target, label_set, doc_ids, grid)
-        assert not cache.exists()
+        assert cache.exists() == cached
+        if cached:
+            assert _fused_cache(target, label_set.labels, doc_ids)[1] == ("s,t:asc",)
 
 
 def test_repeated_doc_ids_are_refused_before_the_fused_file_is_read(tmp_path):
@@ -890,19 +932,50 @@ def test_a_fused_cache_is_read_only_for_its_labels_documents_and_field_limit(tmp
     target = tmp_path / "fused.csv"
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
     write_fused_file(target, LabelSet(("A", "B", "C")), ["d1", "d2"], [("s+t:asc", order, tied)])
-    longest = max(map(len, target.read_text().splitlines()[1:]))
+    for labels, doc_ids in ((("C", "B", "A"), ["d1", "d2"]), (("A", "B", "C"), ["d2", "d1"])):
+        assert _fused_cache(target, labels, doc_ids) is None
+    # a cache that still carries the longest_line key of older writers is read
+    cache = tmp_path / "fused.csv.cache"
+    line, index = cache.read_bytes().split(b"\n", 1)
+    header = {**json.loads(line), "longest_line": 27}
+    del header["check"]
+    header["check"] = zlib.crc32(index, zlib.crc32(json.dumps(header, sort_keys=True).encode()))
+    cache.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + index)
+    assert _fused_cache(target, ("A", "B", "C"), ["d1", "d2"]) is not None
+    # At every csv.field_size_limit() the cache is read exactly when the
+    # file's rows can be, and gives what they give.  The longest field is a
+    # combo id, a doc id, the ranking and then a header name, tie_at_top;
+    # the first three grids hold a ",", a '"' and a line break in labels and ids.
+    quoted = ("a,b", 'q"', "n\nl")
+    grids = (
+        (quoted, ['d,"1', "d\n2"], ['s"t+u,v:wrc-ds', 's"t+u,v:wsc-ds']),
+        (quoted, ['d,"1 of a long name', "d\n2"], ['s,"t:a']),
+        (("a,bbbbbb", 'q"qqqq', "n\nllll"), ['d,"1', "d\n2"], ['s,"t:a']),
+        (("A", "B", "C"), ["d1", "d2"], ["s:a"]),
+    )
+    bare = tmp_path / "rows" / "fused.csv"  # a copy without a cache
+    bare.parent.mkdir()
     limit = csv.field_size_limit()
     try:
-        for labels, doc_ids, field_limit in (
-            (("A", "B", "C"), ["d1", "d2"], longest),
-            (("C", "B", "A"), ["d1", "d2"], longest),
-            (("A", "B", "C"), ["d2", "d1"], longest),
-            (("A", "B", "C"), ["d1", "d2"], longest - 1),
-        ):
-            csv.field_size_limit(field_limit)
-            hit = _fused_cache(target, labels, doc_ids) is not None
-            assert hit == (labels == ("A", "B", "C") and doc_ids == ["d1", "d2"]
-                           and field_limit == longest)
+        for labels, doc_ids, combo_ids in grids:
+            label_set = LabelSet(labels)
+            write_fused_file(target, label_set, doc_ids,
+                             [(combo_id, order, tied) for combo_id in combo_ids])
+            bare.write_bytes(target.read_bytes())
+            bound = max(map(len, (*FUSED_HEADER_NAMES, *combo_ids, *doc_ids, "|".join(labels))))
+            for field_limit in range(1, bound + 3):
+                csv.field_size_limit(field_limit)
+                hit = _fused_cache(target, labels, doc_ids) is not None
+                try:
+                    rows = load_fused_predictions(bare, label_set, doc_ids)
+                except ValidationError as exc:
+                    assert "field larger than field limit" in str(exc)
+                    rows = None
+                assert hit == (rows is not None) == (field_limit >= bound)
+                if hit:
+                    combo, top1, tied_top = load_fused_predictions(target, label_set, doc_ids)
+                    assert combo == rows[0] == tuple(combo_ids)
+                    assert np.array_equal(top1, rows[1]) and np.array_equal(tied_top, rows[2])
     finally:
         csv.field_size_limit(limit)
 

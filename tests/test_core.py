@@ -118,24 +118,25 @@ def test_rank_invariant_under_strictly_increasing_transform():
 
 
 def test_rsc_curve_orders_scores_by_rank():
-    curve = rsc_curve([0.2, 1.0, 0.5], [3.0, 1.0, 2.0])
+    curve = rsc_curve([0.2, 1.0, 0.5])
     assert isinstance(curve, np.ndarray)
     assert curve.tolist() == [1.0, 0.5, 0.2]
+    # equal scores keep label order, as sorted(reverse=True) keeps them, so
+    # a -0.0 (a raw -0.0 under a minimum of 0.0) and a 0.0 never swap
+    for norm, signs in (([-0.0, 0.0, 1.0, 0.5], [False, False, True, False]),
+                        ([0.0, -0.0, 1.0, 0.5], [False, False, False, True])):
+        assert np.signbit(_naive.rsc(norm)).tolist() == signs
+        assert np.signbit(rsc_curve(norm)).tolist() == signs
 
 
 def test_rsc_curve_is_non_increasing_random():
     rng = np.random.default_rng(17)
     for _ in range(100):
-        raw = rng.integers(0, 6, size=int(rng.integers(3, 15))).astype(float)
-        norm = normalize_scores(raw)
-        curve = rsc_curve(norm, rank_from_scores(raw))
+        raw = rng.integers(0, 6, size=(int(rng.integers(1, 4)), int(rng.integers(3, 15))))
+        norm = normalize_scores(raw.astype(float))
+        curve = rsc_curve(norm)
         assert np.all(np.diff(curve) <= 0)
-        assert curve.tolist() == pytest.approx(_naive.rsc(list(norm)))
-
-
-def test_rsc_curve_length_mismatch():
-    with pytest.raises(ValidationError, match="differ in length"):
-        rsc_curve([0.2, 1.0, 0.5], [1.0, 2.0])
+        assert curve.tolist() == [_naive.rsc(row) for row in norm.tolist()]
 
 
 def test_cognitive_diversity_known_value():

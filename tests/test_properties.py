@@ -132,11 +132,19 @@ def test_cognitive_diversity_is_symmetric_and_matches_oracle(cube):
 @given(score_cubes(), st.sampled_from(("fractional", "ordinal")))
 def test_batch_rsc_lies_in_unit_interval_and_is_non_increasing(cube, tie_policy):
     # the RSC invariant, under both tie policies and with constant rows
-    rsc = _batch(cube, tie_policy).rsc
+    batch = _batch(cube, tie_policy)
+    rsc = batch.rsc
     assert rsc.shape == np.shape(cube)
     assert not rsc.flags.writeable
     assert rsc.min() >= 0.0 and rsc.max() <= 1.0
     assert not np.any(np.diff(rsc, axis=-1) > 0)
+    assert rsc.tolist() == [[_naive.rsc(_naive.normalize(row)) for row in rows] for rows in cube]
+    # tied labels share one score, so no tie policy moves a curve, a
+    # diversity or a strength
+    other = _batch(cube, "ordinal" if tie_policy == "fractional" else "fractional")
+    for name in ("rsc", "cd", "ds"):
+        assert getattr(batch, name).tobytes() == getattr(other, name).tobytes()
+    assert "ranks" not in vars(batch)
 
 
 def _oracle_models(rows, ranks, subset):
@@ -404,15 +412,12 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
              for combo_id, (_, order, tied, _) in grid_arrays(batch, *arguments)),
         )
         assert path.read_bytes() == want.getvalue().encode("utf-8")
-        # a cache beside the file exactly when no id or label is quoted, read
+        # a cache beside every grid, quoted ids and labels included, read
         # once through it and once, with it deleted, from the file's rows
         cache = path.with_name("fused.csv.cache")
-        quoted = any(c in name for name in (*labels, *batch.doc_ids, *grid) for c in ',"\r\n')
-        assert cache.exists() != quoted
         reads = []
-        for _ in range(2 - quoted):
-            hit = fileio._fused_cache(path, labels, batch.doc_ids) is not None
-            assert hit == cache.exists()
+        for hit in (True, False):
+            assert (fileio._fused_cache(path, labels, batch.doc_ids) is not None) == hit
             reads.append(load_fused_predictions(path, batch.label_set, batch.doc_ids))
             cache.unlink(missing_ok=True)
     assert models == len(grid)
