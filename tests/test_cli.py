@@ -894,7 +894,7 @@ def test_fused_writer_failing_midway_keeps_the_old_file(tmp_path):
         assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
 
 
-def test_fused_cache_is_written_only_for_unquoted_grids(tmp_path):
+def test_fused_cache_is_written_unless_ids_repeat_or_hold_a_nul(tmp_path):
     target, cache = tmp_path / "fused.csv", tmp_path / "fused.csv.cache"
     label_set = LabelSet(("A", "B", "C"))
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
