@@ -943,9 +943,10 @@ def test_a_fused_cache_is_read_only_for_its_labels_documents_and_field_limit(tmp
     cache.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + index)
     assert _fused_cache(target, ("A", "B", "C"), ["d1", "d2"]) is not None
     # At every csv.field_size_limit() the cache is read exactly when the
-    # file's rows can be, and gives what they give.  The longest field is a
-    # combo id, a doc id, the ranking and then a header name, tie_at_top;
-    # the first three grids hold a ",", a '"' and a line break in labels and ids.
+    # file's rows can be, and gives what they give.  The grids' longest
+    # fields are, in turn, a combo id, a doc id, the ranking and a header
+    # name (tie_at_top); the first three hold a ",", a '"' and a line break
+    # in labels and ids.
     quoted = ("a,b", 'q"', "n\nl")
     grids = (
         (quoted, ['d,"1', "d\n2"], ['s"t+u,v:wrc-ds', 's"t+u,v:wsc-ds']),
