@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: score, diversity, fuse, evaluate, corpus-stats, gen-prompts,
-generate.  One JSON config file carries the shared run settings; flags
-override individual fields.  Exit codes: 0 success, 1 validation error,
-2 I/O error, 3 domain error.
+generate.  One JSON config file carries every run setting; flags name
+the files and directories a command reads and writes (`--out` stands in
+for the config's out_dir), and `generate`'s flags name its endpoint.
+Exit codes: 0 success, 1 validation error, 2 I/O error, 3 domain error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import CfaError, ValidationError
-from .settings import STRATEGIES, TIE_MODES, TIE_POLICIES, WEIGHT_SOURCES
 
 if TYPE_CHECKING:  # each command imports the layers it runs
     from .core import FusionBatch
@@ -57,14 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuse = subparsers.add_parser("fuse", help="run the combination grid")
     common(fuse)
-    fuse.add_argument("--tie-policy", choices=TIE_POLICIES)
-    fuse.add_argument("--strategies", help=f"comma list from {','.join(STRATEGIES)}")
-    fuse.add_argument("--min-subset", type=int, dest="min_subset")
-    fuse.add_argument("--weights", choices=WEIGHT_SOURCES)
 
     evaluate = subparsers.add_parser("evaluate", help="evaluate fused predictions")
     common(evaluate)
-    evaluate.add_argument("--tie-mode", choices=TIE_MODES, dest="tie_mode")
     evaluate.add_argument("--fused", help="fused predictions file (default: <out>/fused.csv)")
 
     stats = subparsers.add_parser("corpus-stats", help="lexical quality report")
@@ -93,28 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    from .fileio import RunConfig, _check_config, load_config
+    from .fileio import RunConfig, load_config
 
     if args.config == "":
         raise ValidationError("--config must name a file, got an empty string")
     config = RunConfig() if args.config is None else load_config(args.config)
-    updates = {
-        name: getattr(args, name) for name in ("tie_policy", "tie_mode", "weights", "min_subset")
-        if getattr(args, name, None) is not None
-    }
-    strategies = getattr(args, "strategies", None)
-    if strategies is not None:
-        updates["strategies"] = tuple(
-            s.strip() for s in strategies.split(",") if s.strip()
-        )
-    if args.out is not None:
-        if not args.out:
-            raise ValidationError("--out must name a directory, got an empty string")
-        updates["out_dir"] = Path(args.out)
-    if updates:
-        config = dataclasses.replace(config, **updates)
-        _check_config(config)
-    return config
+    if args.out is None:
+        return config
+    if not args.out:
+        raise ValidationError("--out must name a directory, got an empty string")
+    return dataclasses.replace(config, out_dir=Path(args.out))
 
 
 def _require_config(args) -> RunConfig:
@@ -201,7 +184,8 @@ def cmd_fuse(args) -> None:
     performance = None
     if config.weights == "perf" and {"wsc", "wrc"} & set(config.strategies):
         performance = _performance_weights(batch, config)
-    grid = grid_arrays(batch, config.strategies, config.min_subset, config.weights, performance)
+    grid = grid_arrays(batch, strategies=config.strategies, weight_source=config.weights,
+                       performance=performance)
     out = config.out_dir / "fused.csv"
     models = write_fused_file(
         out, batch.label_set, batch.doc_ids,

@@ -10,9 +10,9 @@ combined vector per document:
 
 Weights default to diversity strengths recomputed within the subset;
 performance weights can be supplied instead.  grid_arrays takes a
-FusionBatch and yields every subset of size min_size..t crossed with the
-chosen strategies, one combined model at a time, each fused for every
-document at once by _fuse_arrays.
+FusionBatch and yields every subset of two or more of its t systems
+crossed with the chosen strategies, one combined model at a time, each
+fused for every document at once by _fuse_arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FusionBatch, _ordered_sum, diversity_strength
 from .errors import DomainError, ValidationError
-from .settings import STRATEGIES, _check_min_size, _check_strategies, _check_weight_source
+from .settings import STRATEGIES, _check_strategies, _check_weight_source
 
 # Weights at or below this threshold are treated as vanishing; weighted
 # strategies fall back to their unweighted versions instead of dividing
@@ -32,8 +32,8 @@ from .settings import STRATEGIES, _check_min_size, _check_strategies, _check_wei
 EPSILON = 1e-12
 
 
-def enumerate_combinations(system_ids: Sequence[str], min_size: int = 2) -> list[tuple[str, ...]]:
-    """All system subsets from min_size up to the full roster.
+def enumerate_combinations(system_ids: Sequence[str]) -> list[tuple[str, ...]]:
+    """All system subsets of two or more, up to the full roster.
 
     Subsets are listed smallest size first, lexicographically within each
     size, so the enumeration is deterministic.
@@ -44,16 +44,7 @@ def enumerate_combinations(system_ids: Sequence[str], min_size: int = 2) -> list
     t = len(ids)
     if t < 2:
         raise DomainError(f"a combination grid needs at least two systems, got {t}")
-    _check_min_size(min_size)
-    if min_size > t:
-        raise ValidationError(
-            f"minimum subset size {min_size} exceeds the system count {t}"
-        )
-    return [
-        subset
-        for size in range(min_size, t + 1)
-        for subset in combinations(ids, size)
-    ]
+    return [subset for size in range(2, t + 1) for subset in combinations(ids, size)]
 
 
 def _fuse_arrays(
@@ -114,7 +105,6 @@ def _top_labels(order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.nda
 def grid_arrays(
     batch: FusionBatch,
     strategies: Sequence[str] = STRATEGIES,
-    min_size: int = 2,
     weight_source: str = "ds",
     performance: Mapping[str, float] | None = None,
 ) -> Iterator[tuple[str, tuple[np.ndarray, ...]]]:
@@ -148,7 +138,7 @@ def grid_arrays(
         if not np.isfinite(values).all() or np.any(values < 0):
             raise ValidationError("performance weights must be finite and non-negative")
     subsets = sorted(
-        enumerate_combinations(sorted(roster), min_size), key=lambda s: "+".join(s) + ":"
+        enumerate_combinations(sorted(roster)), key=lambda s: "+".join(s) + ":"
     )
     # no strategy name starts another, so strategies sort as their tags do
     return _grid(batch, subsets, sorted(chosen), weight_source, perf)

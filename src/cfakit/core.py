@@ -174,6 +174,12 @@ class FusionBatch:
         docs, ids = tuple(self.doc_ids), tuple(self.system_ids)
         if not docs:
             raise ValidationError("at least one document is required")
+        # fused.csv lists documents by doc_id text and its reader refuses a
+        # repeated one; the empty string is an id like any other
+        if not all(isinstance(d, str) for d in docs):
+            raise ValidationError("doc ids must be strings")
+        if len(set(docs)) != len(docs):
+            raise ValidationError("doc ids must be unique")
         if not ids:
             raise ValidationError("at least one scoring system is required")
         if not all(isinstance(s, str) and s for s in ids):

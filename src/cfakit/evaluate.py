@@ -72,14 +72,14 @@ def individual_arrays(batch: FusionBatch) -> ModelPredictions:
 def combined_arrays(
     batch: FusionBatch,
     strategies: Sequence[str] = STRATEGIES,
-    min_size: int = 2,
     weight_source: str = "ds",
     performance: Mapping[str, float] | None = None,
 ) -> ModelPredictions:
     """Top-1 predictions of every combined model, in grid_arrays' combo_id
     order (that of fused.csv) and under its arguments, documents in batch
     order."""
-    grid = grid_arrays(batch, strategies, min_size, weight_source, performance)
+    grid = grid_arrays(batch, strategies=strategies, weight_source=weight_source,
+                       performance=performance)
     return _stack(batch.label_set.labels, (
         (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid
     ))

@@ -24,7 +24,6 @@ from .errors import DataAccessError, DomainError, ValidationError
 from .settings import (
     STRATEGIES,
     LabelSet,
-    _check_min_size,
     _check_strategies,
     _check_tie_mode,
     _check_tie_policy,
@@ -690,13 +689,19 @@ def _load_corpus_jsonl(path: Path) -> list[Document]:
             raise ValidationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
         if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
             raise ValidationError(f"{path}:{line_no}: record needs doc_id and text")
-        doc_id = record["doc_id"]
+        where = f"{path}:{line_no}"
+        doc_id = _field(where, record, "doc_id", "a string", None)
+        text = _field(where, record, "text", "a string", None)
+        # a null label is no label
+        label = None if record.get("label") is None else _field(
+            where, record, "label", "a string", None)
+        for key, value in (("doc_id", doc_id), ("label", label)):
+            if value == "":
+                raise ValidationError(f"{where}: {key!r} must not be empty")
         if doc_id in seen:
-            raise ValidationError(f"{path}:{line_no}: duplicate document {doc_id!r}")
+            raise ValidationError(f"{where}: duplicate document {doc_id!r}")
         seen.add(doc_id)
-        docs.append(
-            Document(doc_id=doc_id, text=record["text"], label=record.get("label"))
-        )
+        docs.append(Document(doc_id=doc_id, text=text, label=label))
     if not docs:
         raise ValidationError(f"{path}: no documents")
     return docs
@@ -773,7 +778,7 @@ def _load_json(path: Path):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration; flags override individual fields.
+    """Parsed configuration, the one source of the run settings.
 
     Path checks happen when a command actually uses the field, so a
     config can name score files that an earlier command has yet to write.
@@ -785,7 +790,6 @@ class RunConfig:
     tie_policy: str = "fractional"
     tie_mode: str = "strict"
     strategies: tuple[str, ...] = STRATEGIES
-    min_subset: int = 2
     weights: str = "ds"
     out_dir: Path = Path(".")
     endpoint_url: str | None = None
@@ -837,7 +841,7 @@ def load_config(path: Path | str) -> RunConfig:
         raise ValidationError(f"{path}: config must be a JSON object")
     known = {
         "labels", "systems", "expert_labels", "tie_policy", "tie_mode",
-        "strategies", "min_subset", "weights", "out_dir", "generation",
+        "strategies", "weights", "out_dir", "generation",
     }
     generation = _field(path, raw, "generation", "an object", {})
     unknown = sorted(set(raw) - known) + sorted(
@@ -876,7 +880,6 @@ def load_config(path: Path | str) -> RunConfig:
         strategies=tuple(_field(
             path, raw, "strategies", "an array of strings", RunConfig.strategies
         )),
-        min_subset=_field(path, raw, "min_subset", "an integer", RunConfig.min_subset),
         weights=_field(path, raw, "weights", "a string", RunConfig.weights),
         out_dir=base / _field(path, raw, "out_dir", "a string", RunConfig.out_dir),
         endpoint_url=_field(path, generation, "endpoint_url", "a string", RunConfig.endpoint_url),
@@ -885,14 +888,9 @@ def load_config(path: Path | str) -> RunConfig:
             path, generation, "max_concurrency", "an integer", RunConfig.max_concurrency
         ),
     )
-    _check_config(config)
-    return config
-
-
-def _check_config(config: RunConfig) -> None:
-    """Each run setting through its check."""
+    # each run setting through its check, as a library call would be
     _check_tie_policy(config.tie_policy)
     _check_tie_mode(config.tie_mode)
     _check_strategies(config.strategies)
     _check_weight_source(config.weights)
-    _check_min_size(config.min_subset)
+    return config

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import Prompt
 from .errors import ValidationError
-from .fileio import _read_text, atomic_write_text
+from .fileio import _field, _read_text, atomic_write_text
 
 CORPUS_FILE = "corpus.jsonl"
 ERRORS_FILE = "errors.jsonl"
@@ -86,9 +86,9 @@ def _load_existing(path: Path) -> dict[str, dict]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
-        if "prompt_id" not in record:
-            raise ValidationError(f"{path}:{line_no}: record lacks prompt_id")
-        records[record["prompt_id"]] = record
+        if not isinstance(record, dict) or "prompt_id" not in record:
+            raise ValidationError(f"{path}:{line_no}: record must be an object with a prompt_id")
+        records[_field(f"{path}:{line_no}", record, "prompt_id", "a string", None)] = record
     return records
 
 

@@ -2,10 +2,9 @@
 
 Every command checks these before it loads any data: the label set a
 config names, and the tie policies, tie modes, combination strategies and
-weight sources that its flags and fields may take.  The module needs
-nothing beyond the standard library, so the parser, usage errors and the
-commands that do no array work (`score --scorer keyword`, `gen-prompts`)
-never load numpy.
+weight sources that its fields may take.  The module needs nothing
+beyond the standard library, so the commands that do no array work
+(`score --scorer keyword`, `gen-prompts`) never load numpy.
 """
 
 from __future__ import annotations
@@ -100,8 +99,3 @@ def _check_weight_source(weight_source: str) -> None:
         raise ValidationError(
             f"unknown weight source {weight_source!r}; expected one of {WEIGHT_SOURCES}"
         )
-
-
-def _check_min_size(min_size: int) -> None:
-    if min_size < 2:
-        raise ValidationError(f"minimum subset size is 2, got {min_size}")

@@ -89,6 +89,13 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
+def _config_with(ws, name, **fields):
+    """ws/name: the workspace config with fields set over its own."""
+    path = ws / name
+    path.write_text(json.dumps({**json.loads((ws / "config.json").read_text()), **fields}))
+    return path
+
+
 def _score_both(ws):
     config = ws / "config.json"
     assert _run(
@@ -311,7 +318,7 @@ def test_documents_changed_after_fuse_give_the_fused_files_error(workspace, caps
 def test_fuse_strategy_subset_flag(workspace):
     ws = workspace
     _score_both(ws)
-    assert _run("fuse", "--config", ws / "config.json", "--strategies", "asc,arc") == 0
+    assert _run("fuse", "--config", _config_with(ws, "two.json", strategies=["asc", "arc"])) == 0
     lines = (ws / "out" / "fused.csv").read_text().splitlines()
     combos = {line.split(",")[0] for line in lines[1:]}
     assert combos == {"kw+tf:asc", "kw+tf:arc"}
@@ -320,7 +327,7 @@ def test_fuse_strategy_subset_flag(workspace):
 def test_fuse_with_performance_weights(workspace):
     ws = workspace
     _score_both(ws)
-    assert _run("fuse", "--config", ws / "config.json", "--weights", "perf") == 0
+    assert _run("fuse", "--config", _config_with(ws, "perf.json", weights="perf")) == 0
     lines = (ws / "out" / "fused.csv").read_text().splitlines()
     combos = {line.split(",")[0] for line in lines[1:]}
     assert combos == {"kw+tf:asc", "kw+tf:arc", "kw+tf:wsc-perf", "kw+tf:wrc-perf"}
@@ -329,14 +336,16 @@ def test_fuse_with_performance_weights(workspace):
 def test_fuse_computes_performance_weights_only_for_weighted_strategies(workspace):
     ws = workspace
     _score_both(ws)
-    config = json.loads((ws / "config.json").read_text())
+    config = {**json.loads((ws / "config.json").read_text()), "weights": "perf"}
     del config["expert_labels"]
-    (ws / "unweighted.json").write_text(json.dumps({**config, "weights": "perf"}))
+    path = ws / "no-experts.json"
     # asc and arc take no weights, so no expert file is needed
-    assert _run("fuse", "--config", ws / "unweighted.json", "--strategies", "asc,arc") == 0
+    path.write_text(json.dumps({**config, "strategies": ["asc", "arc"]}))
+    assert _run("fuse", "--config", path) == 0
     lines = (ws / "out" / "fused.csv").read_text().splitlines()
     assert {line.split(",")[0] for line in lines[1:]} == {"kw+tf:arc", "kw+tf:asc"}
-    assert _run("fuse", "--config", ws / "unweighted.json", "--strategies", "asc,wsc") == 1
+    path.write_text(json.dumps({**config, "strategies": ["asc", "wsc"]}))
+    assert _run("fuse", "--config", path) == 1
 
 
 def test_diversity_outputs(workspace):
@@ -377,6 +386,22 @@ def test_diversity_and_evaluate_take_no_tie_policy_flag(workspace, capsys):
     assert {p.name: p.read_bytes() for p in (ws / "out").iterdir()} == before
 
 
+def test_fuse_and_evaluate_take_their_settings_from_the_config_alone(workspace, capsys):
+    ws = workspace
+    _score_both(ws)
+    before = {p.name: p.read_bytes() for p in (ws / "out").iterdir()}
+    capsys.readouterr()
+    for command, flag, value in (
+        ("fuse", "--tie-policy", "ordinal"), ("fuse", "--strategies", "asc"),
+        ("fuse", "--min-subset", "2"), ("fuse", "--weights", "perf"),
+        ("evaluate", "--tie-mode", "lenient"),
+    ):
+        assert _run(command, "--config", ws / "config.json", flag, value) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: unrecognized arguments: {flag} {value}\n", err
+    assert {p.name: p.read_bytes() for p in (ws / "out").iterdir()} == before
+
+
 def test_tie_policy_changes_no_diversity_or_report_byte(workspace):
     ws = workspace
     _score_both(ws)
@@ -412,6 +437,25 @@ def test_corpus_stats(workspace):
     assert lines[0] == "label,docs,mean_tokens,mean_ttr,mean_distinct2,mean_distinct3"
     labels = [line.split(",")[0] for line in lines[1:]]
     assert labels == ["SDG13", "SDG4", "SDG6", "overall"]
+
+
+def test_a_directory_corpus_gives_the_bytes_of_its_jsonl_twin(workspace):
+    ws = workspace
+    for doc_id, text, label in CORPUS:
+        (ws / "cdir" / label).mkdir(parents=True, exist_ok=True)
+        (ws / "cdir" / label / f"{doc_id}.txt").write_text(text)
+    # the directory loader's order: sorted label directories, then sorted files
+    _write_jsonl(ws / "twin.jsonl", sorted(CORPUS, key=lambda doc: (doc[2], doc[0])))
+    outputs = []
+    for corpus in ("cdir", "twin.jsonl"):
+        out = ws / f"from-{corpus}"
+        assert _run("corpus-stats", "--config", ws / "config.json", "--out", out,
+                    "--corpus", ws / corpus) == 0
+        assert _run("score", "--config", ws / "config.json", "--out", out, "--scorer",
+                    "keyword", "--corpus", ws / corpus, "--lexicon", ws / "lexicon.json") == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == ["corpus_stats.csv", "scores_keyword.csv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_gen_prompts(workspace):
@@ -476,7 +520,7 @@ def test_generate_command(workspace):
 def test_fuse_writes_one_row_per_model_and_document(workspace):
     _score_both(workspace)
     for weights in ("ds", "perf"):
-        assert _run("fuse", "--config", workspace / "config.json", "--weights", weights) == 0
+        assert _run("fuse", "--config", _config_with(workspace, "w.json", weights=weights)) == 0
         # the one pair kw+tf under four strategies, eight documents each
         assert len((workspace / "out" / "fused.csv").read_text().splitlines()) == 1 + 4 * 8
 
@@ -580,8 +624,9 @@ MALFORMED = [
      "'labels' must be an array of strings"),
     ("strategies-string", {"strategies": "asc"}, {}, ["fuse"],
      "'strategies' must be an array of strings"),
-    ("min-subset-string", {"min_subset": "x"}, {}, ["fuse"],
-     "'min_subset' must be an integer"),
+    # every subset of two systems or more is fused; no field bounds the grid
+    ("min-subset-one", {"min_subset": 2}, {}, ["fuse"],
+     "unknown config fields ['min_subset']"),
     ("system-id-number", {"systems": [{"id": 7, "path": "s.csv"}]}, {}, ["fuse"],
      "'id' must be a string"),
     # fuse loads the whole config, generation object included, but fetches nothing
@@ -593,6 +638,17 @@ MALFORMED = [
      "config.json: not valid UTF-8"),
     ("corpus-jsonl-not-utf8", {}, {"c.jsonl": b'{"doc_id": "d1", "text": "\xff"}\n'},
      ["corpus-stats", "--corpus", "c.jsonl"], "c.jsonl: not valid UTF-8"),
+    # each field of a JSONL corpus record is named by its line
+    ("corpus-jsonl-label-int", {},
+     {"c.jsonl": b'{"doc_id": "a", "text": "x y", "label": "A"}\n'
+                 b'{"doc_id": "b", "text": "x y", "label": 5}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "c.jsonl:2: 'label' must be a string, got int"),
+    ("corpus-jsonl-label-empty", {}, {"c.jsonl": b'{"doc_id": "a", "text": "x", "label": ""}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "c.jsonl:1: 'label' must not be empty"),
+    ("corpus-jsonl-doc-id-int", {}, {"c.jsonl": b'{"doc_id": 1, "text": "x"}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "c.jsonl:1: 'doc_id' must be a string, got int"),
+    ("corpus-jsonl-text-array", {}, {"c.jsonl": b'{"doc_id": "a", "text": ["x"]}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "c.jsonl:1: 'text' must be a string, got list"),
     ("corpus-dir-not-utf8", {}, {"cdir/A/d1.txt": b"\xff"},
      ["corpus-stats", "--corpus", "cdir"], "d1.txt: not valid UTF-8"),
     ("corpus-dir-duplicate-doc", {}, {"cdir/A/d1.txt": b"one", "cdir/B/d1.txt": b"two"},
@@ -646,8 +702,8 @@ MALFORMED = [
       "lex.json": b'{"A": "water", "B": ["b"], "C": ["c"]}'},
      ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json"],
      "'A' must be an array of strings"),
-    ("perf-weights-expert-outside-labels", {"expert_labels": "e.csv"},
-     {"e.csv": b"doc_id,label\nd1,Z\n"}, ["fuse", "--weights", "perf"],
+    ("perf-weights-expert-outside-labels", {"expert_labels": "e.csv", "weights": "perf"},
+     {"e.csv": b"doc_id,label\nd1,Z\n"}, ["fuse"],
      "document 'd1' has expert label 'Z' outside the label set"),
     ("fused-top1-outside-labels", {"expert_labels": "e.csv"},
      {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
@@ -729,9 +785,6 @@ MALFORMED = [
      "unknown strategies ['zz']; expected a subset of ('asc', 'arc', 'wsc', 'wrc')"),
     ("strategies-empty", {"strategies": []}, {}, ["fuse"],
      "at least one strategy is required"),
-    # an empty flag is taken as given, not replaced by the config's value
-    ("strategies-flag-empty", {}, {}, ["fuse", "--strategies", ""],
-     "at least one strategy is required"),
     # "" names no directory, so the config's out_dir does not stand in
     ("out-flag-empty", {}, {}, ["fuse", "--out", ""],
      "--out must name a directory, got an empty string"),
@@ -742,8 +795,6 @@ MALFORMED = [
      "generate requires --endpoint or a generation.endpoint_url config"),
     ("weights-unknown", {"weights": "equal"}, {}, ["fuse"],
      "unknown weight source 'equal'; expected one of ('ds', 'perf')"),
-    ("min-subset-one", {"min_subset": 1}, {}, ["fuse"],
-     "minimum subset size is 2, got 1"),
     ("rsc-tables-share-a-file-name", {},
      {"s.csv": DOC_SPACE_SCORES, "t.csv": DOC_SPACE_SCORES},
      ["diversity", "--doc", "d 1", "--doc", "d_1"],
@@ -916,15 +967,16 @@ def test_fused_cache_is_written_unless_ids_repeat_or_hold_a_nul(tmp_path):
 
 def test_repeated_doc_ids_are_refused_before_the_fused_file_is_read(tmp_path):
     label_set = LabelSet(("A", "B", "C"))
-    batch = FusionBatch(["d1", "d1"], label_set, ["s", "t"],
+    batch = FusionBatch(["d1", "d2"], label_set, ["s", "t"],
                         np.array([[[0.1, 0.5, 0.9], [0.3, 0.2, 0.1]]] * 2))
+    # a FusionBatch refuses repeated ids, so the grid is written under them
     path = tmp_path / "fused.csv"
-    write_fused_file(path, label_set, batch.doc_ids, (
+    write_fused_file(path, label_set, ["d1", "d1"], (
         (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid_arrays(batch)
     ))
     for target in (path, tmp_path / "missing.csv"):
         with pytest.raises(ValidationError) as caught:
-            load_fused_predictions(target, label_set, batch.doc_ids)
+            load_fused_predictions(target, label_set, ["d1", "d1"])
         assert str(caught.value) == "doc ids must be unique"
 
 

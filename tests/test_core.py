@@ -207,6 +207,16 @@ def test_fusion_batch_rejects_duplicate_system():
         FusionBatch(("d1",), LABELS3, ("A", "A"), [[[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]])
 
 
+def test_fusion_batch_requires_distinct_string_doc_ids():
+    raw = [[[0.1, 0.2, 0.3]]] * 2
+    # ints would be written to fused.csv in numeric, not text, order
+    with pytest.raises(ValidationError, match="doc ids must be strings"):
+        FusionBatch((2, 10), LABELS3, ("A",), raw)
+    with pytest.raises(ValidationError, match="doc ids must be unique"):
+        FusionBatch(("d1", "d1"), LABELS3, ("A",), raw)
+    assert FusionBatch(("", "d1"), LABELS3, ("A",), raw).doc_ids == ("", "d1")
+
+
 def test_fusion_batch_rejects_wrong_shape():
     with pytest.raises(ValidationError, match=r"shape \(1, 1, 2\), expected \(1, 1, 3\)"):
         _batch({"A": [0.1, 0.2]})

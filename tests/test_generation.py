@@ -201,6 +201,30 @@ def test_cli_empty_auth_token_flag_overrides_the_config_token(stub_server, tmp_p
     assert _StubHandler.seen[0]["auth"] is None
 
 
+@pytest.mark.parametrize("stored", [
+    b"5\n",
+    b'{"prompt_id": ["x"]}\n',
+    b'{"prompt_id": 7}\n{"prompt_id": "p00002"}\n',
+], ids=["scalar", "prompt-id-array", "prompt-id-int"])
+def test_generate_refuses_a_stored_record_without_a_string_prompt_id(tmp_path, capsys, stored):
+    from cfakit.cli import main
+
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / CORPUS_FILE).write_bytes(stored)
+    (tmp_path / "config.json").write_text(json.dumps({"out_dir": "out"}))
+    (tmp_path / "prompts.csv").write_text(
+        "prompt_id,label,publication_type,source,prompt_text\np00001,A,t,s,A by s\n"
+    )
+    argv = ["generate", "--config", str(tmp_path / "config.json"),
+            "--prompts", str(tmp_path / "prompts.csv"), "--endpoint", "http://127.0.0.1:9/g"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {tmp_path / 'out' / CORPUS_FILE}:1: "), err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [CORPUS_FILE]
+    assert (tmp_path / "out" / CORPUS_FILE).read_bytes() == stored
+
+
 def test_generate_rejects_duplicate_prompt_ids(tmp_path):
     prompt = _prompts(1)[0]
     with pytest.raises(ValidationError, match="unique"):

@@ -51,7 +51,7 @@ FOOTPRINTS = {
                   _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus", "cfakit.combine"}),
     "fuse": (["fuse", "--config", "config.json"], {"cfakit.combine"},
              _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus"}),
-    "fuse-perf": (["fuse", "--config", "config.json", "--weights", "perf"],
+    "fuse-perf": (["fuse", "--config", "perf.json"],
                   {"cfakit.combine", "cfakit.evaluate"}, _GENERATE_ONLY | {"cfakit.corpus"}),
     "evaluate": (["evaluate", "--config", "config.json", "--fused", "fused.csv"],
                  {"cfakit.evaluate"}, _GENERATE_ONLY | {"cfakit.corpus"}),
@@ -65,11 +65,13 @@ def _footprint_inputs(where: Path) -> None:
     """Small inputs for every command, on labels A, B, C."""
     docs = [("d1", "water water sea", "A"), ("d2", "sea sea land", "B"),
             ("d3", "land water land", "C")]
+    config = {
+        "labels": ["A", "B", "C"], "expert_labels": "experts.csv", "out_dir": "out",
+        "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
+    }
     files = {
-        "config.json": json.dumps({
-            "labels": ["A", "B", "C"], "expert_labels": "experts.csv", "out_dir": "out",
-            "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
-        }),
+        "config.json": json.dumps(config),
+        "perf.json": json.dumps({**config, "weights": "perf"}),
         "corpus.jsonl": "".join(
             json.dumps({"doc_id": d, "text": text, "label": label}) + "\n"
             for d, text, label in docs),

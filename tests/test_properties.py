@@ -371,7 +371,7 @@ def fused_grids(draw):
     source = draw(st.sampled_from(("ds", "perf")))
     weight = st.sampled_from((0.0, 0.25, 0.5, 1.0))
     performance = {s: draw(weight) for s in system_ids} if source == "perf" else None
-    return batch, (strategies, 2, source, performance)
+    return batch, (strategies, source, performance)
 
 
 @settings(max_examples=150, deadline=None)
