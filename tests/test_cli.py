@@ -315,7 +315,7 @@ def test_documents_changed_after_fuse_give_the_fused_files_error(workspace, caps
     )
 
 
-def test_fuse_strategy_subset_flag(workspace):
+def test_fuse_strategy_subset_from_config(workspace):
     ws = workspace
     _score_both(ws)
     assert _run("fuse", "--config", _config_with(ws, "two.json", strategies=["asc", "arc"])) == 0
@@ -625,7 +625,7 @@ MALFORMED = [
     ("strategies-string", {"strategies": "asc"}, {}, ["fuse"],
      "'strategies' must be an array of strings"),
     # every subset of two systems or more is fused; no field bounds the grid
-    ("min-subset-one", {"min_subset": 2}, {}, ["fuse"],
+    ("min-subset-unknown-field", {"min_subset": 2}, {}, ["fuse"],
      "unknown config fields ['min_subset']"),
     ("system-id-number", {"systems": [{"id": 7, "path": "s.csv"}]}, {}, ["fuse"],
      "'id' must be a string"),

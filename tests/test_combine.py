@@ -53,7 +53,7 @@ def test_enumerate_two_systems_single_subset():
     assert enumerate_combinations(["B", "A"]) == [("A", "B")]
 
 
-def test_enumerate_min_size_bounds():
+def test_enumerate_needs_two_systems():
     with pytest.raises(DomainError, match="at least two systems, got 1"):
         enumerate_combinations(["A"])
 
