@@ -2,9 +2,10 @@
 
 Score combination averages normalized scores (higher wins); rank
 combination averages rank positions (lower wins).  Each comes plain or
-weighted by diversity strength.  The demo fuses one document three ways
-over every subset of three systems, then shows the degenerate case
-where identical systems force the weighted strategies to fall back.
+weighted by diversity strength.  Every grid fuses each subset under all
+four.  The demo fuses one document over every subset of three systems,
+weights the grid by hand, then shows the degenerate case where
+identical systems force the weighted strategies to fall back.
 
 Run:  python demos/02_combination_strategies.py
 """
@@ -46,7 +47,7 @@ def main() -> None:
         print(f"  {combo_id:28s} top1={ranking[0]:6s} ranking={'>'.join(ranking)}{marker}")
 
     print("\nthe same math, called directly with explicit weights")
-    weighted = dict(grid_arrays(batch, ("wsc", "wrc"), weight_source="perf",
+    weighted = dict(grid_arrays(batch, weight_source="perf",
                                 performance={"model_a": 2.0, "model_b": 1.0, "model_c": 1.0}))
     wsc = weighted["model_a+model_c:wsc-perf"][1][0, 0]
     print(f"  score combination of model_a (w=2) and model_c (w=1): top1={labels[wsc]}")
@@ -59,7 +60,7 @@ def main() -> None:
     twins = one_document(
         "doc-02", {"x": [0.3, 0.8, 0.1, 0.5, 0.2], "y": [0.3, 0.8, 0.1, 0.5, 0.2]}
     )
-    _, order, _, fallback = dict(grid_arrays(twins, ("wsc",)))["x+y:wsc-ds"]
+    _, order, _, fallback = dict(grid_arrays(twins))["x+y:wsc-ds"]
     print(f"  weight_fallback={fallback[0]}, top1={labels[order[0, 0]]}")
 
 

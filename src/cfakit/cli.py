@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: score, diversity, fuse, evaluate, corpus-stats, gen-prompts,
-generate.  One JSON config file carries every run setting; flags name
-the files and directories a command reads and writes (`--out` stands in
-for the config's out_dir), and `generate`'s flags name its endpoint.
+generate.  One JSON config file carries every run setting, `generate`'s
+endpoint, token and concurrency included; flags name only the files and
+directories a command reads and writes (`--out` stands in for the
+config's out_dir).
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 domain error.
 """
 
@@ -73,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate = subparsers.add_parser("generate", help="fetch text for a prompt matrix")
     common(generate)
     generate.add_argument("--prompts", required=True, help="prompt matrix CSV")
-    generate.add_argument("--endpoint", help="generation endpoint URL")
-    generate.add_argument("--auth-token", dest="auth_token")
-    generate.add_argument("--max-concurrency", type=int, dest="max_concurrency")
 
     score.set_defaults(func=cmd_score)
     diversity.set_defaults(func=cmd_diversity)
@@ -181,11 +179,8 @@ def cmd_fuse(args) -> None:
 
     config = _require_config(args)
     batch = _load_batch(config)
-    performance = None
-    if config.weights == "perf" and {"wsc", "wrc"} & set(config.strategies):
-        performance = _performance_weights(batch, config)
-    grid = grid_arrays(batch, strategies=config.strategies, weight_source=config.weights,
-                       performance=performance)
+    performance = _performance_weights(batch, config) if config.weights == "perf" else None
+    grid = grid_arrays(batch, weight_source=config.weights, performance=performance)
     out = config.out_dir / "fused.csv"
     models = write_fused_file(
         out, batch.label_set, batch.doc_ids,
@@ -252,17 +247,11 @@ def cmd_generate(args) -> None:
     from .fileio import load_prompt_file
     from .generation import GenerationConfig, generate_corpus
 
-    config = _config_from(args)
-    # an empty flag is taken as given: --endpoint "" names no endpoint and
-    # --auth-token "" sends no token
-    endpoint = config.endpoint_url if args.endpoint is None else args.endpoint
-    if not endpoint:
-        raise ValidationError("generate requires --endpoint or a generation.endpoint_url config")
+    config = _require_config(args)
     generation = GenerationConfig(
-        endpoint_url=endpoint,
-        auth_token=config.auth_token if args.auth_token is None else args.auth_token,
-        max_concurrency=(config.max_concurrency if args.max_concurrency is None
-                         else args.max_concurrency),
+        endpoint_url=config.endpoint_url,
+        auth_token=config.auth_token,
+        max_concurrency=config.max_concurrency,
     )
     prompts = load_prompt_file(args.prompts)
     outcome = generate_corpus(prompts, generation, config.out_dir)

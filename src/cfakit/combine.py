@@ -11,7 +11,7 @@ combined vector per document:
 Weights default to diversity strengths recomputed within the subset;
 performance weights can be supplied instead.  grid_arrays takes a
 FusionBatch and yields every subset of two or more of its t systems
-crossed with the chosen strategies, one combined model at a time, each
+crossed with the four strategies, one combined model at a time, each
 fused for every document at once by _fuse_arrays.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FusionBatch, _ordered_sum, diversity_strength
 from .errors import DomainError, ValidationError
-from .settings import STRATEGIES, _check_strategies, _check_weight_source
+from .settings import STRATEGIES, _check_weight_source
 
 # Weights at or below this threshold are treated as vanishing; weighted
 # strategies fall back to their unweighted versions instead of dividing
@@ -104,7 +104,6 @@ def _top_labels(order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def grid_arrays(
     batch: FusionBatch,
-    strategies: Sequence[str] = STRATEGIES,
     weight_source: str = "ds",
     performance: Mapping[str, float] | None = None,
 ) -> Iterator[tuple[str, tuple[np.ndarray, ...]]]:
@@ -123,11 +122,9 @@ def grid_arrays(
     performance weights apply per system to every document and need the
     performance mapping."""
     roster = set(batch.system_ids)
-    chosen = _check_strategies(strategies)
     _check_weight_source(weight_source)
-    needs_weights = any(s in ("wsc", "wrc") for s in chosen)
     perf: dict[str, float] | None = None
-    if needs_weights and weight_source == "perf":
+    if weight_source == "perf":
         if performance is None:
             raise ValidationError("performance weighting requires per-system performances")
         missing = sorted(roster - set(performance))
@@ -140,22 +137,19 @@ def grid_arrays(
     subsets = sorted(
         enumerate_combinations(sorted(roster)), key=lambda s: "+".join(s) + ":"
     )
-    # no strategy name starts another, so strategies sort as their tags do
-    return _grid(batch, subsets, sorted(chosen), weight_source, perf)
+    return _grid(batch, subsets, weight_source, perf)
 
 
-def _grid(batch: FusionBatch, subsets, strategies, weight_source, perf):
+def _grid(batch: FusionBatch, subsets, weight_source, perf):
     """grid_arrays' pairs, made as they are asked for."""
-    needs_weights = any(s in ("wsc", "wrc") for s in strategies)
     for subset in subsets:
         idx = batch.subset_index(subset)
         prefix = "+".join(subset) + ":"
-        weights = None
-        if needs_weights:
-            # one set of weights per subset, shared by wsc and wrc; a grid
-            # has at least two systems, so batch.cd is never None here
-            weights = (diversity_strength(batch.cd, idx) if perf is None else
-                       np.broadcast_to([perf[s] for s in subset], (len(batch), len(idx))))
-        for strategy in strategies:
+        # one set of weights per subset, shared by wsc and wrc; a grid has
+        # at least two systems, so batch.cd is never None here
+        weights = (diversity_strength(batch.cd, idx) if perf is None else
+                   np.broadcast_to([perf[s] for s in subset], (len(batch), len(idx))))
+        # no strategy name starts another, so strategies sort as their tags do
+        for strategy in sorted(STRATEGIES):
             tag = f"{strategy}-{weight_source}" if strategy in ("wsc", "wrc") else strategy
             yield prefix + tag, _fuse_arrays(batch, idx, strategy, weights)

@@ -127,14 +127,18 @@ def _group_quality(label: str, metrics: Sequence[tuple]) -> LabelQuality:
 def corpus_quality_report(corpus: Sequence[Document]) -> list[LabelQuality]:
     """Per-label quality rows plus a final overall row.
 
-    Unlabeled documents group under "unlabeled".  Labels are sorted for a
-    deterministic table, and per-document metrics that are undefined are
-    left out of their group's mean.  Each document's metrics are computed
-    once and shared by its label row and the overall row.
+    Unlabeled documents group under "unlabeled", so neither row name may
+    be a corpus label.  Labels are sorted for a deterministic table, and
+    per-document metrics that are undefined are left out of their group's
+    mean.  Each document's metrics are computed once and shared by its
+    label row and the overall row.
     """
     docs = list(corpus)
     if not docs:
         raise ValidationError("cannot report on an empty corpus")
+    reserved = sorted({doc.label for doc in docs} & {"overall", "unlabeled"})
+    if reserved:
+        raise ValidationError(f"corpus labels {reserved} are reserved for report rows")
     metrics = [
         (len(doc.tokens), type_token_ratio(doc), distinct_n(doc, 2), distinct_n(doc, 3))
         for doc in docs
@@ -318,6 +322,9 @@ class TfidfCentroidScorer:
         empty = [label for label in labels if label not in by_label]
         if empty:
             raise ValidationError(f"no training documents for labels {empty}")
+        unknown = sorted(set(by_label) - set(labels))
+        if unknown:
+            raise ValidationError(f"training documents have unknown labels {unknown}")
 
         vocabulary = sorted({token for doc in docs for token in doc.tokens})
         index = {term: i for i, term in enumerate(vocabulary)}

@@ -31,7 +31,7 @@ from .combine import _fuse_arrays, _top_labels, grid_arrays
 from .core import FusionBatch
 from .errors import ValidationError
 from .fileio import _quote, atomic_write_text, format_table, write_csv
-from .settings import STRATEGIES, LabelSet, _check_tie_mode
+from .settings import LabelSet, _check_tie_mode
 
 
 class ModelPredictions(NamedTuple):
@@ -71,15 +71,13 @@ def individual_arrays(batch: FusionBatch) -> ModelPredictions:
 
 def combined_arrays(
     batch: FusionBatch,
-    strategies: Sequence[str] = STRATEGIES,
     weight_source: str = "ds",
     performance: Mapping[str, float] | None = None,
 ) -> ModelPredictions:
     """Top-1 predictions of every combined model, in grid_arrays' combo_id
     order (that of fused.csv) and under its arguments, documents in batch
     order."""
-    grid = grid_arrays(batch, strategies=strategies, weight_source=weight_source,
-                       performance=performance)
+    grid = grid_arrays(batch, weight_source=weight_source, performance=performance)
     return _stack(batch.label_set.labels, (
         (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid
     ))

@@ -21,14 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import DataAccessError, DomainError, ValidationError
-from .settings import (
-    STRATEGIES,
-    LabelSet,
-    _check_strategies,
-    _check_tie_mode,
-    _check_tie_policy,
-    _check_weight_source,
-)
+from .settings import LabelSet, _check_tie_mode, _check_tie_policy, _check_weight_source
 
 if TYPE_CHECKING:  # numpy and the other layers load where a function uses them
     import numpy as np
@@ -725,6 +718,9 @@ def load_prompt_file(path: Path | str) -> list:
     prompts = []
     seen: set[str] = set()
     for line_no, row in _table_rows(path, PROMPT_HEADER):
+        for name, value in zip(PROMPT_HEADER[:2], row):
+            if not value:
+                raise ValidationError(f"{path}:{line_no}: {name!r} must not be empty")
         if row[0] in seen:
             raise ValidationError(f"{path}:{line_no}: duplicate prompt id {row[0]!r}")
         seen.add(row[0])
@@ -789,7 +785,6 @@ class RunConfig:
     expert_labels: Path | None = None
     tie_policy: str = "fractional"
     tie_mode: str = "strict"
-    strategies: tuple[str, ...] = STRATEGIES
     weights: str = "ds"
     out_dir: Path = Path(".")
     endpoint_url: str | None = None
@@ -841,7 +836,7 @@ def load_config(path: Path | str) -> RunConfig:
         raise ValidationError(f"{path}: config must be a JSON object")
     known = {
         "labels", "systems", "expert_labels", "tie_policy", "tie_mode",
-        "strategies", "weights", "out_dir", "generation",
+        "weights", "out_dir", "generation",
     }
     generation = _field(path, raw, "generation", "an object", {})
     unknown = sorted(set(raw) - known) + sorted(
@@ -877,9 +872,6 @@ def load_config(path: Path | str) -> RunConfig:
         expert_labels=None if expert_labels is None else base / expert_labels,
         tie_policy=_field(path, raw, "tie_policy", "a string", RunConfig.tie_policy),
         tie_mode=_field(path, raw, "tie_mode", "a string", RunConfig.tie_mode),
-        strategies=tuple(_field(
-            path, raw, "strategies", "an array of strings", RunConfig.strategies
-        )),
         weights=_field(path, raw, "weights", "a string", RunConfig.weights),
         out_dir=base / _field(path, raw, "out_dir", "a string", RunConfig.out_dir),
         endpoint_url=_field(path, generation, "endpoint_url", "a string", RunConfig.endpoint_url),
@@ -891,6 +883,5 @@ def load_config(path: Path | str) -> RunConfig:
     # each run setting through its check, as a library call would be
     _check_tie_policy(config.tie_policy)
     _check_tie_mode(config.tie_mode)
-    _check_strategies(config.strategies)
     _check_weight_source(config.weights)
     return config

@@ -31,7 +31,7 @@ class GenerationConfig:
 
     def __post_init__(self) -> None:
         if not self.endpoint_url:
-            raise ValidationError("generation endpoint URL is required")
+            raise ValidationError("generation.endpoint_url is required")
         if self.max_concurrency < 1:
             raise ValidationError("max_concurrency must be at least 1")
 

@@ -1,15 +1,15 @@
 """The label set and the vocabulary of the run settings.
 
 Every command checks these before it loads any data: the label set a
-config names, and the tie policies, tie modes, combination strategies and
-weight sources that its fields may take.  The module needs nothing
-beyond the standard library, so the commands that do no array work
+config names, and the tie policies, tie modes and weight sources that
+its fields may take.  STRATEGIES names the four combination strategies,
+which every grid fuses.  The module needs nothing beyond the standard
+library, so the commands that do no array work
 (`score --scorer keyword`, `gen-prompts`) never load numpy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ValidationError
@@ -81,17 +81,6 @@ def _check_tie_mode(tie_mode: str) -> None:
         raise ValidationError(
             f"unknown tie mode {tie_mode!r}; expected one of {TIE_MODES}"
         )
-
-
-def _check_strategies(strategies: Sequence[str]) -> list[str]:
-    """The chosen strategies, in STRATEGIES order."""
-    unknown = sorted(set(strategies) - set(STRATEGIES))
-    if unknown:
-        raise ValidationError(f"unknown strategies {unknown}; expected a subset of {STRATEGIES}")
-    chosen = [s for s in STRATEGIES if s in strategies]
-    if not chosen:
-        raise ValidationError("at least one strategy is required")
-    return chosen
 
 
 def _check_weight_source(weight_source: str) -> None:

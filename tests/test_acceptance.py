@@ -45,9 +45,11 @@ def _one_document(doc_id, label_set, raw):
     return FusionBatch((doc_id,), label_set, tuple(raw), [list(raw.values())])
 
 
-def _grid(batch, **arguments):
-    """combo_id -> (values, order, tied, fallback) of every combined model."""
-    return dict(grid_arrays(batch, **arguments))
+def _grid(batch, strategy=None, **arguments):
+    """combo_id -> (values, order, tied, fallback) of every combined model,
+    or of those whose tag names the given strategy."""
+    return {combo_id: fused for combo_id, fused in grid_arrays(batch, **arguments)
+            if strategy in (None, combo_id.partition(":")[2].partition("-")[0])}
 
 
 @lru_cache(maxsize=1)
@@ -166,8 +168,8 @@ def test_weighted_reductions_and_scale_invariances():
                 for s in raw
             },
         )
-        warped_grid = _grid(warped, strategies=("arc",))
-        affine_grid = _grid(affine, strategies=("asc",))
+        warped_grid = _grid(warped, "arc")
+        affine_grid = _grid(affine, "asc")
         for subset in (SYSTEMS_5, SYSTEMS_5[:2], SYSTEMS_5[1:4]):
             prefix = "+".join(subset) + ":"
             base_arc, warped_arc = grid[prefix + "arc"], warped_grid[prefix + "arc"]

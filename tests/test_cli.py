@@ -315,15 +315,6 @@ def test_documents_changed_after_fuse_give_the_fused_files_error(workspace, caps
     )
 
 
-def test_fuse_strategy_subset_from_config(workspace):
-    ws = workspace
-    _score_both(ws)
-    assert _run("fuse", "--config", _config_with(ws, "two.json", strategies=["asc", "arc"])) == 0
-    lines = (ws / "out" / "fused.csv").read_text().splitlines()
-    combos = {line.split(",")[0] for line in lines[1:]}
-    assert combos == {"kw+tf:asc", "kw+tf:arc"}
-
-
 def test_fuse_with_performance_weights(workspace):
     ws = workspace
     _score_both(ws)
@@ -331,21 +322,13 @@ def test_fuse_with_performance_weights(workspace):
     lines = (ws / "out" / "fused.csv").read_text().splitlines()
     combos = {line.split(",")[0] for line in lines[1:]}
     assert combos == {"kw+tf:asc", "kw+tf:arc", "kw+tf:wsc-perf", "kw+tf:wrc-perf"}
-
-
-def test_fuse_computes_performance_weights_only_for_weighted_strategies(workspace):
-    ws = workspace
-    _score_both(ws)
-    config = {**json.loads((ws / "config.json").read_text()), "weights": "perf"}
+    # performance weights are computed from the expert labels, which
+    # diversity-strength weights never read
+    config = json.loads((ws / "config.json").read_text())
     del config["expert_labels"]
-    path = ws / "no-experts.json"
-    # asc and arc take no weights, so no expert file is needed
-    path.write_text(json.dumps({**config, "strategies": ["asc", "arc"]}))
-    assert _run("fuse", "--config", path) == 0
-    lines = (ws / "out" / "fused.csv").read_text().splitlines()
-    assert {line.split(",")[0] for line in lines[1:]} == {"kw+tf:arc", "kw+tf:asc"}
-    path.write_text(json.dumps({**config, "strategies": ["asc", "wsc"]}))
-    assert _run("fuse", "--config", path) == 1
+    for weights, code in (("ds", 0), ("perf", 1)):
+        (ws / "no-experts.json").write_text(json.dumps({**config, "weights": weights}))
+        assert _run("fuse", "--config", ws / "no-experts.json") == code
 
 
 def test_diversity_outputs(workspace):
@@ -391,14 +374,22 @@ def test_fuse_and_evaluate_take_their_settings_from_the_config_alone(workspace, 
     _score_both(ws)
     before = {p.name: p.read_bytes() for p in (ws / "out").iterdir()}
     capsys.readouterr()
+    generate = ("generate", "--prompts", ws / "prompts.csv")
+    (ws / "prompts.csv").write_text(
+        "prompt_id,label,publication_type,source,prompt_text\np00001,SDG4,t,s,SDG4 by s\n")
     for command, flag, value in (
-        ("fuse", "--tie-policy", "ordinal"), ("fuse", "--strategies", "asc"),
-        ("fuse", "--min-subset", "2"), ("fuse", "--weights", "perf"),
-        ("evaluate", "--tie-mode", "lenient"),
+        (("fuse",), "--tie-policy", "ordinal"), (("fuse",), "--strategies", "asc"),
+        (("fuse",), "--min-subset", "2"), (("fuse",), "--weights", "perf"),
+        (("evaluate",), "--tie-mode", "lenient"),
+        (generate, "--endpoint", "http://127.0.0.1:9/gen"),
+        (generate, "--auth-token", "sekret"), (generate, "--max-concurrency", "2"),
     ):
-        assert _run(command, "--config", ws / "config.json", flag, value) == 1
+        assert _run(*command, "--config", ws / "config.json", flag, value) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: unrecognized arguments: {flag} {value}\n", err
+    # generate's endpoint, token and concurrency come from a config alone
+    assert _run(*generate) == 1
+    assert capsys.readouterr() == ("", "error: the generate command requires --config\n")
     assert {p.name: p.read_bytes() for p in (ws / "out").iterdir()} == before
 
 
@@ -500,10 +491,10 @@ def test_generate_command(workspace):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
+        endpoint = {"endpoint_url": f"http://127.0.0.1:{server.server_port}/gen"}
         code = _run(
-            "generate", "--config", ws / "config.json",
+            "generate", "--config", _config_with(ws, "generate.json", generation=endpoint),
             "--prompts", ws / "out" / "prompts.csv",
-            "--endpoint", f"http://127.0.0.1:{server.server_port}/gen",
         )
     finally:
         server.shutdown()
@@ -613,6 +604,12 @@ DOC_SPACE_SCORES = b"doc_id,label,score\n" + b"".join(
     for doc in (b"d 1", b"d_1") for i, label in enumerate((b"A", b"B", b"C"), start=1)
 )
 
+PROMPTS = b"prompt_id,label,publication_type,source,prompt_text\np00001,A,t,s,A by s\n"
+# a labelled, an unlabelled and a reserved-label document
+CORPUS_RESERVED = (b'{"doc_id": "d1", "text": "water", "label": "SDG1"}\n'
+                   b'{"doc_id": "d2", "text": "sea", "label": null}\n'
+                   b'{"doc_id": "d3", "text": "land", "label": "%s"}\n')
+
 # files whose line 3 holds one column too many
 EXPERT_WIDE = b"doc_id,label\nd1,A\nd2,A,x\n"
 FUSED_WIDE = FUSED_HEADER + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d2,A,false,A,A|B|C,x\n"
@@ -622,11 +619,12 @@ FUSED_WIDE = FUSED_HEADER + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d2,A,false,A,A
 MALFORMED = [
     ("labels-string", {"labels": "ABC"}, {}, ["fuse"],
      "'labels' must be an array of strings"),
-    ("strategies-string", {"strategies": "asc"}, {}, ["fuse"],
-     "'strategies' must be an array of strings"),
-    # every subset of two systems or more is fused; no field bounds the grid
+    # every subset of two systems or more is fused under all four
+    # strategies; no field bounds or filters the grid
     ("min-subset-unknown-field", {"min_subset": 2}, {}, ["fuse"],
      "unknown config fields ['min_subset']"),
+    ("strategies-unknown-field", {"strategies": ["asc"]}, {}, ["fuse"],
+     "unknown config fields ['strategies']"),
     ("system-id-number", {"systems": [{"id": 7, "path": "s.csv"}]}, {}, ["fuse"],
      "'id' must be a string"),
     # fuse loads the whole config, generation object included, but fetches nothing
@@ -781,30 +779,39 @@ MALFORMED = [
      "unknown tie policy 'dense'; expected one of ('fractional', 'ordinal')"),
     ("tie-mode-unknown", {"tie_mode": "loose"}, {}, ["fuse"],
      "unknown tie mode 'loose'; expected one of ('strict', 'lenient')"),
-    ("strategies-unknown", {"strategies": ["zz"]}, {}, ["fuse"],
-     "unknown strategies ['zz']; expected a subset of ('asc', 'arc', 'wsc', 'wrc')"),
-    ("strategies-empty", {"strategies": []}, {}, ["fuse"],
-     "at least one strategy is required"),
     # "" names no directory, so the config's out_dir does not stand in
     ("out-flag-empty", {}, {}, ["fuse", "--out", ""],
      "--out must name a directory, got an empty string"),
-    ("endpoint-flag-empty", {"generation": {"endpoint_url": "http://127.0.0.1:9/gen"}},
-     {"prompts.csv": b"prompt_id,label,publication_type,source,prompt_text\n"
-                     b"p00001,A,t,s,A by s\n"},
-     ["generate", "--prompts", "prompts.csv", "--endpoint", ""],
-     "generate requires --endpoint or a generation.endpoint_url config"),
+    ("endpoint-url-empty", {"generation": {"endpoint_url": ""}},
+     {"prompts.csv": PROMPTS}, ["generate", "--prompts", "prompts.csv"],
+     "generation.endpoint_url is required"),
+    ("endpoint-url-missing", {}, {"prompts.csv": PROMPTS},
+     ["generate", "--prompts", "prompts.csv"], "generation.endpoint_url is required"),
+    # refused before any fetch: generate would store a record that a
+    # corpus cannot hold
+    ("prompt-id-empty", {"generation": {"endpoint_url": "http://127.0.0.1:9/gen"}},
+     {"prompts.csv": PROMPTS + b",A,t,s,A by s\n"}, ["generate", "--prompts", "prompts.csv"],
+     "prompts.csv:3: 'prompt_id' must not be empty"),
+    ("prompt-label-empty", {"generation": {"endpoint_url": "http://127.0.0.1:9/gen"}},
+     {"prompts.csv": PROMPTS + b"p00002,,t,s, by s\n"},
+     ["generate", "--prompts", "prompts.csv"], "prompts.csv:3: 'label' must not be empty"),
     ("weights-unknown", {"weights": "equal"}, {}, ["fuse"],
      "unknown weight source 'equal'; expected one of ('ds', 'perf')"),
     ("rsc-tables-share-a-file-name", {},
      {"s.csv": DOC_SPACE_SCORES, "t.csv": DOC_SPACE_SCORES},
      ["diversity", "--doc", "d 1", "--doc", "d_1"],
      "documents 'd 1' and 'd_1' would both be written to rsc_d_1.csv"),
-    ("generate-max-concurrency-zero", {},
-     {"prompts.csv": b"prompt_id,label,publication_type,source,prompt_text\n"
-                     b"p00001,A,t,s,A by s\n"},
-     ["generate", "--prompts", "prompts.csv", "--endpoint", "http://127.0.0.1:9/gen",
-      "--max-concurrency", "0"],
+    ("generate-max-concurrency-zero",
+     {"generation": {"endpoint_url": "http://127.0.0.1:9/gen", "max_concurrency": 0}},
+     {"prompts.csv": PROMPTS}, ["generate", "--prompts", "prompts.csv"],
      "max_concurrency must be at least 1"),
+    # the report's own row names are not corpus labels
+    ("corpus-label-overall", {}, {"c.jsonl": CORPUS_RESERVED % b"overall"},
+     ["corpus-stats", "--corpus", "c.jsonl"],
+     "corpus labels ['overall'] are reserved for report rows"),
+    ("corpus-label-unlabeled", {}, {"c.jsonl": CORPUS_RESERVED % b"unlabeled"},
+     ["corpus-stats", "--corpus", "c.jsonl"],
+     "corpus labels ['unlabeled'] are reserved for report rows"),
 ]
 
 
@@ -827,6 +834,7 @@ def test_malformed_input_exits_1_with_one_error_line(
     for name, data in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_bytes(data)
+    inputs = sorted(tmp_path.rglob("*"))
     result = run_python("-m", "cfakit.cli", *command, "--config", "config.json",
                         cwd=tmp_path)
     assert result.returncode == 1, result.stdout + result.stderr
@@ -834,6 +842,7 @@ def test_malformed_input_exits_1_with_one_error_line(
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert message in lines[0]
+    assert sorted(tmp_path.rglob("*")) == inputs  # nothing written
 
 
 def _fused_workspace(tmp_path, fused):
@@ -896,7 +905,7 @@ def test_needless_quotes_past_64_kib_leave_the_report_alone(tmp_path):
 
 @pytest.mark.parametrize("command", [
     ["corpus-stats", "--corpus", "c.jsonl"],
-    ["generate", "--prompts", "prompts.csv", "--endpoint", "http://127.0.0.1:9/gen"],
+    ["generate", "--prompts", "prompts.csv"],
     ["fuse"],
 ])
 def test_empty_config_flag_names_no_file(run_python, tmp_path, command):

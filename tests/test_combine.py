@@ -33,10 +33,13 @@ def _random_batch(rng, n=17, system_ids=("A", "B", "C", "D", "E")):
 
 
 def _grid(batch, performance=None, strategies=("asc", "arc", "wsc", "wrc")):
-    """combo_id -> (values, order, tied, fallback), the weighted models
-    weighted by performance when it is given, else by diversity strength."""
+    """combo_id -> (values, order, tied, fallback) of the models of the
+    given strategies, picked by tag out of the full grid, the weighted
+    models weighted by performance when it is given, else by diversity
+    strength."""
     source = "ds" if performance is None else "perf"
-    return dict(grid_arrays(batch, strategies, weight_source=source, performance=performance))
+    return {combo_id: fused for combo_id, fused in grid_arrays(batch, source, performance)
+            if combo_id.partition(":")[2].partition("-")[0] in strategies}
 
 
 def test_enumerate_five_systems_gives_26_subsets():
@@ -136,7 +139,7 @@ def test_identical_systems_have_zero_diversity_and_fall_back():
 def test_weighted_score_rejects_negative_weights():
     batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
     with pytest.raises(ValidationError, match="non-negative"):
-        grid_arrays(batch, ("wsc",), weight_source="perf", performance={"A": -1.0, "B": 2.0})
+        grid_arrays(batch, weight_source="perf", performance={"A": -1.0, "B": 2.0})
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf],
@@ -147,17 +150,18 @@ def test_performance_weights_must_be_finite_and_non_negative(bad, strategy):
     performance = {"A": 0.5, "B": bad, "C": 0.25}
     # raised by the call itself, before any model is made
     with pytest.raises(ValidationError, match="performance weights must be finite and non-negative"):
-        grid_arrays(batch, ("asc", strategy), weight_source="perf", performance=performance)
-    # unweighted strategies never read the performance weights
-    grid = grid_arrays(batch, ("asc", "arc"), weight_source="perf", performance=performance)
-    assert len(list(grid)) == 8
+        grid_arrays(batch, weight_source="perf", performance=performance)
+    # a vanishing weight is valid: wsc gives B no say, and wrc falls back
+    performance["B"] = 0.0
+    values, _, _, fallback = _grid(batch, performance)[f"A+B:{strategy}-perf"]
+    assert np.isfinite(values).all() and fallback[0] == (strategy == "wrc")
 
 
 def test_weight_count_must_match_subset():
     # every system of the grid needs a weight, named in the message
     batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
     with pytest.raises(ValidationError, match=r"missing performance weights for systems \['B'\]"):
-        grid_arrays(batch, ("wsc",), weight_source="perf", performance={"A": 1.0})
+        grid_arrays(batch, weight_source="perf", performance={"A": 1.0})
 
 
 def test_unknown_subset_system():
@@ -256,18 +260,13 @@ def test_grid_arrays_two_systems_four_models():
 def test_grid_arrays_strategy_subset_and_order():
     rng = np.random.default_rng(59)
     batch, _ = _random_batch(rng, system_ids=("A", "B", "C"))
-    grid = _grid(batch, strategies=("arc", "asc"))
-    tags = {combo.split(":")[1] for combo in grid}
-    assert tags == {"asc", "arc"}
-    assert len(grid) == 8
-    assert list(grid) == sorted(grid)  # combo-id order, that of fused.csv
-
-
-def test_grid_arrays_rejects_unknown_strategy():
-    rng = np.random.default_rng(61)
-    batch, _ = _random_batch(rng, system_ids=("A", "B"))
-    with pytest.raises(ValidationError, match="unknown strategies"):
-        grid_arrays(batch, strategies=("asc", "median"))
+    grid = _grid(batch)
+    # every subset under all four strategies, in combo-id order, that of
+    # fused.csv; the models of some strategies keep that order
+    assert len(grid) == 16 and list(grid) == sorted(grid)
+    assert {combo.split(":")[1] for combo in grid} == {"asc", "arc", "wsc-ds", "wrc-ds"}
+    picked = _grid(batch, strategies=("arc", "asc"))
+    assert list(picked) == [combo for combo in grid if combo in picked] and len(picked) == 8
 
 
 def test_fusion_batch_rejects_inconsistent_rosters():

@@ -314,6 +314,12 @@ def test_tfidf_respects_label_set_order_and_coverage():
     assert scorer.labels == ("X",)
     with pytest.raises(ValidationError, match=r"\['Y', 'Z'\]"):
         TfidfCentroidScorer().train(train_docs, LabelSet(("X", "Y", "Z")))
+    # a document outside the label set would shift the idf unseen
+    with pytest.raises(ValidationError, match=r"unknown labels \['W'\]"):
+        TfidfCentroidScorer().train(
+            [Document(f"t{label}", "alpha", label=label) for label in "WXYZ"],
+            LabelSet(("X", "Y", "Z")),
+        )
 
 
 def test_tfidf_rejects_unlabeled_training_docs():

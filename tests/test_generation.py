@@ -185,7 +185,7 @@ def test_generate_omits_auth_header_without_token(stub_server, tmp_path):
     assert _StubHandler.seen[0]["auth"] is None
 
 
-def test_cli_empty_auth_token_flag_overrides_the_config_token(stub_server, tmp_path):
+def test_cli_generate_sends_the_config_token(stub_server, tmp_path):
     from cfakit.cli import main
 
     (tmp_path / "config.json").write_text(json.dumps({
@@ -196,9 +196,9 @@ def test_cli_empty_auth_token_flag_overrides_the_config_token(stub_server, tmp_p
         "prompt_id,label,publication_type,source,prompt_text\np00001,A,t,s,A by s\n"
     )
     argv = ["generate", "--config", str(tmp_path / "config.json"),
-            "--prompts", str(tmp_path / "prompts.csv"), "--auth-token", ""]
+            "--prompts", str(tmp_path / "prompts.csv")]
     assert main(argv) == 0
-    assert _StubHandler.seen[0]["auth"] is None
+    assert _StubHandler.seen[0]["auth"] == "Bearer sekret"
 
 
 @pytest.mark.parametrize("stored", [
@@ -211,12 +211,14 @@ def test_generate_refuses_a_stored_record_without_a_string_prompt_id(tmp_path, c
 
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / CORPUS_FILE).write_bytes(stored)
-    (tmp_path / "config.json").write_text(json.dumps({"out_dir": "out"}))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "out_dir": "out", "generation": {"endpoint_url": "http://127.0.0.1:9/g"},
+    }))
     (tmp_path / "prompts.csv").write_text(
         "prompt_id,label,publication_type,source,prompt_text\np00001,A,t,s,A by s\n"
     )
     argv = ["generate", "--config", str(tmp_path / "config.json"),
-            "--prompts", str(tmp_path / "prompts.csv"), "--endpoint", "http://127.0.0.1:9/g"]
+            "--prompts", str(tmp_path / "prompts.csv")]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1, err

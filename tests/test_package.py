@@ -55,8 +55,7 @@ FOOTPRINTS = {
                   {"cfakit.combine", "cfakit.evaluate"}, _GENERATE_ONLY | {"cfakit.corpus"}),
     "evaluate": (["evaluate", "--config", "config.json", "--fused", "fused.csv"],
                  {"cfakit.evaluate"}, _GENERATE_ONLY | {"cfakit.corpus"}),
-    "generate": (["generate", "--config", "config.json", "--prompts", "prompts.csv",
-                  "--endpoint", "http://127.0.0.1:9/generate"],
+    "generate": (["generate", "--config", "config.json", "--prompts", "prompts.csv"],
                  _GENERATE_ONLY, {"numpy", "cfakit.core"}),
 }
 
@@ -68,6 +67,7 @@ def _footprint_inputs(where: Path) -> None:
     config = {
         "labels": ["A", "B", "C"], "expert_labels": "experts.csv", "out_dir": "out",
         "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
+        "generation": {"endpoint_url": "http://127.0.0.1:9/generate"},
     }
     files = {
         "config.json": json.dumps(config),

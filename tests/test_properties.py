@@ -50,7 +50,7 @@ from cfakit import (
     write_report,
 )
 from cfakit import fileio
-from cfakit.combine import STRATEGIES, grid_arrays
+from cfakit.combine import grid_arrays
 from cfakit.fileio import (
     FUSED_HEADER,
     _table_rows,
@@ -355,8 +355,8 @@ PLAIN = "ab é中"  # what csv never quotes
 def fused_grids(draw):
     """A tie-heavy batch with odd (or, half the time, never quoted) label,
     document and system ids, documents in unsorted order, and grid
-    arguments: a strategy subset, a weight source and, for perf, per-system
-    weights (some vanishing)."""
+    arguments: a weight source and, for perf, per-system weights (some
+    vanishing)."""
     cube = draw(score_cubes())
     docs, systems, labels = len(cube), len(cube[0]), len(cube[0][0])
     alphabet = draw(st.sampled_from((ODD, PLAIN)))
@@ -367,11 +367,10 @@ def fused_grids(draw):
                                unique=True))
     batch = FusionBatch(doc_ids, label_set, system_ids, cube,
                         draw(st.sampled_from(("fractional", "ordinal"))))
-    strategies = draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, unique=True))
     source = draw(st.sampled_from(("ds", "perf")))
     weight = st.sampled_from((0.0, 0.25, 0.5, 1.0))
     performance = {s: draw(weight) for s in system_ids} if source == "perf" else None
-    return batch, (strategies, source, performance)
+    return batch, (source, performance)
 
 
 @settings(max_examples=150, deadline=None)
