@@ -47,8 +47,7 @@ def main() -> None:
         print(f"  {combo_id:28s} top1={ranking[0]:6s} ranking={'>'.join(ranking)}{marker}")
 
     print("\nthe same math, called directly with explicit weights")
-    weighted = dict(grid_arrays(batch, weight_source="perf",
-                                performance={"model_a": 2.0, "model_b": 1.0, "model_c": 1.0}))
+    weighted = dict(grid_arrays(batch, {"model_a": 2.0, "model_b": 1.0, "model_c": 1.0}))
     wsc = weighted["model_a+model_c:wsc-perf"][1][0, 0]
     print(f"  score combination of model_a (w=2) and model_c (w=1): top1={labels[wsc]}")
     wrc = weighted["model_a+model_c:wrc-perf"][1][0, 0]

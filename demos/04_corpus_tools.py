@@ -82,7 +82,7 @@ def main() -> None:
 
     print("\ntf-idf centroid scorer: cosine similarity to per-label centroids")
     train = [d for d in CORPUS if d.label is not None]
-    scorer = TfidfCentroidScorer().train(train)
+    scorer = TfidfCentroidScorer(train)
     query = "new wells bring clean water and sanitation"
     scores = scorer.score(query)
     print(f"  query: {query!r}")

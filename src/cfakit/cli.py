@@ -147,8 +147,7 @@ def cmd_score(args) -> None:
     else:
         if not args.train:
             raise ValidationError("the tfidf scorer requires --train")
-        scorer = TfidfCentroidScorer().train(load_corpus(args.train), label_set)
-        score_one = scorer.score
+        score_one = TfidfCentroidScorer(load_corpus(args.train), label_set).score
     scores = {doc.doc_id: score_one(doc) for doc in corpus}
     out = config.out_dir / f"scores_{args.scorer}.csv"
     write_score_file(out, scores, label_set)
@@ -180,7 +179,7 @@ def cmd_fuse(args) -> None:
     config = _require_config(args)
     batch = _load_batch(config)
     performance = _performance_weights(batch, config) if config.weights == "perf" else None
-    grid = grid_arrays(batch, weight_source=config.weights, performance=performance)
+    grid = grid_arrays(batch, performance)
     out = config.out_dir / "fused.csv"
     models = write_fused_file(
         out, batch.label_set, batch.doc_ids,

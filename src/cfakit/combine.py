@@ -8,11 +8,11 @@ combined vector per document:
   wsc  weighted average of normalized scores, weights w_j, higher better
   wrc  rank average weighted by the reciprocals 1/w_j, lower better
 
-Weights default to diversity strengths recomputed within the subset;
-performance weights can be supplied instead.  grid_arrays takes a
-FusionBatch and yields every subset of two or more of its t systems
-crossed with the four strategies, one combined model at a time, each
-fused for every document at once by _fuse_arrays.
+Weights are diversity strengths recomputed within the subset, or each
+system's performance when grid_arrays is given a performance mapping.
+grid_arrays takes a FusionBatch and yields every subset of two or more
+of its t systems crossed with the four strategies, one combined model at
+a time, each fused for every document at once by _fuse_arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FusionBatch, _ordered_sum, diversity_strength
 from .errors import DomainError, ValidationError
-from .settings import STRATEGIES, _check_weight_source
+from .settings import STRATEGIES
 
 # Weights at or below this threshold are treated as vanishing; weighted
 # strategies fall back to their unweighted versions instead of dividing
@@ -103,9 +103,7 @@ def _top_labels(order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def grid_arrays(
-    batch: FusionBatch,
-    weight_source: str = "ds",
-    performance: Mapping[str, float] | None = None,
+    batch: FusionBatch, performance: Mapping[str, float] | None = None
 ) -> Iterator[tuple[str, tuple[np.ndarray, ...]]]:
     """Fuse every document under every (subset, strategy) combination, one
     combined model at a time, as (combo_id, the _fuse_arrays result) pairs.
@@ -113,37 +111,35 @@ def grid_arrays(
     then ":" and the strategy tag: the strategy, with "-ds" or "-perf"
     after wsc and wrc, as in "A+B:asc" or "A+B:wsc-ds".  Pairs come in
     combo_id order, the order of fused.csv: subsets sorted by their
-    "a+b:" prefix, then each subset's strategies by tag.  A config's system
+    "a+b:" prefix, then each subset's strategies by tag.  A batch's system
     ids hold no ":", so no prefix starts another and a subset's models stay
     together.  The arguments are checked at the call, before any pair is
     made.
 
-    Diversity-strength weights are recomputed per document and subset;
-    performance weights apply per system to every document and need the
-    performance mapping."""
-    roster = set(batch.system_ids)
-    _check_weight_source(weight_source)
+    Without performance, wsc and wrc are weighted by diversity strengths,
+    recomputed per document and subset, and tagged "-ds".  With it, they
+    are weighted by its value for each system, the same for every
+    document, and tagged "-perf"; it must name every system of the batch."""
     perf: dict[str, float] | None = None
-    if weight_source == "perf":
-        if performance is None:
-            raise ValidationError("performance weighting requires per-system performances")
-        missing = sorted(roster - set(performance))
+    if performance is not None:
+        missing = sorted(set(batch.system_ids) - set(performance))
         if missing:
             raise ValidationError(f"missing performance weights for systems {missing}")
-        perf = {system_id: float(performance[system_id]) for system_id in roster}
+        perf = {system_id: float(performance[system_id]) for system_id in batch.system_ids}
         values = np.array(list(perf.values()))
         if not np.isfinite(values).all() or np.any(values < 0):
             raise ValidationError("performance weights must be finite and non-negative")
-    subsets = sorted(
-        enumerate_combinations(sorted(roster)), key=lambda s: "+".join(s) + ":"
-    )
-    return _grid(batch, subsets, weight_source, perf)
+    subsets = sorted(enumerate_combinations(batch.system_ids), key=lambda s: "+".join(s) + ":")
+    return _grid(batch, subsets, perf)
 
 
-def _grid(batch: FusionBatch, subsets, weight_source, perf):
+def _grid(batch: FusionBatch, subsets, perf):
     """grid_arrays' pairs, made as they are asked for."""
+    position = {system_id: j for j, system_id in enumerate(batch.system_ids)}
+    source = "ds" if perf is None else "perf"
     for subset in subsets:
-        idx = batch.subset_index(subset)
+        # positions in sorted-id order, the order every sum over systems takes
+        idx = [position[system_id] for system_id in subset]
         prefix = "+".join(subset) + ":"
         # one set of weights per subset, shared by wsc and wrc; a grid has
         # at least two systems, so batch.cd is never None here
@@ -151,5 +147,5 @@ def _grid(batch: FusionBatch, subsets, weight_source, perf):
                    np.broadcast_to([perf[s] for s in subset], (len(batch), len(idx))))
         # no strategy name starts another, so strategies sort as their tags do
         for strategy in sorted(STRATEGIES):
-            tag = f"{strategy}-{weight_source}" if strategy in ("wsc", "wrc") else strategy
+            tag = f"{strategy}-{source}" if strategy in ("wsc", "wrc") else strategy
             yield prefix + tag, _fuse_arrays(batch, idx, strategy, weights)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .settings import MIN_LABELS, LabelSet, _check_tie_policy
+from .settings import MIN_LABELS, LabelSet, _check_system_id, _check_tie_policy
 
 
 def _freeze(values: Iterable[float] | np.ndarray, dtype=float) -> np.ndarray:
@@ -162,6 +162,8 @@ class FusionBatch:
     doc_ids, system_ids and the label set.  Each derived array keeps those
     axes (cd is (docs, systems, systems); cd and ds are None for a single
     system) and is computed for every document at once, on first use.
+    A system id is non-empty and holds no "+", ":" or "|", which separate
+    the parts of combo ids and of report table fields.
     """
 
     doc_ids: tuple[str, ...]
@@ -182,8 +184,10 @@ class FusionBatch:
             raise ValidationError("doc ids must be unique")
         if not ids:
             raise ValidationError("at least one scoring system is required")
-        if not all(isinstance(s, str) and s for s in ids):
-            raise ValidationError("system ids must be non-empty strings")
+        if not all(isinstance(s, str) for s in ids):
+            raise ValidationError("system ids must be strings")
+        for system_id in ids:
+            _check_system_id(system_id)
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate system id in {list(ids)}")
         _check_tie_policy(self.tie_policy)
@@ -232,16 +236,3 @@ class FusionBatch:
     @cached_property
     def ds(self) -> np.ndarray | None:
         return None if self.cd is None else _freeze(diversity_strength(self.cd))
-
-    def subset_index(self, subset: Sequence[str]) -> tuple[int, ...]:
-        """Positions of the named systems on the system axis, in subset order."""
-        ids = list(subset)
-        if not ids:
-            raise ValidationError("subset must name at least one system")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("subset contains a repeated system id")
-        index = {s: j for j, s in enumerate(self.system_ids)}
-        try:
-            return tuple(index[s] for s in ids)
-        except KeyError as exc:
-            raise ValidationError(f"unknown system id {exc.args[0]!r}") from None

@@ -279,32 +279,18 @@ def keyword_scorer(doc, lexicon: KeywordLexicon) -> dict[str, float]:
 class TfidfCentroidScorer:
     """Scores documents by cosine similarity to per-label tf-idf centroids.
 
-    Training builds one tf-idf vector per document, with tf the raw term
-    count and idf = ln(1 + N / df) over the N training documents, then
-    averages the vectors of each label into its centroid.  Scoring embeds
-    a document with the training vocabulary and idf; terms unseen in
-    training are ignored, and a document sharing no vocabulary with a
-    centroid scores zero for that label.
+    The scorer trains when it is built, on a corpus of labeled documents:
+    it builds one tf-idf vector per document, with tf the raw term count
+    and idf = ln(1 + N / df) over the N training documents, then averages
+    the vectors of each label into its centroid.  The labels are those of
+    label_set, in its order, which the corpus must cover exactly, or else
+    the corpus labels sorted.  Scoring embeds a document with the training
+    vocabulary and idf; terms unseen in training are ignored, and a
+    document sharing no vocabulary with a centroid scores zero for that
+    label.
     """
 
-    def __init__(self) -> None:
-        self._vocabulary: dict[str, int] | None = None
-        self._idf: np.ndarray | None = None
-        # label -> (centroid, its norm), the norm computed once at train
-        self._centroids: dict[str, tuple[np.ndarray, float]] | None = None
-
-    @property
-    def trained(self) -> bool:
-        return self._centroids is not None
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        self._require_trained()
-        return tuple(self._centroids)
-
-    def train(
-        self, corpus: Sequence[Document], label_set: LabelSet | None = None
-    ) -> "TfidfCentroidScorer":
+    def __init__(self, corpus: Sequence[Document], label_set: LabelSet | None = None) -> None:
         import numpy as np
 
         docs = list(corpus)
@@ -327,22 +313,22 @@ class TfidfCentroidScorer:
             raise ValidationError(f"training documents have unknown labels {unknown}")
 
         vocabulary = sorted({token for doc in docs for token in doc.tokens})
-        index = {term: i for i, term in enumerate(vocabulary)}
+        self._vocabulary = {term: i for i, term in enumerate(vocabulary)}
         df = np.zeros(len(vocabulary))
         for doc in docs:
             for term in set(doc.tokens):
-                df[index[term]] += 1
-        n_docs = len(docs)
-        idf = np.log(1.0 + n_docs / df)
-
-        self._vocabulary = index
-        self._idf = idf
-        self._centroids = {}
+                df[self._vocabulary[term]] += 1
+        self._idf = np.log(1.0 + len(docs) / df)
+        # label -> (centroid, its norm), the norm computed once here
+        self._centroids: dict[str, tuple[np.ndarray, float]] = {}
         for label in labels:
             vectors = [self._embed(doc) for doc in by_label[label]]
             centroid = np.mean(vectors, axis=0)
             self._centroids[label] = (centroid, float(np.linalg.norm(centroid)))
-        return self
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self._centroids)
 
     def _embed(self, doc) -> np.ndarray:
         import numpy as np
@@ -354,15 +340,10 @@ class TfidfCentroidScorer:
                 vector[i] = count * self._idf[i]
         return vector
 
-    def _require_trained(self) -> None:
-        if not self.trained:
-            raise ValidationError("scorer must be trained before scoring")
-
     def score(self, doc) -> dict[str, float]:
         """Cosine similarity of the document against every centroid."""
         import numpy as np
 
-        self._require_trained()
         vector = self._embed(doc)
         norm = float(np.linalg.norm(vector))
         scores: dict[str, float] = {}

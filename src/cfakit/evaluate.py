@@ -70,14 +70,12 @@ def individual_arrays(batch: FusionBatch) -> ModelPredictions:
 
 
 def combined_arrays(
-    batch: FusionBatch,
-    weight_source: str = "ds",
-    performance: Mapping[str, float] | None = None,
+    batch: FusionBatch, performance: Mapping[str, float] | None = None
 ) -> ModelPredictions:
     """Top-1 predictions of every combined model, in grid_arrays' combo_id
-    order (that of fused.csv) and under its arguments, documents in batch
+    order (that of fused.csv) and under its weights, documents in batch
     order."""
-    grid = grid_arrays(batch, weight_source=weight_source, performance=performance)
+    grid = grid_arrays(batch, performance)
     return _stack(batch.label_set.labels, (
         (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid
     ))
@@ -85,12 +83,11 @@ def combined_arrays(
 
 @dataclass(frozen=True)
 class PrecisionResult:
-    """An exact count: correct of total, unreduced, plus the number of
-    top-tied documents.  It holds each grid statistic, with tie_count 0."""
+    """An exact count: correct of total, unreduced.  It holds each grid
+    statistic."""
 
     correct: int
     total: int
-    tie_count: int = 0
 
     def __post_init__(self) -> None:
         if self.total <= 0:
@@ -104,16 +101,16 @@ class PrecisionResult:
 
 
 def expert_indices(
-    experts: Mapping[str, str], label_set: LabelSet, doc_ids: Sequence[str] = ()
+    experts: Mapping[str, str], label_set: LabelSet, doc_ids: Sequence[str]
 ) -> np.ndarray:
     """The label-set index of each document's expert label, documents in
-    doc_ids order or else in the experts' order."""
+    doc_ids order."""
     for doc_id, label in experts.items():
         if label not in label_set:
             raise ValidationError(
                 f"document {doc_id!r} has expert label {label!r} outside the label set"
             )
-    return np.array([label_set.index(experts[d]) for d in doc_ids or experts], dtype=np.intp)
+    return np.array([label_set.index(experts[d]) for d in doc_ids], dtype=np.intp)
 
 
 def _count(

@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import DataAccessError, DomainError, ValidationError
-from .settings import LabelSet, _check_tie_mode, _check_tie_policy, _check_weight_source
+from .settings import (LabelSet, _check_system_id, _check_tie_mode, _check_tie_policy,
+                       _check_weight_source)
 
 if TYPE_CHECKING:  # numpy and the other layers load where a function uses them
     import numpy as np
@@ -32,9 +33,6 @@ if TYPE_CHECKING:  # numpy and the other layers load where a function uses them
 SCORE_HEADER = ("doc_id", "label", "score")
 EXPERT_HEADER = ("doc_id", "label")
 FUSED_HEADER = ("combo_id", "doc_id", "top1", "tie_at_top", "tied_top", "ranking")
-
-# Characters with structural meaning in combo ids and output tables.
-RESERVED_ID_CHARS = "+:|"
 
 
 def format_float(value: float) -> str:
@@ -598,16 +596,13 @@ def _fused_rows(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
     # first row that shows it.  heads maps it to its index in groups.
     heads: dict[tuple[str, str, str], int] = {}
     groups: list[tuple[int, list[int]]] = []
-    # per combo: the head of each document, -1 until its row, and the
-    # documents without an expert label
-    combos: dict[str, tuple[list[int], set[str]]] = {}
+    # per combo: the head of each document, -1 until its row
+    combos: dict[str, list[int]] = {}
     combo_id = None
     for line_no, row in _table_rows(path, FUSED_HEADER):
         if row[0] != combo_id:
             combo_id = row[0]
-            if combo_id not in combos:
-                combos[combo_id] = ([-1] * len(docs), set())
-            at, strangers = combos[combo_id]
+            at = combos.setdefault(combo_id, [-1] * len(docs))
         _, doc_id, top1, tie_text, tied_text, _ = row
         key = (top1, tie_text, tied_text)
         head = heads.get(key)
@@ -615,21 +610,20 @@ def _fused_rows(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
             groups.append(_fused_head(path, line_no, labels, *key))
             head = heads[key] = len(heads)
         d = docs.get(doc_id)
-        if d is None or at[d] >= 0:
-            if d is not None or doc_id in strangers:
-                raise ValidationError(
-                    f"{path}:{line_no}: duplicate row for {combo_id!r} / {doc_id!r}"
-                )
-            strangers.add(doc_id)
-            continue
+        if d is None:
+            raise ValidationError(
+                f"{path}:{line_no}: document {doc_id!r} is outside the run's documents"
+            )
+        if at[d] >= 0:
+            raise ValidationError(f"{path}:{line_no}: duplicate row for {combo_id!r} / {doc_id!r}")
         at[d] = head
     if not combos:
         raise ValidationError(f"{path}: no fused predictions")
-    for combo_id, (at, strangers) in combos.items():
-        if strangers or -1 in at:
-            found = list(strangers) + [doc_id for doc_id, d in docs.items() if at[d] >= 0]
+    for combo_id, at in combos.items():
+        if -1 in at:
+            found = [doc_id for doc_id, d in docs.items() if at[d] >= 0]
             check_coverage(found, docs, f"{path}: combo {combo_id!r}: ")
-    return groups, tuple(combos), [at for at, _ in combos.values()]
+    return groups, tuple(combos), list(combos.values())
 
 
 def load_corpus(path: Path | str) -> list[Document]:
@@ -854,11 +848,7 @@ def load_config(path: Path | str) -> RunConfig:
             raise ValidationError(f"{path}: system {index} needs 'id' and 'path'")
         where = f"{path}: system {index}"
         system_id = _field(where, entry, "id", "a string", None)
-        if not system_id or any(c in system_id for c in RESERVED_ID_CHARS):
-            raise ValidationError(
-                f"{path}: system id {system_id!r} is empty or uses a reserved "
-                f"character from {RESERVED_ID_CHARS!r}"
-            )
+        _check_system_id(system_id, f"{path}: ")
         if system_id in seen:
             raise ValidationError(f"{path}: duplicate system id {system_id!r}")
         seen.add(system_id)

@@ -1,10 +1,10 @@
 """The label set and the vocabulary of the run settings.
 
 Every command checks these before it loads any data: the label set a
-config names, and the tie policies, tie modes and weight sources that
-its fields may take.  STRATEGIES names the four combination strategies,
-which every grid fuses.  The module needs nothing beyond the standard
-library, so the commands that do no array work
+config names, its system ids, and the tie policies, tie modes and weight
+sources that its fields may take.  STRATEGIES names the four combination
+strategies, which every grid fuses.  The module needs nothing beyond the
+standard library, so the commands that do no array work
 (`score --scorer keyword`, `gen-prompts`) never load numpy.
 """
 
@@ -18,6 +18,9 @@ TIE_POLICIES = ("fractional", "ordinal")
 TIE_MODES = ("strict", "lenient")
 STRATEGIES = ("asc", "arc", "wsc", "wrc")
 WEIGHT_SOURCES = ("ds", "perf")
+
+# Characters with structural meaning in combo ids and output tables.
+RESERVED_ID_CHARS = "+:|"
 
 # Cognitive diversity divides by n - 2, so fewer labels have no defined
 # diversity and are rejected outright.
@@ -69,6 +72,14 @@ class LabelSet:
             raise ValidationError(f"unknown label {label!r}") from None
 
 
+def _check_system_id(system_id: str, where: str = "") -> None:
+    if not system_id or any(c in system_id for c in RESERVED_ID_CHARS):
+        raise ValidationError(
+            f"{where}system id {system_id!r} is empty or uses a reserved "
+            f"character from {RESERVED_ID_CHARS!r}"
+        )
+
+
 def _check_tie_policy(tie_policy: str) -> None:
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(
@@ -83,8 +94,8 @@ def _check_tie_mode(tie_mode: str) -> None:
         )
 
 
-def _check_weight_source(weight_source: str) -> None:
-    if weight_source not in WEIGHT_SOURCES:
+def _check_weight_source(weights: str) -> None:
+    if weights not in WEIGHT_SOURCES:
         raise ValidationError(
-            f"unknown weight source {weight_source!r}; expected one of {WEIGHT_SOURCES}"
+            f"unknown weight source {weights!r}; expected one of {WEIGHT_SOURCES}"
         )

@@ -286,6 +286,8 @@ def fused_predictions(path, labels, doc_ids):
             return f"{where} tied_top must contain top1"
         if (tie == "true") != (len(group) > 1):
             return f"{where} tie_at_top is {tie} but tied_top lists {len(group)} label(s)"
+        if doc_id not in doc_ids:
+            return f"{where} document {doc_id!r} is outside the run's documents"
         rows = predicted.setdefault(combo, {})
         if doc_id in rows:
             return f"{where} duplicate row for {combo!r} / {doc_id!r}"
@@ -299,10 +301,6 @@ def fused_predictions(path, labels, doc_ids):
 
     for combo, rows in predicted.items():
         where = f"{path}: combo {combo!r}:"
-        if not doc_ids:
-            return f"{where} no expert-labeled documents to evaluate"
-        if set(rows) - set(doc_ids):
-            return f"{where} expert labels missing for documents {names(set(rows) - set(doc_ids))}"
         if set(doc_ids) - set(rows):
             return f"{where} missing predictions for documents {names(set(doc_ids) - set(rows))}"
     top1 = [[predicted[c][d][0] for d in doc_ids] for c in predicted]

@@ -139,7 +139,7 @@ def test_weighted_reductions_and_scale_invariances():
     rng = np.random.default_rng(977)
     ones = dict.fromkeys(SYSTEMS_5, 1.0)
     for instance, raw in _random_instances():
-        grid = _grid(instance, weight_source="perf", performance=ones)
+        grid = _grid(instance, performance=ones)
         for subset in subsets:
             prefix = "+".join(subset) + ":"
             wsc, asc = grid[prefix + "wsc-perf"][0], grid[prefix + "asc"][0]
@@ -324,7 +324,7 @@ def test_degenerate_inputs_fail_softly_and_never_nan(tmp_path):
         label_set,
         {"flat": [2.0, 2.0, 2.0, 2.0], "a": [0.1, 0.9, 0.4, 0.2], "b": [0.5, 0.2, 0.8, 0.1]},
     )
-    (flat,) = mixed.subset_index(("flat",))
+    flat = mixed.system_ids.index("flat")
     assert mixed.degenerate[0, flat]
     assert np.all(mixed.normalized[0, flat] == 0.5)
     for values, _, _, _ in _grid(mixed).values():

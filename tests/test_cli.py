@@ -309,9 +309,10 @@ def test_documents_changed_after_fuse_give_the_fused_files_error(workspace, caps
         assert _run("evaluate", "--config", ws / "config.json") == 1
         errors.append(capsys.readouterr().err)
         (ws / "out" / "fused.csv.cache").unlink(missing_ok=True)
+    # the first row of a document outside the run, d08 of kw+tf:arc, after
+    # d01 to d07
     assert errors[0] == errors[1] == (
-        f"error: {ws / 'out' / 'fused.csv'}: combo 'kw+tf:arc': "
-        "expert labels missing for documents ['d08']\n"
+        f"error: {ws / 'out' / 'fused.csv'}:9: document 'd08' is outside the run's documents\n"
     )
 
 
@@ -627,6 +628,10 @@ MALFORMED = [
      "unknown config fields ['strategies']"),
     ("system-id-number", {"systems": [{"id": 7, "path": "s.csv"}]}, {}, ["fuse"],
      "'id' must be a string"),
+    # "+", ":" and "|" separate the parts of combo ids and report fields
+    ("system-id-reserved-character",
+     {"systems": [{"id": "s:1", "path": "s.csv"}, {"id": "t", "path": "t.csv"}]}, {}, ["fuse"],
+     "system id 's:1' is empty or uses a reserved character from '+:|'"),
     # fuse loads the whole config, generation object included, but fetches nothing
     ("generation-key-misspelled", {"generation": {"max_concurency": 2}}, {}, ["fuse"],
      "unknown config fields ['generation.max_concurency']"),
@@ -763,6 +768,12 @@ MALFORMED = [
       + b"".join(b"s+t:m%04d,d1,A,false,A,A|B|C\n" % m for m in range(400))
       + b"s+t:wrc,d1,A,false,A,A|B|\xff\n"},
      ["evaluate"], "fused.csv:3: expected 6 columns, found 7"),
+    # a document the run does not hold is named at its row, whatever the
+    # expert labels say; a later fault in the file is not reached
+    ("fused-document-outside-the-run", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
+      + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d9,A,false,A,A|B|C\ns+t:asc,d1,A,yes,A,A|B|C\n"},
+     ["evaluate"], "fused.csv:3: document 'd9' is outside the run's documents"),
     ("fused-missing-document", {"expert_labels": "e.csv"},
      {"s.csv": ABC_SCORES.encode() + b"d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n",
       "t.csv": ABC_SCORES.encode() + b"d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,8 +38,7 @@ def _grid(batch, performance=None, strategies=("asc", "arc", "wsc", "wrc")):
     given strategies, picked by tag out of the full grid, the weighted
     models weighted by performance when it is given, else by diversity
     strength."""
-    source = "ds" if performance is None else "perf"
-    return {combo_id: fused for combo_id, fused in grid_arrays(batch, source, performance)
+    return {combo_id: fused for combo_id, fused in grid_arrays(batch, performance)
             if combo_id.partition(":")[2].partition("-")[0] in strategies}
 
 
@@ -139,7 +139,7 @@ def test_identical_systems_have_zero_diversity_and_fall_back():
 def test_weighted_score_rejects_negative_weights():
     batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
     with pytest.raises(ValidationError, match="non-negative"):
-        grid_arrays(batch, weight_source="perf", performance={"A": -1.0, "B": 2.0})
+        grid_arrays(batch, {"A": -1.0, "B": 2.0})
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf],
@@ -150,7 +150,7 @@ def test_performance_weights_must_be_finite_and_non_negative(bad, strategy):
     performance = {"A": 0.5, "B": bad, "C": 0.25}
     # raised by the call itself, before any model is made
     with pytest.raises(ValidationError, match="performance weights must be finite and non-negative"):
-        grid_arrays(batch, weight_source="perf", performance=performance)
+        grid_arrays(batch, performance)
     # a vanishing weight is valid: wsc gives B no say, and wrc falls back
     performance["B"] = 0.0
     values, _, _, fallback = _grid(batch, performance)[f"A+B:{strategy}-perf"]
@@ -161,13 +161,7 @@ def test_weight_count_must_match_subset():
     # every system of the grid needs a weight, named in the message
     batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4]})
     with pytest.raises(ValidationError, match=r"missing performance weights for systems \['B'\]"):
-        grid_arrays(batch, weight_source="perf", performance={"A": 1.0})
-
-
-def test_unknown_subset_system():
-    batch = _batch({"A": [0.2, 0.8, 0.5]})
-    with pytest.raises(ValidationError, match="unknown system"):
-        batch.subset_index(("A", "Z"))
+        grid_arrays(batch, {"A": 1.0})
 
 
 def test_equal_weights_reduce_to_plain_averages():
@@ -279,6 +273,17 @@ def test_fusion_batch_rejects_inconsistent_rosters():
         FusionBatch(("d1", "d2"), LABELS3, ("A", "B"), np.ones((2, 3, 3)))
 
 
+@pytest.mark.parametrize("system_ids", [("m:1", "m:2", "n"), ("a+b", "c", "d"),
+                                        ("a", "b|c", "d"), ("a", "", "d")])
+def test_fusion_batch_rejects_empty_or_reserved_system_ids(system_ids):
+    # "+" joins a combo id's systems, ":" ends them, and "|" separates the
+    # labels of a tied group: such an id would split a report row wrongly
+    bad = next(s for s in system_ids if not s or set(s) & set("+:|"))
+    message = f"system id {bad!r} is empty or uses a reserved character from '+:|'"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        FusionBatch(("d1",), LABELS3, system_ids, np.ones((1, 3, 3)))
+
+
 def test_fusion_batch_rejects_ragged_or_misshaped_raw_scores():
     with pytest.raises(ValidationError, match="rectangular"):
         FusionBatch(("d1", "d2"), LABELS3, ("A", "B"),
@@ -303,9 +308,7 @@ def test_grid_arrays_performance_requires_weights_for_all_systems():
     rng = np.random.default_rng(71)
     batch, _ = _random_batch(rng, system_ids=("A", "B"))
     with pytest.raises(ValidationError, match="missing performance"):
-        grid_arrays(batch, weight_source="perf", performance={"A": 0.5})
-    with pytest.raises(ValidationError, match="performance weighting requires"):
-        grid_arrays(batch, weight_source="perf")
+        grid_arrays(batch, {"A": 0.5})
 
 
 def test_grid_arrays_results_follow_document_order():

@@ -255,7 +255,8 @@ def test_subset_strength_recomputes_within_subset():
     labels = LabelSet(tuple(f"L{i}" for i in range(6)))
     raw = {s: rng.uniform(size=6).tolist() for s in ("A", "B", "C", "D")}
     batch = _batch(raw, labels, "d")
-    strengths = diversity_strength(batch.cd[0], batch.subset_index(("A", "C", "D")))
+    # A, C and D sit at positions 0, 2 and 3 of the system axis
+    strengths = diversity_strength(batch.cd[0], (0, 2, 3))
     curves = {
         s: _naive.rsc(_naive.normalize(raw[s])) for s in ("A", "C", "D")
     }
@@ -267,15 +268,15 @@ def test_subset_strength_recomputes_within_subset():
 def test_subset_strength_rejects_unknown_and_small():
     labels = LabelSet(("x", "y", "z"))
     batch = _batch({"A": [1, 2, 3], "B": [3, 2, 1]}, labels, "d")
-    with pytest.raises(ValidationError, match="unknown system"):
-        diversity_strength(batch.cd[0], batch.subset_index(("A", "Q")))
+    with pytest.raises(ValidationError, match="out of range"):
+        diversity_strength(batch.cd[0], (0, 2))
     with pytest.raises(DomainError):
-        diversity_strength(batch.cd[0], batch.subset_index(("A",)))
+        diversity_strength(batch.cd[0], (0,))
 
 
 def test_batch_cd_is_symmetric_and_ds_is_the_pair_value():
     labels = LabelSet(("x", "y", "z"))
     batch = _batch({"A": [1, 2, 3], "B": [3, 2, 1]}, labels, "d")
-    a, b = batch.subset_index(("A", "B"))
+    a, b = batch.system_ids.index("A"), batch.system_ids.index("B")
     assert batch.cd[0, a, b] == batch.cd[0, b, a]
     assert batch.ds[0, a] == pytest.approx(batch.cd[0, a, b])

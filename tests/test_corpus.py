@@ -277,7 +277,7 @@ def test_tfidf_scorer_matches_naive_oracle():
         Document("t4", "child learning and education quality", label="SDG4"),
         Document("t5", "climate action against warming", label="SDG13"),
     ]
-    scorer = TfidfCentroidScorer().train(train_docs)
+    scorer = TfidfCentroidScorer(train_docs)
     queries = [
         "water sanitation for every child",
         "education education climate",
@@ -300,7 +300,7 @@ def test_tfidf_disjoint_vocabulary_separates_labels():
         Document("t3", "gamma delta gamma", label="Y"),
         Document("t4", "delta gamma delta", label="Y"),
     ]
-    scorer = TfidfCentroidScorer().train(train_docs)
+    scorer = TfidfCentroidScorer(train_docs)
     scores = scorer.score("alpha beta")
     assert scores["X"] > 0.9
     assert scores["Y"] == 0.0
@@ -308,15 +308,13 @@ def test_tfidf_disjoint_vocabulary_separates_labels():
 
 def test_tfidf_respects_label_set_order_and_coverage():
     train_docs = [Document("t1", "alpha", label="X")]
-    scorer = TfidfCentroidScorer().train(
-        train_docs, None
-    )
+    scorer = TfidfCentroidScorer(train_docs, None)
     assert scorer.labels == ("X",)
     with pytest.raises(ValidationError, match=r"\['Y', 'Z'\]"):
-        TfidfCentroidScorer().train(train_docs, LabelSet(("X", "Y", "Z")))
+        TfidfCentroidScorer(train_docs, LabelSet(("X", "Y", "Z")))
     # a document outside the label set would shift the idf unseen
     with pytest.raises(ValidationError, match=r"unknown labels \['W'\]"):
-        TfidfCentroidScorer().train(
+        TfidfCentroidScorer(
             [Document(f"t{label}", "alpha", label=label) for label in "WXYZ"],
             LabelSet(("X", "Y", "Z")),
         )
@@ -324,13 +322,13 @@ def test_tfidf_respects_label_set_order_and_coverage():
 
 def test_tfidf_rejects_unlabeled_training_docs():
     with pytest.raises(ValidationError, match=r"\['t2'\]"):
-        TfidfCentroidScorer().train(
+        TfidfCentroidScorer(
             [Document("t1", "a", label="X"), Document("t2", "b")]
         )
 
 
 def test_tfidf_unseen_vocabulary_scores_zero():
-    scorer = TfidfCentroidScorer().train(
+    scorer = TfidfCentroidScorer(
         [
             Document("t1", "alpha beta", label="X"),
             Document("t2", "gamma", label="Y"),
@@ -340,8 +338,6 @@ def test_tfidf_unseen_vocabulary_scores_zero():
     assert scores == {"X": 0.0, "Y": 0.0}
 
 
-def test_tfidf_untrained_scorer_refuses():
-    with pytest.raises(ValidationError, match="trained"):
-        TfidfCentroidScorer().score("anything")
+def test_tfidf_scorer_refuses_an_empty_corpus():
     with pytest.raises(ValidationError, match="empty"):
-        TfidfCentroidScorer().train([])
+        TfidfCentroidScorer([])

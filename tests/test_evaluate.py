@@ -50,43 +50,42 @@ def _report(experts, individual, combined=None, labels=LABELS, tie_mode="strict"
 
 def _overall(report, model, kind="individual"):
     """A model's count over all documents, summed from the report's arrays."""
-    ids, correct, ties = (getattr(report, f"{kind}_{name}") for name in ("ids", "correct", "ties"))
+    ids, correct = getattr(report, f"{kind}_ids"), getattr(report, f"{kind}_correct")
     m = ids.index(model)
-    return PrecisionResult(int(correct[m].sum()), sum(report.label_counts.values()),
-                           int(ties[m].sum()))
+    return PrecisionResult(int(correct[m].sum()), sum(report.label_counts.values()))
 
 
 def _per_label(report, model, kind="individual"):
     """A model's count per label from the report's arrays, None for a label
     without documents."""
-    ids, correct, ties = (getattr(report, f"{kind}_{name}") for name in ("ids", "correct", "ties"))
+    ids, correct = getattr(report, f"{kind}_ids"), getattr(report, f"{kind}_correct")
     m = ids.index(model)
     return {
-        label: PrecisionResult(int(c), group, int(t)) if group else None
-        for (label, group), c, t in zip(report.label_counts.items(), correct[m], ties[m])
+        label: PrecisionResult(int(c), group) if group else None
+        for (label, group), c in zip(report.label_counts.items(), correct[m])
     }
 
 
 def test_precision_simple_fraction():
     experts = {"d1": "L1", "d2": "L2", "d3": "L3", "d4": "L1"}
-    result = _overall(_report(experts, {"m": ["L1", "L1", "L3", "L1"]}), "m")
+    report = _report(experts, {"m": ["L1", "L1", "L3", "L1"]})
+    result = _overall(report, "m")
     assert result.correct == 3
     assert result.total == 4
     assert result.value == 0.75
     assert Fraction(result.correct, result.total) == Fraction(3, 4)
-    assert result.tie_count == 0
+    assert report.individual_ties.sum() == 0
 
 
 def test_precision_strict_versus_lenient_ties():
     experts = {"d1": "L2"}
     # L1 and L2 tie at the top; the deterministic break picks L1
     tied = {"m": ["L1|L2"]}
-    strict = _overall(_report(experts, tied, tie_mode="strict"), "m")
-    lenient = _overall(_report(experts, tied, tie_mode="lenient"), "m")
+    reports = [_report(experts, tied, tie_mode=mode) for mode in ("strict", "lenient")]
+    strict, lenient = (_overall(report, "m") for report in reports)
     assert strict.correct == 0
     assert lenient.correct == 1
-    assert strict.tie_count == 1
-    assert lenient.tie_count == 1
+    assert [report.individual_ties.sum() for report in reports] == [1, 1]
 
 
 def test_precision_tie_on_expert_top1_counts_in_both_modes():
@@ -117,7 +116,7 @@ def test_precision_empty_experts():
 
 
 def test_predictions_must_index_exactly_the_label_set():
-    expert = expert_indices({"d1": "L1"}, LABELS)
+    expert = expert_indices({"d1": "L1"}, LABELS, ["d1"])
     good = _models({"m": ["L1"]})
     longer = good._replace(labels=(*LABELS.labels, "L9"),
                            tied=np.zeros((1, 1, LABELS.n + 1), dtype=bool))
@@ -132,7 +131,7 @@ def test_predictions_must_index_exactly_the_label_set():
 
 
 def test_model_ids_must_be_unique():
-    expert = expert_indices({"d1": "L1"}, LABELS)
+    expert = expert_indices({"d1": "L1"}, LABELS, ["d1"])
     good = _models({"m": ["L1"]})
     twice = good._replace(model_ids=("m", "m"), top1=np.repeat(good.top1, 2, axis=0),
                           tied=np.repeat(good.tied, 2, axis=0))
@@ -153,7 +152,7 @@ def test_per_label_results_groups_and_empty_labels():
 
 def test_expert_indices_reject_a_foreign_expert_label():
     with pytest.raises(ValidationError, match="outside the label set"):
-        expert_indices({"d1": "L9"}, LABELS)
+        expert_indices({"d1": "L9"}, LABELS, ["d1"])
 
 
 def test_overall_equals_document_weighted_mean_of_labels():

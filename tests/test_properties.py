@@ -88,10 +88,10 @@ def score_cubes(draw, max_docs=4, max_systems=5, max_labels=8):
     return [[draw(row) for _ in range(systems)] for _ in range(docs)]
 
 
-def _batch(cube, tie_policy="fractional"):
+def _batch(cube, tie_policy="fractional", system_ids=None):
     docs, systems, labels = len(cube), len(cube[0]), len(cube[0][0])
     label_set = LabelSet(tuple(f"L{i}" for i in range(labels)))
-    system_ids = tuple(f"S{j}" for j in range(systems))
+    system_ids = system_ids or tuple(f"S{j}" for j in range(systems))
     doc_ids = tuple(f"d{d}" for d in range(docs))
     return FusionBatch(doc_ids, label_set, system_ids, cube, tie_policy)
 
@@ -147,22 +147,26 @@ def test_batch_rsc_lies_in_unit_interval_and_is_non_increasing(cube, tie_policy)
     assert "ranks" not in vars(batch)
 
 
-def _oracle_models(rows, ranks, subset):
-    """Per-document naive values, higher-is-better flag and fallback flag."""
+def _oracle_models(rows, ranks, subset, weights=None):
+    """Per-document naive values, higher-is-better flag and fallback flag of
+    each tag, the weighted ones by the given weights or else by diversity
+    strength."""
     normalized = [_naive.normalize(rows[j]) for j in subset]
     rank_rows = [ranks[j] for j in subset]
-    curves = [_naive.rsc(v) for v in normalized]
-    weights = [_naive.ds(curves, j) for j in range(len(subset))]
+    source = "ds" if weights is None else "perf"
+    if weights is None:
+        curves = [_naive.rsc(v) for v in normalized]
+        weights = [_naive.ds(curves, j) for j in range(len(subset))]
     score_fallback = sum(weights) <= EPSILON
     rank_fallback = any(w <= EPSILON for w in weights)
     return {
         "asc": (_naive.asc(normalized), True, False),
         "arc": (_naive.arc(rank_rows), False, False),
-        "wsc-ds": (
+        f"wsc-{source}": (
             _naive.asc(normalized) if score_fallback else _naive.wsc(normalized, weights),
             True, score_fallback,
         ),
-        "wrc-ds": (
+        f"wrc-{source}": (
             _naive.arc(rank_rows) if rank_fallback else _naive.wrc(rank_rows, weights),
             False, rank_fallback,
         ),
@@ -170,18 +174,26 @@ def _oracle_models(rows, ranks, subset):
 
 
 @settings(max_examples=60, deadline=None)
-@given(score_cubes(), st.sampled_from(("fractional", "ordinal")))
-def test_kernel_grid_matches_per_document_oracle(cube, tie_policy):
-    batch = _batch(cube, tie_policy)
+@given(score_cubes(), st.sampled_from(("fractional", "ordinal")), st.data())
+def test_kernel_grid_matches_per_document_oracle(cube, tie_policy, data):
+    # system ids in a drawn order, so that the system axis need not be in
+    # id order, and half the time per-system performance weights, some
+    # vanishing: each subset's sums run over its systems in id order
+    system_ids = data.draw(st.permutations([f"S{j}" for j in range(len(cube[0]))]))
+    performance = data.draw(st.none() | st.fixed_dictionaries(
+        {s: st.sampled_from((0.0, 0.25, 0.5, 1.0)) for s in system_ids}))
+    batch = _batch(cube, tie_policy, tuple(system_ids))
     labels = list(batch.label_set.labels)
     rank_oracle = _naive.ranks_fractional if tie_policy == "fractional" else _naive.ranks_ordinal
-    grid = dict(grid_arrays(batch))
+    grid = dict(grid_arrays(batch, performance))
     assert len(grid) == 4 * len(enumerate_combinations(batch.system_ids))
     for d, rows in enumerate(cube):
         ranks = [rank_oracle(row) for row in rows]
         for subset in enumerate_combinations(batch.system_ids):
-            idx = batch.subset_index(subset)
-            for tag, (values, higher, fallback) in _oracle_models(rows, ranks, idx).items():
+            idx = [batch.system_ids.index(s) for s in subset]
+            weights = None if performance is None else [performance[s] for s in subset]
+            models = _oracle_models(rows, ranks, idx, weights)
+            for tag, (values, higher, fallback) in models.items():
                 got, order, tied, fell_back = grid["+".join(subset) + ":" + tag]
                 combined = got[d].tolist()
                 assert fell_back[d] == fallback
@@ -199,7 +211,7 @@ def test_kernel_grid_matches_per_document_oracle(cube, tie_policy):
     # documents fused one at a time give the same bytes as the whole batch
     for d, (doc_id, rows) in enumerate(zip(batch.doc_ids, cube)):
         one = FusionBatch((doc_id,), batch.label_set, batch.system_ids, [rows], tie_policy)
-        alone = dict(grid_arrays(one))
+        alone = dict(grid_arrays(one, performance))
         assert list(alone) == list(grid)
         for combo_id, (values, order, tied, _) in alone.items():
             whole = grid[combo_id]
@@ -354,9 +366,8 @@ PLAIN = "ab é中"  # what csv never quotes
 @st.composite
 def fused_grids(draw):
     """A tie-heavy batch with odd (or, half the time, never quoted) label,
-    document and system ids, documents in unsorted order, and grid
-    arguments: a weight source and, for perf, per-system weights (some
-    vanishing)."""
+    document and system ids, documents in unsorted order, and, half the
+    time, per-system performance weights (some vanishing)."""
     cube = draw(score_cubes())
     docs, systems, labels = len(cube), len(cube[0]), len(cube[0][0])
     alphabet = draw(st.sampled_from((ODD, PLAIN)))
@@ -367,17 +378,16 @@ def fused_grids(draw):
                                unique=True))
     batch = FusionBatch(doc_ids, label_set, system_ids, cube,
                         draw(st.sampled_from(("fractional", "ordinal"))))
-    source = draw(st.sampled_from(("ds", "perf")))
     weight = st.sampled_from((0.0, 0.25, 0.5, 1.0))
-    performance = {s: draw(weight) for s in system_ids} if source == "perf" else None
-    return batch, (source, performance)
+    performance = draw(st.none() | st.fixed_dictionaries({s: weight for s in system_ids}))
+    return batch, performance
 
 
 @settings(max_examples=150, deadline=None)
 @given(fused_grids())
 def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
-    batch, arguments = case
-    grid = dict(grid_arrays(batch, *arguments))
+    batch, performance = case
+    grid = dict(grid_arrays(batch, performance))
     assert list(grid) == sorted(grid)
     # the rows built from grid_arrays' label orders, each written by a
     # csv.writer whose "\r\n" terminator makes it quote a bare "\r" on every
@@ -408,7 +418,7 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
         models = write_fused_file(
             path, batch.label_set, batch.doc_ids,
             ((combo_id, order, tied)
-             for combo_id, (_, order, tied, _) in grid_arrays(batch, *arguments)),
+             for combo_id, (_, order, tied, _) in grid_arrays(batch, performance)),
         )
         assert path.read_bytes() == want.getvalue().encode("utf-8")
         # a cache beside every grid, quoted ids and labels included, read
@@ -421,7 +431,7 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
             cache.unlink(missing_ok=True)
     assert models == len(grid)
     # the library's producer makes what evaluate reads back, combo by combo
-    made = combined_arrays(batch, *arguments)
+    made = combined_arrays(batch, performance)
     assert made.model_ids == tuple(grid)
     assert made.labels == batch.label_set.labels
     for combo_ids, top1, tied in reads:
