@@ -1,17 +1,16 @@
 """Command line interface.
 
 Subcommands: score, diversity, fuse, evaluate, corpus-stats, gen-prompts,
-generate.  One JSON config file carries every run setting, `generate`'s
-endpoint, token and concurrency included; flags name only the files and
-directories a command reads and writes (`--out` stands in for the
-config's out_dir).
+generate.  Every command requires `--config`: one JSON config file
+carries every run setting, the output directory and `generate`'s
+endpoint, token and concurrency included; the other flags name only a
+command's inputs.
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 domain error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -37,8 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--config", help="path to the JSON run configuration")
-        sub.add_argument("--out", help="output directory (overrides config)")
+        sub.add_argument("--config", required=True, help="path to the JSON run configuration")
 
     score = subparsers.add_parser("score", help="score a corpus with a built-in system")
     common(score)
@@ -85,25 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    from .fileio import RunConfig, load_config
-
-    if args.config == "":
-        raise ValidationError("--config must name a file, got an empty string")
-    config = RunConfig() if args.config is None else load_config(args.config)
-    if args.out is None:
-        return config
-    if not args.out:
-        raise ValidationError("--out must name a directory, got an empty string")
-    return dataclasses.replace(config, out_dir=Path(args.out))
-
-
-def _require_config(args) -> RunConfig:
-    if args.config is None:
-        raise ValidationError(f"the {args.command} command requires --config")
-    return _config_from(args)
-
-
 def _load_batch(config: RunConfig) -> FusionBatch:
     from .core import FusionBatch
     from .fileio import load_score_cube
@@ -124,11 +103,10 @@ def _load_experts(config: RunConfig, batch: FusionBatch):
     return expert_indices(experts, batch.label_set, batch.doc_ids)
 
 
-def cmd_score(args) -> None:
+def cmd_score(args, config: RunConfig) -> None:
     from .corpus import TfidfCentroidScorer, keyword_scorer
     from .fileio import load_corpus, load_lexicon, write_score_file
 
-    config = _require_config(args)
     label_set = config.label_set()
     corpus = load_corpus(args.corpus)
     if args.scorer == "keyword":
@@ -154,10 +132,9 @@ def cmd_score(args) -> None:
     print(f"wrote {out} ({len(scores)} documents x {label_set.n} labels)")
 
 
-def cmd_diversity(args) -> None:
+def cmd_diversity(args, config: RunConfig) -> None:
     from .fileio import write_diversity
 
-    config = _require_config(args)
     batch = _load_batch(config)
     tables = write_diversity(batch, config.out_dir, args.doc)
     rsc = f" and {tables} RSC tables" if tables else ""
@@ -172,11 +149,10 @@ def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, flo
     return {s: c / len(batch) for s, c in zip(batch.system_ids, correct.sum(axis=1).tolist())}
 
 
-def cmd_fuse(args) -> None:
+def cmd_fuse(args, config: RunConfig) -> None:
     from .combine import grid_arrays
     from .fileio import write_fused_file
 
-    config = _require_config(args)
     batch = _load_batch(config)
     performance = _performance_weights(batch, config) if config.weights == "perf" else None
     grid = grid_arrays(batch, performance)
@@ -188,11 +164,10 @@ def cmd_fuse(args) -> None:
     print(f"wrote {out} ({models} combined models, {models * len(batch)} fused rankings)")
 
 
-def cmd_evaluate(args) -> None:
+def cmd_evaluate(args, config: RunConfig) -> None:
     from .evaluate import ModelPredictions, evaluate_predictions, individual_arrays, write_report
     from .fileio import format_table, load_fused_predictions
 
-    config = _require_config(args)
     batch = _load_batch(config)
     label_set = batch.label_set
     expert = _load_experts(config, batch)
@@ -211,11 +186,10 @@ def cmd_evaluate(args) -> None:
     )
 
 
-def cmd_corpus_stats(args) -> None:
+def cmd_corpus_stats(args, config: RunConfig) -> None:
     from .corpus import corpus_quality_report
     from .fileio import format_table, load_corpus, write_csv
 
-    config = _config_from(args)
     corpus = load_corpus(args.corpus)
     rows = [
         (q.label, q.doc_count, format_table(q.mean_tokens),
@@ -229,11 +203,10 @@ def cmd_corpus_stats(args) -> None:
     print(f"wrote {out} ({len(corpus)} documents)")
 
 
-def cmd_gen_prompts(args) -> None:
+def cmd_gen_prompts(args, config: RunConfig) -> None:
     from .corpus import generate_prompt_matrix
     from .fileio import load_prompt_specs, write_prompt_file
 
-    config = _require_config(args)
     label_set = config.label_set()
     specs = load_prompt_specs(args.specs)
     prompts = generate_prompt_matrix(specs, label_set)
@@ -242,11 +215,10 @@ def cmd_gen_prompts(args) -> None:
     print(f"wrote {out} ({len(prompts)} prompts)")
 
 
-def cmd_generate(args) -> None:
+def cmd_generate(args, config: RunConfig) -> None:
     from .fileio import load_prompt_file
     from .generation import GenerationConfig, generate_corpus
 
-    config = _require_config(args)
     generation = GenerationConfig(
         endpoint_url=config.endpoint_url,
         auth_token=config.auth_token,
@@ -264,7 +236,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        if not args.config:
+            raise ValidationError("--config must name a file, got an empty string")
+        # after parse_args, so --help and usage errors load no fileio
+        from .fileio import load_config
+
+        args.func(args, load_config(args.config))
     except CfaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

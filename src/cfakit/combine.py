@@ -17,6 +17,8 @@ a time, each fused for every document at once by _fuse_arrays.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations
 
@@ -119,16 +121,18 @@ def grid_arrays(
     Without performance, wsc and wrc are weighted by diversity strengths,
     recomputed per document and subset, and tagged "-ds".  With it, they
     are weighted by its value for each system, the same for every
-    document, and tagged "-perf"; it must name every system of the batch."""
+    document, and tagged "-perf"; it must name every system of the batch,
+    each with a finite, non-negative real number."""
     perf: dict[str, float] | None = None
     if performance is not None:
         missing = sorted(set(batch.system_ids) - set(performance))
         if missing:
             raise ValidationError(f"missing performance weights for systems {missing}")
-        perf = {system_id: float(performance[system_id]) for system_id in batch.system_ids}
-        values = np.array(list(perf.values()))
-        if not np.isfinite(values).all() or np.any(values < 0):
-            raise ValidationError("performance weights must be finite and non-negative")
+        weights = [performance[system_id] for system_id in batch.system_ids]
+        # a string such as "1.5" is not read as a number
+        if not all(isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0 for w in weights):
+            raise ValidationError("performance weights must be finite and non-negative numbers")
+        perf = dict(zip(batch.system_ids, map(float, weights)))
     subsets = sorted(enumerate_combinations(batch.system_ids), key=lambda s: "+".join(s) + ":")
     return _grid(batch, subsets, perf)
 

@@ -30,7 +30,7 @@ import numpy as np
 from .combine import _fuse_arrays, _top_labels, grid_arrays
 from .core import FusionBatch
 from .errors import ValidationError
-from .fileio import _quote, atomic_write_text, format_table, write_csv
+from .fileio import _names, _quote, atomic_write_text, format_table, write_csv
 from .settings import LabelSet, _check_tie_mode
 
 
@@ -110,6 +110,9 @@ def expert_indices(
             raise ValidationError(
                 f"document {doc_id!r} has expert label {label!r} outside the label set"
             )
+    missing = [d for d in doc_ids if d not in experts]
+    if missing:
+        raise ValidationError(f"expert labels missing for documents {_names(sorted(missing))}")
     return np.array([label_set.index(experts[d]) for d in doc_ids], dtype=np.intp)
 
 

@@ -841,6 +841,14 @@ def load_config(path: Path | str) -> RunConfig:
         raise ValidationError(f"{path}: unknown config fields {unknown}")
 
     base = path.parent
+
+    def path_field(where, obj: dict, key: str, default):
+        # "" would name the config's own directory
+        value = _field(where, obj, key, "a string", default)
+        if value == "":
+            raise ValidationError(f"{where}: {key!r} must not be empty")
+        return None if value is None else base / value
+
     systems: list[tuple[str, Path]] = []
     seen: set[str] = set()
     for index, entry in enumerate(_field(path, raw, "systems", "an array", [])):
@@ -852,18 +860,16 @@ def load_config(path: Path | str) -> RunConfig:
         if system_id in seen:
             raise ValidationError(f"{path}: duplicate system id {system_id!r}")
         seen.add(system_id)
-        systems.append((system_id, base / _field(where, entry, "path", "a string", None)))
-
-    expert_labels = _field(path, raw, "expert_labels", "a string", None)
+        systems.append((system_id, path_field(where, entry, "path", None)))
 
     config = RunConfig(
         labels=tuple(_field(path, raw, "labels", "an array of strings", RunConfig.labels)),
         systems=tuple(systems),
-        expert_labels=None if expert_labels is None else base / expert_labels,
+        expert_labels=path_field(path, raw, "expert_labels", None),
         tie_policy=_field(path, raw, "tie_policy", "a string", RunConfig.tie_policy),
         tie_mode=_field(path, raw, "tie_mode", "a string", RunConfig.tie_mode),
         weights=_field(path, raw, "weights", "a string", RunConfig.weights),
-        out_dir=base / _field(path, raw, "out_dir", "a string", RunConfig.out_dir),
+        out_dir=path_field(path, raw, "out_dir", RunConfig.out_dir),
         endpoint_url=_field(path, generation, "endpoint_url", "a string", RunConfig.endpoint_url),
         auth_token=_field(path, generation, "auth_token", "a string", RunConfig.auth_token),
         max_concurrency=_field(

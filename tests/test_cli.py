@@ -390,7 +390,7 @@ def test_fuse_and_evaluate_take_their_settings_from_the_config_alone(workspace, 
         assert out == "" and err == f"error: unrecognized arguments: {flag} {value}\n", err
     # generate's endpoint, token and concurrency come from a config alone
     assert _run(*generate) == 1
-    assert capsys.readouterr() == ("", "error: the generate command requires --config\n")
+    assert capsys.readouterr() == ("", "error: the following arguments are required: --config\n")
     assert {p.name: p.read_bytes() for p in (ws / "out").iterdir()} == before
 
 
@@ -440,12 +440,11 @@ def test_a_directory_corpus_gives_the_bytes_of_its_jsonl_twin(workspace):
     _write_jsonl(ws / "twin.jsonl", sorted(CORPUS, key=lambda doc: (doc[2], doc[0])))
     outputs = []
     for corpus in ("cdir", "twin.jsonl"):
-        out = ws / f"from-{corpus}"
-        assert _run("corpus-stats", "--config", ws / "config.json", "--out", out,
-                    "--corpus", ws / corpus) == 0
-        assert _run("score", "--config", ws / "config.json", "--out", out, "--scorer",
-                    "keyword", "--corpus", ws / corpus, "--lexicon", ws / "lexicon.json") == 0
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        config = _config_with(ws, f"{corpus}.json", out_dir=f"from-{corpus}")
+        assert _run("corpus-stats", "--config", config, "--corpus", ws / corpus) == 0
+        assert _run("score", "--config", config, "--scorer", "keyword",
+                    "--corpus", ws / corpus, "--lexicon", ws / "lexicon.json") == 0
+        outputs.append({p.name: p.read_bytes() for p in (ws / f"from-{corpus}").iterdir()})
     assert sorted(outputs[0]) == ["corpus_stats.csv", "scores_keyword.csv"]
     assert outputs[0] == outputs[1]
 
@@ -562,6 +561,29 @@ def test_exit_code_1_for_usage_errors(workspace):
     assert main(["score", "--scorer", "nonsense", "--corpus", "x"]) == 1
     assert main([]) == 1
     assert main(["fuse"]) == 1  # missing --config
+
+
+COMMANDS = {
+    "score": ["--scorer", "keyword", "--corpus", "corpus.jsonl", "--lexicon", "lexicon.json"],
+    "diversity": [], "fuse": [], "evaluate": [],
+    "corpus-stats": ["--corpus", "corpus.jsonl"],
+    "gen-prompts": ["--specs", "specs.json"],
+    "generate": ["--prompts", "prompts.csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_requires_a_config_and_takes_no_out_flag(workspace, capsys, command):
+    # the config's out_dir is the one output directory, so no flag stands in
+    # for it and no command runs on defaults; both are refused before any
+    # file is opened
+    before = sorted(workspace.rglob("*"))
+    for extra, error in ((["--config", workspace / "config.json", "--out", "out"],
+                          "unrecognized arguments: --out out"),
+                         ([], "the following arguments are required: --config")):
+        assert _run(command, *COMMANDS[command], *extra) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert sorted(workspace.rglob("*")) == before
 
 
 def test_exit_code_1_for_unknown_config_fields(workspace, tmp_path):
@@ -790,9 +812,15 @@ MALFORMED = [
      "unknown tie policy 'dense'; expected one of ('fractional', 'ordinal')"),
     ("tie-mode-unknown", {"tie_mode": "loose"}, {}, ["fuse"],
      "unknown tie mode 'loose'; expected one of ('strict', 'lenient')"),
-    # "" names no directory, so the config's out_dir does not stand in
-    ("out-flag-empty", {}, {}, ["fuse", "--out", ""],
-     "--out must name a directory, got an empty string"),
+    # the config's out_dir is the one output directory
+    ("out-flag-removed", {}, {}, ["fuse", "--out", "x"], "unrecognized arguments: --out x"),
+    # "" would name the config's own directory
+    ("out-dir-empty", {"out_dir": ""}, {"c.jsonl": b'{"doc_id": "d1", "text": "x"}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "config.json: 'out_dir' must not be empty"),
+    ("system-path-empty", {"systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": ""}]},
+     {}, ["fuse"], "config.json: system 1: 'path' must not be empty"),
+    ("expert-labels-empty", {"expert_labels": ""}, {}, ["evaluate"],
+     "config.json: 'expert_labels' must not be empty"),
     ("endpoint-url-empty", {"generation": {"endpoint_url": ""}},
      {"prompts.csv": PROMPTS}, ["generate", "--prompts", "prompts.csv"],
      "generation.endpoint_url is required"),

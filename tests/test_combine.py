@@ -142,8 +142,9 @@ def test_weighted_score_rejects_negative_weights():
         grid_arrays(batch, {"A": -1.0, "B": 2.0})
 
 
-@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf],
-                         ids=["negative", "tiny-negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf, -math.inf, "x", "1.5", None],
+                         ids=["negative", "tiny-negative", "nan", "inf", "-inf", "string",
+                              "numeric-string", "none"])
 @pytest.mark.parametrize("strategy", ["wsc", "wrc"])
 def test_performance_weights_must_be_finite_and_non_negative(bad, strategy):
     batch = _batch({"A": [0.2, 0.8, 0.5], "B": [0.9, 0.1, 0.4], "C": [0.1, 0.3, 0.2]})

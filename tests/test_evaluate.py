@@ -155,6 +155,18 @@ def test_expert_indices_reject_a_foreign_expert_label():
         expert_indices({"d1": "L9"}, LABELS, ["d1"])
 
 
+def test_expert_indices_reject_a_document_without_an_expert_label():
+    # the wording of check_coverage, ids listed as fileio._names lists them
+    with pytest.raises(ValidationError) as caught:
+        expert_indices({"d1": "L1"}, LABELS, ["d2"])
+    assert str(caught.value) == "expert labels missing for documents ['d2']"
+    docs = [f"d{i:02d}" for i in range(13, 0, -1)]
+    with pytest.raises(ValidationError) as caught:
+        expert_indices({"d13": "L1"}, LABELS, docs)
+    assert str(caught.value) == ("expert labels missing for documents ['d01', 'd02', 'd03', "
+                                 "'d04', 'd05', 'd06', 'd07', 'd08', 'd09', 'd10'] (12 in all)")
+
+
 def test_overall_equals_document_weighted_mean_of_labels():
     rng = np.random.default_rng(79)
     labels = [f"L{i}" for i in range(5)]

@@ -711,9 +711,9 @@ def fused_files(draw):
         elif fault == "narrow":
             row.pop()
         elif fault == "long":
-            row[draw(st.integers(0, 5))] = "x" * (FUSED_FIELD_LIMIT + 1)
+            row[draw(st.integers(0, len(row) - 1))] = "x" * (FUSED_FIELD_LIMIT + 1)
         elif fault == "nul":
-            row[draw(st.integers(0, 5))] += "\0"
+            row[draw(st.integers(0, len(row) - 1))] += "\0"
         elif fault == "head":
             named = st.sampled_from(list(labels) + ["Z"])
             row[2:5] = (draw(named), draw(st.sampled_from(("true", "false", "yes"))),
