@@ -104,8 +104,8 @@ def _load_experts(config: RunConfig, batch: FusionBatch):
 
 
 def cmd_score(args, config: RunConfig) -> None:
-    from .corpus import TfidfCentroidScorer, keyword_scorer
-    from .fileio import load_corpus, load_lexicon, write_score_file
+    from .corpus import TfidfCentroidScorer, keyword_scorer, load_corpus, load_lexicon
+    from .fileio import write_score_file
 
     label_set = config.label_set()
     corpus = load_corpus(args.corpus)
@@ -151,7 +151,7 @@ def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, flo
 
 def cmd_fuse(args, config: RunConfig) -> None:
     from .combine import grid_arrays
-    from .fileio import write_fused_file
+    from .fused import write_fused_file
 
     batch = _load_batch(config)
     performance = _performance_weights(batch, config) if config.weights == "perf" else None
@@ -166,7 +166,8 @@ def cmd_fuse(args, config: RunConfig) -> None:
 
 def cmd_evaluate(args, config: RunConfig) -> None:
     from .evaluate import ModelPredictions, evaluate_predictions, individual_arrays, write_report
-    from .fileio import format_table, load_fused_predictions
+    from .fileio import format_table
+    from .fused import load_fused_predictions
 
     batch = _load_batch(config)
     label_set = batch.label_set
@@ -187,8 +188,8 @@ def cmd_evaluate(args, config: RunConfig) -> None:
 
 
 def cmd_corpus_stats(args, config: RunConfig) -> None:
-    from .corpus import corpus_quality_report
-    from .fileio import format_table, load_corpus, write_csv
+    from .corpus import corpus_quality_report, load_corpus
+    from .fileio import format_table, write_csv
 
     corpus = load_corpus(args.corpus)
     rows = [
@@ -204,8 +205,7 @@ def cmd_corpus_stats(args, config: RunConfig) -> None:
 
 
 def cmd_gen_prompts(args, config: RunConfig) -> None:
-    from .corpus import generate_prompt_matrix
-    from .fileio import load_prompt_specs, write_prompt_file
+    from .corpus import generate_prompt_matrix, load_prompt_specs, write_prompt_file
 
     label_set = config.label_set()
     specs = load_prompt_specs(args.specs)
@@ -216,7 +216,7 @@ def cmd_gen_prompts(args, config: RunConfig) -> None:
 
 
 def cmd_generate(args, config: RunConfig) -> None:
-    from .fileio import load_prompt_file
+    from .corpus import load_prompt_file
     from .generation import GenerationConfig, generate_corpus
 
     generation = GenerationConfig(

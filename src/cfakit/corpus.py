@@ -1,5 +1,6 @@
 """Corpus utilities: tokenization, lexical quality metrics, prompt
-generation, and two self-contained scoring systems.
+generation, two self-contained scoring systems, and the corpus, prompt,
+lexicon and prompt-spec files.
 
 The tokenizer lowercases, splits on Unicode whitespace, and strips
 leading and trailing punctuation from each token while keeping interior
@@ -13,10 +14,12 @@ import math
 import unicodedata
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
+from .errors import DataAccessError, ValidationError
+from .fileio import _field, _json_lines, _parse_json, _read_text, _table_rows, write_csv
 from .settings import LabelSet
 
 if TYPE_CHECKING:  # numpy loads in the functions that build arrays
@@ -63,6 +66,61 @@ class Document:
         if not isinstance(self.doc_id, str) or not self.doc_id:
             raise ValidationError("doc_id must be a non-empty string")
         object.__setattr__(self, "tokens", tokenize(self.text))
+
+
+def load_corpus(path: Path | str) -> list[Document]:
+    """Load a document corpus.
+
+    A directory is read as one subdirectory per label holding .txt files;
+    a file is read as JSON lines with doc_id, text, and optional label.
+    """
+    path = Path(path)
+    if path.is_dir():
+        return _load_corpus_dir(path)
+    if path.is_file():
+        return _load_corpus_jsonl(path)
+    raise DataAccessError(f"corpus not found: {path}")
+
+
+def _load_corpus_dir(path: Path) -> list[Document]:
+    docs: list[Document] = []
+    seen: dict[str, Path] = {}
+    for label_dir in sorted(p for p in path.iterdir() if p.is_dir()):
+        for text_file in sorted(label_dir.glob("*.txt")):
+            doc_id = text_file.stem
+            if doc_id in seen:
+                raise ValidationError(
+                    f"{text_file}: duplicate document {doc_id!r}, also {seen[doc_id]}"
+                )
+            seen[doc_id] = text_file
+            text = _read_text(text_file)
+            docs.append(Document(doc_id=doc_id, text=text, label=label_dir.name))
+    if not docs:
+        raise ValidationError(f"{path}: no label directories with .txt documents")
+    return docs
+
+
+def _load_corpus_jsonl(path: Path) -> list[Document]:
+    docs: list[Document] = []
+    seen: set[str] = set()
+    for where, record in _json_lines(path):
+        if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
+            raise ValidationError(f"{where}: record needs doc_id and text")
+        doc_id = _field(where, record, "doc_id", "a string", None)
+        text = _field(where, record, "text", "a string", None)
+        # a null label is no label
+        label = None if record.get("label") is None else _field(
+            where, record, "label", "a string", None)
+        for key, value in (("doc_id", doc_id), ("label", label)):
+            if value == "":
+                raise ValidationError(f"{where}: {key!r} must not be empty")
+        if doc_id in seen:
+            raise ValidationError(f"{where}: duplicate document {doc_id!r}")
+        seen.add(doc_id)
+        docs.append(Document(doc_id=doc_id, text=text, label=label))
+    if not docs:
+        raise ValidationError(f"{path}: no documents")
+    return docs
 
 
 def _ngrams(tokens: Sequence[str], n: int):
@@ -209,6 +267,52 @@ def generate_prompt_matrix(
     return prompts
 
 
+PROMPT_HEADER = ("prompt_id", "label", "publication_type", "source", "prompt_text")
+
+
+def write_prompt_file(path: Path | str, prompts: Sequence[Prompt]) -> None:
+    # a Prompt's fields are the file's columns, as load_prompt_file reads them
+    write_csv(path, PROMPT_HEADER, map(astuple, prompts))
+
+
+def load_prompt_file(path: Path | str) -> list[Prompt]:
+    path = Path(path)
+    prompts = []
+    seen: set[str] = set()
+    for line_no, row in _table_rows(path, PROMPT_HEADER):
+        for name, value in zip(PROMPT_HEADER[:2], row):
+            if not value:
+                raise ValidationError(f"{path}:{line_no}: {name!r} must not be empty")
+        if row[0] in seen:
+            raise ValidationError(f"{path}:{line_no}: duplicate prompt id {row[0]!r}")
+        seen.add(row[0])
+        prompts.append(Prompt(*row))
+    if not prompts:
+        raise ValidationError(f"{path}: no prompts")
+    return prompts
+
+
+def load_prompt_specs(path: Path | str) -> list[PromptSpec]:
+    path = Path(path)
+    raw = _parse_json(_read_text(path), path)
+    if not isinstance(raw, list):
+        raise ValidationError(f"{path}: prompt specs must be a JSON array")
+    specs: list[PromptSpec] = []
+    for index, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{path}: prompt spec {index} must be an object")
+        for key in ("publication_type", "template", "sources"):
+            if key not in entry:
+                raise ValidationError(f"{path}: prompt spec {index} lacks field {key!r}")
+        where = f"{path}: prompt spec {index}"
+        specs.append(PromptSpec(
+            _field(where, entry, "publication_type", "a string", None),
+            _field(where, entry, "template", "a string", None),
+            tuple(_field(where, entry, "sources", "an array of strings", None)),
+        ))
+    return specs
+
+
 @dataclass(frozen=True)
 class KeywordLexicon:
     """Per-label keyword phrases, each stored as its token sequence."""
@@ -252,6 +356,17 @@ class KeywordLexicon:
                 tokenized.append(tokens)
             phrases[label] = tuple(tokenized)
         return cls(phrases=phrases)
+
+
+def load_lexicon(path: Path | str) -> KeywordLexicon:
+    path = Path(path)
+    raw = _parse_json(_read_text(path), path)
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: lexicon must be a JSON object of label -> phrases")
+    try:
+        return KeywordLexicon.from_dict(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def keyword_scorer(doc, lexicon: KeywordLexicon) -> dict[str, float]:

@@ -8,7 +8,7 @@ lenient mode accepts the expert label anywhere in the tied group.
 Every count comes from one pass over label-index arrays (see
 ModelPredictions): a hit matrix of models x documents, summed per
 expert label with np.bincount.  individual_arrays and combined_arrays
-make those arrays from a batch, and fileio.load_fused_predictions reads
+make those arrays from a batch, and fused.load_fused_predictions reads
 them from a fused grid file.  The report keeps the counts as they come:
 for the individual and the combined models, exact (models, labels)
 integer arrays of correct and of top-tied documents, beside each label's
@@ -110,10 +110,11 @@ def expert_indices(
             raise ValidationError(
                 f"document {doc_id!r} has expert label {label!r} outside the label set"
             )
-    missing = [d for d in doc_ids if d not in experts]
-    if missing:
-        raise ValidationError(f"expert labels missing for documents {_names(sorted(missing))}")
-    return np.array([label_set.index(experts[d]) for d in doc_ids], dtype=np.intp)
+    try:
+        return np.array([label_set.index(experts[d]) for d in doc_ids], dtype=np.intp)
+    except KeyError:  # a library caller need not have run check_coverage
+        missing = sorted(d for d in doc_ids if d not in experts)
+        raise ValidationError(f"expert labels missing for documents {_names(missing)}") from None
 
 
 def _count(

@@ -1,0 +1,237 @@
+"""The fused.csv format: the combination grid's writer, its cache
+(README "Fused grid cache") and the reader of either.  Only the commands
+that fuse or evaluate load it, and both load numpy anyway."""
+
+from __future__ import annotations
+
+import csv
+import json
+import zlib
+from collections.abc import Iterable, Mapping, Sequence
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ValidationError
+from .fileio import _quote, _table_rows, atomic_writer, check_coverage
+from .settings import LabelSet
+
+FUSED_HEADER = ("combo_id", "doc_id", "top1", "tie_at_top", "tied_top", "ranking")
+
+
+def write_fused_file(
+    path: Path | str,
+    label_set: LabelSet,
+    doc_ids: Sequence[str],
+    fused: Iterable[tuple[str, np.ndarray, np.ndarray]],
+) -> int:
+    """Persist a combination grid, sorted by combo_id then doc_id, and
+    return the number of combined models.
+
+    fused yields (combo_id, order, tied) per combined model, in combo_id
+    order as grid_arrays makes them: order[d] lists the label indices of
+    document doc_ids[d] best first and tied[d] counts the labels tied at
+    the top.  Each row's ranking is its labels in that order, tied_top the
+    first tied of them and top1 the first.  Each model's rows go to the
+    temporary file as the model arrives, so memory holds one model's rows
+    and 4 bytes per row of the grid.  A combo_id that does not sort after
+    the one before is a ValidationError; on any error the file at path
+    keeps its old bytes.  Then <path>.cache (_fused_cache) is written if
+    the grid has a model and a document, no document repeats, doc and
+    combo ids are strings and no NUL byte was written, which 3.10's
+    csv.reader rejects; otherwise any old cache is removed.
+    """
+    labels = label_set.labels
+    # The ranking holds every label (labels hold no "|"), so it is quoted
+    # exactly when one of them is, each label with its quotes doubled.
+    rank_quote = '"' if any(_quote(label) != label for label in labels) else ""
+    inner = [label.replace('"', '""') for label in labels]
+    piped = np.array([f"{label}|" for label in inner], dtype=object)
+    last = np.array([f"{label}{rank_quote}\n" for label in inner], dtype=object)
+    # the head of a row without a tie at the top: top1,false,top1, and the
+    # ranking's opening quote
+    untied = np.array(
+        [f"{_quote(label)},false,{_quote(label)},{rank_quote}" for label in labels], dtype=object
+    )
+    perm = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
+    # one row of tokens per document: combo, doc, head, then the ranking
+    rows = np.empty((len(doc_ids), len(labels) + 3), dtype=object)
+    rows[:, 1] = [_quote(doc_ids[d]) + "," for d in perm.tolist()]
+    # for the cache, each row's head: label t untied, or a tied group
+    cached = 0 < len(set(doc_ids)) == len(doc_ids) and all(isinstance(d, str) for d in doc_ids)
+    heads, combo_ids, index = {(t,): t for t in range(len(labels))}, [], []
+    blob = (",".join(FUSED_HEADER) + "\n").encode()
+    size, crc = len(blob), zlib.crc32(blob)
+    with atomic_writer(path) as handle:
+        handle.buffer.write(blob)
+        for combo_id, order, tied in fused:
+            if combo_ids and combo_id <= combo_ids[-1]:
+                raise ValidationError(
+                    f"{path}: combo id {combo_id!r} does not sort after {combo_ids[-1]!r}"
+                )
+            order, tied = order[perm], tied[perm]
+            rows[:, 0] = _quote(combo_id) + ","
+            rows[:, 2] = untied[order[:, 0]]
+            at = order[:, 0].astype(np.int32)
+            for d in np.flatnonzero(tied > 1).tolist():
+                # the tied labels lead the ranking
+                group = order[d, : tied[d]].tolist()
+                names = [labels[i] for i in group]
+                rows[d, 2] = f"{_quote(names[0])},true,{_quote('|'.join(names))},{rank_quote}"
+                at[d] = heads.setdefault(tuple(group), len(heads))
+            rows[:, 3:-1] = piped[order[:, :-1]]
+            rows[:, -1] = last[order[:, -1]]
+            blob = "".join(rows.ravel().tolist()).encode()
+            size, crc = size + len(blob), zlib.crc32(blob, crc)
+            handle.buffer.write(blob)
+            cached &= isinstance(combo_id, str) and b"\0" not in blob
+            combo_ids.append(combo_id)
+            index.append(at)
+    cache = Path(path).with_name(Path(path).name + ".cache")
+    if not (cached and combo_ids):
+        cache.unlink(missing_ok=True)
+        return len(combo_ids)
+    data = np.array(index, "<i4")[:, np.argsort(perm)].tobytes()  # documents in doc_ids order
+    header = {"version": 1, "bytes": size, "crc32": crc, "labels": list(labels),
+              "doc_ids": list(doc_ids), "combo_ids": combo_ids,
+              "heads": [[group[0], list(group)] for group in heads]}
+    header["check"] = zlib.crc32(data, zlib.crc32(json.dumps(header, sort_keys=True).encode()))
+    with atomic_writer(cache) as handle:
+        handle.buffer.write(json.dumps(header, sort_keys=True).encode() + b"\n" + data)
+    return len(combo_ids)
+
+
+def _fused_head(
+    path: Path, line_no: int, labels: Mapping[str, int], top1: str, tie_text: str, tied_text: str
+) -> tuple[int, list[int]]:
+    """The top1 label index and the tied group's label indices, top1
+    included, of a fused row's (top1, tie_at_top, tied_top) columns, each
+    checked against the label set and against each other."""
+    if tie_text != "true" and tie_text != "false":
+        raise ValidationError(f"{path}:{line_no}: tie_at_top must be true or false")
+    top = labels.get(top1)
+    if top is None:
+        raise ValidationError(
+            f"{path}:{line_no}: top1 label {top1!r} is outside the label set"
+        )
+    group = [top]
+    if tied_text != top1:
+        names = tied_text.split("|")
+        group = [labels.get(label, -1) for label in names]
+        if -1 in group:
+            outside = names[group.index(-1)]
+            raise ValidationError(
+                f"{path}:{line_no}: tied_top label {outside!r} is outside the label set"
+            )
+        if len(set(group)) != len(group):
+            raise ValidationError(f"{path}:{line_no}: tied_top repeats a label")
+        if top not in group:
+            raise ValidationError(f"{path}:{line_no}: tied_top must contain top1")
+    # once checked, a tied_top other than top1 lists two labels or more
+    if (tie_text == "true") != (tied_text != top1):
+        raise ValidationError(
+            f"{path}:{line_no}: tie_at_top is {tie_text} but tied_top lists "
+            f"{len(group)} label(s)"
+        )
+    return top, group
+
+
+def load_fused_predictions(
+    path: Path | str, label_set: LabelSet, doc_ids: Sequence[str]
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Read the top-1 predictions of a fused grid file as label indices.
+
+    Returns the combo ids in file order, the top1 label index of each
+    (combo, document) and a boolean (combos, documents, labels) array
+    marking each tied_top group, documents in doc_ids order, which must
+    not repeat.  Every combo must predict exactly the documents in
+    doc_ids, with top1 and tied_top labels from the label set, top1 in
+    tied_top, and tie_at_top true exactly when tied_top lists more than
+    one label.  The ranking column is not read.  A file without a valid
+    cache (_fused_cache) is read by _fused_rows, which names the first
+    fault with its path:line.
+    """
+    path = Path(path)
+    labels = {label: i for i, label in enumerate(label_set.labels)}
+    docs = {doc_id: d for d, doc_id in enumerate(doc_ids)}
+    if len(docs) != len(doc_ids):
+        raise ValidationError("doc ids must be unique")
+    # each distinct row head's (top1, tied group); each combo's head per document
+    read = _fused_cache(path, label_set.labels, doc_ids)
+    groups, combo_ids, at = read or _fused_rows(path, labels, docs)
+    tops = np.array([top for top, _ in groups], dtype=np.intp)
+    masks = np.zeros((len(groups), len(labels)), dtype=bool)
+    for h, (_, group) in enumerate(groups):
+        masks[h, group] = True
+    at = np.asarray(at)
+    return combo_ids, tops[at], masks[at]
+
+
+def _fused_cache(path: Path, labels: Sequence[str], doc_ids: Sequence[str]):
+    """load_fused_predictions' (groups, combo ids, heads) from the cache beside
+    path, or None unless it passes its own CRC-32 and was made for these labels
+    and documents, from path's bytes as they are, with distinct string combo ids,
+    every field within csv.field_size_limit() and every head a top1 inside a
+    tied group of distinct labels: see README "Fused grid cache"."""
+    try:
+        with open(path.with_name(path.name + ".cache"), "rb") as handle:
+            header, data = json.loads(handle.readline()), handle.read()
+        check, combo_ids = header.pop("check"), header["combo_ids"]
+        at = np.frombuffer(data, "<i4").reshape(len(combo_ids), len(doc_ids))
+        if not (check == zlib.crc32(data, zlib.crc32(json.dumps(header, sort_keys=True).encode()))
+                and header["labels"] == list(labels) and header["doc_ids"] == list(doc_ids)
+                and all(type(c) is str for c in combo_ids)
+                and len(set(combo_ids)) == len(combo_ids)
+                # the longest field csv.reader would meet: a header name, an
+                # id or the ranking, which holds every label
+                and max(map(len, (*FUSED_HEADER, *combo_ids, *doc_ids, "|".join(labels))))
+                <= csv.field_size_limit()
+                and at.size and 0 <= at.min() and at.max() < len(header["heads"])
+                and all(type(top) is int and top in group and len(set(group)) == len(group)
+                        and all(type(t) is int and 0 <= t < len(labels) for t in group)
+                        for top, group in header["heads"])):
+            return None
+        size = crc = 0  # the file's, read last as it is the one long read
+        with open(path, "rb") as handle:
+            while chunk := handle.read(1 << 16):
+                size, crc = size + len(chunk), zlib.crc32(chunk, crc)
+        if [header["version"], header["bytes"], header["crc32"]] == [1, size, crc]:
+            return header["heads"], tuple(combo_ids), at
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError):
+        return None
+
+
+def _fused_rows(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
+    """load_fused_predictions' (groups, combo ids, heads) read row by row, each row checked."""
+    # Each distinct (top1, tie_at_top, tied_top) is a head, checked on the
+    # first row that shows it.  heads maps it to its index in groups.
+    heads: dict[tuple[str, str, str], int] = {}
+    groups: list[tuple[int, list[int]]] = []
+    # per combo: the head of each document, -1 until its row
+    combos: dict[str, list[int]] = {}
+    combo_id = None
+    for line_no, row in _table_rows(path, FUSED_HEADER):
+        if row[0] != combo_id:
+            combo_id = row[0]
+            at = combos.setdefault(combo_id, [-1] * len(docs))
+        _, doc_id, top1, tie_text, tied_text, _ = row
+        key = (top1, tie_text, tied_text)
+        head = heads.get(key)
+        if head is None:
+            groups.append(_fused_head(path, line_no, labels, *key))
+            head = heads[key] = len(heads)
+        d = docs.get(doc_id)
+        if d is None:
+            raise ValidationError(
+                f"{path}:{line_no}: document {doc_id!r} is outside the run's documents"
+            )
+        if at[d] >= 0:
+            raise ValidationError(f"{path}:{line_no}: duplicate row for {combo_id!r} / {doc_id!r}")
+        at[d] = head
+    if not combos:
+        raise ValidationError(f"{path}: no fused predictions")
+    for combo_id, at in combos.items():
+        if -1 in at:
+            found = [doc_id for doc_id, d in docs.items() if at[d] >= 0]
+            check_coverage(found, docs, f"{path}: combo {combo_id!r}: ")
+    return groups, tuple(combos), list(combos.values())

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import Prompt
 from .errors import ValidationError
-from .fileio import _field, _read_text, atomic_write_text
+from .fileio import _field, _json_lines, _parse_json, atomic_write_text
 
 CORPUS_FILE = "corpus.jsonl"
 ERRORS_FILE = "errors.jsonl"
@@ -58,9 +58,9 @@ def _fetch(prompt: Prompt, config: GenerationConfig) -> str:
     with urlopen(request, timeout=config.timeout) as response:
         data = response.read()
     try:
-        payload = json.loads(data)
-    except ValueError as exc:  # undecodable bytes included
-        raise RuntimeError(f"response is not JSON: {exc}") from exc
+        payload = _parse_json(data, "response")
+    except ValidationError as exc:  # recorded with the decoder's own message
+        raise RuntimeError(f"response is not JSON: {exc.__cause__}") from exc
     if not isinstance(payload, dict) or "text" not in payload:
         raise RuntimeError("response JSON lacks a 'text' field")
     text = payload["text"]
@@ -73,22 +73,12 @@ def _load_existing(path: Path) -> dict[str, dict]:
     if not path.exists():
         return {}
     records: dict[str, dict] = {}
-    # split at newlines only: str.splitlines() also splits at U+2028 and
-    # other separators that JSON strings may hold unescaped
     # bytes after the last newline are an append cut short by a crash,
     # perhaps inside a character; their prompt is fetched again
-    lines = _read_text(path, whole_lines=True).split("\n")
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{line_no}: malformed JSON: {exc}") from exc
+    for where, record in _json_lines(path, whole_lines=True):
         if not isinstance(record, dict) or "prompt_id" not in record:
-            raise ValidationError(f"{path}:{line_no}: record must be an object with a prompt_id")
-        records[_field(f"{path}:{line_no}", record, "prompt_id", "a string", None)] = record
+            raise ValidationError(f"{where}: record must be an object with a prompt_id")
+        records[_field(where, record, "prompt_id", "a string", None)] = record
     return records
 
 

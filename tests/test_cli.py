@@ -16,16 +16,9 @@ import pytest
 from cfakit import FusionBatch, LabelSet, ValidationError
 from cfakit.cli import main
 from cfakit.combine import grid_arrays
-from cfakit.fileio import FUSED_HEADER as FUSED_HEADER_NAMES
-from cfakit.fileio import (
-    _fused_cache,
-    atomic_write_text,
-    load_fused_predictions,
-    load_score_cube,
-    write_diversity,
-    write_fused_file,
-    write_score_file,
-)
+from cfakit.fileio import atomic_write_text, load_score_cube, write_diversity, write_score_file
+from cfakit.fused import FUSED_HEADER as FUSED_HEADER_NAMES
+from cfakit.fused import _fused_cache, load_fused_predictions, write_fused_file
 
 LABELS = ["SDG4", "SDG6", "SDG13"]
 
@@ -635,6 +628,7 @@ CORPUS_RESERVED = (b'{"doc_id": "d1", "text": "water", "label": "SDG1"}\n'
 
 # files whose line 3 holds one column too many
 EXPERT_WIDE = b"doc_id,label\nd1,A\nd2,A,x\n"
+DEEP = b"[" * 100_000
 FUSED_WIDE = FUSED_HEADER + b"s+t:asc,d1,A,false,A,A|B|C\ns+t:asc,d2,A,false,A,A|B|C,x\n"
 
 # (case, config fields over a valid two-system config on labels A, B, C,
@@ -678,6 +672,28 @@ MALFORMED = [
      ["corpus-stats", "--corpus", "cdir"], "d1.txt: not valid UTF-8"),
     ("corpus-dir-duplicate-doc", {}, {"cdir/A/d1.txt": b"one", "cdir/B/d1.txt": b"two"},
      ["corpus-stats", "--corpus", "cdir"], "duplicate document 'd1'"),
+    # JSON nested past the decoder's recursion limit, in each JSON input
+    ("config-nested-too-deeply", None, {"config.json": DEEP}, ["fuse"],
+     "config.json: malformed JSON: maximum recursion depth exceeded"),
+    ("lexicon-nested-too-deeply", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n', "lex.json": DEEP},
+     ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json"],
+     "lex.json: malformed JSON: maximum recursion depth exceeded"),
+    ("specs-nested-too-deeply", {}, {"specs.json": DEEP}, ["gen-prompts", "--specs", "specs.json"],
+     "specs.json: malformed JSON: maximum recursion depth exceeded"),
+    ("corpus-jsonl-nested-too-deeply", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n' + DEEP + b"\n"},
+     ["corpus-stats", "--corpus", "c.jsonl"],
+     "c.jsonl:2: malformed JSON: maximum recursion depth exceeded"),
+    ("generate-stored-corpus-nested-too-deeply",
+     {"generation": {"endpoint_url": "http://127.0.0.1:9/gen"}},
+     {"prompts.csv": PROMPTS,
+      "out/corpus.jsonl": b'{"prompt_id": "p00001", "text": "x"}\n' + DEEP + b"\n"},
+     ["generate", "--prompts", "prompts.csv"],
+     "corpus.jsonl:2: malformed JSON: maximum recursion depth exceeded"),
+    # an integer longer than int() converts (sys.get_int_max_str_digits())
+    ("config-integer-too-long", None, {"config.json": b'{"labels": ' + b"1" * 5000 + b"}"},
+     ["fuse"], "config.json: malformed JSON: Exceeds the limit"),
     ("score-field-over-csv-limit", {},
      {"s.csv": b'doc_id,label,score\n"' + b"x" * 200_000 + b'",A,1\n'}, ["fuse"],
      "s.csv:2: malformed CSV: field larger than field limit"),
@@ -730,6 +746,13 @@ MALFORMED = [
     ("perf-weights-expert-outside-labels", {"expert_labels": "e.csv", "weights": "perf"},
      {"e.csv": b"doc_id,label\nd1,Z\n"}, ["fuse"],
      "document 'd1' has expert label 'Z' outside the label set"),
+    # the expert labels must cover exactly the run's documents
+    ("expert-labels-lack-a-run-document", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd2,A\n"}, ["evaluate"],
+     "expert labels missing for documents ['d1']"),
+    ("expert-labels-name-a-document-outside-the-run", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\nd2,Z\n"}, ["evaluate"],
+     "error: missing predictions for documents ['d2']"),
     ("fused-top1-outside-labels", {"expert_labels": "e.csv"},
      {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER
       + b"s+t:asc,d1,Z,false,Z,Z|A|B\n"},

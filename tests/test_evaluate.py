@@ -20,7 +20,7 @@ from cfakit import (
     individual_arrays,
     select_best,
 )
-from cfakit.fileio import load_fused_predictions
+from cfakit.fused import load_fused_predictions
 
 LABELS = LabelSet(("L1", "L2", "L3"))
 

@@ -14,7 +14,7 @@ from cfakit import (
     ValidationError,
     generate_corpus,
 )
-from cfakit.fileio import load_corpus
+from cfakit.corpus import load_corpus
 from cfakit.generation import CORPUS_FILE, ERRORS_FILE
 
 
@@ -119,8 +119,11 @@ def test_generate_isolates_failures(stub_server, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "failure", [404, b"<html>not json</html>", b"\xff\xfe{", b'{"text": 5}', b'{"words": "x"}', None],
-    ids=["http-404", "not-json", "not-utf8", "text-not-a-string", "no-text-field", "timeout"],
+    "failure",
+    [404, b"<html>not json</html>", b"\xff\xfe{", b'{"text": 5}', b'{"words": "x"}', None,
+     b"[" * 100_000],
+    ids=["http-404", "not-json", "not-utf8", "text-not-a-string", "no-text-field", "timeout",
+         "nested-too-deeply"],
 )
 def test_generate_records_each_failed_fetch_and_goes_on(stub_server, tmp_path, failure):
     _StubHandler.fail_when_containing = "number 2"

@@ -31,7 +31,7 @@ except SystemExit as exc:  # --help
 print("exit", status)
 print(*sorted(sys.modules), sep="\\n")
 """
-_ARRAY_LAYERS = {"numpy", "cfakit.core", "cfakit.combine", "cfakit.evaluate"}
+_ARRAY_LAYERS = {"numpy", "cfakit.core", "cfakit.combine", "cfakit.evaluate", "cfakit.fused"}
 _GENERATE_ONLY = {"cfakit.generation", "concurrent.futures"}
 FOOTPRINTS = {
     "help": (["--help"], set(), _ARRAY_LAYERS | _GENERATE_ONLY | {"cfakit.corpus"}),
@@ -42,21 +42,23 @@ FOOTPRINTS = {
                       {"cfakit.corpus"}, _ARRAY_LAYERS | _GENERATE_ONLY),
     "score-tfidf": (["score", "--config", "config.json", "--scorer", "tfidf", "--corpus",
                      "corpus.jsonl", "--train", "corpus.jsonl"],
-                    {"numpy", "cfakit.corpus"}, _GENERATE_ONLY | {"cfakit.core"}),
+                    {"numpy", "cfakit.corpus"}, _GENERATE_ONLY | {"cfakit.core", "cfakit.fused"}),
     "gen-prompts": (["gen-prompts", "--config", "config.json", "--specs", "specs.json"],
                     {"cfakit.corpus"}, _ARRAY_LAYERS | _GENERATE_ONLY),
     "corpus-stats": (["corpus-stats", "--config", "config.json", "--corpus", "corpus.jsonl"],
-                     {"numpy", "cfakit.corpus"}, _GENERATE_ONLY | {"cfakit.core"}),
+                     {"numpy", "cfakit.corpus"}, _GENERATE_ONLY | {"cfakit.core", "cfakit.fused"}),
     "diversity": (["diversity", "--config", "config.json"], {"numpy", "cfakit.core"},
-                  _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus", "cfakit.combine"}),
-    "fuse": (["fuse", "--config", "config.json"], {"cfakit.combine"},
+                  _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus", "cfakit.combine",
+                                    "cfakit.fused"}),
+    "fuse": (["fuse", "--config", "config.json"], {"cfakit.combine", "cfakit.fused"},
              _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus"}),
     "fuse-perf": (["fuse", "--config", "perf.json"],
-                  {"cfakit.combine", "cfakit.evaluate"}, _GENERATE_ONLY | {"cfakit.corpus"}),
+                  {"cfakit.combine", "cfakit.evaluate", "cfakit.fused"},
+                  _GENERATE_ONLY | {"cfakit.corpus"}),
     "evaluate": (["evaluate", "--config", "config.json", "--fused", "fused.csv"],
-                 {"cfakit.evaluate"}, _GENERATE_ONLY | {"cfakit.corpus"}),
+                 {"cfakit.evaluate", "cfakit.fused"}, _GENERATE_ONLY | {"cfakit.corpus"}),
     "generate": (["generate", "--config", "config.json", "--prompts", "prompts.csv"],
-                 _GENERATE_ONLY, {"numpy", "cfakit.core"}),
+                 _GENERATE_ONLY, {"numpy", "cfakit.core", "cfakit.fused"}),
 }
 
 

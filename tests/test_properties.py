@@ -49,16 +49,10 @@ from cfakit import (
     tokenize,
     write_report,
 )
-from cfakit import fileio
+from cfakit import fused
 from cfakit.combine import grid_arrays
-from cfakit.fileio import (
-    FUSED_HEADER,
-    _table_rows,
-    load_fused_predictions,
-    load_score_cube,
-    write_csv,
-    write_fused_file,
-)
+from cfakit.fileio import _table_rows, load_score_cube, write_csv
+from cfakit.fused import FUSED_HEADER, load_fused_predictions, write_fused_file
 
 # Before 3.12 CPython's sum() adds floats left to right, the order the
 # kernel keeps, so the oracle's values agree bit for bit.  Later versions
@@ -426,7 +420,7 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
         cache = path.with_name("fused.csv.cache")
         reads = []
         for hit in (True, False):
-            assert (fileio._fused_cache(path, labels, batch.doc_ids) is not None) == hit
+            assert (fused._fused_cache(path, labels, batch.doc_ids) is not None) == hit
             reads.append(load_fused_predictions(path, batch.label_set, batch.doc_ids))
             cache.unlink(missing_ok=True)
     assert models == len(grid)
