@@ -22,6 +22,8 @@ if TYPE_CHECKING:  # each command imports the layers it runs
     from .fileio import RunConfig
 
 SCORERS = ("keyword", "tfidf")
+# the flags that name a file; "" would name the working directory
+PATH_FLAGS = ("config", "corpus", "lexicon", "train", "fused", "specs", "prompts")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,6 +109,9 @@ def cmd_score(args, config: RunConfig) -> None:
     from .corpus import TfidfCentroidScorer, keyword_scorer, load_corpus, load_lexicon
     from .fileio import write_score_file
 
+    other = "train" if args.scorer == "keyword" else "lexicon"
+    if getattr(args, other) is not None:  # the other scorer's input, never read
+        raise ValidationError(f"the {args.scorer} scorer does not read --{other}")
     label_set = config.label_set()
     corpus = load_corpus(args.corpus)
     if args.scorer == "keyword":
@@ -219,11 +224,8 @@ def cmd_generate(args, config: RunConfig) -> None:
     from .corpus import load_prompt_file
     from .generation import GenerationConfig, generate_corpus
 
-    generation = GenerationConfig(
-        endpoint_url=config.endpoint_url,
-        auth_token=config.auth_token,
-        max_concurrency=config.max_concurrency,
-    )
+    # a config without endpoint_url reaches GenerationConfig's own check
+    generation = GenerationConfig(**{"endpoint_url": None, **config.generation})
     prompts = load_prompt_file(args.prompts)
     outcome = generate_corpus(prompts, generation, config.out_dir)
     print(
@@ -236,8 +238,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not args.config:
-            raise ValidationError("--config must name a file, got an empty string")
+        for flag in PATH_FLAGS:
+            if getattr(args, flag, None) == "":
+                raise ValidationError(f"--{flag} must name a file, got an empty string")
         # after parse_args, so --help and usage errors load no fileio
         from .fileio import load_config
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .settings import MIN_LABELS, LabelSet, _check_system_id, _check_tie_policy
+from .settings import MIN_LABELS, LabelSet, _check_choice, _check_system_id
 
 
 def _freeze(values: Iterable[float] | np.ndarray, dtype=float) -> np.ndarray:
@@ -77,7 +77,7 @@ def rank_from_scores(scores, tie_policy: str = "fractional") -> np.ndarray:
     positions they span, #greater + (#equal + 1) / 2; under the ordinal
     policy the tie goes to the lower label index.
     """
-    _check_tie_policy(tie_policy)
+    _check_choice("tie_policy", tie_policy)
     arr = _as_rows(scores, "score")
     if tie_policy == "ordinal":
         order = np.argsort(-arr, axis=-1, kind="stable")
@@ -190,7 +190,7 @@ class FusionBatch:
             _check_system_id(system_id)
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate system id in {list(ids)}")
-        _check_tie_policy(self.tie_policy)
+        _check_choice("tie_policy", self.tie_policy)
         raw = _freeze(_as_rows(self.raw, "raw score"))
         if raw.shape != (len(docs), len(ids), self.label_set.n):
             raise ValidationError(

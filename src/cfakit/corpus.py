@@ -261,7 +261,9 @@ def generate_prompt_matrix(
         _check_spec(index, spec)
         for source in spec.sources:
             for label in label_list:
-                text = spec.template.replace("{source}", source).replace("{label}", label)
+                # one pass: text put in for one placeholder is never searched
+                text = source.join(part.replace("{label}", label)
+                                   for part in spec.template.split("{source}"))
                 prompts.append(Prompt(f"p{len(prompts) + 1:05d}", label,
                                       spec.publication_type, source, text))
     return prompts

@@ -31,7 +31,7 @@ from .combine import _fuse_arrays, _top_labels, grid_arrays
 from .core import FusionBatch
 from .errors import ValidationError
 from .fileio import _names, _quote, atomic_write_text, format_table, write_csv
-from .settings import LabelSet, _check_tie_mode
+from .settings import LabelSet, _check_choice
 
 
 class ModelPredictions(NamedTuple):
@@ -275,7 +275,7 @@ def evaluate_predictions(
     prediction sets index the label set's labels, and each top1 lies in
     its tied group.
     """
-    _check_tie_mode(tie_mode)
+    _check_choice("tie_mode", tie_mode)
     if not individual.model_ids or not combined.model_ids:
         raise ValidationError("the report needs individual and combined predictions")
     expert = np.asarray(expert, dtype=np.intp)

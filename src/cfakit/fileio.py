@@ -24,8 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import DataAccessError, DomainError, ValidationError
-from .settings import (LabelSet, _check_system_id, _check_tie_mode, _check_tie_policy,
-                       _check_weight_source)
+from .settings import CHOICES, LabelSet, _check_choice, _check_system_id
 
 if TYPE_CHECKING:  # numpy and the other layers load where a function uses them
     import numpy as np
@@ -89,15 +88,7 @@ def _quote(value) -> str:
 
 
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = []
-    for row in (header, *rows):
-        line = ",".join(map(str, row))
-        # _quote changes a field only if it holds a quote, a line break or
-        # a comma of its own, which the joined line shows
-        if '"' in line or "\r" in line or "\n" in line or line.count(",") >= len(row):
-            line = ",".join(map(_quote, row))
-        lines.append(line + "\n")
-    atomic_write_text(path, "".join(lines))
+    atomic_write_text(path, "".join(",".join(map(_quote, row)) + "\n" for row in (header, *rows)))
 
 
 def _unreadable(path: Path, exc: OSError) -> DataAccessError:
@@ -406,22 +397,22 @@ def check_coverage(doc_ids: Iterable[str], expert_docs: Iterable[str], where: st
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration, the one source of the run settings.
+    """Parsed configuration, the one source of the run settings, which
+    load_config alone builds and gives its defaults.  generation holds
+    the keys of GENERATION_FIELDS that the config gives, type-checked.
 
     Path checks happen when a command actually uses the field, so a
     config can name score files that an earlier command has yet to write.
     """
 
-    labels: tuple[str, ...] = ()
-    systems: tuple[tuple[str, Path], ...] = ()
-    expert_labels: Path | None = None
-    tie_policy: str = "fractional"
-    tie_mode: str = "strict"
-    weights: str = "ds"
-    out_dir: Path = Path(".")
-    endpoint_url: str | None = None
-    auth_token: str | None = None
-    max_concurrency: int = 4
+    labels: tuple[str, ...]
+    systems: tuple[tuple[str, Path], ...]
+    expert_labels: Path | None
+    tie_policy: str
+    tie_mode: str
+    weights: str
+    out_dir: Path
+    generation: dict[str, object]
 
     def label_set(self) -> LabelSet:
         if not self.labels:
@@ -480,19 +471,22 @@ def _field(where, obj: dict, key: str, kind: str, default):
     return value
 
 
+# each key of the config's generation object and the JSON kind it takes
+GENERATION_FIELDS = {
+    "endpoint_url": "a string", "auth_token": "a string", "max_concurrency": "an integer",
+}
+
+
 def load_config(path: Path | str) -> RunConfig:
     path = Path(path)
     raw = _parse_json(_read_text(path), path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    known = {
-        "labels", "systems", "expert_labels", "tie_policy", "tie_mode",
-        "weights", "out_dir", "generation",
-    }
+    known = {"labels", "systems", "expert_labels", *CHOICES, "out_dir", "generation"}
     generation = _field(path, raw, "generation", "an object", {})
     unknown = sorted(set(raw) - known) + sorted(
         f"generation.{key}"
-        for key in set(generation) - {"endpoint_url", "auth_token", "max_concurrency"}
+        for key in set(generation) - GENERATION_FIELDS.keys()
     )
     if unknown:
         raise ValidationError(f"{path}: unknown config fields {unknown}")
@@ -519,22 +513,21 @@ def load_config(path: Path | str) -> RunConfig:
         seen.add(system_id)
         systems.append((system_id, path_field(where, entry, "path", None)))
 
+    def choice(key: str) -> str:  # a choice defaults to its first value
+        return _field(path, raw, key, "a string", CHOICES[key][1][0])
+
     config = RunConfig(
-        labels=tuple(_field(path, raw, "labels", "an array of strings", RunConfig.labels)),
+        labels=tuple(_field(path, raw, "labels", "an array of strings", ())),
         systems=tuple(systems),
         expert_labels=path_field(path, raw, "expert_labels", None),
-        tie_policy=_field(path, raw, "tie_policy", "a string", RunConfig.tie_policy),
-        tie_mode=_field(path, raw, "tie_mode", "a string", RunConfig.tie_mode),
-        weights=_field(path, raw, "weights", "a string", RunConfig.weights),
-        out_dir=path_field(path, raw, "out_dir", RunConfig.out_dir),
-        endpoint_url=_field(path, generation, "endpoint_url", "a string", RunConfig.endpoint_url),
-        auth_token=_field(path, generation, "auth_token", "a string", RunConfig.auth_token),
-        max_concurrency=_field(
-            path, generation, "max_concurrency", "an integer", RunConfig.max_concurrency
-        ),
+        tie_policy=choice("tie_policy"),
+        tie_mode=choice("tie_mode"),
+        weights=choice("weights"),
+        out_dir=path_field(path, raw, "out_dir", "."),
+        generation={key: _field(path, generation, key, kind, None)
+                    for key, kind in GENERATION_FIELDS.items() if key in generation},
     )
-    # each run setting through its check, as a library call would be
-    _check_tie_policy(config.tie_policy)
-    _check_tie_mode(config.tie_mode)
-    _check_weight_source(config.weights)
+    # each choice through its check, as a library call would be
+    for key in CHOICES:
+        _check_choice(key, getattr(config, key))
     return config

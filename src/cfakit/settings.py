@@ -1,8 +1,8 @@
 """The label set and the vocabulary of the run settings.
 
 Every command checks these before it loads any data: the label set a
-config names, its system ids, and the tie policies, tie modes and weight
-sources that its fields may take.  STRATEGIES names the four combination
+config names, its system ids, and each choice setting's value, which
+_check_choice looks up in CHOICES.  STRATEGIES names the four combination
 strategies, which every grid fuses.  The module needs nothing beyond the
 standard library, so the commands that do no array work
 (`score --scorer keyword`, `gen-prompts`) never load numpy.
@@ -14,10 +14,14 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ValidationError
 
-TIE_POLICIES = ("fractional", "ordinal")
-TIE_MODES = ("strict", "lenient")
 STRATEGIES = ("asc", "arc", "wsc", "wrc")
-WEIGHT_SOURCES = ("ds", "perf")
+
+# each choice setting: the name its errors use and its values, default first
+CHOICES = {
+    "tie_policy": ("tie policy", ("fractional", "ordinal")),
+    "tie_mode": ("tie mode", ("strict", "lenient")),
+    "weights": ("weight source", ("ds", "perf")),
+}
 
 # Characters with structural meaning in combo ids and output tables.
 RESERVED_ID_CHARS = "+:|"
@@ -80,22 +84,7 @@ def _check_system_id(system_id: str, where: str = "") -> None:
         )
 
 
-def _check_tie_policy(tie_policy: str) -> None:
-    if tie_policy not in TIE_POLICIES:
-        raise ValidationError(
-            f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}"
-        )
-
-
-def _check_tie_mode(tie_mode: str) -> None:
-    if tie_mode not in TIE_MODES:
-        raise ValidationError(
-            f"unknown tie mode {tie_mode!r}; expected one of {TIE_MODES}"
-        )
-
-
-def _check_weight_source(weights: str) -> None:
-    if weights not in WEIGHT_SOURCES:
-        raise ValidationError(
-            f"unknown weight source {weights!r}; expected one of {WEIGHT_SOURCES}"
-        )
+def _check_choice(setting: str, value: str) -> None:
+    name, values = CHOICES[setting]
+    if value not in values:
+        raise ValidationError(f"unknown {name} {value!r}; expected one of {values}")

@@ -738,6 +738,21 @@ MALFORMED = [
      {"specs.json": b'[{"publication_type": "t", "template": "{label} by {source}", '
                     b'"sources": "abc"}]'},
      ["gen-prompts", "--specs", "specs.json"], "'sources' must be an array of strings"),
+    # a path flag given as "" would name the working directory
+    ("corpus-flag-empty", {}, {"cdir/A/d1.txt": b"water", "cdir/B/d2.txt": b"sea"},
+     ["corpus-stats", "--corpus", ""], "error: --corpus must name a file, got an empty string"),
+    ("lexicon-flag-empty", {}, {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n'},
+     ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", ""],
+     "error: --lexicon must name a file, got an empty string"),
+    # each scorer reads one input of its own; the other one's is refused
+    ("tfidf-scorer-given-a-lexicon", {}, {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n'},
+     ["score", "--scorer", "tfidf", "--corpus", "c.jsonl", "--train", "c.jsonl",
+      "--lexicon", "nonexistent.json"], "error: the tfidf scorer does not read --lexicon"),
+    ("keyword-scorer-given-training-data", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "lex.json": b'{"A": ["water"], "B": ["b"], "C": ["c"]}'},
+     ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json",
+      "--train", "nonexistent.jsonl"], "error: the keyword scorer does not read --train"),
     ("lexicon-phrases-string", {},
      {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
       "lex.json": b'{"A": "water", "B": ["b"], "C": ["c"]}'},
@@ -925,15 +940,16 @@ def _fused_workspace(tmp_path, fused):
 
 def test_empty_fused_flag_names_no_file(run_python, tmp_path):
     # a valid <out>/fused.csv is there, but --fused "" does not name it:
-    # "" is the current directory, which cannot be read as a file
+    # "" would be the current directory, so it is refused as no file
     _fused_workspace(tmp_path, FUSED_HEADER + b"s+t:asc,d1,B,false,B,B|C|A\n")
     command = ("-m", "cfakit.cli", "evaluate", "--config", "config.json")
     assert run_python(*command, cwd=tmp_path).returncode == 0
+    (tmp_path / "out" / "report.json").unlink()
+    files = sorted(tmp_path.rglob("*"))
     result = run_python(*command, "--fused", "", cwd=tmp_path)
-    assert result.returncode == 2, result.stdout + result.stderr
-    assert "Traceback" not in result.stderr
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: cannot read "), result.stderr
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stderr == "error: --fused must name a file, got an empty string\n"
+    assert sorted(tmp_path.rglob("*")) == files  # nothing written
 
 
 # 2,500 valid rows of 29 bytes: the lines below them lie past the first 64 KiB
@@ -980,6 +996,21 @@ def test_empty_config_flag_names_no_file(run_python, tmp_path, command):
     lines = result.stderr.splitlines()
     assert lines == ["error: --config must name a file, got an empty string"], result.stderr
     assert sorted(path.name for path in tmp_path.iterdir()) == ["c.jsonl", "prompts.csv"]
+
+
+@pytest.mark.parametrize("fields, fault", [
+    ({"labels": "x", "tie_policy": 5, "generation": {"max_concurrency": "2"}},
+     "'labels' must be an array of strings, got str"),
+    ({"tie_policy": "dense", "out_dir": 3}, "'out_dir' must be a string, got int"),
+    ({"generation": {"max_concurrency": "2"}, "weights": "equal"},
+     "'max_concurrency' must be an integer, got str"),
+], ids=["labels-first", "out-dir-before-the-tie-policy", "types-before-choices"])
+def test_config_with_several_faults_names_the_first(tmp_path, capsys, fields, fault):
+    # every field's type is checked in field order, each choice's value after
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    assert _run("fuse", "--config", path) == 1
+    assert capsys.readouterr().err == f"error: {path}: {fault}\n"
 
 
 def test_atomic_write_leaves_other_writers_temp_files_alone(tmp_path):

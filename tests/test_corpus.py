@@ -172,6 +172,20 @@ def test_prompt_matrix_rejects_duplicate_labels():
         generate_prompt_matrix([spec], ("A", "A"))
 
 
+def test_prompt_placeholders_are_substituted_in_one_pass():
+    # text put in for one placeholder is kept as it is, placeholders and all
+    spec = PromptSpec("t", "Write a {source} piece about {label}.", ("The {label} Times",))
+    prompts = generate_prompt_matrix([spec], ("SDG1", "the {source} goal", "C"))
+    assert [p.text for p in prompts] == [
+        "Write a The {label} Times piece about SDG1.",
+        "Write a The {label} Times piece about the {source} goal.",
+        "Write a The {label} Times piece about C.",
+    ]
+    label_first = PromptSpec("t", "On {label}, by {source}", ("{label}",))
+    assert generate_prompt_matrix([label_first], ("{source}",))[0].text == (
+        "On {source}, by {label}")
+
+
 def test_keyword_scorer_known_value():
     lexicon = KeywordLexicon.from_dict(
         {"SDG6": ["water", "sanitation"], "SDG4": ["education"]}
