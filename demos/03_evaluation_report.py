@@ -73,33 +73,26 @@ def main() -> None:
         print(f"  {combo_id:24s} {correct}/{total} = {correct / total:.4f}")
     print(f"  best combined: {report.best_combined.model}")
 
-    stats = report.grid_stats
     print("\ngrid statistics")
-    print(f"  combined models at or above the best individual: "
-          f"{stats.models_ge_best_individual.correct}/"
-          f"{stats.models_ge_best_individual.total} "
-          f"({100 * stats.models_ge_best_individual.value:.2f}%)")
-    print(f"  per-label cells at or above the best individual for that label: "
-          f"{stats.cells_ge_best_individual.correct}/"
-          f"{stats.cells_ge_best_individual.total} "
-          f"({100 * stats.cells_ge_best_individual.value:.2f}%)")
-    print(f"  per-label cells at or above the individual mean: "
-          f"{stats.cells_ge_individual_mean.correct}/"
-          f"{stats.cells_ge_individual_mean.total} "
-          f"({100 * stats.cells_ge_individual_mean.value:.2f}%)")
+    for text, name in (
+        ("combined models at or above the best individual", "models_ge_best_individual"),
+        ("per-label cells at or above the best individual for that label",
+         "cells_ge_best_individual"),
+        ("per-label cells at or above the individual mean", "cells_ge_individual_mean"),
+    ):
+        stat = report.grid_stats[name]
+        print(f"  {text}: {stat.correct}/{stat.total} ({100 * stat.value:.2f}%)")
 
     tables = report.disagreements
     print("\ndisagreements between the best individual and the best combined model")
     print(f"  fusion right where the individual was wrong: "
-          f"{len(tables.fusion_agrees_with_expert)} documents")
+          f"{len(tables['fusion_agrees_with_expert'])} documents")
     print(f"  fusion wrong where the individual was right: "
-          f"{len(tables.fusion_disagrees_with_both)} documents")
+          f"{len(tables['fusion_disagrees_with_both'])} documents")
     print(f"  both wrong the same way: "
-          f"{len(tables.both_disagree_with_expert)} documents")
-    for row in tables.fusion_agrees_with_expert[:3]:
-        print(f"    {row.doc_id}: expert={row.expert} "
-              f"individual={row.individual} combined={row.combined}")
-
+          f"{len(tables['both_disagree_with_expert'])} documents")
+    for doc_id, expert, individual, combined in tables["fusion_agrees_with_expert"][:3]:
+        print(f"    {doc_id}: expert={expert} individual={individual} combined={combined}")
 
 if __name__ == "__main__":
     main()

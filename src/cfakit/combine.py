@@ -94,16 +94,6 @@ def _fuse_arrays(
     return values, order, tied, fallback
 
 
-def _top_labels(order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The top-1 label index of each document and a (docs, labels) mask of
-    the labels tied at the top, from the order and tied arrays of a
-    _fuse_arrays result."""
-    mask = np.zeros(order.shape, dtype=bool)
-    leading = np.arange(order.shape[1]) < tied[:, None]
-    np.put_along_axis(mask, order, leading, axis=1)
-    return order[:, 0], mask
-
-
 def grid_arrays(
     batch: FusionBatch, performance: Mapping[str, float] | None = None
 ) -> Iterator[tuple[str, tuple[np.ndarray, ...]]]:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combine import _fuse_arrays, _top_labels, grid_arrays
+from .combine import _fuse_arrays, grid_arrays
 from .core import FusionBatch
 from .errors import ValidationError
 from .fileio import _names, _quote, atomic_write_text, format_table, write_csv
@@ -49,10 +49,13 @@ class ModelPredictions(NamedTuple):
 
 
 def _stack(labels: tuple[str, ...], models: Iterable[tuple]) -> ModelPredictions:
-    """ModelPredictions from (model_id, order, tied) triples, the order and
-    tied arrays of one _fuse_arrays result per model."""
+    """ModelPredictions from (model_id, values, order) triples, the combined
+    values and label order of one _fuse_arrays result per model.  The
+    labels whose value equals the top label's are tied, the test by which
+    _fuse_arrays counts them."""
     model_ids, top1, tied = zip(*(
-        (model_id, *_top_labels(order, count)) for model_id, order, count in models
+        (model_id, order[:, 0], values == np.take_along_axis(values, order[:, :1], axis=1))
+        for model_id, values, order in models
     ))
     return ModelPredictions(model_ids, labels, np.stack(top1), np.stack(tied))
 
@@ -64,7 +67,7 @@ def individual_arrays(batch: FusionBatch) -> ModelPredictions:
     ties at the top resolve by label order and the tied group is kept.
     """
     return _stack(batch.label_set.labels, (
-        (system_id, *_fuse_arrays(batch, (j,), "asc")[1:3])
+        (system_id, *_fuse_arrays(batch, (j,), "asc")[:2])
         for j, system_id in enumerate(batch.system_ids)
     ))
 
@@ -77,7 +80,7 @@ def combined_arrays(
     order."""
     grid = grid_arrays(batch, performance)
     return _stack(batch.label_set.labels, (
-        (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid
+        (combo_id, values, order) for combo_id, (values, order, _, _) in grid
     ))
 
 
@@ -155,83 +158,54 @@ def select_best(model_ids: Sequence[str], correct: Sequence[int]) -> BestSelecti
     return BestSelection(model=tied[0], tied=tied)
 
 
-@dataclass(frozen=True)
-class GridStats:
-    """How often combined models meet or beat the individual systems.
-
-    cells_* count (model, label) cells of the per-label precision grid;
-    models_ge_best_individual counts whole combined models by overall
-    precision.  All comparisons are exact on the underlying fractions.
-    """
-
-    cells_ge_best_individual: PrecisionResult
-    cells_ge_individual_mean: PrecisionResult
-    models_ge_best_individual: PrecisionResult
-
-
-def _grid_stats(individual: np.ndarray, combined: np.ndarray, totals: np.ndarray) -> GridStats:
-    # individual and combined are correct counts per (model, label).  Only
-    # labels that carry documents form cells.  Every model shares one
-    # denominator per label, and one overall, so comparing counts compares
-    # the fractions exactly.
+def _grid_stats(
+    individual: np.ndarray, combined: np.ndarray, totals: np.ndarray
+) -> dict[str, PrecisionResult]:
+    """How often combined models meet or beat the individual systems, by
+    correct counts per (model, label).  cells_* count (model, label) cells
+    of the per-label precision grid, where only labels that carry
+    documents form cells; models_ge_best_individual counts whole combined
+    models by overall precision.  Every model shares one denominator per
+    label, and one overall, so comparing counts compares the fractions
+    exactly."""
     ind = individual[:, totals > 0]
     comb = combined[:, totals > 0]
     ge_best = np.count_nonzero(comb >= ind.max(axis=0))
     # combined/g >= sum/(t*g)  <=>  t*combined >= sum
     ge_mean = np.count_nonzero(len(ind) * comb >= ind.sum(axis=0))
     models_ge = np.count_nonzero(combined.sum(axis=1) >= individual.sum(axis=1).max())
-    return GridStats(
-        cells_ge_best_individual=PrecisionResult(int(ge_best), comb.size),
-        cells_ge_individual_mean=PrecisionResult(int(ge_mean), comb.size),
-        models_ge_best_individual=PrecisionResult(int(models_ge), len(comb)),
-    )
+    return {
+        "cells_ge_best_individual": PrecisionResult(int(ge_best), comb.size),
+        "cells_ge_individual_mean": PrecisionResult(int(ge_mean), comb.size),
+        "models_ge_best_individual": PrecisionResult(int(models_ge), len(comb)),
+    }
 
 
-@dataclass(frozen=True)
-class DisagreementRow:
-    doc_id: str
-    expert: str
-    individual: str
-    combined: str
-
-
-@dataclass(frozen=True)
-class DisagreementTables:
-    """Documents where the best individual and best combined model differ.
-
-    fusion_agrees_with_expert: combined = expert, individual wrong.
-    fusion_disagrees_with_both: individual = expert, combined differs
-    from both.
-    both_disagree_with_expert: combined = individual, both wrong.
-    Documents where all three agree appear in no table.
-    """
-
-    fusion_agrees_with_expert: tuple[DisagreementRow, ...]
-    fusion_disagrees_with_both: tuple[DisagreementRow, ...]
-    both_disagree_with_expert: tuple[DisagreementRow, ...]
+# the columns of a disagreement row, in report.json and disagreements.csv
+DISAGREEMENT_COLUMNS = ("doc_id", "expert", "individual", "combined")
 
 
 def _disagreements(
     doc_ids: Sequence[str], labels: Sequence[str],
     expert: np.ndarray, individual: np.ndarray, combined: np.ndarray,
-) -> DisagreementTables:
+) -> dict[str, tuple[tuple[str, str, str, str], ...]]:
     """Categorize expert/individual/combined disagreement per document from
-    the top-1 label indices, rows in doc_id order."""
+    the top-1 label indices, rows of DISAGREEMENT_COLUMNS in doc_id order."""
     order = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
     expert, ind, comb = expert[order], individual[order], combined[order]
 
-    def rows(mask: np.ndarray) -> tuple[DisagreementRow, ...]:
+    def rows(mask: np.ndarray) -> tuple[tuple[str, str, str, str], ...]:
         return tuple(
-            DisagreementRow(doc_ids[d], labels[e], labels[i], labels[c])
+            (doc_ids[d], labels[e], labels[i], labels[c])
             for d, e, i, c in zip(*(a[mask].tolist() for a in (order, expert, ind, comb)))
         )
 
     # ind == expert != comb implies comb != ind
-    return DisagreementTables(
-        fusion_agrees_with_expert=rows((comb == expert) & (ind != expert)),
-        fusion_disagrees_with_both=rows((ind == expert) & (comb != expert)),
-        both_disagree_with_expert=rows((comb == ind) & (ind != expert)),
-    )
+    return {
+        "fusion_agrees_with_expert": rows((comb == expert) & (ind != expert)),
+        "fusion_disagrees_with_both": rows((ind == expert) & (comb != expert)),
+        "both_disagree_with_expert": rows((comb == ind) & (ind != expert)),
+    }
 
 
 @dataclass(frozen=True)
@@ -244,6 +218,15 @@ class EvaluationReport:
     individual_ids[m] got right, and of individual_ties those whose top
     label it tied: exact (models, labels) integer arrays.  The combined_*
     fields hold the same for the combined models.
+
+    grid_stats maps each grid statistic to its count (_grid_stats).
+    disagreements maps each category to the documents, as rows of
+    DISAGREEMENT_COLUMNS, where the best individual and the best combined
+    model differ: fusion_agrees_with_expert (combined = expert, individual
+    wrong), fusion_disagrees_with_both (individual = expert, combined
+    differs from both) and both_disagree_with_expert (combined =
+    individual, both wrong).  Documents where all three agree appear in
+    no category.
     """
 
     tie_mode: str
@@ -256,8 +239,8 @@ class EvaluationReport:
     combined_ties: np.ndarray
     best_individual: BestSelection
     best_combined: BestSelection
-    grid_stats: GridStats
-    disagreements: DisagreementTables
+    grid_stats: dict[str, PrecisionResult]
+    disagreements: dict[str, tuple[tuple[str, str, str, str], ...]]
 
 
 def evaluate_predictions(
@@ -330,13 +313,14 @@ _PER_LABEL = _record_template(8)
 
 def _models_json(
     model_ids: Sequence[str], correct: np.ndarray, ties: np.ndarray,
-    label_counts: Mapping[str, int],
+    sums: tuple[list[int], list[int]], label_counts: Mapping[str, int],
 ) -> str:
     """The individual or combined section of report.json, with the bytes
     json.dumps(indent=2, sort_keys=True, ensure_ascii=False) gives it one
     level deep: models by id, each with its overall record and its
     per-label records by label (null for a label without documents).
-    Floats are written by repr, as json writes them."""
+    sums holds each model's overall correct and tie counts.  Floats are
+    written by repr, as json writes them."""
     labels, totals = list(label_counts), list(label_counts.values())
     total = sum(totals)
     by_name = sorted(range(len(labels)), key=labels.__getitem__)
@@ -347,11 +331,9 @@ def _models_json(
         [_PER_LABEL % (n, "%d", g, repr(n / g)) for n in range(g + 1)] if g else None
         for g in groups
     ]
-    overall = correct.sum(axis=1)
     models = {}
     for model, c, t, cells, cell_ties in zip(
-        model_ids, overall.tolist(), ties.sum(axis=1).tolist(),
-        correct[:, by_name].tolist(), ties[:, by_name].tolist(),
+        model_ids, *sums, correct[:, by_name].tolist(), ties[:, by_name].tolist()
     ):
         per_label = ",".join(
             key + (record[n] % k if group else "null")
@@ -374,13 +356,14 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     The precision tables are formatted from the count arrays, each id
     quoted once as write_csv would quote it."""
     out_dir = Path(out_dir)
-    # field name -> PrecisionResult, and category -> rows, in field order
-    stats = vars(report.grid_stats)
-    tables = vars(report.disagreements)
+    stats, tables = report.grid_stats, report.disagreements
     kinds = (
         ("individual", report.individual_ids, report.individual_correct, report.individual_ties),
         ("combined", report.combined_ids, report.combined_correct, report.combined_ties),
     )
+    # each model's overall correct and tie counts, summed once per kind
+    sums = {kind: (correct.sum(axis=1).tolist(), ties.sum(axis=1).tolist())
+            for kind, _, correct, ties in kinds}
 
     sections = {
         "tie_mode": report.tie_mode,
@@ -393,7 +376,8 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
             for name, r in stats.items()
         },
         "disagreements": {
-            category: [vars(row) for row in table] for category, table in tables.items()
+            category: [dict(zip(DISAGREEMENT_COLUMNS, row)) for row in table]
+            for category, table in tables.items()
         },
     }
     # json writes no raw newline inside a string, so every newline starts
@@ -403,7 +387,7 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         for name, value in sections.items()
     }
     for kind, model_ids, correct, ties in kinds:
-        text[kind] = _models_json(model_ids, correct, ties, report.label_counts)
+        text[kind] = _models_json(model_ids, correct, ties, sums[kind], report.label_counts)
     atomic_write_text(out_dir / "report.json", "{" + ",".join(
         f'\n  "{name}": {text[name]}' for name in sorted(text)
     ) + "\n}\n")
@@ -417,9 +401,8 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         for label, g in report.label_counts.items()
     ]
     overall_lines, label_lines = [], []
-    for kind, model_ids, correct, ties in kinds:
-        rows = zip(model_ids, correct.sum(axis=1).tolist(), ties.sum(axis=1).tolist(),
-                   correct.tolist())
+    for kind, model_ids, correct, _ in kinds:
+        rows = zip(model_ids, *sums[kind], correct.tolist())
         for model, c, t, cells in sorted(rows, key=lambda row: row[0]):
             head = f"{_quote(model)},{kind},"
             overall_lines.append(f"{head}{c},{total},{t},{format_table(c / total)}\n")
@@ -436,13 +419,12 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     )
     write_csv(
         out_dir / "disagreements.csv",
-        ("category", "doc_id", "expert", "individual", "combined"),
-        [(category, row.doc_id, row.expert, row.individual, row.combined)
-         for category, table in tables.items() for row in table],
+        ("category", *DISAGREEMENT_COLUMNS),
+        [(category, *row) for category, table in tables.items() for row in table],
     )
     # Average precision per subset and strategy, the plot-data view of the
     # combination grid; the combo id breaks a tie between "a" and "a:".
-    values = (report.combined_correct.sum(axis=1) / total).tolist()
+    values = [c / total for c in sums["combined"][0]]
     write_csv(out_dir / "strategy_precision.csv", ("subset", "strategy", "precision"), [
         (subset, strategy, format_table(v)) for subset, strategy, _, v in sorted(
             (*combo_id.partition(":")[::2], combo_id, v)

@@ -49,27 +49,32 @@ def format_table(value: float) -> str:
 def atomic_writer(path: Path | str) -> Iterator[TextIO]:
     """A text handle on a temporary file that replaces path when the with
     statement ends; on any error the temporary file is removed and path
-    keeps its old bytes.
+    keeps its old bytes.  An OSError, from making the directory to the
+    rename and the handle's writes included, becomes the DataAccessError
+    of _unwritable, which names path.
 
     The temporary file has a name of its own in the target directory, so
     two runs sharing an output directory never touch each other's
     temporary files, and it reaches the disk before the rename.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    # O_EXCL never opens another writer's file; mode 0o666 leaves the
-    # permissions to the umask, as a plain open() would
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # O_EXCL never opens another writer's file; mode 0o666 leaves the
+        # permissions to the umask, as a plain open() would
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                yield handle
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -96,6 +101,12 @@ def _unreadable(path: Path, exc: OSError) -> DataAccessError:
     if isinstance(exc, FileNotFoundError):
         return DataAccessError(f"file not found: {path}")
     return DataAccessError(f"cannot read {path}: {exc}")
+
+
+def _unwritable(path: Path, exc: OSError) -> DataAccessError:
+    """The one error for an output file that cannot be written: the OS's
+    reason without the file it names, which may be a temporary file."""
+    return DataAccessError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _read_bytes(path: Path) -> bytes:

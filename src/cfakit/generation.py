@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .corpus import Prompt
 from .errors import ValidationError
-from .fileio import _field, _json_lines, _parse_json, atomic_write_text
+from .fileio import _field, _json_lines, _parse_json, _unwritable, atomic_write_text
 
 CORPUS_FILE = "corpus.jsonl"
 ERRORS_FILE = "errors.jsonl"
@@ -104,8 +104,8 @@ def generate_corpus(
     ids = [p.prompt_id for p in prompts]
     if len(set(ids)) != len(ids):
         raise ValidationError("prompt ids must be unique")
+    # the writers make out_dir, each naming its file when they cannot
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     corpus_path = out / CORPUS_FILE
     existing = _load_existing(corpus_path)
 
@@ -139,6 +139,8 @@ def generate_corpus(
                     handle.flush()
                     existing[prompt.prompt_id] = record
                     fetched += 1
+        except OSError as exc:  # the fetches record their own
+            raise _unwritable(corpus_path, exc) from exc
         finally:
             # an interrupted run stops at once instead of fetching the rest
             pool.shutdown(cancel_futures=True)

@@ -243,10 +243,10 @@ def test_report_arithmetic_on_constructed_fixtures():
     for i in range(104):
         combined[f"m{i:03d}"] = correct_all if i < 49 else wrong_all
     stats = _report(labels, grid_experts, {"base": mostly_wrong}, combined).grid_stats
-    models_ge = stats.models_ge_best_individual
+    models_ge = stats["models_ge_best_individual"]
     assert (models_ge.correct, models_ge.total) == (49, 104)
     assert f"{100.0 * models_ge.value:.2f}" == "47.12"
-    assert stats.cells_ge_best_individual.total == 104 * 17 == 1768
+    assert stats["cells_ge_best_individual"].total == 104 * 17 == 1768
 
 
 def test_disagreement_fixture_is_categorized_exactly():
@@ -268,15 +268,15 @@ def test_disagreement_fixture_is_categorized_exactly():
     individual = {"ind": [i for _, _, i, _ in fixture]}
     combined = {"comb": [c for _, _, _, c in fixture]}
     tables = _report(LabelSet(LABELS_17), experts, individual, combined).disagreements
-    assert [r.doc_id for r in tables.fusion_agrees_with_expert] == ["a1", "a2", "a3"]
-    assert [r.doc_id for r in tables.fusion_disagrees_with_both] == ["b1", "b2", "b3"]
-    assert [r.doc_id for r in tables.both_disagree_with_expert] == ["c1", "c2", "c3"]
-    for row in tables.fusion_agrees_with_expert:
-        assert (row.expert, row.individual, row.combined) == ("SDG4", "SDG12", "SDG4")
-    for row in tables.fusion_disagrees_with_both:
-        assert (row.expert, row.individual, row.combined) == ("SDG5", "SDG5", "SDG1")
-    for row in tables.both_disagree_with_expert:
-        assert (row.expert, row.individual, row.combined) == ("SDG1", "SDG11", "SDG11")
+    assert [doc for doc, *_ in tables["fusion_agrees_with_expert"]] == ["a1", "a2", "a3"]
+    assert [doc for doc, *_ in tables["fusion_disagrees_with_both"]] == ["b1", "b2", "b3"]
+    assert [doc for doc, *_ in tables["both_disagree_with_expert"]] == ["c1", "c2", "c3"]
+    for _, *row in tables["fusion_agrees_with_expert"]:
+        assert tuple(row) == ("SDG4", "SDG12", "SDG4")
+    for _, *row in tables["fusion_disagrees_with_both"]:
+        assert tuple(row) == ("SDG5", "SDG5", "SDG1")
+    for _, *row in tables["both_disagree_with_expert"]:
+        assert tuple(row) == ("SDG1", "SDG11", "SDG11")
 
 
 def test_lexical_metrics_fixed_points_and_random_oracle():

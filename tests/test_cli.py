@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import threading
 import tracemalloc
 import zlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfakit import FusionBatch, LabelSet, ValidationError
+from cfakit import DataAccessError, FusionBatch, LabelSet, ValidationError
 from cfakit.cli import main
 from cfakit.combine import grid_arrays
 from cfakit.fileio import atomic_write_text, load_score_cube, write_diversity, write_score_file
@@ -1045,6 +1046,54 @@ def test_fused_writer_failing_midway_keeps_the_old_file(tmp_path):
             write_fused_file(target, label_set, ["d1", "d2"], grid)
         assert target.read_bytes() == b"the previous run's grid\n"
         assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
+
+
+@pytest.mark.parametrize("command, written", [
+    (("fuse",), "fused.csv"),
+    (("diversity",), "diversity_pairs.csv"),
+    (("generate", "--prompts", "prompts.csv"), "corpus.jsonl"),
+], ids=["fuse", "diversity", "generate"])
+def test_an_out_dir_that_names_a_file_is_named_in_one_error_line(
+    run_python, tmp_path, command, written
+):
+    (tmp_path / "s.csv").write_text(ABC_SCORES)
+    (tmp_path / "t.csv").write_text(ABC_SCORES)
+    (tmp_path / "prompts.csv").write_text(
+        "prompt_id,label,publication_type,source,prompt_text\np1,A,post,s,Write.\n")
+    (tmp_path / "outfile").write_text("a file, not a directory\n")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "labels": ["A", "B", "C"],
+        "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
+        "out_dir": "outfile",
+        # never contacted: generate writes its corpus file before it fetches
+        "generation": {"endpoint_url": "http://127.0.0.1:9/"},
+    }))
+    files = sorted(tmp_path.rglob("*"))
+    result = run_python("-m", "cfakit.cli", command[0], "--config", "config.json",
+                        *command[1:], cwd=tmp_path)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith(f"error: cannot write {Path('outfile', written)}: "), lines[0]
+    assert sorted(tmp_path.rglob("*")) == files  # nothing written
+    assert (tmp_path / "outfile").read_text() == "a file, not a directory\n"
+
+
+def test_a_failed_rename_names_the_target_and_keeps_its_bytes(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("the previous run's report\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(src), None, str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(DataAccessError) as raised:
+        atomic_write_text(target, "this run's report\n")
+    assert str(raised.value) == f"cannot write {target}: Permission denied"
+    assert raised.value.exit_code == 2
+    assert target.read_text() == "the previous run's report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]  # no temporary file
 
 
 def test_fused_cache_is_written_unless_ids_repeat_or_hold_a_nul(tmp_path):

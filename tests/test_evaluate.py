@@ -229,23 +229,23 @@ def test_grid_statistics_hand_counted():
     # asc per-label: L1:2, L2:1, L3:1 -> >= best in all 3 cells
     # arc per-label: L1:0, L2:0, L3:0 -> no cell
     stats = _report(experts, individual, combined).grid_stats
-    assert stats.cells_ge_best_individual.correct == 3
-    assert stats.cells_ge_best_individual.total == 6
+    assert stats["cells_ge_best_individual"].correct == 3
+    assert stats["cells_ge_best_individual"].total == 6
     # mean counts (t=2): L1 needs 2c>=1, L2 needs 2c>=1, L3 needs 2c>=2
     # asc: (4>=1, 2>=1, 2>=2) -> 3 cells; arc: none
-    assert stats.cells_ge_individual_mean.correct == 3
-    assert stats.cells_ge_individual_mean.total == 6
+    assert stats["cells_ge_individual_mean"].correct == 3
+    assert stats["cells_ge_individual_mean"].total == 6
     # overall: A=3/4 (best), B=1/4; asc=4/4 >= 3/4, arc=0/4
-    assert stats.models_ge_best_individual.correct == 1
-    assert stats.models_ge_best_individual.total == 2
+    assert stats["models_ge_best_individual"].correct == 1
+    assert stats["models_ge_best_individual"].total == 2
 
 
 def test_grid_statistics_equal_precision_counts_as_ge():
     experts = {"d1": "L1", "d2": "L2", "d3": "L3"}
     same = ["L1", "L2", "L1"]
     stats = _report(experts, {"A": same}, {"combo": same}).grid_stats
-    assert stats.models_ge_best_individual.correct == 1
-    assert stats.cells_ge_best_individual.correct == 3
+    assert stats["models_ge_best_individual"].correct == 1
+    assert stats["cells_ge_best_individual"].correct == 3
 
 
 SDG = LabelSet(tuple(f"SDG{i}" for i in range(1, 18)))
@@ -260,19 +260,19 @@ def test_disagreement_categories():
     individual = {"m": ["SDG11", "SDG6", "SDG5", "SDG2", "SDG12"]}
     combined = {"c": ["SDG11", "SDG7", "SDG1", "SDG2", "SDG4"]}
     tables = _report(experts, individual, combined, labels=SDG).disagreements
-    assert [r.doc_id for r in tables.fusion_agrees_with_expert] == ["a1"]
-    assert [r.doc_id for r in tables.fusion_disagrees_with_both] == ["b1"]
-    assert [r.doc_id for r in tables.both_disagree_with_expert] == ["c1"]
-    row = tables.fusion_agrees_with_expert[0]
-    assert (row.expert, row.individual, row.combined) == ("SDG4", "SDG12", "SDG4")
+    assert [doc for doc, *_ in tables["fusion_agrees_with_expert"]] == ["a1"]
+    assert [doc for doc, *_ in tables["fusion_disagrees_with_both"]] == ["b1"]
+    assert [doc for doc, *_ in tables["both_disagree_with_expert"]] == ["c1"]
+    _, *row = tables["fusion_agrees_with_expert"][0]
+    assert tuple(row) == ("SDG4", "SDG12", "SDG4")
     listed = {
-        r.doc_id
+        doc
         for table in (
-            tables.fusion_agrees_with_expert,
-            tables.fusion_disagrees_with_both,
-            tables.both_disagree_with_expert,
+            tables["fusion_agrees_with_expert"],
+            tables["fusion_disagrees_with_both"],
+            tables["both_disagree_with_expert"],
         )
-        for r in table
+        for doc, *_ in table
     }
     # full agreement and three-way disagreement land in no table
     assert "agree" not in listed
@@ -282,7 +282,7 @@ def test_disagreement_categories():
 def test_disagreement_rows_sorted_by_doc_id():
     experts = {"z": "L1", "a": "L1", "m": "L1"}
     tables = _report(experts, {"i": ["L2"] * 3}, {"c": ["L1"] * 3}).disagreements
-    assert [r.doc_id for r in tables.fusion_agrees_with_expert] == ["a", "m", "z"]
+    assert [doc for doc, *_ in tables["fusion_agrees_with_expert"]] == ["a", "m", "z"]
 
 
 def test_individual_arrays_break_ties_by_label_order():
@@ -292,6 +292,19 @@ def test_individual_arrays_break_ties_by_label_order():
     assert predictions.labels == LABELS.labels
     assert predictions.top1.tolist() == [[0]]  # L1
     assert predictions.tied.tolist() == [[[True, True, False]]]  # L1, L2
+
+    # many documents and systems with two-decimal scores, so top ties are
+    # common: top1 is the first argmax of each system's normalized scores
+    # and the tied group every label that equals the row maximum
+    rng = np.random.default_rng(29)
+    docs = [f"d{i}" for i in range(40)]
+    batch = FusionBatch(docs, LABELS, ("A", "B", "C", "D"),
+                        rng.integers(0, 4, size=(40, 4, 3)) / 100)
+    predictions = individual_arrays(batch)
+    normalized = batch.normalized.transpose(1, 0, 2)  # systems, documents, labels
+    assert np.count_nonzero(predictions.tied.sum(axis=2) > 1) > 20
+    assert (predictions.top1 == normalized.argmax(axis=2)).all()
+    assert (predictions.tied == (normalized == normalized.max(axis=2, keepdims=True))).all()
 
 
 def test_evaluate_predictions_end_to_end_small():
@@ -314,8 +327,8 @@ def test_evaluate_predictions_end_to_end_small():
     assert set(report.individual_ids) == {"A", "B", "C"}
     assert len(report.combined_ids) == 16  # 4 subsets x 4 strategies
     assert report.combined_correct.shape == report.combined_ties.shape == (16, 3)
-    assert report.grid_stats.models_ge_best_individual.total == 16
-    assert report.grid_stats.cells_ge_best_individual.total == 16 * 3
+    assert report.grid_stats["models_ge_best_individual"].total == 16
+    assert report.grid_stats["cells_ge_best_individual"].total == 16 * 3
     assert sum(report.label_counts.values()) == len(docs)
     for model in report.combined_ids:
         table = _per_label(report, model, "combined")

@@ -119,10 +119,9 @@ def test_each_command_loads_only_what_it_runs(name, run_python, tmp_path):
 # The evaluation API: label-index arrays in, one report out.  Pinned so
 # that a second, per-document front end cannot come back unnoticed.
 EVALUATE_API = {
-    "BestSelection", "DisagreementRow", "DisagreementTables", "EvaluationReport",
-    "GridStats", "ModelPredictions", "PrecisionResult", "combined_arrays",
-    "evaluate_predictions", "expert_indices", "individual_arrays", "select_best",
-    "write_report",
+    "BestSelection", "EvaluationReport", "ModelPredictions", "PrecisionResult",
+    "combined_arrays", "evaluate_predictions", "expert_indices", "individual_arrays",
+    "select_best", "write_report",
 }
 
 
@@ -140,9 +139,8 @@ SETTINGS_API = {"LabelSet"}
 
 # The whole public surface, so that adding a name takes an edit here.
 PUBLIC_NAMES = {
-    "BestSelection", "CfaError", "DataAccessError", "DisagreementRow",
-    "DisagreementTables", "Document", "DomainError", "EPSILON", "EvaluationReport",
-    "FusionBatch", "GenerationConfig", "GenerationOutcome", "GridStats",
+    "BestSelection", "CfaError", "DataAccessError", "Document", "DomainError",
+    "EPSILON", "EvaluationReport", "FusionBatch", "GenerationConfig", "GenerationOutcome",
     "KeywordLexicon", "LabelSet", "ModelPredictions", "PrecisionResult", "Prompt",
     "PromptSpec", "STRATEGIES", "TfidfCentroidScorer", "ValidationError",
     "cognitive_diversity", "combined_arrays", "corpus_quality_report", "distinct_n",

@@ -29,11 +29,8 @@ import _naive
 from cfakit import (
     EPSILON,
     BestSelection,
-    DisagreementRow,
-    DisagreementTables,
     EvaluationReport,
     FusionBatch,
-    GridStats,
     KeywordLexicon,
     LabelSet,
     ModelPredictions,
@@ -326,9 +323,13 @@ def test_evaluation_counts_match_per_document_recount(case):
         if fractions[m] >= max(fractions[i] for i in individual.model_ids)
     )
     stats = report.grid_stats
-    assert stats.cells_ge_best_individual == PrecisionResult(ge_best, cells)
-    assert stats.cells_ge_individual_mean == PrecisionResult(ge_mean, cells)
-    assert stats.models_ge_best_individual == PrecisionResult(models_ge, len(combined.model_ids))
+    assert stats == {
+        "cells_ge_best_individual": PrecisionResult(ge_best, cells),
+        "cells_ge_individual_mean": PrecisionResult(ge_mean, cells),
+        "models_ge_best_individual": PrecisionResult(models_ge, len(combined.model_ids)),
+    }
+    assert list(stats) == ["cells_ge_best_individual", "cells_ge_individual_mean",
+                           "models_ge_best_individual"]
 
     # the disagreement tables, recounted per document in doc_id order from
     # the best models' top-1 labels
@@ -337,15 +338,21 @@ def test_evaluation_counts_match_per_document_recount(case):
     best_comb = combined.top1[combined.model_ids.index(best_combined[0])].tolist()
     agrees, neither, both_wrong = [], [], []
     for doc_id, e, i, c in sorted(zip(doc_ids, expert.tolist(), best_ind, best_comb)):
-        row = DisagreementRow(doc_id, labels[e], labels[i], labels[c])
+        row = (doc_id, labels[e], labels[i], labels[c])
         if c == e and i != e:
             agrees.append(row)
         elif c != e and c != i and i == e:
             neither.append(row)
         elif c == i and i != e:
             both_wrong.append(row)
-    assert report.disagreements == DisagreementTables(
-        tuple(agrees), tuple(neither), tuple(both_wrong))
+    assert report.disagreements == {
+        "fusion_agrees_with_expert": tuple(agrees),
+        "fusion_disagrees_with_both": tuple(neither),
+        "both_disagree_with_expert": tuple(both_wrong),
+    }
+    assert list(report.disagreements) == ["fusion_agrees_with_expert",
+                                          "fusion_disagrees_with_both",
+                                          "both_disagree_with_expert"]
 
 
 def _texts(alphabet, min_size=1):
@@ -819,11 +826,12 @@ def _report_payload(report):
         "best_combined": vars(report.best_combined),
         "grid_statistics": {
             name: {"numerator": r.correct, "denominator": r.total, "value": r.value}
-            for name, r in vars(report.grid_stats).items()
+            for name, r in report.grid_stats.items()
         },
         "disagreements": {
-            category: [vars(row) for row in table]
-            for category, table in vars(report.disagreements).items()
+            category: [dict(zip(("doc_id", "expert", "individual", "combined"), row))
+                       for row in table]
+            for category, table in report.disagreements.items()
         },
     }
 
@@ -860,7 +868,7 @@ def reports(draw):
         return PrecisionResult(draw(st.integers(0, total)), total)
 
     def rows():
-        return tuple(DisagreementRow(*draw(st.lists(_JSON_TEXT, min_size=4, max_size=4)))
+        return tuple(tuple(draw(st.lists(_JSON_TEXT, min_size=4, max_size=4)))
                      for _ in range(draw(st.integers(0, 2))))
 
     (ind, ind_correct, ind_ties), (comb, comb_correct, comb_ties) = models(), models()
@@ -875,8 +883,11 @@ def reports(draw):
         combined_ties=comb_ties,
         best_individual=best(),
         best_combined=best(),
-        grid_stats=GridStats(ratio(), ratio(), ratio()),
-        disagreements=DisagreementTables(rows(), rows(), rows()),
+        grid_stats={name: ratio() for name in (
+            "cells_ge_best_individual", "cells_ge_individual_mean", "models_ge_best_individual")},
+        disagreements={category: rows() for category in (
+            "fusion_agrees_with_expert", "fusion_disagrees_with_both",
+            "both_disagree_with_expert")},
     )
 
 
