@@ -55,18 +55,17 @@ def main() -> None:
         combined_arrays(batch),
     )
 
-    # each model's correct documents of the same total, summed over labels
+    # each model's correct documents of the same total, over all labels
     total = sum(report.label_counts.values())
     print("individual systems, precision at rank 1")
-    for model, correct in sorted(zip(report.individual_ids,
-                                     report.individual_correct.sum(axis=1).tolist())):
+    for model, correct in sorted(zip(report.individual_ids, report.individual_overall.tolist())):
         print(f"  {model}: {correct}/{total} = {correct / total:.4f}")
     best_ind = report.best_individual.model
     print(f"  best individual: {best_ind}")
 
     print("\ntop five combined models out of", len(report.combined_ids))
     ranked = sorted(
-        zip(report.combined_ids, report.combined_correct.sum(axis=1).tolist()),
+        zip(report.combined_ids, report.combined_overall.tolist()),
         key=lambda pair: (-pair[1], pair[0]),
     )
     for combo_id, correct in ranked[:5]:
@@ -80,8 +79,8 @@ def main() -> None:
          "cells_ge_best_individual"),
         ("per-label cells at or above the individual mean", "cells_ge_individual_mean"),
     ):
-        stat = report.grid_stats[name]
-        print(f"  {text}: {stat.correct}/{stat.total} ({100 * stat.value:.2f}%)")
+        n, d = report.grid_stats[name]
+        print(f"  {text}: {n}/{d} ({100.0 * (n / d):.2f}%)")
 
     tables = report.disagreements
     print("\ndisagreements between the best individual and the best combined model")

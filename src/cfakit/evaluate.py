@@ -11,10 +11,12 @@ expert label with np.bincount.  individual_arrays and combined_arrays
 make those arrays from a batch, and fused.load_fused_predictions reads
 them from a fused grid file.  The report keeps the counts as they come:
 for the individual and the combined models, exact (models, labels)
-integer arrays of correct and of top-tied documents, beside each label's
-document count.  Every model shares those per-label totals, and their
-sum overall, so comparing counts compares precisions exactly; floats
-only appear in presentation.  PrecisionResult holds the grid statistics.
+integer arrays of correct and of top-tied documents, and each model's
+correct documents overall, summed once by the counting pass, beside each
+label's document count.  Every model shares those per-label totals, and
+their sum overall, so comparing counts compares precisions exactly; the
+grid statistics are (numerator, denominator) pairs of ints, and floats
+only appear in presentation.
 """
 
 from __future__ import annotations
@@ -84,25 +86,6 @@ def combined_arrays(
     ))
 
 
-@dataclass(frozen=True)
-class PrecisionResult:
-    """An exact count: correct of total, unreduced.  It holds each grid
-    statistic."""
-
-    correct: int
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.total <= 0:
-            raise ValidationError("total count must be positive")
-        if not 0 <= self.correct <= self.total:
-            raise ValidationError("correct count must lie in [0, total]")
-
-    @property
-    def value(self) -> float:
-        return self.correct / self.total
-
-
 def expert_indices(
     experts: Mapping[str, str], label_set: LabelSet, doc_ids: Sequence[str]
 ) -> np.ndarray:
@@ -122,10 +105,12 @@ def expert_indices(
 
 def _count(
     predictions: ModelPredictions, expert: np.ndarray, n_labels: int, tie_mode: str
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one counting pass: the correct and the top-tied documents of
     each model per expert label, as exact (models, n_labels) integer
-    arrays.  expert holds each document's expert label index."""
+    arrays, and each model's correct documents over all labels, the one
+    sum of its overall count.  expert holds each document's expert label
+    index."""
     if tie_mode == "lenient":
         # an untied group is top1 alone, so this is top1 == expert there
         hit = predictions.tied[:, np.arange(expert.size), expert]
@@ -133,10 +118,11 @@ def _count(
         hit = predictions.top1 == expert
     tie = np.count_nonzero(predictions.tied, axis=2) > 1
     cell = np.arange(len(hit))[:, None] * n_labels + expert
-    return tuple(
+    correct, ties = (
         np.bincount(cell[flags], minlength=len(hit) * n_labels).reshape(-1, n_labels)
         for flags in (hit, tie)
     )
+    return correct, ties, correct.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -159,25 +145,26 @@ def select_best(model_ids: Sequence[str], correct: Sequence[int]) -> BestSelecti
 
 
 def _grid_stats(
-    individual: np.ndarray, combined: np.ndarray, totals: np.ndarray
-) -> dict[str, PrecisionResult]:
+    individual: np.ndarray, combined: np.ndarray,
+    individual_overall: np.ndarray, combined_overall: np.ndarray, totals: np.ndarray,
+) -> dict[str, tuple[int, int]]:
     """How often combined models meet or beat the individual systems, by
-    correct counts per (model, label).  cells_* count (model, label) cells
-    of the per-label precision grid, where only labels that carry
-    documents form cells; models_ge_best_individual counts whole combined
-    models by overall precision.  Every model shares one denominator per
-    label, and one overall, so comparing counts compares the fractions
-    exactly."""
+    correct counts per (model, label) and overall, each statistic a
+    (numerator, denominator) pair.  cells_* count (model, label) cells of
+    the per-label precision grid, where only labels that carry documents
+    form cells; models_ge_best_individual counts whole combined models by
+    overall precision.  Every model shares one denominator per label, and
+    one overall, so comparing counts compares the fractions exactly."""
     ind = individual[:, totals > 0]
     comb = combined[:, totals > 0]
     ge_best = np.count_nonzero(comb >= ind.max(axis=0))
     # combined/g >= sum/(t*g)  <=>  t*combined >= sum
     ge_mean = np.count_nonzero(len(ind) * comb >= ind.sum(axis=0))
-    models_ge = np.count_nonzero(combined.sum(axis=1) >= individual.sum(axis=1).max())
+    models_ge = np.count_nonzero(combined_overall >= individual_overall.max())
     return {
-        "cells_ge_best_individual": PrecisionResult(int(ge_best), comb.size),
-        "cells_ge_individual_mean": PrecisionResult(int(ge_mean), comb.size),
-        "models_ge_best_individual": PrecisionResult(int(models_ge), len(comb)),
+        "cells_ge_best_individual": (int(ge_best), comb.size),
+        "cells_ge_individual_mean": (int(ge_mean), comb.size),
+        "models_ge_best_individual": (int(models_ge), len(comb)),
     }
 
 
@@ -216,10 +203,13 @@ class EvaluationReport:
     the total every model is scored on for that label.  Row m of
     individual_correct counts, per label, the documents the model
     individual_ids[m] got right, and of individual_ties those whose top
-    label it tied: exact (models, labels) integer arrays.  The combined_*
-    fields hold the same for the combined models.
+    label it tied: exact (models, labels) integer arrays.  Entry m of
+    individual_overall is the model's correct documents over all labels,
+    of sum(label_counts.values()).  The combined_* fields hold the same
+    for the combined models.
 
-    grid_stats maps each grid statistic to its count (_grid_stats).
+    grid_stats maps each grid statistic to its (numerator, denominator)
+    pair of ints (_grid_stats).
     disagreements maps each category to the documents, as rows of
     DISAGREEMENT_COLUMNS, where the best individual and the best combined
     model differ: fusion_agrees_with_expert (combined = expert, individual
@@ -234,12 +224,14 @@ class EvaluationReport:
     individual_ids: tuple[str, ...]
     individual_correct: np.ndarray
     individual_ties: np.ndarray
+    individual_overall: np.ndarray
     combined_ids: tuple[str, ...]
     combined_correct: np.ndarray
     combined_ties: np.ndarray
+    combined_overall: np.ndarray
     best_individual: BestSelection
     best_combined: BestSelection
-    grid_stats: dict[str, PrecisionResult]
+    grid_stats: dict[str, tuple[int, int]]
     disagreements: dict[str, tuple[tuple[str, str, str, str], ...]]
 
 
@@ -280,8 +272,8 @@ def evaluate_predictions(
     totals = np.bincount(expert, minlength=label_set.n)
     ind = _count(individual, expert, label_set.n, tie_mode)
     comb = _count(combined, expert, label_set.n, tie_mode)
-    best_individual = select_best(individual.model_ids, ind[0].sum(axis=1).tolist())
-    best_combined = select_best(combined.model_ids, comb[0].sum(axis=1).tolist())
+    best_individual = select_best(individual.model_ids, ind[2].tolist())
+    best_combined = select_best(combined.model_ids, comb[2].tolist())
     tables = _disagreements(
         doc_ids, label_set.labels, expert,
         individual.top1[individual.model_ids.index(best_individual.model)],
@@ -291,10 +283,12 @@ def evaluate_predictions(
         tie_mode=tie_mode,
         label_counts=dict(zip(label_set.labels, totals.tolist())),
         individual_ids=individual.model_ids, individual_correct=ind[0], individual_ties=ind[1],
+        individual_overall=ind[2],
         combined_ids=combined.model_ids, combined_correct=comb[0], combined_ties=comb[1],
+        combined_overall=comb[2],
         best_individual=best_individual,
         best_combined=best_combined,
-        grid_stats=_grid_stats(ind[0], comb[0], totals),
+        grid_stats=_grid_stats(ind[0], comb[0], ind[2], comb[2], totals),
         disagreements=tables,
     )
 
@@ -361,9 +355,10 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         ("individual", report.individual_ids, report.individual_correct, report.individual_ties),
         ("combined", report.combined_ids, report.combined_correct, report.combined_ties),
     )
-    # each model's overall correct and tie counts, summed once per kind
-    sums = {kind: (correct.sum(axis=1).tolist(), ties.sum(axis=1).tolist())
-            for kind, _, correct, ties in kinds}
+    # each model's overall correct count, and its tie count summed once
+    overall = {"individual": report.individual_overall, "combined": report.combined_overall}
+    sums = {kind: (overall[kind].tolist(), ties.sum(axis=1).tolist())
+            for kind, _, _, ties in kinds}
 
     sections = {
         "tie_mode": report.tie_mode,
@@ -372,8 +367,8 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         "best_individual": vars(report.best_individual),
         "best_combined": vars(report.best_combined),
         "grid_statistics": {
-            name: {"numerator": r.correct, "denominator": r.total, "value": r.value}
-            for name, r in stats.items()
+            name: {"numerator": n, "denominator": d, "value": n / d}
+            for name, (n, d) in stats.items()
         },
         "disagreements": {
             category: [dict(zip(DISAGREEMENT_COLUMNS, row)) for row in table]
@@ -414,8 +409,8 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     write_csv(
         out_dir / "grid_stats.csv",
         ("statistic", "numerator", "denominator", "value", "percent"),
-        [(name, r.correct, r.total, format_table(r.value), f"{100.0 * r.value:.2f}")
-         for name, r in stats.items()],
+        [(name, n, d, format_table(n / d), f"{100.0 * (n / d):.2f}")
+         for name, (n, d) in stats.items()],
     )
     write_csv(
         out_dir / "disagreements.csv",

@@ -154,15 +154,17 @@ def _table_rows(path: Path, header: Sequence[str]):
     their width), and a row csv.reader cannot read, such as one with a
     field over csv.field_size_limit(), fails as it is read.  A missing,
     unreadable, non-UTF-8 or malformed file is reported by name, never as
-    a traceback."""
+    a traceback, and a header after a UTF-8 byte-order mark is refused
+    with the mark named."""
     try:
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
             reader = csv.reader(handle)
             found = _utf8_row(path, next(reader, []))
             if tuple(found) != tuple(header):
-                raise ValidationError(
-                    f"{path}: expected header {','.join(header)}, found {','.join(found)}"
-                )
+                text = ",".join(found)
+                if text.startswith("\ufeff"):  # invisible, so the two headers look alike
+                    text = f"a byte-order mark (U+FEFF) before {text[1:]}"
+                raise ValidationError(f"{path}: expected header {','.join(header)}, found {text}")
             width = len(header)
             line_no = reader.line_num + 1
             for row in reader:

@@ -46,26 +46,31 @@ def rsc(normalized):
     return sorted(normalized, reverse=True)
 
 
+def left_sum(values):
+    # floats added one at a time from the left; the builtin sum()
+    # compensates float rounding from Python 3.12 on
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def cd(curve_a, curve_b):
     # squared via multiplication: libm pow(x, 2) can be an ulp off the
     # correctly rounded square, which would perturb exact tie groups
     n = len(curve_a)
-    total = 0
-    for a, b in zip(curve_a, curve_b):
-        diff = a - b
-        total += diff * diff
-    return math.sqrt(total / (n - 2))
+    return math.sqrt(left_sum((a - b) * (a - b) for a, b in zip(curve_a, curve_b)) / (n - 2))
 
 
 def ds(curves, j):
     t = len(curves)
-    return sum(cd(curves[j], curves[k]) for k in range(t) if k != j) / (t - 1)
+    return left_sum(cd(curves[j], curves[k]) for k in range(t) if k != j) / (t - 1)
 
 
 def asc(score_vectors):
     t = len(score_vectors)
     n = len(score_vectors[0])
-    return [sum(v[i] for v in score_vectors) / t for i in range(n)]
+    return [left_sum(v[i] for v in score_vectors) / t for i in range(n)]
 
 
 def arc(rank_vectors):
@@ -73,20 +78,20 @@ def arc(rank_vectors):
 
 
 def wsc(score_vectors, weights):
-    total = sum(weights)
+    total = left_sum(weights)
     n = len(score_vectors[0])
     return [
-        sum(w * v[i] for w, v in zip(weights, score_vectors)) / total
+        left_sum(w * v[i] for w, v in zip(weights, score_vectors)) / total
         for i in range(n)
     ]
 
 
 def wrc(rank_vectors, weights):
     inverse = [1.0 / w for w in weights]
-    total = sum(inverse)
+    total = left_sum(inverse)
     n = len(rank_vectors[0])
     return [
-        sum(iv * v[i] for iv, v in zip(inverse, rank_vectors)) / total
+        left_sum(iv * v[i] for iv, v in zip(inverse, rank_vectors)) / total
         for i in range(n)
     ]
 
@@ -176,7 +181,10 @@ def table_row_stream(path, header):
         found = next(reader, [])
         fault = not_utf8(found)
         if fault or found != list(header):
-            yield fault or f"{path}: expected header {','.join(header)}, found {','.join(found)}"
+            found = ",".join(found)
+            if found[:1] == "\ufeff":  # a byte-order mark, named since it is invisible
+                found = "a byte-order mark (U+FEFF) before " + found[1:]
+            yield fault or f"{path}: expected header {','.join(header)}, found {found}"
             return
         for row in reader:
             line_no = read + 1

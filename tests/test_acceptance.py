@@ -217,7 +217,8 @@ def test_report_arithmetic_on_constructed_fixtures():
     experts = {f"d{i:03d}": "SDG1" for i in range(306)}
     predictions = {"m": ["SDG1" if i < 296 else "SDG2" for i in range(306)]}
     report = _report(labels, experts, predictions, predictions)
-    correct, total = int(report.individual_correct[0].sum()), sum(report.label_counts.values())
+    correct, total = int(report.individual_overall[0]), sum(report.label_counts.values())
+    assert correct == report.individual_correct[0].sum()
     assert Fraction(correct, total) == Fraction(296, 306)
     assert correct / total == pytest.approx(0.967320, abs=1e-6)
 
@@ -243,10 +244,10 @@ def test_report_arithmetic_on_constructed_fixtures():
     for i in range(104):
         combined[f"m{i:03d}"] = correct_all if i < 49 else wrong_all
     stats = _report(labels, grid_experts, {"base": mostly_wrong}, combined).grid_stats
-    models_ge = stats["models_ge_best_individual"]
-    assert (models_ge.correct, models_ge.total) == (49, 104)
-    assert f"{100.0 * models_ge.value:.2f}" == "47.12"
-    assert stats["cells_ge_best_individual"].total == 104 * 17 == 1768
+    n, d = stats["models_ge_best_individual"]
+    assert (n, d) == (49, 104)
+    assert f"{100.0 * (n / d):.2f}" == "47.12"
+    assert stats["cells_ge_best_individual"][1] == 104 * 17 == 1768
 
 
 def test_disagreement_fixture_is_categorized_exactly():

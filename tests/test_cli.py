@@ -326,6 +326,52 @@ def test_fuse_with_performance_weights(workspace):
         assert _run("fuse", "--config", ws / "no-experts.json") == code
 
 
+def test_performance_weights_are_the_reported_precisions(tmp_path):
+    # fuse weights each system by its overall precision under the run's
+    # tie mode: correct of total, as evaluate reports it.  Quarter-step
+    # scores tie at the top often enough that the two modes weigh the
+    # three systems differently.
+    rng = np.random.default_rng(11)
+    label_set = LabelSet(("A", "B", "C", "D"))
+    doc_ids = [f"d{i:02d}" for i in range(40)]
+    expert = rng.integers(0, 4, size=40)
+    (tmp_path / "e.csv").write_text("doc_id,label\n" + "".join(
+        f"{d},{label_set.labels[e]}\n" for d, e in zip(doc_ids, expert)))
+    for system, boost in (("s", 0.5), ("t", 0.25), ("u", 0.0)):
+        raw = rng.integers(0, 4, size=(40, 4)) / 4
+        raw[np.arange(40), expert] += boost * rng.integers(0, 2, size=40)
+        write_score_file(tmp_path / f"{system}.csv", {
+            d: dict(zip(label_set.labels, row)) for d, row in zip(doc_ids, raw.tolist())
+        }, label_set)
+    doc_ids, raw = load_score_cube(
+        [(s, tmp_path / f"{s}.csv") for s in ("s", "t", "u")], label_set)
+    batch = FusionBatch(doc_ids, label_set, ["s", "t", "u"], raw)
+    fused = {}
+    for tie_mode in ("strict", "lenient"):
+        out = tmp_path / tie_mode
+        config = tmp_path / f"{tie_mode}.json"
+        config.write_text(json.dumps({
+            "labels": list(label_set.labels),
+            "systems": [{"id": s, "path": f"{s}.csv"} for s in ("s", "t", "u")],
+            "expert_labels": "e.csv", "weights": "perf", "tie_mode": tie_mode,
+            "out_dir": tie_mode,
+        }))
+        assert _run("fuse", "--config", config) == 0
+        assert _run("evaluate", "--config", config) == 0
+        with open(out / "overall_precision.csv", newline="") as handle:
+            performance = {row["model"]: int(row["correct"]) / int(row["total"])
+                           for row in csv.DictReader(handle) if row["kind"] == "individual"}
+        assert sorted(performance) == ["s", "t", "u"]
+        want = tmp_path / "want" / tie_mode / "fused.csv"
+        write_fused_file(want, label_set, doc_ids, (
+            (combo_id, order, tied)
+            for combo_id, (_, order, tied, _) in grid_arrays(batch, performance)
+        ))
+        fused[tie_mode] = (out / "fused.csv").read_bytes()
+        assert fused[tie_mode] == want.read_bytes()
+    assert fused["strict"] != fused["lenient"]
+
+
 def test_diversity_outputs(workspace):
     ws = workspace
     _score_both(ws)
@@ -654,6 +700,13 @@ MALFORMED = [
      "unknown config fields ['generation.max_concurency']"),
     ("score-file-not-utf8", {}, {"s.csv": b"doc_id,label,score\nd1,A,1\xff\n"}, ["fuse"],
      "s.csv: not valid UTF-8"),
+    # Excel's "CSV UTF-8" starts a file with an invisible byte-order mark
+    ("score-file-byte-order-mark", {}, {"s.csv": b"\xef\xbb\xbf" + ABC_SCORES.encode()},
+     ["fuse"], "s.csv: expected header doc_id,label,score, "
+     "found a byte-order mark (U+FEFF) before doc_id,label,score"),
+    ("expert-file-byte-order-mark", {"expert_labels": "e.csv"},
+     {"e.csv": b"\xef\xbb\xbfdoc_id,label\nd1,A\n"}, ["evaluate"],
+     "e.csv: expected header doc_id,label, found a byte-order mark (U+FEFF) before doc_id,label"),
     ("config-not-utf8", None, {"config.json": b'{"labels": ["\xff"]}'}, ["fuse"],
      "config.json: not valid UTF-8"),
     ("corpus-jsonl-not-utf8", {}, {"c.jsonl": b'{"doc_id": "d1", "text": "\xff"}\n'},

@@ -11,7 +11,6 @@ from cfakit import (
     FusionBatch,
     LabelSet,
     ModelPredictions,
-    PrecisionResult,
     ValidationError,
     combined_arrays,
     evaluate_predictions,
@@ -49,19 +48,22 @@ def _report(experts, individual, combined=None, labels=LABELS, tie_mode="strict"
 
 
 def _overall(report, model, kind="individual"):
-    """A model's count over all documents, summed from the report's arrays."""
-    ids, correct = getattr(report, f"{kind}_ids"), getattr(report, f"{kind}_correct")
+    """A model's (correct, total) over all documents: the report's overall
+    count, which equals the model's per-label counts summed."""
+    ids, correct, overall = (getattr(report, f"{kind}_{field}")
+                             for field in ("ids", "correct", "overall"))
     m = ids.index(model)
-    return PrecisionResult(int(correct[m].sum()), sum(report.label_counts.values()))
+    assert overall.shape == (len(ids),) and overall[m] == correct[m].sum()
+    return int(overall[m]), sum(report.label_counts.values())
 
 
 def _per_label(report, model, kind="individual"):
-    """A model's count per label from the report's arrays, None for a label
-    without documents."""
+    """A model's (correct, total) per label from the report's arrays, None
+    for a label without documents."""
     ids, correct = getattr(report, f"{kind}_ids"), getattr(report, f"{kind}_correct")
     m = ids.index(model)
     return {
-        label: PrecisionResult(int(c), group) if group else None
+        label: (int(c), group) if group else None
         for (label, group), c in zip(report.label_counts.items(), correct[m])
     }
 
@@ -69,11 +71,11 @@ def _per_label(report, model, kind="individual"):
 def test_precision_simple_fraction():
     experts = {"d1": "L1", "d2": "L2", "d3": "L3", "d4": "L1"}
     report = _report(experts, {"m": ["L1", "L1", "L3", "L1"]})
-    result = _overall(report, "m")
-    assert result.correct == 3
-    assert result.total == 4
-    assert result.value == 0.75
-    assert Fraction(result.correct, result.total) == Fraction(3, 4)
+    correct, total = _overall(report, "m")
+    assert correct == 3
+    assert total == 4
+    assert correct / total == 0.75
+    assert Fraction(correct, total) == Fraction(3, 4)
     assert report.individual_ties.sum() == 0
 
 
@@ -82,9 +84,9 @@ def test_precision_strict_versus_lenient_ties():
     # L1 and L2 tie at the top; the deterministic break picks L1
     tied = {"m": ["L1|L2"]}
     reports = [_report(experts, tied, tie_mode=mode) for mode in ("strict", "lenient")]
-    strict, lenient = (_overall(report, "m") for report in reports)
-    assert strict.correct == 0
-    assert lenient.correct == 1
+    (strict, _), (lenient, _) = (_overall(report, "m") for report in reports)
+    assert strict == 0
+    assert lenient == 1
     assert [report.individual_ties.sum() for report in reports] == [1, 1]
 
 
@@ -92,7 +94,7 @@ def test_precision_tie_on_expert_top1_counts_in_both_modes():
     experts = {"d1": "L1"}
     tied = {"m": ["L1|L2"]}
     for tie_mode in ("strict", "lenient"):
-        assert _overall(_report(experts, tied, tie_mode=tie_mode), "m").correct == 1
+        assert _overall(_report(experts, tied, tie_mode=tie_mode), "m")[0] == 1
 
 
 def test_precision_missing_predictions_listed(tmp_path):
@@ -143,10 +145,8 @@ def test_model_ids_must_be_unique():
 def test_per_label_results_groups_and_empty_labels():
     experts = {"d1": "L1", "d2": "L1", "d3": "L2"}
     table = _per_label(_report(experts, {"m": ["L1", "L2", "L2"]}), "m")
-    assert table["L1"].correct == 1
-    assert table["L1"].total == 2
-    assert table["L2"].correct == 1
-    assert table["L2"].total == 1
+    assert table["L1"] == (1, 2)
+    assert table["L2"] == (1, 1)
     assert table["L3"] is None
 
 
@@ -177,10 +177,9 @@ def test_overall_equals_document_weighted_mean_of_labels():
         predictions = {"m": [labels[int(rng.integers(0, 5))] for _ in docs]}
         report = _report(experts, predictions, labels=label_set)
         table = _per_label(report, "m")
-        total = sum(r.correct for r in table.values() if r is not None)
-        count = sum(r.total for r in table.values() if r is not None)
-        overall = _overall(report, "m")
-        assert Fraction(total, count) == Fraction(overall.correct, overall.total)
+        total = sum(c for c, _ in filter(None, table.values()))
+        count = sum(g for _, g in filter(None, table.values()))
+        assert Fraction(total, count) == Fraction(*_overall(report, "m"))
 
 
 def test_select_best_picks_highest():
@@ -229,23 +228,20 @@ def test_grid_statistics_hand_counted():
     # asc per-label: L1:2, L2:1, L3:1 -> >= best in all 3 cells
     # arc per-label: L1:0, L2:0, L3:0 -> no cell
     stats = _report(experts, individual, combined).grid_stats
-    assert stats["cells_ge_best_individual"].correct == 3
-    assert stats["cells_ge_best_individual"].total == 6
+    assert stats["cells_ge_best_individual"] == (3, 6)
     # mean counts (t=2): L1 needs 2c>=1, L2 needs 2c>=1, L3 needs 2c>=2
     # asc: (4>=1, 2>=1, 2>=2) -> 3 cells; arc: none
-    assert stats["cells_ge_individual_mean"].correct == 3
-    assert stats["cells_ge_individual_mean"].total == 6
+    assert stats["cells_ge_individual_mean"] == (3, 6)
     # overall: A=3/4 (best), B=1/4; asc=4/4 >= 3/4, arc=0/4
-    assert stats["models_ge_best_individual"].correct == 1
-    assert stats["models_ge_best_individual"].total == 2
+    assert stats["models_ge_best_individual"] == (1, 2)
 
 
 def test_grid_statistics_equal_precision_counts_as_ge():
     experts = {"d1": "L1", "d2": "L2", "d3": "L3"}
     same = ["L1", "L2", "L1"]
     stats = _report(experts, {"A": same}, {"combo": same}).grid_stats
-    assert stats["models_ge_best_individual"].correct == 1
-    assert stats["cells_ge_best_individual"].correct == 3
+    assert stats["models_ge_best_individual"][0] == 1
+    assert stats["cells_ge_best_individual"][0] == 3
 
 
 SDG = LabelSet(tuple(f"SDG{i}" for i in range(1, 18)))
@@ -327,12 +323,11 @@ def test_evaluate_predictions_end_to_end_small():
     assert set(report.individual_ids) == {"A", "B", "C"}
     assert len(report.combined_ids) == 16  # 4 subsets x 4 strategies
     assert report.combined_correct.shape == report.combined_ties.shape == (16, 3)
-    assert report.grid_stats["models_ge_best_individual"].total == 16
-    assert report.grid_stats["cells_ge_best_individual"].total == 16 * 3
+    assert report.grid_stats["models_ge_best_individual"][1] == 16
+    assert report.grid_stats["cells_ge_best_individual"][1] == 16 * 3
     assert sum(report.label_counts.values()) == len(docs)
     for model in report.combined_ids:
         table = _per_label(report, model, "combined")
-        correct = sum(r.correct for r in table.values() if r is not None)
-        total = sum(r.total for r in table.values() if r is not None)
-        overall = _overall(report, model, "combined")
-        assert Fraction(correct, total) == Fraction(overall.correct, overall.total)
+        correct = sum(c for c, _ in filter(None, table.values()))
+        total = sum(g for _, g in filter(None, table.values()))
+        assert Fraction(correct, total) == Fraction(*_overall(report, model, "combined"))

@@ -119,9 +119,9 @@ def test_each_command_loads_only_what_it_runs(name, run_python, tmp_path):
 # The evaluation API: label-index arrays in, one report out.  Pinned so
 # that a second, per-document front end cannot come back unnoticed.
 EVALUATE_API = {
-    "BestSelection", "EvaluationReport", "ModelPredictions", "PrecisionResult",
-    "combined_arrays", "evaluate_predictions", "expert_indices", "individual_arrays",
-    "select_best", "write_report",
+    "BestSelection", "EvaluationReport", "ModelPredictions", "combined_arrays",
+    "evaluate_predictions", "expert_indices", "individual_arrays", "select_best",
+    "write_report",
 }
 
 
@@ -141,7 +141,7 @@ SETTINGS_API = {"LabelSet"}
 PUBLIC_NAMES = {
     "BestSelection", "CfaError", "DataAccessError", "Document", "DomainError",
     "EPSILON", "EvaluationReport", "FusionBatch", "GenerationConfig", "GenerationOutcome",
-    "KeywordLexicon", "LabelSet", "ModelPredictions", "PrecisionResult", "Prompt",
+    "KeywordLexicon", "LabelSet", "ModelPredictions", "Prompt",
     "PromptSpec", "STRATEGIES", "TfidfCentroidScorer", "ValidationError",
     "cognitive_diversity", "combined_arrays", "corpus_quality_report", "distinct_n",
     "diversity_strength", "enumerate_combinations", "evaluate_predictions",
