@@ -14,12 +14,12 @@ from __future__ import annotations
 from cfakit import (
     Document,
     KeywordLexicon,
+    LabelSet,
     PromptSpec,
     TfidfCentroidScorer,
     corpus_quality_report,
     distinct_n,
     generate_prompt_matrix,
-    keyword_scorer,
     tokenize,
     type_token_ratio,
 )
@@ -30,7 +30,10 @@ CORPUS = [
     Document("d3", "Education opens doors; every school counts.", label="SDG4"),
     Document("d4", "Learning outcomes improve with better teachers.", label="SDG4"),
     Document("d5", "An unrelated note without a label."),
+    Document("d6", "Climate action cuts emissions and slows warming.", label="SDG13"),
 ]
+# the run's labels: every prompt matrix, lexicon and tf-idf scorer covers them
+LABELS = LabelSet(("SDG4", "SDG6", "SDG13"))
 
 
 def main() -> None:
@@ -64,28 +67,29 @@ def main() -> None:
             sources=("a wire service",),
         ),
     ]
-    prompts = generate_prompt_matrix(specs, ("SDG 4", "SDG 6"))
-    print(f"  {sum(len(s.sources) for s in specs)} source slots x 2 labels "
+    prompts = generate_prompt_matrix(specs, LABELS)
+    print(f"  {sum(len(s.sources) for s in specs)} source slots x {len(LABELS)} labels "
           f"= {len(prompts)} prompts")
     for prompt in prompts[:3]:
         print(f"  {prompt.prompt_id}: {prompt.text}")
 
     print("\nkeyword scorer: phrase frequency scaled by phrase variety")
-    lexicon = KeywordLexicon.from_dict({
+    lexicon = KeywordLexicon({
         "SDG6": ["water", "sanitation", "clean water"],
         "SDG4": ["education", "school", "learning"],
-    })
+        "SDG13": ["climate", "emissions", "warming"],
+    }, LABELS)
     for doc in CORPUS[:3]:
-        scores = keyword_scorer(doc, lexicon)
+        scores = lexicon.score(doc)
         formatted = ", ".join(f"{k}={v:.3f}" for k, v in sorted(scores.items()))
         print(f"  {doc.doc_id}: {formatted}")
 
     print("\ntf-idf centroid scorer: cosine similarity to per-label centroids")
     train = [d for d in CORPUS if d.label is not None]
-    scorer = TfidfCentroidScorer(train)
-    query = "new wells bring clean water and sanitation"
+    scorer = TfidfCentroidScorer(train, LABELS)
+    query = Document("q", "new wells bring clean water and sanitation")
     scores = scorer.score(query)
-    print(f"  query: {query!r}")
+    print(f"  query: {query.text!r}")
     for label, value in sorted(scores.items(), key=lambda kv: -kv[1]):
         print(f"    {label}: {value:.4f}")
 

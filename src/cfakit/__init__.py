@@ -21,8 +21,8 @@ _SOURCES = {
     "core": ("FusionBatch", "cognitive_diversity", "diversity_strength", "normalize_scores",
              "rank_from_scores", "rsc_curve"),
     "corpus": ("Document", "KeywordLexicon", "Prompt", "PromptSpec", "TfidfCentroidScorer",
-               "corpus_quality_report", "distinct_n", "generate_prompt_matrix",
-               "keyword_scorer", "tokenize", "type_token_ratio"),
+               "corpus_quality_report", "distinct_n", "generate_prompt_matrix", "tokenize",
+               "type_token_ratio"),
     "errors": ("CfaError", "DataAccessError", "DomainError", "ValidationError"),
     "evaluate": ("BestSelection", "EvaluationReport", "ModelPredictions", "combined_arrays",
                  "evaluate_predictions", "expert_indices", "individual_arrays", "select_best",

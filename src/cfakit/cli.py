@@ -106,32 +106,21 @@ def _load_experts(config: RunConfig, batch: FusionBatch):
 
 
 def cmd_score(args, config: RunConfig) -> None:
-    from .corpus import TfidfCentroidScorer, keyword_scorer, load_corpus, load_lexicon
+    from .corpus import TfidfCentroidScorer, load_corpus, load_lexicon
     from .fileio import write_score_file
 
-    other = "train" if args.scorer == "keyword" else "lexicon"
+    own, other = ("lexicon", "train") if args.scorer == "keyword" else ("train", "lexicon")
     if getattr(args, other) is not None:  # the other scorer's input, never read
         raise ValidationError(f"the {args.scorer} scorer does not read --{other}")
     label_set = config.label_set()
     corpus = load_corpus(args.corpus)
+    if not getattr(args, own):
+        raise ValidationError(f"the {args.scorer} scorer requires --{own}")
     if args.scorer == "keyword":
-        if not args.lexicon:
-            raise ValidationError("the keyword scorer requires --lexicon")
-        lexicon = load_lexicon(args.lexicon)
-        missing = sorted(set(label_set.labels) - set(lexicon.labels))
-        if missing:
-            raise ValidationError(f"lexicon lacks phrases for labels {missing}")
-        extra = sorted(set(lexicon.labels) - set(label_set.labels))
-        if extra:
-            raise ValidationError(f"lexicon covers unknown labels {extra}")
-
-        def score_one(doc):
-            return keyword_scorer(doc, lexicon)
+        scorer = load_lexicon(args.lexicon, label_set)
     else:
-        if not args.train:
-            raise ValidationError("the tfidf scorer requires --train")
-        score_one = TfidfCentroidScorer(load_corpus(args.train), label_set).score
-    scores = {doc.doc_id: score_one(doc) for doc in corpus}
+        scorer = TfidfCentroidScorer(load_corpus(args.train), label_set)
+    scores = {doc.doc_id: scorer.score(doc) for doc in corpus}
     out = config.out_dir / f"scores_{args.scorer}.csv"
     write_score_file(out, scores, label_set)
     print(f"wrote {out} ({len(scores)} documents x {label_set.n} labels)")

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataAccessError, ValidationError
-from .fileio import _field, _json_lines, _parse_json, _read_text, _table_rows, write_csv
+from .fileio import _field, _json_lines, _names, _parse_json, _read_text, _table_rows, write_csv
 from .settings import LabelSet
 
 if TYPE_CHECKING:  # numpy loads in the functions that build arrays
@@ -128,23 +128,15 @@ def _ngrams(tokens: Sequence[str], n: int):
     return zip(*(tokens[i:] for i in range(n)))
 
 
-def _tokens_of(doc) -> tuple[str, ...]:
-    if isinstance(doc, Document):
-        return doc.tokens
-    if isinstance(doc, str):
-        return tokenize(doc)
-    raise ValidationError("expected a Document or raw text")
-
-
-def type_token_ratio(doc) -> float | None:
+def type_token_ratio(doc: Document) -> float | None:
     """Unique tokens over total tokens; None when the text is empty."""
-    tokens = _tokens_of(doc)
+    tokens = doc.tokens
     if not tokens:
         return None
     return len(set(tokens)) / len(tokens)
 
 
-def distinct_n(doc, n: int) -> float | None:
+def distinct_n(doc: Document, n: int) -> float | None:
     """Unique contiguous n-grams over total n-grams.
 
     None when the document holds fewer than n tokens, marking the metric
@@ -152,7 +144,7 @@ def distinct_n(doc, n: int) -> float | None:
     """
     if n < 1:
         raise ValidationError(f"n-gram order must be at least 1, got {n}")
-    tokens = _tokens_of(doc)
+    tokens = doc.tokens
     total = len(tokens) - n + 1
     if total <= 0:
         return None
@@ -245,22 +237,17 @@ def _check_spec(index: int, spec: PromptSpec) -> None:
         raise ValidationError(f"prompt spec {index}: publication type is empty")
 
 
-def generate_prompt_matrix(
-    specs: Sequence[PromptSpec], labels: LabelSet | Sequence[str]
-) -> list[Prompt]:
+def generate_prompt_matrix(specs: Sequence[PromptSpec], label_set: LabelSet) -> list[Prompt]:
     """Cross every (publication type, source) pair with every label.
 
-    The matrix holds sum(len(spec.sources)) * len(labels) prompts with
+    The matrix holds sum(len(spec.sources)) * len(label_set) prompts with
     sequential ids that are stable across runs for identical inputs.
     """
-    label_list = list(labels.labels if isinstance(labels, LabelSet) else labels)
-    if len(set(label_list)) != len(label_list):
-        raise ValidationError("prompt labels must be unique")
     prompts: list[Prompt] = []
     for index, spec in enumerate(specs):
         _check_spec(index, spec)
         for source in spec.sources:
-            for label in label_list:
+            for label in label_set.labels:
                 # one pass: text put in for one placeholder is never searched
                 text = source.join(part.replace("{label}", label)
                                    for part in spec.template.split("{source}"))
@@ -315,31 +302,15 @@ def load_prompt_specs(path: Path | str) -> list[PromptSpec]:
     return specs
 
 
-@dataclass(frozen=True)
 class KeywordLexicon:
-    """Per-label keyword phrases, each stored as its token sequence."""
+    """Per-label keyword phrases, each stored as its token sequence, and
+    the keyword-density scorer they make.
 
-    phrases: dict[str, tuple[tuple[str, ...], ...]]
-    # the distinct phrase lengths in tokens, ascending
-    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    raw maps every label of label_set, and no other, to an array of
+    phrases, each spanning 1 to MAX_PHRASE_TOKENS tokens.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.phrases:
-            raise ValidationError("lexicon must cover at least one label")
-        for label, phrase_list in self.phrases.items():
-            if not phrase_list:
-                raise ValidationError(f"label {label!r} has no phrases")
-            if not all(phrase_list):
-                raise ValidationError(f"label {label!r} has an empty phrase")
-        widths = {len(phrase) for phrase_list in self.phrases.values() for phrase in phrase_list}
-        object.__setattr__(self, "widths", tuple(sorted(widths)))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.phrases)
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Sequence[str]]) -> "KeywordLexicon":
+    def __init__(self, raw: Mapping[str, Sequence[str]], label_set: LabelSet) -> None:
         phrases: dict[str, tuple[tuple[str, ...], ...]] = {}
         for label, entries in raw.items():
             # a string would be read as its characters
@@ -347,6 +318,8 @@ class KeywordLexicon:
                 isinstance(entry, str) for entry in entries
             ):
                 raise ValidationError(f"lexicon label {label!r} must be an array of strings")
+            if not entries:
+                raise ValidationError(f"label {label!r} has no phrases")
             tokenized = []
             for entry in entries:
                 tokens = tokenize(entry)
@@ -357,40 +330,49 @@ class KeywordLexicon:
                     )
                 tokenized.append(tokens)
             phrases[label] = tuple(tokenized)
-        return cls(phrases=phrases)
+        missing = sorted(set(label_set.labels) - set(phrases))
+        if missing:
+            raise ValidationError(f"lexicon lacks phrases for labels {missing}")
+        extra = sorted(set(phrases) - set(label_set.labels))
+        if extra:
+            raise ValidationError(f"lexicon covers unknown labels {extra}")
+        self.phrases = phrases
+        # the distinct phrase lengths in tokens, ascending
+        self.widths = tuple(sorted({len(tokens) for tokenized in phrases.values()
+                                    for tokens in tokenized}))
+
+    def score(self, doc: Document) -> dict[str, float]:
+        """Keyword-density score per label.
+
+        For each label the score is (total match frequency / token count)
+        scaled by (1 + log2(1 + distinct matched phrases)); labels with no
+        match score zero, as does an empty document.  Multi-token phrases
+        match as contiguous token runs and overlapping occurrences all
+        count; a phrase listed twice counts twice in both terms.  Each
+        document's n-grams are counted once per phrase width the lexicon
+        uses.
+        """
+        tokens = doc.tokens
+        counts = {n: Counter(_ngrams(tokens, n)) for n in self.widths}
+        scores: dict[str, float] = {}
+        for label, phrase_list in self.phrases.items():
+            found = [c for c in (counts[len(p)].get(p, 0) for p in phrase_list) if c]
+            frequency, distinct = sum(found), len(found)
+            scores[label] = (
+                (frequency / len(tokens)) * (1.0 + math.log2(1 + distinct)) if distinct else 0.0
+            )
+        return scores
 
 
-def load_lexicon(path: Path | str) -> KeywordLexicon:
+def load_lexicon(path: Path | str, label_set: LabelSet) -> KeywordLexicon:
     path = Path(path)
     raw = _parse_json(_read_text(path), path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: lexicon must be a JSON object of label -> phrases")
     try:
-        return KeywordLexicon.from_dict(raw)
+        return KeywordLexicon(raw, label_set)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-
-
-def keyword_scorer(doc, lexicon: KeywordLexicon) -> dict[str, float]:
-    """Keyword-density score per label.
-
-    For each label the score is (total match frequency / token count)
-    scaled by (1 + log2(1 + distinct matched phrases)); labels with no
-    match score zero, as does an empty document.  Multi-token phrases
-    match as contiguous token runs and overlapping occurrences all count;
-    a phrase listed twice counts twice in both terms.  Each document's
-    n-grams are counted once per phrase width the lexicon uses.
-    """
-    tokens = _tokens_of(doc)
-    counts = {n: Counter(_ngrams(tokens, n)) for n in lexicon.widths}
-    scores: dict[str, float] = {}
-    for label, phrase_list in lexicon.phrases.items():
-        found = [c for c in (counts[len(p)].get(tuple(p), 0) for p in phrase_list) if c]
-        frequency, distinct = sum(found), len(found)
-        scores[label] = (
-            (frequency / len(tokens)) * (1.0 + math.log2(1 + distinct)) if distinct else 0.0
-        )
-    return scores
 
 
 class TfidfCentroidScorer:
@@ -400,14 +382,13 @@ class TfidfCentroidScorer:
     it builds one tf-idf vector per document, with tf the raw term count
     and idf = ln(1 + N / df) over the N training documents, then averages
     the vectors of each label into its centroid.  The labels are those of
-    label_set, in its order, which the corpus must cover exactly, or else
-    the corpus labels sorted.  Scoring embeds a document with the training
-    vocabulary and idf; terms unseen in training are ignored, and a
-    document sharing no vocabulary with a centroid scores zero for that
-    label.
+    label_set, in its order, which the corpus must cover exactly.  Scoring
+    embeds a document with the training vocabulary and idf; terms unseen
+    in training are ignored, and a document sharing no vocabulary with a
+    centroid scores zero for that label.
     """
 
-    def __init__(self, corpus: Sequence[Document], label_set: LabelSet | None = None) -> None:
+    def __init__(self, corpus: Sequence[Document], label_set: LabelSet) -> None:
         import numpy as np
 
         docs = list(corpus)
@@ -416,18 +397,18 @@ class TfidfCentroidScorer:
         unlabeled = [d.doc_id for d in docs if d.label is None]
         if unlabeled:
             raise ValidationError(
-                f"training documents must be labeled; unlabeled: {unlabeled}"
+                f"training documents must be labeled; unlabeled: {_names(unlabeled)}"
             )
         by_label: dict[str, list[Document]] = {}
         for doc in docs:
             by_label.setdefault(doc.label, []).append(doc)
-        labels = list(label_set.labels) if label_set is not None else sorted(by_label)
+        labels = label_set.labels
         empty = [label for label in labels if label not in by_label]
         if empty:
             raise ValidationError(f"no training documents for labels {empty}")
         unknown = sorted(set(by_label) - set(labels))
         if unknown:
-            raise ValidationError(f"training documents have unknown labels {unknown}")
+            raise ValidationError(f"training documents have unknown labels {_names(unknown)}")
 
         vocabulary = sorted({token for doc in docs for token in doc.tokens})
         self._vocabulary = {term: i for i, term in enumerate(vocabulary)}
@@ -443,21 +424,17 @@ class TfidfCentroidScorer:
             centroid = np.mean(vectors, axis=0)
             self._centroids[label] = (centroid, float(np.linalg.norm(centroid)))
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self._centroids)
-
-    def _embed(self, doc) -> np.ndarray:
+    def _embed(self, doc: Document) -> np.ndarray:
         import numpy as np
 
         vector = np.zeros(len(self._vocabulary))
-        for term, count in Counter(_tokens_of(doc)).items():
+        for term, count in Counter(doc.tokens).items():
             i = self._vocabulary.get(term)
             if i is not None:
                 vector[i] = count * self._idf[i]
         return vector
 
-    def score(self, doc) -> dict[str, float]:
+    def score(self, doc: Document) -> dict[str, float]:
         """Cosine similarity of the document against every centroid."""
         import numpy as np
 

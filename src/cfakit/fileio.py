@@ -12,6 +12,7 @@ file, and all output bytes are deterministic for identical inputs.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import json
@@ -119,8 +120,11 @@ def _read_bytes(path: Path) -> bytes:
 def _read_text(path: Path, whole_lines: bool = False) -> str:
     """An input file other than a CSV table, with universal newlines as
     open() reads them.  whole_lines drops the bytes after the last newline
-    before decoding."""
+    before decoding.  A leading UTF-8 byte-order mark is refused: it would
+    stick to the first token or JSON value unseen."""
     data = _read_bytes(path)
+    if data.startswith(codecs.BOM_UTF8):
+        raise ValidationError(f"{path}: starts with a byte-order mark (U+FEFF)")
     if whole_lines:
         data = data[: data.rfind(b"\n") + 1]
     try:

@@ -20,6 +20,7 @@ import pytest
 
 import _naive
 from cfakit import (
+    Document,
     DomainError,
     FusionBatch,
     LabelSet,
@@ -281,15 +282,15 @@ def test_disagreement_fixture_is_categorized_exactly():
 
 
 def test_lexical_metrics_fixed_points_and_random_oracle():
-    assert type_token_ratio("the cat the dog") == 0.75
-    assert distinct_n("a b a b", 2) == 2.0 / 3.0  # bit-exact same division
+    assert type_token_ratio(Document("d", "the cat the dog")) == 0.75
+    assert distinct_n(Document("d", "a b a b"), 2) == 2.0 / 3.0  # bit-exact same division
     rng = np.random.default_rng(311)
     alphabet = ["uno", "dos", "tres", "cuatro"]
     for _ in range(50):
         words = [alphabet[int(i)] for i in rng.integers(0, 4, size=int(rng.integers(1, 25)))]
-        text = " ".join(words)
+        doc = Document("d", " ".join(words))
         for n in (1, 2, 3, 4):
-            assert distinct_n(text, n) == _naive.distinct_n(words, n)
+            assert distinct_n(doc, n) == _naive.distinct_n(words, n)
 
 
 def test_prompt_matrix_cardinality_is_exact():
@@ -312,7 +313,7 @@ def test_prompt_matrix_cardinality_is_exact():
                        tuple(f"s{j}_{i}" for i in range(count)))
             for j, count in enumerate(counts)
         ]
-        matrix = generate_prompt_matrix(random_specs, labels)
+        matrix = generate_prompt_matrix(random_specs, LabelSet(labels))
         assert len(matrix) == sum(counts) * len(labels)
 
 

@@ -141,11 +141,11 @@ def test_score_files_round_trip_at_full_precision(workspace):
     )
     assert doc_ids == sorted(d for d, _, _ in CORPUS)
     # keyword scores are reproducible from the corpus and lexicon
-    from cfakit import KeywordLexicon, keyword_scorer
+    from cfakit import Document, KeywordLexicon
 
-    lexicon = KeywordLexicon.from_dict(LEXICON)
+    lexicon = KeywordLexicon(LEXICON, label_set)
     for doc_id, text, _ in CORPUS:
-        expected = keyword_scorer(text, lexicon)
+        expected = lexicon.score(Document(doc_id, text))
         got = raw[doc_ids.index(doc_id), 0].tolist()
         assert got == [expected[label] for label in LABELS]  # bit-exact
 
@@ -667,6 +667,7 @@ DOC_SPACE_SCORES = b"doc_id,label,score\n" + b"".join(
     for doc in (b"d 1", b"d_1") for i, label in enumerate((b"A", b"B", b"C"), start=1)
 )
 
+LEXICON_ABC = b'{"A": ["water"], "B": ["b"], "C": ["c"]}'
 PROMPTS = b"prompt_id,label,publication_type,source,prompt_text\np00001,A,t,s,A by s\n"
 # a labelled, an unlabelled and a reserved-label document
 CORPUS_RESERVED = (b'{"doc_id": "d1", "text": "water", "label": "SDG1"}\n'
@@ -707,6 +708,16 @@ MALFORMED = [
     ("expert-file-byte-order-mark", {"expert_labels": "e.csv"},
      {"e.csv": b"\xef\xbb\xbfdoc_id,label\nd1,A\n"}, ["evaluate"],
      "e.csv: expected header doc_id,label, found a byte-order mark (U+FEFF) before doc_id,label"),
+    # every other input refuses the mark as it is read, before any parse
+    ("corpus-dir-byte-order-mark", {},
+     {"cdir/A/d1.txt": b"\xef\xbb\xbfwater text", "lex.json": LEXICON_ABC},
+     ["score", "--scorer", "keyword", "--corpus", "cdir", "--lexicon", "lex.json"],
+     "d1.txt: starts with a byte-order mark (U+FEFF)"),
+    ("corpus-jsonl-byte-order-mark", {},
+     {"c.jsonl": b'\xef\xbb\xbf{"doc_id": "d1", "text": "water"}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "c.jsonl: starts with a byte-order mark (U+FEFF)"),
+    ("config-byte-order-mark", None, {"config.json": b'\xef\xbb\xbf{"labels": ["A", "B", "C"]}'},
+     ["fuse"], "config.json: starts with a byte-order mark (U+FEFF)"),
     ("config-not-utf8", None, {"config.json": b'{"labels": ["\xff"]}'}, ["fuse"],
      "config.json: not valid UTF-8"),
     ("corpus-jsonl-not-utf8", {}, {"c.jsonl": b'{"doc_id": "d1", "text": "\xff"}\n'},
@@ -807,6 +818,17 @@ MALFORMED = [
       "lex.json": b'{"A": ["water"], "B": ["b"], "C": ["c"]}'},
      ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json",
       "--train", "nonexistent.jsonl"], "error: the keyword scorer does not read --train"),
+    # a lexicon covers the config's labels exactly
+    ("lexicon-lacks-a-label", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "lex.json": b'{"A": ["water"], "B": ["b"]}'},
+     ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json"],
+     "error: lex.json: lexicon lacks phrases for labels ['C']"),
+    ("lexicon-covers-an-unknown-label", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "lex.json": LEXICON_ABC[:-1] + b', "D": ["d"]}'},
+     ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json"],
+     "error: lex.json: lexicon covers unknown labels ['D']"),
     ("lexicon-phrases-string", {},
      {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
       "lex.json": b'{"A": "water", "B": ["b"], "C": ["c"]}'},

@@ -19,10 +19,13 @@ from cfakit import (
     corpus_quality_report,
     distinct_n,
     generate_prompt_matrix,
-    keyword_scorer,
     tokenize,
     type_token_ratio,
 )
+
+
+def _doc(text: str) -> Document:
+    return Document("d", text)
 
 
 def test_tokenize_lowercases_and_strips_edge_punctuation():
@@ -48,21 +51,21 @@ def test_tokenize_empty_and_non_string():
 
 
 def test_type_token_ratio():
-    assert type_token_ratio("water water sanitation access") == 0.75
-    assert type_token_ratio("") is None
+    assert type_token_ratio(_doc("water water sanitation access")) == 0.75
+    assert type_token_ratio(_doc("")) is None
     assert type_token_ratio(Document("d1", "one two three")) == 1.0
 
 
 def test_distinct_n_known_values():
-    assert distinct_n("a b a b", 2) == pytest.approx(2.0 / 3.0)
-    assert distinct_n("a b c", 3) == 1.0  # exactly one trigram
-    assert distinct_n("a b", 3) is None  # too short: undefined, not zero
-    assert distinct_n("a a a a", 1) == 0.25
+    assert distinct_n(_doc("a b a b"), 2) == pytest.approx(2.0 / 3.0)
+    assert distinct_n(_doc("a b c"), 3) == 1.0  # exactly one trigram
+    assert distinct_n(_doc("a b"), 3) is None  # too short: undefined, not zero
+    assert distinct_n(_doc("a a a a"), 1) == 0.25
 
 
 def test_distinct_n_order_validation():
     with pytest.raises(ValidationError):
-        distinct_n("a b c", 0)
+        distinct_n(_doc("a b c"), 0)
 
 
 def test_lexical_metrics_match_naive_oracle():
@@ -70,11 +73,11 @@ def test_lexical_metrics_match_naive_oracle():
     alphabet = ["aqua", "terra", "ignis", "ventus", "lux"]
     for _ in range(50):
         words = [alphabet[int(i)] for i in rng.integers(0, 5, size=int(rng.integers(1, 30)))]
-        text = " ".join(words)
+        doc = _doc(" ".join(words))
         for n in (1, 2, 3):
             expected = _naive.distinct_n(words, n)
-            assert distinct_n(text, n) == pytest.approx(expected, abs=1e-15)
-        assert type_token_ratio(text) == pytest.approx(
+            assert distinct_n(doc, n) == pytest.approx(expected, abs=1e-15)
+        assert type_token_ratio(doc) == pytest.approx(
             len(set(words)) / len(words), abs=1e-15
         )
 
@@ -127,7 +130,7 @@ def test_prompt_matrix_shape_and_example():
         template="Draft a briefing note on {label} in the voice of {source}",
         sources=("a development economist", "a field reporter"),
     )
-    labels = ("SDG 6", "SDG 13", "SDG 4")
+    labels = LabelSet(("SDG 6", "SDG 13", "SDG 4"))
     prompts = generate_prompt_matrix([spec], labels)
     assert len(prompts) == 6  # 2 sources x 3 labels
     first = prompts[0]
@@ -152,102 +155,103 @@ def test_prompt_matrix_counts_all_specs():
 
 def test_prompt_matrix_is_deterministic():
     spec = PromptSpec("t", "{label} via {source}", ("s1", "s2"))
-    once = generate_prompt_matrix([spec], ("A", "B", "C"))
-    twice = generate_prompt_matrix([spec], ("A", "B", "C"))
+    once = generate_prompt_matrix([spec], LabelSet(("A", "B", "C")))
+    twice = generate_prompt_matrix([spec], LabelSet(("A", "B", "C")))
     assert once == twice
 
 
 def test_prompt_template_placeholder_validation():
     bad = PromptSpec("t", "no placeholders here", ("s",))
     with pytest.raises(ValidationError, match="prompt spec 0"):
-        generate_prompt_matrix([bad], ("A", "B", "C"))
+        generate_prompt_matrix([bad], LabelSet(("A", "B", "C")))
     doubled = PromptSpec("t", "{label} and {label} by {source}", ("s",))
     with pytest.raises(ValidationError, match="exactly once, found 2"):
-        generate_prompt_matrix([doubled], ("A", "B", "C"))
-
-
-def test_prompt_matrix_rejects_duplicate_labels():
-    spec = PromptSpec("t", "{label} by {source}", ("s",))
-    with pytest.raises(ValidationError, match="unique"):
-        generate_prompt_matrix([spec], ("A", "A"))
+        generate_prompt_matrix([doubled], LabelSet(("A", "B", "C")))
 
 
 def test_prompt_placeholders_are_substituted_in_one_pass():
     # text put in for one placeholder is kept as it is, placeholders and all
     spec = PromptSpec("t", "Write a {source} piece about {label}.", ("The {label} Times",))
-    prompts = generate_prompt_matrix([spec], ("SDG1", "the {source} goal", "C"))
+    prompts = generate_prompt_matrix([spec], LabelSet(("SDG1", "the {source} goal", "C")))
     assert [p.text for p in prompts] == [
         "Write a The {label} Times piece about SDG1.",
         "Write a The {label} Times piece about the {source} goal.",
         "Write a The {label} Times piece about C.",
     ]
     label_first = PromptSpec("t", "On {label}, by {source}", ("{label}",))
-    assert generate_prompt_matrix([label_first], ("{source}",))[0].text == (
+    assert generate_prompt_matrix([label_first], LabelSet(("{source}", "B", "C")))[0].text == (
         "On {source}, by {label}")
 
 
+LMN = LabelSet(("L", "M", "N"))
+
+
 def test_keyword_scorer_known_value():
-    lexicon = KeywordLexicon.from_dict(
-        {"SDG6": ["water", "sanitation"], "SDG4": ["education"]}
+    lexicon = KeywordLexicon(
+        {"SDG6": ["water", "sanitation"], "SDG4": ["education"], "SDG13": ["climate"]},
+        LabelSet(("SDG4", "SDG6", "SDG13")),
     )
-    scores = keyword_scorer("water water sanitation access", lexicon)
+    scores = lexicon.score(_doc("water water sanitation access"))
     # freq 3 of 4 tokens, 2 distinct phrases: (3/4) * (1 + log2(3))
     assert scores["SDG6"] == pytest.approx(1.938721875540867, abs=1e-12)
     assert scores["SDG4"] == 0.0
 
 
 def test_keyword_scorer_counts_overlapping_phrase_matches():
-    lexicon = KeywordLexicon.from_dict({"L": ["a a"]})
-    scores = keyword_scorer("a a a", lexicon)
+    lexicon = KeywordLexicon({"L": ["a a"], "M": ["m"], "N": ["n"]}, LMN)
+    scores = lexicon.score(_doc("a a a"))
     # two overlapping bigram matches in three tokens, one distinct phrase
     assert scores["L"] == pytest.approx((2.0 / 3.0) * 2.0, abs=1e-15)
 
 
 def test_keyword_scorer_empty_document():
-    lexicon = KeywordLexicon.from_dict({"L1": ["x"], "L2": ["y"]})
-    assert keyword_scorer("", lexicon) == {"L1": 0.0, "L2": 0.0}
+    lexicon = KeywordLexicon({"L1": ["x"], "L2": ["y"], "L3": ["z"]},
+                             LabelSet(("L1", "L2", "L3")))
+    assert lexicon.score(_doc("")) == {"L1": 0.0, "L2": 0.0, "L3": 0.0}
 
 
 def test_keyword_scorer_invariant_under_text_duplication():
     # doubling the text doubles both frequency and length for
     # single-token phrases, so the density score is unchanged
-    lexicon = KeywordLexicon.from_dict({"L": ["water", "access"]})
+    lexicon = KeywordLexicon({"L": ["water", "access"], "M": ["m"], "N": ["n"]}, LMN)
     text = "water access to clean water"
-    single = keyword_scorer(text, lexicon)["L"]
-    double = keyword_scorer(text + " " + text, lexicon)["L"]
+    single = lexicon.score(_doc(text))["L"]
+    double = lexicon.score(_doc(text + " " + text))["L"]
     assert double == pytest.approx(single, abs=1e-15)
 
 
 def test_keyword_scorer_accepts_documents():
-    lexicon = KeywordLexicon.from_dict({"L": ["clean water"]})
+    lexicon = KeywordLexicon({"L": ["clean water"], "M": ["m"], "N": ["n"]}, LMN)
     doc = Document("d1", "Clean water, clean water!")
-    assert keyword_scorer(doc, lexicon)["L"] == pytest.approx(
+    assert lexicon.score(doc)["L"] == pytest.approx(
         (2.0 / 4.0) * 2.0, abs=1e-15
     )
 
 
 def test_lexicon_phrase_length_bounds():
     with pytest.raises(ValidationError, match="1 to 4 tokens"):
-        KeywordLexicon.from_dict({"L": ["one two three four five"]})
+        KeywordLexicon({"L": ["one two three four five"], "M": ["m"], "N": ["n"]}, LMN)
     with pytest.raises(ValidationError, match="1 to 4 tokens"):
-        KeywordLexicon.from_dict({"L": ["..."]})  # tokenizes to nothing
+        KeywordLexicon({"L": ["..."], "M": ["m"], "N": ["n"]}, LMN)  # tokenizes to nothing
 
 
 def test_lexicon_rejects_empty():
     with pytest.raises(ValidationError):
-        KeywordLexicon.from_dict({})
+        KeywordLexicon({}, LMN)
     with pytest.raises(ValidationError, match="no phrases"):
-        KeywordLexicon.from_dict({"L": []})
+        KeywordLexicon({"L": [], "M": ["m"], "N": ["n"]}, LMN)
 
 
-def test_lexicon_rejects_an_empty_phrase():
-    # an empty phrase would match nowhere, or everywhere
-    with pytest.raises(ValidationError, match="empty phrase"):
-        KeywordLexicon({"L": (("water",), ())})
+def test_lexicon_covers_exactly_the_label_set():
+    with pytest.raises(ValidationError, match=r"lexicon lacks phrases for labels \['N'\]"):
+        KeywordLexicon({"L": ["l"], "M": ["m"]}, LMN)
+    with pytest.raises(ValidationError, match=r"lexicon covers unknown labels \['O'\]"):
+        KeywordLexicon({"L": ["l"], "M": ["m"], "N": ["n"], "O": ["o"]}, LMN)
 
 
 def test_lexicon_widths_are_the_distinct_phrase_lengths():
-    lexicon = KeywordLexicon.from_dict({"A": ["clean water", "water"], "B": ["a b c", "x y"]})
+    lexicon = KeywordLexicon({"A": ["clean water", "water"], "B": ["a b c", "x y"], "C": ["c"]},
+                             LabelSet(("A", "B", "C")))
     assert lexicon.widths == (1, 2, 3)
 
 
@@ -291,7 +295,7 @@ def test_tfidf_scorer_matches_naive_oracle():
         Document("t4", "child learning and education quality", label="SDG4"),
         Document("t5", "climate action against warming", label="SDG13"),
     ]
-    scorer = TfidfCentroidScorer(train_docs)
+    scorer = TfidfCentroidScorer(train_docs, LabelSet(("SDG13", "SDG4", "SDG6")))
     queries = [
         "water sanitation for every child",
         "education education climate",
@@ -301,7 +305,7 @@ def test_tfidf_scorer_matches_naive_oracle():
         expected = _naive_tfidf(
             [(d.label, list(d.tokens)) for d in train_docs], tokenize(text)
         )
-        got = scorer.score(text)
+        got = scorer.score(_doc(text))
         assert set(got) == set(expected)
         for label in expected:
             assert got[label] == pytest.approx(expected[label], abs=1e-12)
@@ -313,19 +317,20 @@ def test_tfidf_disjoint_vocabulary_separates_labels():
         Document("t2", "beta alpha beta", label="X"),
         Document("t3", "gamma delta gamma", label="Y"),
         Document("t4", "delta gamma delta", label="Y"),
+        Document("t5", "epsilon", label="Z"),
     ]
-    scorer = TfidfCentroidScorer(train_docs)
-    scores = scorer.score("alpha beta")
+    scorer = TfidfCentroidScorer(train_docs, LabelSet(("X", "Y", "Z")))
+    scores = scorer.score(_doc("alpha beta"))
     assert scores["X"] > 0.9
     assert scores["Y"] == 0.0
 
 
 def test_tfidf_respects_label_set_order_and_coverage():
-    train_docs = [Document("t1", "alpha", label="X")]
-    scorer = TfidfCentroidScorer(train_docs, None)
-    assert scorer.labels == ("X",)
+    train_docs = [Document(f"t{label}", "alpha", label=label) for label in "XYZ"]
+    scorer = TfidfCentroidScorer(train_docs, LabelSet(("Z", "X", "Y")))
+    assert list(scorer.score(_doc("alpha"))) == ["Z", "X", "Y"]
     with pytest.raises(ValidationError, match=r"\['Y', 'Z'\]"):
-        TfidfCentroidScorer(train_docs, LabelSet(("X", "Y", "Z")))
+        TfidfCentroidScorer(train_docs[:1], LabelSet(("X", "Y", "Z")))
     # a document outside the label set would shift the idf unseen
     with pytest.raises(ValidationError, match=r"unknown labels \['W'\]"):
         TfidfCentroidScorer(
@@ -337,7 +342,7 @@ def test_tfidf_respects_label_set_order_and_coverage():
 def test_tfidf_rejects_unlabeled_training_docs():
     with pytest.raises(ValidationError, match=r"\['t2'\]"):
         TfidfCentroidScorer(
-            [Document("t1", "a", label="X"), Document("t2", "b")]
+            [Document("t1", "a", label="X"), Document("t2", "b")], LabelSet(("X", "Y", "Z"))
         )
 
 
@@ -346,12 +351,30 @@ def test_tfidf_unseen_vocabulary_scores_zero():
         [
             Document("t1", "alpha beta", label="X"),
             Document("t2", "gamma", label="Y"),
-        ]
+            Document("t3", "delta", label="Z"),
+        ],
+        LabelSet(("X", "Y", "Z")),
     )
-    scores = scorer.score("omicron sigma")
-    assert scores == {"X": 0.0, "Y": 0.0}
+    scores = scorer.score(_doc("omicron sigma"))
+    assert scores == {"X": 0.0, "Y": 0.0, "Z": 0.0}
 
 
 def test_tfidf_scorer_refuses_an_empty_corpus():
     with pytest.raises(ValidationError, match="empty"):
-        TfidfCentroidScorer([])
+        TfidfCentroidScorer([], LabelSet(("X", "Y", "Z")))
+
+
+def test_tfidf_errors_name_at_most_ten_ids():
+    xyz = LabelSet(("X", "Y", "Z"))
+    labeled = [Document(f"t{label}", "alpha", label=label) for label in "XYZ"]
+    unlabeled = [Document(f"u{i:02d}", "beta") for i in range(30)]
+    first_ten = [f"u{i:02d}" for i in range(10)]
+    with pytest.raises(ValidationError) as caught:
+        TfidfCentroidScorer(labeled + unlabeled, xyz)
+    assert str(caught.value) == (
+        f"training documents must be labeled; unlabeled: {first_ten} (30 in all)")
+    unknown = [Document(f"u{i:02d}", "beta", label=f"W{i:02d}") for i in range(12)]
+    with pytest.raises(ValidationError) as caught:
+        TfidfCentroidScorer(labeled + unknown, xyz)
+    assert str(caught.value) == (
+        f"training documents have unknown labels {[f'W{i:02d}' for i in range(10)]} (12 in all)")

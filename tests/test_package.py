@@ -3,6 +3,7 @@ demo scripts."""
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 
@@ -137,6 +138,30 @@ COMBINE_API = {"enumerate_combinations", "grid_arrays"}
 SETTINGS_API = {"LabelSet"}
 
 
+# The corpus API: a Document in, the run's LabelSet wherever labels go in,
+# and one score(doc) for both scorers.  Pinned with the parameters of each
+# call that takes a document or labels, so that a second input form (raw
+# text, a bare sequence of labels, an optional label set) cannot come
+# back unnoticed.
+CORPUS_API = {
+    "Document", "KeywordLexicon", "LabelQuality", "Prompt", "PromptSpec",
+    "TfidfCentroidScorer", "corpus_quality_report", "distinct_n", "generate_prompt_matrix",
+    "load_corpus", "load_lexicon", "load_prompt_file", "load_prompt_specs", "tokenize",
+    "type_token_ratio", "write_prompt_file",
+}
+CORPUS_INPUTS = {
+    "type_token_ratio": ("doc: 'Document'",),
+    "distinct_n": ("doc: 'Document'", "n: 'int'"),
+    "corpus_quality_report": ("corpus: 'Sequence[Document]'",),
+    "generate_prompt_matrix": ("specs: 'Sequence[PromptSpec]'", "label_set: 'LabelSet'"),
+    "KeywordLexicon": ("raw: 'Mapping[str, Sequence[str]]'", "label_set: 'LabelSet'"),
+    "KeywordLexicon.score": ("doc: 'Document'",),
+    "load_lexicon": ("path: 'Path | str'", "label_set: 'LabelSet'"),
+    "TfidfCentroidScorer": ("corpus: 'Sequence[Document]'", "label_set: 'LabelSet'"),
+    "TfidfCentroidScorer.score": ("doc: 'Document'",),
+}
+
+
 # The whole public surface, so that adding a name takes an edit here.
 PUBLIC_NAMES = {
     "BestSelection", "CfaError", "DataAccessError", "Document", "DomainError",
@@ -146,7 +171,7 @@ PUBLIC_NAMES = {
     "cognitive_diversity", "combined_arrays", "corpus_quality_report", "distinct_n",
     "diversity_strength", "enumerate_combinations", "evaluate_predictions",
     "expert_indices", "generate_corpus", "generate_prompt_matrix", "grid_arrays",
-    "individual_arrays", "keyword_scorer", "normalize_scores", "rank_from_scores",
+    "individual_arrays", "normalize_scores", "rank_from_scores",
     "rsc_curve", "select_best", "tokenize", "type_token_ratio", "write_report",
 }
 
@@ -181,6 +206,21 @@ def test_the_fusion_api_is_pinned():
     assert _defined(settings) == SETTINGS_API
     assert CORE_API | COMBINE_API | SETTINGS_API <= set(cfakit.__all__)
     assert "grid_arrays" in cfakit.__all__
+
+
+def test_the_corpus_api_is_pinned():
+    import cfakit.corpus as corpus
+
+    assert _defined(corpus) == CORPUS_API
+    for name, inputs in CORPUS_INPUTS.items():
+        call = corpus
+        for part in name.split("."):
+            call = getattr(call, part)
+        parameters = inspect.signature(call).parameters.values()
+        assert tuple(str(p) for p in parameters if p.name != "self") == inputs, name
+    # both scorers are classes with one public method, score(doc)
+    for scorer in (corpus.KeywordLexicon, corpus.TfidfCentroidScorer):
+        assert [n for n in vars(scorer) if not n.startswith("_")] == ["score"]
 
 
 # stdout of each demo that prints no temporary path, byte for byte

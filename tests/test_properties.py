@@ -28,6 +28,7 @@ import _naive
 from cfakit import (
     EPSILON,
     BestSelection,
+    Document,
     EvaluationReport,
     FusionBatch,
     KeywordLexicon,
@@ -38,7 +39,6 @@ from cfakit import (
     combined_arrays,
     enumerate_combinations,
     evaluate_predictions,
-    keyword_scorer,
     normalize_scores,
     rank_from_scores,
     tokenize,
@@ -935,15 +935,18 @@ def test_tokenize_matches_oracle(text):
     assert tokenize(text) == _naive.tokenize(text)
 
 
+_KEYWORD_LABELS = ("L1", "L2", "L3")
+
+
 @st.composite
 def keyword_cases(draw):
     """Token streams and lexicons over 3 or 4 words, so that phrases match,
-    overlap and repeat often; empty documents included."""
+    overlap and repeat often; empty documents included.  Each lexicon
+    covers the label set L1, L2, L3, in any order."""
     words = "abcd"[: draw(st.integers(3, 4))]
     tokens = draw(st.lists(st.sampled_from(words), max_size=30))
     phrase = st.lists(st.sampled_from(words), min_size=1, max_size=4)
-    labels = draw(st.lists(st.sampled_from(("L1", "L2", "L3")), min_size=1, max_size=3,
-                           unique=True))
+    labels = draw(st.permutations(_KEYWORD_LABELS))
     lexicon = {}
     for label in labels:
         phrases = draw(st.lists(phrase, min_size=1, max_size=6))
@@ -956,5 +959,5 @@ def keyword_cases(draw):
 def test_keyword_scorer_matches_sliding_window_oracle(case):
     tokens, lexicon = case
     raw = {label: [" ".join(phrase) for phrase in phrases] for label, phrases in lexicon.items()}
-    got = keyword_scorer(" ".join(tokens), KeywordLexicon.from_dict(raw))
+    got = KeywordLexicon(raw, LabelSet(_KEYWORD_LABELS)).score(Document("d", " ".join(tokens)))
     assert got == _naive.keyword_scores(tokens, lexicon)
