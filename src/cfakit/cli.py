@@ -112,10 +112,10 @@ def cmd_score(args, config: RunConfig) -> None:
     own, other = ("lexicon", "train") if args.scorer == "keyword" else ("train", "lexicon")
     if getattr(args, other) is not None:  # the other scorer's input, never read
         raise ValidationError(f"the {args.scorer} scorer does not read --{other}")
-    label_set = config.label_set()
-    corpus = load_corpus(args.corpus)
     if not getattr(args, own):
         raise ValidationError(f"the {args.scorer} scorer requires --{own}")
+    label_set = config.label_set()
+    corpus = load_corpus(args.corpus)
     if args.scorer == "keyword":
         scorer = load_lexicon(args.lexicon, label_set)
     else:

@@ -13,7 +13,6 @@ documents or systems.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -154,7 +153,6 @@ def diversity_strength(cd, subset: Sequence[int] | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class FusionBatch:
     """Scores of many documents with their ranks, curves and diversity.
 
@@ -166,14 +164,15 @@ class FusionBatch:
     the parts of combo ids and of report table fields.
     """
 
-    doc_ids: tuple[str, ...]
-    label_set: LabelSet
-    system_ids: tuple[str, ...]
-    raw: np.ndarray
-    tie_policy: str = "fractional"
-
-    def __post_init__(self) -> None:
-        docs, ids = tuple(self.doc_ids), tuple(self.system_ids)
+    def __init__(
+        self,
+        doc_ids: tuple[str, ...],
+        label_set: LabelSet,
+        system_ids: tuple[str, ...],
+        raw: np.ndarray,
+        tie_policy: str = "fractional",
+    ) -> None:
+        docs, ids = tuple(doc_ids), tuple(system_ids)
         if not docs:
             raise ValidationError("at least one document is required")
         # fused.csv lists documents by doc_id text and its reader refuses a
@@ -190,16 +189,18 @@ class FusionBatch:
             _check_system_id(system_id)
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate system id in {list(ids)}")
-        _check_choice("tie_policy", self.tie_policy)
-        raw = _freeze(_as_rows(self.raw, "raw score"))
-        if raw.shape != (len(docs), len(ids), self.label_set.n):
+        _check_choice("tie_policy", tie_policy)
+        raw = _freeze(_as_rows(raw, "raw score"))
+        if raw.shape != (len(docs), len(ids), label_set.n):
             raise ValidationError(
                 f"raw scores have shape {raw.shape}, expected "
-                f"{(len(docs), len(ids), self.label_set.n)} for documents x systems x labels"
+                f"{(len(docs), len(ids), label_set.n)} for documents x systems x labels"
             )
-        object.__setattr__(self, "doc_ids", docs)
-        object.__setattr__(self, "system_ids", ids)
-        object.__setattr__(self, "raw", raw)
+        self.doc_ids = docs
+        self.label_set = label_set
+        self.system_ids = ids
+        self.raw = raw
+        self.tie_policy = tie_policy
 
     def __len__(self) -> int:
         return len(self.doc_ids)

@@ -14,9 +14,8 @@ import math
 import unicodedata
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataAccessError, ValidationError
 from .fileio import _field, _json_lines, _names, _parse_json, _read_text, _table_rows, write_csv
@@ -53,19 +52,16 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Document:
     """A text with an optional expert label and its derived tokens."""
 
-    doc_id: str
-    text: str
-    label: str | None = None
-    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.doc_id, str) or not self.doc_id:
+    def __init__(self, doc_id: str, text: str, label: str | None = None) -> None:
+        if not isinstance(doc_id, str) or not doc_id:
             raise ValidationError("doc_id must be a non-empty string")
-        object.__setattr__(self, "tokens", tokenize(self.text))
+        self.doc_id = doc_id
+        self.text = text
+        self.label = label
+        self.tokens = tokenize(text)
 
 
 def load_corpus(path: Path | str) -> list[Document]:
@@ -151,8 +147,7 @@ def distinct_n(doc: Document, n: int) -> float | None:
     return len(set(_ngrams(tokens, n))) / total
 
 
-@dataclass(frozen=True)
-class LabelQuality:
+class LabelQuality(NamedTuple):
     """Mean lexical statistics over one group of documents."""
 
     label: str
@@ -204,8 +199,7 @@ def corpus_quality_report(corpus: Sequence[Document]) -> list[LabelQuality]:
     return rows
 
 
-@dataclass(frozen=True)
-class PromptSpec:
+class PromptSpec(NamedTuple):
     """A publication type with a prompt template and its source list.
 
     The template must mention {source} and {label} exactly once each.
@@ -216,8 +210,7 @@ class PromptSpec:
     sources: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Prompt:
+class Prompt(NamedTuple):
     prompt_id: str
     label: str
     publication_type: str
@@ -261,7 +254,7 @@ PROMPT_HEADER = ("prompt_id", "label", "publication_type", "source", "prompt_tex
 
 def write_prompt_file(path: Path | str, prompts: Sequence[Prompt]) -> None:
     # a Prompt's fields are the file's columns, as load_prompt_file reads them
-    write_csv(path, PROMPT_HEADER, map(astuple, prompts))
+    write_csv(path, PROMPT_HEADER, prompts)
 
 
 def load_prompt_file(path: Path | str) -> list[Prompt]:

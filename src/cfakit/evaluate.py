@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -125,8 +124,7 @@ def _count(
     return correct, ties, correct.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class BestSelection:
+class BestSelection(NamedTuple):
     """Best model id with every id that tied for the top precision."""
 
     model: str
@@ -195,8 +193,7 @@ def _disagreements(
     }
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Everything the evaluation pipeline measures in one place.
 
     label_counts maps each label, in label-set order, to its documents,
@@ -364,8 +361,8 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         "tie_mode": report.tie_mode,
         "label_counts": dict(report.label_counts),
         # model and tied, whose tuple JSON writes as an array
-        "best_individual": vars(report.best_individual),
-        "best_combined": vars(report.best_combined),
+        "best_individual": report.best_individual._asdict(),
+        "best_combined": report.best_combined._asdict(),
         "grid_statistics": {
             name: {"numerator": n, "denominator": d, "value": n / d}
             for name, (n, d) in stats.items()

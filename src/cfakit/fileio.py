@@ -20,9 +20,8 @@ import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .errors import DataAccessError, DomainError, ValidationError
 from .settings import CHOICES, LabelSet, _check_choice, _check_system_id
@@ -412,8 +411,7 @@ def check_coverage(doc_ids: Iterable[str], expert_docs: Iterable[str], where: st
         raise ValidationError(f"{where}missing predictions for documents {_names(missing)}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed configuration, the one source of the run settings, which
     load_config alone builds and gives its defaults.  generation holds
     the keys of GENERATION_FIELDS that the config gives, type-checked.

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Prompt
 from .errors import ValidationError
@@ -22,22 +22,25 @@ CORPUS_FILE = "corpus.jsonl"
 ERRORS_FILE = "errors.jsonl"
 
 
-@dataclass(frozen=True)
 class GenerationConfig:
-    endpoint_url: str
-    auth_token: str | None = None
-    timeout: float = 30.0
-    max_concurrency: int = 4
-
-    def __post_init__(self) -> None:
-        if not self.endpoint_url:
+    def __init__(
+        self,
+        endpoint_url: str,
+        auth_token: str | None = None,
+        timeout: float = 30.0,
+        max_concurrency: int = 4,
+    ) -> None:
+        if not endpoint_url:
             raise ValidationError("generation.endpoint_url is required")
-        if self.max_concurrency < 1:
+        if max_concurrency < 1:
             raise ValidationError("max_concurrency must be at least 1")
+        self.endpoint_url = endpoint_url
+        self.auth_token = auth_token
+        self.timeout = timeout
+        self.max_concurrency = max_concurrency
 
 
-@dataclass(frozen=True)
-class GenerationOutcome:
+class GenerationOutcome(NamedTuple):
     """What one run produced: all stored records, new errors, skip count."""
 
     records: tuple[dict, ...]

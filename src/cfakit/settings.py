@@ -10,8 +10,6 @@ standard library, so the commands that do no array work
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DomainError, ValidationError
 
 STRATEGIES = ("asc", "arc", "wsc", "wrc")
@@ -31,16 +29,11 @@ RESERVED_ID_CHARS = "+:|"
 MIN_LABELS = 3
 
 
-@dataclass(frozen=True)
 class LabelSet:
     """Ordered, fixed set of label identifiers scored for each document."""
 
-    labels: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        labels = tuple(labels)
         seen: set[str] = set()
         for label in labels:
             if not isinstance(label, str) or not label:
@@ -54,7 +47,8 @@ class LabelSet:
             raise DomainError(
                 f"label set needs at least {MIN_LABELS} labels, got {len(labels)}"
             )
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
+        self.labels = labels
+        self._index = {l: i for i, l in enumerate(labels)}
 
     @property
     def n(self) -> int:

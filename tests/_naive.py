@@ -448,3 +448,45 @@ def report_files(tie_mode, labels, experts, individual, combined):
             ("subset", "strategy", "precision"),
             [(s, strategy, p) for s, strategy, _, p in sorted(strategy_rows)]),
     }
+
+
+def diversity_files(doc_ids, system_ids, raw, rsc_docs):
+    # {file name: text} of the four diversity tables and the RSC table of
+    # each document of rsc_docs.  raw maps each doc_id to its per-system
+    # score lists, in system_ids order.  Every value is computed one
+    # document at a time, means are summed over documents in doc_ids order,
+    # and every row is written alone
+    curves = {d: [rsc(normalize(scores)) for scores in raw[d]] for d in doc_ids}
+    t = len(system_ids)
+    pairs = [(j, k) for j in range(t) for k in range(j + 1, t)]
+    cds = {d: {(j, k): cd(c[j], c[k]) for j, k in pairs} for d, c in curves.items()}
+    dss = {d: [ds(c, j) for j in range(t)] for d, c in curves.items()}
+
+    def mean(values):
+        return f"{left_sum(values) / len(doc_ids):.6f}"
+
+    files = {
+        "diversity_pairs.csv": csv_text(
+            ("doc_id", "system_a", "system_b", "cd"),
+            [(d, system_ids[j], system_ids[k], f"{cds[d][j, k]:.6f}")
+             for d in doc_ids for j, k in pairs]),
+        "diversity_strength.csv": csv_text(
+            ("doc_id", "system", "ds"),
+            [(d, s, f"{dss[d][j]:.6f}") for d in doc_ids for j, s in enumerate(system_ids)]),
+        "diversity_pairs_mean.csv": csv_text(
+            ("system_a", "system_b", "mean_cd"),
+            [(system_ids[j], system_ids[k], mean(cds[d][j, k] for d in doc_ids))
+             for j, k in pairs]),
+        "diversity_strength_mean.csv": csv_text(
+            ("system", "mean_ds"),
+            [(s, mean(dss[d][j] for d in doc_ids)) for j, s in enumerate(system_ids)]),
+    }
+    for d in rsc_docs:
+        # the doc_id with every character but letters, digits and -_. as _
+        safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in d)
+        files[f"rsc_{safe}.csv"] = csv_text(
+            ("rank", "score", "system"),
+            [(position, f"{value:.6f}", s)
+             for s, curve in zip(system_ids, curves[d])
+             for position, value in enumerate(curve, start=1)])
+    return files

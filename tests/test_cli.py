@@ -818,6 +818,14 @@ MALFORMED = [
       "lex.json": b'{"A": ["water"], "B": ["b"], "C": ["c"]}'},
      ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json",
       "--train", "nonexistent.jsonl"], "error: the keyword scorer does not read --train"),
+    # a scorer without its own input is refused before the corpus is read
+    ("keyword-scorer-without-a-lexicon-on-a-missing-corpus", {}, {},
+     ["score", "--scorer", "keyword", "--corpus", "missing.jsonl"],
+     "error: the keyword scorer requires --lexicon"),
+    ("tfidf-scorer-without-training-data-on-a-malformed-corpus", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": \n'},
+     ["score", "--scorer", "tfidf", "--corpus", "c.jsonl"],
+     "error: the tfidf scorer requires --train"),
     # a lexicon covers the config's labels exactly
     ("lexicon-lacks-a-label", {},
      {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',

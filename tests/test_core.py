@@ -73,7 +73,7 @@ def test_normalize_bounds_and_extremes_random():
         assert out.min() == 0.0
         assert out.max() == 1.0
         assert np.all((out >= 0.0) & (out <= 1.0))
-        assert np.allclose(out, _naive.normalize(list(raw)), atol=1e-15)
+        assert np.array_equal(out, _naive.normalize(list(raw)))
 
 
 def test_rank_highest_score_gets_rank_one():
@@ -102,7 +102,7 @@ def test_fractional_ranks_sum_random_with_ties():
         raw = rng.integers(0, 5, size=n).astype(float)
         ranks = rank_from_scores(raw)
         assert ranks.sum() == pytest.approx(n * (n + 1) / 2, abs=1e-9)
-        assert ranks.tolist() == pytest.approx(_naive.ranks_fractional(list(raw)))
+        assert ranks.tolist() == _naive.ranks_fractional(list(raw))
         ordinal = rank_from_scores(raw, "ordinal")
         assert sorted(ordinal.tolist()) == list(range(1, n + 1))
         assert ordinal.tolist() == _naive.ranks_ordinal(list(raw))
@@ -155,7 +155,7 @@ def test_cognitive_diversity_properties():
         assert ab >= 0.0
         assert abs(ab - ba) <= 1e-15
         assert cognitive_diversity(a, a) == 0.0
-        assert ab == pytest.approx(_naive.cd(list(a), list(b)), abs=1e-12)
+        assert ab == _naive.cd(list(a), list(b))
 
 
 def test_cognitive_diversity_needs_three_labels():
@@ -246,8 +246,10 @@ def test_label_permutation_equivariance():
         batch_p = _batch(permuted_raw, LabelSet(permuted_labels), "d")
         assert batch.normalized[..., perm].tolist() == batch_p.normalized.tolist()
         assert batch.ranks[..., perm].tolist() == batch_p.ranks.tolist()
-        assert np.allclose(batch.cd, batch_p.cd, atol=1e-15)
-        assert np.allclose(batch.ds, batch_p.ds, atol=1e-15)
+        # label permutation: the RSC curves sort the same values, so cd and
+        # ds match to the bit
+        assert np.array_equal(batch.cd, batch_p.cd)
+        assert np.array_equal(batch.ds, batch_p.ds)
 
 
 def test_subset_strength_recomputes_within_subset():
@@ -262,7 +264,7 @@ def test_subset_strength_recomputes_within_subset():
     }
     ordered = [curves[s] for s in ("A", "C", "D")]
     for j in range(3):
-        assert strengths[j] == pytest.approx(_naive.ds(ordered, j), abs=1e-12)
+        assert strengths[j] == _naive.ds(ordered, j)
 
 
 def test_subset_strength_rejects_unknown_and_small():

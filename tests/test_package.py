@@ -34,32 +34,39 @@ print(*sorted(sys.modules), sep="\\n")
 """
 _ARRAY_LAYERS = {"numpy", "cfakit.core", "cfakit.combine", "cfakit.evaluate", "cfakit.fused"}
 _GENERATE_ONLY = {"cfakit.generation", "concurrent.futures"}
+# No command loads dataclasses.  numpy imports inspect itself, so only the
+# commands that run without numpy keep inspect out as well.
+_NEVER = {"dataclasses"}
+_NUMPY_FREE_NEVER = _ARRAY_LAYERS | _GENERATE_ONLY | _NEVER | {"inspect"}
 FOOTPRINTS = {
-    "help": (["--help"], set(), _ARRAY_LAYERS | _GENERATE_ONLY | {"cfakit.corpus"}),
+    "help": (["--help"], set(), _NUMPY_FREE_NEVER | {"cfakit.corpus"}),
     "usage-error": (["score", "--scorer", "nonsense", "--corpus", "x"], set(),
-                    _ARRAY_LAYERS | _GENERATE_ONLY | {"cfakit.corpus", "cfakit.fileio"}),
+                    _NUMPY_FREE_NEVER | {"cfakit.corpus", "cfakit.fileio"}),
     "score-keyword": (["score", "--config", "config.json", "--scorer", "keyword", "--corpus",
                        "corpus.jsonl", "--lexicon", "lexicon.json"],
-                      {"cfakit.corpus"}, _ARRAY_LAYERS | _GENERATE_ONLY),
+                      {"cfakit.corpus"}, _NUMPY_FREE_NEVER),
     "score-tfidf": (["score", "--config", "config.json", "--scorer", "tfidf", "--corpus",
                      "corpus.jsonl", "--train", "corpus.jsonl"],
-                    {"numpy", "cfakit.corpus"}, _GENERATE_ONLY | {"cfakit.core", "cfakit.fused"}),
+                    {"numpy", "cfakit.corpus"},
+                    _GENERATE_ONLY | _NEVER | {"cfakit.core", "cfakit.fused"}),
     "gen-prompts": (["gen-prompts", "--config", "config.json", "--specs", "specs.json"],
-                    {"cfakit.corpus"}, _ARRAY_LAYERS | _GENERATE_ONLY),
+                    {"cfakit.corpus"}, _NUMPY_FREE_NEVER),
     "corpus-stats": (["corpus-stats", "--config", "config.json", "--corpus", "corpus.jsonl"],
-                     {"numpy", "cfakit.corpus"}, _GENERATE_ONLY | {"cfakit.core", "cfakit.fused"}),
+                     {"numpy", "cfakit.corpus"},
+                     _GENERATE_ONLY | _NEVER | {"cfakit.core", "cfakit.fused"}),
     "diversity": (["diversity", "--config", "config.json"], {"numpy", "cfakit.core"},
-                  _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus", "cfakit.combine",
-                                    "cfakit.fused"}),
+                  _GENERATE_ONLY | _NEVER | {"cfakit.evaluate", "cfakit.corpus",
+                                             "cfakit.combine", "cfakit.fused"}),
     "fuse": (["fuse", "--config", "config.json"], {"cfakit.combine", "cfakit.fused"},
-             _GENERATE_ONLY | {"cfakit.evaluate", "cfakit.corpus"}),
+             _GENERATE_ONLY | _NEVER | {"cfakit.evaluate", "cfakit.corpus"}),
     "fuse-perf": (["fuse", "--config", "perf.json"],
                   {"cfakit.combine", "cfakit.evaluate", "cfakit.fused"},
-                  _GENERATE_ONLY | {"cfakit.corpus"}),
+                  _GENERATE_ONLY | _NEVER | {"cfakit.corpus"}),
     "evaluate": (["evaluate", "--config", "config.json", "--fused", "fused.csv"],
-                 {"cfakit.evaluate", "cfakit.fused"}, _GENERATE_ONLY | {"cfakit.corpus"}),
+                 {"cfakit.evaluate", "cfakit.fused"},
+                 _GENERATE_ONLY | _NEVER | {"cfakit.corpus"}),
     "generate": (["generate", "--config", "config.json", "--prompts", "prompts.csv"],
-                 _GENERATE_ONLY, {"numpy", "cfakit.core", "cfakit.fused"}),
+                 _GENERATE_ONLY, _NEVER | {"numpy", "inspect", "cfakit.core", "cfakit.fused"}),
 }
 
 

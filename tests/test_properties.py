@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _naive
@@ -46,7 +46,7 @@ from cfakit import (
 )
 from cfakit import fused
 from cfakit.combine import grid_arrays
-from cfakit.fileio import _table_rows, load_score_cube, write_csv
+from cfakit.fileio import _table_rows, load_score_cube, write_csv, write_diversity
 from cfakit.fused import FUSED_HEADER, load_fused_predictions, write_fused_file
 
 @st.composite
@@ -815,8 +815,8 @@ def _report_payload(report):
         "individual": models(report.individual_ids, report.individual_correct,
                              report.individual_ties),
         "combined": models(report.combined_ids, report.combined_correct, report.combined_ties),
-        "best_individual": vars(report.best_individual),
-        "best_combined": vars(report.best_combined),
+        "best_individual": report.best_individual._asdict(),
+        "best_combined": report.best_combined._asdict(),
         "grid_statistics": {
             name: {"numerator": n, "denominator": d, "value": n / d}
             for name, (n, d) in report.grid_stats.items()
@@ -921,6 +921,37 @@ def test_report_files_match_a_row_by_row_writer(case):
         plain(individual), plain(combined))
     with tempfile.TemporaryDirectory() as tmp:
         write_report(report, tmp)
+        got = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+    assert got == {name: text.encode("utf-8") for name, text in want.items()}
+
+
+@st.composite
+def diversity_batches(draw):
+    """A tie-heavy batch with odd (or, half the time, never quoted) document
+    and system ids, its score cube, and the documents, some repeated, to
+    write RSC tables for."""
+    cube = draw(score_cubes())
+    docs, systems, labels = len(cube), len(cube[0]), len(cube[0][0])
+    alphabet = draw(st.sampled_from((ODD, PLAIN)))
+    doc_ids = draw(st.lists(_texts(alphabet, 0), min_size=docs, max_size=docs, unique=True))
+    system_ids = draw(st.lists(_texts(alphabet), min_size=systems, max_size=systems,
+                               unique=True))
+    label_set = LabelSet(tuple(f"L{i}" for i in range(labels)))
+    batch = FusionBatch(doc_ids, label_set, system_ids, cube)
+    return batch, cube, draw(st.lists(st.sampled_from(doc_ids), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(diversity_batches())
+def test_diversity_files_match_a_row_by_row_writer(case):
+    batch, cube, docs = case
+    rsc_docs = list(dict.fromkeys(docs))
+    want = _naive.diversity_files(batch.doc_ids, batch.system_ids,
+                                  dict(zip(batch.doc_ids, cube)), rsc_docs)
+    # two documents whose RSC tables share a file name are refused (test_cli)
+    assume(len(want) == 4 + len(rsc_docs))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert write_diversity(batch, Path(tmp), docs) == len(rsc_docs)
         got = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
     assert got == {name: text.encode("utf-8") for name, text in want.items()}
 
