@@ -98,11 +98,10 @@ def _load_batch(config: RunConfig) -> FusionBatch:
 def _load_experts(config: RunConfig, batch: FusionBatch):
     """The label-set index of each batch document's expert label."""
     from .evaluate import expert_indices
-    from .fileio import check_coverage, load_expert_labels
+    from .fileio import load_expert_labels
 
-    experts = load_expert_labels(config.require_experts())
-    check_coverage(batch.doc_ids, experts)
-    return expert_indices(experts, batch.label_set, batch.doc_ids)
+    return expert_indices(load_expert_labels(config.require_experts()),
+                          batch.label_set, batch.doc_ids)
 
 
 def cmd_score(args, config: RunConfig) -> None:
@@ -152,8 +151,7 @@ def cmd_fuse(args, config: RunConfig) -> None:
     grid = grid_arrays(batch, performance)
     out = config.out_dir / "fused.csv"
     models = write_fused_file(
-        out, batch.label_set, batch.doc_ids,
-        ((combo_id, order, tied) for combo_id, (_, order, tied, _) in grid),
+        out, batch, ((combo_id, order, tied) for combo_id, (_, order, tied, _) in grid)
     )
     print(f"wrote {out} ({models} combined models, {models * len(batch)} fused rankings)")
 
@@ -167,7 +165,7 @@ def cmd_evaluate(args, config: RunConfig) -> None:
     label_set = batch.label_set
     expert = _load_experts(config, batch)
     fused_path = config.out_dir / "fused.csv" if args.fused is None else Path(args.fused)
-    combo_ids, top1, tied = load_fused_predictions(fused_path, label_set, batch.doc_ids)
+    combo_ids, top1, tied = load_fused_predictions(fused_path, batch)
     report = evaluate_predictions(
         batch.doc_ids, label_set, expert, individual_arrays(batch),
         ModelPredictions(combo_ids, label_set.labels, top1, tied), config.tie_mode,

@@ -135,9 +135,10 @@ def _grid(batch: FusionBatch, subsets, perf):
         # positions in sorted-id order, the order every sum over systems takes
         idx = [position[system_id] for system_id in subset]
         prefix = "+".join(subset) + ":"
-        # one set of weights per subset, shared by wsc and wrc; a grid has
-        # at least two systems, so batch.cd is never None here
-        weights = (diversity_strength(batch.cd, idx) if perf is None else
+        # one set of weights per subset, shared by wsc and wrc: strengths
+        # within the subset's own cd matrix; a grid has at least two
+        # systems, so batch.cd is never None here
+        weights = (diversity_strength(batch.cd[:, idx][:, :, idx]) if perf is None else
                    np.broadcast_to([perf[s] for s in subset], (len(batch), len(idx))))
         # no strategy name starts another, so strategies sort as their tags do
         for strategy in sorted(STRATEGIES):

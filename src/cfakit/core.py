@@ -12,7 +12,7 @@ documents or systems.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import cached_property
 
 import numpy as np
@@ -126,30 +126,27 @@ def cognitive_diversity(curve_a, curve_b):
     return float(out) if out.ndim == 0 else out
 
 
-def diversity_strength(cd, subset: Sequence[int] | None = None) -> np.ndarray:
+def diversity_strength(cd) -> np.ndarray:
     """Mean cognitive diversity between each system and the others.
 
     cd is a (..., t, t) pairwise diversity matrix; leading axes, such as
-    documents, carry through.  With subset, a sequence of system indices,
-    strengths are recomputed within the subset, in subset order: weights
-    for combination are taken relative to the systems actually being
-    combined, not the full roster.
+    documents, carry through.  Within a combination, a system's strength
+    is that of the combination's own matrix, cd[..., idx, :][..., idx]:
+    weights for combination are taken relative to the systems actually
+    being combined, not the full roster.
     """
     m = np.asarray(cd, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError("cognitive diversity matrix must be square")
     t = m.shape[-1]
-    idx = list(range(t)) if subset is None else [int(j) for j in subset]
-    if len(idx) < 2:
+    if t < 2:
         raise DomainError("diversity strength needs at least two systems")
-    if len(set(idx)) != len(idx) or not all(0 <= j < t for j in idx):
-        raise ValidationError(f"subset {idx} repeats a system or is out of range for {t}")
     if not np.isfinite(m).all():
         raise ValidationError("cognitive diversity matrix contains non-finite values")
-    out = np.empty(m.shape[:-2] + (len(idx),))
-    for pos, j in enumerate(idx):
-        total = _ordered_sum(m[..., j, k] for k in idx if k != j)
-        out[..., pos] = total / (len(idx) - 1)
+    out = np.empty(m.shape[:-2] + (t,))
+    for j in range(t):
+        total = _ordered_sum(m[..., j, k] for k in range(t) if k != j)
+        out[..., j] = total / (t - 1)
     return out
 
 
@@ -175,8 +172,8 @@ class FusionBatch:
         docs, ids = tuple(doc_ids), tuple(system_ids)
         if not docs:
             raise ValidationError("at least one document is required")
-        # fused.csv lists documents by doc_id text and its reader refuses a
-        # repeated one; the empty string is an id like any other
+        # fused.csv lists documents by doc_id text, and its writer and reader
+        # take them from here; the empty string is an id like any other
         if not all(isinstance(d, str) for d in docs):
             raise ValidationError("doc ids must be strings")
         if len(set(docs)) != len(docs):

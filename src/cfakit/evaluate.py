@@ -89,17 +89,21 @@ def expert_indices(
     experts: Mapping[str, str], label_set: LabelSet, doc_ids: Sequence[str]
 ) -> np.ndarray:
     """The label-set index of each document's expert label, documents in
-    doc_ids order."""
+    doc_ids order.  experts must label exactly the documents of doc_ids,
+    each with a label from the label set."""
+    docs = set(doc_ids)
+    unlabeled = sorted(docs - experts.keys())
+    if unlabeled:
+        raise ValidationError(f"expert labels missing for documents {_names(unlabeled)}")
+    missing = sorted(experts.keys() - docs)
+    if missing:
+        raise ValidationError(f"missing predictions for documents {_names(missing)}")
     for doc_id, label in experts.items():
         if label not in label_set:
             raise ValidationError(
                 f"document {doc_id!r} has expert label {label!r} outside the label set"
             )
-    try:
-        return np.array([label_set.index(experts[d]) for d in doc_ids], dtype=np.intp)
-    except KeyError:  # a library caller need not have run check_coverage
-        missing = sorted(d for d in doc_ids if d not in experts)
-        raise ValidationError(f"expert labels missing for documents {_names(missing)}") from None
+    return np.array([label_set.index(experts[d]) for d in doc_ids], dtype=np.intp)
 
 
 def _count(

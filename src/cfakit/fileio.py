@@ -399,18 +399,6 @@ def write_diversity(batch: FusionBatch, out_dir: Path, docs: Sequence[str] = ())
     return len(rsc_docs)
 
 
-def check_coverage(doc_ids: Iterable[str], expert_docs: Iterable[str], where: str = "") -> None:
-    """Predictions on doc_ids must cover exactly the expert-labeled
-    documents, of which each caller has at least one."""
-    doc_ids, expert_docs = set(doc_ids), set(expert_docs)
-    unlabeled = sorted(doc_ids - expert_docs)
-    if unlabeled:
-        raise ValidationError(f"{where}expert labels missing for documents {_names(unlabeled)}")
-    missing = sorted(expert_docs - doc_ids)
-    if missing:
-        raise ValidationError(f"{where}missing predictions for documents {_names(missing)}")
-
-
 class RunConfig(NamedTuple):
     """Parsed configuration, the one source of the run settings, which
     load_config alone builds and gives its defaults.  generation holds
@@ -499,10 +487,14 @@ def load_config(path: Path | str) -> RunConfig:
         raise ValidationError(f"{path}: config must be a JSON object")
     known = {"labels", "systems", "expert_labels", *CHOICES, "out_dir", "generation"}
     generation = _field(path, raw, "generation", "an object", {})
+    # a systems value that is not an array, or an entry that is not an
+    # object, gets its own error below
+    entries = raw.get("systems") if isinstance(raw.get("systems"), list) else []
     unknown = sorted(set(raw) - known) + sorted(
         f"generation.{key}"
         for key in set(generation) - GENERATION_FIELDS.keys()
-    )
+    ) + [f"systems[{index}].{key}" for index, entry in enumerate(entries)
+         if isinstance(entry, dict) for key in sorted(entry.keys() - {"id", "path"})]
     if unknown:
         raise ValidationError(f"{path}: unknown config fields {unknown}")
 

@@ -9,39 +9,39 @@ import json
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import _quote, _table_rows, atomic_writer, check_coverage
-from .settings import LabelSet
+from .fileio import _names, _quote, _table_rows, atomic_writer
+
+if TYPE_CHECKING:
+    from .core import FusionBatch
 
 FUSED_HEADER = ("combo_id", "doc_id", "top1", "tie_at_top", "tied_top", "ranking")
 
 
 def write_fused_file(
     path: Path | str,
-    label_set: LabelSet,
-    doc_ids: Sequence[str],
-    fused: Iterable[tuple[str, np.ndarray, np.ndarray]],
+    batch: FusionBatch,
+    models: Iterable[tuple[str, np.ndarray, np.ndarray]],
 ) -> int:
-    """Persist a combination grid, sorted by combo_id then doc_id, and
-    return the number of combined models.
+    """Persist a combination grid of batch's documents and labels, sorted
+    by combo_id then doc_id, and return the number of combined models.
 
-    fused yields (combo_id, order, tied) per combined model, in combo_id
+    models yields (combo_id, order, tied) per combined model, in combo_id
     order as grid_arrays makes them: order[d] lists the label indices of
-    document doc_ids[d] best first and tied[d] counts the labels tied at
-    the top.  Each row's ranking is its labels in that order, tied_top the
-    first tied of them and top1 the first.  Each model's rows go to the
-    temporary file as the model arrives, so memory holds one model's rows
-    and 4 bytes per row of the grid.  A combo_id that does not sort after
-    the one before is a ValidationError; on any error the file at path
-    keeps its old bytes.  Then <path>.cache (_fused_cache) is written if
-    the grid has a model and a document, no document repeats, doc and
-    combo ids are strings and no NUL byte was written, which 3.10's
+    document batch.doc_ids[d] best first and tied[d] counts the labels
+    tied at the top.  Each row's ranking is its labels in that order,
+    tied_top the first tied of them and top1 the first.  Each model's rows
+    go to the temporary file as the model arrives, so memory holds one
+    model's rows and 4 bytes per row of the grid; on any error the file at
+    path keeps its old bytes.  Then <path>.cache (_fused_cache) is written
+    if the grid has a model and no NUL byte was written, which 3.10's
     csv.reader rejects; otherwise any old cache is removed.
     """
-    labels = label_set.labels
+    labels, doc_ids = batch.label_set.labels, batch.doc_ids
     # The ranking holds every label (labels hold no "|"), so it is quoted
     # exactly when one of them is, each label with its quotes doubled.
     rank_quote = '"' if any(_quote(label) != label for label in labels) else ""
@@ -58,17 +58,13 @@ def write_fused_file(
     rows = np.empty((len(doc_ids), len(labels) + 3), dtype=object)
     rows[:, 1] = [_quote(doc_ids[d]) + "," for d in perm.tolist()]
     # for the cache, each row's head: label t untied, or a tied group
-    cached = 0 < len(set(doc_ids)) == len(doc_ids) and all(isinstance(d, str) for d in doc_ids)
     heads, combo_ids, index = {(t,): t for t in range(len(labels))}, [], []
+    cached = True  # until a NUL byte is written
     blob = (",".join(FUSED_HEADER) + "\n").encode()
     size, crc = len(blob), zlib.crc32(blob)
     with atomic_writer(path) as handle:
         handle.buffer.write(blob)
-        for combo_id, order, tied in fused:
-            if combo_ids and combo_id <= combo_ids[-1]:
-                raise ValidationError(
-                    f"{path}: combo id {combo_id!r} does not sort after {combo_ids[-1]!r}"
-                )
+        for combo_id, order, tied in models:
             order, tied = order[perm], tied[perm]
             rows[:, 0] = _quote(combo_id) + ","
             rows[:, 2] = untied[order[:, 0]]
@@ -84,7 +80,7 @@ def write_fused_file(
             blob = "".join(rows.ravel().tolist()).encode()
             size, crc = size + len(blob), zlib.crc32(blob, crc)
             handle.buffer.write(blob)
-            cached &= isinstance(combo_id, str) and b"\0" not in blob
+            cached &= b"\0" not in blob
             combo_ids.append(combo_id)
             index.append(at)
     cache = Path(path).with_name(Path(path).name + ".cache")
@@ -137,27 +133,25 @@ def _fused_head(
 
 
 def load_fused_predictions(
-    path: Path | str, label_set: LabelSet, doc_ids: Sequence[str]
+    path: Path | str, batch: FusionBatch
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Read the top-1 predictions of a fused grid file as label indices.
+    """Read the top-1 predictions of a fused grid file of batch's documents
+    and labels as label indices.
 
     Returns the combo ids in file order, the top1 label index of each
     (combo, document) and a boolean (combos, documents, labels) array
-    marking each tied_top group, documents in doc_ids order, which must
-    not repeat.  Every combo must predict exactly the documents in
-    doc_ids, with top1 and tied_top labels from the label set, top1 in
-    tied_top, and tie_at_top true exactly when tied_top lists more than
-    one label.  The ranking column is not read.  A file without a valid
-    cache (_fused_cache) is read by _fused_rows, which names the first
-    fault with its path:line.
+    marking each tied_top group, documents in batch.doc_ids order.  Every
+    combo must predict exactly those documents, with top1 and tied_top
+    labels from the label set, top1 in tied_top, and tie_at_top true
+    exactly when tied_top lists more than one label.  The ranking column
+    is not read.  A file without a valid cache (_fused_cache) is read by
+    _fused_rows, which names the first fault with its path:line.
     """
     path = Path(path)
-    labels = {label: i for i, label in enumerate(label_set.labels)}
-    docs = {doc_id: d for d, doc_id in enumerate(doc_ids)}
-    if len(docs) != len(doc_ids):
-        raise ValidationError("doc ids must be unique")
+    labels = {label: i for i, label in enumerate(batch.label_set.labels)}
+    docs = {doc_id: d for d, doc_id in enumerate(batch.doc_ids)}
     # each distinct row head's (top1, tied group); each combo's head per document
-    read = _fused_cache(path, label_set.labels, doc_ids)
+    read = _fused_cache(path, batch.label_set.labels, batch.doc_ids)
     groups, combo_ids, at = read or _fused_rows(path, labels, docs)
     tops = np.array([top for top, _ in groups], dtype=np.intp)
     masks = np.zeros((len(groups), len(labels)), dtype=bool)
@@ -231,7 +225,9 @@ def _fused_rows(path: Path, labels: Mapping[str, int], docs: Mapping[str, int]):
     if not combos:
         raise ValidationError(f"{path}: no fused predictions")
     for combo_id, at in combos.items():
-        if -1 in at:
-            found = [doc_id for doc_id, d in docs.items() if at[d] >= 0]
-            check_coverage(found, docs, f"{path}: combo {combo_id!r}: ")
+        if -1 in at:  # a row naming another document was refused at its line
+            missing = sorted(doc_id for doc_id, d in docs.items() if at[d] < 0)
+            raise ValidationError(
+                f"{path}: combo {combo_id!r}: missing predictions for documents {_names(missing)}"
+            )
     return groups, tuple(combos), list(combos.values())

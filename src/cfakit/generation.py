@@ -81,7 +81,10 @@ def _load_existing(path: Path) -> dict[str, dict]:
     for where, record in _json_lines(path, whole_lines=True):
         if not isinstance(record, dict) or "prompt_id" not in record:
             raise ValidationError(f"{where}: record must be an object with a prompt_id")
-        records[_field(where, record, "prompt_id", "a string", None)] = record
+        prompt_id = _field(where, record, "prompt_id", "a string", None)
+        if prompt_id in records:  # the rewrite would keep only one of them
+            raise ValidationError(f"{where}: duplicate prompt id {prompt_id!r}")
+        records[prompt_id] = record
     return records
 
 

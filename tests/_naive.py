@@ -490,3 +490,39 @@ def diversity_files(doc_ids, system_ids, raw, rsc_docs):
              for s, curve in zip(system_ids, curves[d])
              for position, value in enumerate(curve, start=1)])
     return files
+
+
+def score_file_text(scores, labels):
+    # a score file: one row per document, in the order of scores, and per
+    # label, in the order of labels; each score as the shortest decimal
+    # that reads back as the same float
+    return csv_text(("doc_id", "label", "score"),
+                    [(doc_id, label, repr(row[label]))
+                     for doc_id, row in scores.items() for label in labels])
+
+
+def corpus_stats_text(records):
+    # corpus_stats.csv of (label or None, text) records: one row per label,
+    # sorted, then "unlabeled" for the records without one, then "overall"
+    # for all.  Each mean is taken over the documents that define the
+    # metric, added left to right, and is "n/a" when none does
+    def row(name, docs):
+        cells = [name, len(docs)]
+        for k in range(4):
+            values = [doc[k] for doc in docs if doc[k] is not None]
+            cells.append(f"{left_sum(values) / len(values):.6f}" if values else "n/a")
+        return cells
+
+    every, groups = [], {}
+    for label, text in records:
+        tokens = tokenize(text)
+        ttr = len(set(tokens)) / len(tokens) if tokens else None
+        every.append((len(tokens), ttr, distinct_n(tokens, 2), distinct_n(tokens, 3)))
+        groups.setdefault(label, []).append(every[-1])
+    names = sorted(label for label in groups if label is not None)
+    rows = [row(label, groups[label]) for label in names]
+    if None in groups:
+        rows.append(row("unlabeled", groups[None]))
+    rows.append(row("overall", every))
+    return csv_text(("label", "docs", "mean_tokens", "mean_ttr", "mean_distinct2",
+                     "mean_distinct3"), rows)

@@ -143,6 +143,7 @@ def test_weighted_reductions_and_scale_invariances():
             # equal weights: sum(w*x)/sum(w) need not round as sum(x)/k does
             np.testing.assert_allclose(wsc, asc, atol=1e-12, rtol=0)
             wrc, arc = grid[prefix + "wrc-perf"][0], grid[prefix + "arc"][0]
+            # and sum(r/w)/sum(1/w) need not round as sum(r)/k does
             np.testing.assert_allclose(wrc, arc, atol=1e-12, rtol=0)
 
         # rank averages see only score order, so any strictly increasing
@@ -219,6 +220,7 @@ def test_report_arithmetic_on_constructed_fixtures():
     correct, total = int(report.individual_overall[0]), sum(report.label_counts.values())
     assert correct == report.individual_correct[0].sum()
     assert Fraction(correct, total) == Fraction(296, 306)
+    # the literal is the report's 6-decimal rounding of 296/306
     assert correct / total == pytest.approx(0.967320, abs=1e-6)
 
     # a label group of 16 documents with 15 correct

@@ -181,6 +181,13 @@ def _fuse_and_evaluate(ws):
     return (ws / "out" / "fused.csv.cache").read_bytes(), (ws / "out" / "report.json").read_bytes()
 
 
+def _batch_of(labels, doc_ids) -> FusionBatch:
+    """A one-system batch of these labels and documents, which is all a
+    fused grid file is written and read against."""
+    return FusionBatch(doc_ids, LabelSet(tuple(labels)), ("s",),
+                       np.zeros((len(doc_ids), 1, len(labels))))
+
+
 def _cache_hit(ws) -> bool:
     doc_ids, _ = load_score_cube(
         [(s, ws / "out" / f"scores_{n}.csv") for s, n in (("kw", "keyword"), ("tf", "tfidf"))],
@@ -363,7 +370,7 @@ def test_performance_weights_are_the_reported_precisions(tmp_path):
                            for row in csv.DictReader(handle) if row["kind"] == "individual"}
         assert sorted(performance) == ["s", "t", "u"]
         want = tmp_path / "want" / tie_mode / "fused.csv"
-        write_fused_file(want, label_set, doc_ids, (
+        write_fused_file(want, batch, (
             (combo_id, order, tied)
             for combo_id, (_, order, tied, _) in grid_arrays(batch, performance)
         ))
@@ -699,6 +706,13 @@ MALFORMED = [
     # fuse loads the whole config, generation object included, but fetches nothing
     ("generation-key-misspelled", {"generation": {"max_concurency": 2}}, {}, ["fuse"],
      "unknown config fields ['generation.max_concurency']"),
+    # a system entry holds its id and path; a weight there would go unused
+    ("system-key-unknown",
+     {"systems": [{"id": "s", "path": "s.csv", "weight": 2},
+                  {"id": "t", "path": "t.csv", "tie": 1, "alpha": 0}],
+      "min_subset": 2, "generation": {"retries": 3}}, {}, ["fuse"],
+     "unknown config fields ['min_subset', 'generation.retries', 'systems[0].weight', "
+     "'systems[1].alpha', 'systems[1].tie']"),
     ("score-file-not-utf8", {}, {"s.csv": b"doc_id,label,score\nd1,A,1\xff\n"}, ["fuse"],
      "s.csv: not valid UTF-8"),
     # Excel's "CSV UTF-8" starts a file with an invisible byte-order mark
@@ -1115,20 +1129,17 @@ def test_atomic_write_leaves_other_writers_temp_files_alone(tmp_path):
 def test_fused_writer_failing_midway_keeps_the_old_file(tmp_path):
     target = tmp_path / "fused.csv"
     target.write_bytes(b"the previous run's grid\n")
-    label_set = LabelSet(("A", "B", "C"))
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
 
     def failing_kernel():
         yield "s+t:arc", order, tied
         raise RuntimeError("the kernel failed")
 
-    out_of_order = [("s+t:asc", order, tied), ("s+t:arc", order, tied)]
-    for grid, error in ((failing_kernel(), RuntimeError), (out_of_order, ValidationError)):
-        # the first model reached the temporary file before the error
-        with pytest.raises(error):
-            write_fused_file(target, label_set, ["d1", "d2"], grid)
-        assert target.read_bytes() == b"the previous run's grid\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
+    # the first model reached the temporary file before the error
+    with pytest.raises(RuntimeError):
+        write_fused_file(target, _batch_of("ABC", ["d1", "d2"]), failing_kernel())
+    assert target.read_bytes() == b"the previous run's grid\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
 
 
 @pytest.mark.parametrize("command, written", [
@@ -1181,43 +1192,22 @@ def test_a_failed_rename_names_the_target_and_keeps_its_bytes(tmp_path, monkeypa
 
 def test_fused_cache_is_written_unless_ids_repeat_or_hold_a_nul(tmp_path):
     target, cache = tmp_path / "fused.csv", tmp_path / "fused.csv.cache"
-    label_set = LabelSet(("A", "B", "C"))
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
-    # a NUL, a repeated document, no model, ids that are not strings: each
-    # removes the cache of the grid before; a quoted combo id keeps one
+    # a NUL removes the cache of the grid before; a quoted combo id keeps one
     for doc_ids, grid, cached in ((["d\0", "d2"], [("s+t:asc", order, tied)], False),
-                                  (["d1", "d1"], [("s+t:asc", order, tied)], False),
-                                  (["d1", "d2"], [("s,t:asc", order, tied)], True),
-                                  (["d1", "d2"], [], False),
-                                  ([1, 2], [("s+t:asc", order, tied)], False),
-                                  (["d1", "d2"], [(7, order, tied)], False)):
-        write_fused_file(target, label_set, ["d1", "d2"], [("s+t:asc", order, tied)])
-        assert _fused_cache(target, label_set.labels, ["d1", "d2"]) is not None
-        write_fused_file(target, label_set, doc_ids, grid)
+                                  (["d1", "d2"], [("s,t:asc", order, tied)], True)):
+        write_fused_file(target, _batch_of("ABC", ["d1", "d2"]), [("s+t:asc", order, tied)])
+        assert _fused_cache(target, tuple("ABC"), ["d1", "d2"]) is not None
+        write_fused_file(target, _batch_of("ABC", doc_ids), grid)
         assert cache.exists() == cached
         if cached:
-            assert _fused_cache(target, label_set.labels, doc_ids)[1] == ("s,t:asc",)
-
-
-def test_repeated_doc_ids_are_refused_before_the_fused_file_is_read(tmp_path):
-    label_set = LabelSet(("A", "B", "C"))
-    batch = FusionBatch(["d1", "d2"], label_set, ["s", "t"],
-                        np.array([[[0.1, 0.5, 0.9], [0.3, 0.2, 0.1]]] * 2))
-    # a FusionBatch refuses repeated ids, so the grid is written under them
-    path = tmp_path / "fused.csv"
-    write_fused_file(path, label_set, ["d1", "d1"], (
-        (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid_arrays(batch)
-    ))
-    for target in (path, tmp_path / "missing.csv"):
-        with pytest.raises(ValidationError) as caught:
-            load_fused_predictions(target, label_set, ["d1", "d1"])
-        assert str(caught.value) == "doc ids must be unique"
+            assert _fused_cache(target, tuple("ABC"), doc_ids)[1] == ("s,t:asc",)
 
 
 def test_a_fused_cache_is_read_only_for_its_labels_documents_and_field_limit(tmp_path):
     target = tmp_path / "fused.csv"
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
-    write_fused_file(target, LabelSet(("A", "B", "C")), ["d1", "d2"], [("s+t:asc", order, tied)])
+    write_fused_file(target, _batch_of("ABC", ["d1", "d2"]), [("s+t:asc", order, tied)])
     for labels, doc_ids in ((("C", "B", "A"), ["d1", "d2"]), (("A", "B", "C"), ["d2", "d1"])):
         assert _fused_cache(target, labels, doc_ids) is None
     # a cache that still carries the longest_line key of older writers is read
@@ -1245,22 +1235,21 @@ def test_a_fused_cache_is_read_only_for_its_labels_documents_and_field_limit(tmp
     limit = csv.field_size_limit()
     try:
         for labels, doc_ids, combo_ids in grids:
-            label_set = LabelSet(labels)
-            write_fused_file(target, label_set, doc_ids,
-                             [(combo_id, order, tied) for combo_id in combo_ids])
+            batch = _batch_of(labels, doc_ids)
+            write_fused_file(target, batch, [(combo_id, order, tied) for combo_id in combo_ids])
             bare.write_bytes(target.read_bytes())
             bound = max(map(len, (*FUSED_HEADER_NAMES, *combo_ids, *doc_ids, "|".join(labels))))
             for field_limit in range(1, bound + 3):
                 csv.field_size_limit(field_limit)
                 hit = _fused_cache(target, labels, doc_ids) is not None
                 try:
-                    rows = load_fused_predictions(bare, label_set, doc_ids)
+                    rows = load_fused_predictions(bare, batch)
                 except ValidationError as exc:
                     assert "field larger than field limit" in str(exc)
                     rows = None
                 assert hit == (rows is not None) == (field_limit >= bound)
                 if hit:
-                    combo, top1, tied_top = load_fused_predictions(target, label_set, doc_ids)
+                    combo, top1, tied_top = load_fused_predictions(target, batch)
                     assert combo == rows[0] == tuple(combo_ids)
                     assert np.array_equal(top1, rows[1]) and np.array_equal(tied_top, rows[2])
     finally:
@@ -1280,7 +1269,7 @@ def test_fused_writer_memory_does_not_grow_with_the_grid(tmp_path):
     path = tmp_path / "fused.csv"
     tracemalloc.start()
     try:
-        models = write_fused_file(path, label_set, doc_ids, (
+        models = write_fused_file(path, batch, (
             (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid
         ))
         peak = tracemalloc.get_traced_memory()[1]
@@ -1300,14 +1289,14 @@ def test_fused_reader_memory_on_a_cache_hit_is_the_cache_and_the_arrays(tmp_path
     systems = [f"sys{j}" for j in range(6)]
     batch = FusionBatch(doc_ids, label_set, systems, rng.random((200, 6, 17)).round(2))
     path = tmp_path / "fused.csv"
-    models = write_fused_file(path, label_set, doc_ids, (
+    models = write_fused_file(path, batch, (
         (combo_id, order, tied) for combo_id, (_, order, tied, _) in grid_arrays(batch)
     ))
     assert models == 57 * 4
     assert _fused_cache(path, label_set.labels, doc_ids) is not None
     tracemalloc.start()
     try:
-        combo_ids, top1, tied = load_fused_predictions(path, label_set, doc_ids)
+        combo_ids, top1, tied = load_fused_predictions(path, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

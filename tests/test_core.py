@@ -101,6 +101,7 @@ def test_fractional_ranks_sum_random_with_ties():
         # integer draws force plenty of ties
         raw = rng.integers(0, 5, size=n).astype(float)
         ranks = rank_from_scores(raw)
+        # an identity, not an oracle value: any n ranks sum to n(n+1)/2
         assert ranks.sum() == pytest.approx(n * (n + 1) / 2, abs=1e-9)
         assert ranks.tolist() == _naive.ranks_fractional(list(raw))
         ordinal = rank_from_scores(raw, "ordinal")
@@ -141,6 +142,7 @@ def test_rsc_curve_is_non_increasing_random():
 
 def test_cognitive_diversity_known_value():
     value = cognitive_diversity([1.0, 0.5, 0.0], [0.9, 0.6, 0.3])
+    # the literal is sqrt(0.11) rounded to 14 places
     assert value == pytest.approx(0.33166247903554, abs=1e-12)
 
 
@@ -170,10 +172,10 @@ def test_cognitive_diversity_length_mismatch():
 
 def test_diversity_strength_row_means():
     cd = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-    assert diversity_strength(cd)[0] == pytest.approx(1.5)
-    assert diversity_strength(cd)[1] == pytest.approx(2.0)
-    assert diversity_strength(cd)[2] == pytest.approx(2.5)
-    assert diversity_strength(cd).tolist() == pytest.approx([1.5, 2.0, 2.5])
+    assert diversity_strength(cd)[0] == 1.5
+    assert diversity_strength(cd)[1] == 2.0
+    assert diversity_strength(cd)[2] == 2.5
+    assert diversity_strength(cd).tolist() == [1.5, 2.0, 2.5]
 
 
 def test_diversity_strength_needs_two_systems():
@@ -195,9 +197,8 @@ def test_fusion_batch_full_assembly():
     assert batch.normalized[0, 0].tolist() == _naive.normalize(raw_a)
     assert batch.ranks[0, 1].tolist() == [1.0, 3.0, 2.0]
     assert batch.cd is not None
-    assert batch.cd[0, 0, 1] == pytest.approx(
-        _naive.cd(_naive.rsc(_naive.normalize(raw_a)), _naive.rsc(_naive.normalize(raw_b))),
-        abs=1e-12,
+    assert batch.cd[0, 0, 1] == _naive.cd(
+        _naive.rsc(_naive.normalize(raw_a)), _naive.rsc(_naive.normalize(raw_b))
     )
     assert not batch.degenerate.any()
 
@@ -258,7 +259,7 @@ def test_subset_strength_recomputes_within_subset():
     raw = {s: rng.uniform(size=6).tolist() for s in ("A", "B", "C", "D")}
     batch = _batch(raw, labels, "d")
     # A, C and D sit at positions 0, 2 and 3 of the system axis
-    strengths = diversity_strength(batch.cd[0], (0, 2, 3))
+    strengths = diversity_strength(batch.cd[0][[0, 2, 3]][:, [0, 2, 3]])
     curves = {
         s: _naive.rsc(_naive.normalize(raw[s])) for s in ("A", "C", "D")
     }
@@ -270,10 +271,8 @@ def test_subset_strength_recomputes_within_subset():
 def test_subset_strength_rejects_unknown_and_small():
     labels = LabelSet(("x", "y", "z"))
     batch = _batch({"A": [1, 2, 3], "B": [3, 2, 1]}, labels, "d")
-    with pytest.raises(ValidationError, match="out of range"):
-        diversity_strength(batch.cd[0], (0, 2))
     with pytest.raises(DomainError):
-        diversity_strength(batch.cd[0], (0,))
+        diversity_strength(batch.cd[0][:1, :1])
 
 
 def test_batch_cd_is_symmetric_and_ds_is_the_pair_value():
@@ -281,4 +280,4 @@ def test_batch_cd_is_symmetric_and_ds_is_the_pair_value():
     batch = _batch({"A": [1, 2, 3], "B": [3, 2, 1]}, labels, "d")
     a, b = batch.system_ids.index("A"), batch.system_ids.index("B")
     assert batch.cd[0, a, b] == batch.cd[0, b, a]
-    assert batch.ds[0, a] == pytest.approx(batch.cd[0, a, b])
+    assert batch.ds[0, a] == batch.cd[0, a, b]

@@ -102,7 +102,8 @@ def test_precision_missing_predictions_listed(tmp_path):
     path.write_text("combo_id,doc_id,top1,tie_at_top,tied_top,ranking\n"
                     "A+B:asc,d1,L1,false,L1,L1|L2|L3\n")
     with pytest.raises(ValidationError, match=r"\['d2'\]"):
-        load_fused_predictions(path, LABELS, ["d1", "d2"])
+        load_fused_predictions(
+            path, FusionBatch(["d1", "d2"], LABELS, ["s"], np.zeros((2, 1, LABELS.n))))
 
 
 def test_precision_unknown_tie_mode():
@@ -156,7 +157,7 @@ def test_expert_indices_reject_a_foreign_expert_label():
 
 
 def test_expert_indices_reject_a_document_without_an_expert_label():
-    # the wording of check_coverage, ids listed as fileio._names lists them
+    # ids listed as fileio._names lists them
     with pytest.raises(ValidationError) as caught:
         expert_indices({"d1": "L1"}, LABELS, ["d2"])
     assert str(caught.value) == "expert labels missing for documents ['d2']"
@@ -165,6 +166,16 @@ def test_expert_indices_reject_a_document_without_an_expert_label():
         expert_indices({"d13": "L1"}, LABELS, docs)
     assert str(caught.value) == ("expert labels missing for documents ['d01', 'd02', 'd03', "
                                  "'d04', 'd05', 'd06', 'd07', 'd08', 'd09', 'd10'] (12 in all)")
+
+
+def test_expert_indices_reject_an_expert_label_outside_the_documents():
+    # checked after the documents' own labels and before the label set
+    with pytest.raises(ValidationError) as caught:
+        expert_indices({"d1": "L1", "d0": "L9", "d2": "L2"}, LABELS, ["d1"])
+    assert str(caught.value) == "missing predictions for documents ['d0', 'd2']"
+    with pytest.raises(ValidationError) as caught:
+        expert_indices({"d1": "L1", "d0": "L1"}, LABELS, ["d1", "d3"])
+    assert str(caught.value) == "expert labels missing for documents ['d3']"
 
 
 def test_overall_equals_document_weighted_mean_of_labels():

@@ -230,6 +230,29 @@ def test_generate_refuses_a_stored_record_without_a_string_prompt_id(tmp_path, c
     assert (tmp_path / "out" / CORPUS_FILE).read_bytes() == stored
 
 
+def test_generate_refuses_a_stored_prompt_id_that_repeats(tmp_path, capsys):
+    from cfakit.cli import main
+
+    corpus = tmp_path / "out" / CORPUS_FILE
+    corpus.parent.mkdir()
+    stored = "".join(json.dumps({"doc_id": "p1", "prompt_id": "p1", "text": text}) + "\n"
+                     for text in ("first text", "second text")).encode()
+    corpus.write_bytes(stored)
+    (tmp_path / "config.json").write_text(json.dumps({
+        "out_dir": "out", "generation": {"endpoint_url": "http://127.0.0.1:9/g"},
+    }))
+    (tmp_path / "prompts.csv").write_text(
+        "prompt_id,label,publication_type,source,prompt_text\np1,A,t,s,A by s\n"
+    )
+    argv = ["generate", "--config", str(tmp_path / "config.json"),
+            "--prompts", str(tmp_path / "prompts.csv")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {corpus}:2: duplicate prompt id 'p1'\n"
+    assert [p.name for p in corpus.parent.iterdir()] == [CORPUS_FILE]
+    assert corpus.read_bytes() == stored
+
+
 def test_generate_rejects_duplicate_prompt_ids(tmp_path):
     prompt = _prompts(1)[0]
     with pytest.raises(ValidationError, match="unique"):

@@ -46,7 +46,8 @@ from cfakit import (
 )
 from cfakit import fused
 from cfakit.combine import grid_arrays
-from cfakit.fileio import _table_rows, load_score_cube, write_csv, write_diversity
+from cfakit.cli import main
+from cfakit.fileio import _table_rows, load_score_cube, write_csv, write_diversity, write_score_file
 from cfakit.fused import FUSED_HEADER, load_fused_predictions, write_fused_file
 
 @st.composite
@@ -407,7 +408,7 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fused.csv"
         models = write_fused_file(
-            path, batch.label_set, batch.doc_ids,
+            path, batch,
             ((combo_id, order, tied)
              for combo_id, (_, order, tied, _) in grid_arrays(batch, performance)),
         )
@@ -418,7 +419,7 @@ def test_fused_file_bytes_match_a_csv_writer_pass_over_grid_arrays(case):
         reads = []
         for hit in (True, False):
             assert (fused._fused_cache(path, labels, batch.doc_ids) is not None) == hit
-            reads.append(load_fused_predictions(path, batch.label_set, batch.doc_ids))
+            reads.append(load_fused_predictions(path, batch))
             cache.unlink(missing_ok=True)
     assert models == len(grid)
     # the library's producer makes what evaluate reads back, combo by combo
@@ -774,9 +775,10 @@ def test_fused_predictions_match_a_row_by_row_read(case):
             path = Path(tmp) / "fused.csv"
             path.write_bytes(data)
             want = _naive.fused_predictions(path, labels, doc_ids)
+            batch = FusionBatch(doc_ids, LabelSet(tuple(labels)), ["s"],
+                                np.zeros((len(doc_ids), 1, len(labels))))
             try:
-                combo_ids, top1, tied = load_fused_predictions(path, LabelSet(tuple(labels)),
-                                                               doc_ids)
+                combo_ids, top1, tied = load_fused_predictions(path, batch)
             except ValidationError as exc:
                 assert type(exc) is ValidationError and str(exc) == want
             else:
@@ -954,6 +956,54 @@ def test_diversity_files_match_a_row_by_row_writer(case):
         assert write_diversity(batch, Path(tmp), docs) == len(rsc_docs)
         got = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
     assert got == {name: text.encode("utf-8") for name, text in want.items()}
+
+
+# floats whose repr is long ("0.30000000000000004"), in exponent form or -0.0
+_ODD_FLOATS = (-0.0, 0.1 + 0.2, 1e-7, 5e-324, 1e16, -1.7976931348623157e308, 2.5e-05)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_score_file_matches_a_row_by_row_writer(data):
+    labels = data.draw(st.lists(_texts(ODD), min_size=3, max_size=4, unique=True))
+    doc_ids = data.draw(st.lists(_texts(ODD, 0), min_size=1, max_size=4, unique=True))
+    score = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(_ODD_FLOATS))
+    # each document's labels in an order of its own, as a scorer may give them
+    scores = {doc_id: dict(data.draw(st.permutations([(label, data.draw(score))
+                                                        for label in labels])))
+              for doc_id in doc_ids}
+    want = _naive.score_file_text(scores, labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        write_score_file(path, scores, LabelSet(tuple(labels)))
+        assert path.read_bytes() == want.encode("utf-8")
+
+
+# corpus labels that csv quotes or not; None leaves a record unlabeled
+_STATS_LABELS = ("a,b", 'q"', "n\nl", "r\rx", "plain", "é中", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_STATS_LABELS),
+                          st.lists(st.sampled_from(("a", "b", "c", "a.", "!")), max_size=5)),
+                # below 8 values numpy's mean adds them left to right, as the
+                # oracle does; from 8 on it adds them pairwise
+                min_size=1, max_size=7))
+def test_corpus_stats_file_matches_a_row_by_row_writer(records):
+    # short texts leave a metric undefined in a document, and now and then
+    # in a whole group: no token ("!"), fewer than two or three tokens
+    records = [(label, " ".join(words)) for label, words in records]
+    want = _naive.corpus_stats_text(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, config = Path(tmp) / "c.jsonl", Path(tmp) / "config.json"
+        corpus.write_text("".join(
+            json.dumps({"doc_id": f"d{i}", "text": text, "label": label}) + "\n"
+            for i, (label, text) in enumerate(records)), encoding="utf-8")
+        config.write_text(json.dumps({"out_dir": "out"}), encoding="utf-8")
+        assert main(["corpus-stats", "--config", str(config), "--corpus", str(corpus)]) == 0
+        got = (Path(tmp) / "out" / "corpus_stats.csv").read_bytes()
+    assert got == want.encode("utf-8")
 
 
 # words drawn from a few letters, edge punctuation and odd whitespace
