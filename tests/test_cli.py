@@ -1190,7 +1190,7 @@ def test_a_failed_rename_names_the_target_and_keeps_its_bytes(tmp_path, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]  # no temporary file
 
 
-def test_fused_cache_is_written_unless_ids_repeat_or_hold_a_nul(tmp_path):
+def test_fused_cache_is_written_unless_a_nul_is_written(tmp_path):
     target, cache = tmp_path / "fused.csv", tmp_path / "fused.csv.cache"
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
     # a NUL removes the cache of the grid before; a quoted combo id keeps one

@@ -268,7 +268,7 @@ def test_subset_strength_recomputes_within_subset():
         assert strengths[j] == _naive.ds(ordered, j)
 
 
-def test_subset_strength_rejects_unknown_and_small():
+def test_subset_strength_rejects_a_single_system():
     labels = LabelSet(("x", "y", "z"))
     batch = _batch({"A": [1, 2, 3], "B": [3, 2, 1]}, labels, "d")
     with pytest.raises(DomainError):
