@@ -57,20 +57,20 @@ def main() -> None:
 
     # each model's correct documents of the same total, over all labels
     total = sum(report.label_counts.values())
+    ind, comb = report.individual, report.combined
     print("individual systems, precision at rank 1")
-    for model, correct in sorted(zip(report.individual_ids, report.individual_overall.tolist())):
+    for model, correct in sorted(zip(ind.model_ids, ind.overall.tolist())):
         print(f"  {model}: {correct}/{total} = {correct / total:.4f}")
-    best_ind = report.best_individual.model
-    print(f"  best individual: {best_ind}")
+    print(f"  best individual: {ind.best.model}")
 
-    print("\ntop five combined models out of", len(report.combined_ids))
+    print("\ntop five combined models out of", len(comb.model_ids))
     ranked = sorted(
-        zip(report.combined_ids, report.combined_overall.tolist()),
+        zip(comb.model_ids, comb.overall.tolist()),
         key=lambda pair: (-pair[1], pair[0]),
     )
     for combo_id, correct in ranked[:5]:
         print(f"  {combo_id:24s} {correct}/{total} = {correct / total:.4f}")
-    print(f"  best combined: {report.best_combined.model}")
+    print(f"  best combined: {comb.best.model}")
 
     print("\ngrid statistics")
     for text, name in (

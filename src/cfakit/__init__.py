@@ -24,9 +24,9 @@ _SOURCES = {
                "corpus_quality_report", "distinct_n", "generate_prompt_matrix", "tokenize",
                "type_token_ratio"),
     "errors": ("CfaError", "DataAccessError", "DomainError", "ValidationError"),
-    "evaluate": ("BestSelection", "EvaluationReport", "ModelPredictions", "combined_arrays",
-                 "evaluate_predictions", "expert_indices", "individual_arrays", "select_best",
-                 "write_report"),
+    "evaluate": ("BestSelection", "EvaluationReport", "ModelCounts", "ModelPredictions",
+                 "combined_arrays", "evaluate_predictions", "expert_indices", "individual_arrays",
+                 "select_best", "write_report"),
     "generation": ("GenerationConfig", "GenerationOutcome", "generate_corpus"),
     "settings": ("LabelSet", "STRATEGIES"),
 }

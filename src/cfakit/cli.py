@@ -138,8 +138,8 @@ def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, flo
     from .evaluate import _count, individual_arrays
 
     expert = _load_experts(config, batch)
-    *_, overall = _count(individual_arrays(batch), expert, batch.label_set.n, config.tie_mode)
-    return {s: c / len(batch) for s, c in zip(batch.system_ids, overall.tolist())}
+    counts = _count(individual_arrays(batch), expert, batch.label_set.n, config.tie_mode)
+    return {s: c / len(batch) for s, c in zip(batch.system_ids, counts.overall.tolist())}
 
 
 def cmd_fuse(args, config: RunConfig) -> None:
@@ -171,8 +171,8 @@ def cmd_evaluate(args, config: RunConfig) -> None:
         ModelPredictions(combo_ids, label_set.labels, top1, tied), config.tie_mode,
     )
     write_report(report, config.out_dir)
-    best = report.best_combined
-    correct = int(report.combined_overall[report.combined_ids.index(best.model)])
+    best = report.combined.best
+    correct = int(report.combined.overall[report.combined.model_ids.index(best.model)])
     print(
         f"wrote {config.out_dir / 'report.json'}; best combined model "
         f"{best.model} at {format_table(correct / sum(report.label_counts.values()))}"

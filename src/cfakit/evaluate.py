@@ -9,14 +9,12 @@ Every count comes from one pass over label-index arrays (see
 ModelPredictions): a hit matrix of models x documents, summed per
 expert label with np.bincount.  individual_arrays and combined_arrays
 make those arrays from a batch, and fused.load_fused_predictions reads
-them from a fused grid file.  The report keeps the counts as they come:
-for the individual and the combined models, exact (models, labels)
-integer arrays of correct and of top-tied documents, and each model's
-correct documents overall, summed once by the counting pass, beside each
-label's document count.  Every model shares those per-label totals, and
-their sum overall, so comparing counts compares precisions exactly; the
-grid statistics are (numerator, denominator) pairs of ints, and floats
-only appear in presentation.
+them from a fused grid file.  The report keeps the counts as they come,
+one ModelCounts for the individual and one for the combined models,
+beside each label's document count.  Every model shares those per-label
+totals, and their sum overall, so comparing counts compares precisions
+exactly; the grid statistics are (numerator, denominator) pairs of ints,
+and floats only appear in presentation.
 """
 
 from __future__ import annotations
@@ -106,28 +104,6 @@ def expert_indices(
     return np.array([label_set.index(experts[d]) for d in doc_ids], dtype=np.intp)
 
 
-def _count(
-    predictions: ModelPredictions, expert: np.ndarray, n_labels: int, tie_mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one counting pass: the correct and the top-tied documents of
-    each model per expert label, as exact (models, n_labels) integer
-    arrays, and each model's correct documents over all labels, the one
-    sum of its overall count.  expert holds each document's expert label
-    index."""
-    if tie_mode == "lenient":
-        # an untied group is top1 alone, so this is top1 == expert there
-        hit = predictions.tied[:, np.arange(expert.size), expert]
-    else:
-        hit = predictions.top1 == expert
-    tie = np.count_nonzero(predictions.tied, axis=2) > 1
-    cell = np.arange(len(hit))[:, None] * n_labels + expert
-    correct, ties = (
-        np.bincount(cell[flags], minlength=len(hit) * n_labels).reshape(-1, n_labels)
-        for flags in (hit, tie)
-    )
-    return correct, ties, correct.sum(axis=1)
-
-
 class BestSelection(NamedTuple):
     """Best model id with every id that tied for the top precision."""
 
@@ -141,14 +117,50 @@ def select_best(model_ids: Sequence[str], correct: Sequence[int]) -> BestSelecti
     break by model id order."""
     if not model_ids:
         raise ValidationError("cannot select the best model from empty results")
+    if len(correct) != len(model_ids):
+        raise ValidationError("best model selection needs one correct count per model")
     best = max(correct)
     tied = tuple(sorted(m for m, count in zip(model_ids, correct) if count == best))
     return BestSelection(model=tied[0], tied=tied)
 
 
+class ModelCounts(NamedTuple):
+    """One kind of model's counts from the counting pass (_count).  Row m
+    of correct counts, per label, the documents the model model_ids[m] got
+    right, and of ties those whose top label it tied: exact (models,
+    labels) integer arrays.  overall[m] is the model's correct documents
+    over all labels, summed once, and best is select_best of overall."""
+
+    model_ids: tuple[str, ...]
+    correct: np.ndarray
+    ties: np.ndarray
+    overall: np.ndarray
+    best: BestSelection
+
+
+def _count(
+    predictions: ModelPredictions, expert: np.ndarray, n_labels: int, tie_mode: str
+) -> ModelCounts:
+    """The one counting pass over the models of predictions.  expert holds
+    each document's expert label index."""
+    if tie_mode == "lenient":
+        # an untied group is top1 alone, so this is top1 == expert there
+        hit = predictions.tied[:, np.arange(expert.size), expert]
+    else:
+        hit = predictions.top1 == expert
+    tie = np.count_nonzero(predictions.tied, axis=2) > 1
+    cell = np.arange(len(hit))[:, None] * n_labels + expert
+    correct, ties = (
+        np.bincount(cell[flags], minlength=len(hit) * n_labels).reshape(-1, n_labels)
+        for flags in (hit, tie)
+    )
+    overall = correct.sum(axis=1)
+    return ModelCounts(predictions.model_ids, correct, ties, overall,
+                       select_best(predictions.model_ids, overall.tolist()))
+
+
 def _grid_stats(
-    individual: np.ndarray, combined: np.ndarray,
-    individual_overall: np.ndarray, combined_overall: np.ndarray, totals: np.ndarray,
+    individual: ModelCounts, combined: ModelCounts, totals: np.ndarray
 ) -> dict[str, tuple[int, int]]:
     """How often combined models meet or beat the individual systems, by
     correct counts per (model, label) and overall, each statistic a
@@ -157,12 +169,12 @@ def _grid_stats(
     form cells; models_ge_best_individual counts whole combined models by
     overall precision.  Every model shares one denominator per label, and
     one overall, so comparing counts compares the fractions exactly."""
-    ind = individual[:, totals > 0]
-    comb = combined[:, totals > 0]
+    ind = individual.correct[:, totals > 0]
+    comb = combined.correct[:, totals > 0]
     ge_best = np.count_nonzero(comb >= ind.max(axis=0))
     # combined/g >= sum/(t*g)  <=>  t*combined >= sum
     ge_mean = np.count_nonzero(len(ind) * comb >= ind.sum(axis=0))
-    models_ge = np.count_nonzero(combined_overall >= individual_overall.max())
+    models_ge = np.count_nonzero(combined.overall >= individual.overall.max())
     return {
         "cells_ge_best_individual": (int(ge_best), comb.size),
         "cells_ge_individual_mean": (int(ge_mean), comb.size),
@@ -201,14 +213,9 @@ class EvaluationReport(NamedTuple):
     """Everything the evaluation pipeline measures in one place.
 
     label_counts maps each label, in label-set order, to its documents,
-    the total every model is scored on for that label.  Row m of
-    individual_correct counts, per label, the documents the model
-    individual_ids[m] got right, and of individual_ties those whose top
-    label it tied: exact (models, labels) integer arrays.  Entry m of
-    individual_overall is the model's correct documents over all labels,
-    of sum(label_counts.values()).  The combined_* fields hold the same
-    for the combined models.
-
+    the total every model is scored on for that label; each overall count
+    is out of sum(label_counts.values()).  individual and combined hold
+    the ModelCounts of the individual and of the combined models.
     grid_stats maps each grid statistic to its (numerator, denominator)
     pair of ints (_grid_stats).
     disagreements maps each category to the documents, as rows of
@@ -222,16 +229,8 @@ class EvaluationReport(NamedTuple):
 
     tie_mode: str
     label_counts: dict[str, int]
-    individual_ids: tuple[str, ...]
-    individual_correct: np.ndarray
-    individual_ties: np.ndarray
-    individual_overall: np.ndarray
-    combined_ids: tuple[str, ...]
-    combined_correct: np.ndarray
-    combined_ties: np.ndarray
-    combined_overall: np.ndarray
-    best_individual: BestSelection
-    best_combined: BestSelection
+    individual: ModelCounts
+    combined: ModelCounts
     grid_stats: dict[str, tuple[int, int]]
     disagreements: dict[str, tuple[tuple[str, str, str, str], ...]]
 
@@ -249,15 +248,17 @@ def evaluate_predictions(
     expert is the label-set index of each document's expert label; it and
     the document axis of both prediction arrays follow doc_ids.  Both
     prediction sets index the label set's labels, and each top1 lies in
-    its tied group.
+    its tied group.  Indices must have an integer dtype and tied groups a
+    boolean one; nothing is cast.
     """
     _check_choice("tie_mode", tie_mode)
     if not individual.model_ids or not combined.model_ids:
         raise ValidationError("the report needs individual and combined predictions")
-    expert = np.asarray(expert, dtype=np.intp)
-    if (not len(doc_ids) or expert.shape != (len(doc_ids),)
+    expert = np.asarray(expert)
+    if (not len(doc_ids) or expert.dtype.kind not in "iu" or expert.shape != (len(doc_ids),)
             or expert.min() < 0 or expert.max() >= label_set.n):
         raise ValidationError("evaluation needs one expert label-set index per document")
+    expert = expert.astype(np.intp, copy=False)
     for p in (individual, combined):
         if len(set(p.model_ids)) != len(p.model_ids):
             raise ValidationError("model ids must be unique")
@@ -266,6 +267,8 @@ def evaluate_predictions(
                 or p.tied.shape != shape + (label_set.n,)):
             raise ValidationError("predictions must be (models, documents) arrays "
                                   "on the label set's labels")
+        if p.top1.dtype.kind not in "iu" or p.tied.dtype != np.bool_:
+            raise ValidationError("top1 must hold label indices and tied booleans")
         if (p.top1.min() < 0 or p.top1.max() >= label_set.n
                 or not np.take_along_axis(p.tied, p.top1[..., None], axis=2).all()):
             raise ValidationError("each top1 must be a label index inside its tied group")
@@ -273,25 +276,14 @@ def evaluate_predictions(
     totals = np.bincount(expert, minlength=label_set.n)
     ind = _count(individual, expert, label_set.n, tie_mode)
     comb = _count(combined, expert, label_set.n, tie_mode)
-    best_individual = select_best(individual.model_ids, ind[2].tolist())
-    best_combined = select_best(combined.model_ids, comb[2].tolist())
     tables = _disagreements(
         doc_ids, label_set.labels, expert,
-        individual.top1[individual.model_ids.index(best_individual.model)],
-        combined.top1[combined.model_ids.index(best_combined.model)],
+        individual.top1[individual.model_ids.index(ind.best.model)],
+        combined.top1[combined.model_ids.index(comb.best.model)],
     )
-    return EvaluationReport(
-        tie_mode=tie_mode,
-        label_counts=dict(zip(label_set.labels, totals.tolist())),
-        individual_ids=individual.model_ids, individual_correct=ind[0], individual_ties=ind[1],
-        individual_overall=ind[2],
-        combined_ids=combined.model_ids, combined_correct=comb[0], combined_ties=comb[1],
-        combined_overall=comb[2],
-        best_individual=best_individual,
-        best_combined=best_combined,
-        grid_stats=_grid_stats(ind[0], comb[0], ind[2], comb[2], totals),
-        disagreements=tables,
-    )
+    label_counts = dict(zip(label_set.labels, totals.tolist()))
+    return EvaluationReport(tie_mode, label_counts, ind, comb, _grid_stats(ind, comb, totals),
+                            tables)
 
 
 def _record_template(depth: int) -> str:
@@ -307,14 +299,13 @@ _PER_LABEL = _record_template(8)
 
 
 def _models_json(
-    model_ids: Sequence[str], correct: np.ndarray, ties: np.ndarray,
-    sums: tuple[list[int], list[int]], label_counts: Mapping[str, int],
+    counts: ModelCounts, tie_totals: Sequence[int], label_counts: Mapping[str, int]
 ) -> str:
     """The individual or combined section of report.json, with the bytes
     json.dumps(indent=2, sort_keys=True, ensure_ascii=False) gives it one
     level deep: models by id, each with its overall record and its
     per-label records by label (null for a label without documents).
-    sums holds each model's overall correct and tie counts.  Floats are
+    tie_totals holds each model's ties over all labels.  Floats are
     written by repr, as json writes them."""
     labels, totals = list(label_counts), list(label_counts.values())
     total = sum(totals)
@@ -328,7 +319,8 @@ def _models_json(
     ]
     models = {}
     for model, c, t, cells, cell_ties in zip(
-        model_ids, *sums, correct[:, by_name].tolist(), ties[:, by_name].tolist()
+        counts.model_ids, counts.overall.tolist(), tie_totals,
+        counts.correct[:, by_name].tolist(), counts.ties[:, by_name].tolist(),
     ):
         per_label = ",".join(
             key + (record[n] % k if group else "null")
@@ -352,21 +344,12 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     quoted once as write_csv would quote it."""
     out_dir = Path(out_dir)
     stats, tables = report.grid_stats, report.disagreements
-    kinds = (
-        ("individual", report.individual_ids, report.individual_correct, report.individual_ties),
-        ("combined", report.combined_ids, report.combined_correct, report.combined_ties),
-    )
-    # each model's overall correct count, and its tie count summed once
-    overall = {"individual": report.individual_overall, "combined": report.combined_overall}
-    sums = {kind: (overall[kind].tolist(), ties.sum(axis=1).tolist())
-            for kind, _, _, ties in kinds}
-
     sections = {
         "tie_mode": report.tie_mode,
         "label_counts": dict(report.label_counts),
         # model and tied, whose tuple JSON writes as an array
-        "best_individual": report.best_individual._asdict(),
-        "best_combined": report.best_combined._asdict(),
+        "best_individual": report.individual.best._asdict(),
+        "best_combined": report.combined.best._asdict(),
         "grid_statistics": {
             name: {"numerator": n, "denominator": d, "value": n / d}
             for name, (n, d) in stats.items()
@@ -382,12 +365,6 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         name: json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", "\n  ")
         for name, value in sections.items()
     }
-    for kind, model_ids, correct, ties in kinds:
-        text[kind] = _models_json(model_ids, correct, ties, sums[kind], report.label_counts)
-    atomic_write_text(out_dir / "report.json", "{" + ",".join(
-        f'\n  "{name}": {text[name]}' for name in sorted(text)
-    ) + "\n}\n")
-
     totals = list(report.label_counts.values())
     total = sum(totals)
     # what follows the model and kind columns of a label's row, by correct count
@@ -397,12 +374,18 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         for label, g in report.label_counts.items()
     ]
     overall_lines, label_lines = [], []
-    for kind, model_ids, correct, _ in kinds:
-        rows = zip(model_ids, *sums[kind], correct.tolist())
+    for kind, counts in {"individual": report.individual, "combined": report.combined}.items():
+        # each model's ties over all labels, summed once for both writers
+        tie_totals = counts.ties.sum(axis=1).tolist()
+        text[kind] = _models_json(counts, tie_totals, report.label_counts)
+        rows = zip(counts.model_ids, counts.overall.tolist(), tie_totals, counts.correct.tolist())
         for model, c, t, cells in sorted(rows, key=lambda row: row[0]):
             head = f"{_quote(model)},{kind},"
             overall_lines.append(f"{head}{c},{total},{t},{format_table(c / total)}\n")
             label_lines.extend(head + tail[n] for tail, n in zip(tails, cells))
+    atomic_write_text(out_dir / "report.json", "{" + ",".join(
+        f'\n  "{name}": {text[name]}' for name in sorted(text)
+    ) + "\n}\n")
     atomic_write_text(out_dir / "overall_precision.csv",
                       "model,kind,correct,total,ties,precision\n" + "".join(overall_lines))
     atomic_write_text(out_dir / "per_label_precision.csv",
@@ -420,9 +403,9 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     )
     # Average precision per subset and strategy, the plot-data view of the
     # combination grid; the combo id breaks a tie between "a" and "a:".
-    values = [c / total for c in sums["combined"][0]]
+    values = [c / total for c in report.combined.overall.tolist()]
     write_csv(out_dir / "strategy_precision.csv", ("subset", "strategy", "precision"), [
         (subset, strategy, format_table(v)) for subset, strategy, _, v in sorted(
             (*combo_id.partition(":")[::2], combo_id, v)
-            for combo_id, v in zip(report.combined_ids, values))
+            for combo_id, v in zip(report.combined.model_ids, values))
     ])

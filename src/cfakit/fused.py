@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import _names, _quote, _table_rows, atomic_writer
+from .fileio import _names, _quote, _table_rows, _unwritable, atomic_writer
 
 if TYPE_CHECKING:
     from .core import FusionBatch
@@ -85,7 +85,10 @@ def write_fused_file(
             index.append(at)
     cache = Path(path).with_name(Path(path).name + ".cache")
     if not (cached and combo_ids):
-        cache.unlink(missing_ok=True)
+        try:
+            cache.unlink(missing_ok=True)
+        except OSError as exc:
+            raise _unwritable(cache, exc) from exc
         return len(combo_ids)
     data = np.array(index, "<i4")[:, np.argsort(perm)].tobytes()  # documents in doc_ids order
     header = {"version": 1, "bytes": size, "crc32": crc, "labels": list(labels),

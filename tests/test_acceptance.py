@@ -217,8 +217,8 @@ def test_report_arithmetic_on_constructed_fixtures():
     experts = {f"d{i:03d}": "SDG1" for i in range(306)}
     predictions = {"m": ["SDG1" if i < 296 else "SDG2" for i in range(306)]}
     report = _report(labels, experts, predictions, predictions)
-    correct, total = int(report.individual_overall[0]), sum(report.label_counts.values())
-    assert correct == report.individual_correct[0].sum()
+    correct, total = int(report.individual.overall[0]), sum(report.label_counts.values())
+    assert correct == report.individual.correct[0].sum()
     assert Fraction(correct, total) == Fraction(296, 306)
     # the literal is the report's 6-decimal rounding of 296/306
     assert correct / total == pytest.approx(0.967320, abs=1e-6)
@@ -227,7 +227,7 @@ def test_report_arithmetic_on_constructed_fixtures():
     group_experts = {f"g{i:02d}": "SDG4" for i in range(16)}
     group_predictions = {"m": ["SDG4" if i < 15 else "SDG5" for i in range(16)]}
     report = _report(labels, group_experts, group_predictions, group_predictions)
-    correct = report.individual_correct[0, labels.index("SDG4")]
+    correct = report.individual.correct[0, labels.index("SDG4")]
     total = report.label_counts["SDG4"]
     assert correct / total == 0.9375  # exact: 15/16 is a dyadic rational
     assert correct == 15

@@ -1204,6 +1204,19 @@ def test_fused_cache_is_written_unless_a_nul_is_written(tmp_path):
             assert _fused_cache(target, tuple("ABC"), doc_ids)[1] == ("s,t:asc",)
 
 
+def test_a_cache_that_cannot_be_removed_is_named(tmp_path):
+    # a NUL in a doc id means no cache is written and the old one removed;
+    # a directory in its place cannot be
+    target, cache = tmp_path / "fused.csv", tmp_path / "fused.csv.cache"
+    cache.mkdir()
+    order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])
+    with pytest.raises(DataAccessError) as raised:
+        write_fused_file(target, _batch_of("ABC", ["d\x001", "d2"]), [("s+t:asc", order, tied)])
+    assert str(raised.value).startswith(f"cannot write {cache}: ")
+    assert raised.value.exit_code == 2
+    assert cache.is_dir()
+
+
 def test_a_fused_cache_is_read_only_for_its_labels_documents_and_field_limit(tmp_path):
     target = tmp_path / "fused.csv"
     order, tied = np.array([[0, 1, 2], [2, 0, 1]]), np.array([1, 2])

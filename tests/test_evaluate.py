@@ -50,21 +50,21 @@ def _report(experts, individual, combined=None, labels=LABELS, tie_mode="strict"
 def _overall(report, model, kind="individual"):
     """A model's (correct, total) over all documents: the report's overall
     count, which equals the model's per-label counts summed."""
-    ids, correct, overall = (getattr(report, f"{kind}_{field}")
-                             for field in ("ids", "correct", "overall"))
-    m = ids.index(model)
-    assert overall.shape == (len(ids),) and overall[m] == correct[m].sum()
-    return int(overall[m]), sum(report.label_counts.values())
+    counts = getattr(report, kind)
+    m = counts.model_ids.index(model)
+    assert counts.overall.shape == (len(counts.model_ids),)
+    assert counts.overall[m] == counts.correct[m].sum()
+    return int(counts.overall[m]), sum(report.label_counts.values())
 
 
 def _per_label(report, model, kind="individual"):
     """A model's (correct, total) per label from the report's arrays, None
     for a label without documents."""
-    ids, correct = getattr(report, f"{kind}_ids"), getattr(report, f"{kind}_correct")
-    m = ids.index(model)
+    counts = getattr(report, kind)
+    m = counts.model_ids.index(model)
     return {
         label: (int(c), group) if group else None
-        for (label, group), c in zip(report.label_counts.items(), correct[m])
+        for (label, group), c in zip(report.label_counts.items(), counts.correct[m])
     }
 
 
@@ -76,7 +76,7 @@ def test_precision_simple_fraction():
     assert total == 4
     assert correct / total == 0.75
     assert Fraction(correct, total) == Fraction(3, 4)
-    assert report.individual_ties.sum() == 0
+    assert report.individual.ties.sum() == 0
 
 
 def test_precision_strict_versus_lenient_ties():
@@ -87,7 +87,7 @@ def test_precision_strict_versus_lenient_ties():
     (strict, _), (lenient, _) = (_overall(report, "m") for report in reports)
     assert strict == 0
     assert lenient == 1
-    assert [report.individual_ties.sum() for report in reports] == [1, 1]
+    assert [report.individual.ties.sum() for report in reports] == [1, 1]
 
 
 def test_precision_tie_on_expert_top1_counts_in_both_modes():
@@ -131,6 +131,28 @@ def test_predictions_must_index_exactly_the_label_set():
         bad = good._replace(top1=np.array([[top1]], dtype=np.intp))
         with pytest.raises(ValidationError, match="top1 must be a label index inside"):
             evaluate_predictions(["d1"], LABELS, expert, good, bad)
+
+
+def _evaluate(expert=(0, 1, 2), top1=None, tied=None, tie_mode="strict"):
+    """evaluate_predictions on three documents of one model that matches
+    the expert; top1 and tied replace the combined model's arrays."""
+    good = _models({"m": ["L1", "L2", "L3"]})
+    bad = good._replace(top1=good.top1 if top1 is None else top1,
+                        tied=good.tied if tied is None else tied)
+    return evaluate_predictions(["d1", "d2", "d3"], LABELS, np.array(expert), good, bad, tie_mode)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _evaluate(expert=[0.9, 1.5, 2.2]),
+    lambda: _evaluate(expert=[True, False, True]),
+    lambda: _evaluate(top1=np.array([[0.0, 1.0, 2.0]])),
+    lambda: _evaluate(tied=np.eye(3, dtype=np.intp)[None], tie_mode="lenient"),
+    lambda: select_best(("a", "b"), [3]),
+    lambda: select_best(("a",), [1, 5]),
+], ids=["float-expert", "bool-expert", "float-top1", "int-tied", "fewer-counts", "more-counts"])
+def test_indices_and_counts_are_refused_not_cast_or_dropped(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_model_ids_must_be_unique():
@@ -331,13 +353,13 @@ def test_evaluate_predictions_end_to_end_small():
         docs, LABELS, expert_indices(experts, LABELS, docs),
         individual_arrays(batch), combined,
     )
-    assert set(report.individual_ids) == {"A", "B", "C"}
-    assert len(report.combined_ids) == 16  # 4 subsets x 4 strategies
-    assert report.combined_correct.shape == report.combined_ties.shape == (16, 3)
+    assert set(report.individual.model_ids) == {"A", "B", "C"}
+    assert len(report.combined.model_ids) == 16  # 4 subsets x 4 strategies
+    assert report.combined.correct.shape == report.combined.ties.shape == (16, 3)
     assert report.grid_stats["models_ge_best_individual"][1] == 16
     assert report.grid_stats["cells_ge_best_individual"][1] == 16 * 3
     assert sum(report.label_counts.values()) == len(docs)
-    for model in report.combined_ids:
+    for model in report.combined.model_ids:
         table = _per_label(report, model, "combined")
         correct = sum(c for c, _ in filter(None, table.values()))
         total = sum(g for _, g in filter(None, table.values()))

@@ -127,7 +127,7 @@ def test_each_command_loads_only_what_it_runs(name, run_python, tmp_path):
 # The evaluation API: label-index arrays in, one report out.  Pinned so
 # that a second, per-document front end cannot come back unnoticed.
 EVALUATE_API = {
-    "BestSelection", "EvaluationReport", "ModelPredictions", "combined_arrays",
+    "BestSelection", "EvaluationReport", "ModelCounts", "ModelPredictions", "combined_arrays",
     "evaluate_predictions", "expert_indices", "individual_arrays", "select_best",
     "write_report",
 }
@@ -173,7 +173,7 @@ CORPUS_INPUTS = {
 PUBLIC_NAMES = {
     "BestSelection", "CfaError", "DataAccessError", "Document", "DomainError",
     "EPSILON", "EvaluationReport", "FusionBatch", "GenerationConfig", "GenerationOutcome",
-    "KeywordLexicon", "LabelSet", "ModelPredictions", "Prompt",
+    "KeywordLexicon", "LabelSet", "ModelCounts", "ModelPredictions", "Prompt",
     "PromptSpec", "STRATEGIES", "TfidfCentroidScorer", "ValidationError",
     "cognitive_diversity", "combined_arrays", "corpus_quality_report", "distinct_n",
     "diversity_strength", "enumerate_combinations", "evaluate_predictions",
@@ -200,6 +200,10 @@ def test_public_names_resolve_and_the_evaluation_api_is_pinned():
     assert sorted(cfakit.__all__) == sorted(PUBLIC_NAMES)  # each name once
     assert _defined(evaluate) == EVALUATE_API
     assert EVALUATE_API <= set(cfakit.__all__)
+    # one ModelCounts per kind of model, never per-kind fields of the report
+    assert evaluate.EvaluationReport._fields == (
+        "tie_mode", "label_counts", "individual", "combined", "grid_stats", "disagreements")
+    assert evaluate.ModelCounts._fields == ("model_ids", "correct", "ties", "overall", "best")
 
 
 def test_the_fusion_api_is_pinned():

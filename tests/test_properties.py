@@ -33,6 +33,7 @@ from cfakit import (
     FusionBatch,
     KeywordLexicon,
     LabelSet,
+    ModelCounts,
     ModelPredictions,
     ValidationError,
     cognitive_diversity,
@@ -268,11 +269,8 @@ def test_evaluation_counts_match_per_document_recount(case):
     report = evaluate_predictions(doc_ids, label_set, expert, individual, combined, tie_mode)
     total = sum(report.label_counts.values())
     fractions = {}
-    for predictions, ids, correct, ties, overall in (
-        (individual, report.individual_ids, report.individual_correct, report.individual_ties,
-         report.individual_overall),
-        (combined, report.combined_ids, report.combined_correct, report.combined_ties,
-         report.combined_overall),
+    for predictions, (ids, correct, ties, overall, _) in (
+        (individual, report.individual), (combined, report.combined),
     ):
         assert ids == predictions.model_ids
         assert correct.shape == ties.shape == (len(ids), label_set.n)
@@ -292,12 +290,12 @@ def test_evaluation_counts_match_per_document_recount(case):
         label: expert.tolist().count(index) for index, label in enumerate(label_set.labels)
     }
 
-    best_individual = _best({m: fractions[m] for m in individual.model_ids})
-    best_combined = _best({m: fractions[m] for m in combined.model_ids})
-    assert list(report.best_individual.tied) == best_individual
-    assert report.best_individual.model == best_individual[0]
-    assert list(report.best_combined.tied) == best_combined
-    assert report.best_combined.model == best_combined[0]
+    top_individual = _best({m: fractions[m] for m in individual.model_ids})
+    top_combined = _best({m: fractions[m] for m in combined.model_ids})
+    assert list(report.individual.best.tied) == top_individual
+    assert report.individual.best.model == top_individual[0]
+    assert list(report.combined.best.tied) == top_combined
+    assert report.combined.best.model == top_combined[0]
 
     ge_best = ge_mean = cells = 0
     for label in set(expert.tolist()):
@@ -325,8 +323,8 @@ def test_evaluation_counts_match_per_document_recount(case):
     # the disagreement tables, recounted per document in doc_id order from
     # the best models' top-1 labels
     labels = label_set.labels
-    best_ind = individual.top1[individual.model_ids.index(best_individual[0])].tolist()
-    best_comb = combined.top1[combined.model_ids.index(best_combined[0])].tolist()
+    best_ind = individual.top1[individual.model_ids.index(top_individual[0])].tolist()
+    best_comb = combined.top1[combined.model_ids.index(top_combined[0])].tolist()
     agrees, neither, both_wrong = [], [], []
     for doc_id, e, i, c in sorted(zip(doc_ids, expert.tolist(), best_ind, best_comb)):
         row = (doc_id, labels[e], labels[i], labels[c])
@@ -799,7 +797,8 @@ def _report_payload(report):
     def precision(correct, total, ties):
         return {"correct": correct, "total": total, "ties": ties, "value": correct / total}
 
-    def models(ids, correct, ties):
+    def models(counts):
+        correct, ties = counts.correct, counts.ties
         return {
             model: {
                 "overall": precision(int(correct[m].sum()), total, int(ties[m].sum())),
@@ -808,17 +807,16 @@ def _report_payload(report):
                     for l, (label, group) in enumerate(report.label_counts.items())
                 },
             }
-            for m, model in enumerate(ids)
+            for m, model in enumerate(counts.model_ids)
         }
 
     return {
         "tie_mode": report.tie_mode,
         "label_counts": dict(report.label_counts),
-        "individual": models(report.individual_ids, report.individual_correct,
-                             report.individual_ties),
-        "combined": models(report.combined_ids, report.combined_correct, report.combined_ties),
-        "best_individual": report.best_individual._asdict(),
-        "best_combined": report.best_combined._asdict(),
+        "individual": models(report.individual),
+        "combined": models(report.combined),
+        "best_individual": report.individual.best._asdict(),
+        "best_combined": report.combined.best._asdict(),
         "grid_statistics": {
             name: {"numerator": n, "denominator": d, "value": n / d}
             for name, (n, d) in report.grid_stats.items()
@@ -852,11 +850,8 @@ def reports(draw):
                      dtype=np.intp).reshape(len(ids), len(labels))
             for _ in range(2)
         )
-        return ids, correct, ties
-
-    def best():
         tied = tuple(sorted(draw(st.lists(_JSON_TEXT, min_size=1, max_size=3, unique=True))))
-        return BestSelection(tied[0], tied)
+        return ModelCounts(ids, correct, ties, correct.sum(axis=1), BestSelection(tied[0], tied))
 
     def ratio():
         total = draw(st.integers(1, 40))
@@ -866,20 +861,11 @@ def reports(draw):
         return tuple(tuple(draw(st.lists(_JSON_TEXT, min_size=4, max_size=4)))
                      for _ in range(draw(st.integers(0, 2))))
 
-    (ind, ind_correct, ind_ties), (comb, comb_correct, comb_ties) = models(), models()
     return EvaluationReport(
         tie_mode=draw(st.sampled_from(("strict", "lenient"))),
         label_counts=dict(zip(labels, counts)),
-        individual_ids=ind,
-        individual_correct=ind_correct,
-        individual_ties=ind_ties,
-        individual_overall=ind_correct.sum(axis=1),
-        combined_ids=comb,
-        combined_correct=comb_correct,
-        combined_ties=comb_ties,
-        combined_overall=comb_correct.sum(axis=1),
-        best_individual=best(),
-        best_combined=best(),
+        individual=models(),
+        combined=models(),
         grid_stats={name: ratio() for name in (
             "cells_ge_best_individual", "cells_ge_individual_mean", "models_ge_best_individual")},
         disagreements={category: rows() for category in (
