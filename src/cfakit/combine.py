@@ -17,8 +17,6 @@ a time, each fused for every document at once by _fuse_arrays.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations
 
@@ -26,7 +24,8 @@ import numpy as np
 
 from .core import FusionBatch, _ordered_sum, diversity_strength
 from .errors import DomainError, ValidationError
-from .settings import STRATEGIES
+from .fileio import _JSON_KINDS
+from .settings import STRATEGIES, _ids
 
 # Weights at or below this threshold are treated as vanishing; weighted
 # strategies fall back to their unweighted versions instead of dividing
@@ -40,9 +39,7 @@ def enumerate_combinations(system_ids: Sequence[str]) -> list[tuple[str, ...]]:
     Subsets are listed smallest size first, lexicographically within each
     size, so the enumeration is deterministic.
     """
-    ids = sorted(system_ids)
-    if len(set(ids)) != len(ids):
-        raise ValidationError("system ids must be unique")
+    ids = sorted(_ids(system_ids, "system id"))
     t = len(ids)
     if t < 2:
         raise DomainError(f"a combination grid needs at least two systems, got {t}")
@@ -119,8 +116,7 @@ def grid_arrays(
         if missing:
             raise ValidationError(f"missing performance weights for systems {missing}")
         weights = [performance[system_id] for system_id in batch.system_ids]
-        # a string such as "1.5" is not read as a number
-        if not all(isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0 for w in weights):
+        if not all(_JSON_KINDS["a finite real"](w) and w >= 0 for w in weights):
             raise ValidationError("performance weights must be finite and non-negative numbers")
         perf = dict(zip(batch.system_ids, map(float, weights)))
     subsets = sorted(enumerate_combinations(batch.system_ids), key=lambda s: "+".join(s) + ":")

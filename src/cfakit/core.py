@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .settings import MIN_LABELS, LabelSet, _check_choice, _check_system_id
+from .settings import MIN_LABELS, LabelSet, _check_choice, _check_system_ids, _ids
 
 
 def _freeze(values: Iterable[float] | np.ndarray, dtype=float) -> np.ndarray:
@@ -52,7 +52,7 @@ def _as_rows(values, what: str) -> np.ndarray:
     if bad.size:
         where = tuple(int(i) for i in bad[0])
         index = where[0] if arr.ndim == 1 else where
-        raise ValidationError(f"{what} at index {index} is not finite: {arr[where]!r}")
+        raise ValidationError(f"{what} at index {index} is not finite: {float(arr[where])!r}")
     return arr
 
 
@@ -135,14 +135,12 @@ def diversity_strength(cd) -> np.ndarray:
     weights for combination are taken relative to the systems actually
     being combined, not the full roster.
     """
-    m = np.asarray(cd, dtype=float)
+    m = _as_rows(cd, "cognitive diversity value")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError("cognitive diversity matrix must be square")
     t = m.shape[-1]
     if t < 2:
         raise DomainError("diversity strength needs at least two systems")
-    if not np.isfinite(m).all():
-        raise ValidationError("cognitive diversity matrix contains non-finite values")
     out = np.empty(m.shape[:-2] + (t,))
     for j in range(t):
         total = _ordered_sum(m[..., j, k] for k in range(t) if k != j)
@@ -169,23 +167,14 @@ class FusionBatch:
         raw: np.ndarray,
         tie_policy: str = "fractional",
     ) -> None:
-        docs, ids = tuple(doc_ids), tuple(system_ids)
-        if not docs:
-            raise ValidationError("at least one document is required")
         # fused.csv lists documents by doc_id text, and its writer and reader
         # take them from here; the empty string is an id like any other
-        if not all(isinstance(d, str) for d in docs):
-            raise ValidationError("doc ids must be strings")
-        if len(set(docs)) != len(docs):
-            raise ValidationError("doc ids must be unique")
+        docs, ids = _ids(doc_ids, "doc id"), _ids(system_ids, "system id")
+        if not docs:
+            raise ValidationError("at least one document is required")
         if not ids:
             raise ValidationError("at least one scoring system is required")
-        if not all(isinstance(s, str) for s in ids):
-            raise ValidationError("system ids must be strings")
-        for system_id in ids:
-            _check_system_id(system_id)
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate system id in {list(ids)}")
+        _check_system_ids(ids)
         _check_choice("tie_policy", tie_policy)
         raw = _freeze(_as_rows(raw, "raw score"))
         if raw.shape != (len(docs), len(ids), label_set.n):

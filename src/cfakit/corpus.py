@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataAccessError, ValidationError
-from .fileio import _field, _json_lines, _names, _parse_json, _read_text, _table_rows, write_csv
+from .fileio import (_JSON_KINDS, _field, _json_lines, _names, _parse_json, _read_text,
+                     _table_rows, write_csv)
 from .settings import LabelSet
 
 if TYPE_CHECKING:  # numpy loads in the functions that build arrays
@@ -138,8 +139,8 @@ def distinct_n(doc: Document, n: int) -> float | None:
     None when the document holds fewer than n tokens, marking the metric
     undefined rather than zero.
     """
-    if n < 1:
-        raise ValidationError(f"n-gram order must be at least 1, got {n}")
+    if not _JSON_KINDS["an integer"](n) or n < 1:
+        raise ValidationError(f"n-gram order must be an integer of at least 1, got {n!r}")
     tokens = doc.tokens
     total = len(tokens) - n + 1
     if total <= 0:
@@ -304,12 +305,12 @@ class KeywordLexicon:
     """
 
     def __init__(self, raw: Mapping[str, Sequence[str]], label_set: LabelSet) -> None:
+        if not isinstance(raw, Mapping):
+            raise ValidationError("lexicon must be a JSON object of label -> phrases")
         phrases: dict[str, tuple[tuple[str, ...], ...]] = {}
         for label, entries in raw.items():
             # a string would be read as its characters
-            if not isinstance(entries, (list, tuple)) or not all(
-                isinstance(entry, str) for entry in entries
-            ):
+            if not _JSON_KINDS["an array of strings"](entries):
                 raise ValidationError(f"lexicon label {label!r} must be an array of strings")
             if not entries:
                 raise ValidationError(f"label {label!r} has no phrases")
@@ -360,8 +361,6 @@ class KeywordLexicon:
 def load_lexicon(path: Path | str, label_set: LabelSet) -> KeywordLexicon:
     path = Path(path)
     raw = _parse_json(_read_text(path), path)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: lexicon must be a JSON object of label -> phrases")
     try:
         return KeywordLexicon(raw, label_set)
     except ValidationError as exc:

@@ -29,8 +29,8 @@ import numpy as np
 from .combine import _fuse_arrays, grid_arrays
 from .core import FusionBatch
 from .errors import ValidationError
-from .fileio import _names, _quote, atomic_write_text, format_table, write_csv
-from .settings import LabelSet, _check_choice
+from .fileio import _JSON_KINDS, _names, _quote, atomic_write_text, format_table, write_csv
+from .settings import LabelSet, _check_choice, _ids
 
 
 class ModelPredictions(NamedTuple):
@@ -89,6 +89,7 @@ def expert_indices(
     """The label-set index of each document's expert label, documents in
     doc_ids order.  experts must label exactly the documents of doc_ids,
     each with a label from the label set."""
+    doc_ids = _ids(doc_ids, "doc id")
     docs = set(doc_ids)
     unlabeled = sorted(docs - experts.keys())
     if unlabeled:
@@ -115,10 +116,12 @@ def select_best(model_ids: Sequence[str], correct: Sequence[int]) -> BestSelecti
     """Model with the most correct documents, given each model's count out
     of one shared total: the highest precision, compared exactly.  Ties
     break by model id order."""
+    model_ids = _ids(model_ids, "model id")
     if not model_ids:
         raise ValidationError("cannot select the best model from empty results")
-    if len(correct) != len(model_ids):
-        raise ValidationError("best model selection needs one correct count per model")
+    if (not isinstance(correct, Sequence) or len(correct) != len(model_ids)
+            or not all(map(_JSON_KINDS["an integer"], correct))):
+        raise ValidationError("best model selection needs one integer correct count per model")
     best = max(correct)
     tied = tuple(sorted(m for m, count in zip(model_ids, correct) if count == best))
     return BestSelection(model=tied[0], tied=tied)
@@ -248,10 +251,13 @@ def evaluate_predictions(
     expert is the label-set index of each document's expert label; it and
     the document axis of both prediction arrays follow doc_ids.  Both
     prediction sets index the label set's labels, and each top1 lies in
-    its tied group.  Indices must have an integer dtype and tied groups a
-    boolean one; nothing is cast.
+    its tied group.  Arrays may be lists; indices must have an integer
+    dtype and tied groups a boolean one, and nothing is cast.
     """
     _check_choice("tie_mode", tie_mode)
+    individual, combined = (p._replace(model_ids=_ids(p.model_ids, "model id"),
+                                       top1=np.asarray(p.top1), tied=np.asarray(p.tied))
+                            for p in (individual, combined))
     if not individual.model_ids or not combined.model_ids:
         raise ValidationError("the report needs individual and combined predictions")
     expert = np.asarray(expert)
@@ -260,8 +266,6 @@ def evaluate_predictions(
         raise ValidationError("evaluation needs one expert label-set index per document")
     expert = expert.astype(np.intp, copy=False)
     for p in (individual, combined):
-        if len(set(p.model_ids)) != len(p.model_ids):
-            raise ValidationError("model ids must be unique")
         shape = (len(p.model_ids), len(doc_ids))
         if (p.labels != label_set.labels or p.top1.shape != shape
                 or p.tied.shape != shape + (label_set.n,)):

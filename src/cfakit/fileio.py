@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .errors import DataAccessError, DomainError, ValidationError
-from .settings import CHOICES, LabelSet, _check_choice, _check_system_id
+from .settings import CHOICES, LabelSet, _check_choice, _check_system_ids, _ids
 
 if TYPE_CHECKING:  # numpy and the other layers load where a function uses them
     import numpy as np
@@ -50,8 +51,8 @@ def atomic_writer(path: Path | str) -> Iterator[TextIO]:
     """A text handle on a temporary file that replaces path when the with
     statement ends; on any error the temporary file is removed and path
     keeps its old bytes.  An OSError, from making the directory to the
-    rename and the handle's writes included, becomes the DataAccessError
-    of _unwritable, which names path.
+    rename and the handle's writes included, or a path the file system
+    encoding cannot encode, becomes the _unwritable error naming path.
 
     The temporary file has a name of its own in the target directory, so
     two runs sharing an output directory never touch each other's
@@ -73,7 +74,7 @@ def atomic_writer(path: Path | str) -> Iterator[TextIO]:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise _unwritable(path, exc) from exc
 
 
@@ -96,23 +97,23 @@ def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence])
     atomic_write_text(path, "".join(",".join(map(_quote, row)) + "\n" for row in (header, *rows)))
 
 
-def _unreadable(path: Path, exc: OSError) -> DataAccessError:
+def _unreadable(path: Path, exc: OSError | UnicodeEncodeError) -> DataAccessError:
     """The one error for an input file that cannot be opened or read."""
     if isinstance(exc, FileNotFoundError):
         return DataAccessError(f"file not found: {path}")
     return DataAccessError(f"cannot read {path}: {exc}")
 
 
-def _unwritable(path: Path, exc: OSError) -> DataAccessError:
+def _unwritable(path: Path, exc: OSError | UnicodeEncodeError) -> DataAccessError:
     """The one error for an output file that cannot be written: the OS's
     reason without the file it names, which may be a temporary file."""
-    return DataAccessError(f"cannot write {path}: {exc.strerror or exc}")
+    return DataAccessError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def _read_bytes(path: Path) -> bytes:
     try:
         return path.read_bytes()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise _unreadable(path, exc) from exc
 
 
@@ -178,7 +179,7 @@ def _table_rows(path: Path, header: Sequence[str]):
                         )
                     yield line_no, row
                 line_no = reader.line_num + 1
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise _unreadable(path, exc) from exc
     except csv.Error as exc:
         raise ValidationError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from None
@@ -455,8 +456,10 @@ def _json_lines(path: Path, whole_lines: bool = False) -> Iterator[tuple[str, ob
 _JSON_KINDS = {
     "a string": lambda v: isinstance(v, str),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a finite real": lambda v: isinstance(v, numbers.Real) and math.isfinite(v),
     "an array": lambda v: isinstance(v, list),
-    "an array of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "an array of strings": lambda v: (isinstance(v, (list, tuple))
+                                      and all(isinstance(x, str) for x in v)),
     "an object": lambda v: isinstance(v, dict),
 }
 
@@ -508,16 +511,11 @@ def load_config(path: Path | str) -> RunConfig:
         return None if value is None else base / value
 
     systems: list[tuple[str, Path]] = []
-    seen: set[str] = set()
     for index, entry in enumerate(_field(path, raw, "systems", "an array", [])):
         if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
             raise ValidationError(f"{path}: system {index} needs 'id' and 'path'")
         where = f"{path}: system {index}"
         system_id = _field(where, entry, "id", "a string", None)
-        _check_system_id(system_id, f"{path}: ")
-        if system_id in seen:
-            raise ValidationError(f"{path}: duplicate system id {system_id!r}")
-        seen.add(system_id)
         systems.append((system_id, path_field(where, entry, "path", None)))
 
     def choice(key: str) -> str:  # a choice defaults to its first value
@@ -534,7 +532,11 @@ def load_config(path: Path | str) -> RunConfig:
         generation={key: _field(path, generation, key, kind, None)
                     for key, kind in GENERATION_FIELDS.items() if key in generation},
     )
-    # each choice through its check, as a library call would be
+    # after every type, each value through a library call's check: choices, then system ids
     for key in CHOICES:
         _check_choice(key, getattr(config, key))
+    try:
+        _check_system_ids(_ids((system_id for system_id, _ in systems), "system id"))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return config

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 from .corpus import Prompt
 from .errors import ValidationError
-from .fileio import _field, _json_lines, _parse_json, _unwritable, atomic_write_text
+from .fileio import _JSON_KINDS, _field, _json_lines, _parse_json, _unwritable, atomic_write_text
+from .settings import _ids
 
 CORPUS_FILE = "corpus.jsonl"
 ERRORS_FILE = "errors.jsonl"
@@ -32,8 +33,10 @@ class GenerationConfig:
     ) -> None:
         if not endpoint_url:
             raise ValidationError("generation.endpoint_url is required")
-        if max_concurrency < 1:
-            raise ValidationError("max_concurrency must be at least 1")
+        if not _JSON_KINDS["an integer"](max_concurrency) or max_concurrency < 1:
+            raise ValidationError("max_concurrency must be an integer of at least 1")
+        if not _JSON_KINDS["a finite real"](timeout) or timeout <= 0:
+            raise ValidationError("timeout must be a finite number of seconds above 0")
         self.endpoint_url = endpoint_url
         self.auth_token = auth_token
         self.timeout = timeout
@@ -107,9 +110,7 @@ def generate_corpus(
     prompt_id, so the output is deterministic for a given set of responses.
     """
     prompts = list(prompts)
-    ids = [p.prompt_id for p in prompts]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("prompt ids must be unique")
+    _ids((p.prompt_id for p in prompts), "prompt id")
     # the writers make out_dir, each naming its file when they cannot
     out = Path(out_dir)
     corpus_path = out / CORPUS_FILE

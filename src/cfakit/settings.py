@@ -1,11 +1,10 @@
 """The label set and the vocabulary of the run settings.
 
 Every command checks these before it loads any data: the label set a
-config names, its system ids, and each choice setting's value, which
-_check_choice looks up in CHOICES.  STRATEGIES names the four combination
-strategies, which every grid fuses.  The module needs nothing beyond the
-standard library, so the commands that do no array work
-(`score --scorer keyword`, `gen-prompts`) never load numpy.
+config names and its system ids, through _ids, the one check of every
+sequence of ids, and each choice setting's value, through CHOICES.
+STRATEGIES names the four strategies every grid fuses.  The module needs
+only the standard library, so commands without array work skip numpy.
 """
 
 from __future__ import annotations
@@ -33,16 +32,10 @@ class LabelSet:
     """Ordered, fixed set of label identifiers scored for each document."""
 
     def __init__(self, labels: tuple[str, ...]) -> None:
-        labels = tuple(labels)
-        seen: set[str] = set()
+        labels = _ids(labels, "label")
         for label in labels:
-            if not isinstance(label, str) or not label:
-                raise ValidationError("labels must be non-empty strings")
-            if "|" in label:
-                raise ValidationError(f"label {label!r} must not contain '|'")
-            if label in seen:
-                raise ValidationError(f"duplicate label {label!r}")
-            seen.add(label)
+            if not label or "|" in label:
+                raise ValidationError(f"label {label!r} is empty or holds the reserved '|'")
         if len(labels) < MIN_LABELS:
             raise DomainError(
                 f"label set needs at least {MIN_LABELS} labels, got {len(labels)}"
@@ -70,12 +63,27 @@ class LabelSet:
             raise ValidationError(f"unknown label {label!r}") from None
 
 
-def _check_system_id(system_id: str, where: str = "") -> None:
-    if not system_id or any(c in system_id for c in RESERVED_ID_CHARS):
-        raise ValidationError(
-            f"{where}system id {system_id!r} is empty or uses a reserved "
-            f"character from {RESERVED_ID_CHARS!r}"
-        )
+def _ids(values, what: str) -> tuple[str, ...]:
+    """values as a tuple of distinct strings; a str is refused, not read as characters."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ValidationError(f"{what}s must be a sequence, got {type(values).__name__}")
+    ids: dict[str, None] = {}  # in order
+    for value in values:
+        if not isinstance(value, str):
+            raise ValidationError(f"{what}s must be strings, got {type(value).__name__}")
+        if value in ids:
+            raise ValidationError(f"duplicate {what} {value!r}")
+        ids[value] = None
+    return tuple(ids)
+
+
+def _check_system_ids(system_ids: tuple[str, ...]) -> None:
+    for system_id in system_ids:
+        if not system_id or any(c in system_id for c in RESERVED_ID_CHARS):
+            raise ValidationError(
+                f"system id {system_id!r} is empty or uses a reserved "
+                f"character from {RESERVED_ID_CHARS!r}"
+            )
 
 
 def _check_choice(setting: str, value: str) -> None:

@@ -37,13 +37,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture()
 def run_python():
-    """Run a fresh interpreter that imports this checkout's cfakit."""
+    """Run a fresh interpreter that imports this checkout's cfakit, with
+    the environment variables of env set on top of this one's."""
     import cfakit
 
     src = str(Path(cfakit.__file__).resolve().parent.parent)
 
-    def run(*args, cwd=None):
-        env = dict(os.environ)
+    def run(*args, cwd=None, env=None):
+        env = {**os.environ, **(env or {})}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         return subprocess.run(
             [sys.executable, *map(str, args)],

@@ -703,6 +703,10 @@ MALFORMED = [
     ("system-id-reserved-character",
      {"systems": [{"id": "s:1", "path": "s.csv"}, {"id": "t", "path": "t.csv"}]}, {}, ["fuse"],
      "system id 's:1' is empty or uses a reserved character from '+:|'"),
+    # the config's path, then the text every call taking system ids gives
+    ("system-id-repeated",
+     {"systems": [{"id": "s", "path": "s.csv"}, {"id": "s", "path": "t.csv"}]}, {}, ["fuse"],
+     "error: config.json: duplicate system id 's'"),
     # fuse loads the whole config, generation object included, but fetches nothing
     ("generation-key-misspelled", {"generation": {"max_concurency": 2}}, {}, ["fuse"],
      "unknown config fields ['generation.max_concurency']"),
@@ -979,7 +983,7 @@ MALFORMED = [
     ("generate-max-concurrency-zero",
      {"generation": {"endpoint_url": "http://127.0.0.1:9/gen", "max_concurrency": 0}},
      {"prompts.csv": PROMPTS}, ["generate", "--prompts", "prompts.csv"],
-     "max_concurrency must be at least 1"),
+     "max_concurrency must be an integer of at least 1"),
     # the report's own row names are not corpus labels
     ("corpus-label-overall", {}, {"c.jsonl": CORPUS_RESERVED % b"overall"},
      ["corpus-stats", "--corpus", "c.jsonl"],
@@ -997,6 +1001,39 @@ MALFORMED = [
 def test_malformed_input_exits_1_with_one_error_line(
     run_python, tmp_path, fields, files, command, message
 ):
+    _exits_with_one_error_line(run_python, tmp_path, fields, files, command, message, 1)
+
+
+# MALFORMED's rows for a path that the file system encoding cannot encode:
+# under LC_ALL=C with UTF-8 mode off it is ASCII, so "é" fails before any
+# system call.  Such a path is an input that cannot be read or an output
+# that cannot be written (exit 2), named as stderr's backslashreplace
+# error handler writes it.
+UNENCODABLE = [
+    ("score-path-not-encodable", {"systems": [{"id": "s", "path": "s\u00e9.csv"},
+                                              {"id": "t", "path": "t.csv"}]},
+     {"s\u00e9.csv": ABC_SCORES.encode()}, ["fuse"], "error: cannot read s\\xe9.csv: "),
+    ("out-dir-not-encodable", {"out_dir": "out\u00e9"}, {}, ["fuse"],
+     "error: cannot write out\\xe9/fused.csv: "),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, files, command, message", [case[1:] for case in UNENCODABLE],
+    ids=[case[0] for case in UNENCODABLE],
+)
+def test_a_path_the_locale_cannot_encode_exits_2_with_one_error_line(
+    run_python, tmp_path, fields, files, command, message
+):
+    _exits_with_one_error_line(run_python, tmp_path, fields, files, command, message, 2,
+                               env={"LC_ALL": "C", "PYTHONUTF8": "0"})
+
+
+def _exits_with_one_error_line(run_python, tmp_path, fields, files, command, message, code,
+                               env=None):
+    """Run command on a valid two-system config on labels A, B, C with
+    fields set over it and files written over the valid ones; it must exit
+    with code, print one error line that holds message, and write nothing."""
     config = {
         "labels": ["A", "B", "C"],
         "systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t.csv"}],
@@ -1011,8 +1048,8 @@ def test_malformed_input_exits_1_with_one_error_line(
         (tmp_path / name).write_bytes(data)
     inputs = sorted(tmp_path.rglob("*"))
     result = run_python("-m", "cfakit.cli", *command, "--config", "config.json",
-                        cwd=tmp_path)
-    assert result.returncode == 1, result.stdout + result.stderr
+                        cwd=tmp_path, env=env)
+    assert result.returncode == code, result.stdout + result.stderr
     assert "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr

@@ -27,7 +27,7 @@ def _batch(raw, labels=LABELS3, doc_id="d1"):
 
 
 def test_label_set_rejects_duplicates():
-    with pytest.raises(ValidationError, match="duplicate label"):
+    with pytest.raises(ValidationError, match="^duplicate label 'a'$"):
         LabelSet(("a", "b", "a"))
 
 
@@ -204,7 +204,7 @@ def test_fusion_batch_full_assembly():
 
 
 def test_fusion_batch_rejects_duplicate_system():
-    with pytest.raises(ValidationError, match="duplicate system"):
+    with pytest.raises(ValidationError, match="^duplicate system id 'A'$"):
         FusionBatch(("d1",), LABELS3, ("A", "A"), [[[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]])
 
 
@@ -213,7 +213,7 @@ def test_fusion_batch_requires_distinct_string_doc_ids():
     # ints would be written to fused.csv in numeric, not text, order
     with pytest.raises(ValidationError, match="doc ids must be strings"):
         FusionBatch((2, 10), LABELS3, ("A",), raw)
-    with pytest.raises(ValidationError, match="doc ids must be unique"):
+    with pytest.raises(ValidationError, match="^duplicate doc id 'd1'$"):
         FusionBatch(("d1", "d1"), LABELS3, ("A",), raw)
     assert FusionBatch(("", "d1"), LABELS3, ("A",), raw).doc_ids == ("", "d1")
 

@@ -161,7 +161,7 @@ def test_model_ids_must_be_unique():
     twice = good._replace(model_ids=("m", "m"), top1=np.repeat(good.top1, 2, axis=0),
                           tied=np.repeat(good.tied, 2, axis=0))
     for individual, combined in ((twice, good), (good, twice)):
-        with pytest.raises(ValidationError, match="model ids must be unique"):
+        with pytest.raises(ValidationError, match="^duplicate model id 'm'$"):
             evaluate_predictions(["d1"], LABELS, expert, individual, combined)
 
 

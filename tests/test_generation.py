@@ -255,7 +255,7 @@ def test_generate_refuses_a_stored_prompt_id_that_repeats(tmp_path, capsys):
 
 def test_generate_rejects_duplicate_prompt_ids(tmp_path):
     prompt = _prompts(1)[0]
-    with pytest.raises(ValidationError, match="unique"):
+    with pytest.raises(ValidationError, match="^duplicate prompt id 'p00001'$"):
         generate_corpus([prompt, prompt], GenerationConfig("http://x"), tmp_path)
 
 

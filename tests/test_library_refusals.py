@@ -1,0 +1,201 @@
+"""The library boundary: one rule per input form, each refused with a
+ValidationError and the one text of its rule.
+
+LIBRARY_REFUSALS holds one malformed call per row, with the whole error
+text it must raise.  The property below checks that every call taking a
+sequence of ids refuses each wrong form of it through settings._ids, the
+one check of ids, with _ids' own text.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cfakit import (
+    Document,
+    FusionBatch,
+    GenerationConfig,
+    KeywordLexicon,
+    LabelSet,
+    ModelPredictions,
+    Prompt,
+    ValidationError,
+    distinct_n,
+    diversity_strength,
+    enumerate_combinations,
+    evaluate_predictions,
+    expert_indices,
+    generate_corpus,
+    select_best,
+)
+from cfakit.fileio import load_config
+from cfakit.settings import _ids
+
+LABELS = LabelSet(("A", "B", "C"))
+RAW = [[[0.1, 0.7, 0.4], [0.3, 0.2, 0.9]]]  # one document, two systems
+
+
+def _predictions(model_ids, top1=((0,),), tied=(((True, False, False),),)):
+    """Predictions on one document, top1 and tied as given (lists, tuples or arrays)."""
+    return ModelPredictions(model_ids, LABELS.labels, top1, tied)
+
+
+def _evaluate(individual=None, combined=None):
+    return evaluate_predictions(["d1"], LABELS, [0], individual or _predictions(("s",)),
+                                combined or _predictions(("s+t:asc",)))
+
+
+COUNTS = "best model selection needs one integer correct count per model"
+INDICES = "top1 must hold label indices and tied booleans"
+CONCURRENCY = "max_concurrency must be an integer of at least 1"
+TIMEOUT = "timeout must be a finite number of seconds above 0"
+
+# (case, a malformed library call, the whole text of its ValidationError)
+LIBRARY_REFUSALS = [
+    # a str where a sequence of ids belongs is refused, not read as characters
+    ("label-set-string", lambda: LabelSet("ABC"), "labels must be a sequence, got str"),
+    ("batch-doc-ids-string", lambda: FusionBatch("d1", LABELS, ("s", "t"), RAW),
+     "doc ids must be a sequence, got str"),
+    ("batch-system-ids-string", lambda: FusionBatch(("d1",), LABELS, "st", RAW),
+     "system ids must be a sequence, got str"),
+    ("select-best-string", lambda: select_best("ab", [1, 2]),
+     "model ids must be a sequence, got str"),
+    ("combinations-string", lambda: enumerate_combinations("abc"),
+     "system ids must be a sequence, got str"),
+    ("expert-indices-string", lambda: expert_indices({"d1": "A"}, LABELS, "d1"),
+     "doc ids must be a sequence, got str"),
+    # a count is an int that is not a bool
+    ("select-best-string-count", lambda: select_best(["a"], ["x"]), COUNTS),
+    ("select-best-bool-counts", lambda: select_best(["a", "b"], [True, 1]), COUNTS),
+    ("select-best-float-count", lambda: select_best(["a"], [1.0]), COUNTS),
+    # a wrong form of value
+    ("evaluate-float-top1-list", lambda: _evaluate(_predictions(("s",), top1=[[0.0]])), INDICES),
+    ("evaluate-int-tied-list",
+     lambda: _evaluate(combined=_predictions(("s+t:asc",), tied=[[[1, 0, 0]]])), INDICES),
+    ("diversity-strength-string", lambda: diversity_strength("x"),
+     "cognitive diversity values do not form a rectangular array of numbers"),
+    ("diversity-strength-nan", lambda: diversity_strength([[0.0, math.nan], [math.nan, 0.0]]),
+     "cognitive diversity value at index (0, 1) is not finite: nan"),
+    ("label-set-none", lambda: LabelSet(None), "labels must be a sequence, got NoneType"),
+    ("label-set-empty-label", lambda: LabelSet(("A", "", "C")),
+     "label '' is empty or holds the reserved '|'"),
+    ("label-set-pipe", lambda: LabelSet(("A", "B|C", "D")),
+     "label 'B|C' is empty or holds the reserved '|'"),
+    ("select-best-none-counts", lambda: select_best(["a"], None), COUNTS),
+    ("combinations-none", lambda: enumerate_combinations(None),
+     "system ids must be a sequence, got NoneType"),
+    ("distinct-n-string", lambda: distinct_n(Document("d", "a b"), "x"),
+     "n-gram order must be an integer of at least 1, got 'x'"),
+    ("distinct-n-bool", lambda: distinct_n(Document("d", "a b"), True),
+     "n-gram order must be an integer of at least 1, got True"),
+    ("lexicon-list", lambda: KeywordLexicon(["x"], LABELS),
+     "lexicon must be a JSON object of label -> phrases"),
+    # the generation settings
+    ("generation-timeout-string", lambda: GenerationConfig("http://x", timeout="x"), TIMEOUT),
+    ("generation-timeout-nan", lambda: GenerationConfig("http://x", timeout=math.nan), TIMEOUT),
+    ("generation-timeout-zero", lambda: GenerationConfig("http://x", timeout=0), TIMEOUT),
+    ("generation-max-concurrency-bool",
+     lambda: GenerationConfig("http://x", max_concurrency=True), CONCURRENCY),
+    ("generation-max-concurrency-string",
+     lambda: GenerationConfig("http://x", max_concurrency="4"), CONCURRENCY),
+    ("generation-max-concurrency-zero",
+     lambda: GenerationConfig("http://x", max_concurrency=0), CONCURRENCY),
+]
+
+
+@pytest.mark.parametrize("call, text", [case[1:] for case in LIBRARY_REFUSALS],
+                         ids=[case[0] for case in LIBRARY_REFUSALS])
+def test_a_malformed_library_call_raises_one_validation_error(call, text):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_lists_work_wherever_arrays_do():
+    eye = np.eye(3, dtype=bool)
+    arrays = _evaluate(_predictions(("s",), np.array([[0]]), eye[None, :1]),
+                       _predictions(("s+t:asc",), np.array([[1]]), eye[None, 1:2]))
+    lists = _evaluate(_predictions(("s",), [[0]], [[[True, False, False]]]),
+                      _predictions(("s+t:asc",), [[1]], [[[False, True, False]]]))
+    for report in (arrays, lists):
+        assert report.individual.overall.tolist() == [1]
+        assert report.combined.overall.tolist() == [0]
+        assert report.grid_stats == {"cells_ge_best_individual": (0, 1),
+                                     "cells_ge_individual_mean": (0, 1),
+                                     "models_ge_best_individual": (0, 1)}
+    assert lists.disagreements == arrays.disagreements
+    assert lists.disagreements["fusion_disagrees_with_both"] == (("d1", "A", "A", "B"),)
+
+
+def test_a_repeated_system_id_reads_the_same_from_the_config_and_the_batch(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"labels": ["A", "B", "C"], "systems": [
+        {"id": "s", "path": "s.csv"}, {"id": "s", "path": "t.csv"}]}))
+    with pytest.raises(ValidationError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: duplicate system id 's'"
+    with pytest.raises(ValidationError) as info:
+        FusionBatch(("d1",), LABELS, ("s", "s"), RAW)
+    assert str(info.value) == "duplicate system id 's'"
+
+
+def _generate(ids):
+    # refused before out_dir is made or any prompt is fetched
+    prompts = [Prompt(prompt_id, "A", "t", "s", "text") for prompt_id in ids]
+    out_dir = Path(tempfile.gettempdir()) / "cfakit-never-written"
+    return generate_corpus(prompts, GenerationConfig("http://127.0.0.1:9/"), out_dir)
+
+
+# each call that takes a sequence of ids: the noun its errors use, whether
+# it takes the sequence itself (generate_corpus takes each id from a
+# Prompt, so a str or None cannot stand for the sequence), and the call
+ID_ENTRIES = {
+    "LabelSet": ("label", True, LabelSet),
+    "FusionBatch-doc-ids": ("doc id", True, lambda ids: FusionBatch(ids, LABELS, ("s",), RAW)),
+    "FusionBatch-system-ids": ("system id", True,
+                               lambda ids: FusionBatch(("d1",), LABELS, ids, RAW)),
+    "enumerate_combinations": ("system id", True, enumerate_combinations),
+    "evaluate_predictions": ("model id", True, lambda ids: _evaluate(_predictions(ids))),
+    "select_best": ("model id", True, lambda ids: select_best(ids, [1])),
+    "expert_indices": ("doc id", True, lambda ids: expert_indices({"d1": "A"}, LABELS, ids)),
+    "generate_corpus": ("prompt id", False, _generate),
+}
+
+_ID = st.text("ab+:|", max_size=3)
+_NOT_A_STRING = st.none() | st.booleans() | st.integers() | st.floats() | st.binary(max_size=2)
+
+
+@st.composite
+def malformed_ids(draw, whole: bool):
+    """A wrong form of a sequence of ids: a str or None (when whole), or a
+    list of distinct strings with one non-string or one repeated id put in."""
+    form = draw(st.sampled_from(("str", "none", "element", "repeat") if whole
+                                else ("element", "repeat")))
+    if form == "str":
+        return draw(_ID)
+    if form == "none":
+        return None
+    ids = draw(st.lists(_ID, min_size=1, max_size=4, unique=True))
+    bad = draw(_NOT_A_STRING if form == "element" else st.sampled_from(ids))
+    ids.insert(draw(st.integers(0, len(ids))), bad)
+    return ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ID_ENTRIES)), st.data())
+def test_every_id_taking_call_refuses_a_wrong_form_with_the_one_ids_text(name, data):
+    what, whole, call = ID_ENTRIES[name]
+    ids = data.draw(malformed_ids(whole))
+    with pytest.raises(ValidationError) as expected:
+        _ids(ids, what)
+    with pytest.raises(ValidationError) as info:
+        call(ids)
+    assert str(info.value) == str(expected.value)
