@@ -11,11 +11,16 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import CfaError, ValidationError
+
+# Before any layer loads numpy: BLAS runs on one thread, so tf-idf's dot
+# and norm sum in one order and no pool thread keeps `fuse` from forking.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 if TYPE_CHECKING:  # each command imports the layers it runs
     from .core import FusionBatch
@@ -143,16 +148,16 @@ def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, flo
 
 
 def cmd_fuse(args, config: RunConfig) -> None:
-    from .combine import grid_arrays
-    from .fused import write_fused_file
+    from .combine import _grid_shares
+    from .fused import _cpus, _write_shares
 
     batch = _load_batch(config)
     performance = _performance_weights(batch, config) if config.weights == "perf" else None
-    grid = grid_arrays(batch, performance)
+    shares = _grid_shares(batch, performance, _cpus())
     out = config.out_dir / "fused.csv"
-    models = write_fused_file(
-        out, batch, ((combo_id, order, tied) for combo_id, (_, order, tied, _) in grid)
-    )
+    models = _write_shares(out, batch, [
+        ((combo_id, order, tied) for combo_id, (_, order, tied, _) in grid) for grid in shares
+    ])
     print(f"wrote {out} ({models} combined models, {models * len(batch)} fused rankings)")
 
 

@@ -31,6 +31,9 @@ from .settings import STRATEGIES, _ids
 # strategies fall back to their unweighted versions instead of dividing
 # by (nearly) zero.
 EPSILON = 1e-12
+# The fewest combined models worth a forked process of their own (see
+# README "The pipeline in five commands").
+MIN_SHARE = 250
 
 
 def enumerate_combinations(system_ids: Sequence[str]) -> list[tuple[str, ...]]:
@@ -110,6 +113,13 @@ def grid_arrays(
     are weighted by its value for each system, the same for every
     document, and tagged "-perf"; it must name every system of the batch,
     each with a finite, non-negative real number."""
+    (grid,) = _grid_shares(batch, performance, 1)
+    return grid
+
+
+def _grid_shares(batch: FusionBatch, performance: Mapping[str, float] | None, cpus: int):
+    """grid_arrays' pairs in contiguous shares of its sorted subsets, one
+    iterator each: a share per CPU, none of fewer than MIN_SHARE models."""
     perf: dict[str, float] | None = None
     if performance is not None:
         missing = sorted(set(batch.system_ids) - set(performance))
@@ -120,7 +130,11 @@ def grid_arrays(
             raise ValidationError("performance weights must be finite and non-negative numbers")
         perf = dict(zip(batch.system_ids, map(float, weights)))
     subsets = sorted(enumerate_combinations(batch.system_ids), key=lambda s: "+".join(s) + ":")
-    return _grid(batch, subsets, perf)
+    n = max(1, min(cpus, len(subsets) * len(STRATEGIES) // MIN_SHARE))
+    if n > 1 and perf is None:
+        batch.cd  # made once here, not in each process a share goes to
+    cuts = [len(subsets) * k // n for k in range(n + 1)]
+    return [_grid(batch, subsets[a:b], perf) for a, b in zip(cuts, cuts[1:])]
 
 
 def _grid(batch: FusionBatch, subsets, perf):

@@ -255,12 +255,15 @@ def evaluate_predictions(
     dtype and tied groups a boolean one, and nothing is cast.
     """
     _check_choice("tie_mode", tie_mode)
-    individual, combined = (p._replace(model_ids=_ids(p.model_ids, "model id"),
-                                       top1=np.asarray(p.top1), tied=np.asarray(p.tied))
-                            for p in (individual, combined))
+    try:
+        individual, combined = (p._replace(model_ids=_ids(p.model_ids, "model id"),
+                                           top1=np.asarray(p.top1), tied=np.asarray(p.tied))
+                                for p in (individual, combined))
+        expert = np.asarray(expert)
+    except ValueError:  # ragged nesting
+        raise ValidationError("expert indices and predictions must be rectangular") from None
     if not individual.model_ids or not combined.model_ids:
         raise ValidationError("the report needs individual and combined predictions")
-    expert = np.asarray(expert)
     if (not len(doc_ids) or expert.dtype.kind not in "iu" or expert.shape != (len(doc_ids),)
             or expert.min() < 0 or expert.max() >= label_set.n):
         raise ValidationError("evaluation needs one expert label-set index per document")

@@ -456,7 +456,8 @@ def _json_lines(path: Path, whole_lines: bool = False) -> Iterator[tuple[str, ob
 _JSON_KINDS = {
     "a string": lambda v: isinstance(v, str),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a finite real": lambda v: isinstance(v, numbers.Real) and math.isfinite(v),
+    "a finite real": lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                and math.isfinite(v)),
     "an array": lambda v: isinstance(v, list),
     "an array of strings": lambda v: (isinstance(v, (list, tuple))
                                       and all(isinstance(x, str) for x in v)),

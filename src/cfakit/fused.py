@@ -6,8 +6,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import pickle
+import signal
+import tempfile
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,48 +46,48 @@ def write_fused_file(
     if the grid has a model and no NUL byte was written, which 3.10's
     csv.reader rejects; otherwise any old cache is removed.
     """
+    return _write_shares(path, batch, [models])
+
+
+def _cpus() -> int:
+    """The CPUs this process may fork onto: 1 where that is unknown, or
+    where it runs a second thread, as then it must not fork."""
+    try:
+        return len(os.sched_getaffinity(0)) if len(os.listdir("/proc/self/task")) == 1 else 1
+    except (AttributeError, OSError):
+        return 1
+
+
+def _write_shares(path: Path | str, batch: FusionBatch, shares: Sequence[Iterable]) -> int:
+    """write_fused_file over contiguous shares of one grid, each after the
+    first fused in a forked worker and spliced in, giving a one-share run's
+    bytes.  Every worker is killed and reaped before this returns or raises."""
     labels, doc_ids = batch.label_set.labels, batch.doc_ids
-    # The ranking holds every label (labels hold no "|"), so it is quoted
-    # exactly when one of them is, each label with its quotes doubled.
-    rank_quote = '"' if any(_quote(label) != label for label in labels) else ""
-    inner = [label.replace('"', '""') for label in labels]
-    piped = np.array([f"{label}|" for label in inner], dtype=object)
-    last = np.array([f"{label}{rank_quote}\n" for label in inner], dtype=object)
-    # the head of a row without a tie at the top: top1,false,top1, and the
-    # ranking's opening quote
-    untied = np.array(
-        [f"{_quote(label)},false,{_quote(label)},{rank_quote}" for label in labels], dtype=object
-    )
     perm = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
-    # one row of tokens per document: combo, doc, head, then the ranking
-    rows = np.empty((len(doc_ids), len(labels) + 3), dtype=object)
-    rows[:, 1] = [_quote(doc_ids[d]) + "," for d in perm.tolist()]
     # for the cache, each row's head: label t untied, or a tied group
     heads, combo_ids, index = {(t,): t for t in range(len(labels))}, [], []
     cached = True  # until a NUL byte is written
     blob = (",".join(FUSED_HEADER) + "\n").encode()
     size, crc = len(blob), zlib.crc32(blob)
-    with atomic_writer(path) as handle:
-        handle.buffer.write(blob)
-        for combo_id, order, tied in models:
-            order, tied = order[perm], tied[perm]
-            rows[:, 0] = _quote(combo_id) + ","
-            rows[:, 2] = untied[order[:, 0]]
-            at = order[:, 0].astype(np.int32)
-            for d in np.flatnonzero(tied > 1).tolist():
-                # the tied labels lead the ranking
-                group = order[d, : tied[d]].tolist()
-                names = [labels[i] for i in group]
-                rows[d, 2] = f"{_quote(names[0])},true,{_quote('|'.join(names))},{rank_quote}"
-                at[d] = heads.setdefault(tuple(group), len(heads))
-            rows[:, 3:-1] = piped[order[:, :-1]]
-            rows[:, -1] = last[order[:, -1]]
-            blob = "".join(rows.ravel().tolist()).encode()
-            size, crc = size + len(blob), zlib.crc32(blob, crc)
+    workers: list = []  # (pid, rows file, result reader) of each worker not yet reaped
+    try:
+        with atomic_writer(path) as handle:
+            for share in shares[1:]:
+                workers.append(_fork_share(batch, perm, share, Path(path).parent))
             handle.buffer.write(blob)
-            cached &= b"\0" not in blob
-            combo_ids.append(combo_id)
-            index.append(at)
+            spliced = [_spliced(workers, worker, heads) for worker in workers]
+            for combo_id, blob, at in chain(_model_rows(batch, perm, shares[0], heads), *spliced):
+                size, crc = size + len(blob), zlib.crc32(blob, crc)
+                handle.buffer.write(blob)
+                cached &= b"\0" not in blob
+                combo_ids.append(combo_id)
+                index.append(at)
+    finally:
+        for pid, *files in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            for file in files:
+                file.close()
     cache = Path(path).with_name(Path(path).name + ".cache")
     if not (cached and combo_ids):
         try:
@@ -98,6 +103,89 @@ def write_fused_file(
     with atomic_writer(cache) as handle:
         handle.buffer.write(json.dumps(header, sort_keys=True).encode() + b"\n" + data)
     return len(combo_ids)
+
+
+def _fork_share(batch: FusionBatch, perm: np.ndarray, models: Iterable, out_dir: Path):
+    """(pid, rows file, result reader) of a forked worker that writes the
+    rows of models to an anonymous file in out_dir, then pickles each
+    model's combo id, rows size and heads with the heads it met in order,
+    or its exception.  It ends in os._exit (no atexit hook or stdio flush)."""
+    rows, (read, write) = tempfile.TemporaryFile(dir=out_dir), os.pipe()
+    parent, pid = os.getpid(), os.fork()
+    if pid:
+        os.close(write)
+        return pid, rows, open(read, "rb")
+    try:
+        os.close(read)  # so a dead parent's pipe refuses the result
+        heads, made = {(t,): t for t in range(batch.label_set.n)}, []
+        try:
+            for combo_id, blob, at in _model_rows(batch, perm, models, heads):
+                if os.getppid() != parent:  # the parent is gone
+                    os._exit(1)
+                rows.write(blob)
+                made.append((combo_id, len(blob), at))
+            rows.flush()
+            result = made, list(heads)
+        except BaseException as exc:
+            result = exc
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _spliced(workers: list, worker: tuple, heads: dict):
+    """A worker's (combo_id, rows, heads) per model once it has ended, its
+    heads numbered as if met here; the worker's exception is raised here."""
+    pid, rows, reader = worker
+    with rows, reader:
+        result, status = reader.read(), os.waitpid(pid, 0)[1]
+        workers.remove(worker)
+        if status:
+            raise OSError(f"a fuse worker ended without a result (wait status {status})")
+        result = pickle.loads(result)
+        if isinstance(result, BaseException):
+            raise result
+        made, groups = result
+        renumber = np.array([heads.setdefault(g, len(heads)) for g in groups], np.int32)
+        rows.seek(0)
+        for combo_id, size, at in made:
+            yield combo_id, rows.read(size), renumber[at]
+
+
+def _model_rows(batch: FusionBatch, perm: np.ndarray, models: Iterable, heads: dict):
+    """Each model's combo_id, fused.csv rows and row heads, documents in
+    perm order; a tied group new to heads gets the next index there."""
+    labels, doc_ids = batch.label_set.labels, batch.doc_ids
+    # The ranking holds every label (labels hold no "|"), so it is quoted
+    # exactly when one of them is, each label with its quotes doubled.
+    rank_quote = '"' if any(_quote(label) != label for label in labels) else ""
+    inner = [label.replace('"', '""') for label in labels]
+    piped = np.array([f"{label}|" for label in inner], dtype=object)
+    last = np.array([f"{label}{rank_quote}\n" for label in inner], dtype=object)
+    # the head of a row without a tie at the top: top1,false,top1, and the
+    # ranking's opening quote
+    untied = np.array(
+        [f"{_quote(label)},false,{_quote(label)},{rank_quote}" for label in labels], dtype=object
+    )
+    # one row of tokens per document: combo, doc, head, then the ranking
+    rows = np.empty((len(doc_ids), len(labels) + 3), dtype=object)
+    rows[:, 1] = [_quote(doc_ids[d]) + "," for d in perm.tolist()]
+    for combo_id, order, tied in models:
+        order, tied = order[perm], tied[perm]
+        rows[:, 0] = _quote(combo_id) + ","
+        rows[:, 2] = untied[order[:, 0]]
+        at = order[:, 0].astype(np.int32)
+        for d in np.flatnonzero(tied > 1).tolist():
+            # the tied labels lead the ranking
+            group = order[d, : tied[d]].tolist()
+            names = [labels[i] for i in group]
+            rows[d, 2] = f"{_quote(names[0])},true,{_quote('|'.join(names))},{rank_quote}"
+            at[d] = heads.setdefault(tuple(group), len(heads))
+        rows[:, 3:-1] = piped[order[:, :-1]]
+        rows[:, -1] = last[order[:, -1]]
+        yield combo_id, "".join(rows.ravel().tolist()).encode(), at
 
 
 def _fused_head(

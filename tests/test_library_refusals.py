@@ -34,6 +34,7 @@ from cfakit import (
     evaluate_predictions,
     expert_indices,
     generate_corpus,
+    grid_arrays,
     select_best,
 )
 from cfakit.fileio import load_config
@@ -55,6 +56,7 @@ def _evaluate(individual=None, combined=None):
 
 COUNTS = "best model selection needs one integer correct count per model"
 INDICES = "top1 must hold label indices and tied booleans"
+RAGGED = "expert indices and predictions must be rectangular"
 CONCURRENCY = "max_concurrency must be an integer of at least 1"
 TIMEOUT = "timeout must be a finite number of seconds above 0"
 
@@ -80,6 +82,15 @@ LIBRARY_REFUSALS = [
     ("evaluate-float-top1-list", lambda: _evaluate(_predictions(("s",), top1=[[0.0]])), INDICES),
     ("evaluate-int-tied-list",
      lambda: _evaluate(combined=_predictions(("s+t:asc",), tied=[[[1, 0, 0]]])), INDICES),
+    # a ragged list is refused, not left to numpy's ValueError
+    ("evaluate-ragged-top1", lambda: _evaluate(_predictions(("s",), top1=[[0], [0, 1]])), RAGGED),
+    ("evaluate-ragged-tied",
+     lambda: _evaluate(combined=_predictions(("s+t:asc",), tied=[[[True, False, False]], [[1]]])),
+     RAGGED),
+    ("evaluate-ragged-expert",
+     lambda: evaluate_predictions(["d1"], LABELS, [[0], [0, 1]], _predictions(("s",)),
+                                  _predictions(("s+t:asc",))),
+     RAGGED),
     ("diversity-strength-string", lambda: diversity_strength("x"),
      "cognitive diversity values do not form a rectangular array of numbers"),
     ("diversity-strength-nan", lambda: diversity_strength([[0.0, math.nan], [math.nan, 0.0]]),
@@ -98,10 +109,15 @@ LIBRARY_REFUSALS = [
      "n-gram order must be an integer of at least 1, got True"),
     ("lexicon-list", lambda: KeywordLexicon(["x"], LABELS),
      "lexicon must be a JSON object of label -> phrases"),
+    # a real is not a bool, as a count is not
+    ("grid-bool-weights",
+     lambda: grid_arrays(FusionBatch(("d1",), LABELS, ("s", "t"), RAW), {"s": True, "t": False}),
+     "performance weights must be finite and non-negative numbers"),
     # the generation settings
     ("generation-timeout-string", lambda: GenerationConfig("http://x", timeout="x"), TIMEOUT),
     ("generation-timeout-nan", lambda: GenerationConfig("http://x", timeout=math.nan), TIMEOUT),
     ("generation-timeout-zero", lambda: GenerationConfig("http://x", timeout=0), TIMEOUT),
+    ("generation-timeout-bool", lambda: GenerationConfig("http://x", timeout=True), TIMEOUT),
     ("generation-max-concurrency-bool",
      lambda: GenerationConfig("http://x", max_concurrency=True), CONCURRENCY),
     ("generation-max-concurrency-string",
