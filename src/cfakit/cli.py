@@ -18,10 +18,6 @@ from typing import TYPE_CHECKING
 
 from .errors import CfaError, ValidationError
 
-# Before any layer loads numpy: BLAS runs on one thread, so tf-idf's dot
-# and norm sum in one order and no pool thread keeps `fuse` from forking.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
 if TYPE_CHECKING:  # each command imports the layers it runs
     from .core import FusionBatch
     from .fileio import RunConfig
@@ -227,6 +223,9 @@ def cmd_generate(args, config: RunConfig) -> None:
 
 
 def main(argv=None) -> int:
+    # before any layer loads numpy: BLAS runs on one thread, so tf-idf's dot
+    # and norm sum in one order and no pool thread keeps `fuse` from forking
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import DataAccessError, ValidationError
 from .fileio import (_JSON_KINDS, _field, _json_lines, _names, _parse_json, _read_text,
                      _table_rows, write_csv)
-from .settings import LabelSet
+from .settings import LabelSet, _sequence
 
 if TYPE_CHECKING:  # numpy loads in the functions that build arrays
     import numpy as np
@@ -179,7 +179,7 @@ def corpus_quality_report(corpus: Sequence[Document]) -> list[LabelQuality]:
     mean.  Each document's metrics are computed once and shared by its
     label row and the overall row.
     """
-    docs = list(corpus)
+    docs = list(_sequence(corpus, "corpus"))
     if not docs:
         raise ValidationError("cannot report on an empty corpus")
     reserved = sorted({doc.label for doc in docs} & {"overall", "unlabeled"})
@@ -238,7 +238,7 @@ def generate_prompt_matrix(specs: Sequence[PromptSpec], label_set: LabelSet) -> 
     sequential ids that are stable across runs for identical inputs.
     """
     prompts: list[Prompt] = []
-    for index, spec in enumerate(specs):
+    for index, spec in enumerate(_sequence(specs, "prompt specs")):
         _check_spec(index, spec)
         for source in spec.sources:
             for label in label_set.labels:
@@ -383,7 +383,7 @@ class TfidfCentroidScorer:
     def __init__(self, corpus: Sequence[Document], label_set: LabelSet) -> None:
         import numpy as np
 
-        docs = list(corpus)
+        docs = list(_sequence(corpus, "training corpus"))
         if not docs:
             raise ValidationError("training corpus is empty")
         unlabeled = [d.doc_id for d in docs if d.label is None]

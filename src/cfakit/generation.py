@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .corpus import Prompt
 from .errors import ValidationError
 from .fileio import _JSON_KINDS, _field, _json_lines, _parse_json, _unwritable, atomic_write_text
-from .settings import _ids
+from .settings import _ids, _sequence
 
 CORPUS_FILE = "corpus.jsonl"
 ERRORS_FILE = "errors.jsonl"
@@ -109,7 +109,7 @@ def generate_corpus(
     fetched; at the end the corpus and error log are rewritten sorted by
     prompt_id, so the output is deterministic for a given set of responses.
     """
-    prompts = list(prompts)
+    prompts = list(_sequence(prompts, "prompts"))
     _ids((p.prompt_id for p in prompts), "prompt id")
     # the writers make out_dir, each naming its file when they cannot
     out = Path(out_dir)

@@ -63,12 +63,18 @@ class LabelSet:
             raise ValidationError(f"unknown label {label!r}") from None
 
 
-def _ids(values, what: str) -> tuple[str, ...]:
-    """values as a tuple of distinct strings; a str is refused, not read as characters."""
+def _sequence(values, what: str):
+    """values, refused when a str (never read as characters) or not iterable:
+    the one test of a sequence, of ids or of records."""
     if isinstance(values, str) or not hasattr(values, "__iter__"):
-        raise ValidationError(f"{what}s must be a sequence, got {type(values).__name__}")
+        raise ValidationError(f"{what} must be a sequence, got {type(values).__name__}")
+    return values
+
+
+def _ids(values, what: str) -> tuple[str, ...]:
+    """values as a tuple of distinct strings, after the sequence test."""
     ids: dict[str, None] = {}  # in order
-    for value in values:
+    for value in _sequence(values, f"{what}s"):
         if not isinstance(value, str):
             raise ValidationError(f"{what}s must be strings, got {type(value).__name__}")
         if value in ids:

@@ -563,46 +563,6 @@ def test_fuse_writes_one_row_per_model_and_document(workspace):
         assert len((workspace / "out" / "fused.csv").read_text().splitlines()) == 1 + 4 * 8
 
 
-def test_exit_code_2_for_missing_files(workspace):
-    ws = workspace
-    assert _run(
-        "score", "--config", ws / "config.json", "--scorer", "keyword",
-        "--corpus", ws / "missing.jsonl", "--lexicon", ws / "lexicon.json",
-    ) == 2
-    # fuse before any score files exist
-    assert _run("fuse", "--config", ws / "config.json") == 2
-
-
-def test_exit_code_3_for_too_few_labels(workspace, tmp_path):
-    config = {
-        "labels": ["A", "B"],
-        "systems": [{"id": "s", "path": "s.csv"}],
-        "out_dir": ".",
-    }
-    path = tmp_path / "two.json"
-    path.write_text(json.dumps(config))
-    (tmp_path / "s.csv").write_text("doc_id,label,score\nd1,A,1.0\nd1,B,2.0\n")
-    assert _run("fuse", "--config", path) == 3
-    # one system: the grid fails before fuse opens its output
-    path.write_text(json.dumps({**config, "labels": ["A", "B", "C"], "out_dir": "fresh"}))
-    (tmp_path / "s.csv").write_text("doc_id,label,score\nd1,A,1.0\nd1,B,2.0\nd1,C,0.5\n")
-    assert _run("fuse", "--config", path) == 3
-    assert not (tmp_path / "fresh").exists()
-
-
-def test_exit_code_1_for_malformed_inputs(workspace):
-    ws = workspace
-    bad = ws / "bad.csv"
-    bad.write_text("wrong,header\n1,2\n")
-    config = {
-        "labels": LABELS,
-        "systems": [{"id": "s", "path": "bad.csv"}],
-        "out_dir": "out",
-    }
-    (ws / "bad.json").write_text(json.dumps(config))
-    assert _run("fuse", "--config", ws / "bad.json") == 1
-
-
 def test_exit_code_1_for_usage_errors(workspace):
     # argparse errors route through validation, not the I/O exit code
     assert main(["score", "--scorer", "nonsense", "--corpus", "x"]) == 1
@@ -631,12 +591,6 @@ def test_every_command_requires_a_config_and_takes_no_out_flag(workspace, capsys
         assert _run(command, *COMMANDS[command], *extra) == 1
         assert capsys.readouterr() == ("", f"error: {error}\n")
     assert sorted(workspace.rglob("*")) == before
-
-
-def test_exit_code_1_for_unknown_config_fields(workspace, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"labels": LABELS, "bogus": 1}))
-    assert _run("fuse", "--config", path) == 1
 
 
 def test_score_file_round_trip_awkward_floats(tmp_path):
@@ -680,6 +634,12 @@ PROMPTS = b"prompt_id,label,publication_type,source,prompt_text\np00001,A,t,s,A 
 CORPUS_RESERVED = (b'{"doc_id": "d1", "text": "water", "label": "SDG1"}\n'
                    b'{"doc_id": "d2", "text": "sea", "label": null}\n'
                    b'{"doc_id": "d3", "text": "land", "label": "%s"}\n')
+
+ENDPOINT = {"generation": {"endpoint_url": "http://127.0.0.1:9/gen"}}
+TRAIN_ABC = (b'{"doc_id": "t1", "text": "water", "label": "A"}\n'
+             b'{"doc_id": "t2", "text": "sea", "label": "B"}\n'
+             b'{"doc_id": "t3", "text": "land", "label": "C"}\n')
+TFIDF = ["score", "--scorer", "tfidf", "--corpus", "c.jsonl", "--train", "train.jsonl"]
 
 # files whose line 3 holds one column too many
 EXPERT_WIDE = b"doc_id,label\nd1,A\nd2,A,x\n"
@@ -730,7 +690,7 @@ MALFORMED = [
     ("corpus-dir-byte-order-mark", {},
      {"cdir/A/d1.txt": b"\xef\xbb\xbfwater text", "lex.json": LEXICON_ABC},
      ["score", "--scorer", "keyword", "--corpus", "cdir", "--lexicon", "lex.json"],
-     "d1.txt: starts with a byte-order mark (U+FEFF)"),
+     "error: cdir/A/d1.txt: starts with a byte-order mark (U+FEFF)"),
     ("corpus-jsonl-byte-order-mark", {},
      {"c.jsonl": b'\xef\xbb\xbf{"doc_id": "d1", "text": "water"}\n'},
      ["corpus-stats", "--corpus", "c.jsonl"], "c.jsonl: starts with a byte-order mark (U+FEFF)"),
@@ -754,7 +714,8 @@ MALFORMED = [
     ("corpus-dir-not-utf8", {}, {"cdir/A/d1.txt": b"\xff"},
      ["corpus-stats", "--corpus", "cdir"], "d1.txt: not valid UTF-8"),
     ("corpus-dir-duplicate-doc", {}, {"cdir/A/d1.txt": b"one", "cdir/B/d1.txt": b"two"},
-     ["corpus-stats", "--corpus", "cdir"], "duplicate document 'd1'"),
+     ["corpus-stats", "--corpus", "cdir"],
+     "error: cdir/B/d1.txt: duplicate document 'd1', also cdir/A/d1.txt"),
     # JSON nested past the decoder's recursion limit, in each JSON input
     ("config-nested-too-deeply", None, {"config.json": DEEP}, ["fuse"],
      "config.json: malformed JSON: maximum recursion depth exceeded"),
@@ -859,7 +820,7 @@ MALFORMED = [
      {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
       "lex.json": b'{"A": "water", "B": ["b"], "C": ["c"]}'},
      ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json"],
-     "'A' must be an array of strings"),
+     "error: lex.json: lexicon label 'A' must be an array of strings"),
     ("perf-weights-expert-outside-labels", {"expert_labels": "e.csv", "weights": "perf"},
      {"e.csv": b"doc_id,label\nd1,Z\n"}, ["fuse"],
      "document 'd1' has expert label 'Z' outside the label set"),
@@ -991,6 +952,94 @@ MALFORMED = [
     ("corpus-label-unlabeled", {}, {"c.jsonl": CORPUS_RESERVED % b"unlabeled"},
      ["corpus-stats", "--corpus", "c.jsonl"],
      "corpus labels ['unlabeled'] are reserved for report rows"),
+    # a config is an object that lists the labels, and each command's systems
+    # or expert labels
+    ("config-not-an-object", None, {"config.json": b'["A", "B", "C"]'}, ["fuse"],
+     "error: config.json: config must be a JSON object"),
+    ("system-without-a-path", {"systems": [{"id": "s"}, {"id": "t", "path": "t.csv"}]}, {},
+     ["fuse"], "error: config.json: system 0 needs 'id' and 'path'"),
+    ("labels-empty", {"labels": []}, {}, ["fuse"],
+     "error: config must list the label set under 'labels'"),
+    ("systems-empty", {"systems": []}, {}, ["fuse"],
+     "error: config must list at least one system under 'systems'"),
+    ("expert-labels-unset", {}, {}, ["evaluate"],
+     "error: config must name the expert labels file"),
+    # a file with a header and no rows
+    ("expert-labels-without-rows", {"expert_labels": "e.csv"}, {"e.csv": b"doc_id,label\n"},
+     ["evaluate"], "error: e.csv: no expert labels"),
+    ("fused-without-rows", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\n", "out/fused.csv": FUSED_HEADER}, ["evaluate"],
+     "error: out/fused.csv: no fused predictions"),
+    ("prompts-without-rows", ENDPOINT,
+     {"prompts.csv": b"prompt_id,label,publication_type,source,prompt_text\n"},
+     ["generate", "--prompts", "prompts.csv"], "error: prompts.csv: no prompts"),
+    ("corpus-jsonl-without-documents", {}, {"c.jsonl": b"\n"},
+     ["corpus-stats", "--corpus", "c.jsonl"], "error: c.jsonl: no documents"),
+    ("corpus-dir-without-label-directories", {}, {"cdir/d1.txt": b"water"},
+     ["corpus-stats", "--corpus", "cdir"],
+     "error: cdir: no label directories with .txt documents"),
+    ("score-file-wrong-header", {}, {"s.csv": b"wrong,header\n1,2\n"}, ["fuse"],
+     "error: s.csv: expected header doc_id,label,score, found wrong,header"),
+    ("diversity-doc-unknown", {}, {}, ["diversity", "--doc", "d9"],
+     "error: unknown document 'd9'; known documents: ['d1']"),
+    ("corpus-jsonl-record-without-text", {}, {"c.jsonl": b'{"doc_id": "d1"}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "error: c.jsonl:1: record needs doc_id and text"),
+    # refused before any fetch, as the prompt file's own faults are
+    ("prompt-id-repeated", ENDPOINT, {"prompts.csv": PROMPTS + b"p00001,B,t,s,B by s\n"},
+     ["generate", "--prompts", "prompts.csv"],
+     "error: prompts.csv:3: duplicate prompt id 'p00001'"),
+    ("generate-stored-record-without-a-prompt-id", ENDPOINT,
+     {"prompts.csv": PROMPTS, "out/corpus.jsonl": b'{"text": "x"}\n'},
+     ["generate", "--prompts", "prompts.csv"],
+     "error: out/corpus.jsonl:1: record must be an object with a prompt_id"),
+    ("generate-stored-prompt-id-repeated", ENDPOINT,
+     {"prompts.csv": PROMPTS, "out/corpus.jsonl": b'{"prompt_id": "p00001", "text": "x"}\n' * 2},
+     ["generate", "--prompts", "prompts.csv"],
+     "error: out/corpus.jsonl:2: duplicate prompt id 'p00001'"),
+    # each prompt spec is an object of three fields whose template names
+    # {label} and {source} once each
+    ("specs-not-an-array", {}, {"specs.json": b'{"publication_type": "t"}'},
+     ["gen-prompts", "--specs", "specs.json"],
+     "error: specs.json: prompt specs must be a JSON array"),
+    ("spec-not-an-object", {}, {"specs.json": b'["t"]'}, ["gen-prompts", "--specs", "specs.json"],
+     "error: specs.json: prompt spec 0 must be an object"),
+    ("spec-without-sources", {},
+     {"specs.json": b'[{"publication_type": "t", "template": "{label} by {source}"}]'},
+     ["gen-prompts", "--specs", "specs.json"],
+     "error: specs.json: prompt spec 0 lacks field 'sources'"),
+    ("spec-template-without-source", {},
+     {"specs.json": b'[{"publication_type": "t", "template": "{label}", "sources": ["s"]}]'},
+     ["gen-prompts", "--specs", "specs.json"],
+     "error: prompt spec 0 ('t'): template must contain {source} exactly once, found 0"),
+    ("spec-publication-type-empty", {},
+     {"specs.json": b'[{"publication_type": "", "template": "{label} by {source}", '
+                    b'"sources": ["s"]}]'},
+     ["gen-prompts", "--specs", "specs.json"],
+     "error: prompt spec 0: publication type is empty"),
+    # each lexicon label has phrases of 1 to 4 tokens
+    ("lexicon-label-without-phrases", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "lex.json": b'{"A": [], "B": ["b"], "C": ["c"]}'},
+     ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json"],
+     "error: lex.json: label 'A' has no phrases"),
+    ("lexicon-phrase-of-five-tokens", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "lex.json": b'{"A": ["a b c d e"], "B": ["b"], "C": ["c"]}'},
+     ["score", "--scorer", "keyword", "--corpus", "c.jsonl", "--lexicon", "lex.json"],
+     "error: lex.json: label 'A': phrase 'a b c d e' must span 1 to 4 tokens, got 5"),
+    # a training corpus labels every document, with the config's labels exactly
+    ("training-document-unlabeled", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "train.jsonl": TRAIN_ABC + b'{"doc_id": "t4", "text": "x"}\n'},
+     TFIDF, "error: training documents must be labeled; unlabeled: ['t4']"),
+    ("training-corpus-lacks-a-label", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "train.jsonl": TRAIN_ABC.replace(b'"label": "C"', b'"label": "A"')},
+     TFIDF, "error: no training documents for labels ['C']"),
+    ("training-corpus-unknown-label", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "water"}\n',
+      "train.jsonl": TRAIN_ABC + b'{"doc_id": "t4", "text": "x", "label": "Z"}\n'},
+     TFIDF, "error: training documents have unknown labels ['Z']"),
 ]
 
 
@@ -1002,6 +1051,37 @@ def test_malformed_input_exits_1_with_one_error_line(
     run_python, tmp_path, fields, files, command, message
 ):
     _exits_with_one_error_line(run_python, tmp_path, fields, files, command, message, 1)
+
+
+# (case, config fields and files as in MALFORMED, command, exit code, text
+#  the error must name): an input that cannot be read exits 2, an input
+#  outside an operation's domain 3
+UNREADABLE_OR_OUT_OF_DOMAIN = [
+    ("corpus-missing", {}, {"lex.json": LEXICON_ABC},
+     ["score", "--scorer", "keyword", "--corpus", "missing.jsonl", "--lexicon", "lex.json"], 2,
+     "error: corpus not found: missing.jsonl"),
+    ("score-file-missing",
+     {"systems": [{"id": "s", "path": "s.csv"}, {"id": "u", "path": "u.csv"}]}, {}, ["fuse"], 2,
+     "error: file not found: u.csv"),
+    ("labels-two", {"labels": ["A", "B"]}, {}, ["fuse"], 3,
+     "error: label set needs at least 3 labels, got 2"),
+    # the grid is refused before fuse makes its out_dir
+    ("grid-of-one-system", {"systems": [{"id": "s", "path": "s.csv"}], "out_dir": "fresh"}, {},
+     ["fuse"], 3, "error: a combination grid needs at least two systems, got 1"),
+    ("diversity-of-one-system", {"systems": [{"id": "s", "path": "s.csv"}]}, {}, ["diversity"],
+     3, "error: diversity reports need at least two systems"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, files, command, code, message",
+    [case[1:] for case in UNREADABLE_OR_OUT_OF_DOMAIN],
+    ids=[case[0] for case in UNREADABLE_OR_OUT_OF_DOMAIN],
+)
+def test_an_unreadable_or_out_of_domain_input_exits_2_or_3_with_one_error_line(
+    run_python, tmp_path, fields, files, command, code, message
+):
+    _exits_with_one_error_line(run_python, tmp_path, fields, files, command, message, code)
 
 
 # MALFORMED's rows for a path that the file system encoding cannot encode:

@@ -2,9 +2,11 @@
 ValidationError and the one text of its rule.
 
 LIBRARY_REFUSALS holds one malformed call per row, with the whole error
-text it must raise.  The property below checks that every call taking a
-sequence of ids refuses each wrong form of it through settings._ids, the
-one check of ids, with _ids' own text.
+text it must raise; LIBRARY_DOMAIN_ERRORS one call outside an
+operation's domain per row, with the whole text of its DomainError.  The
+property below checks that every call taking a sequence of ids refuses
+each wrong form of it through settings._ids, the one check of ids, with
+_ids' own text.
 """
 
 from __future__ import annotations
@@ -21,21 +23,28 @@ from hypothesis import strategies as st
 
 from cfakit import (
     Document,
+    DomainError,
     FusionBatch,
     GenerationConfig,
     KeywordLexicon,
     LabelSet,
     ModelPredictions,
     Prompt,
+    TfidfCentroidScorer,
     ValidationError,
+    cognitive_diversity,
+    corpus_quality_report,
     distinct_n,
     diversity_strength,
     enumerate_combinations,
     evaluate_predictions,
     expert_indices,
     generate_corpus,
+    generate_prompt_matrix,
     grid_arrays,
+    normalize_scores,
     select_best,
+    tokenize,
 )
 from cfakit.fileio import load_config
 from cfakit.settings import _ids
@@ -49,9 +58,15 @@ def _predictions(model_ids, top1=((0,),), tied=(((True, False, False),),)):
     return ModelPredictions(model_ids, LABELS.labels, top1, tied)
 
 
-def _evaluate(individual=None, combined=None):
-    return evaluate_predictions(["d1"], LABELS, [0], individual or _predictions(("s",)),
+def _evaluate(individual=None, combined=None, expert=(0,)):
+    return evaluate_predictions(["d1"], LABELS, expert, individual or _predictions(("s",)),
                                 combined or _predictions(("s+t:asc",)))
+
+
+def _generate(prompts):
+    # refused before out_dir is made or any prompt is fetched
+    out_dir = Path(tempfile.gettempdir()) / "cfakit-never-written"
+    return generate_corpus(prompts, GenerationConfig("http://127.0.0.1:9/"), out_dir)
 
 
 COUNTS = "best model selection needs one integer correct count per model"
@@ -124,6 +139,58 @@ LIBRARY_REFUSALS = [
      lambda: GenerationConfig("http://x", max_concurrency="4"), CONCURRENCY),
     ("generation-max-concurrency-zero",
      lambda: GenerationConfig("http://x", max_concurrency=0), CONCURRENCY),
+    ("label-set-integer-label", lambda: LabelSet(("A", 5, "C")),
+     "labels must be strings, got int"),
+    # a sequence of records takes the sequence test of ids
+    ("prompt-matrix-none", lambda: generate_prompt_matrix(None, LABELS),
+     "prompt specs must be a sequence, got NoneType"),
+    ("quality-report-none", lambda: corpus_quality_report(None),
+     "corpus must be a sequence, got NoneType"),
+    ("tfidf-training-none", lambda: TfidfCentroidScorer(None, LABELS),
+     "training corpus must be a sequence, got NoneType"),
+    ("generate-corpus-none", lambda: _generate(None), "prompts must be a sequence, got NoneType"),
+    # an empty sequence where a call needs at least one element
+    ("batch-without-documents", lambda: FusionBatch((), LABELS, ("s", "t"), RAW),
+     "at least one document is required"),
+    ("batch-without-systems", lambda: FusionBatch(("d1",), LABELS, (), RAW),
+     "at least one scoring system is required"),
+    ("quality-report-empty", lambda: corpus_quality_report([]),
+     "cannot report on an empty corpus"),
+    ("tfidf-training-empty", lambda: TfidfCentroidScorer([], LABELS),
+     "training corpus is empty"),
+    ("select-best-empty", lambda: select_best([], []),
+     "cannot select the best model from empty results"),
+    ("evaluate-without-individual-models", lambda: _evaluate(_predictions(())),
+     "the report needs individual and combined predictions"),
+    # an array of the wrong shape or out of range
+    ("raw-score-scalar", lambda: normalize_scores(5), "raw score must form a vector"),
+    ("raw-score-empty", lambda: normalize_scores([]), "raw score vector is empty"),
+    ("batch-raw-shape", lambda: FusionBatch(("d1",), LABELS, ("s",), RAW),
+     "raw scores have shape (1, 2, 3), expected (1, 1, 3) for documents x systems x labels"),
+    ("curves-differ-in-length", lambda: cognitive_diversity([0.0, 0.5, 1.0], [0.0, 0.5]),
+     "curves differ in length: (3,) versus (2,)"),
+    ("diversity-strength-not-square", lambda: diversity_strength([[0.0, 1.0]]),
+     "cognitive diversity matrix must be square"),
+    ("evaluate-expert-outside-labels", lambda: _evaluate(expert=[3]),
+     "evaluation needs one expert label-set index per document"),
+    ("evaluate-top1-of-two-documents", lambda: _evaluate(_predictions(("s",), top1=[[0, 0]])),
+     "predictions must be (models, documents) arrays on the label set's labels"),
+    ("evaluate-top1-outside-its-tied-group", lambda: _evaluate(_predictions(("s",), top1=[[1]])),
+     "each top1 must be a label index inside its tied group"),
+    ("grid-missing-performance-weight",
+     lambda: grid_arrays(FusionBatch(("d1",), LABELS, ("s", "t"), RAW), {"s": 1.0}),
+     "missing performance weights for systems ['t']"),
+    # a record's own text
+    ("tokenize-none", lambda: tokenize(None), "text must be a string"),
+    ("document-id-empty", lambda: Document("", "x"), "doc_id must be a non-empty string"),
+]
+
+# (case, a library call outside an operation's domain, the whole text of its DomainError)
+LIBRARY_DOMAIN_ERRORS = [
+    ("cognitive-diversity-of-two-labels", lambda: cognitive_diversity([0.0, 1.0], [1.0, 0.0]),
+     "cognitive diversity needs at least 3 labels, got 2"),
+    ("diversity-strength-of-one-system", lambda: diversity_strength([[0.0]]),
+     "diversity strength needs at least two systems"),
 ]
 
 
@@ -131,6 +198,14 @@ LIBRARY_REFUSALS = [
                          ids=[case[0] for case in LIBRARY_REFUSALS])
 def test_a_malformed_library_call_raises_one_validation_error(call, text):
     with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("call, text", [case[1:] for case in LIBRARY_DOMAIN_ERRORS],
+                         ids=[case[0] for case in LIBRARY_DOMAIN_ERRORS])
+def test_a_library_call_outside_its_domain_raises_one_domain_error(call, text):
+    with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == text
 
@@ -163,16 +238,10 @@ def test_a_repeated_system_id_reads_the_same_from_the_config_and_the_batch(tmp_p
     assert str(info.value) == "duplicate system id 's'"
 
 
-def _generate(ids):
-    # refused before out_dir is made or any prompt is fetched
-    prompts = [Prompt(prompt_id, "A", "t", "s", "text") for prompt_id in ids]
-    out_dir = Path(tempfile.gettempdir()) / "cfakit-never-written"
-    return generate_corpus(prompts, GenerationConfig("http://127.0.0.1:9/"), out_dir)
-
-
 # each call that takes a sequence of ids: the noun its errors use, whether
 # it takes the sequence itself (generate_corpus takes each id from a
-# Prompt, so a str or None cannot stand for the sequence), and the call
+# Prompt; a str or None for its prompts is the generate-corpus-none row),
+# and the call
 ID_ENTRIES = {
     "LabelSet": ("label", True, LabelSet),
     "FusionBatch-doc-ids": ("doc id", True, lambda ids: FusionBatch(ids, LABELS, ("s",), RAW)),
@@ -182,7 +251,8 @@ ID_ENTRIES = {
     "evaluate_predictions": ("model id", True, lambda ids: _evaluate(_predictions(ids))),
     "select_best": ("model id", True, lambda ids: select_best(ids, [1])),
     "expert_indices": ("doc id", True, lambda ids: expert_indices({"d1": "A"}, LABELS, ids)),
-    "generate_corpus": ("prompt id", False, _generate),
+    "generate_corpus": ("prompt id", False,
+                        lambda ids: _generate([Prompt(i, "A", "t", "s", "text") for i in ids])),
 }
 
 _ID = st.text("ab+:|", max_size=3)

@@ -31,6 +31,8 @@ needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="a worker needs a second CP
 # run the caller's code in argv[2] patches the process.
 _PINNED = """
 import os, sys
+# as a library caller pins BLAS: before the patch's imports load numpy
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
 forks, fork = [], os.fork
@@ -38,7 +40,7 @@ def counted():
     forks.append(1)
     return fork()
 os.fork = counted
-from cfakit.cli import main  # before the patch's imports load numpy
+from cfakit.cli import main
 exec(sys.argv[2])
 status = main(sys.argv[3:])
 try:
@@ -198,6 +200,16 @@ def test_no_worker_outlives_a_killed_fuse(tmp_path):
     while _session(proc.pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert _session(proc.pid) == []
+
+
+def test_importing_the_command_line_leaves_the_blas_threads_alone():
+    # main() pins BLAS when a command runs; an import changes no caller's environment
+    env = {key: value for key, value in _env().items() if key != "OPENBLAS_NUM_THREADS"}
+    code = "import os, cfakit.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "None\n"
 
 
 def test_tfidf_scores_do_not_depend_on_the_blas_threads(tmp_path):
