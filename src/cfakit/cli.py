@@ -145,15 +145,15 @@ def _performance_weights(batch: FusionBatch, config: RunConfig) -> dict[str, flo
 
 def cmd_fuse(args, config: RunConfig) -> None:
     from .combine import _grid_shares
-    from .fused import _cpus, _write_shares
+    from .fused import _cpus, write_fused_file
 
     batch = _load_batch(config)
     performance = _performance_weights(batch, config) if config.weights == "perf" else None
     shares = _grid_shares(batch, performance, _cpus())
     out = config.out_dir / "fused.csv"
-    models = _write_shares(out, batch, [
+    models = write_fused_file(out, batch, *(
         ((combo_id, order, tied) for combo_id, (_, order, tied, _) in grid) for grid in shares
-    ])
+    ))
     print(f"wrote {out} ({models} combined models, {models * len(batch)} fused rankings)")
 
 

@@ -255,6 +255,7 @@ def evaluate_predictions(
     dtype and tied groups a boolean one, and nothing is cast.
     """
     _check_choice("tie_mode", tie_mode)
+    doc_ids = _ids(doc_ids, "doc id")
     try:
         individual, combined = (p._replace(model_ids=_ids(p.model_ids, "model id"),
                                            top1=np.asarray(p.top1), tied=np.asarray(p.tied))
@@ -305,50 +306,15 @@ _OVERALL = _record_template(6)
 _PER_LABEL = _record_template(8)
 
 
-def _models_json(
-    counts: ModelCounts, tie_totals: Sequence[int], label_counts: Mapping[str, int]
-) -> str:
-    """The individual or combined section of report.json, with the bytes
-    json.dumps(indent=2, sort_keys=True, ensure_ascii=False) gives it one
-    level deep: models by id, each with its overall record and its
-    per-label records by label (null for a label without documents).
-    tie_totals holds each model's ties over all labels.  Floats are
-    written by repr, as json writes them."""
-    labels, totals = list(label_counts), list(label_counts.values())
-    total = sum(totals)
-    by_name = sorted(range(len(labels)), key=labels.__getitem__)
-    keys = [f"\n        {json.dumps(labels[l], ensure_ascii=False)}: " for l in by_name]
-    groups = [totals[l] for l in by_name]
-    # each label's record by correct count, a %d in place of the tie count
-    records = [
-        [_PER_LABEL % (n, "%d", g, repr(n / g)) for n in range(g + 1)] if g else None
-        for g in groups
-    ]
-    models = {}
-    for model, c, t, cells, cell_ties in zip(
-        counts.model_ids, counts.overall.tolist(), tie_totals,
-        counts.correct[:, by_name].tolist(), counts.ties[:, by_name].tolist(),
-    ):
-        per_label = ",".join(
-            key + (record[n] % k if group else "null")
-            for key, record, group, n, k in zip(keys, records, groups, cells, cell_ties)
-        )
-        models[model] = (
-            f"\n    {json.dumps(model, ensure_ascii=False)}: {{"
-            f'\n      "overall": {_OVERALL % (c, t, total, repr(c / total))},'
-            f'\n      "per_label": {{{per_label}\n      }}\n    }}'
-        )
-    return "{" + ",".join(models[m] for m in sorted(models)) + "\n  }" if models else "{}"
-
-
 def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     """Write report.json and the five report tables under out_dir.
 
     report.json holds the bytes of json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False) of the report: the individual and combined
-    sections are written from their fixed shape, the others by json.
-    The precision tables are formatted from the count arrays, each id
-    quoted once as write_csv would quote it."""
+    sections are written from their fixed shape, floats by repr as json
+    writes them, the others by json.  Each model's precision table rows
+    and report.json entry are formatted in one pass over its counts, each
+    id quoted once as write_csv would quote it."""
     out_dir = Path(out_dir)
     stats, tables = report.grid_stats, report.disagreements
     sections = {
@@ -372,24 +338,36 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
         name: json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", "\n  ")
         for name, value in sections.items()
     }
-    totals = list(report.label_counts.values())
+    labels, totals = list(report.label_counts), list(report.label_counts.values())
     total = sum(totals)
-    # what follows the model and kind columns of a label's row, by correct count
-    tails = [
-        [f"{_quote(label)},{n},{g},{format_table(n / g)}\n" for n in range(g + 1)]
-        if g else [f"{_quote(label)},0,0,n/a\n"]
-        for label, g in report.label_counts.items()
-    ]
+    by_name = sorted(range(len(labels)), key=labels.__getitem__)  # report.json's label order
+    # by label and correct count: what follows the model and kind columns
+    # of a table row, and the report.json record, a %d in place of the tie
+    # count (null for a label without documents)
+    tails, records = [], []
+    for label, g in report.label_counts.items():
+        key = f"\n        {json.dumps(label, ensure_ascii=False)}: "
+        tails.append([f"{_quote(label)},{n},{g},{format_table(n / g)}\n" for n in range(g + 1)]
+                     if g else [f"{_quote(label)},0,0,n/a\n"])
+        records.append([key + _PER_LABEL % (n, "%d", g, repr(n / g)) for n in range(g + 1)]
+                       if g else [key + "null"])
     overall_lines, label_lines = [], []
     for kind, counts in {"individual": report.individual, "combined": report.combined}.items():
-        # each model's ties over all labels, summed once for both writers
-        tie_totals = counts.ties.sum(axis=1).tolist()
-        text[kind] = _models_json(counts, tie_totals, report.label_counts)
-        rows = zip(counts.model_ids, counts.overall.tolist(), tie_totals, counts.correct.tolist())
-        for model, c, t, cells in sorted(rows, key=lambda row: row[0]):
+        models = []
+        rows = zip(counts.model_ids, counts.overall.tolist(), counts.ties.sum(axis=1).tolist(),
+                   counts.correct.tolist(), counts.ties.tolist())
+        for model, c, t, cells, cell_ties in sorted(rows, key=lambda row: row[0]):
             head = f"{_quote(model)},{kind},"
             overall_lines.append(f"{head}{c},{total},{t},{format_table(c / total)}\n")
             label_lines.extend(head + tail[n] for tail, n in zip(tails, cells))
+            per_label = ",".join(records[l][cells[l]] % cell_ties[l] if totals[l]
+                                 else records[l][0] for l in by_name)
+            models.append(
+                f"\n    {json.dumps(model, ensure_ascii=False)}: {{"
+                f'\n      "overall": {_OVERALL % (c, t, total, repr(c / total))},'
+                f'\n      "per_label": {{{per_label}\n      }}\n    }}'
+            )
+        text[kind] = "{" + ",".join(models) + "\n  }" if models else "{}"
     atomic_write_text(out_dir / "report.json", "{" + ",".join(
         f'\n  "{name}": {text[name]}' for name in sorted(text)
     ) + "\n}\n")

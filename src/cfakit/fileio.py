@@ -505,10 +505,12 @@ def load_config(path: Path | str) -> RunConfig:
     base = path.parent
 
     def path_field(where, obj: dict, key: str, default):
-        # "" would name the config's own directory
+        # "" would name the config's own directory, and no system call takes a NUL
         value = _field(where, obj, key, "a string", default)
         if value == "":
             raise ValidationError(f"{where}: {key!r} must not be empty")
+        if value is not None and "\0" in value:
+            raise ValidationError(f"{where}: {key!r} must not hold a NUL character")
         return None if value is None else base / value
 
     systems: list[tuple[str, Path]] = []

@@ -31,6 +31,7 @@ def write_fused_file(
     path: Path | str,
     batch: FusionBatch,
     models: Iterable[tuple[str, np.ndarray, np.ndarray]],
+    *more: Iterable[tuple[str, np.ndarray, np.ndarray]],
 ) -> int:
     """Persist a combination grid of batch's documents and labels, sorted
     by combo_id then doc_id, and return the number of combined models.
@@ -38,30 +39,19 @@ def write_fused_file(
     models yields (combo_id, order, tied) per combined model, in combo_id
     order as grid_arrays makes them: order[d] lists the label indices of
     document batch.doc_ids[d] best first and tied[d] counts the labels
-    tied at the top.  Each row's ranking is its labels in that order,
-    tied_top the first tied of them and top1 the first.  Each model's rows
-    go to the temporary file as the model arrives, so memory holds one
-    model's rows and 4 bytes per row of the grid; on any error the file at
-    path keeps its old bytes.  Then <path>.cache (_fused_cache) is written
-    if the grid has a model and no NUL byte was written, which 3.10's
-    csv.reader rejects; otherwise any old cache is removed.
+    tied at the top.  Each of more is a later contiguous share of the same
+    grid, fused in a forked worker and spliced in after models, giving the
+    bytes of one share; pass more only where _cpus() is above 1, as a
+    process that forks must run one thread.  Every worker is killed and
+    reaped before this returns or raises.  Each row's ranking is its
+    labels in that order, tied_top the first tied of them and top1 the
+    first.  Each model's rows go to the temporary file as the model
+    arrives, so memory holds one model's rows and 4 bytes per row of the
+    grid; on any error the file at path keeps its old bytes.  Then
+    <path>.cache (_fused_cache) is written if the grid has a model and no
+    NUL byte was written, which 3.10's csv.reader rejects; otherwise any
+    old cache is removed.
     """
-    return _write_shares(path, batch, [models])
-
-
-def _cpus() -> int:
-    """The CPUs this process may fork onto: 1 where that is unknown, or
-    where it runs a second thread, as then it must not fork."""
-    try:
-        return len(os.sched_getaffinity(0)) if len(os.listdir("/proc/self/task")) == 1 else 1
-    except (AttributeError, OSError):
-        return 1
-
-
-def _write_shares(path: Path | str, batch: FusionBatch, shares: Sequence[Iterable]) -> int:
-    """write_fused_file over contiguous shares of one grid, each after the
-    first fused in a forked worker and spliced in, giving a one-share run's
-    bytes.  Every worker is killed and reaped before this returns or raises."""
     labels, doc_ids = batch.label_set.labels, batch.doc_ids
     perm = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
     # for the cache, each row's head: label t untied, or a tied group
@@ -72,11 +62,11 @@ def _write_shares(path: Path | str, batch: FusionBatch, shares: Sequence[Iterabl
     workers: list = []  # (pid, rows file, result reader) of each worker not yet reaped
     try:
         with atomic_writer(path) as handle:
-            for share in shares[1:]:
+            for share in more:
                 workers.append(_fork_share(batch, perm, share, Path(path).parent))
             handle.buffer.write(blob)
             spliced = [_spliced(workers, worker, heads) for worker in workers]
-            for combo_id, blob, at in chain(_model_rows(batch, perm, shares[0], heads), *spliced):
+            for combo_id, blob, at in chain(_model_rows(batch, perm, models, heads), *spliced):
                 size, crc = size + len(blob), zlib.crc32(blob, crc)
                 handle.buffer.write(blob)
                 cached &= b"\0" not in blob
@@ -103,6 +93,15 @@ def _write_shares(path: Path | str, batch: FusionBatch, shares: Sequence[Iterabl
     with atomic_writer(cache) as handle:
         handle.buffer.write(json.dumps(header, sort_keys=True).encode() + b"\n" + data)
     return len(combo_ids)
+
+
+def _cpus() -> int:
+    """The CPUs this process may fork onto: 1 where that is unknown, or
+    where it runs a second thread, as then it must not fork."""
+    try:
+        return len(os.sched_getaffinity(0)) if len(os.listdir("/proc/self/task")) == 1 else 1
+    except (AttributeError, OSError):
+        return 1
 
 
 def _fork_share(batch: FusionBatch, perm: np.ndarray, models: Iterable, out_dir: Path):

@@ -535,7 +535,8 @@ def test_generate_command(workspace):
     assert _run("gen-prompts", "--config", ws / "config.json", "--specs", ws / "specs.json") == 0
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), _GenHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the next poll: 10 ms, not the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         endpoint = {"endpoint_url": f"http://127.0.0.1:{server.server_port}/gen"}
@@ -922,6 +923,14 @@ MALFORMED = [
      {}, ["fuse"], "config.json: system 1: 'path' must not be empty"),
     ("expert-labels-empty", {"expert_labels": ""}, {}, ["evaluate"],
      "config.json: 'expert_labels' must not be empty"),
+    # no system call takes a path holding a NUL
+    ("system-path-nul",
+     {"systems": [{"id": "s", "path": "s.csv"}, {"id": "t", "path": "t\0.csv"}]}, {},
+     ["diversity"], "error: config.json: system 1: 'path' must not hold a NUL character"),
+    ("out-dir-nul", {"out_dir": "out\0"}, {}, ["fuse"],
+     "error: config.json: 'out_dir' must not hold a NUL character"),
+    ("expert-labels-nul", {"expert_labels": "e\0.csv"}, {}, ["evaluate"],
+     "error: config.json: 'expert_labels' must not hold a NUL character"),
     ("endpoint-url-empty", {"generation": {"endpoint_url": ""}},
      {"prompts.csv": PROMPTS}, ["generate", "--prompts", "prompts.csv"],
      "generation.endpoint_url is required"),
@@ -964,6 +973,15 @@ MALFORMED = [
      "error: config must list at least one system under 'systems'"),
     ("expert-labels-unset", {}, {}, ["evaluate"],
      "error: config must name the expert labels file"),
+    # an expert or corpus row with an empty field or a repeated document
+    ("expert-labels-empty-label", {"expert_labels": "e.csv"}, {"e.csv": b"doc_id,label\nd1,\n"},
+     ["evaluate"], "error: e.csv:2: empty doc_id or label"),
+    ("expert-labels-duplicate-document", {"expert_labels": "e.csv"},
+     {"e.csv": b"doc_id,label\nd1,A\nd1,B\n"}, ["evaluate"],
+     "error: e.csv:3: duplicate document 'd1'"),
+    ("corpus-jsonl-duplicate-doc", {},
+     {"c.jsonl": b'{"doc_id": "d1", "text": "one"}\n{"doc_id": "d1", "text": "two"}\n'},
+     ["corpus-stats", "--corpus", "c.jsonl"], "error: c.jsonl:2: duplicate document 'd1'"),
     # a file with a header and no rows
     ("expert-labels-without-rows", {"expert_labels": "e.csv"}, {"e.csv": b"doc_id,label\n"},
      ["evaluate"], "error: e.csv: no expert labels"),
@@ -1063,6 +1081,11 @@ UNREADABLE_OR_OUT_OF_DOMAIN = [
     ("score-file-missing",
      {"systems": [{"id": "s", "path": "s.csv"}, {"id": "u", "path": "u.csv"}]}, {}, ["fuse"], 2,
      "error: file not found: u.csv"),
+    # an input read as a CSV table
+    ("expert-labels-missing", {"expert_labels": "e.csv"}, {}, ["evaluate"], 2,
+     "error: file not found: e.csv"),
+    ("fused-missing-before-fuse", {"expert_labels": "e.csv"}, {"e.csv": b"doc_id,label\nd1,A\n"},
+     ["evaluate"], 2, "error: file not found: out/fused.csv"),
     ("labels-two", {"labels": ["A", "B"]}, {}, ["fuse"], 3,
      "error: label set needs at least 3 labels, got 2"),
     # the grid is refused before fuse makes its out_dir

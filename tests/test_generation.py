@@ -65,7 +65,8 @@ def stub_server():
     _StubHandler.failure = 500
     _StubHandler.release = threading.Event()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the next poll: 10 ms, not the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     url = f"http://127.0.0.1:{server.server_port}/generate"
     try:

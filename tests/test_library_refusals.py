@@ -58,8 +58,8 @@ def _predictions(model_ids, top1=((0,),), tied=(((True, False, False),),)):
     return ModelPredictions(model_ids, LABELS.labels, top1, tied)
 
 
-def _evaluate(individual=None, combined=None, expert=(0,)):
-    return evaluate_predictions(["d1"], LABELS, expert, individual or _predictions(("s",)),
+def _evaluate(individual=None, combined=None, expert=(0,), doc_ids=("d1",)):
+    return evaluate_predictions(doc_ids, LABELS, expert, individual or _predictions(("s",)),
                                 combined or _predictions(("s+t:asc",)))
 
 
@@ -89,6 +89,13 @@ LIBRARY_REFUSALS = [
      "system ids must be a sequence, got str"),
     ("expert-indices-string", lambda: expert_indices({"d1": "A"}, LABELS, "d1"),
      "doc ids must be a sequence, got str"),
+    ("evaluate-doc-ids-string", lambda: _evaluate(doc_ids="d1"),
+     "doc ids must be a sequence, got str"),
+    ("evaluate-doc-ids-none", lambda: _evaluate(doc_ids=None),
+     "doc ids must be a sequence, got NoneType"),
+    # a repeated document would be counted twice
+    ("evaluate-doc-id-repeated", lambda: _evaluate(expert=(0, 0), doc_ids=("d1", "d1")),
+     "duplicate doc id 'd1'"),
     # a count is an int that is not a bool
     ("select-best-string-count", lambda: select_best(["a"], ["x"]), COUNTS),
     ("select-best-bool-counts", lambda: select_best(["a", "b"], [True, 1]), COUNTS),
@@ -249,6 +256,7 @@ ID_ENTRIES = {
                                lambda ids: FusionBatch(("d1",), LABELS, ids, RAW)),
     "enumerate_combinations": ("system id", True, enumerate_combinations),
     "evaluate_predictions": ("model id", True, lambda ids: _evaluate(_predictions(ids))),
+    "evaluate_predictions-doc-ids": ("doc id", True, lambda ids: _evaluate(doc_ids=ids)),
     "select_best": ("model id", True, lambda ids: select_best(ids, [1])),
     "expert_indices": ("doc id", True, lambda ids: expert_indices({"d1": "A"}, LABELS, ids)),
     "generate_corpus": ("prompt id", False,

@@ -10,6 +10,10 @@ LIBRARY_DOMAIN_ERRORS in tests/test_library_refusals.py, which make a
 library call.  A refusal with no part left passes another one's text
 on, such as the command line's ValidationError(message) for argparse's
 usage errors, and needs no row of its own.
+
+The check matches texts, not call sites: a refusal whose text a row made
+for another call already holds passes without ever being run, so a new
+refusal that shares a text needs a row of its own all the same.
 """
 
 from __future__ import annotations

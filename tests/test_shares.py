@@ -91,6 +91,19 @@ def slow(*args):
 cfakit.combine._fuse_arrays = slow
 """
 
+# the parent's own share fails at its first model as on a full disk, while
+# its worker, 10 ms a model, still runs
+_FULL_DISK_IN_THE_PARENT = """
+import errno, time, cfakit.combine
+fuse, parent = cfakit.combine._fuse_arrays, os.getpid()
+def failing(*args):
+    if os.getpid() == parent:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    time.sleep(0.01)
+    return fuse(*args)
+cfakit.combine._fuse_arrays = failing
+"""
+
 
 def _env(**extra) -> dict[str, str]:
     return {**os.environ, **extra,
@@ -148,7 +161,9 @@ def test_fused_bytes_do_not_depend_on_the_cpus(tmp_path, nul):
 @pytest.mark.parametrize("patch, reason", [
     (_FULL_DISK, os.strerror(28)),
     (_DYING_WORKER, f"a fuse worker ended without a result (wait status {int(signal.SIGKILL)})"),
-], ids=["full-disk", "killed"])
+    # the worker is still running, so the clean-up kills and reaps it
+    (_FULL_DISK_IN_THE_PARENT, os.strerror(28)),
+], ids=["full-disk", "killed", "full-disk-in-the-parent"])
 def test_a_failed_worker_gives_one_error_line_and_keeps_the_old_files(tmp_path, patch, reason):
     _grid_workspace(tmp_path)
     out = tmp_path / "out"
