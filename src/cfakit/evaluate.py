@@ -343,14 +343,13 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
     by_name = sorted(range(len(labels)), key=labels.__getitem__)  # report.json's label order
     # by label and correct count: what follows the model and kind columns
     # of a table row, and the report.json record, a %d in place of the tie
-    # count (null for a label without documents)
+    # count; each label's JSON key is kept apart, as a label may hold a %
+    keys = [f"\n        {json.dumps(label, ensure_ascii=False)}: " for label in labels]
     tails, records = [], []
     for label, g in report.label_counts.items():
-        key = f"\n        {json.dumps(label, ensure_ascii=False)}: "
         tails.append([f"{_quote(label)},{n},{g},{format_table(n / g)}\n" for n in range(g + 1)]
                      if g else [f"{_quote(label)},0,0,n/a\n"])
-        records.append([key + _PER_LABEL % (n, "%d", g, repr(n / g)) for n in range(g + 1)]
-                       if g else [key + "null"])
+        records.append([_PER_LABEL % (n, "%d", g, repr(n / g)) for n in range(g + 1)] if g else [])
     overall_lines, label_lines = [], []
     for kind, counts in {"individual": report.individual, "combined": report.combined}.items():
         models = []
@@ -360,8 +359,8 @@ def write_report(report: EvaluationReport, out_dir: Path | str) -> None:
             head = f"{_quote(model)},{kind},"
             overall_lines.append(f"{head}{c},{total},{t},{format_table(c / total)}\n")
             label_lines.extend(head + tail[n] for tail, n in zip(tails, cells))
-            per_label = ",".join(records[l][cells[l]] % cell_ties[l] if totals[l]
-                                 else records[l][0] for l in by_name)
+            per_label = ",".join(keys[l] + (records[l][cells[l]] % cell_ties[l] if totals[l]
+                                            else "null") for l in by_name)
             models.append(
                 f"\n    {json.dumps(model, ensure_ascii=False)}: {{"
                 f'\n      "overall": {_OVERALL % (c, t, total, repr(c / total))},'

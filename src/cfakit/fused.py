@@ -39,10 +39,10 @@ def write_fused_file(
     models yields (combo_id, order, tied) per combined model, in combo_id
     order as grid_arrays makes them: order[d] lists the label indices of
     document batch.doc_ids[d] best first and tied[d] counts the labels
-    tied at the top.  Each of more is a later contiguous share of the same
-    grid, fused in a forked worker and spliced in after models, giving the
-    bytes of one share; pass more only where _cpus() is above 1, as a
-    process that forks must run one thread.  Every worker is killed and
+    tied at the top.  Each of more (the fuse command's shares) is a later
+    contiguous share of the grid, spliced in after models with the bytes
+    of one share: it is fused in a forked worker, or here where a second
+    thread or a single CPU rules out a fork.  Every worker is killed and
     reaped before this returns or raises.  Each row's ranking is its
     labels in that order, tied_top the first tied of them and top1 the
     first.  Each model's rows go to the temporary file as the model
@@ -52,6 +52,8 @@ def write_fused_file(
     NUL byte was written, which 3.10's csv.reader rejects; otherwise any
     old cache is removed.
     """
+    if more and _cpus() == 1:
+        models, more = chain(models, *more), ()
     labels, doc_ids = batch.label_set.labels, batch.doc_ids
     perm = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
     # for the cache, each row's head: label t untied, or a tied group

@@ -913,6 +913,31 @@ def test_report_files_match_a_row_by_row_writer(case):
     assert got == {name: text.encode("utf-8") for name, text in want.items()}
 
 
+def test_report_files_keep_a_percent_sign_in_labels_and_ids():
+    """Labels and model ids that %-formatting would read as directives,
+    one of them a label without documents."""
+    labels = ("100%", "%%", "x%s", "%d")
+    doc_ids = ("d%s", "d2", "d3")
+    expert = np.array([0, 1, 2], dtype=np.intp)
+    tied = np.zeros((2, 3, 4), dtype=bool)
+    tied[0, :, 0] = tied[0, 1, 1] = tied[1, :, 2] = True
+    individual = ModelPredictions(("s%d", "s%%"), labels, np.array([[0, 1, 0], [2, 2, 2]]), tied)
+    combined = ModelPredictions(("%s:score",), labels, np.array([[2, 2, 2]]), tied[1:])
+    report = evaluate_predictions(doc_ids, LabelSet(labels), expert, individual, combined,
+                                  "lenient")
+    want = _naive.report_files(
+        "lenient", labels, dict(zip(doc_ids, labels)),
+        {"s%d": {"d%s": ("100%", {"100%"}), "d2": ("%%", {"100%", "%%"}),
+                 "d3": ("100%", {"100%"})},
+         "s%%": {doc_id: ("x%s", {"x%s"}) for doc_id in doc_ids}},
+        {"%s:score": {doc_id: ("x%s", {"x%s"}) for doc_id in doc_ids}})
+    with tempfile.TemporaryDirectory() as tmp:
+        write_report(report, tmp)
+        got = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+    assert got == {name: text.encode("utf-8") for name, text in want.items()}
+    assert json.loads(got["report.json"])["individual"]["s%d"]["per_label"]["%d"] is None
+
+
 @st.composite
 def diversity_batches(draw):
     """A tie-heavy batch with odd (or, half the time, never quoted) document

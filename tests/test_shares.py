@@ -1,6 +1,7 @@
 """`cfakit fuse` over shares of the grid in forked workers: the bytes of a
 one-process run whatever the CPU count, every failure one error line with
-the old files kept, and no worker left behind.
+the old files kept, and no worker left behind; none is forked where a
+second thread rules a fork out.
 
 Each run is a fresh interpreter pinned to at most 3 CPUs, so no test
 starts more than 2 workers."""
@@ -13,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -20,7 +22,9 @@ import numpy as np
 import pytest
 
 import cfakit
-from cfakit.combine import MIN_SHARE
+from cfakit import FusionBatch, LabelSet
+from cfakit.combine import MIN_SHARE, grid_arrays
+from cfakit.fused import write_fused_file
 
 SRC = str(Path(cfakit.__file__).resolve().parent.parent)
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -249,3 +253,29 @@ def test_tfidf_scores_do_not_depend_on_the_blas_threads(tmp_path):
         assert result.returncode == 0, result.stderr
         scores.add((tmp_path / "out" / "scores_tfidf.csv").read_bytes())
     assert len(scores) == 1
+
+
+def test_a_library_caller_with_a_second_thread_fuses_its_shares_without_a_fork(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    batch = FusionBatch([f"d{d}" for d in range(5)], LabelSet(("A", "B", "C")),
+                        ["s0", "s1", "s2"], rng.random((5, 3, 3)).round(1))
+    grid = [(combo_id, order, tied) for combo_id, (_, order, tied, _) in grid_arrays(batch)]
+    assert write_fused_file(tmp_path / "one.csv", batch, grid) == len(grid)
+
+    def no_fork():
+        raise AssertionError("forked while a second thread runs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert write_fused_file(tmp_path / "shares.csv", batch, grid[:5], grid[5:9],
+                                grid[9:]) == len(grid)
+    finally:
+        done.set()
+        thread.join()
+    for name in ("shares.csv", "shares.csv.cache"):
+        one = name.replace("shares", "one")
+        assert (tmp_path / name).read_bytes() == (tmp_path / one).read_bytes()
