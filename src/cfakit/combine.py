@@ -50,11 +50,11 @@ def enumerate_combinations(system_ids: Sequence[str]) -> list[tuple[str, ...]]:
 
 
 def _fuse_arrays(
-    batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray | None = None
+    batch: FusionBatch, idx: Sequence[int], strategy: str, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fuse the systems at positions idx under one strategy, for every
-    document at once; weights is (docs, len(idx)) for wsc and wrc, and
-    never negative.
+    document at once; weights is (docs, len(idx)), never negative, and
+    read by wsc and wrc only.
 
     wsc is sum(w_j * s_j) / sum(w_j) and falls back to the plain score
     average where the weights sum to (nearly) zero, as when every subset
@@ -112,7 +112,8 @@ def grid_arrays(
     recomputed per document and subset, and tagged "-ds".  With it, they
     are weighted by its value for each system, the same for every
     document, and tagged "-perf"; it must name every system of the batch,
-    each with a finite, non-negative real number."""
+    each with a finite, non-negative real number, and their sum must be
+    finite."""
     (grid,) = _grid_shares(batch, performance, 1)
     return grid
 
@@ -129,6 +130,8 @@ def _grid_shares(batch: FusionBatch, performance: Mapping[str, float] | None, cp
         if not all(_JSON_KINDS["a finite real"](w) and w >= 0 for w in weights):
             raise ValidationError("performance weights must be finite and non-negative numbers")
         perf = dict(zip(batch.system_ids, map(float, weights)))
+        if not np.isfinite(sum(perf.values())):  # wsc divides by the sum
+            raise ValidationError("performance weights must have a finite sum")
     subsets = sorted(enumerate_combinations(batch.system_ids), key=lambda s: "+".join(s) + ":")
     n = max(1, min(cpus, len(subsets) * len(STRATEGIES) // MIN_SHARE))
     if n > 1 and perf is None:

@@ -63,6 +63,11 @@ def normalize_scores(raw) -> np.ndarray:
     to 0.5; callers mark such systems degenerate rather than failing.
     """
     arr = _as_rows(raw, "raw score")
+    # a row whose spread passes the largest float is halved first; x * 1.0
+    # is exact, x * 0.5 too but in a subnormal's last bit, and min-max
+    # normalizing ignores the scale
+    with np.errstate(over="ignore"):
+        arr = arr * np.where(np.isinf(np.ptp(arr, axis=-1, keepdims=True)), 0.5, 1.0)
     lo = arr.min(axis=-1, keepdims=True)
     span = arr.max(axis=-1, keepdims=True) - lo
     flat = span == 0.0

@@ -20,13 +20,13 @@ and floats only appear in presentation.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .combine import _fuse_arrays, grid_arrays
+from .combine import grid_arrays
 from .core import FusionBatch
 from .errors import ValidationError
 from .fileio import _JSON_KINDS, _names, _quote, atomic_write_text, format_table, write_csv
@@ -47,28 +47,16 @@ class ModelPredictions(NamedTuple):
     tied: np.ndarray
 
 
-def _stack(labels: tuple[str, ...], models: Iterable[tuple]) -> ModelPredictions:
-    """ModelPredictions from (model_id, values, order) triples, the combined
-    values and label order of one _fuse_arrays result per model.  The
-    labels whose value equals the top label's are tied, the test by which
-    _fuse_arrays counts them."""
-    model_ids, top1, tied = zip(*(
-        (model_id, order[:, 0], values == np.take_along_axis(values, order[:, :1], axis=1))
-        for model_id, values, order in models
-    ))
-    return ModelPredictions(model_ids, labels, np.stack(top1), np.stack(tied))
-
-
 def individual_arrays(batch: FusionBatch) -> ModelPredictions:
     """Top-1 predictions of each system on its own, documents in batch order.
 
-    A single system is scored exactly like a size-one score average, so
-    ties at the top resolve by label order and the tied group is kept.
+    A system's top-1 is the first label with its highest normalized score,
+    so ties at the top resolve by label order, and its tied group is every
+    label equal to that score.
     """
-    return _stack(batch.label_set.labels, (
-        (system_id, *_fuse_arrays(batch, (j,), "asc")[:2])
-        for j, system_id in enumerate(batch.system_ids)
-    ))
+    normalized = batch.normalized.transpose(1, 0, 2)  # systems, documents, labels
+    return ModelPredictions(batch.system_ids, batch.label_set.labels, normalized.argmax(axis=2),
+                            normalized == normalized.max(axis=2, keepdims=True))
 
 
 def combined_arrays(
@@ -76,11 +64,13 @@ def combined_arrays(
 ) -> ModelPredictions:
     """Top-1 predictions of every combined model, in grid_arrays' combo_id
     order (that of fused.csv) and under its weights, documents in batch
-    order."""
-    grid = grid_arrays(batch, performance)
-    return _stack(batch.label_set.labels, (
-        (combo_id, values, order) for combo_id, (values, order, _, _) in grid
+    order.  The labels whose combined value equals the top label's are
+    tied, the test by which grid_arrays counts them."""
+    model_ids, top1, tied = zip(*(
+        (combo_id, order[:, 0], values == np.take_along_axis(values, order[:, :1], axis=1))
+        for combo_id, (values, order, _, _) in grid_arrays(batch, performance)
     ))
+    return ModelPredictions(model_ids, batch.label_set.labels, np.stack(top1), np.stack(tied))
 
 
 def expert_indices(

@@ -122,18 +122,25 @@ def generate_corpus(
     errors: list[dict] = []
     fetched = 0
     if todo:
+        from http.client import HTTPException  # only generate talks HTTP
+
         # appends must start on a fresh line, not on a torn one
         _write_jsonl(corpus_path, [existing[k] for k in sorted(existing)])
         pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
         try:
             with corpus_path.open("a", encoding="utf-8", newline="") as handle:
-                futures = {pool.submit(_try_fetch, p, config): p for p in todo}
+                futures = {pool.submit(_fetch, p, config): p for p in todo}
                 for future in as_completed(futures):
                     prompt = futures[future]
-                    text, error = future.result()
-                    if error is not None:
-                        errors.append({"prompt_id": prompt.prompt_id, "error": error})
+                    # read, not raised: a traceback through this frame would
+                    # hold the future in a cycle, and an HTTPError's socket
+                    # open until the collector ran.  OSError covers HTTPError,
+                    # URLError and a timeout; ValueError a URL urllib cannot use
+                    error = future.exception()
+                    if isinstance(error, (OSError, HTTPException, ValueError, RuntimeError)):
+                        errors.append({"prompt_id": prompt.prompt_id, "error": str(error)})
                         continue
+                    text = future.result()  # raises any other error
                     record = {
                         "doc_id": prompt.prompt_id,
                         "prompt_id": prompt.prompt_id,
@@ -157,14 +164,3 @@ def generate_corpus(
     errors.sort(key=lambda e: e["prompt_id"])
     _write_jsonl(out / ERRORS_FILE, errors)
     return GenerationOutcome(tuple(records), tuple(errors), fetched, skipped)
-
-
-def _try_fetch(prompt: Prompt, config: GenerationConfig) -> tuple[str | None, str | None]:
-    from http.client import HTTPException
-
-    try:
-        return _fetch(prompt, config), None
-    # OSError covers HTTPError, URLError and a timeout; ValueError an
-    # endpoint URL that urllib cannot use
-    except (OSError, HTTPException, ValueError, RuntimeError) as exc:
-        return None, str(exc)

@@ -379,6 +379,32 @@ def test_performance_weights_are_the_reported_precisions(tmp_path):
     assert fused["strict"] != fused["lenient"]
 
 
+def test_scores_spread_past_the_largest_float_rank_as_their_halves(tmp_path):
+    # max - min of s's d1 row overflows; its normalized scores must be
+    # those of the same row at a scale that does not, here +-1 for +-1e308
+    outputs = []
+    for big in ("1e308", "1"):
+        ws = tmp_path / big
+        ws.mkdir()
+        (ws / "s.csv").write_text("doc_id,label,score\n"
+                                  f"d1,A,{big}\nd1,B,-{big}\nd1,C,0\n"
+                                  "d2,A,0.1\nd2,B,0.2\nd2,C,0.3\n")
+        (ws / "t.csv").write_text("doc_id,label,score\n"
+                                  "d1,A,0.2\nd1,B,0.7\nd1,C,0.4\n"
+                                  "d2,A,0.3\nd2,B,0.1\nd2,C,0.2\n")
+        (ws / "e.csv").write_text("doc_id,label\nd1,A\nd2,C\n")
+        (ws / "config.json").write_text(json.dumps({
+            "labels": ["A", "B", "C"],
+            "systems": [{"id": s, "path": f"{s}.csv"} for s in ("s", "t")],
+            "expert_labels": "e.csv", "weights": "perf", "out_dir": "out",
+        }))
+        for command in ("diversity", "fuse", "evaluate"):
+            assert _run(command, "--config", ws / "config.json") == 0
+        outputs.append([(ws / "out" / name).read_bytes() for name in ("fused.csv", "report.json")])
+    assert outputs[0] == outputs[1]
+    assert b"s+t:asc,d1,A,true,A|B," in outputs[0][0]
+
+
 def test_diversity_outputs(workspace):
     ws = workspace
     _score_both(ws)

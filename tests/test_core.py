@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ def test_normalize_affine_rescale():
 
 def test_normalize_constant_vector_maps_to_half():
     assert normalize_scores([3.0, 3.0, 3.0]).tolist() == [0.5, 0.5, 0.5]
+
+
+def test_normalize_spread_past_the_largest_float():
+    # max - min overflows; the row normalizes as its halves do, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert normalize_scores([1e308, -1e308, 0.0]).tolist() == [1.0, 0.0, 0.5]
 
 
 def test_normalize_rejects_non_finite_with_index():

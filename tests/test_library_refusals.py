@@ -184,6 +184,10 @@ LIBRARY_REFUSALS = [
      "predictions must be (models, documents) arrays on the label set's labels"),
     ("evaluate-top1-outside-its-tied-group", lambda: _evaluate(_predictions(("s",), top1=[[1]])),
      "each top1 must be a label index inside its tied group"),
+    # wsc divides by the weights' sum, so it must not overflow
+    ("grid-performance-weights-sum-overflows",
+     lambda: grid_arrays(FusionBatch(("d1",), LABELS, ("s", "t"), RAW), {"s": 1e308, "t": 1e308}),
+     "performance weights must have a finite sum"),
     ("grid-missing-performance-weight",
      lambda: grid_arrays(FusionBatch(("d1",), LABELS, ("s", "t"), RAW), {"s": 1.0}),
      "missing performance weights for systems ['t']"),
